@@ -16,7 +16,7 @@ from .bumps import (
     joint_factor,
 )
 from .grid import DyadicCube, GridConfig, children, contains, enumerate_cubes, parse_cube, root_cube
-from .maximal import dyadic_maximal, fractional_maximal, rho, rho_all
+from .maximal import dyadic_maximal, rho, rho_all
 from .operators import (
     PowerIterationError,
     TestingReport,
@@ -39,7 +39,6 @@ from .prooftrace import (
 from .sparse import (
     SparseFamily,
     carleson_check,
-    exceptional_sets,
     family_from_json,
     family_to_json,
     random_sparse,

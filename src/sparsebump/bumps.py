@@ -156,27 +156,6 @@ class BumpReport:
     eps: EntropyFunction | None = None
     dual_rho: str | None = None
 
-    @property
-    def A(self) -> float:
-        return self.constants["A"]
-
-    @property
-    def E(self) -> float:
-        return self.constants["E"]
-
-    @property
-    def E_star(self) -> float:
-        key = "E_star_printed" if self.dual_rho == "as_printed" else "E_star_symmetric"
-        return self.constants[key]
-
-    @property
-    def D(self) -> float:
-        return self.constants["D"]
-
-    @property
-    def D_star(self) -> float:
-        return self.constants["D_star"]
-
     def to_dict(self) -> dict:
         out = dict(self.constants)
         out["argmax"] = {k: c.text for k, c in self.argmax.items()}

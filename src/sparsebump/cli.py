@@ -137,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _OVERRIDE_FIELDS = (
-    "instances", "lam", "p", "q", "alpha", "mode", "delta", "budget",
-    "volatility", "levels", "lambdas",
+    "instances", "leaf_level", "dimension", "lam", "p", "q", "alpha", "mode",
+    "delta", "budget", "target_size", "volatility", "family_kind", "levels", "lambdas",
 )
 
 
@@ -151,14 +151,6 @@ def _suite_config(args, kind: str) -> ExperimentConfig:
         data["master_seed"] = args.seed
     elif "master_seed" not in data and os.environ.get("SPARSEBUMP_SEED"):
         data["master_seed"] = int(os.environ["SPARSEBUMP_SEED"])
-    if args.leaf_level is not None:
-        data["leaf_level"] = args.leaf_level
-    if args.dimension is not None:
-        data["dimension"] = args.dimension
-    if getattr(args, "target_size", None) is not None:
-        data["target_size"] = args.target_size
-    if getattr(args, "family_kind", None) is not None:
-        data["family_kind"] = args.family_kind
     for name in _OVERRIDE_FIELDS:
         value = getattr(args, name, None)
         if value is not None:

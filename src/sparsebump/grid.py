@@ -12,6 +12,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 MAX_LEAF_LEVEL = {1: 24, 2: 12}
 
 
@@ -164,3 +166,35 @@ def leaf_count(cube: DyadicCube, grid: GridConfig) -> int:
 
 def root_cube(grid: GridConfig) -> DyadicCube:
     return DyadicCube(0, (0,) * grid.dimension)
+
+
+# --- per-level cube arrays ----------------------------------------------------
+
+def coarsen(arr: np.ndarray, dimension: int, times: int = 1) -> np.ndarray:
+    """Sum sibling blocks `times` times: level k+times values -> level k sums.
+
+    Each step adds the 2^d children of every cube pairwise, so a cube's sum is
+    the same binary tree over its leaves wherever it is taken.
+    """
+    for _ in range(times):
+        if dimension == 1:
+            arr = arr[0::2] + arr[1::2]
+        else:
+            arr = (arr[0::2, 0::2] + arr[0::2, 1::2]) + (arr[1::2, 0::2] + arr[1::2, 1::2])
+    return arr
+
+
+def expand(arr: np.ndarray, dimension: int, times: int = 1) -> np.ndarray:
+    """Repeat each level-k entry over its level k+times descendants."""
+    for axis in range(dimension):
+        arr = arr.repeat(2**times, axis=axis)
+    return arr
+
+
+def pyramid(leaf_arr: np.ndarray, grid: GridConfig) -> list[np.ndarray]:
+    """Cube sums of a leaf array on every level: levels[k] holds level k."""
+    levels = [leaf_arr]
+    for _ in range(grid.leaf_level):
+        levels.append(coarsen(levels[-1], grid.dimension))
+    levels.reverse()
+    return levels

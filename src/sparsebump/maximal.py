@@ -1,5 +1,4 @@
-"""Dyadic maximal function, the local A-infinity characteristic rho, and
-the fractional maximal operator.
+"""Dyadic maximal function and the local A-infinity characteristic rho.
 
 All suprema run over the grid cubes of levels 0..N only: densities are
 leaf-constant, so finer scales cannot change any average.  rho(Q) is
@@ -12,27 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import DyadicCube, GridConfig, leaf_slice
-from .weights import LeafFunction, Weight, _coarsen, average, mass
-
-
-def _broadcast_to_leaves(arr: np.ndarray, level: int, grid: GridConfig) -> np.ndarray:
-    """Expand a level-k cube array to leaf resolution by block repetition."""
-    f = 2 ** (grid.leaf_level - level)
-    if f == 1:
-        return arr
-    if grid.dimension == 1:
-        return np.repeat(arr, f)
-    return arr.repeat(f, axis=0).repeat(f, axis=1)
-
-
-def _block_sum(leaf_arr: np.ndarray, level: int, grid: GridConfig) -> np.ndarray:
-    """Sum a leaf array over each level-k cube."""
-    f = 2 ** (grid.leaf_level - level)
-    if grid.dimension == 1:
-        return leaf_arr.reshape(-1, f).sum(axis=1)
-    n = 2**level
-    return leaf_arr.reshape(n, f, n, f).sum(axis=(1, 3))
+from .grid import DyadicCube, GridConfig, coarsen, expand, leaf_slice
+from .weights import LeafFunction, Weight, average, mass
 
 
 def dyadic_maximal(sigma: Weight, cube: DyadicCube) -> LeafFunction:
@@ -43,27 +23,14 @@ def dyadic_maximal(sigma: Weight, cube: DyadicCube) -> LeafFunction:
     the truncated averages <sigma 1_Q>_{Q'} are dominated by <sigma>_Q.
     """
     grid = sigma.grid
+    d = grid.dimension
+    running = np.full((1,) * d, average(sigma, cube))
+    for k in range(cube.level + 1, grid.leaf_level + 1):
+        # the level-k averages inside Q; |Q'| = 2^{-dk} exactly
+        local = sigma.mass_levels[k][leaf_slice(cube, GridConfig(d, k))] * 2.0 ** (d * k)
+        running = np.maximum(expand(running, d), local)
     out = np.zeros(grid.leaf_shape())
-    sel = leaf_slice(cube, grid)
-    running = np.full((1,) * grid.dimension, average(sigma, cube))
-    for k in range(cube.level, grid.leaf_level + 1):
-        shift = k - cube.level
-        if grid.dimension == 1:
-            local = sigma.level_averages(k)[
-                cube.index[0] << shift : (cube.index[0] + 1) << shift
-            ]
-        else:
-            j1, j2 = cube.index
-            local = sigma.level_averages(k)[
-                j1 << shift : (j1 + 1) << shift, j2 << shift : (j2 + 1) << shift
-            ]
-        if k > cube.level:
-            if grid.dimension == 1:
-                running = np.repeat(running, 2)
-            else:
-                running = running.repeat(2, axis=0).repeat(2, axis=1)
-        running = np.maximum(running, local)
-    out[sel] = _broadcast_to_leaves(running, grid.leaf_level, grid)
+    out[leaf_slice(cube, grid)] = running
     return LeafFunction(grid, out)
 
 
@@ -76,8 +43,10 @@ def rho(sigma: Weight, cube: DyadicCube) -> float:
     grid = sigma.grid
     maximal = dyadic_maximal(sigma, cube).values[leaf_slice(cube, grid)]
     avg = average(sigma, cube)
-    # excess >= 0 exactly: the running max was seeded with avg
-    excess = float(np.sum(maximal - avg)) * grid.leaf_volume
+    # excess >= 0 exactly: the running max was seeded with avg; the block is
+    # summed by the same pairwise tree as in rho_all
+    excess = coarsen(maximal - avg, grid.dimension, grid.leaf_level - cube.level).item()
+    excess *= grid.leaf_volume
     return 1.0 + excess / m
 
 
@@ -94,11 +63,10 @@ def rho_all(sigma: Weight) -> list[np.ndarray]:
     chain_max = sigma.level_averages(n).copy()
     excess_sums: list[np.ndarray] = [None] * (n + 1)
     excess_sums[n] = np.zeros(grid.level_shape(n))
-    per_level_avg = [sigma.level_averages(k) for k in range(n + 1)]
     for k in range(n - 1, -1, -1):
-        avg_k = _broadcast_to_leaves(per_level_avg[k], k, grid)
-        chain_max = np.maximum(chain_max, avg_k)
-        excess_sums[k] = _block_sum(chain_max - avg_k, k, grid)
+        avg_k = expand(sigma.level_averages(k), grid.dimension, n - k)
+        np.maximum(chain_max, avg_k, out=chain_max)
+        excess_sums[k] = coarsen(np.subtract(chain_max, avg_k, out=avg_k), grid.dimension, n - k)
     out = []
     with np.errstate(invalid="ignore", divide="ignore"):
         for k in range(n + 1):
@@ -108,22 +76,3 @@ def rho_all(sigma: Weight) -> list[np.ndarray]:
             out.append(r)
     return out
 
-
-def fractional_maximal(g: LeafFunction, alpha: float, grid: GridConfig) -> LeafFunction:
-    """M_alpha g: per-leaf max over all grid cubes Q containing the leaf of
-    |Q|^{alpha/d} <|g|>_Q."""
-    if not 0 <= alpha < grid.dimension:
-        raise ValueError(f"invalid fractional order alpha={alpha}, need 0 <= alpha < d")
-    d = grid.dimension
-    leaf_int = np.abs(g.values) * grid.leaf_volume
-    level_int = [leaf_int]
-    for _ in range(grid.leaf_level):
-        level_int.append(_coarsen(level_int[-1], d))
-    level_int.reverse()
-    best = None
-    for k in range(grid.leaf_level + 1):
-        # |Q|^{alpha/d} <|g|>_Q = integral * 2^{k(d - alpha)}
-        scaled = level_int[k] * 2.0 ** (k * (d - alpha))
-        expanded = _broadcast_to_leaves(scaled, k, grid)
-        best = expanded.copy() if best is None else np.maximum(best, expanded)
-    return LeafFunction(grid, best)

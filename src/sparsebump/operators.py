@@ -14,22 +14,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bumps import ExponentConfig
-from .grid import DyadicCube, contains, leaf_slice
+from .grid import DyadicCube, leaf_slice, pyramid
 from .sparse import SparseFamily
-from .weights import LeafFunction, Weight, average, mass
+from .weights import LeafFunction, Weight
+
+
+def _per_level(family: SparseFamily, fn) -> np.ndarray:
+    """Per member, fn(level) evaluated once per level in scalar arithmetic."""
+    return np.array([fn(k) for k in range(family.grid.leaf_level + 1)])[family.level]
 
 
 def _sparse_avg_apply(family: SparseFamily, leaf_values: np.ndarray, alpha: float) -> np.ndarray:
-    """sum over family cubes of |Q|^{alpha/d} <values>_Q 1_Q, as a leaf array."""
+    """sum over family cubes of |Q|^{alpha/d} <values>_Q 1_Q, as a leaf array:
+    member block sums from one pyramid, their ancestor sums, and on each leaf
+    the ancestor sum of its owner."""
     grid = family.grid
     d = grid.dimension
-    out = np.zeros(grid.leaf_shape())
-    leaf_int = leaf_values * grid.leaf_volume
-    for q in family.sorted_cubes():
-        sel = leaf_slice(q, grid)
-        # |Q|^{alpha/d} / |Q| = 2^{k(d - alpha)}
-        out[sel] += float(leaf_int[sel].sum()) * 2.0 ** (q.level * (d - alpha))
-    return out
+    # |Q|^{alpha/d} / |Q| = 2^{k(d - alpha)}; the leaf volume is a power of
+    # two, so folding it in here is exact
+    coef = _per_level(family, lambda k: 2.0 ** (k * (d - alpha)) * grid.leaf_volume)
+    block_sums = family.gather(pyramid(leaf_values, grid))
+    return family.at_leaves(family.ancestor_sum(block_sums * coef))
 
 
 def apply_sparse(family: SparseFamily, sigma: Weight, f: LeafFunction, alpha: float) -> LeafFunction:
@@ -103,7 +108,7 @@ def dense_norm_l2_oracle(family: SparseFamily, sigma: Weight, w: Weight, alpha: 
     d = grid.dimension
     kernel = np.zeros((n, n))
     flat_index = np.arange(n).reshape(grid.leaf_shape())
-    for q in family.sorted_cubes():
+    for q in family.members:
         ids = flat_index[leaf_slice(q, grid)].ravel()
         kernel[np.ix_(ids, ids)] += 2.0 ** (q.level * (d - alpha)) * grid.leaf_volume
     # the leaf-volume factors of the two inner products cancel, so the
@@ -154,12 +159,10 @@ def norm_lower_bound(family: SparseFamily, sigma: Weight, w: Weight,
         return r
 
     ratio(np.ones(grid.leaf_shape()))
-    for r_cube in family.sorted_cubes():
-        ind = np.zeros(grid.leaf_shape())
-        sel = leaf_slice(r_cube, grid)
-        ind[sel] = 1.0
+    w_masses = family.gather(w.mass_levels)
+    for i, w_r in enumerate(w_masses):
+        ind = family.at_leaves(family.inside(i))
         ratio(ind)
-        w_r = mass(w, r_cube)
         if w_r > 0:
             u = _sparse_avg_apply(family, w.leaf_density * ind, alpha)
             best = max(best, _lq_norm(u, cfg.p_dual, sigma) / w_r ** (1.0 / cfg.q_dual))
@@ -214,29 +217,30 @@ class TestingReport:
         }
 
 
+def testing_terms(family: SparseFamily, sigma: Weight, w_masses: np.ndarray,
+                  q: float, alpha: float) -> np.ndarray:
+    """Per member, (|Q|^{alpha/d} <sigma>_Q)^q times its entry of `w_masses`:
+    the summands of the testing sums."""
+    d = family.grid.dimension
+    # |Q|^{alpha/d} <sigma>_Q = |Q|^{alpha/d} sigma(Q) 2^{dk}, the last factor exact
+    scale = _per_level(family, lambda k: (2.0 ** (-d * k)) ** (alpha / d))
+    averages = np.ldexp(family.gather(sigma.mass_levels), d * family.level)
+    return (scale * averages) ** q * w_masses
+
+
 def _primal_testing(family: SparseFamily, sigma: Weight, w: Weight,
                     p: float, q: float, alpha: float) -> tuple[float, DyadicCube | None, dict]:
     """max over R in S of sigma(R)^{-1/p} [ sum_{Q in S, Q ⊆ R}
     (|Q|^{alpha/d} <sigma>_Q)^q w(E_Q) ]^{1/q}; R with sigma(R)=0 skipped."""
-    d = family.grid.dimension
-    w_exc = family.exceptional_mass(w)
-    per_r: dict[DyadicCube, float] = {}
-    best, best_r = 0.0, None
-    order = family.sorted_cubes()
-    term = {
-        qc: (qc.volume ** (alpha / d) * average(sigma, qc)) ** q * w_exc[qc]
-        for qc in order
-    }
-    for r_cube in order:
-        m = mass(sigma, r_cube)
-        if m <= 0:
-            continue
-        total = sum(term[qc] for qc in order if contains(r_cube, qc))
-        val = m ** (-1.0 / p) * total ** (1.0 / q)
-        per_r[r_cube] = val
-        if val > best:
-            best, best_r = val, r_cube
-    return best, best_r, per_r
+    sigma_r = family.gather(sigma.mass_levels)
+    sums = family.descendant_sum(testing_terms(family, sigma, family.exceptional_mass(w), q, alpha))
+    tested = np.flatnonzero(sigma_r > 0)
+    values = sigma_r[tested] ** (-1.0 / p) * sums[tested] ** (1.0 / q)
+    per_r = {family.members[i]: float(v) for i, v in zip(tested, values)}
+    if not len(values) or values.max() <= 0:
+        return 0.0, None, per_r
+    j = int(np.argmax(values))
+    return float(values[j]), family.members[tested[j]], per_r
 
 
 def testing_constants(family: SparseFamily, sigma: Weight, w: Weight,
@@ -269,14 +273,11 @@ def primal_indicator_ratios(family: SparseFamily, sigma: Weight, w: Weight,
     corresponding per-R testing term, since on each disjoint E_Q the full
     sum dominates the single term for Q.
     """
-    grid = family.grid
     out = {}
-    for r_cube in family.sorted_cubes():
-        m = mass(sigma, r_cube)
+    for i, m in enumerate(family.gather(sigma.mass_levels)):
         if m <= 0:
             continue
-        ind = np.zeros(grid.leaf_shape())
-        ind[leaf_slice(r_cube, grid)] = 1.0
+        ind = family.at_leaves(family.inside(i))
         u = _sparse_avg_apply(family, sigma.leaf_density * ind, cfg.alpha)
-        out[r_cube] = _lq_norm(u, cfg.q, w) / m ** (1.0 / cfg.p)
+        out[family.members[i]] = _lq_norm(u, cfg.q, w) / m ** (1.0 / cfg.p)
     return out

@@ -29,13 +29,26 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .bumps import BumpReport, EntropyFunction, ExponentConfig, direct_bumps, entropy_bumps, eps_eval
-from .grid import DyadicCube, contains
+from .grid import DyadicCube
 from .maximal import rho
+from .operators import testing_terms
 from .sparse import SparseFamily, carleson_check
-from .weights import Weight, average, mass
+from .weights import Weight, mass
 
 TRACE_SCHEMA = "trace/v1"
+
+# Relative slack of every inequality check (and the bound on the identity
+# error).  Each compared quantity is a sum of at most |S| nonnegative terms,
+# each a product of a few correctly rounded factors and pow() results.  A
+# sum of n nonnegative terms, in any order, carries a relative rounding
+# error of at most (n-1)u/(1-(n-1)u) with u = 2^-53 ~ 1.1e-16, and each
+# factor adds about u.  1e-12 is ~9000u: it covers the worst case of the
+# certified families (|S| up to a few thousand) with room to spare, while a
+# true excess of a part in 1e12 or more is still reported.
+SLACK = 1e-12
 
 
 def _bucket_of(value: float) -> int:
@@ -68,30 +81,46 @@ class Strata:
     key_values: dict[DyadicCube, float]
 
 
-def _stratify_cubes(cubes: list[DyadicCube], key_values: dict[DyadicCube, float],
-                    key: str) -> Strata:
-    buckets: dict[int, list[DyadicCube]] = {}
-    for q in sorted(cubes, key=lambda c: (c.level, c.index)):
-        buckets.setdefault(_bucket_of(key_values[q]), []).append(q)
-    maximal = {}
-    for a, qs in buckets.items():
-        maximal[a] = [q for q in qs
-                      if not any(contains(other, q) and other != q for other in qs)]
-    return Strata(key, buckets, maximal, dict(key_values))
+def _strata(family: SparseFamily, sigma: Weight, key: str, inside: np.ndarray):
+    """Key values of the members in `inside` and, per bucket a = floor(log2
+    key) in increasing order, (a, bucket mask, mask of its maximal members).
+
+    A bucket member is maximal when no other member of the bucket contains
+    it: its ancestor sum of the bucket mask is 1.  Every cube with zero
+    sigma-mass is rejected by name, since neither key is defined there.
+    """
+    if key not in ("rho", "average"):
+        raise ValueError(f"key must be rho or average, got {key!r}")
+    masses = family.gather(sigma.mass_levels)
+    zero = inside & (masses <= 0)
+    if zero.any():
+        raise ValueError(f"zero-mass cube in family: {family.members[np.argmax(zero)].text}")
+    positions = np.flatnonzero(inside)
+    if key == "rho":
+        values = [rho(sigma, family.members[i]) for i in positions]
+    else:
+        values = np.ldexp(masses[positions], sigma.grid.dimension * family.level[positions])
+    bucket = np.zeros(len(family.members), dtype=np.int64)
+    bucket[positions] = [_bucket_of(v) for v in values]
+    strata = []
+    for a in sorted(set(bucket[positions].tolist())):
+        in_a = inside & (bucket == a)
+        strata.append((a, in_a, in_a & (family.ancestor_sum(in_a) == 1.0)))
+    return dict(zip(positions.tolist(), values)), strata
 
 
 def stratify(family: SparseFamily, sigma: Weight, key: str) -> Strata:
     """Bucket the family by a = floor(log2 key(Q)), key in {rho, average},
     and record the maximal cubes of each bucket.  Every cube with zero
     sigma-mass is rejected by name, since neither key is defined there."""
-    if key not in ("rho", "average"):
-        raise ValueError(f"key must be rho or average, got {key!r}")
-    values = {}
-    for q in family.sorted_cubes():
-        if mass(sigma, q) <= 0:
-            raise ValueError(f"zero-mass cube in family: {q.text}")
-        values[q] = rho(sigma, q) if key == "rho" else average(sigma, q)
-    return _stratify_cubes(list(family.cubes), values, key)
+    values, strata = _strata(family, sigma, key, np.ones(len(family), dtype=bool))
+    members = family.members
+    return Strata(
+        key,
+        {a: [members[i] for i in np.flatnonzero(in_a)] for a, in_a, _ in strata},
+        {a: [members[i] for i in np.flatnonzero(top)] for a, _, top in strata},
+        {members[i]: float(v) for i, v in values.items()},
+    )
 
 
 @dataclass(frozen=True)
@@ -170,13 +199,6 @@ class TraceReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _testing_term(q_cube: DyadicCube, sigma: Weight, w_mass: float,
-                  cfg: ExponentConfig) -> float:
-    """(|Q|^{alpha/d} <sigma>_Q)^q * (a w-mass), one summand of the testing sum."""
-    d = cfg.d
-    return (q_cube.volume ** (cfg.alpha / d) * average(sigma, q_cube)) ** cfg.q * w_mass
-
-
 def _run_trace(kind: str, family: SparseFamily, sigma: Weight, w: Weight,
                cfg: ExponentConfig, eps: EntropyFunction, r_cube: DyadicCube,
                bump: BumpReport | None) -> TraceReport:
@@ -185,34 +207,30 @@ def _run_trace(kind: str, family: SparseFamily, sigma: Weight, w: Weight,
     if sigma.grid != family.grid or w.grid != family.grid:
         raise ValueError("family and weights must share one grid")
     lam = family.lam
-    sub = family.members_inside(r_cube)
-    key = "rho" if kind == "entropy" else "average"
-    key_values = {}
-    for q in sub:
-        if mass(sigma, q) <= 0:
-            raise ValueError(f"zero-mass cube in family: {q.text}")
-        key_values[q] = rho(sigma, q) if key == "rho" else average(sigma, q)
-    strata = _stratify_cubes(sub, key_values, key)
+    r = family.position[r_cube]
+    _, strata = _strata(family, sigma, "rho" if kind == "entropy" else "average",
+                        family.inside(r))
 
     if bump is None:
-        if kind == "entropy":
-            bump = entropy_bumps(sigma, w, cfg, eps)
-        else:
-            bump = direct_bumps(sigma, w, cfg, eps)
+        bump = (entropy_bumps if kind == "entropy" else direct_bumps)(sigma, w, cfg, eps)
     c_bump = bump.constants["E"] if kind == "entropy" else bump.constants["D"]
 
     # stage (i): exact regrouping of the testing sum with w(Q) masses
-    term = {q: _testing_term(q, sigma, mass(w, q), cfg) for q in sub}
-    lhs_total = sum(term.values())
+    term = testing_terms(family, sigma, family.gather(w.mass_levels), cfg.q, cfg.alpha)
+    lhs_total = float(family.descendant_sum(term)[r])
+    if kind == "direct":
+        # the sparseness volume bound: sum of |Q| over members Q inside Q*
+        volumes = family.descendant_sum(np.ldexp(1.0, -cfg.d * family.level))
     regrouped = 0.0
     records: list[StratumRecord] = []
     qp = cfg.q / cfg.p
     inner_ok = True
-    for a in sorted(strata.buckets):
+    for a, in_a, top in strata:
         floor_val = _eps_floor(eps, a)
-        for q_star in strata.maximal_cubes[a]:
-            members = [q for q in strata.buckets[a] if contains(q_star, q)]
-            inner_lhs = sum(term[q] for q in members)
+        inner = family.descendant_sum(np.where(in_a, term, 0.0))
+        for i in np.flatnonzero(top):
+            q_star = family.members[i]
+            inner_lhs = float(inner[i])
             regrouped += inner_lhs
             sigma_star = mass(sigma, q_star)
             inner_bound = (c_bump**cfg.q) * (2.0 / (1.0 - lam)) * sigma_star**qp / floor_val
@@ -225,10 +243,9 @@ def _run_trace(kind: str, family: SparseFamily, sigma: Weight, w: Weight,
             if kind == "entropy":
                 support_ratio = carleson_check(family, sigma, q_star)["ratio"]
             else:
-                vol = sum(q.volume for q in family.members_inside(q_star))
-                support_ratio = vol * (1.0 - lam) / q_star.volume
-            ok = (inner_lhs <= inner_bound * (1.0 + 1e-12)
-                  and support_ratio <= 1.0 + 1e-12)
+                support_ratio = float(volumes[i]) * (1.0 - lam) / q_star.volume
+            ok = (inner_lhs <= inner_bound * (1.0 + SLACK)
+                  and support_ratio <= 1.0 + SLACK)
             inner_ok = inner_ok and ok
             records.append(
                 StratumRecord(a, q_star, inner_lhs, inner_bound, realized,
@@ -238,18 +255,18 @@ def _run_trace(kind: str, family: SparseFamily, sigma: Weight, w: Weight,
         identity_error = abs(lhs_total - regrouped) / lhs_total
     else:
         identity_error = abs(regrouped)
-    identity_ok = identity_error <= 1e-12
+    identity_ok = identity_error <= SLACK
 
     # stage (iii): the assembled explicit-constant bound
     final_bound = (2.0 * eps.tail_sum / (1.0 - lam)) * c_bump**cfg.q * mass(sigma, r_cube)**qp
-    final_ok = lhs_total <= final_bound * (1.0 + 1e-12)
+    final_ok = lhs_total <= final_bound * (1.0 + SLACK)
 
     # certificate: testing value at R with w(E_Q) masses (<= the w(Q) form)
-    w_exc = family.exceptional_mass(w)
-    testing_sum = sum(_testing_term(q, sigma, w_exc[q], cfg) for q in sub)
+    exc_term = testing_terms(family, sigma, family.exceptional_mass(w), cfg.q, cfg.alpha)
+    testing_sum = float(family.descendant_sum(exc_term)[r])
     testing_value = mass(sigma, r_cube) ** (-1.0 / cfg.p) * testing_sum ** (1.0 / cfg.q)
     certified_constant = (2.0 * eps.tail_sum / (1.0 - lam)) ** (1.0 / cfg.q)
-    certified_ok = testing_value <= certified_constant * c_bump * (1.0 + 1e-12)
+    certified_ok = testing_value <= certified_constant * c_bump * (1.0 + SLACK)
 
     return TraceReport(
         kind=kind, R=r_cube, lhs_total=lhs_total, strata=records,

@@ -23,7 +23,8 @@ from .grid import (
     children,
     contains,
     enumerate_cubes,
-    leaf_slice,
+    coarsen,
+    expand,
     parse_cube,
     root_cube,
 )
@@ -41,6 +42,43 @@ def _nearest_ancestor_in(cube: DyadicCube, members: set[DyadicCube]) -> DyadicCu
     return None
 
 
+def _tree(members: tuple[DyadicCube, ...], depth: int):
+    """Array form of cubes sorted by (level, index): per member its row-major
+    index on its level and its parent; the level bounds (members on level k
+    are members[bounds[k]:bounds[k+1]]); per level-`depth` cube its owner.
+
+    One top-down sweep over levels 0..depth carries, per grid cube, the
+    position of the deepest member containing it (-1 for none).  Read at a
+    member before the member writes itself, that is its parent (the nearest
+    proper ancestor in the collection); the map left at level `depth` holds
+    the owners.
+    """
+    d = members[0].dimension
+    flat = np.array([q.index[0] if d == 1 else (q.index[0] << q.level) + q.index[1]
+                     for q in members], dtype=np.int64)
+    bounds = np.searchsorted([q.level for q in members], np.arange(depth + 2))
+    parent = np.empty(len(members), dtype=np.int64)
+    owner = np.full((1,) * d, -1, dtype=np.int64)
+    for k in range(depth + 1):
+        owner = expand(owner, d) if k else owner
+        at_k, sel = owner.reshape(-1), flat[bounds[k]:bounds[k + 1]]
+        parent[bounds[k]:bounds[k + 1]] = at_k[sel]
+        at_k[sel] = np.arange(bounds[k], bounds[k + 1])
+    return flat, bounds, parent, owner
+
+
+def _sparseness(members: tuple[DyadicCube, ...], parent: np.ndarray, lam: float) -> dict:
+    """Per member, the volume of its children in the tree (its maximal proper
+    sub-members) over its own volume; the worst ratio against lam."""
+    volume = np.array([q.volume for q in members])
+    child = parent >= 0
+    ratio = np.bincount(parent[child], weights=volume[child], minlength=len(members)) / volume
+    j = int(np.argmax(ratio))
+    worst_ratio = float(ratio[j])
+    witness = members[j] if worst_ratio > 0 else None
+    return {"ok": worst_ratio <= lam, "worst_ratio": worst_ratio, "witness": witness}
+
+
 def verify_sparse(cubes, lam: float) -> dict:
     """Check lambda-sparseness: per member, sum the volumes of its maximal
     proper sub-members and compare with lam * volume.
@@ -48,22 +86,10 @@ def verify_sparse(cubes, lam: float) -> dict:
     Returns {ok, worst_ratio, witness}; witness is the cube attaining the
     worst ratio (None when every member has no proper sub-members).
     """
-    members = set(cubes)
+    members = tuple(sorted(set(cubes), key=lambda c: (c.level, c.index)))
     if not members:
         raise ValueError("empty cube collection")
-    child_volume: dict[DyadicCube, float] = {q: 0.0 for q in members}
-    for q in members:
-        anc = _nearest_ancestor_in(q, members)
-        if anc is not None:
-            child_volume[anc] += q.volume
-    worst_ratio = 0.0
-    witness = None
-    for q in sorted(members, key=lambda c: (c.level, c.index)):
-        ratio = child_volume[q] / q.volume
-        if ratio > worst_ratio:
-            worst_ratio = ratio
-            witness = q
-    return {"ok": worst_ratio <= lam, "worst_ratio": worst_ratio, "witness": witness}
+    return _sparseness(members, _tree(members, members[-1].level)[2], lam)
 
 
 @dataclass(frozen=True)
@@ -72,6 +98,13 @@ class SparseFamily:
 
     The root must itself belong to the family and contain every member
     (equivalently: the family has a unique maximal cube).
+
+    The family is held as an array tree: `members` in (level, index) order,
+    per member its `level` and `parent` (position of the nearest proper
+    family ancestor, -1 at the root), and per leaf its `owner` (position of
+    the minimal member containing it, -1 outside the root).  Per-cube
+    quantities are arrays over `members`, computed by two sweeps over the
+    tree: `ancestor_sum` (down) and `descendant_sum` (up).
     """
 
     grid: GridConfig
@@ -86,19 +119,30 @@ class SparseFamily:
         if not cubes:
             raise ValueError("family must be nonempty")
         object.__setattr__(self, "cubes", cubes)
-        maximal = [q for q in cubes if _nearest_ancestor_in(q, cubes) is None]
-        if len(maximal) != 1:
+        members = tuple(sorted(cubes, key=lambda c: (c.level, c.index)))
+        if members[-1].level > self.grid.leaf_level:
+            raise ValueError(f"cube {members[-1].text} below leaf level")
+        flat, bounds, parent, owner = _tree(members, self.grid.leaf_level)
+        if np.count_nonzero(parent < 0) != 1:
             raise ValueError("family must have a unique maximal cube (the root)")
-        object.__setattr__(self, "root", maximal[0])
-        for q in cubes:
-            if q.level > self.grid.leaf_level:
-                raise ValueError(f"cube {q.text} below leaf level")
-        check = verify_sparse(cubes, self.lam)
+        object.__setattr__(self, "root", members[0])
+        check = _sparseness(members, parent, self.lam)
         if not check["ok"]:
             raise ValueError(
                 f"collection is not {self.lam}-sparse: worst ratio "
                 f"{check['worst_ratio']} at {check['witness'].text}"
             )
+        owner.setflags(write=False)
+        runs = np.flatnonzero(np.diff(owner.ravel(), prepend=-2))
+        arrays = {"members": members, "parent": parent, "owner": owner, "_flat": flat,
+                  "level": np.array([q.level for q in members]), "_bounds": bounds,
+                  "position": {q: i for i, q in enumerate(members)},
+                  # members[lo:hi] per occupied level below the root's: the sweep steps
+                  "_below_root": [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if 0 < lo < hi],
+                  # the owner map run-length encoded in leaf order, for at_leaves
+                  "_run_owner": owner.ravel()[runs], "_run_length": np.diff(runs, append=owner.size)}
+        for name, value in arrays.items():
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.cubes)
@@ -106,25 +150,36 @@ class SparseFamily:
     def __contains__(self, cube: DyadicCube) -> bool:
         return cube in self.cubes
 
-    def sorted_cubes(self) -> list[DyadicCube]:
-        return sorted(self.cubes, key=lambda c: (c.level, c.index))
+    def gather(self, levels) -> np.ndarray:
+        """Per member, its entry of a per-level cube array (levels[k] at level k)."""
+        b = self._bounds
+        return np.concatenate([levels[k].reshape(-1)[self._flat[b[k]:b[k + 1]]]
+                               for k in range(self.grid.leaf_level + 1)])
 
-    def members_inside(self, cube: DyadicCube) -> list[DyadicCube]:
-        return [q for q in self.sorted_cubes() if contains(cube, q)]
+    def ancestor_sum(self, values) -> np.ndarray:
+        """Per member Q, the sum of `values` over the members containing Q
+        (Q included): a down-sweep, ancestors added coarsest first."""
+        out = np.array(values, dtype=float)
+        for lo, hi in self._below_root:
+            out[lo:hi] += out[self.parent[lo:hi]]
+        return out
 
-    @cached_property
-    def _owner(self) -> np.ndarray:
-        """Per leaf, the position (in sorted order) of the minimal family
-        cube containing it; -1 outside the root."""
-        owner = np.full(self.grid.leaf_shape(), -1, dtype=np.int64)
-        order = self.sorted_cubes()
-        # assign deepest-first so the minimal containing cube wins
-        for pos, q in sorted(enumerate(order), key=lambda t: -t[1].level):
-            sel = leaf_slice(q, self.grid)
-            block = owner[sel]
-            owner[sel] = np.where(block == -1, pos, block)
-        owner.setflags(write=False)
-        return owner
+    def descendant_sum(self, values) -> np.ndarray:
+        """Per member Q, the sum of `values` over the members inside Q
+        (Q included): an up-sweep, deepest level first."""
+        out = np.array(values, dtype=float)
+        for lo, hi in reversed(self._below_root):
+            out += np.bincount(self.parent[lo:hi], weights=out[lo:hi], minlength=len(out))
+        return out
+
+    def at_leaves(self, values) -> np.ndarray:
+        """Leaf array holding, on each leaf, the value of its owner; 0 outside the root."""
+        per_run = np.append(np.asarray(values, dtype=float), 0.0)[self._run_owner]
+        return np.repeat(per_run, self._run_length).reshape(self.grid.leaf_shape())
+
+    def inside(self, position: int) -> np.ndarray:
+        """Mask of the members inside the member at `position` (itself included)."""
+        return self.ancestor_sum(np.arange(len(self.members)) == position) > 0
 
     @cached_property
     def exceptional(self) -> dict[DyadicCube, np.ndarray]:
@@ -133,25 +188,27 @@ class SparseFamily:
         A leaf lies in E_Q exactly when Q is the minimal family cube
         containing it, so the E_Q are pairwise disjoint by construction.
         """
-        order = self.sorted_cubes()
-        flat = self._owner.ravel()
-        out = {}
-        for pos, q in enumerate(order):
-            out[q] = np.flatnonzero(flat == pos)
-        return out
+        flat = self.owner.ravel()
+        counts = np.bincount(flat + 1, minlength=len(self.members) + 1)
+        groups = np.split(np.argsort(flat, kind="stable"), np.cumsum(counts)[:-1])
+        return dict(zip(self.members, groups[1:]))
 
-    def exceptional_mass(self, weight: Weight) -> dict[DyadicCube, float]:
-        """Masses weight(E_Q) for every family cube."""
-        leaf_mass = weight.mass_levels[self.grid.leaf_level].ravel()
-        return {q: float(leaf_mass[idx].sum()) for q, idx in self.exceptional.items()}
+    def exceptional_mass(self, weight: Weight) -> np.ndarray:
+        """Per member, the mass weight(E_Q): one up-sweep of the leaf masses
+        in which each member reads the sum at its cube and then clears it,
+        so each E_Q is summed pairwise up the pyramid over its own leaves."""
+        n, b = self.grid.leaf_level, self._bounds
+        out = np.empty(len(self.members))
+        level_sums = weight.mass_levels[n].copy()
+        for k in range(n, self.root.level - 1, -1):
+            level_sums = level_sums if k == n else coarsen(level_sums, self.grid.dimension)
+            at_k, sel = level_sums.reshape(-1), self._flat[b[k]:b[k + 1]]
+            out[b[k]:b[k + 1]] = at_k[sel]
+            at_k[sel] = 0.0
+        return out
 
     def exceptional_volume(self, cube: DyadicCube) -> float:
         return len(self.exceptional[cube]) * self.grid.leaf_volume
-
-
-def exceptional_sets(family: SparseFamily) -> dict[DyadicCube, np.ndarray]:
-    """E_Q = Q minus the union of proper family members inside Q."""
-    return family.exceptional
 
 
 def stopping_family(sigma: Weight, big_lambda: float, root: DyadicCube) -> SparseFamily:
@@ -233,7 +290,7 @@ def carleson_check(family: SparseFamily, sigma: Weight, q0: DyadicCube) -> dict:
         raise ValueError(f"cube {q0.text} is not in the family")
     if mass(sigma, q0) <= 0:
         raise ValueError(f"degenerate weight on cube {q0.text}")
-    lhs = sum(mass(sigma, q) for q in family.members_inside(q0))
+    lhs = float(family.descendant_sum(family.gather(sigma.mass_levels))[family.position[q0]])
     rhs = rho(sigma, q0) * mass(sigma, q0) / (1.0 - family.lam)
     return {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}
 
@@ -247,7 +304,7 @@ def family_to_json(family: SparseFamily) -> str:
             "leaf_level": family.grid.leaf_level,
             "lambda": family.lam,
             "root": family.root.text,
-            "cubes": [q.text for q in family.sorted_cubes()],
+            "cubes": [q.text for q in family.members],
         },
         sort_keys=True,
     )

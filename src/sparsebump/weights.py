@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import DyadicCube, GridConfig, leaf_slice
+from .grid import DyadicCube, GridConfig, pyramid
 
 GENERATOR_KINDS = (
     "constant",
@@ -23,24 +23,6 @@ GENERATOR_KINDS = (
     "counterexample_w",
     "random_cascade",
 )
-
-
-def _coarsen(arr: np.ndarray, dimension: int) -> np.ndarray:
-    """Sum 2^d sibling blocks: level k+1 masses -> level k masses."""
-    if dimension == 1:
-        return arr.reshape(-1, 2).sum(axis=1)
-    h = arr.shape[0] // 2
-    return arr.reshape(h, 2, h, 2).sum(axis=(1, 3))
-
-
-def _build_pyramid(leaf_mass: np.ndarray, grid: GridConfig) -> tuple[np.ndarray, ...]:
-    levels = [leaf_mass]
-    for _ in range(grid.leaf_level):
-        levels.append(_coarsen(levels[-1], grid.dimension))
-    levels.reverse()  # levels[k] holds level-k cube masses
-    for a in levels:
-        a.setflags(write=False)
-    return tuple(levels)
 
 
 @dataclass(frozen=True)
@@ -62,8 +44,10 @@ class Weight:
         dens = dens.copy()
         dens.setflags(write=False)
         object.__setattr__(self, "leaf_density", dens)
-        leaf_mass = dens * self.grid.leaf_volume
-        object.__setattr__(self, "mass_levels", _build_pyramid(leaf_mass, self.grid))
+        levels = pyramid(dens * self.grid.leaf_volume, self.grid)
+        for a in levels:
+            a.setflags(write=False)
+        object.__setattr__(self, "mass_levels", tuple(levels))
         if not self.mass_levels[0].flat[0] > 0:
             raise ValueError("total mass must be positive")
 
@@ -71,9 +55,6 @@ class Weight:
     def from_leaf_mass(cls, grid: GridConfig, leaf_mass, kind="custom", parameters=None) -> "Weight":
         dens = np.asarray(leaf_mass, dtype=float) / grid.leaf_volume
         return cls(grid, dens, kind, parameters or {})
-
-    def level_masses(self, level: int) -> np.ndarray:
-        return self.mass_levels[level]
 
     def level_averages(self, level: int) -> np.ndarray:
         # |Q| = 2^{-d k} exactly, so this scaling is exact
@@ -244,17 +225,6 @@ class LeafFunction:
     @classmethod
     def constant(cls, grid: GridConfig, value: float = 1.0) -> "LeafFunction":
         return cls(grid, np.full(grid.leaf_shape(), float(value)))
-
-    @classmethod
-    def indicator(cls, grid: GridConfig, cube: DyadicCube) -> "LeafFunction":
-        vals = np.zeros(grid.leaf_shape())
-        vals[leaf_slice(cube, grid)] = 1.0
-        return cls(grid, vals)
-
-    def lp_norm(self, p: float, sigma: Weight) -> float:
-        """The L^p(sigma) norm of the leaf function."""
-        leaf_mass = sigma.mass_levels[self.grid.leaf_level]
-        return float(np.sum(np.abs(self.values) ** p * leaf_mass) ** (1.0 / p))
 
 
 # --- serialization ----------------------------------------------------------

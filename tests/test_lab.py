@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from sparsebump import lab
 from sparsebump.cli import cli_main
 from sparsebump.grid import GridConfig
 from sparsebump.lab import (
@@ -233,3 +235,36 @@ class TestCli:
                          "--seed", "3", "--out-dir", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "sweep.csv").exists()
+
+
+class TestNegativeControls:
+    """The suite must count a violation when a testing constant is inflated
+    past its certified bound, and the CLI must then exit 1."""
+
+    @pytest.fixture()
+    def inflated_t(self, monkeypatch):
+        original = lab.testing_constants
+
+        def inflated(*args, **kwargs):
+            rep = original(*args, **kwargs)
+            return dataclasses.replace(rep, T=rep.T * 1e3)
+
+        monkeypatch.setattr(lab, "testing_constants", inflated)
+
+    def test_suite_counts_violations(self, inflated_t):
+        rep = run_verify_bounds(ExperimentConfig(**dict(SMALL, instances=3)))
+        assert rep.violations == 3
+        assert all(row["certified_CE_ratio"] > 1.0 for row in rep.rows)
+
+    def test_cli_exits_1(self, inflated_t, tmp_path, capsys):
+        code = cli_main(["verify-bounds", "--instances", "2", "--leaf-level", "5",
+                         "--seed", "4", "--target-size", "10", "--budget", "4",
+                         "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["violations"] == 2
+
+
+def test_two_dimensional_suite_has_no_violations():
+    rep = run_verify_bounds(ExperimentConfig(**dict(SMALL, dimension=2, leaf_level=4,
+                                                    alpha=0.5)))
+    assert rep.violations == 0

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from sparsebump.grid import DyadicCube, GridConfig, enumerate_cubes, leaf_slice, root_cube
-from sparsebump.maximal import dyadic_maximal, fractional_maximal, rho, rho_all
-from sparsebump.weights import LeafFunction, Weight, average, fix_const, fix_half, fix_ce, generate_weight, mass
+from sparsebump.maximal import dyadic_maximal, rho, rho_all
+from sparsebump.weights import Weight, average, fix_const, fix_half, fix_ce, generate_weight, mass
 
 
 def spike_weight():
@@ -108,40 +108,3 @@ class TestRhoAll:
             r.append(rho_all(sigma)[0][0])
         assert r[0] < r[1] < r[2]
 
-
-class TestFractionalMaximal:
-    def test_constant_function(self):
-        g = GridConfig(1, 4)
-        one = LeafFunction.constant(g)
-        for alpha in (0.0, 0.5):
-            out = fractional_maximal(one, alpha, g)
-            np.testing.assert_allclose(out.values, 1.0, rtol=1e-14)
-
-    def test_alpha_zero_collapses_to_dyadic_maximal(self):
-        g = GridConfig(1, 5)
-        rng = np.random.default_rng(3)
-        vals = rng.random(32) + 0.05
-        out = fractional_maximal(LeafFunction(g, vals), 0.0, g)
-        ref = dyadic_maximal(Weight(g, vals), root_cube(g))
-        np.testing.assert_array_equal(out.values, ref.values)
-
-    def test_spike_half_order(self):
-        g = GridConfig(1, 2)
-        out = fractional_maximal(LeafFunction(g, np.array([4.0, 0, 0, 0])), 0.5, g)
-        # chain at leaf 0: {1*1, sqrt(1/2)*2, sqrt(1/4)*4} -> 2
-        assert out.values[0] == 2.0
-
-    def test_invalid_order_raises(self):
-        g = GridConfig(1, 2)
-        one = LeafFunction.constant(g)
-        for bad in (-0.1, 1.0, 2.0):
-            with pytest.raises(ValueError, match="invalid fractional order"):
-                fractional_maximal(one, bad, g)
-
-    def test_signs_are_ignored(self):
-        g = GridConfig(1, 3)
-        rng = np.random.default_rng(8)
-        vals = rng.standard_normal(8)
-        a = fractional_maximal(LeafFunction(g, vals), 0.25, g)
-        b = fractional_maximal(LeafFunction(g, np.abs(vals)), 0.25, g)
-        np.testing.assert_array_equal(a.values, b.values)

@@ -198,14 +198,14 @@ def brute_force_t_star(family, sigma, w, cfg):
     """Direct transcription of the dual testing constant, independent of the
     argument-swapping implementation."""
     d = family.grid.dimension
-    sigma_exc = family.exceptional_mass(sigma)
+    sigma_exc = dict(zip(family.members, family.exceptional_mass(sigma)))
     best = 0.0
-    for r in family.sorted_cubes():
+    for r in family.members:
         wr = mass(w, r)
         if wr <= 0:
             continue
         total = 0.0
-        for q in family.sorted_cubes():
+        for q in family.members:
             if not contains(r, q):
                 continue
             total += (q.volume ** (cfg.alpha / d - 1.0) * mass(w, q)) ** cfg.p_dual * sigma_exc[q]
@@ -258,3 +258,46 @@ class TestTestingConstants:
         out = rep.to_dict()
         assert set(out) == {"p", "q", "alpha", "T", "T_star", "argmax_R",
                             "argmax_R_star", "mode", "extended_warning"}
+
+
+class TestTwoDimensional:
+    G = GridConfig(2, 4)
+
+    def family(self, seed, sigma):
+        if seed % 2:
+            return stopping_family(sigma, 2.0, root_cube(self.G))
+        return random_sparse(self.G, 0.5, seed=seed, target_size=12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exact_norm_matches_dense_oracle(self, seed):
+        sigma, w = random_pair(self.G, seed)
+        fam = self.family(seed, sigma)
+        a = exact_norm_l2(fam, sigma, w, 0.5, tol=1e-13)
+        b = dense_norm_l2_oracle(fam, sigma, w, 0.5)
+        assert a == pytest.approx(b, rel=1e-11)
+
+    def test_apply_monotone_and_symmetric(self):
+        sigma, _ = random_pair(self.G, 7)
+        fam = self.family(3, sigma)
+        rng = np.random.default_rng(2)
+        f, h = rng.random((2, 16, 16))
+        a = apply_sparse(fam, sigma, LeafFunction(self.G, f), 0.5).values
+        b = apply_sparse(fam, sigma, LeafFunction(self.G, f + h), 0.5).values
+        assert np.all(b >= a)
+        lhs = np.sum(a * sigma.leaf_density * h)
+        rhs = np.sum(apply_sparse(fam, sigma, LeafFunction(self.G, h), 0.5).values
+                     * sigma.leaf_density * f)
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_testing_constants(self, seed):
+        sigma, w = random_pair(self.G, seed + 60)
+        fam = self.family(seed, sigma)
+        cfg = ExponentConfig(2, 3, 0.5, 2)
+        rep = testing_constants(fam, sigma, w, cfg)
+        assert rep.T_star == pytest.approx(brute_force_t_star(fam, sigma, w, cfg), rel=1e-12)
+        ratios = primal_indicator_ratios(fam, sigma, w, cfg)
+        lb = norm_lower_bound(fam, sigma, w, cfg, budget=0)
+        for r_cube, term in rep.per_R.items():
+            assert ratios[r_cube] >= term / (1 + 1e-12)
+            assert lb >= ratios[r_cube] / (1 + 1e-12)

@@ -1,12 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from sparsebump.bumps import EntropyFunction, ExponentConfig
+from sparsebump.bumps import BumpReport, EntropyFunction, ExponentConfig, direct_bumps, entropy_bumps
 from sparsebump.grid import DyadicCube, GridConfig, root_cube
 from sparsebump.operators import testing_constants
 from sparsebump.prooftrace import (
+    SLACK,
     TRACE_SCHEMA,
     _bucket_of,
     direct_trace,
@@ -27,8 +29,8 @@ def chain_family() -> SparseFamily:
     return SparseFamily(G4, frozenset(fix_chain_cubes(G4, 4)), 0.5)
 
 
-def random_setup(seed, n=7, lam=0.5, target=22):
-    g = GridConfig(1, n)
+def random_setup(seed, n=7, lam=0.5, target=22, dimension=1):
+    g = GridConfig(dimension, n)
     sigma = generate_weight(g, "random_cascade", seed=seed, volatility=0.8)
     w = generate_weight(g, "random_cascade", seed=seed + 500, volatility=0.8)
     if seed % 2:
@@ -209,3 +211,78 @@ def test_report_json_schema():
     assert data["passed"] is True
     assert {"stage_identity", "stage_inner", "stage_final", "certificate"} <= set(data)
     assert data["stage_inner"]["strata"][0]["a"] == 0
+
+
+def _deflated(bump: BumpReport, key: str, factor: float) -> BumpReport:
+    return dataclasses.replace(bump, constants=dict(bump.constants, **{key: bump.constants[key] * factor}))
+
+
+class TestNegativeControls:
+    """A chain stage that cannot fail certifies nothing.  At the bottom cube
+    of the chain under constant weights both the inner bound and the
+    certificate hold with less than a factor 2 to spare in the bump
+    constant, so halving it must break both."""
+
+    CFG = ExponentConfig(2, 4, 0.0, 1)
+    R = DyadicCube(4, (0,))
+
+    def test_entropy_trace_fails_with_halved_e(self):
+        s, w = fix_const()
+        fam = chain_family()
+        assert entropy_trace(fam, s, w, self.CFG, EPS_E, self.R).passed
+        bump = _deflated(entropy_bumps(s, w, self.CFG, EPS_E), "E", 0.5)
+        rep = entropy_trace(fam, s, w, self.CFG, EPS_E, self.R, bump=bump)
+        assert not rep.inner_ok and not rep.certified_ok and not rep.passed
+        assert rep.identity_ok  # the regrouping does not depend on the bump
+
+    def test_direct_trace_fails_with_halved_d(self):
+        s, w = fix_const()
+        fam = chain_family()
+        assert direct_trace(fam, s, w, self.CFG, EPS_D, self.R).passed
+        bump = _deflated(direct_bumps(s, w, self.CFG, EPS_D), "D", 0.5)
+        rep = direct_trace(fam, s, w, self.CFG, EPS_D, self.R, bump=bump)
+        assert not rep.inner_ok and not rep.certified_ok and not rep.passed
+
+
+class TestSlack:
+    def _at_excess(self, excess):
+        """Direct trace whose worst inner sum exceeds its bound by the
+        relative `excess`, reached by shrinking D."""
+        fam, sigma, w = random_setup(2)
+        cfg = ExponentConfig(2, 3, 0.0, 1)
+        bump = direct_bumps(sigma, w, cfg, EPS_D)
+        rep = direct_trace(fam, sigma, w, cfg, EPS_D, fam.root, bump=bump)
+        worst = max(s.inner_lhs / s.inner_bound for s in rep.strata)
+        # inner_bound scales as D^q
+        shrunk = _deflated(bump, "D", (worst / (1.0 + excess)) ** (1.0 / cfg.q))
+        return direct_trace(fam, sigma, w, cfg, EPS_D, fam.root, bump=shrunk)
+
+    def test_excess_just_above_slack_fails(self):
+        rep = self._at_excess(4 * SLACK)
+        assert max(s.inner_lhs / s.inner_bound for s in rep.strata) > 1 + SLACK
+        assert not rep.inner_ok
+        assert any(not s.ok for s in rep.strata)
+
+    def test_excess_below_slack_passes(self):
+        rep = self._at_excess(SLACK / 4)
+        assert rep.inner_ok
+
+
+class TestTwoDimensional:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_randomized_traces_pass(self, seed):
+        fam, sigma, w = random_setup(seed, n=5, dimension=2)
+        cfg = ExponentConfig(2, 3, 0.5, 2)
+        for trace, eps in ((entropy_trace, EPS_E), (direct_trace, EPS_D)):
+            rep = trace(fam, sigma, w, cfg, eps, fam.root)
+            assert rep.passed
+            for s in rep.strata:
+                assert s.realized_constant <= 2 / (1 - fam.lam) + 1e-12
+                assert s.support_ratio <= 1 + 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dual_traces_pass(self, seed):
+        fam, sigma, w = random_setup(seed, n=5, dimension=2)
+        cfg = ExponentConfig(2, 3, 0.0, 2)
+        assert dual_entropy_trace(fam, sigma, w, cfg, EPS_E, fam.root).passed
+        assert dual_direct_trace(fam, sigma, w, cfg, EPS_D, fam.root).passed

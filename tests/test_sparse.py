@@ -7,7 +7,6 @@ from sparsebump.grid import DyadicCube, GridConfig, root_cube
 from sparsebump.sparse import (
     SparseFamily,
     carleson_check,
-    exceptional_sets,
     family_from_json,
     family_to_json,
     random_sparse,
@@ -106,7 +105,7 @@ class TestRandomSparse:
 class TestExceptionalSets:
     def test_chain_geometry(self):
         fam = chain_family()
-        exc = exceptional_sets(fam)
+        exc = fam.exceptional
         # E of [0, 2^-k) is [2^-k-1, 2^-k); the bottom cube keeps its leaves
         assert exc[DyadicCube(0, (0,))].tolist() == [8, 9, 10, 11, 12, 13, 14, 15]
         assert exc[DyadicCube(3, (0,))].tolist() == [1]
@@ -114,12 +113,12 @@ class TestExceptionalSets:
 
     def test_singleton_owns_everything(self):
         fam = SparseFamily(G4, frozenset([root_cube(G4)]), 0.5)
-        assert exceptional_sets(fam)[root_cube(G4)].tolist() == list(range(16))
+        assert fam.exceptional[root_cube(G4)].tolist() == list(range(16))
 
     def test_disjoint_and_large(self):
         for seed in range(5):
             fam = random_sparse(GridConfig(1, 7), 0.5, seed=seed, target_size=30)
-            exc = exceptional_sets(fam)
+            exc = fam.exceptional
             seen = np.concatenate(list(exc.values()))
             assert len(seen) == len(set(seen.tolist()))  # pairwise disjoint
             for q in fam.cubes:
@@ -160,7 +159,7 @@ class TestCarleson:
                 fam = stopping_family(w, 2.0, root_cube(g))
             else:
                 fam = random_sparse(g, 0.5, seed=i, target_size=25)
-            order = fam.sorted_cubes()
+            order = fam.members
             q0 = order[int(rng.integers(len(order)))]
             assert carleson_check(fam, w, q0)["ratio"] <= 1.0
 
@@ -171,3 +170,43 @@ def test_family_serialization_roundtrip():
     assert back.cubes == fam.cubes
     assert back.lam == fam.lam
     assert back.root == fam.root
+
+
+class TestTwoDimensional:
+    G = GridConfig(2, 5)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([1.5, 2.0, 4.0]))
+    def test_stopping_output_is_sparse(self, seed, big):
+        w = generate_weight(self.G, "random_cascade", seed=seed, volatility=0.8)
+        fam = stopping_family(w, big, root_cube(self.G))
+        assert verify_sparse(fam.cubes, 1.0 / big)["ok"]
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([0.25, 0.5, 0.75]))
+    def test_random_always_sparse(self, seed, lam):
+        fam = random_sparse(self.G, lam, seed=seed, target_size=25)
+        assert verify_sparse(fam.cubes, lam)["ok"]
+
+    def test_exceptional_sets_disjoint_and_large(self):
+        for seed in range(4):
+            fam = random_sparse(self.G, 0.5, seed=seed, target_size=30)
+            seen = np.concatenate(list(fam.exceptional.values()))
+            assert sorted(seen.tolist()) == list(range(self.G.n_leaves))
+            for q in fam.cubes:
+                assert fam.exceptional_volume(q) >= (1 - fam.lam) * q.volume
+
+    def test_carleson_never_violates(self):
+        for i in range(10):
+            w = generate_weight(self.G, "random_cascade", seed=i, volatility=0.85)
+            if i % 2:
+                fam = stopping_family(w, 2.0, root_cube(self.G))
+            else:
+                fam = random_sparse(self.G, 0.5, seed=i, target_size=25)
+            for q0 in fam.members:
+                assert carleson_check(fam, w, q0)["ratio"] <= 1.0
+
+    def test_serialization_roundtrip(self):
+        fam = random_sparse(self.G, 0.5, seed=4, target_size=12)
+        back = family_from_json(family_to_json(fam))
+        assert back.cubes == fam.cubes and back.root == fam.root

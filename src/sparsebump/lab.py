@@ -224,8 +224,8 @@ def run_verify_bounds(cfg: ExperimentConfig) -> SuiteReport:
                 ok = False
 
         if cfg.dual_traces:
-            de = dual_entropy_trace(family, sigma, w, exps, eps_e, family.root)
-            dd = dual_direct_trace(family, sigma, w, exps, eps_d, family.root)
+            de = dual_entropy_trace(family, sigma, w, exps, eps_e, family.root, bump=ebump)
+            dd = dual_direct_trace(family, sigma, w, exps, eps_d, family.root, bump=dbump)
             dual_const = (2.0 / (1.0 - cfg.lam)) ** (1.0 / exps.p_dual)
             ok = ok and de.passed and dd.passed
             ok = ok and trep.T_star <= (dual_const * eps_e.tail_sum ** (1.0 / exps.p_dual)

@@ -15,6 +15,18 @@ from .grid import DyadicCube, GridConfig, coarsen, expand, leaf_slice
 from .weights import LeafFunction, Weight, average, mass
 
 
+def _chain_max(sigma: Weight, cube: DyadicCube) -> np.ndarray:
+    """On the leaves of Q (a block of Q's shape), the maximum of <sigma>_{Q'}
+    over the grid cubes Q' with L ⊆ Q' ⊆ Q."""
+    d = sigma.grid.dimension
+    running = np.full((1,) * d, average(sigma, cube))
+    for k in range(cube.level + 1, sigma.grid.leaf_level + 1):
+        # the level-k averages inside Q; |Q'| = 2^{-dk} exactly
+        local = sigma.mass_levels[k][leaf_slice(cube, GridConfig(d, k))] * 2.0 ** (d * k)
+        running = np.maximum(expand(running, d), local)
+    return running
+
+
 def dyadic_maximal(sigma: Weight, cube: DyadicCube) -> LeafFunction:
     """M(sigma 1_Q) on the leaves: for each leaf L inside Q, the maximum of
     <sigma>_{Q'} over grid cubes Q' with L ⊆ Q' ⊆ Q.  Leaves outside Q get 0.
@@ -22,30 +34,24 @@ def dyadic_maximal(sigma: Weight, cube: DyadicCube) -> LeafFunction:
     Cubes above Q or disjoint from Q never beat the chain inside Q, since
     the truncated averages <sigma 1_Q>_{Q'} are dominated by <sigma>_Q.
     """
-    grid = sigma.grid
-    d = grid.dimension
-    running = np.full((1,) * d, average(sigma, cube))
-    for k in range(cube.level + 1, grid.leaf_level + 1):
-        # the level-k averages inside Q; |Q'| = 2^{-dk} exactly
-        local = sigma.mass_levels[k][leaf_slice(cube, GridConfig(d, k))] * 2.0 ** (d * k)
-        running = np.maximum(expand(running, d), local)
-    out = np.zeros(grid.leaf_shape())
-    out[leaf_slice(cube, grid)] = running
-    return LeafFunction(grid, out)
+    out = np.zeros(sigma.grid.leaf_shape())
+    out[leaf_slice(cube, sigma.grid)] = _chain_max(sigma, cube)
+    return LeafFunction(sigma.grid, out)
 
 
 def rho(sigma: Weight, cube: DyadicCube) -> float:
     """Local A-infinity characteristic: (1/sigma(Q)) * integral over Q of
-    M(sigma 1_Q).  Always >= 1; equals 1 iff sigma is constant on Q."""
+    M(sigma 1_Q).  Always >= 1; equals 1 iff sigma is constant on Q.  Costs
+    O(|Q|) in leaves: M(sigma 1_Q) is taken on Q's block only."""
     m = mass(sigma, cube)
     if m <= 0:
         raise ValueError(f"degenerate weight on cube {cube.text}")
     grid = sigma.grid
-    maximal = dyadic_maximal(sigma, cube).values[leaf_slice(cube, grid)]
     avg = average(sigma, cube)
     # excess >= 0 exactly: the running max was seeded with avg; the block is
     # summed by the same pairwise tree as in rho_all
-    excess = coarsen(maximal - avg, grid.dimension, grid.leaf_level - cube.level).item()
+    excess = coarsen(_chain_max(sigma, cube) - avg, grid.dimension,
+                     grid.leaf_level - cube.level).item()
     excess *= grid.leaf_volume
     return 1.0 + excess / m
 

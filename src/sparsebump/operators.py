@@ -5,6 +5,14 @@ The operator sums |Q|^{alpha/d} <sigma |f|>_Q 1_Q over the family; it is
 self-transpose for the unweighted pairing (its kernel is the symmetric
 nonnegative sum of |Q|^{alpha/d - 1} 1_Q x 1_Q), so the adjoint against the
 weighted inner products is the same sum applied with w in place of sigma.
+
+T(sigma f) is constant on each exceptional set E_Q and vanishes off the
+root, so it is held as one value per member, and the L^r(mu) norm of such
+a function v is (sum_Q |v_Q|^r mu(E_Q))^{1/r}.  One apply scales per-member
+block sums int_Q sigma f by |Q|^{alpha/d - 1} and adds them down the tree.
+The block sums of a per-member input v are the up-sweep of v sigma(E_Q);
+leaf arrays are touched only where a leaf input is first reduced to block
+sums (`apply_sparse` and each random start of the dual ascent).
 """
 
 from __future__ import annotations
@@ -24,17 +32,27 @@ def _per_level(family: SparseFamily, fn) -> np.ndarray:
     return np.array([fn(k) for k in range(family.grid.leaf_level + 1)])[family.level]
 
 
-def _sparse_avg_apply(family: SparseFamily, leaf_values: np.ndarray, alpha: float) -> np.ndarray:
-    """sum over family cubes of |Q|^{alpha/d} <values>_Q 1_Q, as a leaf array:
-    member block sums from one pyramid, their ancestor sums, and on each leaf
-    the ancestor sum of its owner."""
-    grid = family.grid
-    d = grid.dimension
-    # |Q|^{alpha/d} / |Q| = 2^{k(d - alpha)}; the leaf volume is a power of
-    # two, so folding it in here is exact
-    coef = _per_level(family, lambda k: 2.0 ** (k * (d - alpha)) * grid.leaf_volume)
-    block_sums = family.gather(pyramid(leaf_values, grid))
-    return family.at_leaves(family.ancestor_sum(block_sums * coef))
+def _coef(family: SparseFamily, alpha: float) -> np.ndarray:
+    """Per member, |Q|^{alpha/d} / |Q| = 2^{k(d - alpha)}."""
+    d = family.grid.dimension
+    return _per_level(family, lambda k: 2.0 ** (k * (d - alpha)))
+
+
+def _apply(family: SparseFamily, blocks: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """T on each E_Q: the sum of coef * blocks over the members containing Q,
+    from the block sums int_Q sigma f."""
+    return family.ancestor_sum(coef * blocks)
+
+
+def _leaf_blocks(family: SparseFamily, leaf_values: np.ndarray) -> np.ndarray:
+    """Block sums of a leaf density: the one reduction of a leaf input."""
+    # the leaf volume is a power of two, so scaling the member sums is exact
+    return family.gather(pyramid(leaf_values, family.grid)) * family.grid.leaf_volume
+
+
+def _norm(v: np.ndarray, r: float, mass_exc: np.ndarray) -> float:
+    """L^r(mu) norm of the function equal to v on each E_Q and 0 off the root."""
+    return float(np.sum(np.abs(v) ** r * mass_exc) ** (1.0 / r))
 
 
 def apply_sparse(family: SparseFamily, sigma: Weight, f: LeafFunction, alpha: float) -> LeafFunction:
@@ -46,7 +64,8 @@ def apply_sparse(family: SparseFamily, sigma: Weight, f: LeafFunction, alpha: fl
     if not 0 <= alpha < grid.dimension:
         raise ValueError(f"invalid fractional order alpha={alpha}")
     g = sigma.leaf_density * np.abs(f.values)
-    return LeafFunction(grid, _sparse_avg_apply(family, g, alpha))
+    u = _apply(family, _leaf_blocks(family, g), _coef(family, alpha))
+    return LeafFunction(grid, family.at_leaves(u))
 
 
 class PowerIterationError(RuntimeError):
@@ -65,36 +84,32 @@ def exact_norm_l2(family: SparseFamily, sigma: Weight, w: Weight, alpha: float,
     Power iteration on the self-adjoint composition G f = T_w(T_sigma f)
     (apply with sigma, multiply by w inside the second application), with
     the deterministic all-ones start on sigma-positive leaves.  Leaves with
-    zero sigma-density are excluded from the domain space.
+    zero sigma-density carry no sigma(E_Q) mass, so they drop out of the
+    domain space.
     """
     grid = family.grid
     if sigma.grid != grid or w.grid != grid:
         raise ValueError("family and weights must share one grid")
-    support = sigma.leaf_density > 0
-    leaf_mass_sigma = sigma.mass_levels[grid.leaf_level]
-    leaf_dens_w = w.leaf_density
+    sigma_exc, w_exc = family.exceptional_mass(sigma), family.exceptional_mass(w)
+    coef = _coef(family, alpha)
 
     def g_op(f: np.ndarray) -> np.ndarray:
-        u = _sparse_avg_apply(family, sigma.leaf_density * f, alpha)
-        out = _sparse_avg_apply(family, leaf_dens_w * u, alpha)
-        out[~support] = 0.0
-        return out
+        u = _apply(family, family.descendant_sum(f * sigma_exc), coef)
+        return _apply(family, family.descendant_sum(u * w_exc), coef)
 
-    f = np.where(support, 1.0, 0.0)
-    norm0 = np.sqrt(float(np.sum(f * f * leaf_mass_sigma)))
-    if norm0 == 0:
-        raise ValueError("sigma vanishes on every leaf")
-    f /= norm0
+    # the start is normalized over the whole grid, off the root too; T
+    # vanishes there, so every later iterate lives on the members
+    f = np.full(len(family), 1.0 / np.sqrt(float(sigma.mass_levels[0].sum())))
     lam_prev = np.inf
     lam = np.inf
     for _ in range(max_iter):
         u = g_op(f)
-        lam_prev, lam = lam, float(np.sum(u * f * leaf_mass_sigma))
+        lam_prev, lam = lam, float(np.sum(u * f * sigma_exc))
         if lam == 0.0:
             return 0.0
         if abs(lam - lam_prev) <= tol * lam:
             return float(np.sqrt(lam))
-        f = u / np.sqrt(float(np.sum(u * u * leaf_mass_sigma)))
+        f = u / np.sqrt(float(np.sum(u * u * sigma_exc)))
     raise PowerIterationError("power iteration did not converge", (lam_prev, lam))
 
 
@@ -119,9 +134,39 @@ def dense_norm_l2_oracle(family: SparseFamily, sigma: Weight, w: Weight, alpha: 
     return float(np.linalg.svd(b, compute_uv=False)[0])
 
 
-def _lq_norm(values: np.ndarray, exponent: float, weight: Weight) -> float:
-    leaf_mass = weight.mass_levels[weight.grid.leaf_level]
-    return float(np.sum(np.abs(values) ** exponent * leaf_mass) ** (1.0 / exponent))
+def _indicator_ratios(family: SparseFamily, mu: Weight, nu: Weight, nu_exc: np.ndarray,
+                      coef: np.ndarray, r: float, s: float) -> np.ndarray:
+    """Per member R, ||T(mu 1_R)||_{L^r(nu)} / mu(R)^{1/s}, 0 where mu(R) = 0:
+    the one array both the norm bound and the indicator ratios read.
+
+    T(mu 1_R) has block mu(Q) on the members Q inside R, mu(R) on the
+    family ancestors of R and 0 elsewhere.  Inside R it is the down-sweep of
+    coef * mu(Q) over R's subtree, seeded with mu(R) K(R) on E_R, where K is
+    the ancestor sum of coef.  Outside R it is mu(R) K(a) on the ring a \\ a'
+    between consecutive members a ⊋ a' of R's ancestor chain (a' = R at the
+    bottom), whose nu-mass is nu(a) - nu(a'); off the root it vanishes.
+    All R are swept at once: step g pairs each member with its g-th family
+    ancestor, so the cost is |S| times the depth of the tree.
+    """
+    n = len(family)
+    parent = family.parent
+    mu_mass, nu_mass = family.gather(mu.mass_levels), family.gather(nu.mass_levels)
+    k_sum = family.ancestor_sum(coef)
+    step = coef * mu_mass
+    # g = 0: R = Q, where T(mu 1_Q) = mu(Q) K(Q) on E_Q
+    u = mu_mass * k_sum
+    total = u ** r * nu_exc
+    prev, anc = np.arange(n), parent  # per member, its (g-1)-th and g-th family ancestors
+    while np.any(anc >= 0):
+        live = anc >= 0
+        a = anc[live]
+        # inside R = a: T(mu 1_R) on E_Q is its value on E_parent(Q) plus Q's own term
+        u = u[parent] + step
+        total += np.bincount(a, weights=u[live] ** r * nu_exc[live], minlength=n)
+        # outside R = the member: mu(R) K(a) on the ring between a and prev
+        total[live] += (mu_mass[live] * k_sum[a]) ** r * (nu_mass[a] - nu_mass[prev[live]])
+        prev, anc = anc, np.where(live, parent[anc], -1)
+    return np.divide(total ** (1.0 / r), mu_mass ** (1.0 / s), out=np.zeros(n), where=mu_mass > 0)
 
 
 def norm_lower_bound(family: SparseFamily, sigma: Weight, w: Weight,
@@ -130,59 +175,42 @@ def norm_lower_bound(family: SparseFamily, sigma: Weight, w: Weight,
     """Certified lower bound on the L^p(sigma) -> L^q(w) norm of T(sigma .).
 
     Evaluates the ratio on the mandatory candidates (each family indicator
-    1_R and the constant function) and on `budget` iterates of the
-    nonlinear dual-ascent map
+    1_R) and on `budget` iterates of the nonlinear dual-ascent map
 
         f <- (T*(w (T(sigma f))^{q-1}))^{1/(p-1)},  normalized in L^p(sigma),
 
     from seeded random nonnegative starts.  Adjoint indicator ratios
     ||T(w 1_R)||_{L^{p'}(sigma)} / w(R)^{1/q'} are also taken: the adjoint
     has the same norm, so they are lower bounds too, and they witness the
-    per-R terms of T*.  Returns the best ratio seen; monotone in budget and
-    deterministic under the seed.
+    per-R terms of T*.  The constant function needs no candidate of its
+    own: T(sigma 1) = T(sigma 1_root) and sigma(grid) >= sigma(root), so the
+    root's indicator dominates it.  Returns the best ratio seen; monotone in
+    budget and deterministic under the seed.
     """
     grid = family.grid
-    alpha = cfg.alpha
-    support = sigma.leaf_density > 0
-    if not np.any(support):
-        return 0.0
-    best = 0.0
-
-    def ratio(f_values: np.ndarray) -> float:
-        nonlocal best
-        denom = _lq_norm(f_values, cfg.p, sigma)
-        if denom == 0:
-            return 0.0
-        u = _sparse_avg_apply(family, sigma.leaf_density * np.abs(f_values), alpha)
-        r = _lq_norm(u, cfg.q, w) / denom
-        best = max(best, r)
-        return r
-
-    ratio(np.ones(grid.leaf_shape()))
-    w_masses = family.gather(w.mass_levels)
-    for i, w_r in enumerate(w_masses):
-        ind = family.at_leaves(family.inside(i))
-        ratio(ind)
-        if w_r > 0:
-            u = _sparse_avg_apply(family, w.leaf_density * ind, alpha)
-            best = max(best, _lq_norm(u, cfg.p_dual, sigma) / w_r ** (1.0 / cfg.q_dual))
+    sigma_exc, w_exc = family.exceptional_mass(sigma), family.exceptional_mass(w)
+    coef = _coef(family, cfg.alpha)
+    best = float(max(
+        _indicator_ratios(family, sigma, w, w_exc, coef, cfg.q, cfg.p).max(),
+        _indicator_ratios(family, w, sigma, sigma_exc, coef, cfg.p_dual, cfg.q_dual).max()))
+    if budget == 0:
+        return best
 
     rng = np.random.default_rng(seed)
     for _ in range(n_starts):
-        f = np.where(support, rng.random(grid.leaf_shape()) + 0.5, 0.0)
-        denom = _lq_norm(f, cfg.p, sigma)
-        if denom == 0:
-            continue
-        f /= denom
+        # the ascent map is homogeneous and sigma-null leaves carry no mass,
+        # so a start needs neither a normalization nor a support mask
+        f = rng.random(grid.leaf_shape()) + 0.5
+        u = _apply(family, _leaf_blocks(family, sigma.leaf_density * f), coef)
         for _ in range(budget):
-            u = _sparse_avg_apply(family, sigma.leaf_density * f, alpha)
-            y = _sparse_avg_apply(family, w.leaf_density * u ** (cfg.q - 1.0), alpha)
-            y = np.where(support, y, 0.0)
+            y = _apply(family, family.descendant_sum(u ** (cfg.q - 1.0) * w_exc), coef)
+            # y > 0 on every member or on none: the root's term is in each value
             if not np.any(y > 0):
                 break
             f = y ** (1.0 / (cfg.p - 1.0))
-            f /= _lq_norm(f, cfg.p, sigma)
-            ratio(f)
+            f /= _norm(f, cfg.p, sigma_exc)
+            u = _apply(family, family.descendant_sum(f * sigma_exc), coef)
+            best = max(best, _norm(u, cfg.q, w_exc) / _norm(f, cfg.p, sigma_exc))
     return best
 
 
@@ -267,17 +295,14 @@ def testing_constants(family: SparseFamily, sigma: Weight, w: Weight,
 
 def primal_indicator_ratios(family: SparseFamily, sigma: Weight, w: Weight,
                             cfg: ExponentConfig) -> dict[DyadicCube, float]:
-    """Per R in S: ||T(sigma 1_R)||_{L^q(w)} / sigma(R)^{1/p}.
+    """Per R in S with sigma(R) > 0: ||T(sigma 1_R)||_{L^q(w)} / sigma(R)^{1/p}.
 
     Each is a valid lower bound for the operator norm and dominates the
     corresponding per-R testing term, since on each disjoint E_Q the full
-    sum dominates the single term for Q.
+    sum dominates the single term for Q.  `norm_lower_bound` reads the same
+    array, so it dominates every ratio here exactly.
     """
-    out = {}
-    for i, m in enumerate(family.gather(sigma.mass_levels)):
-        if m <= 0:
-            continue
-        ind = family.at_leaves(family.inside(i))
-        u = _sparse_avg_apply(family, sigma.leaf_density * ind, cfg.alpha)
-        out[family.members[i]] = _lq_norm(u, cfg.q, w) / m ** (1.0 / cfg.p)
-    return out
+    ratios = _indicator_ratios(family, sigma, w, family.exceptional_mass(w),
+                               _coef(family, cfg.alpha), cfg.q, cfg.p)
+    tested = np.flatnonzero(family.gather(sigma.mass_levels) > 0)
+    return {family.members[i]: float(ratios[i]) for i in tested}

@@ -35,8 +35,8 @@ from .bumps import BumpReport, EntropyFunction, ExponentConfig, direct_bumps, en
 from .grid import DyadicCube
 from .maximal import rho
 from .operators import testing_terms
-from .sparse import SparseFamily, carleson_check
-from .weights import Weight, mass
+from .sparse import SparseFamily, carleson_check  # noqa: F401 (public one-cube check)
+from .weights import Weight
 
 TRACE_SCHEMA = "trace/v1"
 
@@ -201,24 +201,32 @@ class TraceReport:
 
 def _run_trace(kind: str, family: SparseFamily, sigma: Weight, w: Weight,
                cfg: ExponentConfig, eps: EntropyFunction, r_cube: DyadicCube,
-               bump: BumpReport | None) -> TraceReport:
+               c_bump: float | None) -> TraceReport:
+    """The chain of `kind` at R; c_bump is its bump constant (E or D of
+    (sigma, w)), computed here when None."""
+    if eps.kind != kind:
+        raise ValueError(f"{eps.kind} eps passed to {kind} trace")
     if r_cube not in family:
         raise ValueError(f"cube {r_cube.text} is not in the family")
     if sigma.grid != family.grid or w.grid != family.grid:
         raise ValueError("family and weights must share one grid")
     lam = family.lam
     r = family.position[r_cube]
-    _, strata = _strata(family, sigma, "rho" if kind == "entropy" else "average",
-                        family.inside(r))
+    keys, strata = _strata(family, sigma, "rho" if kind == "entropy" else "average",
+                           family.inside(r))
 
-    if bump is None:
-        bump = (entropy_bumps if kind == "entropy" else direct_bumps)(sigma, w, cfg, eps)
-    c_bump = bump.constants["E"] if kind == "entropy" else bump.constants["D"]
+    if c_bump is None:
+        bumps = entropy_bumps if kind == "entropy" else direct_bumps
+        c_bump = bumps(sigma, w, cfg, eps).constants["E" if kind == "entropy" else "D"]
 
     # stage (i): exact regrouping of the testing sum with w(Q) masses
+    sigma_q = family.gather(sigma.mass_levels)
     term = testing_terms(family, sigma, family.gather(w.mass_levels), cfg.q, cfg.alpha)
     lhs_total = float(family.descendant_sum(term)[r])
-    if kind == "direct":
+    if kind == "entropy":
+        # the Carleson left-hand sides, sum of sigma(Q) over members Q ⊆ Q*
+        carleson_lhs = family.descendant_sum(sigma_q)
+    else:
         # the sparseness volume bound: sum of |Q| over members Q inside Q*
         volumes = family.descendant_sum(np.ldexp(1.0, -cfg.d * family.level))
     regrouped = 0.0
@@ -232,16 +240,17 @@ def _run_trace(kind: str, family: SparseFamily, sigma: Weight, w: Weight,
             q_star = family.members[i]
             inner_lhs = float(inner[i])
             regrouped += inner_lhs
-            sigma_star = mass(sigma, q_star)
+            sigma_star = float(sigma_q[i])
             inner_bound = (c_bump**cfg.q) * (2.0 / (1.0 - lam)) * sigma_star**qp / floor_val
             if c_bump > 0 and sigma_star > 0:
                 realized = inner_lhs * floor_val / (c_bump**cfg.q * sigma_star**qp)
             else:
                 realized = 0.0 if inner_lhs == 0 else math.inf
-            # supporting estimate: Carleson for the entropy chain, the
-            # sparseness volume bound for the direct chain
+            # supporting estimate: Carleson for the entropy chain (the ratio
+            # carleson_check gives, with rho(Q*) read from the strata keys),
+            # the sparseness volume bound for the direct chain
             if kind == "entropy":
-                support_ratio = carleson_check(family, sigma, q_star)["ratio"]
+                support_ratio = float(carleson_lhs[i]) / (keys[i] * sigma_star / (1.0 - lam))
             else:
                 support_ratio = float(volumes[i]) * (1.0 - lam) / q_star.volume
             ok = (inner_lhs <= inner_bound * (1.0 + SLACK)
@@ -258,13 +267,13 @@ def _run_trace(kind: str, family: SparseFamily, sigma: Weight, w: Weight,
     identity_ok = identity_error <= SLACK
 
     # stage (iii): the assembled explicit-constant bound
-    final_bound = (2.0 * eps.tail_sum / (1.0 - lam)) * c_bump**cfg.q * mass(sigma, r_cube)**qp
+    final_bound = (2.0 * eps.tail_sum / (1.0 - lam)) * c_bump**cfg.q * float(sigma_q[r])**qp
     final_ok = lhs_total <= final_bound * (1.0 + SLACK)
 
     # certificate: testing value at R with w(E_Q) masses (<= the w(Q) form)
     exc_term = testing_terms(family, sigma, family.exceptional_mass(w), cfg.q, cfg.alpha)
     testing_sum = float(family.descendant_sum(exc_term)[r])
-    testing_value = mass(sigma, r_cube) ** (-1.0 / cfg.p) * testing_sum ** (1.0 / cfg.q)
+    testing_value = float(sigma_q[r]) ** (-1.0 / cfg.p) * testing_sum ** (1.0 / cfg.q)
     certified_constant = (2.0 * eps.tail_sum / (1.0 - lam)) ** (1.0 / cfg.q)
     certified_ok = testing_value <= certified_constant * c_bump * (1.0 + SLACK)
 
@@ -284,9 +293,8 @@ def entropy_trace(family: SparseFamily, sigma: Weight, w: Weight,
     """Execute the entropy chain at R: stratify by rho(Q; sigma), verify the
     regrouping identity, the per-stratum inner bounds (through the Carleson
     estimate), and the final bound certifying T_R <= (2 Sigma_eps/(1-lam))^{1/q} E."""
-    if eps.kind != "entropy":
-        raise ValueError("direct eps passed to entropy trace")
-    return _run_trace("entropy", family, sigma, w, cfg, eps, r_cube, bump)
+    return _run_trace("entropy", family, sigma, w, cfg, eps, r_cube,
+                      None if bump is None else bump.constants["E"])
 
 
 def direct_trace(family: SparseFamily, sigma: Weight, w: Weight,
@@ -295,21 +303,26 @@ def direct_trace(family: SparseFamily, sigma: Weight, w: Weight,
     """Execute the direct-comparison chain at R: stratify by <sigma>_Q; the
     inner bound uses the sparseness volume bound in place of the Carleson
     estimate, certifying T_R <= (2 Sigma_eps/(1-lam))^{1/q} D."""
-    if eps.kind != "direct":
-        raise ValueError("entropy eps passed to direct trace")
-    return _run_trace("direct", family, sigma, w, cfg, eps, r_cube, bump)
+    return _run_trace("direct", family, sigma, w, cfg, eps, r_cube,
+                      None if bump is None else bump.constants["D"])
 
 
 def dual_entropy_trace(family: SparseFamily, sigma: Weight, w: Weight,
-                       cfg: ExponentConfig, eps: EntropyFunction,
-                       r_cube: DyadicCube) -> TraceReport:
+                       cfg: ExponentConfig, eps: EntropyFunction, r_cube: DyadicCube,
+                       bump: BumpReport | None = None) -> TraceReport:
     """The dual chain, certifying T* <= (2 Sigma_eps/(1-lam))^{1/p'} E*_symmetric:
-    run the primal chain with (sigma, p) <-> (w, q') swapped."""
-    return entropy_trace(family, w, sigma, cfg.swapped(), eps, r_cube)
+    run the primal chain with (sigma, p) <-> (w, q') swapped.  `bump` is the
+    entropy BumpReport of (sigma, w); its E*_symmetric is the E of the
+    swapped pair, so it is read there instead of recomputed."""
+    return _run_trace("entropy", family, w, sigma, cfg.swapped(), eps, r_cube,
+                      None if bump is None else bump.constants["E_star_symmetric"])
 
 
 def dual_direct_trace(family: SparseFamily, sigma: Weight, w: Weight,
-                      cfg: ExponentConfig, eps: EntropyFunction,
-                      r_cube: DyadicCube) -> TraceReport:
-    """The dual direct chain, certifying T* <= (2 Sigma_eps/(1-lam))^{1/p'} D*."""
-    return direct_trace(family, w, sigma, cfg.swapped(), eps, r_cube)
+                      cfg: ExponentConfig, eps: EntropyFunction, r_cube: DyadicCube,
+                      bump: BumpReport | None = None) -> TraceReport:
+    """The dual direct chain, certifying T* <= (2 Sigma_eps/(1-lam))^{1/p'} D*.
+    `bump` is the direct BumpReport of (sigma, w); its D* is the D of the
+    swapped pair."""
+    return _run_trace("direct", family, w, sigma, cfg.swapped(), eps, r_cube,
+                      None if bump is None else bump.constants["D_star"])

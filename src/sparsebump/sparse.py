@@ -11,6 +11,8 @@ is the explicit-constant form
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -20,11 +22,10 @@ import numpy as np
 from .grid import (
     DyadicCube,
     GridConfig,
-    children,
     contains,
-    enumerate_cubes,
     coarsen,
     expand,
+    leaf_slice,
     parse_cube,
     root_cube,
 )
@@ -215,27 +216,28 @@ def stopping_family(sigma: Weight, big_lambda: float, root: DyadicCube) -> Spars
     """Corona construction: starting from `root`, the stopping children of a
     selected Q are the maximal Q' ⊊ Q with <sigma>_{Q'} > big_lambda * <sigma>_Q.
 
-    Chebyshev gives lambda-sparseness with lambda = 1/big_lambda; the result
-    is verified on output by the SparseFamily constructor.
+    One top-down sweep over the levels below the root: each cube carries
+    the threshold big_lambda * <sigma>_P of its stopping parent P (its
+    nearest selected proper ancestor) and is selected when its average
+    exceeds it.  Chebyshev gives lambda-sparseness with lambda = 1/big_lambda;
+    the result is verified on output by the SparseFamily constructor.
     """
     if big_lambda <= 1:
         raise ValueError(f"stopping ratio must exceed 1, got {big_lambda}")
     grid = sigma.grid
+    d = grid.dimension
     if mass(sigma, root) <= 0:
         raise ValueError(f"degenerate weight on cube {root.text}")
     selected = [root]
-    stack = [root]
-    while stack:
-        q = stack.pop()
-        threshold = big_lambda * average(sigma, q)
-        walk = [c for c in children(q, grid)] if q.level < grid.leaf_level else []
-        while walk:
-            c = walk.pop()
-            if average(sigma, c) > threshold:
-                selected.append(c)
-                stack.append(c)
-            elif c.level < grid.leaf_level:
-                walk.extend(children(c, grid))
+    chosen = np.ones((1,) * d, dtype=bool)
+    avg = threshold = np.full((1,) * d, average(sigma, root))
+    for k in range(root.level + 1, grid.leaf_level + 1):
+        threshold = expand(np.where(chosen, big_lambda * avg, threshold), d)
+        # the level-k cubes inside the root; |Q| = 2^{-dk} exactly
+        avg = sigma.mass_levels[k][leaf_slice(root, GridConfig(d, k))] * 2.0 ** (d * k)
+        chosen = avg > threshold
+        corner = np.array(root.index) << (k - root.level)
+        selected += [DyadicCube(k, tuple(j)) for j in (np.argwhere(chosen) + corner).tolist()]
     return SparseFamily(grid, frozenset(selected), 1.0 / big_lambda)
 
 
@@ -243,24 +245,30 @@ def random_sparse(grid: GridConfig, lam: float, seed: int, target_size: int) -> 
     """Greedy randomized family: visit non-root cubes in a seeded random
     order and accept each iff lambda-sparseness is preserved; rejected
     candidates are discarded permanently.  Stops at target_size or when the
-    candidate pool is exhausted."""
+    candidate pool is exhausted.
+
+    The pool is every non-root cube in (level, row-major index) order; a
+    visited pool position is decoded to its cube arithmetically.
+    """
     if not 0 < lam < 1:
         raise ValueError(f"lambda must be in (0,1), got {lam}")
     if target_size < 1:
         raise ValueError("target_size must be >= 1")
+    d = grid.dimension
     root = root_cube(grid)
     accepted = {root}
     # incremental state: maximal proper sub-members per member + their volume sum
     kids: dict[DyadicCube, set[DyadicCube]] = {root: set()}
     kid_volume: dict[DyadicCube, float] = {root: 0.0}
     if target_size > 1:
-        pool = [q for q in enumerate_cubes(grid) if q.level > 0]
+        # level k occupies pool positions starts[k-1] .. starts[k]-1
+        starts = list(itertools.accumulate(
+            (2 ** (d * k) for k in range(1, grid.leaf_level + 1)), initial=0))
         rng = np.random.default_rng(seed)
-        order = rng.permutation(len(pool))
-        for idx in order:
-            cand = pool[idx]
-            if cand in accepted:
-                continue
+        for pos in map(int, rng.permutation(starts[-1])):
+            k = bisect.bisect_right(starts, pos)
+            j = pos - starts[k - 1]
+            cand = DyadicCube(k, (j,) if d == 1 else (j >> k, j & ((1 << k) - 1)))
             anc = _nearest_ancestor_in(cand, accepted)
             absorbed = {q for q in kids[anc] if contains(cand, q)}
             absorbed_volume = sum(q.volume for q in absorbed)

@@ -194,6 +194,24 @@ class TestDualTraces:
         assert trep.T_star <= de.certified_constant * de.bump_constant * (1 + 1e-12)
         assert trep.T_star <= dd.certified_constant * dd.bump_constant * (1 + 1e-12)
 
+    @pytest.mark.parametrize("d", (1, 2))
+    def test_primal_bumps_serve_the_dual_chains(self, d):
+        # E*_symmetric and D* of (sigma, w) are the E and D of the swapped pair
+        for seed in range(4):
+            fam, sigma, w = random_setup(seed, n=7 if d == 1 else 4, dimension=d)
+            for alpha in (0.0, 0.5):
+                for p, q in ((2.0, 3.0), (1.5, 4.0)):
+                    cfg = ExponentConfig(p, q, alpha, d)
+                    ebump = entropy_bumps(sigma, w, cfg, EPS_E)
+                    dbump = direct_bumps(sigma, w, cfg, EPS_D)
+                    for trace, bump, key in ((dual_entropy_trace, ebump, "E_star_symmetric"),
+                                             (dual_direct_trace, dbump, "D_star")):
+                        reused = trace(fam, sigma, w, cfg, bump.eps, fam.root, bump=bump)
+                        fresh = trace(fam, sigma, w, cfg, bump.eps, fam.root)
+                        assert reused.bump_constant == bump.constants[key]
+                        assert reused.bump_constant == pytest.approx(fresh.bump_constant, rel=1e-14)
+                        assert reused.passed and fresh.passed
+
     def test_dual_testing_value_matches_t_star_at_root(self):
         fam, sigma, w = random_setup(3)
         cfg = ExponentConfig(2, 3, 0.25, 1)

@@ -3,18 +3,31 @@
 The oracles below walk the family cube by cube with `contains` and
 `leaf_slice`, the way the package computed these quantities before the
 family became an array tree.  Each sweep must agree with its oracle to
-1e-13 relative, on random and stopping families in d=1 and d=2.
+1e-13 relative, on random and stopping families in d=1 and d=2.  Further
+oracles keep the earlier family builders (every grid cube as an object),
+which must return the same cube sets, and the leaf-level operator (one
+apply per candidate on leaf arrays), which the member-form operator must
+match to 1e-13 relative.
 """
 
 import numpy as np
 import pytest
 
 from sparsebump.bumps import EntropyFunction, ExponentConfig
-from sparsebump.grid import DyadicCube, GridConfig, contains, leaf_slice, root_cube
-from sparsebump.operators import apply_sparse, testing_constants
+from sparsebump.grid import DyadicCube, GridConfig, children, contains, enumerate_cubes, leaf_slice, root_cube
+from sparsebump.operators import (
+    _apply,
+    _coef,
+    _indicator_ratios,
+    apply_sparse,
+    exact_norm_l2,
+    norm_lower_bound,
+    primal_indicator_ratios,
+    testing_constants,
+)
 from sparsebump.prooftrace import _bucket_of, direct_trace, entropy_trace, stratify
 from sparsebump.sparse import SparseFamily, carleson_check, random_sparse, stopping_family, verify_sparse
-from sparsebump.weights import LeafFunction, average, generate_weight, mass
+from sparsebump.weights import LeafFunction, Weight, average, generate_weight, mass
 from sparsebump.maximal import rho
 
 REL = 1e-13
@@ -174,6 +187,10 @@ class TestSweepsMatchPerCubeLoops:
                          for a, q_star in stars]
                 assert_close([s.inner_lhs for s in rep.strata], inner)
                 assert_close(rep.lhs_total, sum(term.values()))
+                if key == "rho":
+                    # the trace's Carleson ratios are the public check's, bit for bit
+                    assert [s.support_ratio for s in rep.strata] == [
+                        carleson_check(family, sigma, s.q_star)["ratio"] for s in rep.strata]
                 if key == "average":
                     volumes = [sum(q.volume for q in sub if contains(q_star, q))
                                for _, q_star in stars]
@@ -199,3 +216,199 @@ def test_non_grid_root_family():
     np.testing.assert_array_equal(family.ancestor_sum([1.0, 2.0, 4.0]), [1.0, 3.0, 7.0])
     np.testing.assert_array_equal(family.descendant_sum([1.0, 2.0, 4.0]), [7.0, 6.0, 4.0])
     np.testing.assert_array_equal(family.owner, oracle_owner(family))
+
+
+# --- family construction: the per-cube-object builders as oracles ----------
+
+def oracle_random_sparse(grid, lam, seed, target_size):
+    """The pool-based greedy construction: every non-root cube as an object,
+    visited in the seeded permutation of the pool."""
+    root = root_cube(grid)
+    accepted = {root}
+    kids, kid_volume = {root: set()}, {root: 0.0}
+    if target_size > 1:
+        pool = [q for q in enumerate_cubes(grid) if q.level > 0]
+        for idx in np.random.default_rng(seed).permutation(len(pool)):
+            cand = pool[idx]
+            anc = cand.parent()
+            while anc not in accepted:
+                anc = anc.parent()
+            absorbed = {q for q in kids[anc] if contains(cand, q)}
+            absorbed_volume = sum(q.volume for q in absorbed)
+            new_anc_volume = kid_volume[anc] - absorbed_volume + cand.volume
+            if new_anc_volume > lam * anc.volume or absorbed_volume > lam * cand.volume:
+                continue
+            accepted.add(cand)
+            kids[anc] = (kids[anc] - absorbed) | {cand}
+            kid_volume[anc] = new_anc_volume
+            kids[cand], kid_volume[cand] = absorbed, absorbed_volume
+            if len(accepted) >= target_size:
+                break
+    return frozenset(accepted)
+
+
+def oracle_stopping_family(sigma, big_lambda, root):
+    """The stack-based corona construction, one cube object at a time."""
+    grid = sigma.grid
+    selected, stack = [root], [root]
+    while stack:
+        q = stack.pop()
+        threshold = big_lambda * average(sigma, q)
+        walk = list(children(q, grid)) if q.level < grid.leaf_level else []
+        while walk:
+            c = walk.pop()
+            if average(sigma, c) > threshold:
+                selected.append(c)
+                stack.append(c)
+            elif c.level < grid.leaf_level:
+                walk.extend(children(c, grid))
+    return frozenset(selected)
+
+
+BUILD_GRIDS = (GridConfig(1, 7), GridConfig(2, 4))
+
+
+@pytest.mark.parametrize("grid", BUILD_GRIDS, ids=("d1", "d2"))
+@pytest.mark.parametrize("lam", (0.5, 0.25))
+def test_random_sparse_matches_pool_oracle(grid, lam):
+    # 10_000 exceeds every family's capacity here, so the pool is exhausted
+    for seed in range(4):
+        for target in (2, 12, 10_000):
+            got = random_sparse(grid, lam, seed=seed, target_size=target).cubes
+            assert got == oracle_random_sparse(grid, lam, seed, target)
+
+
+@pytest.mark.parametrize("grid", BUILD_GRIDS, ids=("d1", "d2"))
+@pytest.mark.parametrize("lam", (0.5, 0.25))
+def test_stopping_family_matches_stack_oracle(grid, lam):
+    for seed in range(4):
+        sigma = generate_weight(grid, "random_cascade", seed=seed, volatility=0.8)
+        for root in (root_cube(grid), DyadicCube(2, (1,) * grid.dimension)):
+            got = stopping_family(sigma, 1.0 / lam, root).cubes
+            assert got == oracle_stopping_family(sigma, 1.0 / lam, root)
+
+
+# --- the member-form operator against the leaf-level one --------------------
+
+def leaf_norm(values, r, weight):
+    leaf_mass = weight.mass_levels[weight.grid.leaf_level]
+    return float(np.sum(np.abs(values) ** r * leaf_mass) ** (1.0 / r))
+
+
+def leaf_indicator(family, q):
+    out = np.zeros(family.grid.leaf_shape())
+    out[leaf_slice(q, family.grid)] = 1.0
+    return out
+
+
+def oracle_indicator_ratios(family, mu, nu, alpha, r, s):
+    """Per R with mu(R) > 0, ||T(mu 1_R)||_{L^r(nu)} / mu(R)^{1/s}, one
+    leaf-level apply per R."""
+    return {q: leaf_norm(oracle_apply(family, mu.leaf_density * leaf_indicator(family, q), alpha),
+                         r, nu) / mass(mu, q) ** (1.0 / s)
+            for q in family.members if mass(mu, q) > 0}
+
+
+def oracle_norm_lower_bound(family, sigma, w, cfg, budget, seed=0, n_starts=3):
+    """The leaf-level norm bound: the constant and indicator candidates and
+    the dual ascent, every apply on leaf arrays."""
+    grid = family.grid
+    support = sigma.leaf_density > 0
+
+    def ratio(f):
+        denom = leaf_norm(f, cfg.p, sigma)
+        u = oracle_apply(family, sigma.leaf_density * np.abs(f), cfg.alpha)
+        return leaf_norm(u, cfg.q, w) / denom if denom > 0 else 0.0
+
+    best = ratio(np.ones(grid.leaf_shape()))
+    best = max([best] + list(oracle_indicator_ratios(family, sigma, w, cfg.alpha,
+                                                     cfg.q, cfg.p).values())
+               + list(oracle_indicator_ratios(family, w, sigma, cfg.alpha,
+                                              cfg.p_dual, cfg.q_dual).values()))
+    rng = np.random.default_rng(seed)
+    for _ in range(n_starts):
+        f = np.where(support, rng.random(grid.leaf_shape()) + 0.5, 0.0)
+        f /= leaf_norm(f, cfg.p, sigma)
+        for _ in range(budget):
+            u = oracle_apply(family, sigma.leaf_density * f, cfg.alpha)
+            y = oracle_apply(family, w.leaf_density * u ** (cfg.q - 1.0), cfg.alpha)
+            y = np.where(support, y, 0.0)
+            if not np.any(y > 0):
+                break
+            f = y ** (1.0 / (cfg.p - 1.0))
+            f /= leaf_norm(f, cfg.p, sigma)
+            best = max(best, ratio(f))
+    return best
+
+
+def oracle_exact_norm_l2(family, sigma, w, alpha, tol):
+    """Leaf-level power iteration on T_w T_sigma over the sigma-positive leaves."""
+    support = sigma.leaf_density > 0
+    f = np.where(support, 1.0, 0.0)
+    f /= leaf_norm(f, 2.0, sigma)
+    lam_prev = lam = np.inf
+    while not abs(lam - lam_prev) <= tol * lam:
+        u = oracle_apply(family, sigma.leaf_density * f, alpha)
+        u = np.where(support, oracle_apply(family, w.leaf_density * u, alpha), 0.0)
+        lam_prev, lam = lam, float(np.sum(u * f * sigma.mass_levels[-1]))
+        f = u / leaf_norm(u, 2.0, sigma)
+    return float(np.sqrt(lam))
+
+
+def operator_instance(case):
+    """(family, sigma, w, cfg): the sweep cases at alpha > 0, a family whose
+    root is below the grid root, and a sigma with zero-density leaves."""
+    if case == "non_grid_root":
+        grid = GridConfig(1, 7)
+        sigma = generate_weight(grid, "random_cascade", seed=5, volatility=0.8)
+        w = generate_weight(grid, "random_cascade", seed=305, volatility=0.8)
+        family = stopping_family(sigma, 2.0, DyadicCube(1, (1,)))
+    elif case == "sigma_null":
+        grid = GridConfig(1, 7)
+        density = generate_weight(grid, "random_cascade", seed=6, volatility=0.8).leaf_density
+        # no sigma on [1/4, 1/2) and on every fifth leaf
+        density = np.where((np.arange(128) // 32 == 1) | (np.arange(128) % 5 == 0), 0.0, density)
+        sigma = Weight(grid, density)
+        w = generate_weight(grid, "random_cascade", seed=306, volatility=0.8)
+        family = random_sparse(grid, 0.5, seed=6, target_size=24)
+        assert any(mass(sigma, q) == 0 for q in family.members)
+    else:
+        family, sigma, w = instance(*case)
+    cfg = ExponentConfig(2.0, 3.0, 0.5 * family.grid.dimension - 0.25, family.grid.dimension)
+    return family, sigma, w, cfg
+
+
+OPERATOR_CASES = CASES + ["non_grid_root", "sigma_null"]
+
+
+@pytest.mark.parametrize("case", OPERATOR_CASES, ids=str)
+class TestMemberOperatorMatchesLeafOperator:
+    def test_member_apply(self, case):
+        family, sigma, _, cfg = operator_instance(case)
+        v = np.random.default_rng(1).random(len(family))
+        blocks = family.descendant_sum(v * family.exceptional_mass(sigma))
+        got = family.at_leaves(_apply(family, blocks, _coef(family, cfg.alpha)))
+        assert_close(got, oracle_apply(family, sigma.leaf_density * family.at_leaves(v), cfg.alpha))
+
+    def test_indicator_ratios(self, case):
+        family, sigma, w, cfg = operator_instance(case)
+        got = primal_indicator_ratios(family, sigma, w, cfg)
+        want = oracle_indicator_ratios(family, sigma, w, cfg.alpha, cfg.q, cfg.p)
+        assert got.keys() == want.keys()
+        assert_close(list(got.values()), list(want.values()))
+        adjoint = _indicator_ratios(family, w, sigma, family.exceptional_mass(sigma),
+                                    _coef(family, cfg.alpha), cfg.p_dual, cfg.q_dual)
+        want = oracle_indicator_ratios(family, w, sigma, cfg.alpha, cfg.p_dual, cfg.q_dual)
+        tested = [i for i, q in enumerate(family.members) if q in want]
+        assert_close(adjoint[tested], list(want.values()))
+
+    def test_norm_lower_bound(self, case):
+        family, sigma, w, cfg = operator_instance(case)
+        for budget in (0, 8):
+            assert_close(norm_lower_bound(family, sigma, w, cfg, budget, seed=3),
+                         oracle_norm_lower_bound(family, sigma, w, cfg, budget, seed=3))
+
+    def test_exact_norm_l2(self, case):
+        family, sigma, w, cfg = operator_instance(case)
+        assert_close(exact_norm_l2(family, sigma, w, cfg.alpha, tol=1e-14),
+                     oracle_exact_norm_l2(family, sigma, w, cfg.alpha, tol=1e-14))

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import DyadicCube, GridConfig
-from .maximal import rho, rho_all
+from .maximal import rho
 from .weights import Weight, average, mass
 
 LN2 = math.log(2.0)
@@ -154,7 +154,6 @@ class BumpReport:
     argmax: dict[str, DyadicCube]
     rho_at_argmax: dict[str, float]
     eps: EntropyFunction | None = None
-    dual_rho: str | None = None
 
     def to_dict(self) -> dict:
         out = dict(self.constants)
@@ -166,8 +165,6 @@ class BumpReport:
                 "delta": self.eps.delta,
                 "tail_sum": self.eps.tail_sum,
             }
-        if self.dual_rho is not None:
-            out["dual_rho"] = self.dual_rho
         return out
 
 
@@ -196,22 +193,60 @@ def _joint_levels(sigma: Weight, w: Weight, cfg: ExponentConfig) -> list[np.ndar
     return out
 
 
-def _argmax_over_levels(levels: list[np.ndarray]) -> tuple[float, DyadicCube]:
-    """Global max with the smallest (level, index) witness on ties."""
-    best = -np.inf
-    best_cube = None
-    for k, arr in enumerate(levels):
-        flat = arr.ravel()
-        j = int(np.argmax(flat))
-        v = float(flat[j])
-        if v > best:
-            best = v
-            if arr.ndim == 1:
-                best_cube = DyadicCube(k, (j,))
-            else:
-                n = arr.shape[1]
-                best_cube = DyadicCube(k, (j // n, j % n))
-    return best, best_cube
+def _rho_of(weight: Weight, cube: DyadicCube) -> float | None:
+    """rho(Q; weight), or None where weight(Q) = 0 and rho is undefined."""
+    return rho(weight, cube) if mass(weight, cube) > 0 else None
+
+
+def _sup(sigma: Weight, w: Weight, cfg: ExponentConfig, joint: list[np.ndarray],
+         weight: Weight | None = None, eps: EntropyFunction | None = None,
+         exponents=(1.0,)) -> list[tuple[float, DyadicCube]]:
+    """Per exponent e, the constant sup_Q joint(Q) * bump_e(Q) and its argmax.
+
+    Without a weight the bump is 1 (the joint constant A).  Otherwise the key
+    is rho(Q; weight) with bump key^e * eps(key)^e for an entropy eps, and
+    <weight>_Q with bump eps(key)^e for a direct eps; a cube where the key is
+    undefined (zero mass) contributes 0, as the joint factor vanishes there.
+    One scan over the levels evaluates eps once per key and keeps the first
+    (smallest level, then index) maximum of each constant; the value is then
+    re-evaluated at that cube in scalar arithmetic, multiplied in the same
+    order, so a witness recomputation reproduces it exactly.
+    """
+    entropy = eps is not None and eps.kind == "entropy"
+
+    def bumped(j, t, eps_t, e):
+        return (j * t**e if entropy else j) * eps_t**e
+
+    best = [(-np.inf, 0, 0)] * len(exponents)  # (value, level, flat index)
+    for k, j in enumerate(joint):
+        if weight is not None:
+            key = weight.rho_levels[k] if entropy else weight.level_averages(k)
+            defined = key > 0  # False on NaN (rho of a zero-mass cube) and on 0
+            t = np.where(defined, key, 1.0)
+            eps_t = eps_eval(eps, t)
+        for i, e in enumerate(exponents):
+            vals = j if weight is None else np.where(defined, bumped(j, t, eps_t, e), 0.0)
+            m = int(np.argmax(vals))
+            if vals.flat[m] > best[i][0]:
+                best[i] = (float(vals.flat[m]), k, m)
+    out = []
+    for (_, k, m), e in zip(best, exponents):
+        cube = DyadicCube(k, tuple(int(x) for x in np.unravel_index(m, joint[k].shape)))
+        value = joint_factor(sigma, w, cfg, cube)
+        if weight is not None:
+            t = _rho_of(weight, cube) if entropy else average(weight, cube)
+            # t is None or 0 where the key is undefined
+            value = bumped(value, t, eps_eval(eps, t), e) if t else 0.0
+        out.append((value, cube))
+    return out
+
+
+def _report(found: dict[str, tuple[float, DyadicCube, Weight]], eps: EntropyFunction) -> BumpReport:
+    """A BumpReport from name -> (constant, argmax, weight whose rho is reported there)."""
+    return BumpReport({name: v for name, (v, _, _) in found.items()},
+                      {name: cube for name, (_, cube, _) in found.items()},
+                      {name: _rho_of(wt, cube) for name, (_, cube, wt) in found.items()},
+                      eps)
 
 
 def joint_apq_constant(sigma: Weight, w: Weight, cfg: ExponentConfig) -> dict:
@@ -222,79 +257,30 @@ def joint_apq_constant(sigma: Weight, w: Weight, cfg: ExponentConfig) -> dict:
     reproduces it exactly.
     """
     _check_same_grid(sigma, w)
-    _, cube = _argmax_over_levels(_joint_levels(sigma, w, cfg))
-    return {"A": joint_factor(sigma, w, cfg, cube), "argmax": cube}
-
-
-def _rho_of(weight: Weight, cube: DyadicCube) -> float | None:
-    if mass(weight, cube) <= 0:
-        return None
-    return rho(weight, cube)
+    [(a, cube)] = _sup(sigma, w, cfg, _joint_levels(sigma, w, cfg))
+    return {"A": a, "argmax": cube}
 
 
 def entropy_bumps(sigma: Weight, w: Weight, cfg: ExponentConfig,
-                  eps: EntropyFunction, dual_rho: str = "symmetric") -> BumpReport:
+                  eps: EntropyFunction) -> BumpReport:
     """Entropy bump constants.
 
     E bumps the joint factor by rho(Q; sigma)^{1/q} eps(rho(Q; sigma))^{1/q}.
-    The dual constant is computed both ways: "as_printed" keeps rho(Q; sigma)
-    in the exponent-1/p' bump; "symmetric" (the duality-consistent reading,
-    and the one the dual proof chain consumes) uses rho(Q; w).  Cubes where
-    the relevant weight has zero mass contribute 0, as the joint factor
-    vanishes there.
+    The dual constant is computed two ways: E_star_printed keeps
+    rho(Q; sigma) in the exponent-1/p' bump; E_star_symmetric (the
+    duality-consistent reading, and the one the dual proof chain consumes)
+    uses rho(Q; w).  Cubes where the relevant weight has zero mass
+    contribute 0, as the joint factor vanishes there.
     """
     if eps.kind != "entropy":
         raise ValueError("direct eps passed to entropy bump")
-    if dual_rho not in ("as_printed", "symmetric"):
-        raise ValueError(f"dual_rho must be as_printed or symmetric, got {dual_rho!r}")
-    grid = _check_same_grid(sigma, w)
+    _check_same_grid(sigma, w)
     joint = _joint_levels(sigma, w, cfg)
-    rho_sigma = rho_all(sigma)
-    rho_w = rho_all(w)
-
-    def bumped(rho_levels, exponent):
-        out = []
-        for k in range(grid.leaf_level + 1):
-            r = rho_levels[k]
-            degenerate = np.isnan(r)
-            safe = np.where(degenerate, 1.0, r)
-            vals = np.where(
-                degenerate, 0.0,
-                joint[k] * safe**exponent * eps_eval(eps, safe) ** exponent,
-            )
-            out.append(vals)
-        return out
-
-    def finalize(cube, rho_weight, exponent):
-        """Scalar witness value at the scanned argmax."""
-        r = _rho_of(rho_weight, cube)
-        if r is None:
-            return 0.0, None
-        return (joint_factor(sigma, w, cfg, cube)
-                * r**exponent * eps_eval(eps, r) ** exponent, r)
-
-    _, a_cube = _argmax_over_levels(joint)
-    _, e_cube = _argmax_over_levels(bumped(rho_sigma, 1.0 / cfg.q))
-    _, ep_cube = _argmax_over_levels(bumped(rho_sigma, 1.0 / cfg.p_dual))
-    _, es_cube = _argmax_over_levels(bumped(rho_w, 1.0 / cfg.p_dual))
-    e_val, e_rho = finalize(e_cube, sigma, 1.0 / cfg.q)
-    ep_val, ep_rho = finalize(ep_cube, sigma, 1.0 / cfg.p_dual)
-    es_val, es_rho = finalize(es_cube, w, 1.0 / cfg.p_dual)
-    constants = {
-        "A": joint_factor(sigma, w, cfg, a_cube),
-        "E": e_val,
-        "E_star_printed": ep_val,
-        "E_star_symmetric": es_val,
-    }
-    argmax = {"A": a_cube, "E": e_cube, "E_star_printed": ep_cube,
-              "E_star_symmetric": es_cube}
-    rho_at = {
-        "A": _rho_of(sigma, a_cube),
-        "E": e_rho,
-        "E_star_printed": ep_rho,
-        "E_star_symmetric": es_rho,
-    }
-    return BumpReport(constants, argmax, rho_at, eps, dual_rho)
+    [a] = _sup(sigma, w, cfg, joint)
+    e, e_printed = _sup(sigma, w, cfg, joint, sigma, eps, (1.0 / cfg.q, 1.0 / cfg.p_dual))
+    [e_symmetric] = _sup(sigma, w, cfg, joint, w, eps, (1.0 / cfg.p_dual,))
+    return _report({"A": (*a, sigma), "E": (*e, sigma), "E_star_printed": (*e_printed, sigma),
+                    "E_star_symmetric": (*e_symmetric, w)}, eps)
 
 
 def direct_bumps(sigma: Weight, w: Weight, cfg: ExponentConfig,
@@ -303,40 +289,13 @@ def direct_bumps(sigma: Weight, w: Weight, cfg: ExponentConfig,
 
     D bumps the joint factor by eps(<sigma>_Q)^{1/q}; D_star by
     eps(<w>_Q)^{1/p'}.  Cubes with zero average contribute 0 (the joint
-    factor vanishes there too).
+    factor vanishes there too).  rho(Q; sigma) is reported at every argmax.
     """
     if eps.kind != "direct":
         raise ValueError("entropy eps passed to direct bump")
-    grid = _check_same_grid(sigma, w)
+    _check_same_grid(sigma, w)
     joint = _joint_levels(sigma, w, cfg)
-
-    def bumped(weight, exponent):
-        out = []
-        for k in range(grid.leaf_level + 1):
-            avg = weight.level_averages(k)
-            safe = np.where(avg > 0, avg, 1.0)
-            vals = np.where(avg > 0, joint[k] * eps_eval(eps, safe) ** exponent, 0.0)
-            out.append(vals)
-        return out
-
-    def finalize(cube, avg_weight, exponent):
-        avg = average(avg_weight, cube)
-        if avg <= 0:
-            return 0.0
-        return joint_factor(sigma, w, cfg, cube) * eps_eval(eps, avg) ** exponent
-
-    _, a_cube = _argmax_over_levels(joint)
-    _, d_cube = _argmax_over_levels(bumped(sigma, 1.0 / cfg.q))
-    _, ds_cube = _argmax_over_levels(bumped(w, 1.0 / cfg.p_dual))
-    constants = {
-        "A": joint_factor(sigma, w, cfg, a_cube),
-        "D": finalize(d_cube, sigma, 1.0 / cfg.q),
-        "D_star": finalize(ds_cube, w, 1.0 / cfg.p_dual),
-    }
-    argmax = {"A": a_cube, "D": d_cube, "D_star": ds_cube}
-    rho_at = {
-        "A": _rho_of(sigma, a_cube),
-        "D": _rho_of(sigma, d_cube),
-        "D_star": _rho_of(sigma, ds_cube),
-    }
-    return BumpReport(constants, argmax, rho_at, eps)
+    [a] = _sup(sigma, w, cfg, joint)
+    [d] = _sup(sigma, w, cfg, joint, sigma, eps, (1.0 / cfg.q,))
+    [d_star] = _sup(sigma, w, cfg, joint, w, eps, (1.0 / cfg.p_dual,))
+    return _report({"A": (*a, sigma), "D": (*d, sigma), "D_star": (*d_star, sigma)}, eps)

@@ -33,7 +33,9 @@ import numpy as np
 
 from .bumps import BumpReport, EntropyFunction, ExponentConfig, direct_bumps, entropy_bumps, eps_eval
 from .grid import DyadicCube
-from .maximal import rho
+# Not called here: every rho comes from Weight.rho_levels.  The name stays
+# bound because perfbench/layers.py wraps prooftrace.rho to count rho calls.
+from .maximal import rho  # noqa: F401
 from .operators import testing_terms
 from .sparse import SparseFamily, carleson_check  # noqa: F401 (public one-cube check)
 from .weights import Weight
@@ -97,9 +99,9 @@ def _strata(family: SparseFamily, sigma: Weight, key: str, inside: np.ndarray):
         raise ValueError(f"zero-mass cube in family: {family.members[np.argmax(zero)].text}")
     positions = np.flatnonzero(inside)
     if key == "rho":
-        values = [rho(sigma, family.members[i]) for i in positions]
+        values = family.gather(sigma.rho_levels)[positions].tolist()
     else:
-        values = np.ldexp(masses[positions], sigma.grid.dimension * family.level[positions])
+        values = np.ldexp(masses[positions], sigma.grid.dimension * family.level[positions]).tolist()
     bucket = np.zeros(len(family.members), dtype=np.int64)
     bucket[positions] = [_bucket_of(v) for v in values]
     strata = []

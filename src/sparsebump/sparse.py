@@ -296,10 +296,8 @@ def carleson_check(family: SparseFamily, sigma: Weight, q0: DyadicCube) -> dict:
     """
     if q0 not in family:
         raise ValueError(f"cube {q0.text} is not in the family")
-    if mass(sigma, q0) <= 0:
-        raise ValueError(f"degenerate weight on cube {q0.text}")
+    rhs = rho(sigma, q0) * mass(sigma, q0) / (1.0 - family.lam)  # rho raises on sigma(Q0) = 0
     lhs = float(family.descendant_sum(family.gather(sigma.mass_levels))[family.position[q0]])
-    rhs = rho(sigma, q0) * mass(sigma, q0) / (1.0 - family.lam)
     return {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}
 
 

@@ -2,19 +2,22 @@
 
 A Weight stores the leaf densities together with a full pyramid of cube
 masses, built bottom-up so that mass(Q) equals the sum of the children's
-masses exactly.  Generators for closed-form densities use exact interval
-antiderivatives, never quadrature, so discretization masses carry no
-integration error.
+masses exactly.  On first use it also builds, and then keeps, the pyramid of
+local A-infinity characteristics rho(Q) (`rho_levels`), the one source of
+every rho value in the package.  Generators for closed-form densities use
+exact interval antiderivatives, never quadrature, so discretization masses
+carry no integration error.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .grid import DyadicCube, GridConfig, pyramid
+from .grid import DyadicCube, GridConfig, coarsen, expand, pyramid
 
 GENERATOR_KINDS = (
     "constant",
@@ -59,6 +62,38 @@ class Weight:
     def level_averages(self, level: int) -> np.ndarray:
         # |Q| = 2^{-d k} exactly, so this scaling is exact
         return self.mass_levels[level] * 2.0 ** (self.grid.dimension * level)
+
+    @cached_property
+    def rho_levels(self) -> tuple[np.ndarray, ...]:
+        """rho(Q) = (1/sigma(Q)) * integral over Q of M(sigma 1_Q) for every
+        grid cube, one read-only array per level; NaN where sigma(Q) = 0.
+
+        One top-down sweep maintains, per leaf, the maximum average over the
+        chain from the leaf up to its level-k ancestor; block sums of the
+        excess over the ancestor's own average then give rho for all level-k
+        cubes at once.  Suprema over levels 0..N suffice, since densities are
+        leaf-constant.  rho >= 1 holds exactly in floating point: the running
+        maximum already includes the ancestor's average, so the excess is a
+        sum of exact nonnegative terms added to 1.
+        """
+        grid = self.grid
+        n = grid.leaf_level
+        chain_max = self.level_averages(n).copy()
+        excess_sums: list[np.ndarray] = [None] * (n + 1)
+        excess_sums[n] = np.zeros(grid.level_shape(n))
+        for k in range(n - 1, -1, -1):
+            avg_k = expand(self.level_averages(k), grid.dimension, n - k)
+            np.maximum(chain_max, avg_k, out=chain_max)
+            excess_sums[k] = coarsen(np.subtract(chain_max, avg_k, out=avg_k), grid.dimension, n - k)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for r, m in zip(excess_sums, self.mass_levels):
+                # in place, in the order of 1.0 + excess * |leaf| / m
+                r *= grid.leaf_volume
+                r /= m
+                r += 1.0
+                r[m <= 0] = np.nan
+                r.setflags(write=False)
+        return tuple(excess_sums)
 
     def scaled(self, c: float) -> "Weight":
         if c <= 0:

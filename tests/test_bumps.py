@@ -245,6 +245,6 @@ def test_report_serialization_shape():
     rep = entropy_bumps(s, w, ExponentConfig(2, 4, 0.0, 1), EntropyFunction("entropy", 1.0))
     out = rep.to_dict()
     assert set(out) >= {"A", "E", "E_star_printed", "E_star_symmetric",
-                        "argmax", "rho_at_argmax", "eps", "dual_rho"}
+                        "argmax", "rho_at_argmax", "eps"}
     assert out["eps"]["kind"] == "entropy"
     assert isinstance(out["argmax"]["E"], str)

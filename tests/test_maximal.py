@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from sparsebump.grid import DyadicCube, GridConfig, enumerate_cubes, leaf_slice, root_cube
-from sparsebump.maximal import dyadic_maximal, rho, rho_all
+from sparsebump.maximal import dyadic_maximal, rho
 from sparsebump.weights import Weight, average, fix_const, fix_half, fix_ce, generate_weight, mass
+
+from oracles import rho_oracle
 
 
 def spike_weight():
@@ -82,29 +84,38 @@ class TestRho:
 
 
 class TestRhoAll:
-    @pytest.mark.parametrize("d,n,seed", [(1, 8, 0), (1, 8, 1), (2, 3, 2)])
+    @pytest.mark.parametrize("d,n,seed", [(1, 8, 0), (1, 8, 1), (2, 3, 2), (2, 5, 3)])
     def test_matches_per_cube_rho(self, d, n, seed):
-        # d=1 block sums share the scalar path's summation order and agree
-        # bitwise; d=2 reshaped sums may differ by an ulp
+        # the oracle sums each block by the same pairwise tree: bitwise equal
         w = generate_weight(GridConfig(d, n), "random_cascade", seed=seed, volatility=0.8)
-        levels = rho_all(w)
+        levels = w.rho_levels
         for q in enumerate_cubes(w.grid):
-            got = float(levels[q.level][q.index if d == 2 else q.index[0]])
-            want = rho(w, q)
-            if d == 1:
-                assert got == want
-            else:
-                assert got == pytest.approx(want, rel=1e-12)
+            assert float(levels[q.level][q.index]) == rho_oracle(w, q)
+            assert rho(w, q) == rho_oracle(w, q)
 
     def test_nan_on_zero_mass_cubes(self):
-        levels = rho_all(spike_weight())
+        levels = spike_weight().rho_levels
         assert np.isnan(levels[1][1])
         assert levels[0][0] == 2.0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_built_once_read_only_nan_exactly_on_zero_mass(self, d):
+        g = GridConfig(d, 4 if d == 1 else 3)
+        dens = generate_weight(g, "random_cascade", seed=5, volatility=0.8).leaf_density.copy()
+        dens[: g.leaf_shape()[0] // 2] = 0.0  # a zero-mass half at every level but the root
+        w = Weight(g, dens)
+        levels = w.rho_levels
+        assert w.rho_levels is levels
+        for k, (r, m) in enumerate(zip(levels, w.mass_levels)):
+            assert r.shape == g.level_shape(k)
+            np.testing.assert_array_equal(np.isnan(r), m <= 0)
+            with pytest.raises(ValueError, match="read-only"):
+                r[(0,) * d] = 1.0
+        assert np.isnan(levels[1]).any()
 
     def test_counterexample_root_grows_with_refinement(self):
         r = []
         for n in (8, 12, 16):
             sigma, _ = fix_ce(n)
-            r.append(rho_all(sigma)[0][0])
+            r.append(sigma.rho_levels[0][0])
         assert r[0] < r[1] < r[2]
-

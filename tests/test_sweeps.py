@@ -28,7 +28,8 @@ from sparsebump.operators import (
 from sparsebump.prooftrace import _bucket_of, direct_trace, entropy_trace, stratify
 from sparsebump.sparse import SparseFamily, carleson_check, random_sparse, stopping_family, verify_sparse
 from sparsebump.weights import LeafFunction, Weight, average, generate_weight, mass
-from sparsebump.maximal import rho
+
+from oracles import rho_oracle
 
 REL = 1e-13
 
@@ -161,7 +162,7 @@ class TestSweepsMatchPerCubeLoops:
         family, sigma, _ = instance(d, kind, seed)
         for key in ("rho", "average"):
             strata = stratify(family, sigma, key)
-            values = {q: rho(sigma, q) if key == "rho" else average(sigma, q)
+            values = {q: rho_oracle(sigma, q) if key == "rho" else average(sigma, q)
                       for q in family.members}
             assert strata.key_values == values
             buckets, maximal = oracle_strata(family.members, values)
@@ -179,7 +180,7 @@ class TestSweepsMatchPerCubeLoops:
             for trace, key in ((entropy_trace, "rho"), (direct_trace, "average")):
                 eps = EntropyFunction("entropy" if key == "rho" else "direct", 1.0)
                 rep = trace(family, sigma, w, cfg, eps, r_cube)
-                values = {q: rho(sigma, q) if key == "rho" else average(sigma, q) for q in sub}
+                values = {q: rho_oracle(sigma, q) if key == "rho" else average(sigma, q) for q in sub}
                 buckets, maximal = oracle_strata(sub, values)
                 stars = [(a, q) for a in sorted(buckets) for q in maximal[a]]
                 assert [(s.a, s.q_star) for s in rep.strata] == stars
@@ -188,9 +189,12 @@ class TestSweepsMatchPerCubeLoops:
                 assert_close([s.inner_lhs for s in rep.strata], inner)
                 assert_close(rep.lhs_total, sum(term.values()))
                 if key == "rho":
-                    # the trace's Carleson ratios are the public check's, bit for bit
-                    assert [s.support_ratio for s in rep.strata] == [
-                        carleson_check(family, sigma, s.q_star)["ratio"] for s in rep.strata]
+                    # the trace's Carleson ratios are the public check's, bit for
+                    # bit, and the oracle's lhs / (rho sigma(Q*) / (1 - lambda))
+                    ratios = [s.support_ratio for s in rep.strata]
+                    assert ratios == [carleson_check(family, sigma, q)["ratio"] for _, q in stars]
+                    assert_close(ratios, [oracle_carleson_lhs(family, sigma, q) * (1 - family.lam)
+                                          / (values[q] * mass(sigma, q)) for _, q in stars])
                 if key == "average":
                     volumes = [sum(q.volume for q in sub if contains(q_star, q))
                                for _, q_star in stars]

@@ -16,7 +16,7 @@ from .bumps import (
     joint_factor,
 )
 from .grid import DyadicCube, GridConfig, children, contains, enumerate_cubes, parse_cube, root_cube
-from .maximal import dyadic_maximal, rho
+from .maximal import rho
 from .operators import (
     PowerIterationError,
     TestingReport,

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import DyadicCube, GridConfig
+from .grid import DyadicCube, GridConfig, flat_blocks
 from .maximal import rho
 from .weights import Weight, average, mass
 
@@ -187,9 +187,11 @@ def _joint_levels(sigma: Weight, w: Weight, cfg: ExponentConfig) -> list[np.ndar
     d = grid.dimension
     out = []
     for k in range(grid.leaf_level + 1):
-        scale = 2.0 ** (k * (d - cfg.alpha))  # |Q|^{alpha/d - 1}
-        out.append(w.mass_levels[k] ** (1.0 / cfg.q)
-                   * sigma.mass_levels[k] ** (1.0 / cfg.p_dual) * scale)
+        # in place, in the order of w^{1/q} * sigma^{1/p'} * scale
+        j = w.mass_levels[k] ** (1.0 / cfg.q)
+        j *= sigma.mass_levels[k] ** (1.0 / cfg.p_dual)
+        j *= 2.0 ** (k * (d - cfg.alpha))  # |Q|^{alpha/d - 1}
+        out.append(j)
     return out
 
 
@@ -207,38 +209,48 @@ def _sup(sigma: Weight, w: Weight, cfg: ExponentConfig, joint: list[np.ndarray],
     is rho(Q; weight) with bump key^e * eps(key)^e for an entropy eps, and
     <weight>_Q with bump eps(key)^e for a direct eps; a cube where the key is
     undefined (zero mass) contributes 0, as the joint factor vanishes there.
-    One scan over the levels evaluates eps once per key and keeps the first
-    (smallest level, then index) maximum of each constant; the value is then
-    re-evaluated at that cube in scalar arithmetic, multiplied in the same
-    order, so a witness recomputation reproduces it exactly.
+    One scan over the levels evaluates eps once per key and each distinct
+    exponent once, and keeps the first (smallest level, then index) maximum
+    of each constant; the value is then re-evaluated at that cube in scalar
+    arithmetic, multiplied in the same order, so a witness recomputation
+    reproduces it exactly.  The scan walks each level in flat chunks of at
+    most `grid.BLOCK` cells (`flat_blocks`), so its temporaries stay
+    cache-sized on the finest levels; a later chunk takes over only on a
+    strictly larger value, which keeps the first maximum.
     """
     entropy = eps is not None and eps.kind == "entropy"
 
     def bumped(j, t, eps_t, e):
         return (j * t**e if entropy else j) * eps_t**e
 
-    best = [(-np.inf, 0, 0)] * len(exponents)  # (value, level, flat index)
-    for k, j in enumerate(joint):
-        if weight is not None:
-            key = weight.rho_levels[k] if entropy else weight.level_averages(k)
-            defined = key > 0  # False on NaN (rho of a zero-mass cube) and on 0
-            t = np.where(defined, key, 1.0)
-            eps_t = eps_eval(eps, t)
-        for i, e in enumerate(exponents):
-            vals = j if weight is None else np.where(defined, bumped(j, t, eps_t, e), 0.0)
-            m = int(np.argmax(vals))
-            if vals.flat[m] > best[i][0]:
-                best[i] = (float(vals.flat[m]), k, m)
-    out = []
-    for (_, k, m), e in zip(best, exponents):
+    # per distinct exponent: (value, level, flat index)
+    best = dict.fromkeys(exponents, (-np.inf, 0, 0))
+    for k, j_level in enumerate(joint):
+        for chunk in flat_blocks(j_level.size):
+            j = j_level.reshape(-1)[chunk]
+            if weight is not None:
+                if entropy:
+                    key = weight.rho_levels[k].reshape(-1)[chunk]
+                else:  # level_averages(k), one chunk at a time
+                    key = weight.mass_levels[k].reshape(-1)[chunk] * 2.0 ** (weight.grid.dimension * k)
+                defined = key > 0  # False on NaN (rho of a zero-mass cube) and on 0
+                t = np.where(defined, key, 1.0)
+                eps_t = eps_eval(eps, t)
+            for e in best:
+                vals = j if weight is None else np.where(defined, bumped(j, t, eps_t, e), 0.0)
+                m = int(np.argmax(vals))
+                if vals[m] > best[e][0]:
+                    best[e] = (float(vals[m]), k, chunk.start + m)
+    found = {}
+    for e, (_, k, m) in best.items():
         cube = DyadicCube(k, tuple(int(x) for x in np.unravel_index(m, joint[k].shape)))
         value = joint_factor(sigma, w, cfg, cube)
         if weight is not None:
             t = _rho_of(weight, cube) if entropy else average(weight, cube)
             # t is None or 0 where the key is undefined
             value = bumped(value, t, eps_eval(eps, t), e) if t else 0.0
-        out.append((value, cube))
-    return out
+        found[e] = (value, cube)
+    return [found[e] for e in exponents]
 
 
 def _report(found: dict[str, tuple[float, DyadicCube, Weight]], eps: EntropyFunction) -> BumpReport:

@@ -16,6 +16,10 @@ import numpy as np
 
 MAX_LEAF_LEVEL = {1: 24, 2: 12}
 
+# Cells per block of the leaf-resolution passes (512 KiB of float64).  Read
+# at call time, by `tile_level` and `flat_blocks`, so tests can change it.
+BLOCK = 2**16
+
 
 @dataclass(frozen=True)
 class GridConfig:
@@ -153,10 +157,16 @@ def enumerate_cubes(grid: GridConfig) -> Iterator[DyadicCube]:
             yield DyadicCube(k, combo)
 
 
+def descendant_block(index: tuple[int, ...], level: int, finer: int) -> tuple[slice, ...]:
+    """Numpy index of the level-`finer` descendants of the level-`level` cube
+    `index` in a level-`finer` array."""
+    f = 2 ** (finer - level)
+    return tuple([slice(j * f, (j + 1) * f) for j in index])
+
+
 def leaf_slice(cube: DyadicCube, grid: GridConfig):
     """Numpy index selecting the cube's leaves from a leaf-shaped array."""
-    f = 2 ** (grid.leaf_level - cube.level)
-    slices = tuple(slice(j * f, (j + 1) * f) for j in cube.index)
+    slices = descendant_block(cube.index, cube.level, grid.leaf_level)
     return slices[0] if grid.dimension == 1 else slices
 
 
@@ -189,6 +199,17 @@ def expand(arr: np.ndarray, dimension: int, times: int = 1) -> np.ndarray:
     for axis in range(dimension):
         arr = arr.repeat(2**times, axis=axis)
     return arr
+
+
+def tile_level(grid: GridConfig) -> int:
+    """The coarsest level whose cubes (the tiles) hold at most BLOCK leaves."""
+    n = grid.leaf_level
+    return n - min(n, (BLOCK.bit_length() - 1) // grid.dimension)
+
+
+def flat_blocks(size: int) -> list[slice]:
+    """Consecutive slices of at most BLOCK cells covering range(size)."""
+    return [slice(s, s + BLOCK) for s in range(0, size, BLOCK)]
 
 
 def pyramid(leaf_arr: np.ndarray, grid: GridConfig) -> list[np.ndarray]:

@@ -1,37 +1,16 @@
-"""Dyadic maximal function and lookups of the local A-infinity characteristic.
+"""Lookups of the local A-infinity characteristic rho(Q).
 
-All suprema run over the grid cubes of levels 0..N only: densities are
-leaf-constant, so finer scales cannot change any average.  rho(Q) is not
-computed here: `rho` reads the pyramid `Weight.rho_levels` that each weight
-builds once.
+rho(Q) is not computed here: `rho` reads the pyramid `Weight.rho_levels`
+that each weight builds once.  The dyadic maximal function M(sigma 1_Q) it
+integrates is the test oracle `tests/oracles.py::dyadic_maximal`.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .grid import DyadicCube, GridConfig, expand, leaf_slice
-from .weights import LeafFunction, Weight, average
-
-
-def dyadic_maximal(sigma: Weight, cube: DyadicCube) -> LeafFunction:
-    """M(sigma 1_Q) on the leaves: for each leaf L inside Q, the maximum of
-    <sigma>_{Q'} over grid cubes Q' with L ⊆ Q' ⊆ Q.  Leaves outside Q get 0.
-
-    Cubes above Q or disjoint from Q never beat the chain inside Q, since
-    the truncated averages <sigma 1_Q>_{Q'} are dominated by <sigma>_Q.
-    """
-    d = sigma.grid.dimension
-    running = np.full((1,) * d, average(sigma, cube))
-    for k in range(cube.level + 1, sigma.grid.leaf_level + 1):
-        # the level-k averages inside Q; |Q'| = 2^{-dk} exactly
-        local = sigma.mass_levels[k][leaf_slice(cube, GridConfig(d, k))] * 2.0 ** (d * k)
-        running = np.maximum(expand(running, d), local)
-    out = np.zeros(sigma.grid.leaf_shape())
-    out[leaf_slice(cube, sigma.grid)] = running
-    return LeafFunction(sigma.grid, out)
+from .grid import DyadicCube
+from .weights import Weight
 
 
 def rho(sigma: Weight, cube: DyadicCube) -> float:

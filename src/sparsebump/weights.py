@@ -4,9 +4,14 @@ A Weight stores the leaf densities together with a full pyramid of cube
 masses, built bottom-up so that mass(Q) equals the sum of the children's
 masses exactly.  On first use it also builds, and then keeps, the pyramid of
 local A-infinity characteristics rho(Q) (`rho_levels`), the one source of
-every rho value in the package.  Generators for closed-form densities use
-exact interval antiderivatives, never quadrature, so discretization masses
-carry no integration error.
+every rho value in the package.  That pyramid is built tile by tile, one
+cube of at most `grid.BLOCK` leaves at a time, so its temporaries stay
+cache-sized instead of being leaf arrays of up to 32 MiB (d=1, N=22) that
+are mapped fresh on each use; `coarsen` sums every cube by the same pairwise
+tree whatever the tiling, so the values are bitwise those of one whole-grid
+sweep.  Generators for closed-form densities use exact interval
+antiderivatives, never quadrature, so discretization masses carry no
+integration error.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import DyadicCube, GridConfig, coarsen, expand, pyramid
+from .grid import DyadicCube, GridConfig, coarsen, descendant_block, expand, pyramid, tile_level
 
 GENERATOR_KINDS = (
     "constant",
@@ -75,25 +80,70 @@ class Weight:
         leaf-constant.  rho >= 1 holds exactly in floating point: the running
         maximum already includes the ancestor's average, so the excess is a
         sum of exact nonnegative terms added to 1.
+
+        The sweep runs tile by tile (`_tile_excess`): a tile is a cube of
+        level `grid.tile_level`, with at most `grid.BLOCK` leaves, so every
+        leaf-size temporary is cache-sized.  (At d=1, N=22 a leaf array is
+        32 MiB, which malloc maps fresh, page fault by page fault, on every
+        use.)  A tile yields the excess sums of its own cubes on the levels at
+        and below the tile level, and one partial sum per coarser level, which
+        `coarsen` then finishes.  `coarsen` adds the same pairwise tree over a
+        cube's leaves wherever it starts, so the bits do not depend on the
+        tiling.
         """
         grid = self.grid
-        n = grid.leaf_level
-        chain_max = self.level_averages(n).copy()
+        d, n, top = grid.dimension, grid.leaf_level, tile_level(grid)
         excess_sums: list[np.ndarray] = [None] * (n + 1)
-        excess_sums[n] = np.zeros(grid.level_shape(n))
-        for k in range(n - 1, -1, -1):
-            avg_k = expand(self.level_averages(k), grid.dimension, n - k)
-            np.maximum(chain_max, avg_k, out=chain_max)
-            excess_sums[k] = coarsen(np.subtract(chain_max, avg_k, out=avg_k), grid.dimension, n - k)
+        if top == 0:
+            excess_sums[:n] = self._tile_excess((0,) * d, 0)
+        else:
+            # levels below `top` first collect one partial sum per tile
+            for k in range(n):
+                excess_sums[k] = np.empty(grid.level_shape(max(k, top)))
+            for tile in np.ndindex(grid.level_shape(top)):
+                for k, block in enumerate(self._tile_excess(tile, top)):
+                    excess_sums[k][descendant_block(tile, top, max(k, top))] = block
+            for k in range(top):
+                excess_sums[k] = coarsen(excess_sums[k], d, top - k)
         with np.errstate(invalid="ignore", divide="ignore"):
-            for r, m in zip(excess_sums, self.mass_levels):
+            for r, m in zip(excess_sums, self.mass_levels[:n]):
                 # in place, in the order of 1.0 + excess * |leaf| / m
                 r *= grid.leaf_volume
                 r /= m
                 r += 1.0
                 r[m <= 0] = np.nan
                 r.setflags(write=False)
+        # a leaf's excess is 0, and 1.0 + 0 * |leaf| / m is exactly 1
+        excess_sums[n] = np.where(self.mass_levels[n] > 0, 1.0, np.nan)
+        excess_sums[n].setflags(write=False)
         return tuple(excess_sums)
+
+    def _tile_excess(self, tile: tuple[int, ...], top: int) -> list[np.ndarray]:
+        """Per level k < N, the sums of (chain maximum - level-k average)
+        over the leaves of the level-`top` cube `tile`: for k >= top the
+        block of the tile's level-k cubes, for k < top a single partial sum
+        of shape (1,)*d, taken where the ancestor average is one scalar."""
+        d, n = self.grid.dimension, self.grid.leaf_level
+
+        def averages(k, index=None):
+            """Level-k averages at `index`; by default at the tile's level-k
+            cubes, which for a single tile are all of them."""
+            if index is None:
+                index = descendant_block(tile, top, k) if top else ...
+            # |Q| = 2^{-d k} exactly, as in level_averages
+            return self.mass_levels[k][index] * 2.0 ** (d * k)
+
+        chain_max = averages(n)
+        out: list[np.ndarray] = [None] * n
+        for k in range(n - 1, top - 1, -1):
+            avg_k = expand(averages(k), d, n - k)
+            np.maximum(chain_max, avg_k, out=chain_max)
+            out[k] = coarsen(np.subtract(chain_max, avg_k, out=avg_k), d, n - k)
+        for k in range(top - 1, -1, -1):
+            avg_k = averages(k, tuple(j >> (top - k) for j in tile))
+            np.maximum(chain_max, avg_k, out=chain_max)
+            out[k] = coarsen(chain_max - avg_k, d, n - top)
+        return out
 
     def scaled(self, c: float) -> "Weight":
         if c <= 0:
@@ -126,36 +176,34 @@ def llogl_integral(sigma: Weight) -> float:
 # --- closed-form interval masses ------------------------------------------
 
 def _power_interval_mass(beta: float, i: np.ndarray, scale: float) -> np.ndarray:
-    """Mass of density x^beta over [i*h, (i+1)*h) with h = 2^-N = scale.
+    """Mass of density x^beta over [i*h, (i+1)*h) with h = 2^-N = scale, for
+    i = np.arange(n): cell 0 in closed form, cells i >= 1 on the slice i[1:].
 
     Uses (b^s - a^s)/s with s = beta+1, evaluated cancellation-free via
     expm1/log1p for i >= 1.
     """
     s = beta + 1.0
-    a = i * scale
-    out = np.empty_like(a)
-    first = i == 0
-    out[first] = (scale**s) / s
-    ip = i[~first].astype(float)
-    ap = ip * scale
+    out = np.empty(i.shape)
+    out[0] = (scale**s) / s
+    ip = i[1:].astype(float)
     # b^s - a^s = a^s * expm1(s * log1p(1/i))
-    out[~first] = (ap**s) * np.expm1(s * np.log1p(1.0 / ip)) / s
+    out[1:] = ((ip * scale) ** s) * np.expm1(s * np.log1p(1.0 / ip)) / s
     return out
 
 
 def _ce_sigma_interval_mass(i: np.ndarray, scale: float) -> np.ndarray:
-    """Mass of 1/(x (1-ln x)^2) over [i*h, (i+1)*h), h = scale.
+    """Mass of 1/(x (1-ln x)^2) over [i*h, (i+1)*h), h = scale, for
+    i = np.arange(n): cell 0 in closed form, cells i >= 1 on the slice i[1:].
 
     Antiderivative is 1/(1-ln x); the difference is computed as
     ln(b/a) / ((1-ln a)(1-ln b)) to avoid cancellation near x = 1.
     """
-    out = np.empty(i.shape, dtype=float)
-    first = i == 0
-    out[first] = 1.0 / (1.0 - np.log(scale))
-    ip = i[~first].astype(float)
+    out = np.empty(i.shape)
+    out[0] = 1.0 / (1.0 - np.log(scale))
+    ip = i[1:].astype(float)
     la = np.log(ip * scale)
     lb = np.log((ip + 1.0) * scale)
-    out[~first] = np.log1p(1.0 / ip) / ((1.0 - la) * (1.0 - lb))
+    out[1:] = np.log1p(1.0 / ip) / ((1.0 - la) * (1.0 - lb))
     return out
 
 
@@ -211,24 +259,24 @@ def generate_weight(grid: GridConfig, kind: str, **params) -> Weight:
             raise ValueError("bad generator parameter: power needs beta > -1")
         if grid.dimension != 1:
             raise ValueError("bad generator parameter: power is one-dimensional")
-        i = np.arange(grid.n_leaves)
-        leaf_mass = _power_interval_mass(beta, i, grid.leaf_volume)
+        leaf_mass = _power_interval_mass(beta, np.arange(grid.n_leaves), grid.leaf_volume)
         return Weight.from_leaf_mass(grid, leaf_mass, kind, {"beta": beta})
+
+    if kind == "counterexample_w":
+        if params:
+            raise ValueError("bad generator parameter: counterexample_w takes none")
+        if grid.dimension != 1:
+            raise ValueError("bad generator parameter: counterexample_w is one-dimensional")
+        leaf_mass = _power_interval_mass(2.0, np.arange(grid.n_leaves), grid.leaf_volume)
+        return Weight.from_leaf_mass(grid, leaf_mass, kind, {})
 
     if kind == "counterexample_sigma":
         if params:
             raise ValueError("bad generator parameter: counterexample_sigma takes none")
         if grid.dimension != 1:
             raise ValueError("bad generator parameter: counterexample_sigma is one-dimensional")
-        i = np.arange(grid.n_leaves)
-        leaf_mass = _ce_sigma_interval_mass(i, grid.leaf_volume)
+        leaf_mass = _ce_sigma_interval_mass(np.arange(grid.n_leaves), grid.leaf_volume)
         return Weight.from_leaf_mass(grid, leaf_mass, kind, {})
-
-    if kind == "counterexample_w":
-        if params:
-            raise ValueError("bad generator parameter: counterexample_w takes none")
-        w = generate_weight(grid, "power", beta=2.0)
-        return Weight(w.grid, w.leaf_density, "counterexample_w", {})
 
     if kind == "random_cascade":
         seed = int(params.pop("seed", 0))

@@ -1,5 +1,8 @@
 """Per-cube oracles shared by several test modules.
 
+`dyadic_maximal` is M(sigma 1_Q) on the leaves, built from Q's own chain of
+averages (`chain_max`).
+
 `rho_oracle` is the O(|Q|) block computation of rho(Q; sigma): M(sigma 1_Q)
 is taken on Q's own block of leaves, and its excess over <sigma>_Q is summed
 by the same pairwise tree (`grid.coarsen`) as the pyramid
@@ -10,7 +13,7 @@ the mass pyramid, never `rho_levels`, so it checks that pyramid independently.
 import numpy as np
 
 from sparsebump.grid import GridConfig, coarsen, expand, leaf_slice
-from sparsebump.weights import average, mass
+from sparsebump.weights import LeafFunction, average, mass
 
 
 def chain_max(sigma, cube):
@@ -22,6 +25,18 @@ def chain_max(sigma, cube):
         local = sigma.mass_levels[k][leaf_slice(cube, GridConfig(d, k))] * 2.0 ** (d * k)
         running = np.maximum(expand(running, d), local)
     return running
+
+
+def dyadic_maximal(sigma, cube):
+    """M(sigma 1_Q) on the leaves: for each leaf L inside Q, the maximum of
+    <sigma>_{Q'} over grid cubes Q' with L ⊆ Q' ⊆ Q.  Leaves outside Q get 0.
+
+    Cubes above Q or disjoint from Q never beat the chain inside Q, since
+    the truncated averages <sigma 1_Q>_{Q'} are dominated by <sigma>_Q.
+    """
+    out = np.zeros(sigma.grid.leaf_shape())
+    out[leaf_slice(cube, sigma.grid)] = chain_max(sigma, cube)
+    return LeafFunction(sigma.grid, out)
 
 
 def rho_oracle(sigma, cube):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta as hurwitz_zeta
 
+import sparsebump.grid
 from sparsebump.bumps import (
     EntropyFunction,
     ExponentConfig,
@@ -12,10 +13,12 @@ from sparsebump.bumps import (
     eps_eval,
     eps_tail_sum,
     joint_apq_constant,
+    _joint_levels,
+    _sup,
 )
 from sparsebump.grid import GridConfig
 from sparsebump.maximal import rho
-from sparsebump.weights import average, fix_ce, fix_const, generate_weight, mass
+from sparsebump.weights import Weight, average, fix_ce, fix_const, generate_weight, mass
 
 LN2 = math.log(2.0)
 
@@ -248,3 +251,49 @@ def test_report_serialization_shape():
                         "argmax", "rho_at_argmax", "eps"}
     assert out["eps"]["kind"] == "entropy"
     assert isinstance(out["argmax"]["E"], str)
+
+
+def _chunk_inputs(kind, d):
+    """A weight pair of each kind on a small d-dimensional grid, built fresh
+    so that rho_levels is computed under the current BLOCK."""
+    g = GridConfig(d, 6 if d == 1 else 3)
+    if kind == "constant":
+        return generate_weight(g, "constant", value=1.0), generate_weight(g, "constant", value=2.0)
+    sigma = generate_weight(g, "random_cascade", seed=41, volatility=0.8)
+    w = generate_weight(g, "random_cascade", seed=42, volatility=0.8)
+    if kind == "zero_quarter":
+        dens = sigma.leaf_density.copy()
+        dens[(slice(0, 2 ** g.leaf_level // (4 if d == 1 else 2)),) * d] = 0.0
+        sigma = Weight(g, dens)
+    return sigma, w
+
+
+class TestChunkedScan:
+    @pytest.mark.parametrize("block", [1, 2, 3, 5])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("p,q", [(2.0, 2.0), (2.0, 3.0)])
+    @pytest.mark.parametrize("kind", ["constant", "cascade", "zero_quarter"])
+    def test_chunks_match_single_chunk_report(self, monkeypatch, block, d, p, q, kind):
+        cfg = ExponentConfig(p, q, 0.0, d, "extended")
+        eps_e, eps_d = EntropyFunction("entropy", 0.5), EntropyFunction("direct", 0.5)
+        whole = [entropy_bumps(*_chunk_inputs(kind, d), cfg, eps_e).to_dict(),
+                 direct_bumps(*_chunk_inputs(kind, d), cfg, eps_d).to_dict()]
+        monkeypatch.setattr(sparsebump.grid, "BLOCK", block)
+        chunked = [entropy_bumps(*_chunk_inputs(kind, d), cfg, eps_e).to_dict(),
+                   direct_bumps(*_chunk_inputs(kind, d), cfg, eps_d).to_dict()]
+        assert chunked == whole
+        if kind == "constant":
+            # every cube of a level ties: the first cube wins across chunks
+            for report in chunked:
+                assert all(text.split(":")[1] in ("0", "(0,0)")
+                           for text in report["argmax"].values())
+
+    def test_distinct_exponents_in_caller_order(self):
+        sigma, w = _chunk_inputs("cascade", 1)
+        cfg = ExponentConfig(2.0, 3.0, 0.0, 1)
+        eps = EntropyFunction("entropy", 0.5)
+        joint = _joint_levels(sigma, w, cfg)
+        both = _sup(sigma, w, cfg, joint, sigma, eps, (0.5, 0.25, 0.5))
+        assert both == [*_sup(sigma, w, cfg, joint, sigma, eps, (0.5,)),
+                        *_sup(sigma, w, cfg, joint, sigma, eps, (0.25,)),
+                        *_sup(sigma, w, cfg, joint, sigma, eps, (0.5,))]

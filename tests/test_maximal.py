@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from sparsebump.grid import DyadicCube, GridConfig, enumerate_cubes, leaf_slice, root_cube
-from sparsebump.maximal import dyadic_maximal, rho
+import sparsebump.grid
+from sparsebump.grid import DyadicCube, GridConfig, enumerate_cubes, leaf_slice, root_cube, tile_level
+from sparsebump.maximal import rho
 from sparsebump.weights import Weight, average, fix_const, fix_half, fix_ce, generate_weight, mass
 
-from oracles import rho_oracle
+from oracles import dyadic_maximal, rho_oracle
 
 
 def spike_weight():
@@ -119,3 +120,27 @@ class TestRhoAll:
             sigma, _ = fix_ce(n)
             r.append(sigma.rho_levels[0][0])
         assert r[0] < r[1] < r[2]
+
+    @pytest.mark.parametrize("block", [2, 4, 8, 16])
+    @pytest.mark.parametrize("d,n", [(1, 7), (2, 4), (2, 5)])
+    @pytest.mark.parametrize("zero_quarter", [False, True])
+    def test_tiles_match_oracle(self, monkeypatch, block, d, n, zero_quarter):
+        # several tiles per grid; coarsen finishes the tiles' partial sums
+        # by the same pairwise tree, so rho stays bitwise equal to the oracle
+        monkeypatch.setattr(sparsebump.grid, "BLOCK", block)
+        g = GridConfig(d, n)
+        assert tile_level(g) > 0
+        dens = generate_weight(g, "random_cascade", seed=n, volatility=0.8).leaf_density.copy()
+        if zero_quarter:
+            quarter = 2 ** n // (4 if d == 1 else 2)
+            dens[(slice(0, quarter),) * d] = 0.0
+        w = Weight(g, dens)
+        levels = w.rho_levels
+        for q in enumerate_cubes(g):
+            r = float(levels[q.level][q.index])
+            if mass(w, q) > 0:
+                assert r == rho_oracle(w, q)
+            else:
+                assert np.isnan(r)
+        assert any(np.isnan(r).any() for r in levels) == zero_quarter
+        assert all(not r.flags.writeable for r in levels)

@@ -181,8 +181,9 @@ def joint_factor(sigma: Weight, w: Weight, cfg: ExponentConfig, cube: DyadicCube
     return mass(w, cube) ** (1.0 / cfg.q) * mass(sigma, cube) ** (1.0 / cfg.p_dual) * scale
 
 
-def _joint_levels(sigma: Weight, w: Weight, cfg: ExponentConfig) -> list[np.ndarray]:
-    """Per level, the joint factor w(Q)^{1/q} sigma(Q)^{1/p'} |Q|^{alpha/d - 1}."""
+def joint_levels(sigma: Weight, w: Weight, cfg: ExponentConfig) -> list[np.ndarray]:
+    """Per level, the joint factor w(Q)^{1/q} sigma(Q)^{1/p'} |Q|^{alpha/d - 1}:
+    the one build that the entropy and the direct bumps of a pair can share."""
     grid = sigma.grid
     d = grid.dimension
     out = []
@@ -269,12 +270,12 @@ def joint_apq_constant(sigma: Weight, w: Weight, cfg: ExponentConfig) -> dict:
     reproduces it exactly.
     """
     _check_same_grid(sigma, w)
-    [(a, cube)] = _sup(sigma, w, cfg, _joint_levels(sigma, w, cfg))
+    [(a, cube)] = _sup(sigma, w, cfg, joint_levels(sigma, w, cfg))
     return {"A": a, "argmax": cube}
 
 
 def entropy_bumps(sigma: Weight, w: Weight, cfg: ExponentConfig,
-                  eps: EntropyFunction) -> BumpReport:
+                  eps: EntropyFunction, joint: list[np.ndarray] | None = None) -> BumpReport:
     """Entropy bump constants.
 
     E bumps the joint factor by rho(Q; sigma)^{1/q} eps(rho(Q; sigma))^{1/q}.
@@ -282,12 +283,13 @@ def entropy_bumps(sigma: Weight, w: Weight, cfg: ExponentConfig,
     rho(Q; sigma) in the exponent-1/p' bump; E_star_symmetric (the
     duality-consistent reading, and the one the dual proof chain consumes)
     uses rho(Q; w).  Cubes where the relevant weight has zero mass
-    contribute 0, as the joint factor vanishes there.
+    contribute 0, as the joint factor vanishes there.  `joint` is
+    `joint_levels(sigma, w, cfg)` when the caller has it, built here when None.
     """
     if eps.kind != "entropy":
         raise ValueError("direct eps passed to entropy bump")
     _check_same_grid(sigma, w)
-    joint = _joint_levels(sigma, w, cfg)
+    joint = joint_levels(sigma, w, cfg) if joint is None else joint
     [a] = _sup(sigma, w, cfg, joint)
     e, e_printed = _sup(sigma, w, cfg, joint, sigma, eps, (1.0 / cfg.q, 1.0 / cfg.p_dual))
     [e_symmetric] = _sup(sigma, w, cfg, joint, w, eps, (1.0 / cfg.p_dual,))
@@ -296,17 +298,18 @@ def entropy_bumps(sigma: Weight, w: Weight, cfg: ExponentConfig,
 
 
 def direct_bumps(sigma: Weight, w: Weight, cfg: ExponentConfig,
-                 eps: EntropyFunction) -> BumpReport:
+                 eps: EntropyFunction, joint: list[np.ndarray] | None = None) -> BumpReport:
     """Direct-comparison bump constants.
 
     D bumps the joint factor by eps(<sigma>_Q)^{1/q}; D_star by
     eps(<w>_Q)^{1/p'}.  Cubes with zero average contribute 0 (the joint
     factor vanishes there too).  rho(Q; sigma) is reported at every argmax.
+    `joint` is as in `entropy_bumps`.
     """
     if eps.kind != "direct":
         raise ValueError("entropy eps passed to direct bump")
     _check_same_grid(sigma, w)
-    joint = _joint_levels(sigma, w, cfg)
+    joint = joint_levels(sigma, w, cfg) if joint is None else joint
     [a] = _sup(sigma, w, cfg, joint)
     [d] = _sup(sigma, w, cfg, joint, sigma, eps, (1.0 / cfg.q,))
     [d_star] = _sup(sigma, w, cfg, joint, w, eps, (1.0 / cfg.p_dual,))

@@ -16,12 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bumps import EntropyFunction, ExponentConfig, direct_bumps, entropy_bumps
-from .grid import GridConfig, root_cube
-from .operators import norm_lower_bound, primal_indicator_ratios, testing_constants
+from .bumps import BumpReport, EntropyFunction, ExponentConfig, direct_bumps, entropy_bumps, joint_levels
+from .grid import DyadicCube, GridConfig, leaf_slice, root_cube
+from .operators import Instance, apply_sparse, norm_lower_bound, primal_indicator_ratios, testing_constants
 from .prooftrace import SLACK, direct_trace, dual_direct_trace, dual_entropy_trace, entropy_trace
 from .sparse import SparseFamily, carleson_check, random_sparse, stopping_family
-from .weights import Weight, fix_ce, generate_weight, llogl_integral
+from .weights import LeafFunction, Weight, fix_ce, generate_weight, llogl_integral, mass
 
 CSV_COLUMNS = (
     "instance_id", "seed", "N", "lambda", "p", "q", "alpha", "delta",
@@ -177,6 +177,98 @@ def build_instance(cfg: ExperimentConfig, instance: int) -> tuple[Weight, Weight
     return sigma, w, family, s_lb
 
 
+def _bump_reports(sigma: Weight, w: Weight, exps: ExponentConfig, eps_e: EntropyFunction,
+                  eps_d: EntropyFunction) -> tuple[BumpReport, BumpReport]:
+    """The entropy and direct bump reports of a pair from one joint-factor build."""
+    joint = joint_levels(sigma, w, exps)
+    return (entropy_bumps(sigma, w, exps, eps_e, joint=joint),
+            direct_bumps(sigma, w, exps, eps_d, joint=joint))
+
+
+def _leaf_indicator_ratio(family: SparseFamily, sigma: Weight, w: Weight,
+                         exps: ExponentConfig, cube: DyadicCube) -> float:
+    """||T(sigma 1_R)||_{L^q(w)} / sigma(R)^{1/p} at R = cube through the leaf
+    path: one `apply_sparse` on the leaf indicator of R and a norm over the
+    leaves, none of the per-member arrays the indicator ratios come from."""
+    grid = family.grid
+    indicator = np.zeros(grid.leaf_shape())
+    indicator[leaf_slice(cube, grid)] = 1.0
+    u = apply_sparse(family, sigma, LeafFunction(grid, indicator), exps.alpha).values
+    norm = float(np.sum(u ** exps.q * w.mass_levels[grid.leaf_level])) ** (1.0 / exps.q)
+    return norm / mass(sigma, cube) ** (1.0 / exps.p)
+
+
+def _verify_instance(cfg: ExperimentConfig, i: int, eps_e: EntropyFunction,
+                     eps_d: EntropyFunction) -> tuple[dict, bool]:
+    """Instance i of the suite: its report row and whether every check held.
+    Every stage reads one `Instance`, released on return, before the next
+    instance is built."""
+    exps = cfg.exponents()
+    tolerance = 1.0 + SLACK
+    sigma, w, family, s_lb = build_instance(cfg, i)
+    inst = Instance(family, sigma, w, exps)
+    ebump, dbump = _bump_reports(sigma, w, exps, eps_e, eps_d)
+    with inst.active():
+        trep = testing_constants(family, sigma, w, exps)
+        nlb = norm_lower_bound(family, sigma, w, exps, cfg.budget, seed=s_lb)
+        etrace = entropy_trace(family, sigma, w, exps, eps_e, family.root, bump=ebump)
+        dtrace = direct_trace(family, sigma, w, exps, eps_d, family.root, bump=dbump)
+        ratios = primal_indicator_ratios(family, sigma, w, exps)
+        if cfg.dual_traces:
+            de = dual_entropy_trace(family, sigma, w, exps, eps_e, family.root, bump=ebump)
+            dd = dual_direct_trace(family, sigma, w, exps, eps_d, family.root, bump=dbump)
+
+    ok = etrace.passed and dtrace.passed
+    const_e = (2.0 * eps_e.tail_sum / (1.0 - cfg.lam)) ** (1.0 / cfg.q)
+    const_d = (2.0 * eps_d.tail_sum / (1.0 - cfg.lam)) ** (1.0 / cfg.q)
+    ce_ratio = trep.T / (const_e * ebump.constants["E"])
+    cd_ratio = trep.T / (const_d * dbump.constants["D"])
+    ok = ok and ce_ratio <= tolerance and cd_ratio <= tolerance
+
+    for r_cube, r_val in ratios.items():
+        if r_cube in trep.per_R and r_val < trep.per_R[r_cube] / tolerance:
+            ok = False
+    if ratios:
+        # the member-form ratio at one seeded R against the leaf path
+        tested = list(ratios)
+        r_cube = tested[np.random.default_rng(instance_seeds(cfg.master_seed, i, 5)[4])
+                        .integers(len(tested))]
+        leaf = _leaf_indicator_ratio(family, sigma, w, exps, r_cube)
+        ok = ok and abs(ratios[r_cube] - leaf) <= SLACK * leaf
+
+    if cfg.dual_traces:
+        dual_const = (2.0 / (1.0 - cfg.lam)) ** (1.0 / exps.p_dual)
+        ok = ok and de.passed and dd.passed
+        ok = ok and trep.T_star <= (dual_const * eps_e.tail_sum ** (1.0 / exps.p_dual)
+                                    * ebump.constants["E_star_symmetric"]) * tolerance
+        ok = ok and trep.T_star <= (dual_const * eps_d.tail_sum ** (1.0 / exps.p_dual)
+                                    * dbump.constants["D_star"]) * tolerance
+
+    row = {
+        "instance_id": i,
+        "seed": cfg.master_seed,
+        "N": cfg.leaf_level,
+        "lambda": cfg.lam,
+        "p": cfg.p,
+        "q": cfg.q,
+        "alpha": cfg.alpha,
+        "delta": cfg.delta,
+        "A": ebump.constants["A"],
+        "E": ebump.constants["E"],
+        "E_star_sym": ebump.constants["E_star_symmetric"],
+        "D": dbump.constants["D"],
+        "D_star": dbump.constants["D_star"],
+        "T": trep.T,
+        "T_star": trep.T_star,
+        "norm_lb": nlb,
+        "trace_entropy_pass": etrace.passed,
+        "trace_direct_pass": dtrace.passed,
+        "certified_CE_ratio": ce_ratio,
+        "certified_CD_ratio": cd_ratio,
+    }
+    return row, ok
+
+
 def run_verify_bounds(cfg: ExperimentConfig) -> SuiteReport:
     """Randomized end-to-end certification suite.
 
@@ -185,13 +277,8 @@ def run_verify_bounds(cfg: ExperimentConfig) -> SuiteReport:
     check is tallied as a violation; the report is deterministic in the
     master seed.
     """
-    exps = cfg.exponents()
     eps_e = EntropyFunction("entropy", cfg.delta)
     eps_d = EntropyFunction("direct", cfg.delta)
-    const_e = (2.0 * eps_e.tail_sum / (1.0 - cfg.lam)) ** (1.0 / cfg.q)
-    const_d = (2.0 * eps_d.tail_sum / (1.0 - cfg.lam)) ** (1.0 / cfg.q)
-    tolerance = 1.0 + SLACK
-
     report = SuiteReport(columns=CSV_COLUMNS)
     stamp = cfg.to_dict()
     stamp.pop("out_dir")  # report bytes depend only on the mathematical config
@@ -200,68 +287,13 @@ def run_verify_bounds(cfg: ExperimentConfig) -> SuiteReport:
         "version": __version__,
         "config": stamp,
     }
-    max_ce = 0.0
-    max_cd = 0.0
     for i in range(cfg.instances):
-        sigma, w, family, s_lb = build_instance(cfg, i)
-        ebump = entropy_bumps(sigma, w, exps, eps_e)
-        dbump = direct_bumps(sigma, w, exps, eps_d)
-        trep = testing_constants(family, sigma, w, exps)
-        nlb = norm_lower_bound(family, sigma, w, exps, cfg.budget, seed=s_lb)
-        etrace = entropy_trace(family, sigma, w, exps, eps_e, family.root, bump=ebump)
-        dtrace = direct_trace(family, sigma, w, exps, eps_d, family.root, bump=dbump)
-
-        ok = etrace.passed and dtrace.passed
-        ce_ratio = trep.T / (const_e * ebump.constants["E"])
-        cd_ratio = trep.T / (const_d * dbump.constants["D"])
-        ok = ok and ce_ratio <= tolerance and cd_ratio <= tolerance
-
-        ratios = primal_indicator_ratios(family, sigma, w, exps)
-        for r_cube, r_val in ratios.items():
-            if nlb < r_val / tolerance:
-                ok = False
-            if r_cube in trep.per_R and r_val < trep.per_R[r_cube] / tolerance:
-                ok = False
-
-        if cfg.dual_traces:
-            de = dual_entropy_trace(family, sigma, w, exps, eps_e, family.root, bump=ebump)
-            dd = dual_direct_trace(family, sigma, w, exps, eps_d, family.root, bump=dbump)
-            dual_const = (2.0 / (1.0 - cfg.lam)) ** (1.0 / exps.p_dual)
-            ok = ok and de.passed and dd.passed
-            ok = ok and trep.T_star <= (dual_const * eps_e.tail_sum ** (1.0 / exps.p_dual)
-                                        * ebump.constants["E_star_symmetric"]) * tolerance
-            ok = ok and trep.T_star <= (dual_const * eps_d.tail_sum ** (1.0 / exps.p_dual)
-                                        * dbump.constants["D_star"]) * tolerance
-
-        max_ce = max(max_ce, ce_ratio)
-        max_cd = max(max_cd, cd_ratio)
-        if not ok:
-            report.violations += 1
-        report.rows.append({
-            "instance_id": i,
-            "seed": cfg.master_seed,
-            "N": cfg.leaf_level,
-            "lambda": cfg.lam,
-            "p": cfg.p,
-            "q": cfg.q,
-            "alpha": cfg.alpha,
-            "delta": cfg.delta,
-            "A": ebump.constants["A"],
-            "E": ebump.constants["E"],
-            "E_star_sym": ebump.constants["E_star_symmetric"],
-            "D": dbump.constants["D"],
-            "D_star": dbump.constants["D_star"],
-            "T": trep.T,
-            "T_star": trep.T_star,
-            "norm_lb": nlb,
-            "trace_entropy_pass": etrace.passed,
-            "trace_direct_pass": dtrace.passed,
-            "certified_CE_ratio": ce_ratio,
-            "certified_CD_ratio": cd_ratio,
-        })
+        row, ok = _verify_instance(cfg, i, eps_e, eps_d)
+        report.rows.append(row)
+        report.violations += not ok
     report.aggregates = {
-        "max_certified_CE_ratio": max_ce,
-        "max_certified_CD_ratio": max_cd,
+        "max_certified_CE_ratio": max((r["certified_CE_ratio"] for r in report.rows), default=0.0),
+        "max_certified_CD_ratio": max((r["certified_CD_ratio"] for r in report.rows), default=0.0),
         "instances": cfg.instances,
     }
     return report
@@ -289,8 +321,7 @@ def run_counterexample(levels, delta: float, p: float = 2.0, q: float = 2.0,
     exps = ExponentConfig(p, q, alpha, 1, "extended")
     for n in levels:
         sigma, w = fix_ce(n)
-        ebump = entropy_bumps(sigma, w, exps, eps_e)
-        dbump = direct_bumps(sigma, w, exps, eps_d)
+        ebump, dbump = _bump_reports(sigma, w, exps, eps_e, eps_d)
         report.rows.append({
             "N": n,
             "llogl": llogl_integral(sigma),

@@ -13,11 +13,26 @@ block sums int_Q sigma f by |Q|^{alpha/d - 1} and adds them down the tree.
 The block sums of a per-member input v are the up-sweep of v sigma(E_Q);
 leaf arrays are touched only where a leaf input is first reduced to block
 sums (`apply_sparse` and each random start of the dual ascent).
+
+One `Instance` holds a (family, sigma, w, exponents) with the per-member
+arrays its quantities share: sigma(E_Q) and w(E_Q), the cube masses, the
+coefficients, the testing terms and the indicator ratios, each computed
+once.  Inside `Instance.active`, every function here called with those same
+objects reads that one instance.
+
+The dual ascent of `norm_lower_bound` runs all its random starts as the
+columns of one (|S|, n_starts) array, so each step is one batched apply.  On
+a family of at most `DENSE_MAX` members that apply is one product with the
+dense symmetric member kernel K = A diag(coef) A^T (A the ancestor-or-self
+incidence); on larger families it is the two sweeps, column-batched.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +40,18 @@ from .bumps import ExponentConfig
 from .grid import DyadicCube, leaf_slice, pyramid
 from .sparse import SparseFamily
 from .weights import LeafFunction, Weight
+
+# Largest family whose ascent applies take the dense member kernel.  A dense
+# apply is one O(|S|^2) product; the sweeps cost a few calls per tree level,
+# and the kernel itself is built by one down-sweep.  Measured on a 2-core
+# x86-64 VM (budget 25, 3 starts): the dense ascent takes 1.2 ms against
+# 4 ms for the sweeps at |S| = 30, 3 against 5 ms at |S| = 195, and it stops
+# winning between |S| = 300 and 400.  The switch sits below that crossover
+# because the kernel and its two scaled copies hold 3 |S|^2 floats (1.5 MiB
+# at 256).  Read at call time, so tests can change it.
+DENSE_MAX = 256
+
+_ACTIVE: ContextVar[Instance | None] = ContextVar("sparsebump_instance", default=None)
 
 
 def _per_level(family: SparseFamily, fn) -> np.ndarray:
@@ -50,9 +77,145 @@ def _leaf_blocks(family: SparseFamily, leaf_values: np.ndarray) -> np.ndarray:
     return family.gather(pyramid(leaf_values, family.grid)) * family.grid.leaf_volume
 
 
-def _norm(v: np.ndarray, r: float, mass_exc: np.ndarray) -> float:
-    """L^r(mu) norm of the function equal to v on each E_Q and 0 off the root."""
-    return float(np.sum(np.abs(v) ** r * mass_exc) ** (1.0 / r))
+@dataclass(frozen=True, eq=False)
+class Instance:
+    """One (family, sigma, w, exponents) and the per-member arrays that the
+    norm bound, the indicator ratios, the testing constants and the proof
+    traces share, each computed on first use and then kept.
+
+    `dual` is the same instance with (sigma, p) <-> (w, q'): it takes over
+    the per-weight arrays, its indicator ratios are the adjoint ones and its
+    testing sums those of T*.
+    """
+
+    family: SparseFamily
+    sigma: Weight
+    w: Weight
+    cfg: ExponentConfig
+
+    def __post_init__(self) -> None:
+        if self.sigma.grid != self.family.grid or self.w.grid != self.family.grid:
+            raise ValueError("family and weights must share one grid")
+
+    @classmethod
+    def of(cls, family: SparseFamily, sigma: Weight, w: Weight, cfg: ExponentConfig) -> Instance:
+        """The active instance if it holds these very objects (families and
+        weights are immutable) and equal exponents, else a new instance."""
+        active = _ACTIVE.get()
+        if (active is not None and active.family is family and active.sigma is sigma
+                and active.w is w and active.cfg == cfg):
+            return active
+        return cls(family, sigma, w, cfg)
+
+    @contextmanager
+    def active(self):
+        """Within the block, `Instance.of` returns this instance for its own
+        four arguments; nothing is kept after it."""
+        token = _ACTIVE.set(self)
+        try:
+            yield self
+        finally:
+            _ACTIVE.reset(token)
+
+    @cached_property
+    def dual(self) -> Instance:
+        # the twin gets the arrays, not a reference back: a cycle would keep
+        # both weights alive until the next garbage collection
+        twin = Instance(self.family, self.w, self.sigma, self.cfg.swapped())
+        twin.__dict__.update(sigma_exc=self.w_exc, w_exc=self.sigma_exc, sigma_mass=self.w_mass,
+                             w_mass=self.sigma_mass, coef=self.coef)
+        return twin
+
+    @cached_property
+    def sigma_exc(self) -> np.ndarray:
+        """Per member, sigma(E_Q)."""
+        return self.family.exceptional_mass(self.sigma)
+
+    @cached_property
+    def w_exc(self) -> np.ndarray:
+        """Per member, w(E_Q)."""
+        return self.family.exceptional_mass(self.w)
+
+    @cached_property
+    def sigma_mass(self) -> np.ndarray:
+        """Per member, sigma(Q)."""
+        return self.family.gather(self.sigma.mass_levels)
+
+    @cached_property
+    def w_mass(self) -> np.ndarray:
+        """Per member, w(Q)."""
+        return self.family.gather(self.w.mass_levels)
+
+    @cached_property
+    def coef(self) -> np.ndarray:
+        """Per member, |Q|^{alpha/d} / |Q|."""
+        return _coef(self.family, self.cfg.alpha)
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """The dense member kernel: K[i, j] is the sum of coef over the members
+        containing both i and j, so T(mu v) = K (v mu(E_Q)) on each E_Q."""
+        # row Q of the transposed ancestor-or-self incidence marks the
+        # members inside Q; the down-sweep adds coef over common ancestors
+        inside = self.family.ancestor_sum(np.eye(len(self.family))).T
+        return self.family.ancestor_sum(self.coef[:, None] * inside)
+
+    def _testing_terms(self, w_masses: np.ndarray) -> np.ndarray:
+        """Per member, (|Q|^{alpha/d} <sigma>_Q)^q times its entry of `w_masses`."""
+        family, alpha = self.family, self.cfg.alpha
+        d = family.grid.dimension
+        # |Q|^{alpha/d} <sigma>_Q = |Q|^{alpha/d} sigma(Q) 2^{dk}, the last factor exact
+        scale = _per_level(family, lambda k: (2.0 ** (-d * k)) ** (alpha / d))
+        averages = np.ldexp(self.sigma_mass, d * family.level)
+        return (scale * averages) ** self.cfg.q * w_masses
+
+    @cached_property
+    def testing_sums(self) -> np.ndarray:
+        """Per member R, the testing sum over members Q ⊆ R of
+        (|Q|^{alpha/d} <sigma>_Q)^q w(E_Q)."""
+        return self.family.descendant_sum(self._testing_terms(self.w_exc))
+
+    @cached_property
+    def mass_terms(self) -> np.ndarray:
+        """Per member, (|Q|^{alpha/d} <sigma>_Q)^q w(Q): the terms of the
+        testing sum that the proof traces regroup."""
+        return self._testing_terms(self.w_mass)
+
+    @cached_property
+    def indicator_ratios(self) -> np.ndarray:
+        """Per member R, ||T(sigma 1_R)||_{L^q(w)} / sigma(R)^{1/p}, 0 where
+        sigma(R) = 0: the one array both the norm bound and the indicator
+        ratios read.
+
+        T(sigma 1_R) has block sigma(Q) on the members Q inside R, sigma(R)
+        on the family ancestors of R and 0 elsewhere.  Inside R it is the
+        down-sweep of coef * sigma(Q) over R's subtree, seeded with
+        sigma(R) K(R) on E_R, where K is the ancestor sum of coef.  Outside R
+        it is sigma(R) K(a) on the ring a \\ a' between consecutive members
+        a ⊋ a' of R's ancestor chain (a' = R at the bottom), whose w-mass is
+        w(a) - w(a'); off the root it vanishes.  All R are swept at once:
+        step g pairs each member with its g-th family ancestor, so the cost
+        is |S| times the depth of the tree.
+        """
+        family, r, s = self.family, self.cfg.q, self.cfg.p
+        n, parent = len(family), family.parent
+        mu_mass, nu_mass, nu_exc = self.sigma_mass, self.w_mass, self.w_exc
+        k_sum = family.ancestor_sum(self.coef)
+        step = self.coef * mu_mass
+        # g = 0: R = Q, where T(sigma 1_Q) = sigma(Q) K(Q) on E_Q
+        u = mu_mass * k_sum
+        total = u ** r * nu_exc
+        prev, anc = np.arange(n), parent  # per member, its (g-1)-th and g-th family ancestors
+        while np.any(anc >= 0):
+            live = anc >= 0
+            a = anc[live]
+            # inside R = a: T(sigma 1_R) on E_Q is its value on E_parent(Q) plus Q's own term
+            u = u[parent] + step
+            total += np.bincount(a, weights=u[live] ** r * nu_exc[live], minlength=n)
+            # outside R = the member: sigma(R) K(a) on the ring between a and prev
+            total[live] += (mu_mass[live] * k_sum[a]) ** r * (nu_mass[a] - nu_mass[prev[live]])
+            prev, anc = anc, np.where(live, parent[anc], -1)
+        return np.divide(total ** (1.0 / r), mu_mass ** (1.0 / s), out=np.zeros(n), where=mu_mass > 0)
 
 
 def apply_sparse(family: SparseFamily, sigma: Weight, f: LeafFunction, alpha: float) -> LeafFunction:
@@ -134,39 +297,23 @@ def dense_norm_l2_oracle(family: SparseFamily, sigma: Weight, w: Weight, alpha: 
     return float(np.linalg.svd(b, compute_uv=False)[0])
 
 
-def _indicator_ratios(family: SparseFamily, mu: Weight, nu: Weight, nu_exc: np.ndarray,
-                      coef: np.ndarray, r: float, s: float) -> np.ndarray:
-    """Per member R, ||T(mu 1_R)||_{L^r(nu)} / mu(R)^{1/s}, 0 where mu(R) = 0:
-    the one array both the norm bound and the indicator ratios read.
+def _norms(v: np.ndarray, r: float, mass_exc: np.ndarray) -> np.ndarray:
+    """Per column of a nonnegative (|S|, m) array, the L^r(mu) norm of the
+    function equal to the column on each E_Q and 0 off the root."""
+    return (mass_exc @ v ** r) ** (1.0 / r)
 
-    T(mu 1_R) has block mu(Q) on the members Q inside R, mu(R) on the
-    family ancestors of R and 0 elsewhere.  Inside R it is the down-sweep of
-    coef * mu(Q) over R's subtree, seeded with mu(R) K(R) on E_R, where K is
-    the ancestor sum of coef.  Outside R it is mu(R) K(a) on the ring a \\ a'
-    between consecutive members a ⊋ a' of R's ancestor chain (a' = R at the
-    bottom), whose nu-mass is nu(a) - nu(a'); off the root it vanishes.
-    All R are swept at once: step g pairs each member with its g-th family
-    ancestor, so the cost is |S| times the depth of the tree.
-    """
-    n = len(family)
-    parent = family.parent
-    mu_mass, nu_mass = family.gather(mu.mass_levels), family.gather(nu.mass_levels)
-    k_sum = family.ancestor_sum(coef)
-    step = coef * mu_mass
-    # g = 0: R = Q, where T(mu 1_Q) = mu(Q) K(Q) on E_Q
-    u = mu_mass * k_sum
-    total = u ** r * nu_exc
-    prev, anc = np.arange(n), parent  # per member, its (g-1)-th and g-th family ancestors
-    while np.any(anc >= 0):
-        live = anc >= 0
-        a = anc[live]
-        # inside R = a: T(mu 1_R) on E_Q is its value on E_parent(Q) plus Q's own term
-        u = u[parent] + step
-        total += np.bincount(a, weights=u[live] ** r * nu_exc[live], minlength=n)
-        # outside R = the member: mu(R) K(a) on the ring between a and prev
-        total[live] += (mu_mass[live] * k_sum[a]) ** r * (nu_mass[a] - nu_mass[prev[live]])
-        prev, anc = anc, np.where(live, parent[anc], -1)
-    return np.divide(total ** (1.0 / r), mu_mass ** (1.0 / s), out=np.zeros(n), where=mu_mass > 0)
+
+def _member_operator(inst: Instance, mass_exc: np.ndarray):
+    """v -> T(mu v) on each E_Q for the columns of a per-member array v,
+    where mass_exc is mu(E_Q): one product with the dense member kernel on
+    families of at most DENSE_MAX members, the two column-batched sweeps on
+    larger ones."""
+    family = inst.family
+    if len(family) <= DENSE_MAX:
+        kernel = inst.kernel * mass_exc
+        return lambda v: kernel @ v
+    coef, mass_exc = inst.coef[:, None], mass_exc[:, None]
+    return lambda v: family.ancestor_sum(coef * family.descendant_sum(v * mass_exc))
 
 
 def norm_lower_bound(family: SparseFamily, sigma: Weight, w: Weight,
@@ -186,31 +333,38 @@ def norm_lower_bound(family: SparseFamily, sigma: Weight, w: Weight,
     own: T(sigma 1) = T(sigma 1_root) and sigma(grid) >= sigma(root), so the
     root's indicator dominates it.  Returns the best ratio seen; monotone in
     budget and deterministic under the seed.
+
+    The starts run together, one column each, and a start whose ascent
+    image vanishes (w = 0 on the root) drops out: it has no further iterate.
     """
-    grid = family.grid
-    sigma_exc, w_exc = family.exceptional_mass(sigma), family.exceptional_mass(w)
-    coef = _coef(family, cfg.alpha)
-    best = float(max(
-        _indicator_ratios(family, sigma, w, w_exc, coef, cfg.q, cfg.p).max(),
-        _indicator_ratios(family, w, sigma, sigma_exc, coef, cfg.p_dual, cfg.q_dual).max()))
+    inst = Instance.of(family, sigma, w, cfg)
+    best = float(max(inst.indicator_ratios.max(), inst.dual.indicator_ratios.max()))
     if budget == 0:
         return best
 
     rng = np.random.default_rng(seed)
-    for _ in range(n_starts):
-        # the ascent map is homogeneous and sigma-null leaves carry no mass,
-        # so a start needs neither a normalization nor a support mask
-        f = rng.random(grid.leaf_shape()) + 0.5
-        u = _apply(family, _leaf_blocks(family, sigma.leaf_density * f), coef)
-        for _ in range(budget):
-            y = _apply(family, family.descendant_sum(u ** (cfg.q - 1.0) * w_exc), coef)
-            # y > 0 on every member or on none: the root's term is in each value
-            if not np.any(y > 0):
+    # the ascent map is homogeneous and sigma-null leaves carry no mass, so
+    # a start needs neither a normalization nor a support mask; each start
+    # is reduced to block sums before the next is drawn, so the leaf arrays
+    # of one start at a time are alive
+    blocks, shape = np.empty((len(family), n_starts)), family.grid.leaf_shape()
+    for j in range(n_starts):
+        blocks[:, j] = _leaf_blocks(family, sigma.leaf_density * (rng.random(shape) + 0.5))
+    u = family.ancestor_sum(inst.coef[:, None] * blocks)
+    sigma_exc, w_exc = inst.sigma_exc, inst.w_exc
+    t_sigma, t_w = _member_operator(inst, sigma_exc), _member_operator(inst, w_exc)
+    for _ in range(budget):
+        y = t_w(u ** (cfg.q - 1.0))
+        # y > 0 on every member of a column or on none: the root's term is in each value
+        live = np.any(y > 0, axis=0)
+        if not live.all():
+            if not live.any():
                 break
-            f = y ** (1.0 / (cfg.p - 1.0))
-            f /= _norm(f, cfg.p, sigma_exc)
-            u = _apply(family, family.descendant_sum(f * sigma_exc), coef)
-            best = max(best, _norm(u, cfg.q, w_exc) / _norm(f, cfg.p, sigma_exc))
+            y = y[:, live]
+        f = y ** (1.0 / (cfg.p - 1.0))
+        f /= _norms(f, cfg.p, sigma_exc)
+        u = t_sigma(f)
+        best = max(best, float(np.max(_norms(u, cfg.q, w_exc) / _norms(f, cfg.p, sigma_exc))))
     return best
 
 
@@ -245,30 +399,17 @@ class TestingReport:
         }
 
 
-def testing_terms(family: SparseFamily, sigma: Weight, w_masses: np.ndarray,
-                  q: float, alpha: float) -> np.ndarray:
-    """Per member, (|Q|^{alpha/d} <sigma>_Q)^q times its entry of `w_masses`:
-    the summands of the testing sums."""
-    d = family.grid.dimension
-    # |Q|^{alpha/d} <sigma>_Q = |Q|^{alpha/d} sigma(Q) 2^{dk}, the last factor exact
-    scale = _per_level(family, lambda k: (2.0 ** (-d * k)) ** (alpha / d))
-    averages = np.ldexp(family.gather(sigma.mass_levels), d * family.level)
-    return (scale * averages) ** q * w_masses
-
-
-def _primal_testing(family: SparseFamily, sigma: Weight, w: Weight,
-                    p: float, q: float, alpha: float) -> tuple[float, DyadicCube | None, dict]:
+def _primal_testing(inst: Instance) -> tuple[float, DyadicCube | None, dict]:
     """max over R in S of sigma(R)^{-1/p} [ sum_{Q in S, Q ⊆ R}
     (|Q|^{alpha/d} <sigma>_Q)^q w(E_Q) ]^{1/q}; R with sigma(R)=0 skipped."""
-    sigma_r = family.gather(sigma.mass_levels)
-    sums = family.descendant_sum(testing_terms(family, sigma, family.exceptional_mass(w), q, alpha))
+    members, sigma_r = inst.family.members, inst.sigma_mass
     tested = np.flatnonzero(sigma_r > 0)
-    values = sigma_r[tested] ** (-1.0 / p) * sums[tested] ** (1.0 / q)
-    per_r = {family.members[i]: float(v) for i, v in zip(tested, values)}
+    values = sigma_r[tested] ** (-1.0 / inst.cfg.p) * inst.testing_sums[tested] ** (1.0 / inst.cfg.q)
+    per_r = {members[i]: float(v) for i, v in zip(tested, values)}
     if not len(values) or values.max() <= 0:
         return 0.0, None, per_r
     j = int(np.argmax(values))
-    return float(values[j]), family.members[tested[j]], per_r
+    return float(values[j]), members[tested[j]], per_r
 
 
 def testing_constants(family: SparseFamily, sigma: Weight, w: Weight,
@@ -280,11 +421,9 @@ def testing_constants(family: SparseFamily, sigma: Weight, w: Weight,
     strict regime p < q is where the L1 form is known to suffice; extended
     mode (p = q) computes the same quantities with a warning flag.
     """
-    if sigma.grid != family.grid or w.grid != family.grid:
-        raise ValueError("family and weights must share one grid")
-    t_val, t_arg, per_r = _primal_testing(family, sigma, w, cfg.p, cfg.q, cfg.alpha)
-    ts_val, ts_arg, per_rs = _primal_testing(family, w, sigma,
-                                             cfg.q_dual, cfg.p_dual, cfg.alpha)
+    inst = Instance.of(family, sigma, w, cfg)
+    t_val, t_arg, per_r = _primal_testing(inst)
+    ts_val, ts_arg, per_rs = _primal_testing(inst.dual)
     return TestingReport(
         T=t_val, T_star=ts_val, argmax_R=t_arg, argmax_R_star=ts_arg,
         per_R=per_r, per_R_star=per_rs,
@@ -302,7 +441,6 @@ def primal_indicator_ratios(family: SparseFamily, sigma: Weight, w: Weight,
     sum dominates the single term for Q.  `norm_lower_bound` reads the same
     array, so it dominates every ratio here exactly.
     """
-    ratios = _indicator_ratios(family, sigma, w, family.exceptional_mass(w),
-                               _coef(family, cfg.alpha), cfg.q, cfg.p)
-    tested = np.flatnonzero(family.gather(sigma.mass_levels) > 0)
-    return {family.members[i]: float(ratios[i]) for i in tested}
+    inst = Instance.of(family, sigma, w, cfg)
+    tested = np.flatnonzero(inst.sigma_mass > 0)
+    return {family.members[i]: float(inst.indicator_ratios[i]) for i in tested}

@@ -36,7 +36,7 @@ from .grid import DyadicCube
 # Not called here: every rho comes from Weight.rho_levels.  The name stays
 # bound because perfbench/layers.py wraps prooftrace.rho to count rho calls.
 from .maximal import rho  # noqa: F401
-from .operators import testing_terms
+from .operators import Instance
 from .sparse import SparseFamily, carleson_check  # noqa: F401 (public one-cube check)
 from .weights import Weight
 
@@ -83,9 +83,11 @@ class Strata:
     key_values: dict[DyadicCube, float]
 
 
-def _strata(family: SparseFamily, sigma: Weight, key: str, inside: np.ndarray):
+def _strata(family: SparseFamily, sigma: Weight, key: str, inside: np.ndarray,
+            masses: np.ndarray):
     """Key values of the members in `inside` and, per bucket a = floor(log2
-    key) in increasing order, (a, bucket mask, mask of its maximal members).
+    key) in increasing order, (a, bucket mask, mask of its maximal members);
+    `masses` holds sigma(Q) per member.
 
     A bucket member is maximal when no other member of the bucket contains
     it: its ancestor sum of the bucket mask is 1.  Every cube with zero
@@ -93,7 +95,6 @@ def _strata(family: SparseFamily, sigma: Weight, key: str, inside: np.ndarray):
     """
     if key not in ("rho", "average"):
         raise ValueError(f"key must be rho or average, got {key!r}")
-    masses = family.gather(sigma.mass_levels)
     zero = inside & (masses <= 0)
     if zero.any():
         raise ValueError(f"zero-mass cube in family: {family.members[np.argmax(zero)].text}")
@@ -115,7 +116,8 @@ def stratify(family: SparseFamily, sigma: Weight, key: str) -> Strata:
     """Bucket the family by a = floor(log2 key(Q)), key in {rho, average},
     and record the maximal cubes of each bucket.  Every cube with zero
     sigma-mass is rejected by name, since neither key is defined there."""
-    values, strata = _strata(family, sigma, key, np.ones(len(family), dtype=bool))
+    values, strata = _strata(family, sigma, key, np.ones(len(family), dtype=bool),
+                             family.gather(sigma.mass_levels))
     members = family.members
     return Strata(
         key,
@@ -201,29 +203,27 @@ class TraceReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _run_trace(kind: str, family: SparseFamily, sigma: Weight, w: Weight,
-               cfg: ExponentConfig, eps: EntropyFunction, r_cube: DyadicCube,
+def _run_trace(kind: str, inst: Instance, eps: EntropyFunction, r_cube: DyadicCube,
                c_bump: float | None) -> TraceReport:
-    """The chain of `kind` at R; c_bump is its bump constant (E or D of
-    (sigma, w)), computed here when None."""
+    """The chain of `kind` at R on the instance's (family, sigma, w, cfg);
+    c_bump is its bump constant (E or D of (sigma, w)), computed here when None."""
     if eps.kind != kind:
         raise ValueError(f"{eps.kind} eps passed to {kind} trace")
+    family, sigma, w, cfg = inst.family, inst.sigma, inst.w, inst.cfg
     if r_cube not in family:
         raise ValueError(f"cube {r_cube.text} is not in the family")
-    if sigma.grid != family.grid or w.grid != family.grid:
-        raise ValueError("family and weights must share one grid")
     lam = family.lam
     r = family.position[r_cube]
+    sigma_q = inst.sigma_mass
     keys, strata = _strata(family, sigma, "rho" if kind == "entropy" else "average",
-                           family.inside(r))
+                           family.inside(r), sigma_q)
 
     if c_bump is None:
         bumps = entropy_bumps if kind == "entropy" else direct_bumps
         c_bump = bumps(sigma, w, cfg, eps).constants["E" if kind == "entropy" else "D"]
 
     # stage (i): exact regrouping of the testing sum with w(Q) masses
-    sigma_q = family.gather(sigma.mass_levels)
-    term = testing_terms(family, sigma, family.gather(w.mass_levels), cfg.q, cfg.alpha)
+    term = inst.mass_terms
     lhs_total = float(family.descendant_sum(term)[r])
     if kind == "entropy":
         # the Carleson left-hand sides, sum of sigma(Q) over members Q ⊆ Q*
@@ -273,8 +273,7 @@ def _run_trace(kind: str, family: SparseFamily, sigma: Weight, w: Weight,
     final_ok = lhs_total <= final_bound * (1.0 + SLACK)
 
     # certificate: testing value at R with w(E_Q) masses (<= the w(Q) form)
-    exc_term = testing_terms(family, sigma, family.exceptional_mass(w), cfg.q, cfg.alpha)
-    testing_sum = float(family.descendant_sum(exc_term)[r])
+    testing_sum = float(inst.testing_sums[r])
     testing_value = float(sigma_q[r]) ** (-1.0 / cfg.p) * testing_sum ** (1.0 / cfg.q)
     certified_constant = (2.0 * eps.tail_sum / (1.0 - lam)) ** (1.0 / cfg.q)
     certified_ok = testing_value <= certified_constant * c_bump * (1.0 + SLACK)
@@ -295,7 +294,7 @@ def entropy_trace(family: SparseFamily, sigma: Weight, w: Weight,
     """Execute the entropy chain at R: stratify by rho(Q; sigma), verify the
     regrouping identity, the per-stratum inner bounds (through the Carleson
     estimate), and the final bound certifying T_R <= (2 Sigma_eps/(1-lam))^{1/q} E."""
-    return _run_trace("entropy", family, sigma, w, cfg, eps, r_cube,
+    return _run_trace("entropy", Instance.of(family, sigma, w, cfg), eps, r_cube,
                       None if bump is None else bump.constants["E"])
 
 
@@ -305,7 +304,7 @@ def direct_trace(family: SparseFamily, sigma: Weight, w: Weight,
     """Execute the direct-comparison chain at R: stratify by <sigma>_Q; the
     inner bound uses the sparseness volume bound in place of the Carleson
     estimate, certifying T_R <= (2 Sigma_eps/(1-lam))^{1/q} D."""
-    return _run_trace("direct", family, sigma, w, cfg, eps, r_cube,
+    return _run_trace("direct", Instance.of(family, sigma, w, cfg), eps, r_cube,
                       None if bump is None else bump.constants["D"])
 
 
@@ -316,7 +315,7 @@ def dual_entropy_trace(family: SparseFamily, sigma: Weight, w: Weight,
     run the primal chain with (sigma, p) <-> (w, q') swapped.  `bump` is the
     entropy BumpReport of (sigma, w); its E*_symmetric is the E of the
     swapped pair, so it is read there instead of recomputed."""
-    return _run_trace("entropy", family, w, sigma, cfg.swapped(), eps, r_cube,
+    return _run_trace("entropy", Instance.of(family, sigma, w, cfg).dual, eps, r_cube,
                       None if bump is None else bump.constants["E_star_symmetric"])
 
 
@@ -326,5 +325,5 @@ def dual_direct_trace(family: SparseFamily, sigma: Weight, w: Weight,
     """The dual direct chain, certifying T* <= (2 Sigma_eps/(1-lam))^{1/p'} D*.
     `bump` is the direct BumpReport of (sigma, w); its D* is the D of the
     swapped pair."""
-    return _run_trace("direct", family, w, sigma, cfg.swapped(), eps, r_cube,
+    return _run_trace("direct", Instance.of(family, sigma, w, cfg).dual, eps, r_cube,
                       None if bump is None else bump.constants["D_star"])

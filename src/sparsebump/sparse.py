@@ -159,7 +159,8 @@ class SparseFamily:
 
     def ancestor_sum(self, values) -> np.ndarray:
         """Per member Q, the sum of `values` over the members containing Q
-        (Q included): a down-sweep, ancestors added coarsest first."""
+        (Q included): a down-sweep, ancestors added coarsest first.  A 2-D
+        `values` is swept column by column, all columns at once."""
         out = np.array(values, dtype=float)
         for lo, hi in self._below_root:
             out[lo:hi] += out[self.parent[lo:hi]]
@@ -167,10 +168,16 @@ class SparseFamily:
 
     def descendant_sum(self, values) -> np.ndarray:
         """Per member Q, the sum of `values` over the members inside Q
-        (Q included): an up-sweep, deepest level first."""
+        (Q included): an up-sweep, deepest level first.  A 2-D `values` is
+        swept column by column, all columns at once: one bincount per level
+        over the flat (parent, column) positions."""
         out = np.array(values, dtype=float)
+        cols = out.reshape(len(out), -1)  # a view: (|S|, 1) for a vector
+        m = cols.shape[1]
         for lo, hi in reversed(self._below_root):
-            out += np.bincount(self.parent[lo:hi], weights=out[lo:hi], minlength=len(out))
+            # every parent of members[lo:hi] lies before lo
+            at = self.parent[lo:hi] if m == 1 else (self.parent[lo:hi, None] * m + np.arange(m)).ravel()
+            cols[:lo] += np.bincount(at, weights=cols[lo:hi].ravel(), minlength=lo * m).reshape(lo, m)
         return out
 
     def at_leaves(self, values) -> np.ndarray:

@@ -13,7 +13,7 @@ from sparsebump.bumps import (
     eps_eval,
     eps_tail_sum,
     joint_apq_constant,
-    _joint_levels,
+    joint_levels,
     _sup,
 )
 from sparsebump.grid import GridConfig
@@ -292,7 +292,7 @@ class TestChunkedScan:
         sigma, w = _chunk_inputs("cascade", 1)
         cfg = ExponentConfig(2.0, 3.0, 0.0, 1)
         eps = EntropyFunction("entropy", 0.5)
-        joint = _joint_levels(sigma, w, cfg)
+        joint = joint_levels(sigma, w, cfg)
         both = _sup(sigma, w, cfg, joint, sigma, eps, (0.5, 0.25, 0.5))
         assert both == [*_sup(sigma, w, cfg, joint, sigma, eps, (0.5,)),
                         *_sup(sigma, w, cfg, joint, sigma, eps, (0.25,)),

@@ -6,6 +6,7 @@ import pytest
 from sparsebump import lab
 from sparsebump.cli import cli_main
 from sparsebump.grid import GridConfig
+from sparsebump.operators import Instance
 from sparsebump.lab import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -257,6 +258,32 @@ class TestNegativeControls:
         assert all(row["certified_CE_ratio"] > 1.0 for row in rep.rows)
 
     def test_cli_exits_1(self, inflated_t, tmp_path, capsys):
+        code = cli_main(["verify-bounds", "--instances", "2", "--leaf-level", "5",
+                         "--seed", "4", "--target-size", "10", "--budget", "4",
+                         "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["violations"] == 2
+
+
+class TestLeafPathControl:
+    """The member-form indicator ratio at each instance's seeded R is checked
+    against the leaf path: a ratio corrupted by a part in 1e9 must count as
+    a violation, and the CLI must then exit 1."""
+
+    @pytest.fixture()
+    def corrupted_ratios(self, monkeypatch):
+        original = Instance.indicator_ratios.func
+        monkeypatch.setattr(Instance, "indicator_ratios",
+                            property(lambda inst: original(inst) * (1.0 + 1e-9)))
+
+    def test_suite_counts_violations(self, corrupted_ratios):
+        rep = run_verify_bounds(ExperimentConfig(**dict(SMALL, instances=3)))
+        assert rep.violations == 3
+        # the corruption moves nothing the other checks read against
+        assert all(row["trace_entropy_pass"] and row["trace_direct_pass"] for row in rep.rows)
+        assert all(row["certified_CE_ratio"] <= 1.0 for row in rep.rows)
+
+    def test_cli_exits_1(self, corrupted_ratios, tmp_path, capsys):
         code = cli_main(["verify-bounds", "--instances", "2", "--leaf-level", "5",
                          "--seed", "4", "--target-size", "10", "--budget", "4",
                          "--out-dir", str(tmp_path)])

@@ -7,18 +7,24 @@ family became an array tree.  Each sweep must agree with its oracle to
 oracles keep the earlier family builders (every grid cube as an object),
 which must return the same cube sets, and the leaf-level operator (one
 apply per candidate on leaf arrays), which the member-form operator must
-match to 1e-13 relative.
+match to 1e-13 relative; the batched dual ascent must match it on both
+sides of the dense-kernel size switch.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
+from sparsebump import operators
 from sparsebump.bumps import EntropyFunction, ExponentConfig
 from sparsebump.grid import DyadicCube, GridConfig, children, contains, enumerate_cubes, leaf_slice, root_cube
+from sparsebump.lab import ExperimentConfig, run_verify_bounds
 from sparsebump.operators import (
+    Instance,
     _apply,
     _coef,
-    _indicator_ratios,
+    _member_operator,
     apply_sparse,
     exact_norm_l2,
     norm_lower_bound,
@@ -211,6 +217,15 @@ def test_verify_sparse_matches_child_volume_loop():
     assert not res["ok"]
 
 
+@pytest.mark.parametrize("d,kind,seed", CASES[::3])
+def test_sweeps_batch_columns(d, kind, seed):
+    # a 2-D sweep is the 1-D sweep of each column, bit for bit
+    family, _, _ = instance(d, kind, seed)
+    v = np.random.default_rng(seed).random((len(family), 3))
+    for sweep in (family.ancestor_sum, family.descendant_sum):
+        np.testing.assert_array_equal(sweep(v), np.column_stack([sweep(c) for c in v.T]))
+
+
 def test_non_grid_root_family():
     # a family whose root is below level 0: the sweeps start at the root
     g = GridConfig(1, 5)
@@ -400,8 +415,7 @@ class TestMemberOperatorMatchesLeafOperator:
         want = oracle_indicator_ratios(family, sigma, w, cfg.alpha, cfg.q, cfg.p)
         assert got.keys() == want.keys()
         assert_close(list(got.values()), list(want.values()))
-        adjoint = _indicator_ratios(family, w, sigma, family.exceptional_mass(sigma),
-                                    _coef(family, cfg.alpha), cfg.p_dual, cfg.q_dual)
+        adjoint = Instance(family, sigma, w, cfg).dual.indicator_ratios
         want = oracle_indicator_ratios(family, w, sigma, cfg.alpha, cfg.p_dual, cfg.q_dual)
         tested = [i for i, q in enumerate(family.members) if q in want]
         assert_close(adjoint[tested], list(want.values()))
@@ -416,3 +430,75 @@ class TestMemberOperatorMatchesLeafOperator:
         family, sigma, w, cfg = operator_instance(case)
         assert_close(exact_norm_l2(family, sigma, w, cfg.alpha, tol=1e-14),
                      oracle_exact_norm_l2(family, sigma, w, cfg.alpha, tol=1e-14))
+
+
+# --- the batched dual ascent, on both sides of the dense-kernel switch ------
+
+ASCENT_CASES = ([(d, kind, 0) for d in (1, 2) for kind in ("random", "stopping")]
+                + ["non_grid_root", "sigma_null"])
+
+
+@pytest.mark.parametrize("case", ASCENT_CASES, ids=str)
+def test_member_operator_kernels(case, monkeypatch):
+    # DENSE_MAX = |S| takes the dense kernel, |S| - 1 the batched sweeps
+    family, sigma, _, cfg = operator_instance(case)
+    v = np.random.default_rng(2).random((len(family), 3))
+    got = {}
+    for dense_max in (len(family), len(family) - 1):
+        monkeypatch.setattr(operators, "DENSE_MAX", dense_max)
+        inst = Instance(family, sigma, sigma, cfg)
+        got[dense_max] = _member_operator(inst, inst.sigma_exc)(v)
+        assert ("kernel" in inst.__dict__) == (dense_max == len(family))
+    for u in got.values():
+        for j in range(v.shape[1]):
+            assert_close(family.at_leaves(u[:, j]),
+                         oracle_apply(family, sigma.leaf_density * family.at_leaves(v[:, j]), cfg.alpha))
+
+
+@pytest.mark.parametrize("case", ASCENT_CASES, ids=str)
+@pytest.mark.parametrize("n_starts", (1, 3))
+def test_batched_ascent_matches_leaf_oracle(case, n_starts, monkeypatch):
+    family, sigma, w, cfg = operator_instance(case)
+    for budget in (0, 1, 8):
+        want = oracle_norm_lower_bound(family, sigma, w, cfg, budget, seed=3, n_starts=n_starts)
+        for dense_max in (len(family), len(family) - 1):
+            monkeypatch.setattr(operators, "DENSE_MAX", dense_max)
+            assert_close(norm_lower_bound(family, sigma, w, cfg, budget, seed=3, n_starts=n_starts), want)
+
+
+@pytest.mark.parametrize("dense_max", (10**6, 0), ids=("dense", "sweeps"))
+def test_dead_starts_drop_out(dense_max, monkeypatch):
+    # w vanishes on the family's root [1/2, 1), so the ascent image
+    # T*(w (T sigma f)^{q-1}) is 0: every start drops out at its first step,
+    # before a division by its zero norm
+    grid = GridConfig(1, 7)
+    sigma = generate_weight(grid, "random_cascade", seed=5, volatility=0.8)
+    density = generate_weight(grid, "random_cascade", seed=305, volatility=0.8).leaf_density.copy()
+    density[64:] = 0.0
+    w = Weight(grid, density)
+    family = stopping_family(sigma, 2.0, DyadicCube(1, (1,)))
+    cfg = ExponentConfig(2.0, 3.0, 0.25, 1)
+    monkeypatch.setattr(operators, "DENSE_MAX", dense_max)
+    for budget in (0, 1, 8):
+        for n_starts in (1, 3):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = norm_lower_bound(family, sigma, w, cfg, budget, seed=3, n_starts=n_starts)
+            assert got == oracle_norm_lower_bound(family, sigma, w, cfg, budget, seed=3,
+                                                  n_starts=n_starts) == 0.0
+
+
+def test_one_instance_takes_two_exceptional_masses(monkeypatch):
+    # every stage of a suite instance reads one shared context: sigma(E_Q)
+    # and w(E_Q) are each computed once
+    calls = []
+    original = SparseFamily.exceptional_mass
+
+    def counted(self, weight):
+        calls.append(weight)
+        return original(self, weight)
+
+    monkeypatch.setattr(SparseFamily, "exceptional_mass", counted)
+    report = run_verify_bounds(ExperimentConfig(instances=1, master_seed=3))
+    assert report.violations == 0
+    assert len(calls) <= 2

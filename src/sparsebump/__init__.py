@@ -12,12 +12,11 @@ from .bumps import (
     entropy_bumps,
     eps_eval,
     eps_tail_sum,
-    joint_apq_constant,
     joint_factor,
 )
 from .grid import DyadicCube, GridConfig, children, contains, enumerate_cubes, parse_cube, root_cube
-from .maximal import rho
 from .operators import (
+    Instance,
     PowerIterationError,
     TestingReport,
     apply_sparse,
@@ -28,13 +27,11 @@ from .operators import (
     testing_constants,
 )
 from .prooftrace import (
-    Strata,
     TraceReport,
     direct_trace,
     dual_direct_trace,
     dual_entropy_trace,
     entropy_trace,
-    stratify,
 )
 from .sparse import (
     SparseFamily,
@@ -56,6 +53,7 @@ from .weights import (
     generate_weight,
     llogl_integral,
     mass,
+    rho,
     weight_from_json,
     weight_to_json,
 )

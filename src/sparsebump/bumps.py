@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .grid import DyadicCube, GridConfig, flat_blocks
-from .maximal import rho
-from .weights import Weight, average, mass
+from .weights import Weight, average, mass, rho
 
 LN2 = math.log(2.0)
 
@@ -110,11 +109,14 @@ def eps_eval(eps: EntropyFunction, t):
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 
+@cache
 def _one_sided_tail_sum(delta: float, term_tol: float = 1e-7, r_cap: int = 10**7) -> float:
     """Upper bound on sum_{r>=0} (1 + r ln 2)^{-(1+delta)}.
 
     Partial sum until the term drops below term_tol (or r_cap), then an
     integral tail bound; the overshoot is at most the first omitted term.
+    Cached, as it depends on delta alone and every suite run builds fresh
+    EntropyFunctions.
     """
     s = 1.0 + delta
     total = 0.0
@@ -232,7 +234,7 @@ def _sup(sigma: Weight, w: Weight, cfg: ExponentConfig, joint: list[np.ndarray],
             if weight is not None:
                 if entropy:
                     key = weight.rho_levels[k].reshape(-1)[chunk]
-                else:  # level_averages(k), one chunk at a time
+                else:  # the level-k averages, one chunk at a time
                     key = weight.mass_levels[k].reshape(-1)[chunk] * 2.0 ** (weight.grid.dimension * k)
                 defined = key > 0  # False on NaN (rho of a zero-mass cube) and on 0
                 t = np.where(defined, key, 1.0)
@@ -260,18 +262,6 @@ def _report(found: dict[str, tuple[float, DyadicCube, Weight]], eps: EntropyFunc
                       {name: cube for name, (_, cube, _) in found.items()},
                       {name: _rho_of(wt, cube) for name, (_, cube, wt) in found.items()},
                       eps)
-
-
-def joint_apq_constant(sigma: Weight, w: Weight, cfg: ExponentConfig) -> dict:
-    """The un-bumped joint constant A = sup_Q joint(Q) with its argmax.
-
-    The supremum is located by a vectorized scan; the reported value is the
-    scalar per-cube expression at the argmax, so a witness recomputation
-    reproduces it exactly.
-    """
-    _check_same_grid(sigma, w)
-    [(a, cube)] = _sup(sigma, w, cfg, joint_levels(sigma, w, cfg))
-    return {"A": a, "argmax": cube}
 
 
 def entropy_bumps(sigma: Weight, w: Weight, cfg: ExponentConfig,

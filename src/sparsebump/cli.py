@@ -18,7 +18,7 @@ from pathlib import Path
 from .bumps import EntropyFunction, ExponentConfig, direct_bumps, entropy_bumps
 from .grid import parse_cube
 from .lab import ExperimentConfig, run_counterexample, run_sweep, run_verify_bounds
-from .operators import exact_norm_l2, norm_lower_bound, testing_constants
+from .operators import Instance, exact_norm_l2, norm_lower_bound, testing_constants
 from .prooftrace import direct_trace, dual_direct_trace, dual_entropy_trace, entropy_trace
 from .sparse import family_from_json
 from .weights import weight_from_json
@@ -61,6 +61,13 @@ def _resolve_weights(args):
     if not (args.sigma and args.w):
         raise ValueError("need --weights or both --sigma and --w")
     return _load_weight(args.sigma), _load_weight(args.w)
+
+
+def _instance(args) -> Instance:
+    """The (family, sigma, w, exponents) instance that the flags name."""
+    sigma, w = _resolve_weights(args)
+    cfg = ExponentConfig(args.p, args.q, args.alpha, sigma.grid.dimension, args.mode)
+    return Instance(_load_family(args.family), sigma, w, cfg)
 
 
 def _add_exponent_args(sub) -> None:
@@ -193,28 +200,21 @@ def cli_main(argv=None) -> int:
             return 0
 
         if args.command == "norm":
-            sigma, w = _resolve_weights(args)
-            family = _load_family(args.family)
-            cfg = ExponentConfig(args.p, args.q, args.alpha, sigma.grid.dimension, args.mode)
+            inst = _instance(args)
             seed = args.seed if args.seed is not None else int(os.environ.get("SPARSEBUMP_SEED", "0"))
-            out = {"lower_bound": norm_lower_bound(family, sigma, w, cfg, args.budget, seed=seed)}
+            out = {"lower_bound": norm_lower_bound(inst, args.budget, seed=seed)}
             if args.p == 2.0 and args.q == 2.0:
-                out["exact_l2"] = exact_norm_l2(family, sigma, w, args.alpha)
+                out["exact_l2"] = exact_norm_l2(inst.family, inst.sigma, inst.w, args.alpha)
             print(json.dumps(out, sort_keys=True))
             return 0
 
         if args.command == "testing":
-            sigma, w = _resolve_weights(args)
-            family = _load_family(args.family)
-            cfg = ExponentConfig(args.p, args.q, args.alpha, sigma.grid.dimension, args.mode)
-            print(json.dumps(testing_constants(family, sigma, w, cfg).to_dict(), sort_keys=True))
+            print(json.dumps(testing_constants(_instance(args)).to_dict(), sort_keys=True))
             return 0
 
         if args.command == "trace":
-            sigma, w = _resolve_weights(args)
-            family = _load_family(args.family)
-            cfg = ExponentConfig(args.p, args.q, args.alpha, sigma.grid.dimension, args.mode)
-            r_cube = parse_cube(args.cube) if args.cube else family.root
+            inst = _instance(args)
+            r_cube = parse_cube(args.cube) if args.cube else inst.family.root
             runners = {
                 ("entropy", False): entropy_trace,
                 ("entropy", True): dual_entropy_trace,
@@ -224,7 +224,7 @@ def cli_main(argv=None) -> int:
             eps = args.eps
             if eps.kind != args.kind:
                 eps = EntropyFunction(args.kind, eps.delta)
-            report = runners[(args.kind, args.dual)](family, sigma, w, cfg, eps, r_cube)
+            report = runners[(args.kind, args.dual)](inst, eps, r_cube)
             print(report.to_json())
             return 0 if report.passed else 1
 

@@ -54,7 +54,6 @@ class ExperimentConfig:
     q: float = 3.0
     alpha: float = 0.0
     mode: str = "strict"
-    eps_kind: str = "entropy"
     delta: float = 1.0
     instances: int = 100
     master_seed: int = 42
@@ -62,7 +61,6 @@ class ExperimentConfig:
     target_size: int = 30
     volatility: float = 0.6
     family_kind: str = "mixed"  # random | stopping | mixed
-    dual_traces: bool = True
     levels: tuple[int, ...] = (8, 12, 16, 20)
     lambdas: tuple[float, ...] = (0.5, 0.25)
     out_dir: str | None = None
@@ -81,7 +79,7 @@ class ExperimentConfig:
         # these raise on invalid ranges
         GridConfig(self.dimension, self.leaf_level)
         self.exponents()
-        EntropyFunction(self.eps_kind, self.delta)
+        EntropyFunction("entropy", self.delta)
 
     def grid(self) -> GridConfig:
         return GridConfig(self.dimension, self.leaf_level)
@@ -201,22 +199,20 @@ def _leaf_indicator_ratio(family: SparseFamily, sigma: Weight, w: Weight,
 def _verify_instance(cfg: ExperimentConfig, i: int, eps_e: EntropyFunction,
                      eps_d: EntropyFunction) -> tuple[dict, bool]:
     """Instance i of the suite: its report row and whether every check held.
-    Every stage reads one `Instance`, released on return, before the next
+    Every stage takes one `Instance`, released on return, before the next
     instance is built."""
     exps = cfg.exponents()
     tolerance = 1.0 + SLACK
     sigma, w, family, s_lb = build_instance(cfg, i)
     inst = Instance(family, sigma, w, exps)
     ebump, dbump = _bump_reports(sigma, w, exps, eps_e, eps_d)
-    with inst.active():
-        trep = testing_constants(family, sigma, w, exps)
-        nlb = norm_lower_bound(family, sigma, w, exps, cfg.budget, seed=s_lb)
-        etrace = entropy_trace(family, sigma, w, exps, eps_e, family.root, bump=ebump)
-        dtrace = direct_trace(family, sigma, w, exps, eps_d, family.root, bump=dbump)
-        ratios = primal_indicator_ratios(family, sigma, w, exps)
-        if cfg.dual_traces:
-            de = dual_entropy_trace(family, sigma, w, exps, eps_e, family.root, bump=ebump)
-            dd = dual_direct_trace(family, sigma, w, exps, eps_d, family.root, bump=dbump)
+    trep = testing_constants(inst)
+    nlb = norm_lower_bound(inst, cfg.budget, seed=s_lb)
+    etrace = entropy_trace(inst, eps_e, family.root, bump=ebump)
+    dtrace = direct_trace(inst, eps_d, family.root, bump=dbump)
+    ratios = primal_indicator_ratios(inst)
+    de = dual_entropy_trace(inst, eps_e, family.root, bump=ebump)
+    dd = dual_direct_trace(inst, eps_d, family.root, bump=dbump)
 
     ok = etrace.passed and dtrace.passed
     const_e = (2.0 * eps_e.tail_sum / (1.0 - cfg.lam)) ** (1.0 / cfg.q)
@@ -236,13 +232,12 @@ def _verify_instance(cfg: ExperimentConfig, i: int, eps_e: EntropyFunction,
         leaf = _leaf_indicator_ratio(family, sigma, w, exps, r_cube)
         ok = ok and abs(ratios[r_cube] - leaf) <= SLACK * leaf
 
-    if cfg.dual_traces:
-        dual_const = (2.0 / (1.0 - cfg.lam)) ** (1.0 / exps.p_dual)
-        ok = ok and de.passed and dd.passed
-        ok = ok and trep.T_star <= (dual_const * eps_e.tail_sum ** (1.0 / exps.p_dual)
-                                    * ebump.constants["E_star_symmetric"]) * tolerance
-        ok = ok and trep.T_star <= (dual_const * eps_d.tail_sum ** (1.0 / exps.p_dual)
-                                    * dbump.constants["D_star"]) * tolerance
+    dual_const = (2.0 / (1.0 - cfg.lam)) ** (1.0 / exps.p_dual)
+    ok = ok and de.passed and dd.passed
+    ok = ok and trep.T_star <= (dual_const * eps_e.tail_sum ** (1.0 / exps.p_dual)
+                                * ebump.constants["E_star_symmetric"]) * tolerance
+    ok = ok and trep.T_star <= (dual_const * eps_d.tail_sum ** (1.0 / exps.p_dual)
+                                * dbump.constants["D_star"]) * tolerance
 
     row = {
         "instance_id": i,
@@ -272,10 +267,9 @@ def _verify_instance(cfg: ExperimentConfig, i: int, eps_e: EntropyFunction,
 def run_verify_bounds(cfg: ExperimentConfig) -> SuiteReport:
     """Randomized end-to-end certification suite.
 
-    Per instance: compute all constants, run both proof chains (and their
-    duals when enabled), and check the certified inequalities.  Any failed
-    check is tallied as a violation; the report is deterministic in the
-    master seed.
+    Per instance: compute all constants, run both proof chains and their
+    duals, and check the certified inequalities.  Any failed check is
+    tallied as a violation; the report is deterministic in the master seed.
     """
     eps_e = EntropyFunction("entropy", cfg.delta)
     eps_d = EntropyFunction("direct", cfg.delta)

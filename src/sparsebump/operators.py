@@ -17,20 +17,19 @@ sums (`apply_sparse` and each random start of the dual ascent).
 One `Instance` holds a (family, sigma, w, exponents) with the per-member
 arrays its quantities share: sigma(E_Q) and w(E_Q), the cube masses, the
 coefficients, the testing terms and the indicator ratios, each computed
-once.  Inside `Instance.active`, every function here called with those same
-objects reads that one instance.
+once.  Every per-instance quantity here takes that instance as its first
+argument; the caller builds it once and passes it to each.
 
 The dual ascent of `norm_lower_bound` runs all its random starts as the
 columns of one (|S|, n_starts) array, so each step is one batched apply.  On
 a family of at most `DENSE_MAX` members that apply is one product with the
 dense symmetric member kernel K = A diag(coef) A^T (A the ancestor-or-self
-incidence); on larger families it is the two sweeps, column-batched.
+incidence); on larger families it is the two sweeps, column-batched.  The
+power iteration of `exact_norm_l2` runs on the same member applies.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,8 +49,6 @@ from .weights import LeafFunction, Weight
 # because the kernel and its two scaled copies hold 3 |S|^2 floats (1.5 MiB
 # at 256).  Read at call time, so tests can change it.
 DENSE_MAX = 256
-
-_ACTIVE: ContextVar[Instance | None] = ContextVar("sparsebump_instance", default=None)
 
 
 def _per_level(family: SparseFamily, fn) -> np.ndarray:
@@ -96,26 +93,6 @@ class Instance:
     def __post_init__(self) -> None:
         if self.sigma.grid != self.family.grid or self.w.grid != self.family.grid:
             raise ValueError("family and weights must share one grid")
-
-    @classmethod
-    def of(cls, family: SparseFamily, sigma: Weight, w: Weight, cfg: ExponentConfig) -> Instance:
-        """The active instance if it holds these very objects (families and
-        weights are immutable) and equal exponents, else a new instance."""
-        active = _ACTIVE.get()
-        if (active is not None and active.family is family and active.sigma is sigma
-                and active.w is w and active.cfg == cfg):
-            return active
-        return cls(family, sigma, w, cfg)
-
-    @contextmanager
-    def active(self):
-        """Within the block, `Instance.of` returns this instance for its own
-        four arguments; nothing is kept after it."""
-        token = _ACTIVE.set(self)
-        try:
-            yield self
-        finally:
-            _ACTIVE.reset(token)
 
     @cached_property
     def dual(self) -> Instance:
@@ -248,25 +225,19 @@ def exact_norm_l2(family: SparseFamily, sigma: Weight, w: Weight, alpha: float,
     (apply with sigma, multiply by w inside the second application), with
     the deterministic all-ones start on sigma-positive leaves.  Leaves with
     zero sigma-density carry no sigma(E_Q) mass, so they drop out of the
-    domain space.
+    domain space.  Both applies are the member applies of the dual ascent,
+    on f as one column.
     """
-    grid = family.grid
-    if sigma.grid != grid or w.grid != grid:
-        raise ValueError("family and weights must share one grid")
-    sigma_exc, w_exc = family.exceptional_mass(sigma), family.exceptional_mass(w)
-    coef = _coef(family, alpha)
-
-    def g_op(f: np.ndarray) -> np.ndarray:
-        u = _apply(family, family.descendant_sum(f * sigma_exc), coef)
-        return _apply(family, family.descendant_sum(u * w_exc), coef)
-
+    inst = Instance(family, sigma, w, ExponentConfig(2.0, 2.0, alpha, family.grid.dimension, "extended"))
+    t_sigma, t_w = _member_operator(inst, inst.sigma_exc), _member_operator(inst, inst.w_exc)
+    sigma_exc = inst.sigma_exc[:, None]
     # the start is normalized over the whole grid, off the root too; T
     # vanishes there, so every later iterate lives on the members
-    f = np.full(len(family), 1.0 / np.sqrt(float(sigma.mass_levels[0].sum())))
+    f = np.full((len(family), 1), 1.0 / np.sqrt(float(sigma.mass_levels[0].sum())))
     lam_prev = np.inf
     lam = np.inf
     for _ in range(max_iter):
-        u = g_op(f)
+        u = t_w(t_sigma(f))
         lam_prev, lam = lam, float(np.sum(u * f * sigma_exc))
         if lam == 0.0:
             return 0.0
@@ -316,9 +287,7 @@ def _member_operator(inst: Instance, mass_exc: np.ndarray):
     return lambda v: family.ancestor_sum(coef * family.descendant_sum(v * mass_exc))
 
 
-def norm_lower_bound(family: SparseFamily, sigma: Weight, w: Weight,
-                     cfg: ExponentConfig, budget: int, seed: int = 0,
-                     n_starts: int = 3) -> float:
+def norm_lower_bound(inst: Instance, budget: int, seed: int = 0, n_starts: int = 3) -> float:
     """Certified lower bound on the L^p(sigma) -> L^q(w) norm of T(sigma .).
 
     Evaluates the ratio on the mandatory candidates (each family indicator
@@ -337,7 +306,7 @@ def norm_lower_bound(family: SparseFamily, sigma: Weight, w: Weight,
     The starts run together, one column each, and a start whose ascent
     image vanishes (w = 0 on the root) drops out: it has no further iterate.
     """
-    inst = Instance.of(family, sigma, w, cfg)
+    family, sigma, cfg = inst.family, inst.sigma, inst.cfg
     best = float(max(inst.indicator_ratios.max(), inst.dual.indicator_ratios.max()))
     if budget == 0:
         return best
@@ -412,8 +381,7 @@ def _primal_testing(inst: Instance) -> tuple[float, DyadicCube | None, dict]:
     return float(values[j]), members[tested[j]], per_r
 
 
-def testing_constants(family: SparseFamily, sigma: Weight, w: Weight,
-                      cfg: ExponentConfig) -> TestingReport:
+def testing_constants(inst: Instance) -> TestingReport:
     """Sawyer-style testing constants in their off-diagonal L1 form.
 
     T tests sigma-indicators against w-masses of the exceptional sets;
@@ -421,7 +389,7 @@ def testing_constants(family: SparseFamily, sigma: Weight, w: Weight,
     strict regime p < q is where the L1 form is known to suffice; extended
     mode (p = q) computes the same quantities with a warning flag.
     """
-    inst = Instance.of(family, sigma, w, cfg)
+    cfg = inst.cfg
     t_val, t_arg, per_r = _primal_testing(inst)
     ts_val, ts_arg, per_rs = _primal_testing(inst.dual)
     return TestingReport(
@@ -432,8 +400,7 @@ def testing_constants(family: SparseFamily, sigma: Weight, w: Weight,
     )
 
 
-def primal_indicator_ratios(family: SparseFamily, sigma: Weight, w: Weight,
-                            cfg: ExponentConfig) -> dict[DyadicCube, float]:
+def primal_indicator_ratios(inst: Instance) -> dict[DyadicCube, float]:
     """Per R in S with sigma(R) > 0: ||T(sigma 1_R)||_{L^q(w)} / sigma(R)^{1/p}.
 
     Each is a valid lower bound for the operator norm and dominates the
@@ -441,6 +408,5 @@ def primal_indicator_ratios(family: SparseFamily, sigma: Weight, w: Weight,
     sum dominates the single term for Q.  `norm_lower_bound` reads the same
     array, so it dominates every ratio here exactly.
     """
-    inst = Instance.of(family, sigma, w, cfg)
     tested = np.flatnonzero(inst.sigma_mass > 0)
-    return {family.members[i]: float(inst.indicator_ratios[i]) for i in tested}
+    return {inst.family.members[i]: float(inst.indicator_ratios[i]) for i in tested}

@@ -20,7 +20,8 @@ which certifies the testing constant restricted to R:
 
 because the exceptional-set masses w(E_Q) are dominated by w(Q).  Dual
 certificates follow by swapping (sigma, p) <-> (w, q') and rerunning the
-same chain.
+same chain.  Every chain takes an `operators.Instance` first and reads its
+per-member masses and testing terms; a dual chain runs on `Instance.dual`.
 """
 
 from __future__ import annotations
@@ -33,12 +34,11 @@ import numpy as np
 
 from .bumps import BumpReport, EntropyFunction, ExponentConfig, direct_bumps, entropy_bumps, eps_eval
 from .grid import DyadicCube
-# Not called here: every rho comes from Weight.rho_levels.  The name stays
-# bound because perfbench/layers.py wraps prooftrace.rho to count rho calls.
-from .maximal import rho  # noqa: F401
 from .operators import Instance
 from .sparse import SparseFamily, carleson_check  # noqa: F401 (public one-cube check)
-from .weights import Weight
+# Not called here: every rho comes from Weight.rho_levels.  The name stays
+# bound because perfbench/layers.py wraps prooftrace.rho to count rho calls.
+from .weights import Weight, rho  # noqa: F401
 
 TRACE_SCHEMA = "trace/v1"
 
@@ -73,16 +73,6 @@ def _eps_floor(eps: EntropyFunction, a: int) -> float:
     return eps_eval(eps, 2.0 ** (a + 1))
 
 
-@dataclass(frozen=True)
-class Strata:
-    """Dyadic stratification of a family by a positive key quantity."""
-
-    key: str
-    buckets: dict[int, list[DyadicCube]]
-    maximal_cubes: dict[int, list[DyadicCube]]
-    key_values: dict[DyadicCube, float]
-
-
 def _strata(family: SparseFamily, sigma: Weight, key: str, inside: np.ndarray,
             masses: np.ndarray):
     """Key values of the members in `inside` and, per bucket a = floor(log2
@@ -110,21 +100,6 @@ def _strata(family: SparseFamily, sigma: Weight, key: str, inside: np.ndarray,
         in_a = inside & (bucket == a)
         strata.append((a, in_a, in_a & (family.ancestor_sum(in_a) == 1.0)))
     return dict(zip(positions.tolist(), values)), strata
-
-
-def stratify(family: SparseFamily, sigma: Weight, key: str) -> Strata:
-    """Bucket the family by a = floor(log2 key(Q)), key in {rho, average},
-    and record the maximal cubes of each bucket.  Every cube with zero
-    sigma-mass is rejected by name, since neither key is defined there."""
-    values, strata = _strata(family, sigma, key, np.ones(len(family), dtype=bool),
-                             family.gather(sigma.mass_levels))
-    members = family.members
-    return Strata(
-        key,
-        {a: [members[i] for i in np.flatnonzero(in_a)] for a, in_a, _ in strata},
-        {a: [members[i] for i in np.flatnonzero(top)] for a, _, top in strata},
-        {members[i]: float(v) for i, v in values.items()},
-    )
 
 
 @dataclass(frozen=True)
@@ -288,42 +263,38 @@ def _run_trace(kind: str, inst: Instance, eps: EntropyFunction, r_cube: DyadicCu
     )
 
 
-def entropy_trace(family: SparseFamily, sigma: Weight, w: Weight,
-                  cfg: ExponentConfig, eps: EntropyFunction, r_cube: DyadicCube,
+def entropy_trace(inst: Instance, eps: EntropyFunction, r_cube: DyadicCube,
                   bump: BumpReport | None = None) -> TraceReport:
     """Execute the entropy chain at R: stratify by rho(Q; sigma), verify the
     regrouping identity, the per-stratum inner bounds (through the Carleson
     estimate), and the final bound certifying T_R <= (2 Sigma_eps/(1-lam))^{1/q} E."""
-    return _run_trace("entropy", Instance.of(family, sigma, w, cfg), eps, r_cube,
+    return _run_trace("entropy", inst, eps, r_cube,
                       None if bump is None else bump.constants["E"])
 
 
-def direct_trace(family: SparseFamily, sigma: Weight, w: Weight,
-                 cfg: ExponentConfig, eps: EntropyFunction, r_cube: DyadicCube,
+def direct_trace(inst: Instance, eps: EntropyFunction, r_cube: DyadicCube,
                  bump: BumpReport | None = None) -> TraceReport:
     """Execute the direct-comparison chain at R: stratify by <sigma>_Q; the
     inner bound uses the sparseness volume bound in place of the Carleson
     estimate, certifying T_R <= (2 Sigma_eps/(1-lam))^{1/q} D."""
-    return _run_trace("direct", Instance.of(family, sigma, w, cfg), eps, r_cube,
+    return _run_trace("direct", inst, eps, r_cube,
                       None if bump is None else bump.constants["D"])
 
 
-def dual_entropy_trace(family: SparseFamily, sigma: Weight, w: Weight,
-                       cfg: ExponentConfig, eps: EntropyFunction, r_cube: DyadicCube,
+def dual_entropy_trace(inst: Instance, eps: EntropyFunction, r_cube: DyadicCube,
                        bump: BumpReport | None = None) -> TraceReport:
     """The dual chain, certifying T* <= (2 Sigma_eps/(1-lam))^{1/p'} E*_symmetric:
     run the primal chain with (sigma, p) <-> (w, q') swapped.  `bump` is the
     entropy BumpReport of (sigma, w); its E*_symmetric is the E of the
     swapped pair, so it is read there instead of recomputed."""
-    return _run_trace("entropy", Instance.of(family, sigma, w, cfg).dual, eps, r_cube,
+    return _run_trace("entropy", inst.dual, eps, r_cube,
                       None if bump is None else bump.constants["E_star_symmetric"])
 
 
-def dual_direct_trace(family: SparseFamily, sigma: Weight, w: Weight,
-                      cfg: ExponentConfig, eps: EntropyFunction, r_cube: DyadicCube,
+def dual_direct_trace(inst: Instance, eps: EntropyFunction, r_cube: DyadicCube,
                       bump: BumpReport | None = None) -> TraceReport:
     """The dual direct chain, certifying T* <= (2 Sigma_eps/(1-lam))^{1/p'} D*.
     `bump` is the direct BumpReport of (sigma, w); its D* is the D of the
     swapped pair."""
-    return _run_trace("direct", Instance.of(family, sigma, w, cfg).dual, eps, r_cube,
+    return _run_trace("direct", inst.dual, eps, r_cube,
                       None if bump is None else bump.constants["D_star"])

@@ -15,7 +15,6 @@ import bisect
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -29,8 +28,7 @@ from .grid import (
     parse_cube,
     root_cube,
 )
-from .maximal import rho
-from .weights import Weight, average, mass
+from .weights import Weight, average, mass, rho
 
 
 def _nearest_ancestor_in(cube: DyadicCube, members: set[DyadicCube]) -> DyadicCube | None:
@@ -189,18 +187,6 @@ class SparseFamily:
         """Mask of the members inside the member at `position` (itself included)."""
         return self.ancestor_sum(np.arange(len(self.members)) == position) > 0
 
-    @cached_property
-    def exceptional(self) -> dict[DyadicCube, np.ndarray]:
-        """E_Q as flat leaf-index arrays, keyed by family cube.
-
-        A leaf lies in E_Q exactly when Q is the minimal family cube
-        containing it, so the E_Q are pairwise disjoint by construction.
-        """
-        flat = self.owner.ravel()
-        counts = np.bincount(flat + 1, minlength=len(self.members) + 1)
-        groups = np.split(np.argsort(flat, kind="stable"), np.cumsum(counts)[:-1])
-        return dict(zip(self.members, groups[1:]))
-
     def exceptional_mass(self, weight: Weight) -> np.ndarray:
         """Per member, the mass weight(E_Q): one up-sweep of the leaf masses
         in which each member reads the sum at its cube and then clears it,
@@ -214,9 +200,6 @@ class SparseFamily:
             out[b[k]:b[k + 1]] = at_k[sel]
             at_k[sel] = 0.0
         return out
-
-    def exceptional_volume(self, cube: DyadicCube) -> float:
-        return len(self.exceptional[cube]) * self.grid.leaf_volume
 
 
 def stopping_family(sigma: Weight, big_lambda: float, root: DyadicCube) -> SparseFamily:

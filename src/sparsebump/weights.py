@@ -4,19 +4,23 @@ A Weight stores the leaf densities together with a full pyramid of cube
 masses, built bottom-up so that mass(Q) equals the sum of the children's
 masses exactly.  On first use it also builds, and then keeps, the pyramid of
 local A-infinity characteristics rho(Q) (`rho_levels`), the one source of
-every rho value in the package.  That pyramid is built tile by tile, one
-cube of at most `grid.BLOCK` leaves at a time, so its temporaries stay
-cache-sized instead of being leaf arrays of up to 32 MiB (d=1, N=22) that
-are mapped fresh on each use; `coarsen` sums every cube by the same pairwise
-tree whatever the tiling, so the values are bitwise those of one whole-grid
-sweep.  Generators for closed-form densities use exact interval
-antiderivatives, never quadrature, so discretization masses carry no
-integration error.
+every rho value in the package.  `mass`, `average` and `rho` read one cube's
+value from these pyramids; the dyadic maximal function M(sigma 1_Q) that rho
+integrates is the test oracle `tests/oracles.py::dyadic_maximal`.
+
+The rho pyramid is built tile by tile, one cube of at most `grid.BLOCK`
+leaves at a time, so its temporaries stay cache-sized instead of being leaf
+arrays of up to 32 MiB (d=1, N=22) that are mapped fresh on each use;
+`coarsen` sums every cube by the same pairwise tree whatever the tiling, so
+the values are bitwise those of one whole-grid sweep.  Generators for
+closed-form densities use exact interval antiderivatives, never quadrature,
+so discretization masses carry no integration error.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -63,10 +67,6 @@ class Weight:
     def from_leaf_mass(cls, grid: GridConfig, leaf_mass, kind="custom", parameters=None) -> "Weight":
         dens = np.asarray(leaf_mass, dtype=float) / grid.leaf_volume
         return cls(grid, dens, kind, parameters or {})
-
-    def level_averages(self, level: int) -> np.ndarray:
-        # |Q| = 2^{-d k} exactly, so this scaling is exact
-        return self.mass_levels[level] * 2.0 ** (self.grid.dimension * level)
 
     @cached_property
     def rho_levels(self) -> tuple[np.ndarray, ...]:
@@ -130,7 +130,7 @@ class Weight:
             cubes, which for a single tile are all of them."""
             if index is None:
                 index = descendant_block(tile, top, k) if top else ...
-            # |Q| = 2^{-d k} exactly, as in level_averages
+            # |Q| = 2^{-d k} exactly, so this scaling is exact
             return self.mass_levels[k][index] * 2.0 ** (d * k)
 
         chain_max = averages(n)
@@ -160,6 +160,16 @@ def mass(sigma: Weight, cube: DyadicCube) -> float:
 def average(sigma: Weight, cube: DyadicCube) -> float:
     """The average <sigma>_Q = sigma(Q)/|Q|."""
     return mass(sigma, cube) * 2.0 ** (sigma.grid.dimension * cube.level)
+
+
+def rho(sigma: Weight, cube: DyadicCube) -> float:
+    """Local A-infinity characteristic: (1/sigma(Q)) * integral over Q of
+    M(sigma 1_Q), read from `sigma.rho_levels`.  Always >= 1; equals 1 iff
+    sigma is constant on Q.  Raises on sigma(Q) = 0, where it is undefined."""
+    r = float(sigma.rho_levels[cube.level][cube.index])
+    if math.isnan(r):
+        raise ValueError(f"degenerate weight on cube {cube.text}")
+    return r
 
 
 def llogl_integral(sigma: Weight) -> float:

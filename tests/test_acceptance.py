@@ -18,6 +18,7 @@ from sparsebump.lab import (
     run_verify_bounds,
 )
 from sparsebump.operators import (
+    Instance,
     dense_norm_l2_oracle,
     exact_norm_l2,
     norm_lower_bound,
@@ -61,7 +62,7 @@ def test_acceptance_1_exact_identities_on_constant_weights():
         assert ebump.constants["A"] == pytest.approx(expected_a, rel=1e-12)
         assert ebump.constants["E"] == pytest.approx(expected_a, rel=1e-12)
         assert dbump.constants["D"] == pytest.approx(expected_a, rel=1e-12)
-        trep = testing_constants(singleton, sigma, w, cfg)
+        trep = testing_constants(Instance(singleton, sigma, w, cfg))
         assert trep.T == pytest.approx(1.0, rel=1e-12)
         assert trep.T_star == pytest.approx(1.0, rel=1e-12)
     elapsed = time.perf_counter() - start
@@ -110,30 +111,31 @@ def certificate_suite():
         sigma, w, family, s_lb = build_instance(cfg, i)
         ebump = entropy_bumps(sigma, w, exps, eps_e)
         dbump = direct_bumps(sigma, w, exps, eps_d)
-        trep = testing_constants(family, sigma, w, exps)
+        inst = Instance(family, sigma, w, exps)
+        trep = testing_constants(inst)
 
-        et = entropy_trace(family, sigma, w, exps, eps_e, family.root, bump=ebump)
+        et = entropy_trace(inst, eps_e, family.root, bump=ebump)
         if not (et.identity_ok and et.inner_ok and et.final_ok and et.certified_ok):
             counts["entropy_trace"] += 1
         if not trep.T <= const_e * ebump.constants["E"] * TOL:
             counts["entropy_cert"] += 1
 
-        dt = direct_trace(family, sigma, w, exps, eps_d, family.root, bump=dbump)
+        dt = direct_trace(inst, eps_d, family.root, bump=dbump)
         if not (dt.identity_ok and dt.inner_ok and dt.final_ok and dt.certified_ok):
             counts["direct_trace"] += 1
         if not trep.T <= const_d * dbump.constants["D"] * TOL:
             counts["direct_cert"] += 1
 
-        de = dual_entropy_trace(family, sigma, w, exps, eps_e, family.root)
-        dd = dual_direct_trace(family, sigma, w, exps, eps_d, family.root)
+        de = dual_entropy_trace(inst, eps_e, family.root)
+        dd = dual_direct_trace(inst, eps_d, family.root)
         if not (de.passed and dd.passed):
             counts["dual_trace"] += 1
         if not (trep.T_star <= dual_e * ebump.constants["E_star_symmetric"] * TOL
                 and trep.T_star <= dual_d * dbump.constants["D_star"] * TOL):
             counts["dual_cert"] += 1
 
-        nlb = norm_lower_bound(family, sigma, w, exps, cfg.budget, seed=s_lb)
-        ratios = primal_indicator_ratios(family, sigma, w, exps)
+        nlb = norm_lower_bound(inst, cfg.budget, seed=s_lb)
+        ratios = primal_indicator_ratios(inst)
         for r_cube, ratio in ratios.items():
             if not (nlb * TOL >= ratio and ratio * TOL >= trep.per_R[r_cube]):
                 counts["witness"] += 1
@@ -202,7 +204,7 @@ def test_acceptance_6_norm_oracles_agree():
                       generate_weight(grid, "random_cascade", seed=seed + 50, volatility=0.7)))
     for sigma, w in pairs:
         exact = exact_norm_l2(chain, sigma, w, 0.0, tol=1e-13)
-        lb = norm_lower_bound(chain, sigma, w, cfg, budget=200, seed=0)
+        lb = norm_lower_bound(Instance(chain, sigma, w, cfg), budget=200, seed=0)
         assert lb <= exact + 1e-8
         assert lb >= 0.99 * exact
     elapsed = time.perf_counter() - start

@@ -12,13 +12,11 @@ from sparsebump.bumps import (
     entropy_bumps,
     eps_eval,
     eps_tail_sum,
-    joint_apq_constant,
     joint_levels,
     _sup,
 )
 from sparsebump.grid import GridConfig
-from sparsebump.maximal import rho
-from sparsebump.weights import Weight, average, fix_ce, fix_const, generate_weight, mass
+from sparsebump.weights import Weight, average, fix_ce, fix_const, generate_weight, mass, rho
 
 LN2 = math.log(2.0)
 
@@ -120,30 +118,35 @@ class TestTailSums:
         assert partial < eps.tail_sum
 
 
+def joint_constant(sigma, w, cfg):
+    """The joint constant A of a pair, as every BumpReport carries it."""
+    return entropy_bumps(sigma, w, cfg, EntropyFunction("entropy", 1.0))
+
+
 class TestJointConstant:
     def test_diagonal_constant_weight_is_one(self):
         s, w = fix_const()
-        res = joint_apq_constant(s, w, ExponentConfig(2, 2, 0.0, 1, "extended"))
-        assert res["A"] == pytest.approx(1.0, abs=1e-15)
+        res = joint_constant(s, w, ExponentConfig(2, 2, 0.0, 1, "extended"))
+        assert res.constants["A"] == pytest.approx(1.0, abs=1e-15)
 
     def test_off_diagonal_attained_at_leaves(self):
         s, w = fix_const()
-        res = joint_apq_constant(s, w, ExponentConfig(2, 4, 0.0, 1))
-        assert res["A"] == pytest.approx(2.0, abs=1e-14)  # 2^{N/4}, N=4
-        assert res["argmax"].level == 4
+        res = joint_constant(s, w, ExponentConfig(2, 4, 0.0, 1))
+        assert res.constants["A"] == pytest.approx(2.0, abs=1e-14)  # 2^{N/4}, N=4
+        assert res.argmax["A"].level == 4
 
     def test_counterexample_regression(self):
         sigma, w = fix_ce(8)
-        res = joint_apq_constant(sigma, w, ExponentConfig(2, 2, 0.0, 1, "extended"))
-        assert res["A"] == pytest.approx(FIX_CE8_A, rel=1e-12)
+        res = joint_constant(sigma, w, ExponentConfig(2, 2, 0.0, 1, "extended"))
+        assert res.constants["A"] == pytest.approx(FIX_CE8_A, rel=1e-12)
 
     def test_scale_covariance(self):
         g = GridConfig(1, 6)
         sigma = generate_weight(g, "random_cascade", seed=1, volatility=0.7)
         w = generate_weight(g, "random_cascade", seed=2, volatility=0.7)
         cfg = ExponentConfig(2, 3, 0.0, 1)
-        base = joint_apq_constant(sigma, w, cfg)["A"]
-        scaled = joint_apq_constant(sigma.scaled(5.0), w, cfg)["A"]
+        base = joint_constant(sigma, w, cfg).constants["A"]
+        scaled = joint_constant(sigma.scaled(5.0), w, cfg).constants["A"]
         assert scaled == pytest.approx(5.0 ** (1 / cfg.p_dual) * base, rel=1e-12)
 
 

@@ -17,7 +17,7 @@ from sparsebump.lab import (
     run_verify_bounds,
 )
 from sparsebump.sparse import SparseFamily, family_to_json
-from sparsebump.weights import fix_chain_cubes, fix_const, weight_to_json
+from sparsebump.weights import fix_chain_cubes, fix_const, generate_weight, weight_to_json
 
 
 SMALL = dict(instances=6, leaf_level=6, master_seed=11, target_size=14, budget=8)
@@ -176,6 +176,15 @@ class TestCli:
         # per-R value is 2^{j/4} on the chain; the deepest cube (j = 4) wins
         assert out["T"] == pytest.approx(2.0, rel=1e-12)
         assert out["argmax_R"] == "4:0"
+
+    def test_testing_weights_on_two_grids_exit_2(self, fixture_files, tmp_path, capsys):
+        wpath, fpath = fixture_files
+        other = tmp_path / "other_grid.json"
+        other.write_text(weight_to_json(generate_weight(GridConfig(1, 3), "constant", value=1.0)))
+        code = cli_main(["testing", "--family", str(fpath), "--sigma", str(wpath),
+                         "--w", str(other), "--p", "2", "--q", "4"])
+        assert code == 2
+        assert "share one grid" in capsys.readouterr().err
 
     def test_norm_subcommand_diagonal(self, fixture_files, capsys):
         wpath, fpath = fixture_files

@@ -3,8 +3,7 @@ import pytest
 
 import sparsebump.grid
 from sparsebump.grid import DyadicCube, GridConfig, enumerate_cubes, leaf_slice, root_cube, tile_level
-from sparsebump.maximal import rho
-from sparsebump.weights import Weight, average, fix_const, fix_half, fix_ce, generate_weight, mass
+from sparsebump.weights import Weight, average, fix_const, fix_half, fix_ce, generate_weight, mass, rho
 
 from oracles import dyadic_maximal, rho_oracle
 

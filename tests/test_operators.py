@@ -4,6 +4,7 @@ import pytest
 from sparsebump.bumps import ExponentConfig
 from sparsebump.grid import DyadicCube, GridConfig, contains, leaf_slice, root_cube
 from sparsebump.operators import (
+    Instance,
     PowerIterationError,
     apply_sparse,
     dense_norm_l2_oracle,
@@ -92,6 +93,17 @@ class TestApplySparse:
             apply_sparse(singleton_family(), s, LeafFunction.constant(GridConfig(1, 3)), 0.0)
 
 
+@pytest.mark.parametrize("which", ("family", "sigma", "w"))
+def test_instance_rejects_a_second_grid(which):
+    s, w = fix_const()
+    parts = {"family": singleton_family(), "sigma": s, "w": w}
+    other = GridConfig(1, 3)
+    parts[which] = (singleton_family(other) if which == "family"
+                    else generate_weight(other, "constant", value=1.0))
+    with pytest.raises(ValueError, match="share one grid"):
+        Instance(parts["family"], parts["sigma"], parts["w"], ExponentConfig(2, 4, 0.0, 1))
+
+
 class TestExactNormL2:
     def test_rank_one_projection(self):
         s, w = fix_const()
@@ -143,25 +155,25 @@ class TestNormLowerBound:
     def test_projection_attains_one(self):
         s, w = fix_const()
         cfg = ExponentConfig(2, 4, 0.0, 1)
-        assert norm_lower_bound(singleton_family(), s, w, cfg, budget=10) == pytest.approx(1.0, abs=1e-9)
+        assert norm_lower_bound(Instance(singleton_family(), s, w, cfg), budget=10) == pytest.approx(1.0, abs=1e-9)
 
     def test_monotone_in_budget(self):
         g = GridConfig(1, 5)
         sigma, w = random_pair(g, 8)
         fam = random_sparse(g, 0.5, seed=8, target_size=12)
-        cfg = ExponentConfig(2, 3, 0.0, 1)
-        low = norm_lower_bound(fam, sigma, w, cfg, budget=0, seed=5)
-        high = norm_lower_bound(fam, sigma, w, cfg, budget=40, seed=5)
+        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0, 1))
+        low = norm_lower_bound(inst, budget=0, seed=5)
+        high = norm_lower_bound(inst, budget=40, seed=5)
         assert high >= low
 
     def test_dominates_indicator_candidates(self):
         g = GridConfig(1, 5)
         sigma, w = random_pair(g, 9)
         fam = random_sparse(g, 0.5, seed=9, target_size=12)
-        cfg = ExponentConfig(2, 3, 0.25, 1)
-        lb = norm_lower_bound(fam, sigma, w, cfg, budget=0)
+        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.25, 1))
+        lb = norm_lower_bound(inst, budget=0)
         # both read one per-R array, so the bound dominates with no tolerance
-        for ratio in primal_indicator_ratios(fam, sigma, w, cfg).values():
+        for ratio in primal_indicator_ratios(inst).values():
             assert lb >= ratio
 
     def test_diagonal_reaches_exact_norm(self):
@@ -169,7 +181,7 @@ class TestNormLowerBound:
         s, w = fix_const()
         fam = chain_family()
         exact = exact_norm_l2(fam, s, w, 0.0, tol=1e-13)
-        lb = norm_lower_bound(fam, s, w, cfg, budget=200, seed=0)
+        lb = norm_lower_bound(Instance(fam, s, w, cfg), budget=200, seed=0)
         assert lb <= exact + 1e-8
         assert lb >= 0.99 * exact
 
@@ -178,8 +190,8 @@ class TestNormLowerBound:
         sigma, w = random_pair(g, 10)
         fam = random_sparse(g, 0.5, seed=10, target_size=10)
         cfg = ExponentConfig(2, 3, 0.0, 1)
-        a = norm_lower_bound(fam, sigma, w, cfg, budget=15, seed=3)
-        b = norm_lower_bound(fam, sigma, w, cfg, budget=15, seed=3)
+        a = norm_lower_bound(Instance(fam, sigma, w, cfg), budget=15, seed=3)
+        b = norm_lower_bound(Instance(fam, sigma, w, cfg), budget=15, seed=3)
         assert a == b
 
     def test_dominates_dual_testing_terms(self):
@@ -187,9 +199,9 @@ class TestNormLowerBound:
         g = GridConfig(1, 5)
         sigma, w = random_pair(g, 12)
         fam = random_sparse(g, 0.5, seed=12, target_size=14)
-        cfg = ExponentConfig(2, 3, 0.0, 1)
-        lb = norm_lower_bound(fam, sigma, w, cfg, budget=0)
-        rep = testing_constants(fam, sigma, w, cfg)
+        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0, 1))
+        lb = norm_lower_bound(inst, budget=0)
+        rep = testing_constants(inst)
         for term in rep.per_R_star.values():
             assert lb >= term / (1 + 1e-12)
         assert lb >= rep.T_star / (1 + 1e-12)
@@ -217,14 +229,14 @@ def brute_force_t_star(family, sigma, w, cfg):
 class TestTestingConstants:
     def test_singleton_collapses_to_one(self):
         s, w = fix_const()
-        rep = testing_constants(singleton_family(), s, w, ExponentConfig(2, 4, 0.0, 1))
+        rep = testing_constants(Instance(singleton_family(), s, w, ExponentConfig(2, 4, 0.0, 1)))
         assert rep.T == pytest.approx(1.0, abs=1e-14)
         assert rep.T_star == pytest.approx(1.0, abs=1e-14)
         assert not rep.extended_warning
 
     def test_chain_diagonal_telescopes(self):
         s, w = fix_const()
-        rep = testing_constants(chain_family(), s, w, ExponentConfig(2, 2, 0.0, 1, "extended"))
+        rep = testing_constants(Instance(chain_family(), s, w, ExponentConfig(2, 2, 0.0, 1, "extended")))
         assert rep.extended_warning
         for value in rep.per_R.values():
             assert value == pytest.approx(1.0, rel=1e-12)
@@ -236,7 +248,7 @@ class TestTestingConstants:
         sigma, w = random_pair(g, seed + 60)
         fam = random_sparse(g, 0.5, seed=seed, target_size=14)
         cfg = ExponentConfig(2, 3, 0.25, 1)
-        rep = testing_constants(fam, sigma, w, cfg)
+        rep = testing_constants(Instance(fam, sigma, w, cfg))
         assert rep.T_star == pytest.approx(brute_force_t_star(fam, sigma, w, cfg), rel=1e-12)
 
     def test_indicator_ratios_dominate_testing_terms(self):
@@ -247,15 +259,15 @@ class TestTestingConstants:
                 fam = stopping_family(sigma, 2.0, root_cube(g))
             else:
                 fam = random_sparse(g, 0.5, seed=seed, target_size=20)
-            cfg = ExponentConfig(2, 3, 0.0, 1)
-            rep = testing_constants(fam, sigma, w, cfg)
-            ratios = primal_indicator_ratios(fam, sigma, w, cfg)
+            inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0, 1))
+            rep = testing_constants(inst)
+            ratios = primal_indicator_ratios(inst)
             for r_cube, term in rep.per_R.items():
                 assert ratios[r_cube] >= term / (1 + 1e-12)
 
     def test_serialization_shape(self):
         s, w = fix_const()
-        rep = testing_constants(chain_family(), s, w, ExponentConfig(2, 4, 0.0, 1))
+        rep = testing_constants(Instance(chain_family(), s, w, ExponentConfig(2, 4, 0.0, 1)))
         out = rep.to_dict()
         assert set(out) == {"p", "q", "alpha", "T", "T_star", "argmax_R",
                             "argmax_R_star", "mode", "extended_warning"}
@@ -295,10 +307,11 @@ class TestTwoDimensional:
         sigma, w = random_pair(self.G, seed + 60)
         fam = self.family(seed, sigma)
         cfg = ExponentConfig(2, 3, 0.5, 2)
-        rep = testing_constants(fam, sigma, w, cfg)
+        inst = Instance(fam, sigma, w, cfg)
+        rep = testing_constants(inst)
         assert rep.T_star == pytest.approx(brute_force_t_star(fam, sigma, w, cfg), rel=1e-12)
-        ratios = primal_indicator_ratios(fam, sigma, w, cfg)
-        lb = norm_lower_bound(fam, sigma, w, cfg, budget=0)
+        ratios = primal_indicator_ratios(inst)
+        lb = norm_lower_bound(inst, budget=0)
         for r_cube, term in rep.per_R.items():
             assert ratios[r_cube] >= term / (1 + 1e-12)
             assert lb >= ratios[r_cube]

@@ -1,21 +1,22 @@
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sparsebump.bumps import BumpReport, EntropyFunction, ExponentConfig, direct_bumps, entropy_bumps
 from sparsebump.grid import DyadicCube, GridConfig, root_cube
-from sparsebump.operators import testing_constants
+from sparsebump.operators import Instance, testing_constants
 from sparsebump.prooftrace import (
     SLACK,
     TRACE_SCHEMA,
     _bucket_of,
+    _strata,
     direct_trace,
     dual_direct_trace,
     dual_entropy_trace,
     entropy_trace,
-    stratify,
 )
 from sparsebump.sparse import SparseFamily, random_sparse, stopping_family
 from sparsebump.weights import Weight, fix_chain_cubes, fix_const, generate_weight
@@ -38,6 +39,19 @@ def random_setup(seed, n=7, lam=0.5, target=22, dimension=1):
     else:
         fam = random_sparse(g, lam, seed=seed, target_size=target)
     return fam, sigma, w
+
+
+def stratify(fam, sigma, key):
+    """The strata of the whole family by `key`, with the bucket and maximal
+    masks of `_strata` turned into cube lists."""
+    values, strata = _strata(fam, sigma, key, np.ones(len(fam), dtype=bool),
+                             fam.gather(sigma.mass_levels))
+    members = fam.members
+    return SimpleNamespace(
+        buckets={a: [members[i] for i in np.flatnonzero(in_a)] for a, in_a, _ in strata},
+        maximal_cubes={a: [members[i] for i in np.flatnonzero(top)] for a, _, top in strata},
+        key_values={members[i]: v for i, v in values.items()},
+    )
 
 
 class TestBucketing:
@@ -98,7 +112,7 @@ class TestStratify:
 class TestEntropyTrace:
     def test_chain_constant_weights(self):
         s, w = fix_const()
-        rep = entropy_trace(chain_family(), s, w, ExponentConfig(2, 4, 0.0, 1),
+        rep = entropy_trace(Instance(chain_family(), s, w, ExponentConfig(2, 4, 0.0, 1)),
                             EPS_E, root_cube(G4))
         assert rep.passed
         assert rep.lhs_total == pytest.approx(2 - 2.0**-4, abs=0)
@@ -110,33 +124,34 @@ class TestEntropyTrace:
     def test_singleton_family(self):
         s, w = fix_const()
         fam = SparseFamily(G4, frozenset([root_cube(G4)]), 0.5)
-        rep = entropy_trace(fam, s, w, ExponentConfig(2, 4, 0.0, 1), EPS_E, root_cube(G4))
+        rep = entropy_trace(Instance(fam, s, w, ExponentConfig(2, 4, 0.0, 1)), EPS_E, root_cube(G4))
         assert rep.passed
 
     def test_certificate_matches_testing_constant_at_r(self):
         fam, sigma, w = random_setup(2)
         cfg = ExponentConfig(2, 3, 0.0, 1)
-        rep = entropy_trace(fam, sigma, w, cfg, EPS_E, fam.root)
-        trep = testing_constants(fam, sigma, w, cfg)
+        inst = Instance(fam, sigma, w, cfg)
+        rep = entropy_trace(inst, EPS_E, fam.root)
+        trep = testing_constants(inst)
         assert rep.testing_value == pytest.approx(trep.per_R[fam.root], rel=1e-12)
 
     def test_wrong_eps_kind(self):
         s, w = fix_const()
         with pytest.raises(ValueError, match="direct eps passed to entropy trace"):
-            entropy_trace(chain_family(), s, w, ExponentConfig(2, 4, 0.0, 1),
+            entropy_trace(Instance(chain_family(), s, w, ExponentConfig(2, 4, 0.0, 1)),
                           EPS_D, root_cube(G4))
 
     def test_missing_r_raises(self):
         s, w = fix_const()
         with pytest.raises(ValueError, match="not in the family"):
-            entropy_trace(chain_family(), s, w, ExponentConfig(2, 4, 0.0, 1),
+            entropy_trace(Instance(chain_family(), s, w, ExponentConfig(2, 4, 0.0, 1)),
                           EPS_E, DyadicCube(1, (1,)))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_stages_pass(self, seed):
         fam, sigma, w = random_setup(seed)
         cfg = ExponentConfig(2, 3, 0.0, 1)
-        rep = entropy_trace(fam, sigma, w, cfg, EPS_E, fam.root)
+        rep = entropy_trace(Instance(fam, sigma, w, cfg), EPS_E, fam.root)
         assert rep.passed
         assert rep.identity_error <= 1e-12
         for s in rep.strata:
@@ -148,7 +163,7 @@ class TestEntropyTrace:
 class TestDirectTrace:
     def test_chain_constant_weights(self):
         s, w = fix_const()
-        rep = direct_trace(chain_family(), s, w, ExponentConfig(2, 4, 0.0, 1),
+        rep = direct_trace(Instance(chain_family(), s, w, ExponentConfig(2, 4, 0.0, 1)),
                            EPS_D, root_cube(G4))
         assert rep.passed
 
@@ -156,7 +171,7 @@ class TestDirectTrace:
     def test_randomized_stages_pass(self, seed):
         fam, sigma, w = random_setup(seed)
         cfg = ExponentConfig(2, 3, 0.0, 1)
-        rep = direct_trace(fam, sigma, w, cfg, EPS_D, fam.root)
+        rep = direct_trace(Instance(fam, sigma, w, cfg), EPS_D, fam.root)
         assert rep.passed
         for s in rep.strata:
             assert s.realized_constant <= 2 / (1 - fam.lam) + 1e-12
@@ -168,14 +183,14 @@ class TestDirectTrace:
         fam, sigma, w = random_setup(6)
         small = sigma.scaled(2.0**-5)
         cfg = ExponentConfig(2, 3, 0.0, 1)
-        rep = direct_trace(fam, small, w, cfg, EPS_D, fam.root)
+        rep = direct_trace(Instance(fam, small, w, cfg), EPS_D, fam.root)
         assert rep.passed
         assert min(s.a for s in rep.strata) < 0
 
     def test_wrong_eps_kind(self):
         s, w = fix_const()
         with pytest.raises(ValueError, match="entropy eps passed to direct trace"):
-            direct_trace(chain_family(), s, w, ExponentConfig(2, 4, 0.0, 1),
+            direct_trace(Instance(chain_family(), s, w, ExponentConfig(2, 4, 0.0, 1)),
                          EPS_E, root_cube(G4))
 
 
@@ -184,13 +199,14 @@ class TestDualTraces:
     def test_dual_chains_certify_t_star(self, seed):
         fam, sigma, w = random_setup(seed)
         cfg = ExponentConfig(2, 3, 0.0, 1)
-        de = dual_entropy_trace(fam, sigma, w, cfg, EPS_E, fam.root)
-        dd = dual_direct_trace(fam, sigma, w, cfg, EPS_D, fam.root)
+        inst = Instance(fam, sigma, w, cfg)
+        de = dual_entropy_trace(inst, EPS_E, fam.root)
+        dd = dual_direct_trace(inst, EPS_D, fam.root)
         assert de.passed and dd.passed
         # the swapped chain exponent pair is (q', p'), so certificates carry 1/p'
         assert de.certified_constant == pytest.approx(
             (2 * EPS_E.tail_sum / (1 - fam.lam)) ** (1 / cfg.p_dual), rel=1e-12)
-        trep = testing_constants(fam, sigma, w, cfg)
+        trep = testing_constants(inst)
         assert trep.T_star <= de.certified_constant * de.bump_constant * (1 + 1e-12)
         assert trep.T_star <= dd.certified_constant * dd.bump_constant * (1 + 1e-12)
 
@@ -204,10 +220,11 @@ class TestDualTraces:
                     cfg = ExponentConfig(p, q, alpha, d)
                     ebump = entropy_bumps(sigma, w, cfg, EPS_E)
                     dbump = direct_bumps(sigma, w, cfg, EPS_D)
+                    inst = Instance(fam, sigma, w, cfg)
                     for trace, bump, key in ((dual_entropy_trace, ebump, "E_star_symmetric"),
                                              (dual_direct_trace, dbump, "D_star")):
-                        reused = trace(fam, sigma, w, cfg, bump.eps, fam.root, bump=bump)
-                        fresh = trace(fam, sigma, w, cfg, bump.eps, fam.root)
+                        reused = trace(inst, bump.eps, fam.root, bump=bump)
+                        fresh = trace(inst, bump.eps, fam.root)
                         assert reused.bump_constant == bump.constants[key]
                         assert reused.bump_constant == pytest.approx(fresh.bump_constant, rel=1e-14)
                         assert reused.passed and fresh.passed
@@ -215,14 +232,15 @@ class TestDualTraces:
     def test_dual_testing_value_matches_t_star_at_root(self):
         fam, sigma, w = random_setup(3)
         cfg = ExponentConfig(2, 3, 0.25, 1)
-        de = dual_entropy_trace(fam, sigma, w, cfg, EPS_E, fam.root)
-        trep = testing_constants(fam, sigma, w, cfg)
+        inst = Instance(fam, sigma, w, cfg)
+        de = dual_entropy_trace(inst, EPS_E, fam.root)
+        trep = testing_constants(inst)
         assert de.testing_value == pytest.approx(trep.per_R_star[fam.root], rel=1e-12)
 
 
 def test_report_json_schema():
     s, w = fix_const()
-    rep = entropy_trace(chain_family(), s, w, ExponentConfig(2, 4, 0.0, 1),
+    rep = entropy_trace(Instance(chain_family(), s, w, ExponentConfig(2, 4, 0.0, 1)),
                         EPS_E, root_cube(G4))
     data = json.loads(rep.to_json())
     assert data["schema"] == TRACE_SCHEMA
@@ -246,19 +264,19 @@ class TestNegativeControls:
 
     def test_entropy_trace_fails_with_halved_e(self):
         s, w = fix_const()
-        fam = chain_family()
-        assert entropy_trace(fam, s, w, self.CFG, EPS_E, self.R).passed
+        inst = Instance(chain_family(), s, w, self.CFG)
+        assert entropy_trace(inst, EPS_E, self.R).passed
         bump = _deflated(entropy_bumps(s, w, self.CFG, EPS_E), "E", 0.5)
-        rep = entropy_trace(fam, s, w, self.CFG, EPS_E, self.R, bump=bump)
+        rep = entropy_trace(inst, EPS_E, self.R, bump=bump)
         assert not rep.inner_ok and not rep.certified_ok and not rep.passed
         assert rep.identity_ok  # the regrouping does not depend on the bump
 
     def test_direct_trace_fails_with_halved_d(self):
         s, w = fix_const()
-        fam = chain_family()
-        assert direct_trace(fam, s, w, self.CFG, EPS_D, self.R).passed
+        inst = Instance(chain_family(), s, w, self.CFG)
+        assert direct_trace(inst, EPS_D, self.R).passed
         bump = _deflated(direct_bumps(s, w, self.CFG, EPS_D), "D", 0.5)
-        rep = direct_trace(fam, s, w, self.CFG, EPS_D, self.R, bump=bump)
+        rep = direct_trace(inst, EPS_D, self.R, bump=bump)
         assert not rep.inner_ok and not rep.certified_ok and not rep.passed
 
 
@@ -268,12 +286,13 @@ class TestSlack:
         relative `excess`, reached by shrinking D."""
         fam, sigma, w = random_setup(2)
         cfg = ExponentConfig(2, 3, 0.0, 1)
+        inst = Instance(fam, sigma, w, cfg)
         bump = direct_bumps(sigma, w, cfg, EPS_D)
-        rep = direct_trace(fam, sigma, w, cfg, EPS_D, fam.root, bump=bump)
+        rep = direct_trace(inst, EPS_D, fam.root, bump=bump)
         worst = max(s.inner_lhs / s.inner_bound for s in rep.strata)
         # inner_bound scales as D^q
         shrunk = _deflated(bump, "D", (worst / (1.0 + excess)) ** (1.0 / cfg.q))
-        return direct_trace(fam, sigma, w, cfg, EPS_D, fam.root, bump=shrunk)
+        return direct_trace(inst, EPS_D, fam.root, bump=shrunk)
 
     def test_excess_just_above_slack_fails(self):
         rep = self._at_excess(4 * SLACK)
@@ -290,9 +309,9 @@ class TestTwoDimensional:
     @pytest.mark.parametrize("seed", range(6))
     def test_randomized_traces_pass(self, seed):
         fam, sigma, w = random_setup(seed, n=5, dimension=2)
-        cfg = ExponentConfig(2, 3, 0.5, 2)
+        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.5, 2))
         for trace, eps in ((entropy_trace, EPS_E), (direct_trace, EPS_D)):
-            rep = trace(fam, sigma, w, cfg, eps, fam.root)
+            rep = trace(inst, eps, fam.root)
             assert rep.passed
             for s in rep.strata:
                 assert s.realized_constant <= 2 / (1 - fam.lam) + 1e-12
@@ -301,6 +320,6 @@ class TestTwoDimensional:
     @pytest.mark.parametrize("seed", range(3))
     def test_dual_traces_pass(self, seed):
         fam, sigma, w = random_setup(seed, n=5, dimension=2)
-        cfg = ExponentConfig(2, 3, 0.0, 2)
-        assert dual_entropy_trace(fam, sigma, w, cfg, EPS_E, fam.root).passed
-        assert dual_direct_trace(fam, sigma, w, cfg, EPS_D, fam.root).passed
+        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0, 2))
+        assert dual_entropy_trace(inst, EPS_E, fam.root).passed
+        assert dual_direct_trace(inst, EPS_D, fam.root).passed

@@ -7,11 +7,13 @@ family became an array tree.  Each sweep must agree with its oracle to
 oracles keep the earlier family builders (every grid cube as an object),
 which must return the same cube sets, and the leaf-level operator (one
 apply per candidate on leaf arrays), which the member-form operator must
-match to 1e-13 relative; the batched dual ascent must match it on both
-sides of the dense-kernel size switch.
+match to 1e-13 relative; the batched dual ascent must match it, and the
+L2 power iteration the dense SVD oracle, on both sides of the dense-kernel
+size switch.
 """
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,12 +28,13 @@ from sparsebump.operators import (
     _coef,
     _member_operator,
     apply_sparse,
+    dense_norm_l2_oracle,
     exact_norm_l2,
     norm_lower_bound,
     primal_indicator_ratios,
     testing_constants,
 )
-from sparsebump.prooftrace import _bucket_of, direct_trace, entropy_trace, stratify
+from sparsebump.prooftrace import _bucket_of, _strata, direct_trace, entropy_trace
 from sparsebump.sparse import SparseFamily, carleson_check, random_sparse, stopping_family, verify_sparse
 from sparsebump.weights import LeafFunction, Weight, average, generate_weight, mass
 
@@ -106,6 +109,19 @@ def oracle_strata(members, key_values):
     return buckets, maximal
 
 
+def stratify(family, sigma, key):
+    """The strata of the whole family by `key`, with the bucket and maximal
+    masks of `_strata` turned into cube lists."""
+    values, strata = _strata(family, sigma, key, np.ones(len(family), dtype=bool),
+                             family.gather(sigma.mass_levels))
+    members = family.members
+    return SimpleNamespace(
+        buckets={a: [members[i] for i in np.flatnonzero(in_a)] for a, in_a, _ in strata},
+        maximal_cubes={a: [members[i] for i in np.flatnonzero(top)] for a, _, top in strata},
+        key_values={members[i]: v for i, v in values.items()},
+    )
+
+
 def assert_close(got, want):
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     scale = np.maximum(np.abs(want), np.finfo(float).tiny)
@@ -150,7 +166,7 @@ class TestSweepsMatchPerCubeLoops:
     def test_per_r_and_per_r_star(self, d, kind, seed):
         family, sigma, w = instance(d, kind, seed)
         cfg = ExponentConfig(2.0, 3.0, 0.25, d)
-        rep = testing_constants(family, sigma, w, cfg)
+        rep = testing_constants(Instance(family, sigma, w, cfg))
         want = oracle_per_r(family, sigma, w, cfg.p, cfg.q, cfg.alpha)
         want_star = oracle_per_r(family, w, sigma, cfg.q_dual, cfg.p_dual, cfg.alpha)
         assert rep.per_R.keys() == want.keys() and rep.per_R_star.keys() == want_star.keys()
@@ -178,6 +194,7 @@ class TestSweepsMatchPerCubeLoops:
     def test_trace_inner_sums(self, d, kind, seed):
         family, sigma, w = instance(d, kind, seed)
         cfg = ExponentConfig(2.0, 3.0, 0.25, d)
+        inst = Instance(family, sigma, w, cfg)
         # R = the root and one deeper member, so the strata are restricted to R
         for r_cube in {family.root, family.members[len(family) // 2]}:
             sub = [q for q in family.members if contains(r_cube, q)]
@@ -185,7 +202,7 @@ class TestSweepsMatchPerCubeLoops:
                     for q in sub}
             for trace, key in ((entropy_trace, "rho"), (direct_trace, "average")):
                 eps = EntropyFunction("entropy" if key == "rho" else "direct", 1.0)
-                rep = trace(family, sigma, w, cfg, eps, r_cube)
+                rep = trace(inst, eps, r_cube)
                 values = {q: rho_oracle(sigma, q) if key == "rho" else average(sigma, q) for q in sub}
                 buckets, maximal = oracle_strata(sub, values)
                 stars = [(a, q) for a in sorted(buckets) for q in maximal[a]]
@@ -411,11 +428,12 @@ class TestMemberOperatorMatchesLeafOperator:
 
     def test_indicator_ratios(self, case):
         family, sigma, w, cfg = operator_instance(case)
-        got = primal_indicator_ratios(family, sigma, w, cfg)
+        inst = Instance(family, sigma, w, cfg)
+        got = primal_indicator_ratios(inst)
         want = oracle_indicator_ratios(family, sigma, w, cfg.alpha, cfg.q, cfg.p)
         assert got.keys() == want.keys()
         assert_close(list(got.values()), list(want.values()))
-        adjoint = Instance(family, sigma, w, cfg).dual.indicator_ratios
+        adjoint = inst.dual.indicator_ratios
         want = oracle_indicator_ratios(family, w, sigma, cfg.alpha, cfg.p_dual, cfg.q_dual)
         tested = [i for i, q in enumerate(family.members) if q in want]
         assert_close(adjoint[tested], list(want.values()))
@@ -423,7 +441,7 @@ class TestMemberOperatorMatchesLeafOperator:
     def test_norm_lower_bound(self, case):
         family, sigma, w, cfg = operator_instance(case)
         for budget in (0, 8):
-            assert_close(norm_lower_bound(family, sigma, w, cfg, budget, seed=3),
+            assert_close(norm_lower_bound(Instance(family, sigma, w, cfg), budget, seed=3),
                          oracle_norm_lower_bound(family, sigma, w, cfg, budget, seed=3))
 
     def test_exact_norm_l2(self, case):
@@ -463,7 +481,18 @@ def test_batched_ascent_matches_leaf_oracle(case, n_starts, monkeypatch):
         want = oracle_norm_lower_bound(family, sigma, w, cfg, budget, seed=3, n_starts=n_starts)
         for dense_max in (len(family), len(family) - 1):
             monkeypatch.setattr(operators, "DENSE_MAX", dense_max)
-            assert_close(norm_lower_bound(family, sigma, w, cfg, budget, seed=3, n_starts=n_starts), want)
+            assert_close(norm_lower_bound(Instance(family, sigma, w, cfg), budget, seed=3, n_starts=n_starts),
+                         want)
+
+
+@pytest.mark.parametrize("case", ASCENT_CASES, ids=str)
+def test_exact_norm_l2_on_both_kernels(case, monkeypatch):
+    # the power iteration runs on the member applies of the ascent
+    family, sigma, w, cfg = operator_instance(case)
+    want = dense_norm_l2_oracle(family, sigma, w, cfg.alpha)
+    for dense_max in (len(family), len(family) - 1):
+        monkeypatch.setattr(operators, "DENSE_MAX", dense_max)
+        assert exact_norm_l2(family, sigma, w, cfg.alpha, tol=1e-14) == pytest.approx(want, rel=1e-11)
 
 
 @pytest.mark.parametrize("dense_max", (10**6, 0), ids=("dense", "sweeps"))
@@ -483,7 +512,7 @@ def test_dead_starts_drop_out(dense_max, monkeypatch):
         for n_starts in (1, 3):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = norm_lower_bound(family, sigma, w, cfg, budget, seed=3, n_starts=n_starts)
+                got = norm_lower_bound(Instance(family, sigma, w, cfg), budget, seed=3, n_starts=n_starts)
             assert got == oracle_norm_lower_bound(family, sigma, w, cfg, budget, seed=3,
                                                   n_starts=n_starts) == 0.0
 

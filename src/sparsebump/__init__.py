@@ -20,7 +20,6 @@ from .operators import (
     PowerIterationError,
     TestingReport,
     apply_sparse,
-    dense_norm_l2_oracle,
     exact_norm_l2,
     norm_lower_bound,
     primal_indicator_ratios,

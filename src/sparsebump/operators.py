@@ -16,7 +16,7 @@ sums (`apply_sparse` and each random start of the dual ascent).
 
 One `Instance` holds a (family, sigma, w, exponents) with the per-member
 arrays its quantities share: sigma(E_Q) and w(E_Q), the cube masses, the
-coefficients, the testing terms and the indicator ratios, each computed
+coefficients, the testing values and the indicator ratios, each computed
 once.  Every per-instance quantity here takes that instance as its first
 argument; the caller builds it once and passes it to each.
 
@@ -30,13 +30,13 @@ power iteration of `exact_norm_l2` runs on the same member applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .bumps import ExponentConfig
-from .grid import DyadicCube, leaf_slice, pyramid
+from .grid import DyadicCube, pyramid
 from .sparse import SparseFamily
 from .weights import LeafFunction, Weight
 
@@ -78,11 +78,13 @@ def _leaf_blocks(family: SparseFamily, leaf_values: np.ndarray) -> np.ndarray:
 class Instance:
     """One (family, sigma, w, exponents) and the per-member arrays that the
     norm bound, the indicator ratios, the testing constants and the proof
-    traces share, each computed on first use and then kept.
+    traces share, each computed on first use and then kept.  Every array is
+    indexed like `family.members`; the per-R ones (`indicator_ratios`,
+    `testing_values`) hold 0 at each R with sigma(R) = 0.
 
     `dual` is the same instance with (sigma, p) <-> (w, q'): it takes over
     the per-weight arrays, its indicator ratios are the adjoint ones and its
-    testing sums those of T*.
+    testing values those of T*.
     """
 
     family: SparseFamily
@@ -147,10 +149,13 @@ class Instance:
         return (scale * averages) ** self.cfg.q * w_masses
 
     @cached_property
-    def testing_sums(self) -> np.ndarray:
-        """Per member R, the testing sum over members Q ⊆ R of
-        (|Q|^{alpha/d} <sigma>_Q)^q w(E_Q)."""
-        return self.family.descendant_sum(self._testing_terms(self.w_exc))
+    def testing_values(self) -> np.ndarray:
+        """Per member R, the testing value sigma(R)^{-1/p} times the q-th root
+        of the testing sum over members Q ⊆ R of (|Q|^{alpha/d} <sigma>_Q)^q
+        w(E_Q); 0 where sigma(R) = 0, as for the indicator ratios."""
+        mu, sums = self.sigma_mass, self.family.descendant_sum(self._testing_terms(self.w_exc))
+        scale = np.power(mu, -1.0 / self.cfg.p, out=np.zeros(len(mu)), where=mu > 0)
+        return scale * sums ** (1.0 / self.cfg.q)
 
     @cached_property
     def mass_terms(self) -> np.ndarray:
@@ -247,27 +252,6 @@ def exact_norm_l2(family: SparseFamily, sigma: Weight, w: Weight, alpha: float,
     raise PowerIterationError("power iteration did not converge", (lam_prev, lam))
 
 
-def dense_norm_l2_oracle(family: SparseFamily, sigma: Weight, w: Weight, alpha: float) -> float:
-    """Independent dense oracle: assemble the symmetric kernel matrix
-    K[L, L'] = v * sum over family cubes containing both leaves of
-    |Q|^{alpha/d - 1}, and return the top singular value of
-    diag(w)^{1/2} K diag(sigma)^{1/2}.  Intended for small grids."""
-    grid = family.grid
-    n = grid.n_leaves
-    d = grid.dimension
-    kernel = np.zeros((n, n))
-    flat_index = np.arange(n).reshape(grid.leaf_shape())
-    for q in family.members:
-        ids = flat_index[leaf_slice(q, grid)].ravel()
-        kernel[np.ix_(ids, ids)] += 2.0 ** (q.level * (d - alpha)) * grid.leaf_volume
-    # the leaf-volume factors of the two inner products cancel, so the
-    # diagonal conjugation uses plain densities
-    ds = np.sqrt(sigma.leaf_density.ravel())
-    dw = np.sqrt(w.leaf_density.ravel())
-    b = dw[:, None] * kernel * ds[None, :]
-    return float(np.linalg.svd(b, compute_uv=False)[0])
-
-
 def _norms(v: np.ndarray, r: float, mass_exc: np.ndarray) -> np.ndarray:
     """Per column of a nonnegative (|S|, m) array, the L^r(mu) norm of the
     function equal to the column on each E_Q and 0 off the root."""
@@ -340,14 +324,16 @@ def norm_lower_bound(inst: Instance, budget: int, seed: int = 0, n_starts: int =
 @dataclass(frozen=True)
 class TestingReport:
     """Testing constants over the family with argmax witnesses and the raw
-    per-R values."""
+    per-R values: `per_R` and `per_R_star` are per-member arrays in
+    `family.members` order (the instance's `testing_values` and those of its
+    dual), 0 at the R of zero mass (sigma(R) for T, w(R) for T*)."""
 
     T: float
     T_star: float
     argmax_R: DyadicCube | None
     argmax_R_star: DyadicCube | None
-    per_R: dict[DyadicCube, float]
-    per_R_star: dict[DyadicCube, float]
+    per_R: np.ndarray = field(compare=False)
+    per_R_star: np.ndarray = field(compare=False)
     p: float
     q: float
     alpha: float
@@ -368,17 +354,13 @@ class TestingReport:
         }
 
 
-def _primal_testing(inst: Instance) -> tuple[float, DyadicCube | None, dict]:
-    """max over R in S of sigma(R)^{-1/p} [ sum_{Q in S, Q ⊆ R}
-    (|Q|^{alpha/d} <sigma>_Q)^q w(E_Q) ]^{1/q}; R with sigma(R)=0 skipped."""
-    members, sigma_r = inst.family.members, inst.sigma_mass
-    tested = np.flatnonzero(sigma_r > 0)
-    values = sigma_r[tested] ** (-1.0 / inst.cfg.p) * inst.testing_sums[tested] ** (1.0 / inst.cfg.q)
-    per_r = {members[i]: float(v) for i, v in zip(tested, values)}
-    if not len(values) or values.max() <= 0:
-        return 0.0, None, per_r
+def _primal_testing(inst: Instance) -> tuple[float, DyadicCube | None]:
+    """max over R in S of the testing value sigma(R)^{-1/p} [ sum_{Q in S,
+    Q ⊆ R} (|Q|^{alpha/d} <sigma>_Q)^q w(E_Q) ]^{1/q}, and an R attaining it;
+    R with sigma(R)=0 contribute 0."""
+    values = inst.testing_values
     j = int(np.argmax(values))
-    return float(values[j]), members[tested[j]], per_r
+    return (float(values[j]), inst.family.members[j]) if values[j] > 0 else (0.0, None)
 
 
 def testing_constants(inst: Instance) -> TestingReport:
@@ -390,23 +372,23 @@ def testing_constants(inst: Instance) -> TestingReport:
     mode (p = q) computes the same quantities with a warning flag.
     """
     cfg = inst.cfg
-    t_val, t_arg, per_r = _primal_testing(inst)
-    ts_val, ts_arg, per_rs = _primal_testing(inst.dual)
+    t_val, t_arg = _primal_testing(inst)
+    ts_val, ts_arg = _primal_testing(inst.dual)
     return TestingReport(
         T=t_val, T_star=ts_val, argmax_R=t_arg, argmax_R_star=ts_arg,
-        per_R=per_r, per_R_star=per_rs,
+        per_R=inst.testing_values, per_R_star=inst.dual.testing_values,
         p=cfg.p, q=cfg.q, alpha=cfg.alpha, mode=cfg.mode,
         extended_warning=(cfg.mode == "extended"),
     )
 
 
-def primal_indicator_ratios(inst: Instance) -> dict[DyadicCube, float]:
-    """Per R in S with sigma(R) > 0: ||T(sigma 1_R)||_{L^q(w)} / sigma(R)^{1/p}.
+def primal_indicator_ratios(inst: Instance) -> np.ndarray:
+    """Per member R, in `family.members` order: ||T(sigma 1_R)||_{L^q(w)} /
+    sigma(R)^{1/p}, 0 where sigma(R) = 0.
 
     Each is a valid lower bound for the operator norm and dominates the
-    corresponding per-R testing term, since on each disjoint E_Q the full
+    corresponding per-R testing value, since on each disjoint E_Q the full
     sum dominates the single term for Q.  `norm_lower_bound` reads the same
     array, so it dominates every ratio here exactly.
     """
-    tested = np.flatnonzero(inst.sigma_mass > 0)
-    return {inst.family.members[i]: float(inst.indicator_ratios[i]) for i in tested}
+    return inst.indicator_ratios

@@ -21,13 +21,18 @@ which certifies the testing constant restricted to R:
 because the exceptional-set masses w(E_Q) are dominated by w(Q).  Dual
 certificates follow by swapping (sigma, p) <-> (w, q') and rerunning the
 same chain.  Every chain takes an `operators.Instance` first and reads its
-per-member masses and testing terms; a dual chain runs on `Instance.dual`.
+per-member masses, terms and testing values; a dual chain runs on
+`Instance.dual`.
+
+A trace works on per-member arrays: its strata are (|S|, B) masks over the
+B buckets.  Two down-sweeps find the members inside R and the maximal members
+of every bucket, and one column-batched up-sweep gives every sum the chain
+checks, so a trace costs three sweeps whatever its number of strata.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,30 +58,11 @@ TRACE_SCHEMA = "trace/v1"
 SLACK = 1e-12
 
 
-def _bucket_of(value: float) -> int:
-    """floor(log2(value)) computed exactly via the binary exponent."""
-    if value <= 0 or not math.isfinite(value):
-        raise ValueError(f"bucket key must be positive and finite, got {value}")
-    mantissa, exponent = math.frexp(value)  # value = mantissa * 2^exponent, mantissa in [0.5, 1)
-    return exponent - 1
-
-
-def _eps_floor(eps: EntropyFunction, a: int) -> float:
-    """Infimum of eps over the bucket [2^a, 2^{a+1}).
-
-    For the entropy kind (a >= 0 always) this is eps(2^a).  For the direct
-    kind, eps decreases on (0,1), so buckets left of 1 are bounded below by
-    the right endpoint value eps(2^{a+1}).
-    """
-    if a >= 0:
-        return eps_eval(eps, 2.0**a)
-    return eps_eval(eps, 2.0 ** (a + 1))
-
-
 def _strata(family: SparseFamily, sigma: Weight, key: str, inside: np.ndarray,
             masses: np.ndarray):
-    """Key values of the members in `inside` and, per bucket a = floor(log2
-    key) in increasing order, (a, bucket mask, mask of its maximal members);
+    """Per member its key value; the buckets a = floor(log2 key) of the
+    members in `inside`, in increasing order; and two (|S|, B) masks, column
+    j for bucket a[j]: the members of the bucket and its maximal members.
     `masses` holds sigma(Q) per member.
 
     A bucket member is maximal when no other member of the bucket contains
@@ -88,18 +74,14 @@ def _strata(family: SparseFamily, sigma: Weight, key: str, inside: np.ndarray,
     zero = inside & (masses <= 0)
     if zero.any():
         raise ValueError(f"zero-mass cube in family: {family.members[np.argmax(zero)].text}")
-    positions = np.flatnonzero(inside)
-    if key == "rho":
-        values = family.gather(sigma.rho_levels)[positions].tolist()
-    else:
-        values = np.ldexp(masses[positions], sigma.grid.dimension * family.level[positions]).tolist()
-    bucket = np.zeros(len(family.members), dtype=np.int64)
-    bucket[positions] = [_bucket_of(v) for v in values]
-    strata = []
-    for a in sorted(set(bucket[positions].tolist())):
-        in_a = inside & (bucket == a)
-        strata.append((a, in_a, in_a & (family.ancestor_sum(in_a) == 1.0)))
-    return dict(zip(positions.tolist(), values)), strata
+    keys = (family.gather(sigma.rho_levels) if key == "rho"
+            else np.ldexp(masses, sigma.grid.dimension * family.level))
+    # key = mantissa * 2^exponent with the mantissa in [0.5, 1), exactly; the
+    # exponents as int64 like every other index array, not frexp's int32
+    bucket = np.frexp(keys)[1].astype(np.int64) - 1
+    a = np.array(sorted(set(bucket[inside].tolist())), dtype=np.int64)
+    in_bucket = inside[:, None] & (bucket[:, None] == a)
+    return keys, a, in_bucket, in_bucket & (family.ancestor_sum(in_bucket) == 1.0)
 
 
 @dataclass(frozen=True)
@@ -190,73 +172,64 @@ def _run_trace(kind: str, inst: Instance, eps: EntropyFunction, r_cube: DyadicCu
     lam = family.lam
     r = family.position[r_cube]
     sigma_q = inst.sigma_mass
-    keys, strata = _strata(family, sigma, "rho" if kind == "entropy" else "average",
-                           family.inside(r), sigma_q)
+    keys, a, in_bucket, top = _strata(family, sigma, "rho" if kind == "entropy" else "average",
+                                      family.inside(r), sigma_q)
 
     if c_bump is None:
         bumps = entropy_bumps if kind == "entropy" else direct_bumps
         c_bump = bumps(sigma, w, cfg, eps).constants["E" if kind == "entropy" else "D"]
 
-    # stage (i): exact regrouping of the testing sum with w(Q) masses
+    # one up-sweep for every sum of the chain, with w(Q) masses: column 0 the
+    # testing sum, column 1 the support sums (sigma(Q) for the Carleson
+    # estimate, |Q| for the sparseness volume bound), then per bucket the
+    # inner sums over the bucket's members
     term = inst.mass_terms
-    lhs_total = float(family.descendant_sum(term)[r])
-    if kind == "entropy":
-        # the Carleson left-hand sides, sum of sigma(Q) over members Q ⊆ Q*
-        carleson_lhs = family.descendant_sum(sigma_q)
-    else:
-        # the sparseness volume bound: sum of |Q| over members Q inside Q*
-        volumes = family.descendant_sum(np.ldexp(1.0, -cfg.d * family.level))
-    regrouped = 0.0
-    records: list[StratumRecord] = []
-    qp = cfg.q / cfg.p
-    inner_ok = True
-    for a, in_a, top in strata:
-        floor_val = _eps_floor(eps, a)
-        inner = family.descendant_sum(np.where(in_a, term, 0.0))
-        for i in np.flatnonzero(top):
-            q_star = family.members[i]
-            inner_lhs = float(inner[i])
-            regrouped += inner_lhs
-            sigma_star = float(sigma_q[i])
-            inner_bound = (c_bump**cfg.q) * (2.0 / (1.0 - lam)) * sigma_star**qp / floor_val
-            if c_bump > 0 and sigma_star > 0:
-                realized = inner_lhs * floor_val / (c_bump**cfg.q * sigma_star**qp)
-            else:
-                realized = 0.0 if inner_lhs == 0 else math.inf
-            # supporting estimate: Carleson for the entropy chain (the ratio
-            # carleson_check gives, with rho(Q*) read from the strata keys),
-            # the sparseness volume bound for the direct chain
-            if kind == "entropy":
-                support_ratio = float(carleson_lhs[i]) / (keys[i] * sigma_star / (1.0 - lam))
-            else:
-                support_ratio = float(volumes[i]) * (1.0 - lam) / q_star.volume
-            ok = (inner_lhs <= inner_bound * (1.0 + SLACK)
-                  and support_ratio <= 1.0 + SLACK)
-            inner_ok = inner_ok and ok
-            records.append(
-                StratumRecord(a, q_star, inner_lhs, inner_bound, realized,
-                              support_ratio, ok))
+    support = sigma_q if kind == "entropy" else np.ldexp(1.0, -cfg.d * family.level)
+    sums = family.descendant_sum(
+        np.column_stack([term, support, np.where(in_bucket, term[:, None], 0.0)]))
+    lhs_total = float(sums[r, 0])
 
-    if lhs_total > 0:
-        identity_error = abs(lhs_total - regrouped) / lhs_total
+    # stage (ii) per (bucket, Q*) pair, in bucket order and then member order;
+    # the infimum of eps over [2^a, 2^{a+1}) is eps(2^a) where eps increases
+    # (a >= 0) and the right endpoint eps(2^{a+1}) left of 1, where the
+    # direct eps decreases
+    col, star = np.nonzero(top.T)
+    floor_val = eps_eval(eps, np.ldexp(1.0, np.where(a >= 0, a, a + 1)))[col]
+    inner_lhs, sigma_star = sums[star, 2 + col], sigma_q[star]
+    qp, c_q = cfg.q / cfg.p, c_bump**cfg.q
+    sigma_qp = sigma_star**qp
+    inner_bound = c_q * (2.0 / (1.0 - lam)) * sigma_qp / floor_val
+    scale = c_q * sigma_qp
+    realized = np.divide(inner_lhs * floor_val, scale, out=np.where(inner_lhs == 0, 0.0, np.inf),
+                         where=scale > 0)
+    if kind == "entropy":
+        # the ratio carleson_check gives, with rho(Q*) read from the keys
+        support_ratio = sums[star, 1] / (keys[star] * sigma_star / (1.0 - lam))
     else:
-        identity_error = abs(regrouped)
+        support_ratio = sums[star, 1] * (1.0 - lam) / support[star]
+    ok = (inner_lhs <= inner_bound * (1.0 + SLACK)) & (support_ratio <= 1.0 + SLACK)
+    records = list(map(StratumRecord, a[col].tolist(), [family.members[i] for i in star],
+                       inner_lhs.tolist(), inner_bound.tolist(), realized.tolist(),
+                       support_ratio.tolist(), ok.tolist()))
+
+    # stage (i): the regrouping identity, the inner sums added left to right
+    regrouped = float(np.add.accumulate(inner_lhs)[-1])
+    identity_error = abs(lhs_total - regrouped) / lhs_total if lhs_total > 0 else abs(regrouped)
     identity_ok = identity_error <= SLACK
 
     # stage (iii): the assembled explicit-constant bound
-    final_bound = (2.0 * eps.tail_sum / (1.0 - lam)) * c_bump**cfg.q * float(sigma_q[r])**qp
+    final_bound = (2.0 * eps.tail_sum / (1.0 - lam)) * c_q * float(sigma_q[r])**qp
     final_ok = lhs_total <= final_bound * (1.0 + SLACK)
 
     # certificate: testing value at R with w(E_Q) masses (<= the w(Q) form)
-    testing_sum = float(inst.testing_sums[r])
-    testing_value = float(sigma_q[r]) ** (-1.0 / cfg.p) * testing_sum ** (1.0 / cfg.q)
+    testing_value = float(inst.testing_values[r])
     certified_constant = (2.0 * eps.tail_sum / (1.0 - lam)) ** (1.0 / cfg.q)
     certified_ok = testing_value <= certified_constant * c_bump * (1.0 + SLACK)
 
     return TraceReport(
         kind=kind, R=r_cube, lhs_total=lhs_total, strata=records,
         identity_ok=identity_ok, identity_error=identity_error,
-        inner_ok=inner_ok, final_bound=final_bound, final_ok=final_ok,
+        inner_ok=bool(ok.all()), final_bound=final_bound, final_ok=final_ok,
         certified_constant=certified_constant, bump_constant=c_bump,
         testing_value=testing_value, certified_ok=certified_ok,
         exponents=cfg, eps=eps, lam=lam,

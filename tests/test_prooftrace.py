@@ -8,10 +8,10 @@ import pytest
 from sparsebump.bumps import BumpReport, EntropyFunction, ExponentConfig, direct_bumps, entropy_bumps
 from sparsebump.grid import DyadicCube, GridConfig, root_cube
 from sparsebump.operators import Instance, testing_constants
+from sparsebump import prooftrace
 from sparsebump.prooftrace import (
     SLACK,
     TRACE_SCHEMA,
-    _bucket_of,
     _strata,
     direct_trace,
     dual_direct_trace,
@@ -20,6 +20,8 @@ from sparsebump.prooftrace import (
 )
 from sparsebump.sparse import SparseFamily, random_sparse, stopping_family
 from sparsebump.weights import Weight, fix_chain_cubes, fix_const, generate_weight
+
+from oracles import bucket_of
 
 G4 = GridConfig(1, 4)
 EPS_E = EntropyFunction("entropy", 1.0)
@@ -44,29 +46,29 @@ def random_setup(seed, n=7, lam=0.5, target=22, dimension=1):
 def stratify(fam, sigma, key):
     """The strata of the whole family by `key`, with the bucket and maximal
     masks of `_strata` turned into cube lists."""
-    values, strata = _strata(fam, sigma, key, np.ones(len(fam), dtype=bool),
-                             fam.gather(sigma.mass_levels))
+    keys, a, in_bucket, top = _strata(fam, sigma, key, np.ones(len(fam), dtype=bool),
+                                      fam.gather(sigma.mass_levels))
     members = fam.members
     return SimpleNamespace(
-        buckets={a: [members[i] for i in np.flatnonzero(in_a)] for a, in_a, _ in strata},
-        maximal_cubes={a: [members[i] for i in np.flatnonzero(top)] for a, _, top in strata},
-        key_values={members[i]: v for i, v in values.items()},
+        buckets={b: [members[i] for i in np.flatnonzero(col)] for b, col in zip(a.tolist(), in_bucket.T)},
+        maximal_cubes={b: [members[i] for i in np.flatnonzero(col)] for b, col in zip(a.tolist(), top.T)},
+        key_values=dict(zip(members, keys.tolist())),
     )
 
 
 class TestBucketing:
     def test_exact_powers_and_interiors(self):
-        assert _bucket_of(1.0) == 0
-        assert _bucket_of(2.0) == 1
-        assert _bucket_of(4.0) == 2
-        assert _bucket_of(3.0) == 1
-        assert _bucket_of(0.5) == -1
-        assert _bucket_of(0.9) == -1
-        assert _bucket_of(1.75) == 0
+        assert bucket_of(1.0) == 0
+        assert bucket_of(2.0) == 1
+        assert bucket_of(4.0) == 2
+        assert bucket_of(3.0) == 1
+        assert bucket_of(0.5) == -1
+        assert bucket_of(0.9) == -1
+        assert bucket_of(1.75) == 0
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            _bucket_of(0.0)
+            bucket_of(0.0)
 
 
 class TestStratify:
@@ -133,7 +135,7 @@ class TestEntropyTrace:
         inst = Instance(fam, sigma, w, cfg)
         rep = entropy_trace(inst, EPS_E, fam.root)
         trep = testing_constants(inst)
-        assert rep.testing_value == pytest.approx(trep.per_R[fam.root], rel=1e-12)
+        assert rep.testing_value == pytest.approx(trep.per_R[fam.position[fam.root]], rel=1e-12)
 
     def test_wrong_eps_kind(self):
         s, w = fix_const()
@@ -235,7 +237,7 @@ class TestDualTraces:
         inst = Instance(fam, sigma, w, cfg)
         de = dual_entropy_trace(inst, EPS_E, fam.root)
         trep = testing_constants(inst)
-        assert de.testing_value == pytest.approx(trep.per_R_star[fam.root], rel=1e-12)
+        assert de.testing_value == pytest.approx(trep.per_R_star[fam.position[fam.root]], rel=1e-12)
 
 
 def test_report_json_schema():
@@ -257,7 +259,8 @@ class TestNegativeControls:
     """A chain stage that cannot fail certifies nothing.  At the bottom cube
     of the chain under constant weights both the inner bound and the
     certificate hold with less than a factor 2 to spare in the bump
-    constant, so halving it must break both."""
+    constant, so halving it must break both.  The identity and the final
+    bound each get a control of their own."""
 
     CFG = ExponentConfig(2, 4, 0.0, 1)
     R = DyadicCube(4, (0,))
@@ -278,6 +281,39 @@ class TestNegativeControls:
         bump = _deflated(direct_bumps(s, w, self.CFG, EPS_D), "D", 0.5)
         rep = direct_trace(inst, EPS_D, self.R, bump=bump)
         assert not rep.inner_ok and not rep.certified_ok and not rep.passed
+
+    def test_dropped_stratum_breaks_the_identity(self, monkeypatch):
+        # stage (i): a regrouping that loses the last bucket no longer adds
+        # up to the testing sum (this instance has 2 rho and 8 average buckets)
+        fam, sigma, w = random_setup(0, n=12)
+        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0, 1))
+        original = prooftrace._strata
+
+        def dropped(*args):
+            keys, a, in_bucket, top = original(*args)
+            assert len(a) >= 2
+            return keys, a[:-1], in_bucket[:, :-1], top[:, :-1]
+
+        for trace, eps in ((entropy_trace, EPS_E), (direct_trace, EPS_D)):
+            assert trace(inst, eps, fam.root).passed
+            with monkeypatch.context() as m:
+                m.setattr(prooftrace, "_strata", dropped)
+                rep = trace(inst, eps, fam.root)
+            assert not rep.identity_ok and not rep.passed
+
+    @pytest.mark.parametrize("kind", ("entropy", "direct"))
+    def test_shrunk_tail_sum_breaks_the_final_bound(self, kind):
+        # stage (iii) and the certificate scale with Sigma_eps; stages (i)
+        # and (ii) do not read it
+        fam, sigma, w = random_setup(2)
+        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0, 1))
+        trace = entropy_trace if kind == "entropy" else direct_trace
+        assert trace(inst, EntropyFunction(kind, 1.0), fam.root).passed
+        eps = EntropyFunction(kind, 1.0)
+        eps.__dict__["tail_sum"] = 1e-6
+        rep = trace(inst, eps, fam.root)
+        assert not rep.final_ok and not rep.certified_ok and not rep.passed
+        assert rep.identity_ok and rep.inner_ok
 
 
 class TestSlack:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from sparsebump import operators
-from sparsebump.bumps import EntropyFunction, ExponentConfig
+from sparsebump.bumps import EntropyFunction, ExponentConfig, direct_bumps, entropy_bumps, eps_eval
 from sparsebump.grid import DyadicCube, GridConfig, children, contains, enumerate_cubes, leaf_slice, root_cube
 from sparsebump.lab import ExperimentConfig, run_verify_bounds
 from sparsebump.operators import (
@@ -28,17 +28,16 @@ from sparsebump.operators import (
     _coef,
     _member_operator,
     apply_sparse,
-    dense_norm_l2_oracle,
     exact_norm_l2,
     norm_lower_bound,
     primal_indicator_ratios,
     testing_constants,
 )
-from sparsebump.prooftrace import _bucket_of, _strata, direct_trace, entropy_trace
+from sparsebump.prooftrace import SLACK, _strata, direct_trace, entropy_trace
 from sparsebump.sparse import SparseFamily, carleson_check, random_sparse, stopping_family, verify_sparse
 from sparsebump.weights import LeafFunction, Weight, average, generate_weight, mass
 
-from oracles import rho_oracle
+from oracles import bucket_of, dense_norm_l2_oracle, rho_oracle
 
 REL = 1e-13
 
@@ -103,7 +102,7 @@ def oracle_strata(members, key_values):
     """Buckets (sorted member lists) and the maximal cubes of each bucket."""
     buckets = {}
     for q in members:
-        buckets.setdefault(_bucket_of(key_values[q]), []).append(q)
+        buckets.setdefault(bucket_of(key_values[q]), []).append(q)
     maximal = {a: [q for q in qs if not any(o != q and contains(o, q) for o in qs)]
                for a, qs in buckets.items()}
     return buckets, maximal
@@ -112,13 +111,13 @@ def oracle_strata(members, key_values):
 def stratify(family, sigma, key):
     """The strata of the whole family by `key`, with the bucket and maximal
     masks of `_strata` turned into cube lists."""
-    values, strata = _strata(family, sigma, key, np.ones(len(family), dtype=bool),
-                             family.gather(sigma.mass_levels))
+    keys, a, in_bucket, top = _strata(family, sigma, key, np.ones(len(family), dtype=bool),
+                                      family.gather(sigma.mass_levels))
     members = family.members
     return SimpleNamespace(
-        buckets={a: [members[i] for i in np.flatnonzero(in_a)] for a, in_a, _ in strata},
-        maximal_cubes={a: [members[i] for i in np.flatnonzero(top)] for a, _, top in strata},
-        key_values={members[i]: v for i, v in values.items()},
+        buckets={b: [members[i] for i in np.flatnonzero(col)] for b, col in zip(a.tolist(), in_bucket.T)},
+        maximal_cubes={b: [members[i] for i in np.flatnonzero(col)] for b, col in zip(a.tolist(), top.T)},
+        key_values=dict(zip(members, keys.tolist())),
     )
 
 
@@ -169,9 +168,8 @@ class TestSweepsMatchPerCubeLoops:
         rep = testing_constants(Instance(family, sigma, w, cfg))
         want = oracle_per_r(family, sigma, w, cfg.p, cfg.q, cfg.alpha)
         want_star = oracle_per_r(family, w, sigma, cfg.q_dual, cfg.p_dual, cfg.alpha)
-        assert rep.per_R.keys() == want.keys() and rep.per_R_star.keys() == want_star.keys()
-        assert_close(list(rep.per_R.values()), list(want.values()))
-        assert_close(list(rep.per_R_star.values()), list(want_star.values()))
+        assert_close(rep.per_R, [want.get(q, 0.0) for q in family.members])
+        assert_close(rep.per_R_star, [want_star.get(q, 0.0) for q in family.members])
 
     def test_carleson_lhs(self, d, kind, seed):
         family, sigma, _ = instance(d, kind, seed)
@@ -216,14 +214,23 @@ class TestSweepsMatchPerCubeLoops:
                     # bit, and the oracle's lhs / (rho sigma(Q*) / (1 - lambda))
                     ratios = [s.support_ratio for s in rep.strata]
                     assert ratios == [carleson_check(family, sigma, q)["ratio"] for _, q in stars]
-                    assert_close(ratios, [oracle_carleson_lhs(family, sigma, q) * (1 - family.lam)
-                                          / (values[q] * mass(sigma, q)) for _, q in stars])
+                    support = [oracle_carleson_lhs(family, sigma, q) * (1 - family.lam)
+                               / (values[q] * mass(sigma, q)) for _, q in stars]
                 if key == "average":
                     volumes = [sum(q.volume for q in sub if contains(q_star, q))
                                for _, q_star in stars]
-                    assert_close([s.support_ratio for s in rep.strata],
-                                 [v * (1 - family.lam) / q.volume
-                                  for v, (_, q) in zip(volumes, stars)])
+                    support = [v * (1 - family.lam) / q.volume for v, (_, q) in zip(volumes, stars)]
+                assert_close([s.support_ratio for s in rep.strata], support)
+                # stage (ii) in scalar arithmetic, with eps_floor per bucket
+                c_q, qp = rep.bump_constant ** cfg.q, cfg.q / cfg.p
+                floor = {a: eps_eval(eps, 2.0 ** (a if a >= 0 else a + 1)) for a in buckets}
+                bound = [c_q * 2 / (1 - family.lam) * mass(sigma, q) ** qp / floor[a] for a, q in stars]
+                assert_close([s.inner_bound for s in rep.strata], bound)
+                assert_close([s.realized_constant for s in rep.strata],
+                             [lhs * floor[a] / (c_q * mass(sigma, q) ** qp)
+                              for lhs, (a, q) in zip(inner, stars)])
+                assert [s.ok for s in rep.strata] == [lhs <= b * (1 + SLACK) and r <= 1 + SLACK
+                                                      for lhs, b, r in zip(inner, bound, support)]
 
 
 def test_verify_sparse_matches_child_volume_loop():
@@ -241,6 +248,32 @@ def test_sweeps_batch_columns(d, kind, seed):
     v = np.random.default_rng(seed).random((len(family), 3))
     for sweep in (family.ancestor_sum, family.descendant_sum):
         np.testing.assert_array_equal(sweep(v), np.column_stack([sweep(c) for c in v.T]))
+
+
+@pytest.mark.parametrize("d,kind,seed", CASES[::3])
+def test_one_trace_takes_three_sweeps(d, kind, seed, monkeypatch):
+    # one up-sweep for every sum of a trace, and two down-sweeps: the members
+    # inside R, and the maximal members of all buckets at once
+    family, sigma, w = instance(d, kind, seed)
+    cfg = ExponentConfig(2.0, 3.0, 0.25, d)
+    inst = Instance(family, sigma, w, cfg)
+    inst.testing_values  # the suite has computed it for the testing constants
+    calls = []
+    for name in ("ancestor_sum", "descendant_sum"):
+        def counted(self, values, name=name, original=getattr(SparseFamily, name)):
+            calls.append(name)
+            return original(self, values)
+        monkeypatch.setattr(SparseFamily, name, counted)
+    n_buckets = set()
+    for trace, bumps, eps in ((entropy_trace, entropy_bumps, EntropyFunction("entropy", 1.0)),
+                              (direct_trace, direct_bumps, EntropyFunction("direct", 1.0))):
+        bump = bumps(sigma, w, cfg, eps)
+        for r_cube in (family.root, family.members[len(family) // 2]):
+            calls.clear()
+            rep = trace(inst, eps, r_cube, bump=bump)
+            assert sorted(calls) == ["ancestor_sum", "ancestor_sum", "descendant_sum"]
+            n_buckets.add(len({s.a for s in rep.strata}))
+    assert len(n_buckets) > 1
 
 
 def test_non_grid_root_family():
@@ -431,8 +464,7 @@ class TestMemberOperatorMatchesLeafOperator:
         inst = Instance(family, sigma, w, cfg)
         got = primal_indicator_ratios(inst)
         want = oracle_indicator_ratios(family, sigma, w, cfg.alpha, cfg.q, cfg.p)
-        assert got.keys() == want.keys()
-        assert_close(list(got.values()), list(want.values()))
+        assert_close(got, [want.get(q, 0.0) for q in family.members])
         adjoint = inst.dual.indicator_ratios
         want = oracle_indicator_ratios(family, w, sigma, cfg.alpha, cfg.p_dual, cfg.q_dual)
         tested = [i for i, q in enumerate(family.members) if q in want]

@@ -19,7 +19,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .grid import DyadicCube, GridConfig, flat_blocks
+from .grid import DyadicCube, GridConfig, blockwise, flat_blocks
 from .weights import Weight, average, mass, rho
 
 LN2 = math.log(2.0)
@@ -185,16 +185,21 @@ def joint_factor(sigma: Weight, w: Weight, cfg: ExponentConfig, cube: DyadicCube
 
 def joint_levels(sigma: Weight, w: Weight, cfg: ExponentConfig) -> list[np.ndarray]:
     """Per level, the joint factor w(Q)^{1/q} sigma(Q)^{1/p'} |Q|^{alpha/d - 1}:
-    the one build that the entropy and the direct bumps of a pair can share."""
+    the one build that the entropy and the direct bumps of a pair can share.
+    Each level is filled in flat blocks (`flat_blocks`) through `blockwise`."""
     grid = sigma.grid
     d = grid.dimension
-    out = []
-    for k in range(grid.leaf_level + 1):
-        # in place, in the order of w^{1/q} * sigma^{1/p'} * scale
-        j = w.mass_levels[k] ** (1.0 / cfg.q)
-        j *= sigma.mass_levels[k] ** (1.0 / cfg.p_dual)
+    out = [np.empty(grid.level_shape(k)) for k in range(grid.leaf_level + 1)]
+
+    def fill(item):
+        k, cells = item
+        # in the order of w^{1/q} * sigma^{1/p'} * scale
+        j = np.multiply(w.mass_levels[k].reshape(-1)[cells] ** (1.0 / cfg.q),
+                        sigma.mass_levels[k].reshape(-1)[cells] ** (1.0 / cfg.p_dual),
+                        out=out[k].reshape(-1)[cells])
         j *= 2.0 ** (k * (d - cfg.alpha))  # |Q|^{alpha/d - 1}
-        out.append(j)
+
+    blockwise(fill, [(k, c) for k, level in enumerate(out) for c in flat_blocks(level.size)], grid)
     return out
 
 
@@ -218,32 +223,54 @@ def _sup(sigma: Weight, w: Weight, cfg: ExponentConfig, joint: list[np.ndarray],
     arithmetic, multiplied in the same order, so a witness recomputation
     reproduces it exactly.  The scan walks each level in flat chunks of at
     most `grid.BLOCK` cells (`flat_blocks`), so its temporaries stay
-    cache-sized on the finest levels; a later chunk takes over only on a
-    strictly larger value, which keeps the first maximum.
+    cache-sized on the finest levels, and the chunks run through
+    `blockwise`.  Their maxima are combined in chunk order, where a later
+    chunk takes over only on a strictly larger value, which keeps the first
+    maximum.
     """
     entropy = eps is not None and eps.kind == "entropy"
+    if entropy:
+        weight.rho_levels  # build it before the scans spread: cached_property has no lock
 
     def bumped(j, t, eps_t, e):
         return (j * t**e if entropy else j) * eps_t**e
 
+    distinct = list(dict.fromkeys(exponents))
+
+    def scan(item):
+        """Per distinct exponent, the first maximum of one chunk and its
+        flat index in the level."""
+        k, chunk = item
+        j = joint[k].reshape(-1)[chunk]
+        if weight is not None:
+            if entropy:
+                key = weight.rho_levels[k].reshape(-1)[chunk]
+            else:  # the level-k averages, one chunk at a time
+                key = weight.mass_levels[k].reshape(-1)[chunk] * 2.0 ** (weight.grid.dimension * k)
+            defined = key > 0  # False on NaN (rho of a zero-mass cube) and on 0
+            t = np.where(defined, key, 1.0)
+            eps_t = eps_eval(eps, t)
+        found = []
+        for e in distinct:
+            if weight is None:
+                vals = j
+            else:
+                # bumped(j, t, eps_t, e) in place, with fewer block temporaries:
+                # a product of the same two factors, so the same bits
+                vals = eps_t**e
+                vals *= j * t**e if entropy else j
+                vals[~defined] = 0.0
+            m = int(np.argmax(vals))
+            found.append((float(vals[m]), chunk.start + m))
+        return found
+
     # per distinct exponent: (value, level, flat index)
-    best = dict.fromkeys(exponents, (-np.inf, 0, 0))
-    for k, j_level in enumerate(joint):
-        for chunk in flat_blocks(j_level.size):
-            j = j_level.reshape(-1)[chunk]
-            if weight is not None:
-                if entropy:
-                    key = weight.rho_levels[k].reshape(-1)[chunk]
-                else:  # the level-k averages, one chunk at a time
-                    key = weight.mass_levels[k].reshape(-1)[chunk] * 2.0 ** (weight.grid.dimension * k)
-                defined = key > 0  # False on NaN (rho of a zero-mass cube) and on 0
-                t = np.where(defined, key, 1.0)
-                eps_t = eps_eval(eps, t)
-            for e in best:
-                vals = j if weight is None else np.where(defined, bumped(j, t, eps_t, e), 0.0)
-                m = int(np.argmax(vals))
-                if vals[m] > best[e][0]:
-                    best[e] = (float(vals[m]), k, chunk.start + m)
+    best = dict.fromkeys(distinct, (-np.inf, 0, 0))
+    items = [(k, c) for k, level in enumerate(joint) for c in flat_blocks(level.size)]
+    for (k, _), found in zip(items, blockwise(scan, items, sigma.grid)):
+        for e, (value, m) in zip(distinct, found):
+            if value > best[e][0]:
+                best[e] = (value, k, m)
     found = {}
     for e, (_, k, m) in best.items():
         cube = DyadicCube(k, tuple(int(x) for x in np.unravel_index(m, joint[k].shape)))

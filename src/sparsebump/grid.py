@@ -8,6 +8,7 @@ exact in binary floating point.  Supported dimensions are 1 and 2.
 from __future__ import annotations
 
 import itertools
+import os
 import re
 from dataclasses import dataclass
 from typing import Iterator
@@ -17,7 +18,8 @@ import numpy as np
 MAX_LEAF_LEVEL = {1: 24, 2: 12}
 
 # Cells per block of the leaf-resolution passes (512 KiB of float64).  Read
-# at call time, by `tile_level` and `flat_blocks`, so tests can change it.
+# at call time, by `tile_level`, `flat_blocks` and `blockwise`, so tests can
+# change it.
 BLOCK = 2**16
 
 
@@ -210,6 +212,31 @@ def tile_level(grid: GridConfig) -> int:
 def flat_blocks(size: int) -> list[slice]:
     """Consecutive slices of at most BLOCK cells covering range(size)."""
     return [slice(s, s + BLOCK) for s in range(0, size, BLOCK)]
+
+
+def available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def blockwise(fn, items, grid: GridConfig) -> list:
+    """[fn(item) for item in items] over the blocks of one pass over `grid`,
+    in item order.  On a grid of at least 8 * BLOCK leaves the calls run on
+    a thread pool made for this call, one worker per available CPU (NumPy
+    releases the GIL in each block's ufuncs); below that a pool costs more
+    than it saves.  Each call writes only its own block, so the bits do not
+    depend on the path."""
+    workers = available_cpus() if grid.n_leaves >= 8 * BLOCK else 1
+    if workers < 2:
+        return [fn(item) for item in items]
+    # imported here, so that start-up, and the serial path that every small
+    # grid takes, do not pay for threading and logging
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def pyramid(leaf_arr: np.ndarray, grid: GridConfig) -> list[np.ndarray]:

@@ -14,19 +14,22 @@ arrays of up to 32 MiB (d=1, N=22) that are mapped fresh on each use;
 `coarsen` sums every cube by the same pairwise tree whatever the tiling, so
 the values are bitwise those of one whole-grid sweep.  Generators for
 closed-form densities use exact interval antiderivatives, never quadrature,
-so discretization masses carry no integration error.
+so discretization masses carry no integration error; they too fill the leaf
+array block by block.  Both passes run through `grid.blockwise`, on every
+available CPU once the grid has 8 blocks or more.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .grid import DyadicCube, GridConfig, coarsen, descendant_block, expand, pyramid, tile_level
+from .grid import (DyadicCube, GridConfig, blockwise, coarsen, descendant_block, expand, flat_blocks,
+                   pyramid, tile_level)
 
 GENERATOR_KINDS = (
     "constant",
@@ -39,21 +42,28 @@ GENERATOR_KINDS = (
 
 @dataclass(frozen=True)
 class Weight:
-    """Nonnegative density on leaf cells with cached cube masses."""
+    """Nonnegative density on leaf cells with cached cube masses.
+
+    The weight keeps a read-only copy of `leaf_density`; `copy=False` hands
+    over an array that nothing else holds, which is then kept as it is.
+    """
 
     grid: GridConfig
     leaf_density: np.ndarray
     kind: str = "custom"
     parameters: dict = field(default_factory=dict)
     mass_levels: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    copy: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, copy: bool) -> None:
         dens = np.asarray(self.leaf_density, dtype=float)
         if dens.shape != self.grid.leaf_shape():
             dens = dens.reshape(self.grid.leaf_shape())
-        if np.any(dens < 0) or not np.all(np.isfinite(dens)):
+        # False on a NaN, whose min and max are NaN
+        if not (dens.min() >= 0 and dens.max() < np.inf):
             raise ValueError("leaf densities must be finite and >= 0")
-        dens = dens.copy()
+        if copy:
+            dens = dens.copy()
         dens.setflags(write=False)
         object.__setattr__(self, "leaf_density", dens)
         levels = pyramid(dens * self.grid.leaf_volume, self.grid)
@@ -66,7 +76,7 @@ class Weight:
     @classmethod
     def from_leaf_mass(cls, grid: GridConfig, leaf_mass, kind="custom", parameters=None) -> "Weight":
         dens = np.asarray(leaf_mass, dtype=float) / grid.leaf_volume
-        return cls(grid, dens, kind, parameters or {})
+        return cls(grid, dens, kind, parameters or {}, copy=False)
 
     @cached_property
     def rho_levels(self) -> tuple[np.ndarray, ...]:
@@ -85,38 +95,60 @@ class Weight:
         level `grid.tile_level`, with at most `grid.BLOCK` leaves, so every
         leaf-size temporary is cache-sized.  (At d=1, N=22 a leaf array is
         32 MiB, which malloc maps fresh, page fault by page fault, on every
-        use.)  A tile yields the excess sums of its own cubes on the levels at
-        and below the tile level, and one partial sum per coarser level, which
-        `coarsen` then finishes.  `coarsen` adds the same pairwise tree over a
-        cube's leaves wherever it starts, so the bits do not depend on the
-        tiling.
+        use.)  A tile writes the finished rho of its own cubes on the levels
+        at and below the tile level, and one partial excess sum per coarser
+        level, which `coarsen` then finishes.  `coarsen` adds the same
+        pairwise tree over a cube's leaves wherever it starts, so the bits do
+        not depend on the tiling.  The tiles run through `blockwise`, so on a
+        grid of 8 or more blocks they spread over the available CPUs.
         """
         grid = self.grid
         d, n, top = grid.dimension, grid.leaf_level, tile_level(grid)
-        excess_sums: list[np.ndarray] = [None] * (n + 1)
-        if top == 0:
-            excess_sums[:n] = self._tile_excess((0,) * d, 0)
-        else:
-            # levels below `top` first collect one partial sum per tile
-            for k in range(n):
-                excess_sums[k] = np.empty(grid.level_shape(max(k, top)))
-            for tile in np.ndindex(grid.level_shape(top)):
-                for k, block in enumerate(self._tile_excess(tile, top)):
-                    excess_sums[k][descendant_block(tile, top, max(k, top))] = block
-            for k in range(top):
-                excess_sums[k] = coarsen(excess_sums[k], d, top - k)
+        # several tiles write their blocks into one array per level; the
+        # blocks of a single tile are whole levels
+        levels = [None] * top + [np.empty(grid.level_shape(k)) if top else None
+                                 for k in range(top, n + 1)]
+        # the levels coarser than `top` first collect one partial sum per tile
+        partial = [np.empty(grid.level_shape(top)) for _ in range(top)]
+
+        def put(k, block, values):
+            if top:
+                levels[k][block] = values
+            else:
+                levels[k] = values
+
+        def tile_pass(tile):
+            # errstate is per thread, so each tile sets its own
+            with np.errstate(invalid="ignore", divide="ignore"):
+                for k, excess in enumerate(self._tile_excess(tile, top)):
+                    if k < top:
+                        partial[k][descendant_block(tile, top, top)] = excess
+                    else:
+                        block = descendant_block(tile, top, k)
+                        put(k, block, self._normalise(excess, k, block))
+            # a leaf's excess is 0, and 1.0 + 0 * |leaf| / m is exactly 1
+            block = descendant_block(tile, top, n)
+            put(n, block, np.where(self.mass_levels[n][block] > 0, 1.0, np.nan))
+
+        blockwise(tile_pass, list(np.ndindex(grid.level_shape(top))), grid)
         with np.errstate(invalid="ignore", divide="ignore"):
-            for r, m in zip(excess_sums, self.mass_levels[:n]):
-                # in place, in the order of 1.0 + excess * |leaf| / m
-                r *= grid.leaf_volume
-                r /= m
-                r += 1.0
-                r[m <= 0] = np.nan
-                r.setflags(write=False)
-        # a leaf's excess is 0, and 1.0 + 0 * |leaf| / m is exactly 1
-        excess_sums[n] = np.where(self.mass_levels[n] > 0, 1.0, np.nan)
-        excess_sums[n].setflags(write=False)
-        return tuple(excess_sums)
+            for k in range(top):
+                levels[k] = self._normalise(coarsen(partial[k], d, top - k), k, ...)
+        for r in levels:
+            r.setflags(write=False)
+        return tuple(levels)
+
+    def _normalise(self, excess: np.ndarray, k: int, index) -> np.ndarray:
+        """rho = 1 + excess * |leaf| / m in place, from the excess sums of the
+        level-k cubes at `index`; NaN where m = 0 (the caller silences the
+        0/0 warning)."""
+        m = self.mass_levels[k][index]
+        # in place, in the order of 1.0 + excess * |leaf| / m
+        excess *= self.grid.leaf_volume
+        excess /= m
+        excess += 1.0
+        excess[m <= 0] = np.nan
+        return excess
 
     def _tile_excess(self, tile: tuple[int, ...], top: int) -> list[np.ndarray]:
         """Per level k < N, the sums of (chain maximum - level-k average)
@@ -149,7 +181,7 @@ class Weight:
         if c <= 0:
             raise ValueError("scale factor must be positive")
         return Weight(self.grid, self.leaf_density * c, self.kind,
-                      dict(self.parameters, scale=c))
+                      dict(self.parameters, scale=c), copy=False)
 
 
 def mass(sigma: Weight, cube: DyadicCube) -> float:
@@ -185,36 +217,47 @@ def llogl_integral(sigma: Weight) -> float:
 
 # --- closed-form interval masses ------------------------------------------
 
-def _power_interval_mass(beta: float, i: np.ndarray, scale: float) -> np.ndarray:
-    """Mass of density x^beta over [i*h, (i+1)*h) with h = 2^-N = scale, for
-    i = np.arange(n): cell 0 in closed form, cells i >= 1 on the slice i[1:].
+def _interval_masses(grid: GridConfig, first: float, rest) -> np.ndarray:
+    """Leaf masses of a closed-form density on a d=1 grid: `first` on cell 0
+    and rest(i) on the cells i >= 1, with i as floats, block by block
+    (`blockwise`) straight into one array."""
+    out = np.empty(grid.n_leaves)
+    out[0] = first
+
+    def fill(cells):
+        lo, hi = max(cells.start, 1), min(cells.stop, out.size)
+        out[lo:hi] = rest(np.arange(lo, hi, dtype=float))
+
+    blockwise(fill, flat_blocks(out.size), grid)
+    return out
+
+
+def _power_interval_mass(beta: float, grid: GridConfig) -> np.ndarray:
+    """Mass of density x^beta over each leaf cell [i*h, (i+1)*h), h = 2^-N.
 
     Uses (b^s - a^s)/s with s = beta+1, evaluated cancellation-free via
     expm1/log1p for i >= 1.
     """
-    s = beta + 1.0
-    out = np.empty(i.shape)
-    out[0] = (scale**s) / s
-    ip = i[1:].astype(float)
+    s, h = beta + 1.0, grid.leaf_volume
     # b^s - a^s = a^s * expm1(s * log1p(1/i))
-    out[1:] = ((ip * scale) ** s) * np.expm1(s * np.log1p(1.0 / ip)) / s
-    return out
+    return _interval_masses(grid, (h**s) / s,
+                            lambda i: ((i * h) ** s) * np.expm1(s * np.log1p(1.0 / i)) / s)
 
 
-def _ce_sigma_interval_mass(i: np.ndarray, scale: float) -> np.ndarray:
-    """Mass of 1/(x (1-ln x)^2) over [i*h, (i+1)*h), h = scale, for
-    i = np.arange(n): cell 0 in closed form, cells i >= 1 on the slice i[1:].
+def _ce_sigma_interval_mass(grid: GridConfig) -> np.ndarray:
+    """Mass of 1/(x (1-ln x)^2) over each leaf cell [i*h, (i+1)*h), h = 2^-N.
 
     Antiderivative is 1/(1-ln x); the difference is computed as
     ln(b/a) / ((1-ln a)(1-ln b)) to avoid cancellation near x = 1.
     """
-    out = np.empty(i.shape)
-    out[0] = 1.0 / (1.0 - np.log(scale))
-    ip = i[1:].astype(float)
-    la = np.log(ip * scale)
-    lb = np.log((ip + 1.0) * scale)
-    out[1:] = np.log1p(1.0 / ip) / ((1.0 - la) * (1.0 - lb))
-    return out
+    h = grid.leaf_volume
+
+    def rest(i):
+        la = np.log(i * h)
+        lb = np.log((i + 1.0) * h)
+        return np.log1p(1.0 / i) / ((1.0 - la) * (1.0 - lb))
+
+    return _interval_masses(grid, 1.0 / (1.0 - np.log(h)), rest)
 
 
 def ce_sigma_mass(a: float, b: float) -> float:
@@ -258,8 +301,7 @@ def generate_weight(grid: GridConfig, kind: str, **params) -> Weight:
         value = float(params.pop("value", 1.0))
         if params or value <= 0 or not np.isfinite(value):
             raise ValueError("bad generator parameter: constant needs value > 0")
-        dens = np.full(grid.leaf_shape(), value)
-        return Weight(grid, dens, kind, {"value": value})
+        return Weight(grid, np.full(grid.leaf_shape(), value), kind, {"value": value}, copy=False)
 
     if kind == "power":
         if "beta" not in params:
@@ -269,7 +311,7 @@ def generate_weight(grid: GridConfig, kind: str, **params) -> Weight:
             raise ValueError("bad generator parameter: power needs beta > -1")
         if grid.dimension != 1:
             raise ValueError("bad generator parameter: power is one-dimensional")
-        leaf_mass = _power_interval_mass(beta, np.arange(grid.n_leaves), grid.leaf_volume)
+        leaf_mass = _power_interval_mass(beta, grid)
         return Weight.from_leaf_mass(grid, leaf_mass, kind, {"beta": beta})
 
     if kind == "counterexample_w":
@@ -277,7 +319,7 @@ def generate_weight(grid: GridConfig, kind: str, **params) -> Weight:
             raise ValueError("bad generator parameter: counterexample_w takes none")
         if grid.dimension != 1:
             raise ValueError("bad generator parameter: counterexample_w is one-dimensional")
-        leaf_mass = _power_interval_mass(2.0, np.arange(grid.n_leaves), grid.leaf_volume)
+        leaf_mass = _power_interval_mass(2.0, grid)
         return Weight.from_leaf_mass(grid, leaf_mass, kind, {})
 
     if kind == "counterexample_sigma":
@@ -285,7 +327,7 @@ def generate_weight(grid: GridConfig, kind: str, **params) -> Weight:
             raise ValueError("bad generator parameter: counterexample_sigma takes none")
         if grid.dimension != 1:
             raise ValueError("bad generator parameter: counterexample_sigma is one-dimensional")
-        leaf_mass = _ce_sigma_interval_mass(np.arange(grid.n_leaves), grid.leaf_volume)
+        leaf_mass = _ce_sigma_interval_mass(grid)
         return Weight.from_leaf_mass(grid, leaf_mass, kind, {})
 
     if kind == "random_cascade":

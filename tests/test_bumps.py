@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -300,3 +301,53 @@ class TestChunkedScan:
         assert both == [*_sup(sigma, w, cfg, joint, sigma, eps, (0.5,)),
                         *_sup(sigma, w, cfg, joint, sigma, eps, (0.25,)),
                         *_sup(sigma, w, cfg, joint, sigma, eps, (0.5,))]
+
+
+class TestBlockwise:
+    """joint_levels and the bump scans give the same bits on a thread pool
+    (`grid.blockwise`) as in one serial pass."""
+
+    @staticmethod
+    def reports(kind, d, cfg):
+        sigma, w = _chunk_inputs(kind, d)
+        joint = joint_levels(sigma, w, cfg)
+        return ([j.tobytes() for j in joint],
+                entropy_bumps(sigma, w, cfg, EntropyFunction("entropy", 0.5), joint=joint).to_dict(),
+                direct_bumps(sigma, w, cfg, EntropyFunction("direct", 0.5), joint=joint).to_dict())
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("kind", ["constant", "cascade", "zero_quarter"])
+    def test_same_bits(self, spread, cpus, d, kind):
+        cfg = ExponentConfig(2.0, 3.0, 0.0, d)
+        serial = self.reports(kind, d, cfg)
+        pools = spread(4, cpus)  # 64 leaves: 16 blocks of 4
+        assert self.reports(kind, d, cfg) == serial
+        # two rho pyramids, one joint build and six scans
+        assert pools == ([] if cpus == 1 else [2] * 9)
+
+    @pytest.mark.parametrize("block,spreads", [(512, True), (1024, False)])
+    def test_eight_blocks_gate(self, spread, block, spreads):
+        # d=1 N=12 is 8 blocks of 512 leaves, or 4 blocks of 1024
+        pools = spread(block, 4)
+        sigma, w = fix_ce(12)
+        entropy_bumps(sigma, w, ExponentConfig(2.0, 2.0, 0.0, 1, "extended"),
+                      EntropyFunction("entropy", 0.5))
+        assert bool(pools) == spreads and set(pools) <= {4}
+
+    @pytest.mark.parametrize("d,n", [(1, 18), (2, 9)])
+    def test_no_pool_below_the_gate(self, monkeypatch, d, n):
+        # the largest grids below 8 default blocks run serially, whatever
+        # the number of CPUs
+        def refuse(*args, **kwargs):
+            raise AssertionError("thread pool built below the gate")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(sparsebump.grid, "available_cpus", lambda: 8)
+        g = GridConfig(d, n)
+        sigma, w = fix_ce(n) if d == 1 else (
+            generate_weight(g, "random_cascade", seed=1, volatility=0.5),
+            generate_weight(g, "random_cascade", seed=2, volatility=0.5))
+        cfg = ExponentConfig(2.0, 2.0, 0.0, d, "extended")
+        entropy_bumps(sigma, w, cfg, EntropyFunction("entropy", 0.5))
+        direct_bumps(sigma, w, cfg, EntropyFunction("direct", 0.5))

@@ -301,6 +301,32 @@ class TestNegativeControls:
                 rep = trace(inst, eps, fam.root)
             assert not rep.identity_ok and not rep.passed
 
+    @pytest.mark.parametrize("setup", ("chain", "stopping"))
+    def test_halved_rho_breaks_the_carleson_estimate(self, monkeypatch, setup):
+        # stage (ii), support half: the Carleson estimate divides by rho(Q*),
+        # so halved rho keys double every support ratio.  The strata stay the
+        # same sets, one bucket lower, and eps(2^a) does not grow, so the
+        # inner sums stay within their bounds and only the support half fails.
+        if setup == "chain":
+            (s, w), fam, cfg = fix_const(), chain_family(), self.CFG
+        else:
+            fam, s, w = random_setup(5, n=12)
+            cfg = ExponentConfig(2, 3, 0.0, 1)
+        inst = Instance(fam, s, w, cfg)
+        assert entropy_trace(inst, EPS_E, fam.root).passed
+        original = prooftrace._strata
+
+        def halved(*args):
+            keys, a, in_bucket, top = original(*args)
+            return keys / 2.0, a, in_bucket, top
+
+        monkeypatch.setattr(prooftrace, "_strata", halved)
+        rep = entropy_trace(inst, EPS_E, fam.root)
+        assert not rep.inner_ok and not rep.passed
+        assert any(r.support_ratio > 1.0 + SLACK for r in rep.strata)
+        assert all(r.inner_lhs <= r.inner_bound * (1.0 + SLACK) for r in rep.strata)
+        assert rep.identity_ok and rep.final_ok and rep.certified_ok
+
     @pytest.mark.parametrize("kind", ("entropy", "direct"))
     def test_shrunk_tail_sum_breaks_the_final_bound(self, kind):
         # stage (iii) and the certificate scale with Sigma_eps; stages (i)

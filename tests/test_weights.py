@@ -181,3 +181,60 @@ class TestSerialization:
         assert record["dimension"] == 1 and record["leaf_level"] == 4
         for text, value in zip(record["leaf_density"], w.leaf_density):
             assert float(text) == value  # repr round-trips float64 exactly
+
+
+class TestLeafCopy:
+    def test_caller_array_is_copied(self):
+        dens = np.array([1.0, 2.0, 3.0, 4.0])
+        w = Weight(GridConfig(1, 2), dens)
+        dens[0] = 100.0
+        assert w.leaf_density[0] == 1.0 and w.mass_levels[0][0] == 2.5
+        assert not w.leaf_density.flags.writeable
+
+    def test_caller_leaf_mass_is_not_kept(self):
+        leaf_mass = np.array([0.25, 0.5, 0.75, 1.0])
+        w = Weight.from_leaf_mass(GridConfig(1, 2), leaf_mass)
+        leaf_mass[:] = 0.0
+        np.testing.assert_array_equal(w.leaf_density, [1.0, 2.0, 3.0, 4.0])
+        assert not w.leaf_density.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+    def test_non_finite_or_negative_density_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            Weight(GridConfig(1, 2), np.array([1.0, bad, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            Weight.from_leaf_mass(GridConfig(1, 2), np.array([1.0, 1.0, 1.0, bad]))
+
+
+def _bytes(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+class TestBlockwise:
+    """The generators and the rho tiles give the same bits on a thread pool
+    (`grid.blockwise`) as in one serial pass."""
+
+    @staticmethod
+    def weights():
+        g1, g2 = GridConfig(1, 10), GridConfig(2, 5)
+        dens = generate_weight(g2, "random_cascade", seed=5, volatility=0.8).leaf_density.copy()
+        dens[:16, :16] = 0.0  # rho is NaN on a zero-mass quarter
+        return [generate_weight(g1, "counterexample_sigma"),
+                generate_weight(g1, "counterexample_w"),
+                generate_weight(g1, "power", beta=-0.5),
+                generate_weight(g2, "random_cascade", seed=6, volatility=0.8),
+                Weight(g2, dens)]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_same_bits(self, spread, cpus):
+        serial = self.weights()  # 1024 leaves: one block, one tile
+        for w in serial:
+            w.rho_levels  # built now, before BLOCK shrinks
+        pools = spread(16, cpus)  # 64 blocks, 64 tiles
+        threaded = self.weights()
+        for a, b in zip(serial, threaded):
+            assert a.leaf_density.tobytes() == b.leaf_density.tobytes()
+            assert _bytes(a.mass_levels) == _bytes(b.mass_levels)
+            assert _bytes(a.rho_levels) == _bytes(b.rho_levels)
+        # three generators and five rho pyramids, each on its own pool
+        assert pools == ([] if cpus == 1 else [2] * 8)

@@ -9,6 +9,16 @@ The common (un-bumped) factor is
 the entropy bump multiplies it by rho(Q; sigma)^{1/q} eps(rho(Q; sigma))^{1/q},
 and the direct bump by eps(<sigma>_Q)^{1/q}, with eps drawn from the
 logarithmic families below.
+
+All six constants of a pair (A, E, the two E*, D, D*) come from one pass
+over the (level, chunk) items of the pyramid (`PairScan`), spread by
+`grid.blockwise`; the levels of fewer than `grid.BLOCK` cells share items,
+so a small grid is one or two items.  The pass scores each cube for every
+constant in log space, from the logs of sigma(Q), w(Q), rho(Q; sigma) and
+rho(Q; w) taken once per cube, and keeps the cubes within `SCORE_MARGIN`
+of each maximum.  Only those candidates are rechecked in exact arithmetic,
+so the argmax is the first exactly maximal cube, and the constant is
+re-evaluated at it in scalar arithmetic.  No pyramid-sized array is built.
 """
 
 from __future__ import annotations
@@ -19,10 +29,27 @@ from functools import cache, cached_property
 
 import numpy as np
 
+from . import grid as grid_module
 from .grid import DyadicCube, GridConfig, blockwise, flat_blocks
 from .weights import Weight, average, mass, rho
 
 LN2 = math.log(2.0)
+
+# Margin of the log-domain scores of `PairScan`: every cube whose score is
+# at least top - SCORE_MARGIN * max(1, |top|) is rechecked exactly.  A score
+# is a sum of four terms, log w / q, log sigma / p', k (d - alpha) ln 2 and
+# the bump's log, each within a few u = 2^-53 of its value, relative to
+# max(1, its size).  Only C = k (d - alpha) ln 2 <= 24 ln 2 (d N <= 24), the
+# bump B <= 7 (1 + delta) (rho <= N + 1 and |log <sigma>_Q| <= 762) and P,
+# the logs of masses above 1, can be positive, so the terms' sizes add up to
+# at most |score| + 2 (C + B + P).  For delta <= 10 and masses below 1e10
+# that is below 300 max(1, |score|), an error below 1.5e-13 max(1, |score|).
+# The exact maximizer trails the top score by at most two such errors; 1e-9
+# leaves a factor above 3000.  With a margin of 0, cubes whose exact values
+# tie (constant weights at p = q) are told apart by the rounding of their
+# scores, and a later cube can win.  The other tolerance of the package is
+# `prooftrace.SLACK`.
+SCORE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -183,104 +210,221 @@ def joint_factor(sigma: Weight, w: Weight, cfg: ExponentConfig, cube: DyadicCube
     return mass(w, cube) ** (1.0 / cfg.q) * mass(sigma, cube) ** (1.0 / cfg.p_dual) * scale
 
 
-def joint_levels(sigma: Weight, w: Weight, cfg: ExponentConfig) -> list[np.ndarray]:
-    """Per level, the joint factor w(Q)^{1/q} sigma(Q)^{1/p'} |Q|^{alpha/d - 1}:
-    the one build that the entropy and the direct bumps of a pair can share.
-    Each level is filled in flat blocks (`flat_blocks`) through `blockwise`."""
-    grid = sigma.grid
-    d = grid.dimension
-    out = [np.empty(grid.level_shape(k)) for k in range(grid.leaf_level + 1)]
-
-    def fill(item):
-        k, cells = item
-        # in the order of w^{1/q} * sigma^{1/p'} * scale
-        j = np.multiply(w.mass_levels[k].reshape(-1)[cells] ** (1.0 / cfg.q),
-                        sigma.mass_levels[k].reshape(-1)[cells] ** (1.0 / cfg.p_dual),
-                        out=out[k].reshape(-1)[cells])
-        j *= 2.0 ** (k * (d - cfg.alpha))  # |Q|^{alpha/d - 1}
-
-    blockwise(fill, [(k, c) for k, level in enumerate(out) for c in flat_blocks(level.size)], grid)
-    return out
-
-
 def _rho_of(weight: Weight, cube: DyadicCube) -> float | None:
     """rho(Q; weight), or None where weight(Q) = 0 and rho is undefined."""
     return rho(weight, cube) if mass(weight, cube) > 0 else None
 
 
-def _sup(sigma: Weight, w: Weight, cfg: ExponentConfig, joint: list[np.ndarray],
-         weight: Weight | None = None, eps: EntropyFunction | None = None,
-         exponents=(1.0,)) -> list[tuple[float, DyadicCube]]:
-    """Per exponent e, the constant sup_Q joint(Q) * bump_e(Q) and its argmax.
+# Per constant: the eps kind that bumps it (None for A), whether its key is
+# read from w rather than sigma, and whether its exponent is 1/p' (else 1/q).
+CONSTANTS = {
+    "A": (None, False, False),
+    "E": ("entropy", False, False),
+    "E_star_printed": ("entropy", False, True),
+    "E_star_symmetric": ("entropy", True, True),
+    "D": ("direct", False, False),
+    "D_star": ("direct", True, True),
+}
 
-    Without a weight the bump is 1 (the joint constant A).  Otherwise the key
-    is rho(Q; weight) with bump key^e * eps(key)^e for an entropy eps, and
-    <weight>_Q with bump eps(key)^e for a direct eps; a cube where the key is
-    undefined (zero mass) contributes 0, as the joint factor vanishes there.
-    One scan over the levels evaluates eps once per key and each distinct
-    exponent once, and keeps the first (smallest level, then index) maximum
-    of each constant; the value is then re-evaluated at that cube in scalar
-    arithmetic, multiplied in the same order, so a witness recomputation
-    reproduces it exactly.  The scan walks each level in flat chunks of at
-    most `grid.BLOCK` cells (`flat_blocks`), so its temporaries stay
-    cache-sized on the finest levels, and the chunks run through
-    `blockwise`.  Their maxima are combined in chunk order, where a later
-    chunk takes over only on a strictly larger value, which keeps the first
-    maximum.
+
+def _score_floor(top: float) -> float:
+    """The lowest score kept as a candidate beside the maximum score `top`.
+    It never decreases as top grows, so a cell within the margin of the
+    pass maximum is also within the margin of its own item's maximum."""
+    return top - SCORE_MARGIN * max(1.0, abs(top))
+
+
+def _items(grid: GridConfig) -> list[tuple[tuple[int, slice], ...]]:
+    """The (level, chunk) pieces of the pyramid in (level, index) order,
+    grouped into items of at most `grid.BLOCK` cells: a level of BLOCK cells
+    or more in chunks of BLOCK, one piece an item; the smaller levels whole,
+    packed together."""
+    block, items, packed, filled = grid_module.BLOCK, [], [], 0
+    for k in range(grid.leaf_level + 1):
+        size = 2 ** (grid.dimension * k)
+        if packed and filled + size > block:
+            items.append(tuple(packed))
+            packed, filled = [], 0
+        if size < block:
+            packed.append((k, slice(0, size)))
+            filled += size
+        else:
+            items.extend(((k, c),) for c in flat_blocks(size))
+    if packed:
+        items.append(tuple(packed))
+    return items
+
+
+class PairScan:
+    """The bump constants of a pair (sigma, w) from one pass over its pyramid.
+
+    A holds always; E, E_star_printed and E_star_symmetric with an entropy
+    eps; D and D_star with a direct eps.  The pass runs on first use of
+    `found`, so the first report that reads a shared scan pays for it.
     """
-    entropy = eps is not None and eps.kind == "entropy"
-    if entropy:
-        weight.rho_levels  # build it before the scans spread: cached_property has no lock
 
-    def bumped(j, t, eps_t, e):
-        return (j * t**e if entropy else j) * eps_t**e
+    def __init__(self, sigma: Weight, w: Weight, cfg: ExponentConfig,
+                 entropy: EntropyFunction | None = None, direct: EntropyFunction | None = None):
+        self.grid = _check_same_grid(sigma, w)
+        self.sigma, self.w, self.cfg = sigma, w, cfg
+        self.eps = {"entropy": entropy, "direct": direct}
+        # per constant of this scan its score (eps kind, key from w,
+        # exponent e); E and E_star_printed share one where q = p'
+        self._score_of = {name: (kind, on_w, 1.0 / (cfg.p_dual if dual else cfg.q))
+                          for name, (kind, on_w, dual) in CONSTANTS.items()
+                          if kind is None or self.eps[kind] is not None}
+        self.names = list(self._score_of)
+        self._scored = list(dict.fromkeys(self._score_of.values()))
+        # the distinct bumps (eps kind, key from w) of these scores, direct
+        # ones first: they take the rows of the mass logs, and the entropy
+        # ones the row of the level term, free once the direct ones are done
+        self._bumps = sorted(dict.fromkeys(key[:2] for key in self._scored[1:]),
+                             key=lambda bump: bump[0] == "entropy")
 
-    distinct = list(dict.fromkeys(exponents))
+    def _scores(self, spare: list, item) -> list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
+        """Per score, over one item of (level, chunk) pieces: the maximum, and
+        the levels, flat indices and scores of the cells within the margin
+        of it.
 
-    def scan(item):
-        """Per distinct exponent, the first maximum of one chunk and its
-        flat index in the level."""
-        k, chunk = item
-        j = joint[k].reshape(-1)[chunk]
-        if weight is not None:
-            if entropy:
-                key = weight.rho_levels[k].reshape(-1)[chunk]
-            else:  # the level-k averages, one chunk at a time
-                key = weight.mass_levels[k].reshape(-1)[chunk] * 2.0 ** (weight.grid.dimension * k)
-            defined = key > 0  # False on NaN (rho of a zero-mass cube) and on 0
-            t = np.where(defined, key, 1.0)
-            eps_t = eps_eval(eps, t)
-        found = []
-        for e in distinct:
-            if weight is None:
-                vals = j
-            else:
-                # bumped(j, t, eps_t, e) in place, with fewer block temporaries:
-                # a product of the same two factors, so the same bits
-                vals = eps_t**e
-                vals *= j * t**e if entropy else j
-                vals[~defined] = 0.0
-            m = int(np.argmax(vals))
-            found.append((float(vals[m]), chunk.start + m))
+        The score of a cube is the log of its joint factor plus the log of
+        its bump: e (l + (1+delta) log1p(l)) with l = log rho for an entropy
+        bump, e (1+delta) log1p(|log <weight>_Q|) for a direct one.  A cube
+        where either weight has no mass scores -inf.  Every array is one of
+        five rows taken from `spare` and put back after the item, so the
+        items of a pass reuse a few workspaces, one per worker, instead of
+        mapping fresh memory for each; each bump and score is built in a
+        row that its inputs no longer need."""
+        cfg, d = self.cfg, self.grid.dimension
+        sizes = [len(range(2 ** (d * k))[chunk]) for k, chunk in item]
+        bounds = np.cumsum([0] + sizes)
+        try:
+            ws = spare.pop()
+        except IndexError:
+            ws = []
+        if not ws or len(ws[0]) < bounds[-1]:
+            ws = [np.empty(bounds[-1]) for _ in range(5)]
+        log_s, log_w, log_j, tmp, free = (row[:bounds[-1]] for row in ws)
+        if len(item) == 1:
+            k_ln2 = item[0][0] * LN2
+        else:  # per cell, where the item packs several small levels
+            k_ln2 = free
+            for (k, _), lo, hi in zip(item, bounds, bounds[1:]):
+                k_ln2[lo:hi] = k * LN2
+
+        def level_term(c):
+            """c k ln 2 per cell, a scalar for an item of one level."""
+            return c * k_ln2 if len(item) == 1 else np.multiply(k_ln2, c, out=tmp)
+
+        def log_of(levels, out):
+            """The log of the item's cells of a per-level array, in `out`."""
+            cells = [levels[k].reshape(-1)[chunk] for k, chunk in item]
+            return np.log(cells[0] if len(cells) == 1 else np.concatenate(cells, out=out), out=out)
+
+        found = {}
+
+        def keep(key, score):
+            top = score.max()
+            if top != top:  # a zero-mass cube's NaN: it ranks below every cube
+                score[np.isnan(score)] = -np.inf
+                top = score.max()
+            near = np.flatnonzero(score >= _score_floor(top)) if top > -np.inf else np.empty(0, np.int64)
+            piece = np.searchsorted(bounds, near, side="right") - 1
+            found[key] = (float(top), np.array([k for k, _ in item])[piece],
+                          np.array([chunk.start for _, chunk in item])[piece] + near - bounds[piece],
+                          score[near])
+
+        # errstate is per thread: log(0) = -inf at a zero-mass cube, where
+        # its NaN rho or infinite direct term then makes the score NaN
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_of(self.sigma.mass_levels, log_s)
+            log_of(self.w.mass_levels, log_w)
+            # products with reciprocals, and log(1 + x) for log1p(x), stay
+            # within the few ulps the margin allows, and are faster
+            np.multiply(log_w, 1.0 / cfg.q, out=log_j)
+            log_j += np.multiply(log_s, 1.0 / cfg.p_dual, out=tmp)
+            log_j += level_term(d - cfg.alpha)
+            keep(self._scored[0], log_j)
+            for kind, on_w in self._bumps:
+                one_plus_delta = 1.0 + self.eps[kind].delta
+                if kind == "direct":
+                    b = log_w if on_w else log_s
+                    np.abs(np.add(b, level_term(d), out=b), out=b)
+                    b += 1.0
+                    np.log(b, out=b)
+                    b *= one_plus_delta
+                else:
+                    b = log_of((self.w if on_w else self.sigma).rho_levels, free)  # >= 0, as rho >= 1
+                    b += np.multiply(np.log(np.add(b, 1.0, out=tmp), out=tmp), one_plus_delta, out=tmp)
+                keys = [key for key in self._scored if key[:2] == (kind, on_w)]
+                for key in keys:
+                    # the last score of a bump in the bump's own row
+                    score = np.multiply(b, key[2], out=b if key == keys[-1] else tmp)
+                    score += log_j
+                    keep(key, score)
+        spare.append(ws)
+        return [found[key] for key in self._scored]
+
+    def _exact(self, name: str, k: int, cells: np.ndarray) -> np.ndarray:
+        """The constant's per-cube values at the flat indices `cells` of level
+        k, in the vector arithmetic of the per-cube oracle: the joint factor
+        w^{1/q} sigma^{1/p'} |Q|^{alpha/d - 1}, times t^e eps(t)^e for an
+        entropy bump of key t = rho or eps(t)^e for a direct one of key t =
+        the average.  Every candidate has positive masses, so t is defined."""
+        cfg = self.cfg
+        j = (self.w.mass_levels[k].reshape(-1)[cells] ** (1.0 / cfg.q)
+             * self.sigma.mass_levels[k].reshape(-1)[cells] ** (1.0 / cfg.p_dual))
+        j *= 2.0 ** (k * (cfg.d - cfg.alpha))
+        kind, on_w, e = self._score_of[name]
+        if kind is None:
+            return j
+        weight = self.w if on_w else self.sigma
+        if kind == "entropy":
+            t = weight.rho_levels[k].reshape(-1)[cells]
+        else:  # |Q| = 2^{-dk} exactly, so the average's scaling is exact
+            t = weight.mass_levels[k].reshape(-1)[cells] * 2.0 ** (self.grid.dimension * k)
+        vals = eps_eval(self.eps[kind], t) ** e
+        vals *= j * t**e if kind == "entropy" else j
+        return vals
+
+    @cached_property
+    def found(self) -> dict[str, tuple[float, DyadicCube]]:
+        """Per constant, its value and its argmax: the first maximal cube in
+        (level, flat index) order.
+
+        One pass over the items of the pyramid (`_items`) through
+        `blockwise` scores every constant in log space (`_scores`).  The cells within `SCORE_MARGIN`
+        of a constant's maximum are its candidates, rechecked in the exact
+        arithmetic of `_exact`; the value is then re-evaluated at the winner
+        in scalar arithmetic, multiplied in the same order, so a witness
+        recomputation reproduces it exactly."""
+        sigma, w, cfg, grid = self.sigma, self.w, self.cfg, self.grid
+        if self.eps["entropy"] is not None:
+            # built before the pass spreads: cached_property has no lock
+            sigma.rho_levels, w.rho_levels
+        spare = []
+        scored = blockwise(lambda item: self._scores(spare, item), _items(grid), grid)
+        found = {}
+        for name in self.names:
+            kind, on_w, e = self._score_of[name]
+            per_item = [item[self._scored.index((kind, on_w, e))] for item in scored]
+            floor = _score_floor(max(top for top, _, _, _ in per_item))
+            # the candidates in (level, flat index) order, and their exact values
+            near = [score >= floor for _, _, _, score in per_item]
+            levels = np.concatenate([ks[at] for (_, ks, _, _), at in zip(per_item, near)])
+            cells = np.concatenate([ms[at] for (_, _, ms, _), at in zip(per_item, near)])
+            values = np.empty(len(cells))
+            for k in dict.fromkeys(levels.tolist()):  # not np.unique, which imports numpy.ma
+                values[levels == k] = self._exact(name, k, cells[levels == k])
+            best = int(np.argmax(values))
+            k = int(levels[best])
+            cube = DyadicCube(k, tuple(int(x) for x in np.unravel_index(int(cells[best]), grid.level_shape(k))))
+            value = joint_factor(sigma, w, cfg, cube)
+            if kind is not None:
+                weight = w if on_w else sigma
+                t = rho(weight, cube) if kind == "entropy" else average(weight, cube)
+                value = (value * t**e if kind == "entropy" else value) * eps_eval(self.eps[kind], t) ** e
+            found[name] = (value, cube)
         return found
-
-    # per distinct exponent: (value, level, flat index)
-    best = dict.fromkeys(distinct, (-np.inf, 0, 0))
-    items = [(k, c) for k, level in enumerate(joint) for c in flat_blocks(level.size)]
-    for (k, _), found in zip(items, blockwise(scan, items, sigma.grid)):
-        for e, (value, m) in zip(distinct, found):
-            if value > best[e][0]:
-                best[e] = (value, k, m)
-    found = {}
-    for e, (_, k, m) in best.items():
-        cube = DyadicCube(k, tuple(int(x) for x in np.unravel_index(m, joint[k].shape)))
-        value = joint_factor(sigma, w, cfg, cube)
-        if weight is not None:
-            t = _rho_of(weight, cube) if entropy else average(weight, cube)
-            # t is None or 0 where the key is undefined
-            value = bumped(value, t, eps_eval(eps, t), e) if t else 0.0
-        found[e] = (value, cube)
-    return [found[e] for e in exponents]
 
 
 def _report(found: dict[str, tuple[float, DyadicCube, Weight]], eps: EntropyFunction) -> BumpReport:
@@ -291,8 +435,19 @@ def _report(found: dict[str, tuple[float, DyadicCube, Weight]], eps: EntropyFunc
                       eps)
 
 
+def _scan_of(sigma: Weight, w: Weight, cfg: ExponentConfig, eps: EntropyFunction,
+             scan: PairScan | None) -> PairScan:
+    """The caller's shared scan of the pair, or a scan of this report's own
+    constants."""
+    if scan is None:
+        return PairScan(sigma, w, cfg, **{eps.kind: eps})
+    if scan.sigma is not sigma or scan.w is not w or scan.cfg != cfg or scan.eps[eps.kind] != eps:
+        raise ValueError("scan is of another pair, exponents or eps")
+    return scan
+
+
 def entropy_bumps(sigma: Weight, w: Weight, cfg: ExponentConfig,
-                  eps: EntropyFunction, joint: list[np.ndarray] | None = None) -> BumpReport:
+                  eps: EntropyFunction, scan: PairScan | None = None) -> BumpReport:
     """Entropy bump constants.
 
     E bumps the joint factor by rho(Q; sigma)^{1/q} eps(rho(Q; sigma))^{1/q}.
@@ -300,34 +455,27 @@ def entropy_bumps(sigma: Weight, w: Weight, cfg: ExponentConfig,
     rho(Q; sigma) in the exponent-1/p' bump; E_star_symmetric (the
     duality-consistent reading, and the one the dual proof chain consumes)
     uses rho(Q; w).  Cubes where the relevant weight has zero mass
-    contribute 0, as the joint factor vanishes there.  `joint` is
-    `joint_levels(sigma, w, cfg)` when the caller has it, built here when None.
+    contribute 0, as the joint factor vanishes there.  `scan` is a
+    `PairScan` of (sigma, w, cfg) with this eps that the caller shares with
+    `direct_bumps`; without it the constants come from a scan of their own.
     """
     if eps.kind != "entropy":
         raise ValueError("direct eps passed to entropy bump")
-    _check_same_grid(sigma, w)
-    joint = joint_levels(sigma, w, cfg) if joint is None else joint
-    [a] = _sup(sigma, w, cfg, joint)
-    e, e_printed = _sup(sigma, w, cfg, joint, sigma, eps, (1.0 / cfg.q, 1.0 / cfg.p_dual))
-    [e_symmetric] = _sup(sigma, w, cfg, joint, w, eps, (1.0 / cfg.p_dual,))
-    return _report({"A": (*a, sigma), "E": (*e, sigma), "E_star_printed": (*e_printed, sigma),
-                    "E_star_symmetric": (*e_symmetric, w)}, eps)
+    found = _scan_of(sigma, w, cfg, eps, scan).found
+    return _report({name: (*found[name], w if name == "E_star_symmetric" else sigma)
+                    for name in ("A", "E", "E_star_printed", "E_star_symmetric")}, eps)
 
 
 def direct_bumps(sigma: Weight, w: Weight, cfg: ExponentConfig,
-                 eps: EntropyFunction, joint: list[np.ndarray] | None = None) -> BumpReport:
+                 eps: EntropyFunction, scan: PairScan | None = None) -> BumpReport:
     """Direct-comparison bump constants.
 
     D bumps the joint factor by eps(<sigma>_Q)^{1/q}; D_star by
     eps(<w>_Q)^{1/p'}.  Cubes with zero average contribute 0 (the joint
     factor vanishes there too).  rho(Q; sigma) is reported at every argmax.
-    `joint` is as in `entropy_bumps`.
+    `scan` is as in `entropy_bumps`.
     """
     if eps.kind != "direct":
         raise ValueError("entropy eps passed to direct bump")
-    _check_same_grid(sigma, w)
-    joint = joint_levels(sigma, w, cfg) if joint is None else joint
-    [a] = _sup(sigma, w, cfg, joint)
-    [d] = _sup(sigma, w, cfg, joint, sigma, eps, (1.0 / cfg.q,))
-    [d_star] = _sup(sigma, w, cfg, joint, w, eps, (1.0 / cfg.p_dual,))
-    return _report({"A": (*a, sigma), "D": (*d, sigma), "D_star": (*d_star, sigma)}, eps)
+    found = _scan_of(sigma, w, cfg, eps, scan).found
+    return _report({name: (*found[name], sigma) for name in ("A", "D", "D_star")}, eps)

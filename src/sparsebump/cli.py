@@ -204,7 +204,7 @@ def cli_main(argv=None) -> int:
             seed = args.seed if args.seed is not None else int(os.environ.get("SPARSEBUMP_SEED", "0"))
             out = {"lower_bound": norm_lower_bound(inst, args.budget, seed=seed)}
             if args.p == 2.0 and args.q == 2.0:
-                out["exact_l2"] = exact_norm_l2(inst.family, inst.sigma, inst.w, args.alpha)
+                out["exact_l2"] = exact_norm_l2(inst)
             print(json.dumps(out, sort_keys=True))
             return 0
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bumps import BumpReport, EntropyFunction, ExponentConfig, direct_bumps, entropy_bumps, joint_levels
+from .bumps import BumpReport, EntropyFunction, ExponentConfig, PairScan, direct_bumps, entropy_bumps
 from .grid import DyadicCube, GridConfig, leaf_slice, root_cube
 from .operators import Instance, apply_sparse, norm_lower_bound, primal_indicator_ratios, testing_constants
 from .prooftrace import SLACK, direct_trace, dual_direct_trace, dual_entropy_trace, entropy_trace
@@ -177,10 +177,11 @@ def build_instance(cfg: ExperimentConfig, instance: int) -> tuple[Weight, Weight
 
 def _bump_reports(sigma: Weight, w: Weight, exps: ExponentConfig, eps_e: EntropyFunction,
                   eps_d: EntropyFunction) -> tuple[BumpReport, BumpReport]:
-    """The entropy and direct bump reports of a pair from one joint-factor build."""
-    joint = joint_levels(sigma, w, exps)
-    return (entropy_bumps(sigma, w, exps, eps_e, joint=joint),
-            direct_bumps(sigma, w, exps, eps_d, joint=joint))
+    """The entropy and direct bump reports of a pair from one scan of its
+    pyramid, which runs inside the first call."""
+    scan = PairScan(sigma, w, exps, eps_e, eps_d)
+    return (entropy_bumps(sigma, w, exps, eps_e, scan=scan),
+            direct_bumps(sigma, w, exps, eps_d, scan=scan))
 
 
 def _leaf_indicator_ratio(family: SparseFamily, sigma: Weight, w: Weight,

@@ -222,18 +222,21 @@ class PowerIterationError(RuntimeError):
         self.last_two = last_two
 
 
-def exact_norm_l2(family: SparseFamily, sigma: Weight, w: Weight, alpha: float,
-                  tol: float = 1e-12, max_iter: int = 50_000) -> float:
-    """Operator norm of f -> T(sigma f) from L2(sigma) to L2(w).
+def exact_norm_l2(inst: Instance, tol: float = 1e-12, max_iter: int = 50_000) -> float:
+    """Operator norm of f -> T(sigma f) from L2(sigma) to L2(w) on an
+    instance with p = q = 2.
 
     Power iteration on the self-adjoint composition G f = T_w(T_sigma f)
     (apply with sigma, multiply by w inside the second application), with
     the deterministic all-ones start on sigma-positive leaves.  Leaves with
     zero sigma-density carry no sigma(E_Q) mass, so they drop out of the
     domain space.  Both applies are the member applies of the dual ascent,
-    on f as one column.
+    on f as one column, so the instance's exceptional masses and dense
+    kernel serve both.
     """
-    inst = Instance(family, sigma, w, ExponentConfig(2.0, 2.0, alpha, family.grid.dimension, "extended"))
+    if inst.cfg.p != 2.0 or inst.cfg.q != 2.0:
+        raise ValueError(f"exact_norm_l2 needs p = q = 2, got p={inst.cfg.p}, q={inst.cfg.q}")
+    family, sigma = inst.family, inst.sigma
     t_sigma, t_w = _member_operator(inst, inst.sigma_exc), _member_operator(inst, inst.w_exc)
     sigma_exc = inst.sigma_exc[:, None]
     # the start is normalized over the whole grid, off the root too; T

@@ -54,7 +54,10 @@ TRACE_SCHEMA = "trace/v1"
 # error of at most (n-1)u/(1-(n-1)u) with u = 2^-53 ~ 1.1e-16, and each
 # factor adds about u.  1e-12 is ~9000u: it covers the worst case of the
 # certified families (|S| up to a few thousand) with room to spare, while a
-# true excess of a part in 1e12 or more is still reported.
+# true excess of a part in 1e12 or more is still reported.  The one other
+# tolerance, `bumps.SCORE_MARGIN`, widens the log-domain search for the
+# argmax of each bump constant, which is then rechecked exactly; it is
+# derived there.
 SLACK = 1e-12
 
 

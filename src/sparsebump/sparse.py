@@ -139,7 +139,9 @@ class SparseFamily:
                   # members[lo:hi] per occupied level below the root's: the sweep steps
                   "_below_root": [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if 0 < lo < hi],
                   # the owner map run-length encoded in leaf order, for at_leaves
-                  "_run_owner": owner.ravel()[runs], "_run_length": np.diff(runs, append=owner.size)}
+                  "_run_owner": owner.ravel()[runs], "_run_length": np.diff(runs, append=owner.size),
+                  # (position, mask) of the last `inside` call
+                  "_inside_last": None}
         for name, value in arrays.items():
             object.__setattr__(self, name, value)
 
@@ -184,8 +186,15 @@ class SparseFamily:
         return np.repeat(per_run, self._run_length).reshape(self.grid.leaf_shape())
 
     def inside(self, position: int) -> np.ndarray:
-        """Mask of the members inside the member at `position` (itself included)."""
-        return self.ancestor_sum(np.arange(len(self.members)) == position) > 0
+        """Read-only mask of the members inside the member at `position`
+        (itself included).  The last mask is kept, so the chains run one
+        after another at one R share a single down-sweep."""
+        last = self._inside_last  # read once, so a call returns its own pair
+        if last is None or last[0] != position:
+            last = (position, self.ancestor_sum(np.arange(len(self.members)) == position) > 0)
+            last[1].setflags(write=False)
+            object.__setattr__(self, "_inside_last", last)
+        return last[1]
 
     def exceptional_mass(self, weight: Weight) -> np.ndarray:
         """Per member, the mass weight(E_Q): one up-sweep of the leaf masses

@@ -13,15 +13,24 @@ the mass pyramid, never `rho_levels`, so it checks that pyramid independently.
 binary exponent of one `math.frexp` call.
 
 `dense_norm_l2_oracle` is the L2 operator norm as the top singular value of
-the dense leaf kernel, independent of the member applies of `exact_norm_l2`.
+the dense leaf kernel, independent of the member applies of `exact_norm_l2`;
+`l2_instance` builds the p = q = 2 instance that `exact_norm_l2` takes.
+
+`sup_oracle` is a bump constant with its argmax from the exact per-cube
+values of every grid cube, one whole level at a time: the scan that
+`bumps.PairScan` replaces by log-domain scores and an exact recheck of the
+near-maximal cubes.  `bump_reports_oracle` assembles both reports of a pair
+from it.
 """
 
 import math
 
 import numpy as np
 
-from sparsebump.grid import GridConfig, coarsen, expand, leaf_slice
-from sparsebump.weights import LeafFunction, average, mass
+from sparsebump.bumps import BumpReport, ExponentConfig, eps_eval, joint_factor
+from sparsebump.grid import DyadicCube, GridConfig, coarsen, expand, leaf_slice
+from sparsebump.operators import Instance
+from sparsebump.weights import LeafFunction, average, mass, rho
 
 
 def chain_max(sigma, cube):
@@ -66,6 +75,11 @@ def bucket_of(value):
     return exponent - 1
 
 
+def l2_instance(family, sigma, w, alpha):
+    """The (family, sigma, w) instance at p = q = 2 and the given alpha."""
+    return Instance(family, sigma, w, ExponentConfig(2.0, 2.0, alpha, family.grid.dimension, "extended"))
+
+
 def dense_norm_l2_oracle(family, sigma, w, alpha):
     """Independent dense oracle: assemble the symmetric kernel matrix
     K[L, L'] = v * sum over family cubes containing both leaves of
@@ -85,3 +99,73 @@ def dense_norm_l2_oracle(family, sigma, w, alpha):
     dw = np.sqrt(w.leaf_density.ravel())
     b = dw[:, None] * kernel * ds[None, :]
     return float(np.linalg.svd(b, compute_uv=False)[0])
+
+
+def joint_levels(sigma, w, cfg):
+    """Per level, the joint factor w(Q)^{1/q} sigma(Q)^{1/p'} |Q|^{alpha/d - 1}."""
+    return [w.mass_levels[k] ** (1.0 / cfg.q) * sigma.mass_levels[k] ** (1.0 / cfg.p_dual)
+            * 2.0 ** (k * (cfg.d - cfg.alpha)) for k in range(sigma.grid.leaf_level + 1)]
+
+
+def _rho_of(weight, cube):
+    return rho(weight, cube) if mass(weight, cube) > 0 else None
+
+
+def sup_oracle(sigma, w, cfg, weight=None, eps=None, exponents=(1.0,)):
+    """Per exponent e, the constant sup_Q joint(Q) * bump_e(Q) and its argmax.
+
+    Without a weight the bump is 1 (the joint constant A).  Otherwise the key
+    is rho(Q; weight) with bump key^e * eps(key)^e for an entropy eps, and
+    <weight>_Q with bump eps(key)^e for a direct eps; a cube where the key is
+    undefined (zero mass) contributes 0.  The argmax is the first maximum in
+    (level, flat index) order; the value is re-evaluated there in scalar
+    arithmetic, multiplied in the same order.
+    """
+    entropy = eps is not None and eps.kind == "entropy"
+    d = sigma.grid.dimension
+    joint = joint_levels(sigma, w, cfg)
+    found = []
+    for e in exponents:
+        best = (-np.inf, 0, 0)
+        for k, j in enumerate(joint):
+            j = j.reshape(-1)
+            if weight is None:
+                vals = j
+            else:
+                key = (weight.rho_levels[k] if entropy else weight.mass_levels[k] * 2.0 ** (d * k)).reshape(-1)
+                defined = key > 0  # False on NaN (rho of a zero-mass cube) and on 0
+                t = np.where(defined, key, 1.0)
+                vals = eps_eval(eps, t) ** e
+                vals *= j * t**e if entropy else j
+                vals[~defined] = 0.0
+            m = int(np.argmax(vals))
+            if vals[m] > best[0]:
+                best = (float(vals[m]), k, m)
+        _, k, m = best
+        cube = DyadicCube(k, tuple(int(x) for x in np.unravel_index(m, joint[k].shape)))
+        value = joint_factor(sigma, w, cfg, cube)
+        if weight is not None:
+            t = _rho_of(weight, cube) if entropy else average(weight, cube)
+            value = ((value * t**e if entropy else value) * eps_eval(eps, t) ** e) if t else 0.0
+        found.append((value, cube))
+    return found
+
+
+def bump_reports_oracle(sigma, w, cfg, eps_e, eps_d):
+    """The entropy and direct BumpReports of a pair, every constant from
+    `sup_oracle`; rho(Q; w) is reported at the argmax of E_star_symmetric,
+    rho(Q; sigma) at every other."""
+    [a] = sup_oracle(sigma, w, cfg)
+    e, e_printed = sup_oracle(sigma, w, cfg, sigma, eps_e, (1.0 / cfg.q, 1.0 / cfg.p_dual))
+    [e_symmetric] = sup_oracle(sigma, w, cfg, w, eps_e, (1.0 / cfg.p_dual,))
+    [d] = sup_oracle(sigma, w, cfg, sigma, eps_d, (1.0 / cfg.q,))
+    [d_star] = sup_oracle(sigma, w, cfg, w, eps_d, (1.0 / cfg.p_dual,))
+
+    def report(found, eps):
+        return BumpReport({name: v for name, (v, _, _) in found.items()},
+                          {name: cube for name, (_, cube, _) in found.items()},
+                          {name: _rho_of(wt, cube) for name, (_, cube, wt) in found.items()}, eps)
+
+    return (report({"A": (*a, sigma), "E": (*e, sigma), "E_star_printed": (*e_printed, sigma),
+                    "E_star_symmetric": (*e_symmetric, w)}, eps_e),
+            report({"A": (*a, sigma), "D": (*d, sigma), "D_star": (*d_star, sigma)}, eps_d))

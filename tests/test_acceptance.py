@@ -33,7 +33,7 @@ from sparsebump.prooftrace import (
 from sparsebump.sparse import SparseFamily, random_sparse
 from sparsebump.weights import fix_chain_cubes, fix_const, generate_weight
 
-from oracles import dense_norm_l2_oracle
+from oracles import dense_norm_l2_oracle, l2_instance
 
 TOL = 1 + 1e-12
 
@@ -191,7 +191,7 @@ def test_acceptance_6_norm_oracles_agree():
         sigma = generate_weight(grid, "random_cascade", seed=i, volatility=0.8)
         w = generate_weight(grid, "random_cascade", seed=i + 999, volatility=0.8)
         fam = random_sparse(grid, 0.5, seed=i, target_size=8)
-        a = exact_norm_l2(fam, sigma, w, 0.0, tol=1e-13)
+        a = exact_norm_l2(l2_instance(fam, sigma, w, 0.0), tol=1e-13)
         b = dense_norm_l2_oracle(fam, sigma, w, 0.0)
         worst = max(worst, abs(a - b))
         assert abs(a - b) <= 1e-8
@@ -204,7 +204,7 @@ def test_acceptance_6_norm_oracles_agree():
         pairs.append((generate_weight(grid, "random_cascade", seed=seed, volatility=0.7),
                       generate_weight(grid, "random_cascade", seed=seed + 50, volatility=0.7)))
     for sigma, w in pairs:
-        exact = exact_norm_l2(chain, sigma, w, 0.0, tol=1e-13)
+        exact = exact_norm_l2(l2_instance(chain, sigma, w, 0.0), tol=1e-13)
         lb = norm_lower_bound(Instance(chain, sigma, w, cfg), budget=200, seed=0)
         assert lb <= exact + 1e-8
         assert lb >= 0.99 * exact

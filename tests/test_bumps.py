@@ -1,23 +1,25 @@
 import concurrent.futures
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.special import zeta as hurwitz_zeta
 
+import sparsebump.bumps
 import sparsebump.grid
+from oracles import bump_reports_oracle, sup_oracle
 from sparsebump.bumps import (
     EntropyFunction,
     ExponentConfig,
+    PairScan,
     direct_bumps,
     entropy_bumps,
     eps_eval,
     eps_tail_sum,
-    joint_levels,
-    _sup,
 )
 from sparsebump.grid import GridConfig
-from sparsebump.weights import Weight, average, fix_ce, fix_const, generate_weight, mass, rho
+from sparsebump.weights import Weight, average, fix_ce, fix_const, fix_half, generate_weight, mass, rho
 
 LN2 = math.log(2.0)
 
@@ -296,24 +298,28 @@ class TestChunkedScan:
         sigma, w = _chunk_inputs("cascade", 1)
         cfg = ExponentConfig(2.0, 3.0, 0.0, 1)
         eps = EntropyFunction("entropy", 0.5)
-        joint = joint_levels(sigma, w, cfg)
-        both = _sup(sigma, w, cfg, joint, sigma, eps, (0.5, 0.25, 0.5))
-        assert both == [*_sup(sigma, w, cfg, joint, sigma, eps, (0.5,)),
-                        *_sup(sigma, w, cfg, joint, sigma, eps, (0.25,)),
-                        *_sup(sigma, w, cfg, joint, sigma, eps, (0.5,))]
+        both = sup_oracle(sigma, w, cfg, sigma, eps, (0.5, 0.25, 0.5))
+        assert both == [*sup_oracle(sigma, w, cfg, sigma, eps, (0.5,)),
+                        *sup_oracle(sigma, w, cfg, sigma, eps, (0.25,)),
+                        *sup_oracle(sigma, w, cfg, sigma, eps, (0.5,))]
+
+
+def _shared_reports(sigma, w, cfg, eps_e, eps_d):
+    """Both reports of a pair from one shared scan, as the suite takes them."""
+    scan = PairScan(sigma, w, cfg, eps_e, eps_d)
+    return (entropy_bumps(sigma, w, cfg, eps_e, scan=scan),
+            direct_bumps(sigma, w, cfg, eps_d, scan=scan))
 
 
 class TestBlockwise:
-    """joint_levels and the bump scans give the same bits on a thread pool
-    (`grid.blockwise`) as in one serial pass."""
+    """The bump pass gives the same bits on a thread pool (`grid.blockwise`)
+    as in one serial pass."""
 
     @staticmethod
     def reports(kind, d, cfg):
         sigma, w = _chunk_inputs(kind, d)
-        joint = joint_levels(sigma, w, cfg)
-        return ([j.tobytes() for j in joint],
-                entropy_bumps(sigma, w, cfg, EntropyFunction("entropy", 0.5), joint=joint).to_dict(),
-                direct_bumps(sigma, w, cfg, EntropyFunction("direct", 0.5), joint=joint).to_dict())
+        return [r.to_dict() for r in _shared_reports(sigma, w, cfg, EntropyFunction("entropy", 0.5),
+                                                     EntropyFunction("direct", 0.5))]
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("d", [1, 2])
@@ -323,8 +329,22 @@ class TestBlockwise:
         serial = self.reports(kind, d, cfg)
         pools = spread(4, cpus)  # 64 leaves: 16 blocks of 4
         assert self.reports(kind, d, cfg) == serial
-        # two rho pyramids, one joint build and six scans
-        assert pools == ([] if cpus == 1 else [2] * 9)
+        # two rho pyramids and one pass for all six constants
+        assert pools == ([] if cpus == 1 else [2] * 3)
+
+    def test_workspaces_under_thread_switching(self, spread):
+        # more workers than CPUs, switching threads every microsecond: a
+        # workspace handed to two items at once would mix their scores
+        serial = self.reports("cascade", 1, ExponentConfig(2.0, 3.0, 0.25, 1))
+        interval = sys.getswitchinterval()
+        pools = spread(2, 8)
+        try:
+            sys.setswitchinterval(1e-6)
+            for _ in range(5):
+                assert self.reports("cascade", 1, ExponentConfig(2.0, 3.0, 0.25, 1)) == serial
+        finally:
+            sys.setswitchinterval(interval)
+        assert set(pools) == {8}
 
     @pytest.mark.parametrize("block,spreads", [(512, True), (1024, False)])
     def test_eight_blocks_gate(self, spread, block, spreads):
@@ -351,3 +371,67 @@ class TestBlockwise:
         cfg = ExponentConfig(2.0, 2.0, 0.0, d, "extended")
         entropy_bumps(sigma, w, cfg, EntropyFunction("entropy", 0.5))
         direct_bumps(sigma, w, cfg, EntropyFunction("direct", 0.5))
+
+
+def _fused_inputs(kind, d):
+    """A weight pair of each kind: random cascades; the constant weight 3 on
+    both sides, where at p = q the exact values of several levels tie and the
+    first cube must win; and fix_half, whose zero-mass cubes sit on sigma,
+    on w or on both."""
+    if kind == "cascade":
+        g = GridConfig(d, 8 if d == 1 else 4)
+        return (generate_weight(g, "random_cascade", seed=51, volatility=0.8),
+                generate_weight(g, "random_cascade", seed=52, volatility=0.8))
+    if kind == "constant":
+        c = generate_weight(GridConfig(d, 10 if d == 1 else 5), "constant", value=3.0)
+        return c, c
+    half = fix_half()
+    const = generate_weight(half.grid, "constant", value=1.0)
+    return {"half_sigma": (half, const), "half_w": (const, half), "half_both": (half, half)}[kind]
+
+
+FUSED_CASES = [("cascade", 1), ("cascade", 2), ("constant", 1), ("constant", 2),
+               ("half_sigma", 1), ("half_w", 1), ("half_both", 1)]
+
+
+class TestFusedPass:
+    """Every constant, argmax and rho at the argmax of the one-pass scan
+    equals the per-cube oracle, which evaluates every cube exactly."""
+
+    EPS = (EntropyFunction("entropy", 0.5), EntropyFunction("direct", 0.5))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("p,q,alpha", [(2.0, 3.0, 0.25), (2.0, 2.0, 0.0), (1.5, 1.5, 0.0)])
+    @pytest.mark.parametrize("kind,d", FUSED_CASES)
+    def test_matches_oracle(self, spread, cpus, p, q, alpha, kind, d):
+        sigma, w = _fused_inputs(kind, d)
+        cfg = ExponentConfig(p, q, alpha, d, "extended")
+        want = [r.to_dict() for r in bump_reports_oracle(sigma, w, cfg, *self.EPS)]
+        spread(16, cpus)  # chunks of 16 cells; a pool on 128 leaves or more
+        sigma, w = _fused_inputs(kind, d)
+        assert [r.to_dict() for r in _shared_reports(sigma, w, cfg, *self.EPS)] == want
+        # standalone, each report scans only its own constants
+        assert [entropy_bumps(sigma, w, cfg, self.EPS[0]).to_dict(),
+                direct_bumps(sigma, w, cfg, self.EPS[1]).to_dict()] == want
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_zero_margin_picks_a_later_tying_cube(self, monkeypatch, d):
+        # constant weight 3 at p = q = 2: the exact value at the first cube
+        # of several levels is the same, but their log scores differ in the
+        # last bits, so without the margin a later cube wins
+        sigma, w = _fused_inputs("constant", d)
+        cfg = ExponentConfig(2.0, 2.0, 0.0, d, "extended")
+        want = bump_reports_oracle(sigma, w, cfg, *self.EPS)
+        assert [r.argmax for r in _shared_reports(sigma, w, cfg, *self.EPS)] == [r.argmax for r in want]
+        monkeypatch.setattr(sparsebump.bumps, "SCORE_MARGIN", 0.0)
+        for got, oracle in zip(_shared_reports(sigma, w, cfg, *self.EPS), want):
+            assert all(got.argmax[name] != cube for name, cube in oracle.argmax.items())
+
+    def test_scan_of_another_pair_is_refused(self):
+        sigma, w = _fused_inputs("cascade", 1)
+        cfg = ExponentConfig(2.0, 3.0, 0.0, 1)
+        scan = PairScan(sigma, w, cfg, *self.EPS)
+        with pytest.raises(ValueError, match="scan is of another pair"):
+            entropy_bumps(w, sigma, cfg, self.EPS[0], scan=scan)
+        with pytest.raises(ValueError, match="scan is of another pair"):
+            direct_bumps(sigma, w, cfg, EntropyFunction("direct", 1.0), scan=scan)

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import json
+from collections import Counter
 
 import pytest
 
@@ -193,6 +195,31 @@ class TestCli:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["lower_bound"] <= out["exact_l2"] + 1e-8
+
+    def test_norm_builds_one_instance(self, fixture_files, capsys, monkeypatch):
+        # the lower bound and the exact L2 norm read one instance: sigma(E_Q)
+        # and w(E_Q) are each computed once, and so is the dense kernel
+        calls = Counter()
+        exceptional_mass, kernel = SparseFamily.exceptional_mass, Instance.kernel.func
+
+        def counted_exceptional_mass(self, weight):
+            calls["exceptional_mass"] += 1
+            return exceptional_mass(self, weight)
+
+        def counted_kernel(self):
+            calls["kernel"] += 1
+            return kernel(self)
+
+        counted = functools.cached_property(counted_kernel)
+        counted.__set_name__(Instance, "kernel")
+        monkeypatch.setattr(SparseFamily, "exceptional_mass", counted_exceptional_mass)
+        monkeypatch.setattr(Instance, "kernel", counted)
+        wpath, fpath = fixture_files
+        code = cli_main(["norm", "--family", str(fpath), "--weights", str(wpath),
+                         "--p", "2", "--q", "2", "--mode", "extended", "--budget", "50"])
+        assert code == 0
+        assert "exact_l2" in json.loads(capsys.readouterr().out)
+        assert calls == {"exceptional_mass": 2, "kernel": 1}
 
     def test_verify_bounds_writes_reports(self, tmp_path, capsys):
         code = cli_main(["verify-bounds", "--instances", "2", "--leaf-level", "5",

@@ -23,7 +23,7 @@ from sparsebump.weights import (
     mass,
 )
 
-from oracles import dense_norm_l2_oracle
+from oracles import dense_norm_l2_oracle, l2_instance
 
 G4 = GridConfig(1, 4)
 
@@ -108,21 +108,21 @@ def test_instance_rejects_a_second_grid(which):
 class TestExactNormL2:
     def test_rank_one_projection(self):
         s, w = fix_const()
-        assert exact_norm_l2(singleton_family(), s, w, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert exact_norm_l2(l2_instance(singleton_family(), s, w, 0.0)) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_dense_oracle(self, seed):
         g = GridConfig(1, 4)
         sigma, w = random_pair(g, seed)
         fam = random_sparse(g, 0.5, seed=seed, target_size=10)
-        a = exact_norm_l2(fam, sigma, w, 0.0, tol=1e-13)
+        a = exact_norm_l2(l2_instance(fam, sigma, w, 0.0), tol=1e-13)
         b = dense_norm_l2_oracle(fam, sigma, w, 0.0)
         assert a == pytest.approx(b, abs=1e-8)
 
     def test_matches_dense_oracle_chain(self):
         s, w = fix_const()
         fam = chain_family()
-        a = exact_norm_l2(fam, s, w, 0.0, tol=1e-13)
+        a = exact_norm_l2(l2_instance(fam, s, w, 0.0), tol=1e-13)
         b = dense_norm_l2_oracle(fam, s, w, 0.0)
         assert a == pytest.approx(b, abs=1e-8)
 
@@ -130,8 +130,8 @@ class TestExactNormL2:
         g = GridConfig(1, 4)
         sigma, w = random_pair(g, 40)
         fam = random_sparse(g, 0.5, seed=2, target_size=8)
-        base = exact_norm_l2(fam, sigma, w, 0.0, tol=1e-13)
-        scaled = exact_norm_l2(fam, sigma.scaled(4.0), w, 0.0, tol=1e-13)
+        base = exact_norm_l2(l2_instance(fam, sigma, w, 0.0), tol=1e-13)
+        scaled = exact_norm_l2(l2_instance(fam, sigma.scaled(4.0), w, 0.0), tol=1e-13)
         assert scaled == pytest.approx(2.0 * base, abs=1e-8)  # c^{1/2} with c=4
 
     def test_nonconvergence_carries_iterates(self):
@@ -139,15 +139,20 @@ class TestExactNormL2:
         sigma, w = random_pair(g, 41)
         fam = random_sparse(g, 0.5, seed=2, target_size=8)
         with pytest.raises(PowerIterationError) as err:
-            exact_norm_l2(fam, sigma, w, 0.0, tol=0.0, max_iter=2)
+            exact_norm_l2(l2_instance(fam, sigma, w, 0.0), tol=0.0, max_iter=2)
         assert len(err.value.last_two) == 2
+
+    def test_needs_p_and_q_two(self):
+        s, w = fix_const()
+        with pytest.raises(ValueError, match="needs p = q = 2"):
+            exact_norm_l2(Instance(singleton_family(), s, w, ExponentConfig(2, 3, 0.0, 1)))
 
     def test_zero_sigma_leaves_excluded(self):
         g = GridConfig(1, 2)
         sigma = Weight(g, np.array([1.0, 1.0, 0.0, 0.0]))
         w = Weight(g, np.ones(4))
         fam = singleton_family(g)
-        a = exact_norm_l2(fam, sigma, w, 0.0, tol=1e-13)
+        a = exact_norm_l2(l2_instance(fam, sigma, w, 0.0), tol=1e-13)
         b = dense_norm_l2_oracle(fam, sigma, w, 0.0)
         assert a == pytest.approx(b, abs=1e-10)
 
@@ -181,7 +186,7 @@ class TestNormLowerBound:
         cfg = ExponentConfig(2, 2, 0.0, 1, "extended")
         s, w = fix_const()
         fam = chain_family()
-        exact = exact_norm_l2(fam, s, w, 0.0, tol=1e-13)
+        exact = exact_norm_l2(l2_instance(fam, s, w, 0.0), tol=1e-13)
         lb = norm_lower_bound(Instance(fam, s, w, cfg), budget=200, seed=0)
         assert lb <= exact + 1e-8
         assert lb >= 0.99 * exact
@@ -286,7 +291,7 @@ class TestTwoDimensional:
     def test_exact_norm_matches_dense_oracle(self, seed):
         sigma, w = random_pair(self.G, seed)
         fam = self.family(seed, sigma)
-        a = exact_norm_l2(fam, sigma, w, 0.5, tol=1e-13)
+        a = exact_norm_l2(l2_instance(fam, sigma, w, 0.5), tol=1e-13)
         b = dense_norm_l2_oracle(fam, sigma, w, 0.5)
         assert a == pytest.approx(b, rel=1e-11)
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from sparsebump.bumps import BumpReport, EntropyFunction, ExponentConfig, direct_bumps, entropy_bumps
+from sparsebump import lab
 from sparsebump.grid import DyadicCube, GridConfig, root_cube
+from sparsebump.lab import ExperimentConfig, build_instance
 from sparsebump.operators import Instance, testing_constants
 from sparsebump import prooftrace
 from sparsebump.prooftrace import (
@@ -238,6 +240,44 @@ class TestDualTraces:
         de = dual_entropy_trace(inst, EPS_E, fam.root)
         trep = testing_constants(inst)
         assert de.testing_value == pytest.approx(trep.per_R_star[fam.position[fam.root]], rel=1e-12)
+
+
+def test_four_chains_share_one_inside_sweep(monkeypatch):
+    # the four chains of a suite instance run at the root: one down-sweep
+    # finds the members inside it, and each chain takes one more for the
+    # maximal members of its buckets
+    cfg = ExperimentConfig(instances=2, master_seed=3)  # instance 1 has a stopping family
+
+    def traces(i):
+        sigma, w, family, _ = build_instance(cfg, i)
+        inst = Instance(family, sigma, w, cfg.exponents())
+        ebump, dbump = lab._bump_reports(sigma, w, inst.cfg, EPS_E, EPS_D)
+        calls = []
+        original = SparseFamily.ancestor_sum
+
+        def counted(self, values):
+            calls.append(self)
+            return original(self, values)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SparseFamily, "ancestor_sum", counted)
+            reports = [entropy_trace(inst, EPS_E, family.root, bump=ebump),
+                       direct_trace(inst, EPS_D, family.root, bump=dbump),
+                       dual_entropy_trace(inst, EPS_E, family.root, bump=ebump),
+                       dual_direct_trace(inst, EPS_D, family.root, bump=dbump)]
+        return [r.to_json() for r in reports], len(calls), family
+
+    for i in range(cfg.instances):
+        shared, sweeps, family = traces(i)
+        assert sweeps == 5
+        mask = family.inside(family.position[family.root])
+        assert mask is family.inside(family.position[family.root]) and not mask.flags.writeable
+        # a fresh down-sweep per chain gives the same records
+        with monkeypatch.context() as patch:
+            patch.setattr(SparseFamily, "inside",
+                          lambda self, position: self.ancestor_sum(np.arange(len(self)) == position) > 0)
+            unshared, sweeps, _ = traces(i)
+        assert sweeps == 8 and unshared == shared
 
 
 def test_report_json_schema():

@@ -37,7 +37,7 @@ from sparsebump.prooftrace import SLACK, _strata, direct_trace, entropy_trace
 from sparsebump.sparse import SparseFamily, carleson_check, random_sparse, stopping_family, verify_sparse
 from sparsebump.weights import LeafFunction, Weight, average, generate_weight, mass
 
-from oracles import bucket_of, dense_norm_l2_oracle, rho_oracle
+from oracles import bucket_of, dense_norm_l2_oracle, l2_instance, rho_oracle
 
 REL = 1e-13
 
@@ -478,7 +478,7 @@ class TestMemberOperatorMatchesLeafOperator:
 
     def test_exact_norm_l2(self, case):
         family, sigma, w, cfg = operator_instance(case)
-        assert_close(exact_norm_l2(family, sigma, w, cfg.alpha, tol=1e-14),
+        assert_close(exact_norm_l2(l2_instance(family, sigma, w, cfg.alpha), tol=1e-14),
                      oracle_exact_norm_l2(family, sigma, w, cfg.alpha, tol=1e-14))
 
 
@@ -524,7 +524,7 @@ def test_exact_norm_l2_on_both_kernels(case, monkeypatch):
     want = dense_norm_l2_oracle(family, sigma, w, cfg.alpha)
     for dense_max in (len(family), len(family) - 1):
         monkeypatch.setattr(operators, "DENSE_MAX", dense_max)
-        assert exact_norm_l2(family, sigma, w, cfg.alpha, tol=1e-14) == pytest.approx(want, rel=1e-11)
+        assert exact_norm_l2(l2_instance(family, sigma, w, cfg.alpha), tol=1e-14) == pytest.approx(want, rel=1e-11)
 
 
 @pytest.mark.parametrize("dense_max", (10**6, 0), ids=("dense", "sweeps"))

@@ -14,7 +14,7 @@ from .bumps import (
     eps_tail_sum,
     joint_factor,
 )
-from .grid import DyadicCube, GridConfig, children, contains, enumerate_cubes, parse_cube, root_cube
+from .grid import DyadicCube, GridConfig, contains, parse_cube, root_cube
 from .operators import (
     Instance,
     PowerIterationError,
@@ -39,16 +39,12 @@ from .sparse import (
     family_to_json,
     random_sparse,
     stopping_family,
-    verify_sparse,
 )
 from .weights import (
     LeafFunction,
     Weight,
     average,
     fix_ce,
-    fix_chain_cubes,
-    fix_const,
-    fix_half,
     generate_weight,
     llogl_integral,
     mass,

@@ -149,11 +149,10 @@ _OVERRIDE_FIELDS = (
 )
 
 
-def _suite_config(args, kind: str) -> ExperimentConfig:
+def _suite_config(args) -> ExperimentConfig:
     data = {}
     if args.config:
         data = json.loads(Path(args.config).read_text())
-    data["kind"] = kind
     if args.seed is not None:
         data["master_seed"] = args.seed
     elif "master_seed" not in data and os.environ.get("SPARSEBUMP_SEED"):
@@ -229,13 +228,13 @@ def cli_main(argv=None) -> int:
             return 0 if report.passed else 1
 
         if args.command == "verify-bounds":
-            cfg = _suite_config(args, "verify-bounds")
+            cfg = _suite_config(args)
             report = run_verify_bounds(cfg)
             _emit(report, cfg.out_dir, "verify_bounds")
             return 1 if report.violations else 0
 
         if args.command == "sweep":
-            cfg = _suite_config(args, "sweep")
+            cfg = _suite_config(args)
             report = run_sweep(cfg)
             _emit(report, cfg.out_dir, "sweep")
             return 1 if report.violations else 0
@@ -246,7 +245,7 @@ def cli_main(argv=None) -> int:
             return 1 if report.violations else 0
 
         raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,11 +7,9 @@ exact in binary floating point.  Supported dimensions are 1 and 2.
 
 from __future__ import annotations
 
-import itertools
 import os
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -47,11 +45,6 @@ class GridConfig:
     @property
     def leaf_volume(self) -> float:
         return 2.0 ** (-self.dimension * self.leaf_level)
-
-    @property
-    def n_cubes(self) -> int:
-        d, n = self.dimension, self.leaf_level
-        return sum(2 ** (d * k) for k in range(n + 1))
 
     def leaf_shape(self) -> tuple[int, ...]:
         return (2**self.leaf_level,) * self.dimension
@@ -95,13 +88,6 @@ class DyadicCube:
             raise ValueError("root cube has no parent")
         return DyadicCube(self.level - 1, tuple(j >> 1 for j in self.index))
 
-    def ancestor(self, level: int) -> "DyadicCube":
-        """The ancestor of this cube at the given coarser level."""
-        if not 0 <= level <= self.level:
-            raise ValueError(f"ancestor level {level} not in [0, {self.level}]")
-        shift = self.level - level
-        return DyadicCube(level, tuple(j >> shift for j in self.index))
-
     @property
     def text(self) -> str:
         """Report form: "k:j" for d=1, "k:(j1,j2)" for d=2."""
@@ -128,20 +114,6 @@ def parse_cube(text: str) -> DyadicCube:
     raise ValueError(f"cannot parse cube text {text!r}")
 
 
-def children(cube: DyadicCube, grid: GridConfig) -> list[DyadicCube]:
-    """The 2^d dyadic children partitioning the cube.
-
-    Raises for a leaf cube (level = N): no children exist on the grid.
-    """
-    if cube.level >= grid.leaf_level:
-        raise ValueError(f"no children: {cube.text} is a leaf cube")
-    halves = [(2 * j, 2 * j + 1) for j in cube.index]
-    return [
-        DyadicCube(cube.level + 1, combo)
-        for combo in itertools.product(*halves)
-    ]
-
-
 def contains(outer: DyadicCube, inner: DyadicCube) -> bool:
     """True iff inner is a subset of outer (reflexive)."""
     if inner.dimension != outer.dimension:
@@ -152,13 +124,6 @@ def contains(outer: DyadicCube, inner: DyadicCube) -> bool:
     return all(ji >> shift == jo for ji, jo in zip(inner.index, outer.index))
 
 
-def enumerate_cubes(grid: GridConfig) -> Iterator[DyadicCube]:
-    """Every cube of levels 0..N exactly once, in (level, index) order."""
-    for k in range(grid.leaf_level + 1):
-        for combo in itertools.product(range(2**k), repeat=grid.dimension):
-            yield DyadicCube(k, combo)
-
-
 def descendant_block(index: tuple[int, ...], level: int, finer: int) -> tuple[slice, ...]:
     """Numpy index of the level-`finer` descendants of the level-`level` cube
     `index` in a level-`finer` array."""
@@ -166,14 +131,9 @@ def descendant_block(index: tuple[int, ...], level: int, finer: int) -> tuple[sl
     return tuple([slice(j * f, (j + 1) * f) for j in index])
 
 
-def leaf_slice(cube: DyadicCube, grid: GridConfig):
+def leaf_slice(cube: DyadicCube, grid: GridConfig) -> tuple[slice, ...]:
     """Numpy index selecting the cube's leaves from a leaf-shaped array."""
-    slices = descendant_block(cube.index, cube.level, grid.leaf_level)
-    return slices[0] if grid.dimension == 1 else slices
-
-
-def leaf_count(cube: DyadicCube, grid: GridConfig) -> int:
-    return 2 ** (grid.dimension * (grid.leaf_level - cube.level))
+    return descendant_block(cube.index, cube.level, grid.leaf_level)
 
 
 def root_cube(grid: GridConfig) -> DyadicCube:

@@ -46,7 +46,6 @@ D_STABILITY_TOL = 0.05
 class ExperimentConfig:
     """Parameters for one experiment run; validated before any computation."""
 
-    kind: str = "verify-bounds"
     dimension: int = 1
     leaf_level: int = 8
     lam: float = 0.5
@@ -65,11 +64,7 @@ class ExperimentConfig:
     lambdas: tuple[float, ...] = (0.5, 0.25)
     out_dir: str | None = None
 
-    KINDS = ("verify-bounds", "counterexample", "sweep")
-
     def __post_init__(self) -> None:
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.family_kind not in ("random", "stopping", "mixed"):
             raise ValueError(f"unknown family kind {self.family_kind!r}")
         if self.instances < 0:
@@ -89,10 +84,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        """The config that a JSON object holds; raises ValueError on an
+        unknown field or on a value whose JSON type is not the field's."""
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        # a field's JSON type is that of its default, with ints taken for floats
+        types = {int: int, float: (int, float), str: str, tuple: (list, tuple)}
+        for f in dataclasses.fields(cls):
+            value, want = data.get(f.name), types.get(type(f.default))
+            if f.name in data and want and (isinstance(value, bool) or not isinstance(value, want)):
+                raise ValueError(f"config field {f.name} must be {type(f.default).__name__}, got {value!r}")
         data = dict(data)
         for key in ("levels", "lambdas"):
             if key in data:
@@ -349,8 +353,7 @@ def run_sweep(cfg: ExperimentConfig) -> SuiteReport:
                           "config": stamp}
     for n in cfg.levels:
         for lam in cfg.lambdas:
-            sub = dataclasses.replace(cfg, kind="verify-bounds", leaf_level=n,
-                                      lam=lam, levels=(n,), lambdas=(lam,),
+            sub = dataclasses.replace(cfg, leaf_level=n, lam=lam, levels=(n,), lambdas=(lam,),
                                       out_dir=None)
             sub_report = run_verify_bounds(sub)
             rows = sub_report.rows

@@ -25,9 +25,10 @@ per-member masses, terms and testing values; a dual chain runs on
 `Instance.dual`.
 
 A trace works on per-member arrays: its strata are (|S|, B) masks over the
-B buckets.  Two down-sweeps find the members inside R and the maximal members
-of every bucket, and one column-batched up-sweep gives every sum the chain
-checks, so a trace costs three sweeps whatever its number of strata.
+B buckets.  The members inside R come from their levels and indices
+(`SparseFamily.inside`), one down-sweep finds the maximal members of every
+bucket, and one column-batched up-sweep gives every sum the chain checks, so
+a trace costs two sweeps whatever its number of strata.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from .grid import (
     parse_cube,
     root_cube,
 )
-from .weights import Weight, average, mass, rho
+from .weights import Weight, average, json_record, mass, rho
 
 
 def _nearest_ancestor_in(cube: DyadicCube, members: set[DyadicCube]) -> DyadicCube | None:
@@ -41,10 +41,11 @@ def _nearest_ancestor_in(cube: DyadicCube, members: set[DyadicCube]) -> DyadicCu
     return None
 
 
-def _tree(members: tuple[DyadicCube, ...], depth: int):
-    """Array form of cubes sorted by (level, index): per member its row-major
-    index on its level and its parent; the level bounds (members on level k
-    are members[bounds[k]:bounds[k+1]]); per level-`depth` cube its owner.
+def _tree(level: np.ndarray, index: np.ndarray, depth: int):
+    """Array form of cubes sorted by (level, index), given as their levels
+    and (|S|, d) indices: per member its row-major index on its level and its
+    parent; the level bounds (members on level k are members[bounds[k]:
+    bounds[k+1]]); per level-`depth` cube its owner.
 
     One top-down sweep over levels 0..depth carries, per grid cube, the
     position of the deepest member containing it (-1 for none).  Read at a
@@ -52,11 +53,11 @@ def _tree(members: tuple[DyadicCube, ...], depth: int):
     proper ancestor in the collection); the map left at level `depth` holds
     the owners.
     """
-    d = members[0].dimension
-    flat = np.array([q.index[0] if d == 1 else (q.index[0] << q.level) + q.index[1]
-                     for q in members], dtype=np.int64)
-    bounds = np.searchsorted([q.level for q in members], np.arange(depth + 2))
-    parent = np.empty(len(members), dtype=np.int64)
+    d = index.shape[1]
+    # j in d=1, (j1 << k) + j2 in d=2
+    flat = (index << (level[:, None] * np.arange(d - 1, -1, -1))).sum(axis=1)
+    bounds = np.searchsorted(level, np.arange(depth + 2))
+    parent = np.empty(len(level), dtype=np.int64)
     owner = np.full((1,) * d, -1, dtype=np.int64)
     for k in range(depth + 1):
         owner = expand(owner, d) if k else owner
@@ -76,19 +77,6 @@ def _sparseness(members: tuple[DyadicCube, ...], parent: np.ndarray, lam: float)
     worst_ratio = float(ratio[j])
     witness = members[j] if worst_ratio > 0 else None
     return {"ok": worst_ratio <= lam, "worst_ratio": worst_ratio, "witness": witness}
-
-
-def verify_sparse(cubes, lam: float) -> dict:
-    """Check lambda-sparseness: per member, sum the volumes of its maximal
-    proper sub-members and compare with lam * volume.
-
-    Returns {ok, worst_ratio, witness}; witness is the cube attaining the
-    worst ratio (None when every member has no proper sub-members).
-    """
-    members = tuple(sorted(set(cubes), key=lambda c: (c.level, c.index)))
-    if not members:
-        raise ValueError("empty cube collection")
-    return _sparseness(members, _tree(members, members[-1].level)[2], lam)
 
 
 @dataclass(frozen=True)
@@ -119,9 +107,14 @@ class SparseFamily:
             raise ValueError("family must be nonempty")
         object.__setattr__(self, "cubes", cubes)
         members = tuple(sorted(cubes, key=lambda c: (c.level, c.index)))
+        foreign = [q.text for q in members if q.dimension != self.grid.dimension]
+        if foreign:
+            raise ValueError(f"cube {foreign[0]} is not of dimension {self.grid.dimension}")
         if members[-1].level > self.grid.leaf_level:
             raise ValueError(f"cube {members[-1].text} below leaf level")
-        flat, bounds, parent, owner = _tree(members, self.grid.leaf_level)
+        level = np.array([q.level for q in members])
+        index = np.array([q.index for q in members], dtype=np.int64)
+        flat, bounds, parent, owner = _tree(level, index, self.grid.leaf_level)
         if np.count_nonzero(parent < 0) != 1:
             raise ValueError("family must have a unique maximal cube (the root)")
         object.__setattr__(self, "root", members[0])
@@ -134,14 +127,12 @@ class SparseFamily:
         owner.setflags(write=False)
         runs = np.flatnonzero(np.diff(owner.ravel(), prepend=-2))
         arrays = {"members": members, "parent": parent, "owner": owner, "_flat": flat,
-                  "level": np.array([q.level for q in members]), "_bounds": bounds,
+                  "level": level, "_index": index, "_bounds": bounds,
                   "position": {q: i for i, q in enumerate(members)},
                   # members[lo:hi] per occupied level below the root's: the sweep steps
                   "_below_root": [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if 0 < lo < hi],
                   # the owner map run-length encoded in leaf order, for at_leaves
-                  "_run_owner": owner.ravel()[runs], "_run_length": np.diff(runs, append=owner.size),
-                  # (position, mask) of the last `inside` call
-                  "_inside_last": None}
+                  "_run_owner": owner.ravel()[runs], "_run_length": np.diff(runs, append=owner.size)}
         for name, value in arrays.items():
             object.__setattr__(self, name, value)
 
@@ -186,15 +177,12 @@ class SparseFamily:
         return np.repeat(per_run, self._run_length).reshape(self.grid.leaf_shape())
 
     def inside(self, position: int) -> np.ndarray:
-        """Read-only mask of the members inside the member at `position`
-        (itself included).  The last mask is kept, so the chains run one
-        after another at one R share a single down-sweep."""
-        last = self._inside_last  # read once, so a call returns its own pair
-        if last is None or last[0] != position:
-            last = (position, self.ancestor_sum(np.arange(len(self.members)) == position) > 0)
-            last[1].setflags(write=False)
-            object.__setattr__(self, "_inside_last", last)
-        return last[1]
+        """Mask of the members inside the member at `position` (itself
+        included), with no sweep: a level-k member lies inside the level-l
+        cube j when k >= l and its index, shifted right by k - l, is j."""
+        shift = self.level - self.level[position]
+        shifted = self._index >> np.maximum(shift, 0)[:, None]
+        return (shift >= 0) & (shifted == self._index[position]).all(axis=1)
 
     def exceptional_mass(self, weight: Weight) -> np.ndarray:
         """Per member, the mass weight(E_Q): one up-sweep of the leaf masses
@@ -316,7 +304,7 @@ def family_to_json(family: SparseFamily) -> str:
 
 
 def family_from_json(text: str) -> SparseFamily:
-    record = json.loads(text)
+    record = json_record(text, "family", ("dimension", "leaf_level", "lambda", "root", "cubes"))
     grid = GridConfig(record["dimension"], record["leaf_level"])
     cubes = frozenset(parse_cube(t) for t in record["cubes"])
     family = SparseFamily(grid, cubes, record["lambda"])

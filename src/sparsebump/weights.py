@@ -104,18 +104,10 @@ class Weight:
         """
         grid = self.grid
         d, n, top = grid.dimension, grid.leaf_level, tile_level(grid)
-        # several tiles write their blocks into one array per level; the
-        # blocks of a single tile are whole levels
-        levels = [None] * top + [np.empty(grid.level_shape(k)) if top else None
-                                 for k in range(top, n + 1)]
-        # the levels coarser than `top` first collect one partial sum per tile
+        # every tile writes its blocks into one array per level; the levels
+        # coarser than `top` first collect one partial sum per tile
+        levels = [None] * top + [np.empty(grid.level_shape(k)) for k in range(top, n + 1)]
         partial = [np.empty(grid.level_shape(top)) for _ in range(top)]
-
-        def put(k, block, values):
-            if top:
-                levels[k][block] = values
-            else:
-                levels[k] = values
 
         def tile_pass(tile):
             # errstate is per thread, so each tile sets its own
@@ -125,10 +117,10 @@ class Weight:
                         partial[k][descendant_block(tile, top, top)] = excess
                     else:
                         block = descendant_block(tile, top, k)
-                        put(k, block, self._normalise(excess, k, block))
+                        levels[k][block] = self._normalise(excess, k, block)
             # a leaf's excess is 0, and 1.0 + 0 * |leaf| / m is exactly 1
             block = descendant_block(tile, top, n)
-            put(n, block, np.where(self.mass_levels[n][block] > 0, 1.0, np.nan))
+            levels[n][block] = np.where(self.mass_levels[n][block] > 0, 1.0, np.nan)
 
         blockwise(tile_pass, list(np.ndindex(grid.level_shape(top))), grid)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -158,10 +150,9 @@ class Weight:
         d, n = self.grid.dimension, self.grid.leaf_level
 
         def averages(k, index=None):
-            """Level-k averages at `index`; by default at the tile's level-k
-            cubes, which for a single tile are all of them."""
+            """Level-k averages at `index`, by default at the tile's level-k cubes."""
             if index is None:
-                index = descendant_block(tile, top, k) if top else ...
+                index = descendant_block(tile, top, k)
             # |Q| = 2^{-d k} exactly, so this scaling is exact
             return self.mass_levels[k][index] * 2.0 ** (d * k)
 
@@ -177,16 +168,10 @@ class Weight:
             out[k] = coarsen(chain_max - avg_k, d, n - top)
         return out
 
-    def scaled(self, c: float) -> "Weight":
-        if c <= 0:
-            raise ValueError("scale factor must be positive")
-        return Weight(self.grid, self.leaf_density * c, self.kind,
-                      dict(self.parameters, scale=c), copy=False)
-
 
 def mass(sigma: Weight, cube: DyadicCube) -> float:
     """Exact total mass sigma(Q), served from the cube-mass cache."""
-    return float(sigma.mass_levels[cube.level][cube.index if sigma.grid.dimension == 2 else cube.index[0]])
+    return float(sigma.mass_levels[cube.level][cube.index])
 
 
 def average(sigma: Weight, cube: DyadicCube) -> float:
@@ -258,15 +243,6 @@ def _ce_sigma_interval_mass(grid: GridConfig) -> np.ndarray:
         return np.log1p(1.0 / i) / ((1.0 - la) * (1.0 - lb))
 
     return _interval_masses(grid, 1.0 / (1.0 - np.log(h)), rest)
-
-
-def ce_sigma_mass(a: float, b: float) -> float:
-    """Closed-form mass of the counterexample density over (a, b] in (0, 1]."""
-    if not 0 <= a < b <= 1:
-        raise ValueError("need 0 <= a < b <= 1")
-    fb = 1.0 / (1.0 - np.log(b))
-    fa = 0.0 if a == 0 else 1.0 / (1.0 - np.log(a))
-    return float(fb - fa)
 
 
 def _cascade_leaf_mass(grid: GridConfig, seed: int, volatility: float) -> np.ndarray:
@@ -357,10 +333,6 @@ class LeafFunction:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def constant(cls, grid: GridConfig, value: float = 1.0) -> "LeafFunction":
-        return cls(grid, np.full(grid.leaf_shape(), float(value)))
-
 
 # --- serialization ----------------------------------------------------------
 
@@ -376,26 +348,24 @@ def weight_to_json(sigma: Weight) -> str:
     return json.dumps(record, sort_keys=True)
 
 
-def weight_from_json(text: str) -> Weight:
+def json_record(text: str, what: str, keys: tuple[str, ...]) -> dict:
+    """The JSON object in `text`; a ValueError names what is wrong unless it
+    is an object holding every one of `keys`."""
     record = json.loads(text)
+    if not isinstance(record, dict):
+        raise ValueError(f"{what} JSON must be an object, got {type(record).__name__}")
+    missing = [k for k in keys if k not in record]
+    if missing:
+        raise ValueError(f"{what} JSON lacks {', '.join(missing)}")
+    return record
+
+
+def weight_from_json(text: str) -> Weight:
+    record = json_record(text, "weight", ("dimension", "leaf_level", "leaf_density"))
     grid = GridConfig(record["dimension"], record["leaf_level"])
     dens = np.array([float(x) for x in record["leaf_density"]])
     return Weight(grid, dens.reshape(grid.leaf_shape()),
                   record.get("kind", "custom"), record.get("parameters", {}))
-
-
-FIX_CONST_GRID = GridConfig(1, 4)
-
-
-def fix_const() -> tuple[Weight, Weight]:
-    """(d=1, N=4, sigma = w = constant 1)."""
-    s = generate_weight(FIX_CONST_GRID, "constant", value=1.0)
-    return s, s
-
-
-def fix_half() -> Weight:
-    """(d=1, N=2, densities (2,2,0,0))."""
-    return Weight(GridConfig(1, 2), np.array([2.0, 2.0, 0.0, 0.0]))
 
 
 def fix_ce(leaf_level: int) -> tuple[Weight, Weight]:
@@ -403,11 +373,3 @@ def fix_ce(leaf_level: int) -> tuple[Weight, Weight]:
     grid = GridConfig(1, leaf_level)
     return (generate_weight(grid, "counterexample_sigma"),
             generate_weight(grid, "counterexample_w"))
-
-
-def fix_chain_cubes(grid: GridConfig, depth: int = 4) -> list[DyadicCube]:
-    """The chain family {[0, 2^-k) : k = 0..depth} (d=1)."""
-    if grid.dimension != 1:
-        raise ValueError("chain fixture is one-dimensional")
-    depth = min(depth, grid.leaf_level)
-    return [DyadicCube(k, (0,)) for k in range(depth + 1)]

@@ -1,4 +1,4 @@
-"""Per-cube oracles shared by several test modules.
+"""Per-cube oracles and fixtures shared by several test modules.
 
 `dyadic_maximal` is M(sigma 1_Q) on the leaves, built from Q's own chain of
 averages (`chain_max`).
@@ -21,8 +21,18 @@ values of every grid cube, one whole level at a time: the scan that
 `bumps.PairScan` replaces by log-domain scores and an exact recheck of the
 near-maximal cubes.  `bump_reports_oracle` assembles both reports of a pair
 from it.
+
+`verify_sparse` checks lambda-sparseness cube by cube, by walking each
+member's chain of parents to its nearest member ancestor, independently of
+the array tree that `SparseFamily` builds.
+
+The grid walks (`enumerate_cubes`, `children`, `leaf_count`, `n_cubes`,
+`ancestor`), the fixtures (`fix_const`, `fix_half`, `fix_chain_cubes`), the
+closed-form mass `ce_sigma_mass`, `scaled` and `constant_function` serve the
+tests only; the package itself works on per-level arrays.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -30,7 +40,113 @@ import numpy as np
 from sparsebump.bumps import BumpReport, ExponentConfig, eps_eval, joint_factor
 from sparsebump.grid import DyadicCube, GridConfig, coarsen, expand, leaf_slice
 from sparsebump.operators import Instance
-from sparsebump.weights import LeafFunction, average, mass, rho
+from sparsebump.weights import LeafFunction, Weight, average, generate_weight, mass, rho
+
+
+# --- grid walks -----------------------------------------------------------
+
+def enumerate_cubes(grid):
+    """Every cube of levels 0..N exactly once, in (level, index) order."""
+    for k in range(grid.leaf_level + 1):
+        for combo in itertools.product(range(2**k), repeat=grid.dimension):
+            yield DyadicCube(k, combo)
+
+
+def children(cube, grid):
+    """The 2^d dyadic children partitioning the cube; raises for a leaf cube
+    (level = N), which has no children on the grid."""
+    if cube.level >= grid.leaf_level:
+        raise ValueError(f"no children: {cube.text} is a leaf cube")
+    halves = [(2 * j, 2 * j + 1) for j in cube.index]
+    return [DyadicCube(cube.level + 1, combo) for combo in itertools.product(*halves)]
+
+
+def leaf_count(cube, grid):
+    return 2 ** (grid.dimension * (grid.leaf_level - cube.level))
+
+
+def n_cubes(grid):
+    """The number of grid cubes on levels 0..N."""
+    return sum(2 ** (grid.dimension * k) for k in range(grid.leaf_level + 1))
+
+
+def ancestor(cube, level):
+    """The ancestor of `cube` at the given coarser level."""
+    if not 0 <= level <= cube.level:
+        raise ValueError(f"ancestor level {level} not in [0, {cube.level}]")
+    shift = cube.level - level
+    return DyadicCube(level, tuple(j >> shift for j in cube.index))
+
+
+# --- fixtures -------------------------------------------------------------
+
+FIX_CONST_GRID = GridConfig(1, 4)
+
+
+def fix_const():
+    """(d=1, N=4, sigma = w = constant 1)."""
+    s = generate_weight(FIX_CONST_GRID, "constant", value=1.0)
+    return s, s
+
+
+def fix_half():
+    """(d=1, N=2, densities (2,2,0,0))."""
+    return Weight(GridConfig(1, 2), np.array([2.0, 2.0, 0.0, 0.0]))
+
+
+def fix_chain_cubes(grid, depth=4):
+    """The chain family {[0, 2^-k) : k = 0..depth} (d=1)."""
+    if grid.dimension != 1:
+        raise ValueError("chain fixture is one-dimensional")
+    return [DyadicCube(k, (0,)) for k in range(min(depth, grid.leaf_level) + 1)]
+
+
+def ce_sigma_mass(a, b):
+    """Closed-form mass of the counterexample density over (a, b] in (0, 1]."""
+    if not 0 <= a < b <= 1:
+        raise ValueError("need 0 <= a < b <= 1")
+    fb = 1.0 / (1.0 - np.log(b))
+    fa = 0.0 if a == 0 else 1.0 / (1.0 - np.log(a))
+    return float(fb - fa)
+
+
+def scaled(weight, c):
+    """The weight c * weight, for c > 0."""
+    if c <= 0:
+        raise ValueError("scale factor must be positive")
+    return Weight(weight.grid, weight.leaf_density * c, weight.kind,
+                  dict(weight.parameters, scale=c), copy=False)
+
+
+def constant_function(grid, value=1.0):
+    """The test function equal to `value` on every leaf."""
+    return LeafFunction(grid, np.full(grid.leaf_shape(), float(value)))
+
+
+def verify_sparse(cubes, lam):
+    """Check lambda-sparseness: per member, the volume of its maximal proper
+    sub-members (the members whose nearest member ancestor it is) over its
+    own volume, against lam.
+
+    Returns {ok, worst_ratio, witness}; witness is the first member in
+    (level, index) order attaining the worst ratio (None when no member has
+    a proper sub-member).
+    """
+    members = sorted(set(cubes), key=lambda c: (c.level, c.index))
+    if not members:
+        raise ValueError("empty cube collection")
+    kid_volume = dict.fromkeys(members, 0.0)
+    for q in members:
+        c = q
+        while c.level > 0:
+            c = c.parent()
+            if c in kid_volume:
+                kid_volume[c] += q.volume
+                break
+    ratios = [kid_volume[q] / q.volume for q in members]
+    worst = max(ratios)
+    return {"ok": worst <= lam, "worst_ratio": worst,
+            "witness": members[ratios.index(worst)] if worst > 0 else None}
 
 
 def chain_max(sigma, cube):

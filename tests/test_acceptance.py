@@ -31,9 +31,9 @@ from sparsebump.prooftrace import (
     entropy_trace,
 )
 from sparsebump.sparse import SparseFamily, random_sparse
-from sparsebump.weights import fix_chain_cubes, fix_const, generate_weight
+from sparsebump.weights import generate_weight
 
-from oracles import dense_norm_l2_oracle, l2_instance
+from oracles import dense_norm_l2_oracle, fix_chain_cubes, fix_const, l2_instance
 
 TOL = 1 + 1e-12
 

@@ -8,7 +8,7 @@ from scipy.special import zeta as hurwitz_zeta
 
 import sparsebump.bumps
 import sparsebump.grid
-from oracles import bump_reports_oracle, sup_oracle
+from oracles import bump_reports_oracle, fix_const, fix_half, scaled, sup_oracle
 from sparsebump.bumps import (
     EntropyFunction,
     ExponentConfig,
@@ -19,7 +19,7 @@ from sparsebump.bumps import (
     eps_tail_sum,
 )
 from sparsebump.grid import GridConfig
-from sparsebump.weights import Weight, average, fix_ce, fix_const, fix_half, generate_weight, mass, rho
+from sparsebump.weights import Weight, average, fix_ce, generate_weight, mass, rho
 
 LN2 = math.log(2.0)
 
@@ -149,8 +149,8 @@ class TestJointConstant:
         w = generate_weight(g, "random_cascade", seed=2, volatility=0.7)
         cfg = ExponentConfig(2, 3, 0.0, 1)
         base = joint_constant(sigma, w, cfg).constants["A"]
-        scaled = joint_constant(sigma.scaled(5.0), w, cfg).constants["A"]
-        assert scaled == pytest.approx(5.0 ** (1 / cfg.p_dual) * base, rel=1e-12)
+        a_scaled = joint_constant(scaled(sigma, 5.0), w, cfg).constants["A"]
+        assert a_scaled == pytest.approx(5.0 ** (1 / cfg.p_dual) * base, rel=1e-12)
 
 
 class TestEntropyBumps:

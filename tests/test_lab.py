@@ -19,7 +19,9 @@ from sparsebump.lab import (
     run_verify_bounds,
 )
 from sparsebump.sparse import SparseFamily, family_to_json
-from sparsebump.weights import fix_chain_cubes, fix_const, generate_weight, weight_to_json
+from sparsebump.weights import generate_weight, weight_to_json
+
+from oracles import fix_chain_cubes, fix_const
 
 
 SMALL = dict(instances=6, leaf_level=6, master_seed=11, target_size=14, budget=8)
@@ -28,7 +30,7 @@ SMALL = dict(instances=6, leaf_level=6, master_seed=11, target_size=14, budget=8
 class TestExperimentConfig:
     def test_validation_happens_up_front(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(kind="nonsense")
+            ExperimentConfig(family_kind="nonsense")
         with pytest.raises(ValueError):
             ExperimentConfig(lam=1.5)
         with pytest.raises(ValueError):
@@ -46,6 +48,8 @@ class TestExperimentConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown config fields"):
             ExperimentConfig.from_dict({"no_such_field": 1})
+        with pytest.raises(ValueError, match=r"unknown config fields: \['kind'\]"):
+            ExperimentConfig.from_dict({"kind": "verify-bounds"})
 
     def test_instance_seeds_are_stable(self):
         assert instance_seeds(42, 0) == instance_seeds(42, 0)
@@ -117,7 +121,7 @@ def test_carleson_suite_small():
 
 
 def test_sweep_aggregates():
-    cfg = ExperimentConfig(kind="sweep", instances=2, levels=(5, 6), lambdas=(0.5,),
+    cfg = ExperimentConfig(instances=2, levels=(5, 6), lambdas=(0.5,),
                            master_seed=2, target_size=10, budget=4)
     rep = run_sweep(cfg)
     assert rep.violations == 0
@@ -243,6 +247,34 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("N,llogl,A,E,D")
+
+    def test_cube_of_another_dimension_exits_2(self, fixture_files, tmp_path, capsys):
+        wpath, _ = fixture_files
+        fpath = tmp_path / "mixed.json"
+        fpath.write_text(json.dumps({"dimension": 1, "leaf_level": 4, "lambda": 0.5,
+                                     "root": "0:0", "cubes": ["0:0", "1:(0,0)"]}))
+        code = cli_main(["testing", "--family", str(fpath), "--weights", str(wpath)])
+        assert code == 2
+        assert "error: cube 1:(0,0) is not of dimension 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which,record,problem", [
+        ("weights", {"dimension": 1, "leaf_level": 4}, "weight JSON lacks leaf_density"),
+        ("weights", [1.0, 1.0], "weight JSON must be an object, got list"),
+        ("family", {"dimension": 1, "leaf_level": 4, "lambda": 0.5, "root": "0:0"},
+         "family JSON lacks cubes"),
+        ("config", [SMALL], "config must be a JSON object, got list"),
+        ("config", {"instances": "x"}, "config field instances must be int, got 'x'"),
+    ], ids=("weight-no-density", "weight-list", "family-no-cubes", "config-list", "config-str-count"))
+    def test_malformed_input_json_exits_2(self, fixture_files, tmp_path, capsys, which, record, problem):
+        paths = dict(zip(("weights", "family"), map(str, fixture_files)))
+        paths[which] = str(tmp_path / "input.json")
+        (tmp_path / "input.json").write_text(json.dumps(record))
+        if which == "config":
+            argv = ["verify-bounds", "--config", paths["config"]]
+        else:
+            argv = ["testing", "--family", paths["family"], "--weights", paths["weights"]]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == f"error: {problem}\n"
 
     def test_unknown_command_exits_2(self, capsys):
         assert cli_main(["bogus"]) == 2

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import sparsebump.grid
-from sparsebump.grid import DyadicCube, GridConfig, enumerate_cubes, leaf_slice, root_cube, tile_level
-from sparsebump.weights import Weight, average, fix_const, fix_half, fix_ce, generate_weight, mass, rho
+from sparsebump.grid import DyadicCube, GridConfig, leaf_slice, root_cube, tile_level
+from sparsebump.weights import Weight, average, fix_ce, generate_weight, mass, rho
 
-from oracles import dyadic_maximal, rho_oracle
+from oracles import dyadic_maximal, enumerate_cubes, fix_const, fix_half, rho_oracle, scaled
 
 
 def spike_weight():
@@ -75,8 +75,8 @@ class TestRho:
         w = generate_weight(GridConfig(1, 6), "random_cascade", seed=4, volatility=0.7)
         q = DyadicCube(1, (1,))
         base = rho(w, q)
-        assert rho(w.scaled(4.0), q) == base  # power-of-two scaling is exact
-        assert rho(w.scaled(3.0), q) == pytest.approx(base, rel=1e-12)
+        assert rho(scaled(w, 4.0), q) == base  # power-of-two scaling is exact
+        assert rho(scaled(w, 3.0), q) == pytest.approx(base, rel=1e-12)
 
     def test_degenerate_cube_raises(self):
         with pytest.raises(ValueError, match="degenerate weight on cube"):

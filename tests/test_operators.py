@@ -17,13 +17,11 @@ from sparsebump.weights import (
     LeafFunction,
     Weight,
     average,
-    fix_chain_cubes,
-    fix_const,
     generate_weight,
     mass,
 )
 
-from oracles import dense_norm_l2_oracle, l2_instance
+from oracles import constant_function, dense_norm_l2_oracle, fix_chain_cubes, fix_const, l2_instance, scaled
 
 G4 = GridConfig(1, 4)
 
@@ -45,14 +43,14 @@ def random_pair(grid, seed, volatility=0.8):
 class TestApplySparse:
     def test_single_average(self):
         s, _ = fix_const()
-        out = apply_sparse(singleton_family(), s, LeafFunction.constant(G4), 0.0)
+        out = apply_sparse(singleton_family(), s, constant_function(G4), 0.0)
         np.testing.assert_allclose(out.values, 1.0, rtol=1e-15)
 
     def test_chain_counts_containing_cubes(self):
         # each of the k+1 chain cubes through E_{[0,2^-k)} contributes 1
         s, _ = fix_const()
         fam = chain_family()
-        out = apply_sparse(fam, s, LeafFunction.constant(G4), 0.0)
+        out = apply_sparse(fam, s, constant_function(G4), 0.0)
         expected = np.ones(16)
         for k in range(5):
             expected[leaf_slice(DyadicCube(k, (0,)), G4)] = k + 1
@@ -60,7 +58,7 @@ class TestApplySparse:
 
     def test_fractional_root(self):
         s, _ = fix_const()
-        out = apply_sparse(singleton_family(), s, LeafFunction.constant(G4), 0.5)
+        out = apply_sparse(singleton_family(), s, constant_function(G4), 0.5)
         np.testing.assert_allclose(out.values, 1.0, rtol=1e-15)
 
     def test_monotone_in_f(self):
@@ -91,7 +89,7 @@ class TestApplySparse:
     def test_grid_mismatch_raises(self):
         s, _ = fix_const()
         with pytest.raises(ValueError, match="share one grid"):
-            apply_sparse(singleton_family(), s, LeafFunction.constant(GridConfig(1, 3)), 0.0)
+            apply_sparse(singleton_family(), s, constant_function(GridConfig(1, 3)), 0.0)
 
 
 @pytest.mark.parametrize("which", ("family", "sigma", "w"))
@@ -131,8 +129,8 @@ class TestExactNormL2:
         sigma, w = random_pair(g, 40)
         fam = random_sparse(g, 0.5, seed=2, target_size=8)
         base = exact_norm_l2(l2_instance(fam, sigma, w, 0.0), tol=1e-13)
-        scaled = exact_norm_l2(l2_instance(fam, sigma.scaled(4.0), w, 0.0), tol=1e-13)
-        assert scaled == pytest.approx(2.0 * base, abs=1e-8)  # c^{1/2} with c=4
+        norm_scaled = exact_norm_l2(l2_instance(fam, scaled(sigma, 4.0), w, 0.0), tol=1e-13)
+        assert norm_scaled == pytest.approx(2.0 * base, abs=1e-8)  # c^{1/2} with c=4
 
     def test_nonconvergence_carries_iterates(self):
         g = GridConfig(1, 4)

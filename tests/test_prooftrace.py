@@ -21,9 +21,9 @@ from sparsebump.prooftrace import (
     entropy_trace,
 )
 from sparsebump.sparse import SparseFamily, random_sparse, stopping_family
-from sparsebump.weights import Weight, fix_chain_cubes, fix_const, generate_weight
+from sparsebump.weights import Weight, generate_weight
 
-from oracles import bucket_of
+from oracles import bucket_of, fix_chain_cubes, fix_const, scaled
 
 G4 = GridConfig(1, 4)
 EPS_E = EntropyFunction("entropy", 1.0)
@@ -185,7 +185,7 @@ class TestDirectTrace:
         # scaling sigma down pushes every average below 1, exercising the
         # decreasing branch of the direct eps in the inner bound
         fam, sigma, w = random_setup(6)
-        small = sigma.scaled(2.0**-5)
+        small = scaled(sigma, 2.0**-5)
         cfg = ExponentConfig(2, 3, 0.0, 1)
         rep = direct_trace(Instance(fam, small, w, cfg), EPS_D, fam.root)
         assert rep.passed
@@ -243,9 +243,9 @@ class TestDualTraces:
 
 
 def test_four_chains_share_one_inside_sweep(monkeypatch):
-    # the four chains of a suite instance run at the root: one down-sweep
-    # finds the members inside it, and each chain takes one more for the
-    # maximal members of its buckets
+    # the four chains of a suite instance run at the root: each takes one
+    # down-sweep, for the maximal members of its buckets, and finds the
+    # members inside the root from their levels and indices
     cfg = ExperimentConfig(instances=2, master_seed=3)  # instance 1 has a stopping family
 
     def traces(i):
@@ -269,15 +269,24 @@ def test_four_chains_share_one_inside_sweep(monkeypatch):
 
     for i in range(cfg.instances):
         shared, sweeps, family = traces(i)
-        assert sweeps == 5
-        mask = family.inside(family.position[family.root])
-        assert mask is family.inside(family.position[family.root]) and not mask.flags.writeable
-        # a fresh down-sweep per chain gives the same records
+        assert sweeps == 4
+        # a down-sweep per chain for the members inside R gives the same records
         with monkeypatch.context() as patch:
             patch.setattr(SparseFamily, "inside",
                           lambda self, position: self.ancestor_sum(np.arange(len(self)) == position) > 0)
-            unshared, sweeps, _ = traces(i)
-        assert sweeps == 8 and unshared == shared
+            swept, sweeps, _ = traces(i)
+        assert sweeps == 8 and swept == shared
+    # at every member R, the mask from levels and indices is the down-sweep
+    # mask: column R of the ancestor sum of the identity
+    for d, n in ((1, 7), (2, 4)):
+        g = GridConfig(d, n)
+        sigma = generate_weight(g, "random_cascade", seed=5, volatility=0.9)
+        for family in (random_sparse(g, 0.5, seed=1, target_size=40),
+                       stopping_family(sigma, 2.0, root_cube(g)),
+                       stopping_family(sigma, 1.5, DyadicCube(1, (1,) * d))):
+            assert len(family) > 4
+            masks = [family.inside(r) for r in range(len(family))]
+            np.testing.assert_array_equal(masks, family.ancestor_sum(np.eye(len(family))).T > 0)
 
 
 def test_report_json_schema():

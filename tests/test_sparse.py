@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +14,10 @@ from sparsebump.sparse import (
     family_to_json,
     random_sparse,
     stopping_family,
-    verify_sparse,
 )
-from sparsebump.weights import Weight, fix_chain_cubes, fix_const, generate_weight, mass
+from sparsebump.weights import Weight, generate_weight, mass
+
+from oracles import fix_chain_cubes, fix_const, verify_sparse
 
 
 G4 = GridConfig(1, 4)
@@ -183,6 +187,13 @@ def test_family_serialization_roundtrip():
     assert back.cubes == fam.cubes
     assert back.lam == fam.lam
     assert back.root == fam.root
+
+
+@pytest.mark.parametrize("d,cubes", [(1, ["0:0", "1:(0,0)"]), (2, ["0:(0,0)", "1:1"])])
+def test_cube_of_another_dimension_rejected(d, cubes):
+    record = {"dimension": d, "leaf_level": 4, "lambda": 0.5, "root": cubes[0], "cubes": cubes}
+    with pytest.raises(ValueError, match=re.escape(f"cube {cubes[1]} is not of dimension {d}")):
+        family_from_json(json.dumps(record))
 
 
 class TestTwoDimensional:

@@ -10,15 +10,17 @@ the entropy bump multiplies it by rho(Q; sigma)^{1/q} eps(rho(Q; sigma))^{1/q},
 and the direct bump by eps(<sigma>_Q)^{1/q}, with eps drawn from the
 logarithmic families below.
 
-All six constants of a pair (A, E, the two E*, D, D*) come from one pass
-over the (level, chunk) items of the pyramid (`PairScan`), spread by
-`grid.blockwise`; the levels of fewer than `grid.BLOCK` cells share items,
-so a small grid is one or two items.  The pass scores each cube for every
-constant in log space, from the logs of sigma(Q), w(Q), rho(Q; sigma) and
-rho(Q; w) taken once per cube, and keeps the cubes within `SCORE_MARGIN`
-of each maximum.  Only those candidates are rechecked in exact arithmetic,
-so the argmax is the first exactly maximal cube, and the constant is
-re-evaluated at it in scalar arithmetic.  No pyramid-sized array is built.
+The constants of a pair that its caller asks for (of A, E, the two E*, D
+and D*) come from one pass over the (level, chunk) items of the pyramid
+(`PairScan`), spread by `grid.blockwise`; the levels of fewer than
+`grid.BLOCK` cells share items, so a small grid is one or two items.  The
+pass scores each cube for every asked constant in log space, from the logs
+of sigma(Q), w(Q) and of the rho(Q) those constants read, taken once per
+cube, and keeps the cubes within `SCORE_MARGIN` of each maximum.  Only
+those candidates are rechecked in exact arithmetic, so the argmax is the
+first exactly maximal cube, and the constant is re-evaluated at it in
+scalar arithmetic.  The pass builds no pyramid-sized array of its own; it
+builds a weight's rho pyramid only for an asked constant bumped by that rho.
 """
 
 from __future__ import annotations
@@ -256,23 +258,34 @@ def _items(grid: GridConfig) -> list[tuple[tuple[int, slice], ...]]:
 
 
 class PairScan:
-    """The bump constants of a pair (sigma, w) from one pass over its pyramid.
+    """The bump constants of a pair (sigma, w) that its caller asks for, from
+    one pass over its pyramid.
 
-    A holds always; E, E_star_printed and E_star_symmetric with an entropy
-    eps; D and D_star with a direct eps.  The pass runs on first use of
-    `found`, so the first report that reads a shared scan pays for it.
+    `names` lists the constants the caller reads; None asks for every one
+    whose eps the scan has: E, E_star_printed and E_star_symmetric with an
+    entropy eps, D and D_star with a direct eps.  A is always scanned, as
+    every other score is built on its joint score.  The pass runs on first
+    use of `found`, so the first report that reads a shared scan pays for it.
     """
 
     def __init__(self, sigma: Weight, w: Weight, cfg: ExponentConfig,
-                 entropy: EntropyFunction | None = None, direct: EntropyFunction | None = None):
+                 entropy: EntropyFunction | None = None, direct: EntropyFunction | None = None,
+                 names: tuple[str, ...] | None = None):
         self.grid = _check_same_grid(sigma, w)
         self.sigma, self.w, self.cfg = sigma, w, cfg
         self.eps = {"entropy": entropy, "direct": direct}
+        held = [name for name, (kind, _, _) in CONSTANTS.items()
+                if kind is None or self.eps[kind] is not None]
+        if names is not None:
+            if unknown := [name for name in names if name not in CONSTANTS]:
+                raise ValueError(f"unknown constants {unknown}")
+            if lacking := [name for name in names if name not in held]:
+                raise ValueError(f"no eps in the scan for {lacking}")
+            held = [name for name in held if name == "A" or name in names]
         # per constant of this scan its score (eps kind, key from w,
-        # exponent e); E and E_star_printed share one where q = p'
+        # exponent e), A's first; E and E_star_printed share one where q = p'
         self._score_of = {name: (kind, on_w, 1.0 / (cfg.p_dual if dual else cfg.q))
-                          for name, (kind, on_w, dual) in CONSTANTS.items()
-                          if kind is None or self.eps[kind] is not None}
+                          for name, (kind, on_w, dual) in CONSTANTS.items() if name in held}
         self.names = list(self._score_of)
         self._scored = list(dict.fromkeys(self._score_of.values()))
         # the distinct bumps (eps kind, key from w) of these scores, direct
@@ -398,9 +411,9 @@ class PairScan:
         in scalar arithmetic, multiplied in the same order, so a witness
         recomputation reproduces it exactly."""
         sigma, w, cfg, grid = self.sigma, self.w, self.cfg, self.grid
-        if self.eps["entropy"] is not None:
-            # built before the pass spreads: cached_property has no lock
-            sigma.rho_levels, w.rho_levels
+        for kind, on_w in self._bumps:
+            if kind == "entropy":  # built before the pass spreads: cached_property has no lock
+                (w if on_w else sigma).rho_levels
         spare = []
         scored = blockwise(lambda item: self._scores(spare, item), _items(grid), grid)
         found = {}
@@ -457,13 +470,14 @@ def entropy_bumps(sigma: Weight, w: Weight, cfg: ExponentConfig,
     uses rho(Q; w).  Cubes where the relevant weight has zero mass
     contribute 0, as the joint factor vanishes there.  `scan` is a
     `PairScan` of (sigma, w, cfg) with this eps that the caller shares with
-    `direct_bumps`; without it the constants come from a scan of their own.
+    `direct_bumps`, and the report holds the constants of this kind that it
+    scans; without it all four come from a scan of their own.
     """
     if eps.kind != "entropy":
         raise ValueError("direct eps passed to entropy bump")
     found = _scan_of(sigma, w, cfg, eps, scan).found
     return _report({name: (*found[name], w if name == "E_star_symmetric" else sigma)
-                    for name in ("A", "E", "E_star_printed", "E_star_symmetric")}, eps)
+                    for name in ("A", "E", "E_star_printed", "E_star_symmetric") if name in found}, eps)
 
 
 def direct_bumps(sigma: Weight, w: Weight, cfg: ExponentConfig,
@@ -478,4 +492,4 @@ def direct_bumps(sigma: Weight, w: Weight, cfg: ExponentConfig,
     if eps.kind != "direct":
         raise ValueError("entropy eps passed to direct bump")
     found = _scan_of(sigma, w, cfg, eps, scan).found
-    return _report({name: (*found[name], sigma) for name in ("A", "D", "D_star")}, eps)
+    return _report({name: (*found[name], sigma) for name in ("A", "D", "D_star") if name in found}, eps)

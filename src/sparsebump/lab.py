@@ -21,7 +21,7 @@ from .grid import DyadicCube, GridConfig, leaf_slice, root_cube
 from .operators import Instance, apply_sparse, norm_lower_bound, primal_indicator_ratios, testing_constants
 from .prooftrace import SLACK, direct_trace, dual_direct_trace, dual_entropy_trace, entropy_trace
 from .sparse import SparseFamily, carleson_check, random_sparse, stopping_family
-from .weights import LeafFunction, Weight, fix_ce, generate_weight, llogl_integral, mass
+from .weights import LeafFunction, Weight, check_json_field, fix_ce, generate_weight, llogl_integral, mass
 
 CSV_COLUMNS = (
     "instance_id", "seed", "N", "lambda", "p", "q", "alpha", "delta",
@@ -91,12 +91,12 @@ class ExperimentConfig:
         unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        # a field's JSON type is that of its default, with ints taken for floats
-        types = {int: int, float: (int, float), str: str, tuple: (list, tuple)}
+        # a field's JSON type is that of its default, or a list of the type
+        # of its default's elements
         for f in dataclasses.fields(cls):
-            value, want = data.get(f.name), types.get(type(f.default))
-            if f.name in data and want and (isinstance(value, bool) or not isinstance(value, want)):
-                raise ValueError(f"config field {f.name} must be {type(f.default).__name__}, got {value!r}")
+            if f.name in data and f.default is not None:
+                want = [type(f.default[0])] if isinstance(f.default, tuple) else type(f.default)
+                check_json_field("config", f.name, data[f.name], want)
         data = dict(data)
         for key in ("levels", "lambdas"):
             if key in data:
@@ -180,10 +180,12 @@ def build_instance(cfg: ExperimentConfig, instance: int) -> tuple[Weight, Weight
 
 
 def _bump_reports(sigma: Weight, w: Weight, exps: ExponentConfig, eps_e: EntropyFunction,
-                  eps_d: EntropyFunction) -> tuple[BumpReport, BumpReport]:
+                  eps_d: EntropyFunction, names: tuple[str, ...] | None = None
+                  ) -> tuple[BumpReport, BumpReport]:
     """The entropy and direct bump reports of a pair from one scan of its
-    pyramid, which runs inside the first call."""
-    scan = PairScan(sigma, w, exps, eps_e, eps_d)
+    pyramid, which runs inside the first call; `names` are the constants
+    the reports hold (all six by default)."""
+    scan = PairScan(sigma, w, exps, eps_e, eps_d, names)
     return (entropy_bumps(sigma, w, exps, eps_e, scan=scan),
             direct_bumps(sigma, w, exps, eps_d, scan=scan))
 
@@ -296,6 +298,19 @@ def run_verify_bounds(cfg: ExperimentConfig) -> SuiteReport:
     return report
 
 
+def _counterexample_row(n: int, exps: ExponentConfig, eps_e: EntropyFunction,
+                        eps_d: EntropyFunction) -> dict:
+    """The counterexample study's row of level n.  The level's pair dies on
+    return, before the next level's is built."""
+    sigma, w = fix_ce(n)
+    # before the bump pyramids exist, so its leaf-size temporaries do not
+    # add to the level's peak memory
+    llogl = llogl_integral(sigma)
+    ebump, dbump = _bump_reports(sigma, w, exps, eps_e, eps_d, names=("A", "E", "D"))
+    return {"N": n, "llogl": llogl, "A": ebump.constants["A"],
+            "E": ebump.constants["E"], "D": dbump.constants["D"]}
+
+
 def run_counterexample(levels, delta: float, p: float = 2.0, q: float = 2.0,
                        alpha: float = 0.0) -> SuiteReport:
     """Level study of the divergent-entropy weight pair sigma = 1/(x(1-ln x)^2),
@@ -306,6 +321,10 @@ def run_counterexample(levels, delta: float, p: float = 2.0, q: float = 2.0,
     increase strictly with refinement, while the direct bump stabilizes (its
     per-cube values decay like 2^{-k/2} polylog near the singularity, so the
     supremum freezes once the grid resolves the argmax scale).
+
+    The bump scan covers only A, E and D, so sigma's rho pyramid is the only
+    one built, and one level's pair is alive at a time: a level's weights
+    are released before the next level's are built.
     """
     levels = tuple(int(n) for n in levels)
     if list(levels) != sorted(set(levels)) or not levels:
@@ -316,19 +335,7 @@ def run_counterexample(levels, delta: float, p: float = 2.0, q: float = 2.0,
     report.environment = {"seed": 0, "version": __version__,
                           "delta": delta, "p": p, "q": q, "alpha": alpha}
     exps = ExponentConfig(p, q, alpha, 1, "extended")
-    for n in levels:
-        sigma, w = fix_ce(n)
-        # before the bump pyramids exist, so its leaf-size temporaries do not
-        # add to the level's peak memory
-        llogl = llogl_integral(sigma)
-        ebump, dbump = _bump_reports(sigma, w, exps, eps_e, eps_d)
-        report.rows.append({
-            "N": n,
-            "llogl": llogl,
-            "A": ebump.constants["A"],
-            "E": ebump.constants["E"],
-            "D": dbump.constants["D"],
-        })
+    report.rows = [_counterexample_row(n, exps, eps_e, eps_d) for n in levels]
     llogl_seq = [r["llogl"] for r in report.rows]
     e_seq = [r["E"] for r in report.rows]
     d_seq = [r["D"] for r in report.rows]

@@ -304,7 +304,8 @@ def family_to_json(family: SparseFamily) -> str:
 
 
 def family_from_json(text: str) -> SparseFamily:
-    record = json_record(text, "family", ("dimension", "leaf_level", "lambda", "root", "cubes"))
+    record = json_record(text, "family", {"dimension": int, "leaf_level": int, "lambda": float,
+                                          "root": str, "cubes": [str]})
     grid = GridConfig(record["dimension"], record["leaf_level"])
     cubes = frozenset(parse_cube(t) for t in record["cubes"])
     family = SparseFamily(grid, cubes, record["lambda"])

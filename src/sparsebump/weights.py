@@ -348,20 +348,39 @@ def weight_to_json(sigma: Weight) -> str:
     return json.dumps(record, sort_keys=True)
 
 
-def json_record(text: str, what: str, keys: tuple[str, ...]) -> dict:
+def check_json_field(what: str, key: str, value, want) -> None:
+    """Raise a ValueError naming the field unless `value` is of the JSON type
+    `want`: int, float (an int too), str or a tuple of these, or [t] for a
+    list (or tuple) of values of type t.  No bool is a number."""
+    items = isinstance(want, list)
+    if items and not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} field {key} must be a list, got {value!r}")
+    types = want[0] if items else want
+    types = types if isinstance(types, tuple) else (types,)
+    for v in value if items else (value,):
+        if isinstance(v, bool) or not isinstance(v, types + ((int,) if float in types else ())):
+            names = " or ".join(t.__name__ for t in types)
+            raise ValueError(f"{what} field {key} must {'hold' if items else 'be'} {names}, got {v!r}")
+
+
+def json_record(text: str, what: str, fields: dict) -> dict:
     """The JSON object in `text`; a ValueError names what is wrong unless it
-    is an object holding every one of `keys`."""
+    is an object holding every key of `fields`, of the JSON type its value
+    names (as in `check_json_field`)."""
     record = json.loads(text)
     if not isinstance(record, dict):
         raise ValueError(f"{what} JSON must be an object, got {type(record).__name__}")
-    missing = [k for k in keys if k not in record]
+    missing = [k for k in fields if k not in record]
     if missing:
         raise ValueError(f"{what} JSON lacks {', '.join(missing)}")
+    for key, want in fields.items():
+        check_json_field(f"{what} JSON", key, record[key], want)
     return record
 
 
 def weight_from_json(text: str) -> Weight:
-    record = json_record(text, "weight", ("dimension", "leaf_level", "leaf_density"))
+    record = json_record(text, "weight", {"dimension": int, "leaf_level": int,
+                                          "leaf_density": [(str, float)]})
     grid = GridConfig(record["dimension"], record["leaf_level"])
     dens = np.array([float(x) for x in record["leaf_density"]])
     return Weight(grid, dens.reshape(grid.leaf_shape()),

@@ -332,6 +332,22 @@ class TestBlockwise:
         # two rho pyramids and one pass for all six constants
         assert pools == ([] if cpus == 1 else [2] * 3)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_no_rho_pyramid_of_w_without_e_star_symmetric(self, spread, d):
+        cfg = ExponentConfig(2.0, 3.0, 0.0, d)
+        eps = (EntropyFunction("entropy", 0.5), EntropyFunction("direct", 0.5))
+        want = self.reports("cascade", d, cfg)
+        for part in (want[0], want[0]["argmax"], want[0]["rho_at_argmax"]):
+            del part["E_star_symmetric"]
+        sigma, w = _chunk_inputs("cascade", d)
+        pools = spread(4, 2)
+        scan = PairScan(sigma, w, cfg, *eps, names=("A", "E", "E_star_printed", "D", "D_star"))
+        got = [entropy_bumps(sigma, w, cfg, eps[0], scan=scan).to_dict(),
+               direct_bumps(sigma, w, cfg, eps[1], scan=scan).to_dict()]
+        assert got == want
+        # sigma's rho pyramid and one pass, one pool fewer than a full scan
+        assert pools == [2] * 2 and "rho_levels" not in w.__dict__
+
     def test_workspaces_under_thread_switching(self, spread):
         # more workers than CPUs, switching threads every microsecond: a
         # workspace handed to two items at once would mix their scores
@@ -413,6 +429,31 @@ class TestFusedPass:
         # standalone, each report scans only its own constants
         assert [entropy_bumps(sigma, w, cfg, self.EPS[0]).to_dict(),
                 direct_bumps(sigma, w, cfg, self.EPS[1]).to_dict()] == want
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("p,q,alpha", [(2.0, 3.0, 0.25), (2.0, 2.0, 0.0), (1.5, 1.5, 0.0)])
+    @pytest.mark.parametrize("kind,d", FUSED_CASES)
+    def test_restricted_scan_matches_full_scan(self, spread, cpus, p, q, alpha, kind, d):
+        # the counterexample study's scan of A, E and D: each of them the
+        # same value and argmax as in the scan of all six and in the oracle
+        sigma, w = _fused_inputs(kind, d)
+        cfg = ExponentConfig(p, q, alpha, d, "extended")
+        oracle = bump_reports_oracle(sigma, w, cfg, *self.EPS)
+        spread(16, cpus)
+        full = PairScan(*_fused_inputs(kind, d), cfg, *self.EPS).found
+        restricted = PairScan(*_fused_inputs(kind, d), cfg, *self.EPS, names=("A", "E", "D")).found
+        assert list(restricted) == ["A", "E", "D"]
+        for name, found in restricted.items():
+            report = oracle[name == "D"]
+            assert found == full[name] == (report.constants[name], report.argmax[name])
+
+    def test_restricted_scan_refuses_unknown_and_unscanned_names(self):
+        sigma, w = _fused_inputs("cascade", 1)
+        cfg = ExponentConfig(2.0, 3.0, 0.0, 1)
+        with pytest.raises(ValueError, match=r"unknown constants \['F'\]"):
+            PairScan(sigma, w, cfg, *self.EPS, names=("A", "F"))
+        with pytest.raises(ValueError, match=r"no eps in the scan for \['D'\]"):
+            PairScan(sigma, w, cfg, entropy=self.EPS[0], names=("E", "D"))
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_zero_margin_picks_a_later_tying_cube(self, monkeypatch, d):

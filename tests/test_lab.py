@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import weakref
 from collections import Counter
 
 import pytest
@@ -111,6 +112,57 @@ class TestCounterexampleStudy:
             run_counterexample((8, 8), 0.5)
         with pytest.raises(ValueError):
             run_counterexample((12, 8), 0.5)
+
+
+class TestCounterexampleMemory:
+    """The study builds sigma's rho pyramid but not w's, and holds one
+    level's pair at a time."""
+
+    LEVELS = (8, 12, 16)
+
+    @staticmethod
+    def record_pairs(monkeypatch) -> list:
+        pairs, fix_ce = [], lab.fix_ce
+
+        def recorded(n):
+            pairs.append(fix_ce(n))
+            return pairs[-1]
+
+        monkeypatch.setattr(lab, "fix_ce", recorded)
+        return pairs
+
+    def test_no_rho_pyramid_of_w(self, monkeypatch):
+        pairs = self.record_pairs(monkeypatch)
+        run_counterexample(self.LEVELS, 0.5)
+        assert [sigma.grid.leaf_level for sigma, _ in pairs] == list(self.LEVELS)
+        for sigma, w in pairs:
+            assert "rho_levels" in sigma.__dict__ and "rho_levels" not in w.__dict__
+
+    def test_a_scan_of_every_constant_builds_it(self, monkeypatch):
+        # negative control: with names=None passed through, the scan covers
+        # E_star_symmetric, which reads w's pyramid; the rows do not move
+        want = run_counterexample(self.LEVELS, 0.5).rows
+        pairs = self.record_pairs(monkeypatch)
+        bump_reports = lab._bump_reports
+        monkeypatch.setattr(lab, "_bump_reports", lambda *args, names: bump_reports(*args, names=None))
+        assert run_counterexample(self.LEVELS, 0.5).rows == want
+        assert all("rho_levels" in w.__dict__ for _, w in pairs)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_one_pair_alive_at_a_time(self, monkeypatch, spread, cpus):
+        spread(256, cpus)  # with 2 CPUs, a thread pool at N = 12 and 16
+        refs, alive, fix_ce = [], [], lab.fix_ce
+
+        def tracked(n):
+            alive.append([ref() is not None for ref in refs])
+            pair = fix_ce(n)
+            refs[:] = [weakref.ref(weight) for weight in pair]
+            return pair
+
+        monkeypatch.setattr(lab, "fix_ce", tracked)
+        run_counterexample(self.LEVELS, 0.5)
+        assert alive == [[], [False, False], [False, False]]
+        assert [ref() for ref in refs] == [None, None]
 
 
 def test_carleson_suite_small():
@@ -264,13 +316,21 @@ class TestCli:
          "family JSON lacks cubes"),
         ("config", [SMALL], "config must be a JSON object, got list"),
         ("config", {"instances": "x"}, "config field instances must be int, got 'x'"),
-    ], ids=("weight-no-density", "weight-list", "family-no-cubes", "config-list", "config-str-count"))
+        ("weights", {"dimension": 1, "leaf_level": "x", "leaf_density": ["1.0"] * 16},
+         "weight JSON field leaf_level must be int, got 'x'"),
+        ("weights", {"dimension": 1, "leaf_level": 4, "leaf_density": 5},
+         "weight JSON field leaf_density must be a list, got 5"),
+        ("family", {"dimension": 1, "leaf_level": 4, "lambda": 0.5, "root": "0:0", "cubes": [0]},
+         "family JSON field cubes must hold str, got 0"),
+        ("sweep", {"levels": ["a"]}, "config field levels must hold int, got 'a'"),
+    ], ids=("weight-no-density", "weight-list", "family-no-cubes", "config-list", "config-str-count",
+            "weight-str-level", "weight-int-density", "family-int-cube", "sweep-str-level"))
     def test_malformed_input_json_exits_2(self, fixture_files, tmp_path, capsys, which, record, problem):
         paths = dict(zip(("weights", "family"), map(str, fixture_files)))
         paths[which] = str(tmp_path / "input.json")
         (tmp_path / "input.json").write_text(json.dumps(record))
-        if which == "config":
-            argv = ["verify-bounds", "--config", paths["config"]]
+        if which in ("config", "sweep"):
+            argv = ["verify-bounds" if which == "config" else "sweep", "--config", paths[which]]
         else:
             argv = ["testing", "--family", paths["family"], "--weights", paths["weights"]]
         assert cli_main(argv) == 2

@@ -252,7 +252,7 @@ def test_sweeps_batch_columns(d, kind, seed):
 
 
 @pytest.mark.parametrize("d,kind,seed", CASES[::3])
-def test_one_trace_takes_three_sweeps(d, kind, seed, monkeypatch):
+def test_one_trace_takes_two_sweeps(d, kind, seed, monkeypatch):
     # one up-sweep for every sum of a trace and one down-sweep for the
     # maximal members of all buckets at once; the members inside R take none
     family, sigma, w = instance(d, kind, seed)

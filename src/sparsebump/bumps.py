@@ -116,9 +116,6 @@ class EntropyFunction:
         if not self.delta > 0:
             raise ValueError(f"need delta > 0, got {self.delta}")
 
-    def __call__(self, t):
-        return eps_eval(self, t)
-
     @cached_property
     def tail_sum(self) -> float:
         return eps_tail_sum(self)

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: constants, norm, testing, trace, verify-bounds, counterexample,
-sweep.  Config values come from an optional JSON file plus flag overrides;
-the master seed defaults to the SPARSEBUMP_SEED environment variable.
+sweep.  verify-bounds and sweep read an optional ExperimentConfig JSON file
+under one flag per config field (--field-name, but --seed and --lambda); the
+master seed falls back to the SPARSEBUMP_SEED environment variable.
 Exit code is 0 on success, 1 when a mathematical assertion failed, and 2 on
 usage or config errors.
 """
@@ -10,6 +11,7 @@ usage or config errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -17,7 +19,7 @@ from pathlib import Path
 
 from .bumps import EntropyFunction, ExponentConfig, direct_bumps, entropy_bumps
 from .grid import parse_cube
-from .lab import ExperimentConfig, run_counterexample, run_sweep, run_verify_bounds
+from .lab import ExperimentConfig, field_type, run_counterexample, run_sweep, run_verify_bounds
 from .operators import Instance, exact_norm_l2, norm_lower_bound, testing_constants
 from .prooftrace import direct_trace, dual_direct_trace, dual_entropy_trace, entropy_trace
 from .sparse import family_from_json
@@ -32,20 +34,22 @@ def _parse_eps(text: str) -> EntropyFunction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _parse_levels(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x)
+def _flag_type(want):
+    """The argparse type of a `lab.field_type`: [t] takes comma-separated t."""
+    if not isinstance(want, list):
+        return want
+
+    def comma_list(text: str) -> tuple:
+        return tuple(want[0](x) for x in text.split(",") if x)
+    return comma_list
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x)
+# the suite flags whose spelling is not the field's
+_FLAG_NAMES = {"master_seed": "--seed", "lam": "--lambda"}
 
 
 def _load_weight(path: str):
     return weight_from_json(Path(path).read_text())
-
-
-def _load_family(path: str):
-    return family_from_json(Path(path).read_text())
 
 
 def _add_weight_args(sub) -> None:
@@ -67,7 +71,7 @@ def _instance(args) -> Instance:
     """The (family, sigma, w, exponents) instance that the flags name."""
     sigma, w = _resolve_weights(args)
     cfg = ExponentConfig(args.p, args.q, args.alpha, sigma.grid.dimension, args.mode)
-    return Instance(_load_family(args.family), sigma, w, cfg)
+    return Instance(family_from_json(Path(args.family).read_text()), sigma, w, cfg)
 
 
 def _add_exponent_args(sub) -> None:
@@ -114,26 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("verify-bounds", "sweep"):
         p_run = sub.add_parser(name, help=f"run the {name} suite")
         p_run.add_argument("--config", default=None, help="ExperimentConfig JSON file")
-        p_run.add_argument("--out-dir", default=None)
-        p_run.add_argument("--seed", type=int, default=None, help="master seed")
-        p_run.add_argument("--instances", type=int, default=None)
-        p_run.add_argument("--leaf-level", type=int, default=None)
-        p_run.add_argument("--dimension", type=int, default=None)
-        p_run.add_argument("--lambda", dest="lam", type=float, default=None)
-        p_run.add_argument("--p", type=float, default=None)
-        p_run.add_argument("--q", type=float, default=None)
-        p_run.add_argument("--alpha", type=float, default=None)
-        p_run.add_argument("--mode", choices=("strict", "extended"), default=None)
-        p_run.add_argument("--delta", type=float, default=None)
-        p_run.add_argument("--budget", type=int, default=None)
-        p_run.add_argument("--target-size", type=int, default=None)
-        p_run.add_argument("--volatility", type=float, default=None)
-        p_run.add_argument("--family-kind", choices=("random", "stopping", "mixed"), default=None)
-        p_run.add_argument("--levels", type=_parse_levels, default=None)
-        p_run.add_argument("--lambdas", type=_parse_floats, default=None)
+        for f in dataclasses.fields(ExperimentConfig):
+            flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+            p_run.add_argument(flag, dest=f.name, type=_flag_type(field_type(f)), default=None)
 
     p_ce = sub.add_parser("counterexample", help="level study of the divergent-entropy pair")
-    p_ce.add_argument("--levels", type=_parse_levels, default=(8, 12, 16, 20))
+    p_ce.add_argument("--levels", type=_flag_type([int]), default=(8, 12, 16, 20))
     p_ce.add_argument("--delta", type=float, default=0.5)
     p_ce.add_argument("--p", type=float, default=2.0)
     p_ce.add_argument("--q", type=float, default=2.0)
@@ -143,26 +133,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OVERRIDE_FIELDS = (
-    "instances", "leaf_level", "dimension", "lam", "p", "q", "alpha", "mode",
-    "delta", "budget", "target_size", "volatility", "family_kind", "levels", "lambdas",
-)
-
-
 def _suite_config(args) -> ExperimentConfig:
-    data = {}
-    if args.config:
-        data = json.loads(Path(args.config).read_text())
-    if args.seed is not None:
-        data["master_seed"] = args.seed
-    elif "master_seed" not in data and os.environ.get("SPARSEBUMP_SEED"):
+    """The config file's fields under the flags given; the master seed falls
+    back to SPARSEBUMP_SEED when neither sets it."""
+    data = json.loads(Path(args.config).read_text()) if args.config else {}
+    if not isinstance(data, dict):
+        raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
+    if "master_seed" not in data and os.environ.get("SPARSEBUMP_SEED"):
         data["master_seed"] = int(os.environ["SPARSEBUMP_SEED"])
-    for name in _OVERRIDE_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            data[name] = value
-    if args.out_dir is not None:
-        data["out_dir"] = args.out_dir
+    for f in dataclasses.fields(ExperimentConfig):
+        if getattr(args, f.name) is not None:
+            data[f.name] = getattr(args, f.name)
     return ExperimentConfig.from_dict(data)
 
 

@@ -69,8 +69,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown family kind {self.family_kind!r}")
         if self.instances < 0:
             raise ValueError("instances must be >= 0")
+        if self.budget < 0:
+            raise ValueError(f"budget must be >= 0, got {self.budget}")
+        if self.target_size < 1:
+            raise ValueError(f"target_size must be >= 1, got {self.target_size}")
         if not 0 < self.lam < 1:
             raise ValueError("lambda must be in (0,1)")
+        if not 0 < self.volatility < 1:
+            raise ValueError(f"volatility must be in (0,1), got {self.volatility}")
         # these raise on invalid ranges
         GridConfig(self.dimension, self.leaf_level)
         self.exponents()
@@ -85,29 +91,27 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """The config that a JSON object holds; raises ValueError on an
-        unknown field or on a value whose JSON type is not the field's."""
-        if not isinstance(data, dict):
-            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
-        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+        unknown field or on a value whose JSON type is not the field's
+        (`field_type`; `out_dir` may also be null)."""
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        unknown = set(data) - set(fields)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        # a field's JSON type is that of its default, or a list of the type
-        # of its default's elements
-        for f in dataclasses.fields(cls):
-            if f.name in data and f.default is not None:
-                want = [type(f.default[0])] if isinstance(f.default, tuple) else type(f.default)
-                check_json_field("config", f.name, data[f.name], want)
-        data = dict(data)
-        for key in ("levels", "lambdas"):
-            if key in data:
-                data[key] = tuple(data[key])
-        return cls(**data)
+        for name, value in data.items():
+            if value is not None or fields[name].default is not None:
+                check_json_field("config", name, value, field_type(fields[name]))
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["levels"] = list(self.levels)
-        out["lambdas"] = list(self.lambdas)
-        return out
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in dataclasses.asdict(self).items()}
+
+
+def field_type(f: dataclasses.Field):
+    """A config field's type (as in `check_json_field`), read from its
+    default: [t] for a tuple of t, and str for None (`out_dir`)."""
+    if isinstance(f.default, tuple):
+        return [type(f.default[0])]
+    return str if f.default is None else type(f.default)
 
 
 def _fmt(value) -> str:
@@ -221,11 +225,11 @@ def _verify_instance(cfg: ExperimentConfig, i: int, eps_e: EntropyFunction,
     de = dual_entropy_trace(inst, eps_e, family.root, bump=ebump)
     dd = dual_direct_trace(inst, eps_d, family.root, bump=dbump)
 
+    # each chain's certified constant is (2 Sigma_eps / (1-lambda))^{1/q},
+    # with 1/p' in place of 1/q in a dual chain
     ok = etrace.passed and dtrace.passed
-    const_e = (2.0 * eps_e.tail_sum / (1.0 - cfg.lam)) ** (1.0 / cfg.q)
-    const_d = (2.0 * eps_d.tail_sum / (1.0 - cfg.lam)) ** (1.0 / cfg.q)
-    ce_ratio = trep.T / (const_e * ebump.constants["E"])
-    cd_ratio = trep.T / (const_d * dbump.constants["D"])
+    ce_ratio = trep.T / (etrace.certified_constant * ebump.constants["E"])
+    cd_ratio = trep.T / (dtrace.certified_constant * dbump.constants["D"])
     ok = ok and ce_ratio <= tolerance and cd_ratio <= tolerance
 
     ok = ok and bool(np.all(ratios >= trep.per_R / tolerance))
@@ -237,12 +241,9 @@ def _verify_instance(cfg: ExperimentConfig, i: int, eps_e: EntropyFunction,
         leaf = _leaf_indicator_ratio(family, sigma, w, exps, family.members[r])
         ok = ok and abs(ratios[r] - leaf) <= SLACK * leaf
 
-    dual_const = (2.0 / (1.0 - cfg.lam)) ** (1.0 / exps.p_dual)
     ok = ok and de.passed and dd.passed
-    ok = ok and trep.T_star <= (dual_const * eps_e.tail_sum ** (1.0 / exps.p_dual)
-                                * ebump.constants["E_star_symmetric"]) * tolerance
-    ok = ok and trep.T_star <= (dual_const * eps_d.tail_sum ** (1.0 / exps.p_dual)
-                                * dbump.constants["D_star"]) * tolerance
+    ok = ok and trep.T_star <= de.certified_constant * ebump.constants["E_star_symmetric"] * tolerance
+    ok = ok and trep.T_star <= dd.certified_constant * dbump.constants["D_star"] * tolerance
 
     row = {
         "instance_id": i,

@@ -200,10 +200,10 @@ def _run_trace(kind: str, inst: Instance, eps: EntropyFunction, r_cube: DyadicCu
     col, star = np.nonzero(top.T)
     floor_val = eps_eval(eps, np.ldexp(1.0, np.where(a >= 0, a, a + 1)))[col]
     inner_lhs, sigma_star = sums[star, 2 + col], sigma_q[star]
-    qp, c_q = cfg.q / cfg.p, c_bump**cfg.q
-    sigma_qp = sigma_star**qp
-    inner_bound = c_q * (2.0 / (1.0 - lam)) * sigma_qp / floor_val
-    scale = c_q * sigma_qp
+    # C^q sigma(Q*)^{q/p} powered as one product: at extreme exponents C^q
+    # overflows toward inf and sigma(Q*)^{q/p} underflows to 0 apart
+    scale = (c_bump * sigma_star ** (1 / cfg.p)) ** cfg.q
+    inner_bound = scale * (2.0 / (1.0 - lam)) / floor_val
     realized = np.divide(inner_lhs * floor_val, scale, out=np.where(inner_lhs == 0, 0.0, np.inf),
                          where=scale > 0)
     if kind == "entropy":
@@ -222,7 +222,7 @@ def _run_trace(kind: str, inst: Instance, eps: EntropyFunction, r_cube: DyadicCu
     identity_ok = identity_error <= SLACK
 
     # stage (iii): the assembled explicit-constant bound
-    final_bound = (2.0 * eps.tail_sum / (1.0 - lam)) * c_q * float(sigma_q[r])**qp
+    final_bound = 2.0 * eps.tail_sum / (1.0 - lam) * (c_bump * float(sigma_q[r]) ** (1 / cfg.p)) ** cfg.q
     final_ok = lhs_total <= final_bound * (1.0 + SLACK)
 
     # certificate: testing value at R with w(E_Q) masses (<= the w(Q) form)

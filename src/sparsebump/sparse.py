@@ -125,14 +125,11 @@ class SparseFamily:
                 f"{check['worst_ratio']} at {check['witness'].text}"
             )
         owner.setflags(write=False)
-        runs = np.flatnonzero(np.diff(owner.ravel(), prepend=-2))
         arrays = {"members": members, "parent": parent, "owner": owner, "_flat": flat,
                   "level": level, "_index": index, "_bounds": bounds,
                   "position": {q: i for i, q in enumerate(members)},
                   # members[lo:hi] per occupied level below the root's: the sweep steps
-                  "_below_root": [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if 0 < lo < hi],
-                  # the owner map run-length encoded in leaf order, for at_leaves
-                  "_run_owner": owner.ravel()[runs], "_run_length": np.diff(runs, append=owner.size)}
+                  "_below_root": [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if 0 < lo < hi]}
         for name, value in arrays.items():
             object.__setattr__(self, name, value)
 
@@ -173,8 +170,7 @@ class SparseFamily:
 
     def at_leaves(self, values) -> np.ndarray:
         """Leaf array holding, on each leaf, the value of its owner; 0 outside the root."""
-        per_run = np.append(np.asarray(values, dtype=float), 0.0)[self._run_owner]
-        return np.repeat(per_run, self._run_length).reshape(self.grid.leaf_shape())
+        return np.append(np.asarray(values, dtype=float), 0.0)[self.owner]
 
     def inside(self, position: int) -> np.ndarray:
         """Mask of the members inside the member at `position` (itself

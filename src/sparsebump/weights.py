@@ -31,15 +31,6 @@ import numpy as np
 from .grid import (DyadicCube, GridConfig, blockwise, coarsen, descendant_block, expand, flat_blocks,
                    pyramid, tile_level)
 
-GENERATOR_KINDS = (
-    "constant",
-    "power",
-    "counterexample_sigma",
-    "counterexample_w",
-    "random_cascade",
-)
-
-
 @dataclass(frozen=True)
 class Weight:
     """Nonnegative density on leaf cells with cached cube masses.

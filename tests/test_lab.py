@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from sparsebump import lab
+from sparsebump import cli, lab
 from sparsebump.cli import cli_main
 from sparsebump.grid import GridConfig
 from sparsebump.operators import Instance
@@ -40,6 +40,12 @@ class TestExperimentConfig:
             ExperimentConfig(leaf_level=0)
         with pytest.raises(ValueError):
             ExperimentConfig(instances=-1)
+        # each used to pass here and fail (or run as another value) only once
+        # the first instance was built
+        for bad in (dict(budget=-3), dict(target_size=0), dict(volatility=0.0),
+                    dict(volatility=1.0), dict(volatility=-0.5)):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                ExperimentConfig(**bad)
 
     def test_dict_roundtrip(self):
         cfg = ExperimentConfig(**SMALL)
@@ -323,14 +329,21 @@ class TestCli:
         ("family", {"dimension": 1, "leaf_level": 4, "lambda": 0.5, "root": "0:0", "cubes": [0]},
          "family JSON field cubes must hold str, got 0"),
         ("sweep", {"levels": ["a"]}, "config field levels must hold int, got 'a'"),
+        ("config --instances 1", [1], "config must be a JSON object, got list"),
+        ("sweep --instances 1", [1], "config must be a JSON object, got list"),
+        ("config", {"out_dir": 5}, "config field out_dir must be str, got 5"),
+        ("sweep", {"out_dir": 5}, "config field out_dir must be str, got 5"),
     ], ids=("weight-no-density", "weight-list", "family-no-cubes", "config-list", "config-str-count",
-            "weight-str-level", "weight-int-density", "family-int-cube", "sweep-str-level"))
+            "weight-str-level", "weight-int-density", "family-int-cube", "sweep-str-level",
+            "config-list-with-flag", "sweep-list-with-flag", "config-int-out-dir", "sweep-int-out-dir"))
     def test_malformed_input_json_exits_2(self, fixture_files, tmp_path, capsys, which, record, problem):
+        # `which` names the input file, then any flags a suite command adds
+        which, *flags = which.split()
         paths = dict(zip(("weights", "family"), map(str, fixture_files)))
         paths[which] = str(tmp_path / "input.json")
         (tmp_path / "input.json").write_text(json.dumps(record))
         if which in ("config", "sweep"):
-            argv = ["verify-bounds" if which == "config" else "sweep", "--config", paths[which]]
+            argv = ["verify-bounds" if which == "config" else "sweep", "--config", paths[which], *flags]
         else:
             argv = ["testing", "--family", paths["family"], "--weights", paths["weights"]]
         assert cli_main(argv) == 2
@@ -364,6 +377,71 @@ class TestCli:
                          "--seed", "3", "--out-dir", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "sweep.csv").exists()
+
+
+# per ExperimentConfig field: its suite flag, a value's text, and the value,
+# which differs from the field's default
+SUITE_FLAGS = {
+    "dimension": ("--dimension", "2", 2),
+    "leaf_level": ("--leaf-level", "5", 5),
+    "lam": ("--lambda", "0.25", 0.25),
+    "p": ("--p", "1.5", 1.5),
+    "q": ("--q", "4", 4.0),
+    "alpha": ("--alpha", "0.5", 0.5),
+    "mode": ("--mode", "extended", "extended"),
+    "delta": ("--delta", "0.5", 0.5),
+    "instances": ("--instances", "3", 3),
+    "master_seed": ("--seed", "7", 7),
+    "budget": ("--budget", "0", 0),
+    "target_size": ("--target-size", "9", 9),
+    "volatility": ("--volatility", "0.9", 0.9),
+    "family_kind": ("--family-kind", "stopping", "stopping"),
+    "levels": ("--levels", "5,7", (5, 7)),
+    "lambdas": ("--lambdas", "0.5,0.125", (0.5, 0.125)),
+    "out_dir": ("--out-dir", "reports", "reports"),
+}
+
+
+def _suite_cfg(command, *argv) -> ExperimentConfig:
+    return cli._suite_config(cli.build_parser().parse_args([command, *argv]))
+
+
+class TestSuiteFlags:
+    """verify-bounds and sweep take one flag per ExperimentConfig field."""
+
+    def test_table_covers_every_field(self):
+        assert set(SUITE_FLAGS) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+    @pytest.mark.parametrize("command", ("verify-bounds", "sweep"))
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ExperimentConfig)])
+    def test_every_field_has_a_flag(self, monkeypatch, command, name):
+        monkeypatch.delenv("SPARSEBUMP_SEED", raising=False)
+        flag, text, value = SUITE_FLAGS[name]
+        assert value != getattr(ExperimentConfig(), name)
+        cfg = _suite_cfg(command, flag, text)
+        assert getattr(cfg, name) == value
+        assert cfg == dataclasses.replace(ExperimentConfig(), **{name: value})
+
+    def test_flag_over_file_over_environment(self, tmp_path, monkeypatch):
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps({"master_seed": 5, "instances": 4}))
+        monkeypatch.setenv("SPARSEBUMP_SEED", "9")
+        assert _suite_cfg("verify-bounds").master_seed == 9
+        assert _suite_cfg("verify-bounds", "--config", str(path)).master_seed == 5
+        cfg = _suite_cfg("sweep", "--config", str(path), "--seed", "3", "--instances", "2")
+        assert (cfg.master_seed, cfg.instances) == (3, 2)
+        assert _suite_cfg("verify-bounds", "--seed", "3").master_seed == 3
+        monkeypatch.delenv("SPARSEBUMP_SEED")
+        assert _suite_cfg("verify-bounds").master_seed == ExperimentConfig().master_seed
+
+    @pytest.mark.parametrize("command", ("verify-bounds", "sweep"))
+    @pytest.mark.parametrize("flag,text", [("--mode", "bogus"), ("--family-kind", "nope"),
+                                           ("--instances", "x"), ("--levels", "5,a"),
+                                           ("--volatility", "1.5")])
+    def test_bad_value_exits_2_naming_it(self, capsys, command, flag, text):
+        assert cli_main([command, flag, text, "--instances", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and text in err.splitlines()[-1]
 
 
 class TestNegativeControls:

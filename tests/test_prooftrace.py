@@ -434,3 +434,28 @@ class TestTwoDimensional:
         inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0, 2))
         assert dual_entropy_trace(inst, EPS_E, fam.root).passed
         assert dual_direct_trace(inst, EPS_D, fam.root).passed
+
+
+class TestExtremeExponents:
+    """At p = 1.01 and q = 50 or 100, C^q nears the top of the double range
+    while sigma(Q*)^{q/p} underflows to 0: a chain that powers the two
+    factors apart gets an inner or final bound of 0 and fails a true
+    inequality.  Each case below had a chain fail that way."""
+
+    @pytest.mark.parametrize("config,i", [
+        (dict(q=50.0), 1),  # dual direct chain, stage (ii) at a = -4
+        (dict(q=50.0, volatility=0.99), 0),
+        (dict(q=100.0), 4),  # primal direct chain
+        (dict(q=50.0, dimension=2, leaf_level=5, family_kind="stopping"), 0),
+    ], ids=("d1-q50", "d1-q50-volatile", "d1-q100", "d2-stopping-q50"))
+    def test_every_chain_passes_with_positive_bounds(self, config, i):
+        cfg = ExperimentConfig(p=1.01, **config)
+        sigma, w, fam, _ = build_instance(cfg, i)
+        inst = Instance(fam, sigma, w, cfg.exponents())
+        eps_e, eps_d = EntropyFunction("entropy", cfg.delta), EntropyFunction("direct", cfg.delta)
+        for trace, eps in ((entropy_trace, eps_e), (direct_trace, eps_d),
+                           (dual_entropy_trace, eps_e), (dual_direct_trace, eps_d)):
+            rep = trace(inst, eps, fam.root)
+            assert rep.passed, trace.__name__
+            assert rep.final_bound > 0
+            assert all(s.inner_bound > 0 for s in rep.strata)

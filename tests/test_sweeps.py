@@ -150,6 +150,8 @@ class TestSweepsMatchPerCubeLoops:
         family, _, _ = instance(d, kind, seed)
         np.testing.assert_array_equal(family.parent, oracle_parent(family))
         np.testing.assert_array_equal(family.owner, oracle_owner(family))
+        values = np.random.default_rng(seed).random(len(family))
+        np.testing.assert_array_equal(family.at_leaves(values), values[oracle_owner(family)])
 
     def test_apply(self, d, kind, seed):
         family, sigma, _ = instance(d, kind, seed)
@@ -286,6 +288,10 @@ def test_non_grid_root_family():
     np.testing.assert_array_equal(family.ancestor_sum([1.0, 2.0, 4.0]), [1.0, 3.0, 7.0])
     np.testing.assert_array_equal(family.descendant_sum([1.0, 2.0, 4.0]), [7.0, 6.0, 4.0])
     np.testing.assert_array_equal(family.owner, oracle_owner(family))
+    # leaves 8..15 lie in the root, 8..11 in 3:(2,) and leaf 9 is 5:(9,)
+    want = np.zeros(32)
+    want[8:16], want[8:12], want[9] = 1.0, 2.0, 4.0
+    np.testing.assert_array_equal(family.at_leaves([1.0, 2.0, 4.0]), want)
 
 
 # --- family construction: the per-cube-object builders as oracles ----------

@@ -116,7 +116,7 @@ class EntropyFunction:
         if not self.delta > 0:
             raise ValueError(f"need delta > 0, got {self.delta}")
 
-    @cached_property
+    @property
     def tail_sum(self) -> float:
         return eps_tail_sum(self)
 
@@ -136,14 +136,15 @@ def eps_eval(eps: EntropyFunction, t):
 
 
 @cache
-def _one_sided_tail_sum(delta: float, term_tol: float = 1e-7, r_cap: int = 10**7) -> float:
+def _one_sided_tail_sum(delta: float) -> float:
     """Upper bound on sum_{r>=0} (1 + r ln 2)^{-(1+delta)}.
 
-    Partial sum until the term drops below term_tol (or r_cap), then an
-    integral tail bound; the overshoot is at most the first omitted term.
+    Partial sum until the term drops below 1e-7 (or r reaches 10^7), then
+    an integral tail bound; the overshoot is at most the first omitted term.
     Cached, as it depends on delta alone and every suite run builds fresh
     EntropyFunctions.
     """
+    term_tol, r_cap = 1e-7, 10**7
     s = 1.0 + delta
     total = 0.0
     r = 0

@@ -216,7 +216,8 @@ def _verify_instance(cfg: ExperimentConfig, i: int, eps_e: EntropyFunction,
     tolerance = 1.0 + SLACK
     sigma, w, family, s_lb = build_instance(cfg, i)
     inst = Instance(family, sigma, w, exps)
-    ebump, dbump = _bump_reports(sigma, w, exps, eps_e, eps_d)
+    ebump, dbump = _bump_reports(sigma, w, exps, eps_e, eps_d,
+                                 names=("A", "E", "E_star_symmetric", "D", "D_star"))
     trep = testing_constants(inst)
     nlb = norm_lower_bound(inst, cfg.budget, seed=s_lb)
     etrace = entropy_trace(inst, eps_e, family.root, bump=ebump)

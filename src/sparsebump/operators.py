@@ -280,7 +280,7 @@ def norm_lower_bound(inst: Instance, budget: int, seed: int = 0, n_starts: int =
     Evaluates the ratio on the mandatory candidates (each family indicator
     1_R) and on `budget` iterates of the nonlinear dual-ascent map
 
-        f <- (T*(w (T(sigma f))^{q-1}))^{1/(p-1)},  normalized in L^p(sigma),
+        f <- (T*(w (T(sigma f))^{q-1}))^{1/(p-1)},  scaled to a maximum of 1,
 
     from seeded random nonnegative starts.  Adjoint indicator ratios
     ||T(w 1_R)||_{L^{p'}(sigma)} / w(R)^{1/q'} are also taken: the adjoint
@@ -317,8 +317,10 @@ def norm_lower_bound(inst: Instance, budget: int, seed: int = 0, n_starts: int =
             if not live.any():
                 break
             y = y[:, live]
-        f = y ** (1.0 / (cfg.p - 1.0))
-        f /= _norms(f, cfg.p, sigma_exc)
+        # the map is 1-homogeneous and the ratio scale-free: each column is
+        # scaled to a maximum of 1, so the power (exponent 100 at p = 1.01)
+        # cannot overflow
+        f = (y / y.max(axis=0)) ** (1.0 / (cfg.p - 1.0))
         u = t_sigma(f)
         best = max(best, float(np.max(_norms(u, cfg.q, w_exc) / _norms(f, cfg.p, sigma_exc))))
     return best

@@ -14,31 +14,13 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (
-    DyadicCube,
-    GridConfig,
-    contains,
-    coarsen,
-    expand,
-    leaf_slice,
-    parse_cube,
-    root_cube,
-)
+from .grid import DyadicCube, GridConfig, coarsen, expand, leaf_slice, parse_cube
 from .weights import Weight, average, json_record, mass, rho
-
-
-def _nearest_ancestor_in(cube: DyadicCube, members: set[DyadicCube]) -> DyadicCube | None:
-    """Deepest proper ancestor of `cube` among `members` (dyadic chain walk)."""
-    c = cube
-    while c.level > 0:
-        c = c.parent()
-        if c in members:
-            return c
-    return None
 
 
 def _tree(level: np.ndarray, index: np.ndarray, depth: int):
@@ -65,18 +47,6 @@ def _tree(level: np.ndarray, index: np.ndarray, depth: int):
         parent[bounds[k]:bounds[k + 1]] = at_k[sel]
         at_k[sel] = np.arange(bounds[k], bounds[k + 1])
     return flat, bounds, parent, owner
-
-
-def _sparseness(members: tuple[DyadicCube, ...], parent: np.ndarray, lam: float) -> dict:
-    """Per member, the volume of its children in the tree (its maximal proper
-    sub-members) over its own volume; the worst ratio against lam."""
-    volume = np.array([q.volume for q in members])
-    child = parent >= 0
-    ratio = np.bincount(parent[child], weights=volume[child], minlength=len(members)) / volume
-    j = int(np.argmax(ratio))
-    worst_ratio = float(ratio[j])
-    witness = members[j] if worst_ratio > 0 else None
-    return {"ok": worst_ratio <= lam, "worst_ratio": worst_ratio, "witness": witness}
 
 
 @dataclass(frozen=True)
@@ -118,11 +88,15 @@ class SparseFamily:
         if np.count_nonzero(parent < 0) != 1:
             raise ValueError("family must have a unique maximal cube (the root)")
         object.__setattr__(self, "root", members[0])
-        check = _sparseness(members, parent, self.lam)
-        if not check["ok"]:
+        # per member, the volume of its maximal proper sub-members over its own
+        volume = np.ldexp(1.0, -self.grid.dimension * level)
+        child = parent >= 0
+        ratio = np.bincount(parent[child], weights=volume[child], minlength=len(members)) / volume
+        j = int(np.argmax(ratio))
+        if ratio[j] > self.lam:
             raise ValueError(
                 f"collection is not {self.lam}-sparse: worst ratio "
-                f"{check['worst_ratio']} at {check['witness'].text}"
+                f"{float(ratio[j])} at {members[j].text}"
             )
         owner.setflags(write=False)
         arrays = {"members": members, "parent": parent, "owner": owner, "_flat": flat,
@@ -231,42 +205,40 @@ def random_sparse(grid: GridConfig, lam: float, seed: int, target_size: int) -> 
     candidate pool is exhausted.
 
     The pool is every non-root cube in (level, row-major index) order; a
-    visited pool position is decoded to its cube arithmetically.
+    visited pool position is decoded to its (level, index) key
+    arithmetically.  The one state is `covered`: per grid cube touched, the
+    volume (an exact int, in leaves) of the accepted cubes strictly inside
+    it.  An accepted candidate adds its uncovered volume to each cube from
+    its parent up to its nearest accepted ancestor, which covers it for the
+    cubes above.  Cube objects are made for the accepted keys only.
     """
     if not 0 < lam < 1:
         raise ValueError(f"lambda must be in (0,1), got {lam}")
     if target_size < 1:
         raise ValueError("target_size must be >= 1")
-    d = grid.dimension
-    root = root_cube(grid)
-    accepted = {root}
-    # incremental state: maximal proper sub-members per member + their volume sum
-    kids: dict[DyadicCube, set[DyadicCube]] = {root: set()}
-    kid_volume: dict[DyadicCube, float] = {root: 0.0}
+    d, n = grid.dimension, grid.leaf_level
+    accepted, covered = {(0, (0,) * d)}, Counter()
     if target_size > 1:
         # level k occupies pool positions starts[k-1] .. starts[k]-1
-        starts = list(itertools.accumulate(
-            (2 ** (d * k) for k in range(1, grid.leaf_level + 1)), initial=0))
+        starts = list(itertools.accumulate((2 ** (d * k) for k in range(1, n + 1)), initial=0))
         rng = np.random.default_rng(seed)
         for pos in map(int, rng.permutation(starts[-1])):
             k = bisect.bisect_right(starts, pos)
             j = pos - starts[k - 1]
-            cand = DyadicCube(k, (j,) if d == 1 else (j >> k, j & ((1 << k) - 1)))
-            anc = _nearest_ancestor_in(cand, accepted)
-            absorbed = {q for q in kids[anc] if contains(cand, q)}
-            absorbed_volume = sum(q.volume for q in absorbed)
-            new_anc_volume = kid_volume[anc] - absorbed_volume + cand.volume
-            if new_anc_volume > lam * anc.volume or absorbed_volume > lam * cand.volume:
+            cand = (k, (j,) if d == 1 else (j >> k, j & ((1 << k) - 1)))
+            chain = [cand]  # cand, then its proper ancestors up to the nearest accepted one
+            while chain[-1] not in accepted:
+                level, index = chain[-1]
+                chain.append((level - 1, tuple(i >> 1 for i in index)))
+            anc, size, absorbed = chain[-1], 1 << d * (n - k), covered[cand]
+            if covered[anc] + size - absorbed > lam * (1 << d * (n - anc[0])) or absorbed > lam * size:
                 continue
             accepted.add(cand)
-            kids[anc] -= absorbed
-            kids[anc].add(cand)
-            kid_volume[anc] = new_anc_volume
-            kids[cand] = absorbed
-            kid_volume[cand] = absorbed_volume
+            for cube in chain[1:]:
+                covered[cube] += size - absorbed
             if len(accepted) >= target_size:
                 break
-    return SparseFamily(grid, frozenset(accepted), lam)
+    return SparseFamily(grid, frozenset(DyadicCube(k, index) for k, index in accepted), lam)
 
 
 def carleson_check(family: SparseFamily, sigma: Weight, q0: DyadicCube) -> dict:

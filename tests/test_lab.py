@@ -83,6 +83,19 @@ class TestVerifyBounds:
             "certified_CE_ratio", "certified_CD_ratio",
         )
 
+    def test_the_scan_holds_only_what_the_row_reads(self, monkeypatch):
+        # no row, check or trace reads E_star_printed, so no instance scores it
+        scanned = []
+
+        class Spied(lab.PairScan):
+            def __init__(self, *args):
+                super().__init__(*args)
+                scanned.append(set(self.names))
+
+        monkeypatch.setattr(lab, "PairScan", Spied)
+        run_verify_bounds(ExperimentConfig(**dict(SMALL, instances=2)))
+        assert scanned == [{"A", "E", "E_star_symmetric", "D", "D_star"}] * 2
+
     def test_empty_suite(self):
         rep = run_verify_bounds(ExperimentConfig(**dict(SMALL, instances=0)))
         assert rep.rows == [] and rep.violations == 0

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from sparsebump.bumps import ExponentConfig
 from sparsebump.grid import DyadicCube, GridConfig, contains, leaf_slice, root_cube
+from sparsebump.lab import ExperimentConfig, build_instance
 from sparsebump.operators import (
     Instance,
     PowerIterationError,
@@ -197,6 +200,20 @@ class TestNormLowerBound:
         a = norm_lower_bound(Instance(fam, sigma, w, cfg), budget=15, seed=3)
         b = norm_lower_bound(Instance(fam, sigma, w, cfg), budget=15, seed=3)
         assert a == b
+
+    @pytest.mark.parametrize("config", [{}, dict(dimension=2, leaf_level=5, family_kind="stopping")],
+                             ids=("d1", "d2-stopping"))
+    def test_ascent_near_p_one(self, config):
+        # at p = 1.01 the ascent takes y ** 100, which overflows to inf (and
+        # the iterate to NaN) unless y is scaled first
+        cfg = ExperimentConfig(p=1.01, q=50.0, **config)
+        for i in range(2):
+            sigma, w, fam, s_lb = build_instance(cfg, i)
+            inst = Instance(fam, sigma, w, cfg.exponents())
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                start, ascent = (norm_lower_bound(inst, budget=b, seed=s_lb) for b in (0, 25))
+            assert np.isfinite(ascent) and ascent >= start
 
     def test_dominates_dual_testing_terms(self):
         # the adjoint indicator candidates witness the per-R terms of T_star

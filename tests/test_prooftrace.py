@@ -251,7 +251,9 @@ def test_four_chains_share_one_inside_sweep(monkeypatch):
     def traces(i):
         sigma, w, family, _ = build_instance(cfg, i)
         inst = Instance(family, sigma, w, cfg.exponents())
-        ebump, dbump = lab._bump_reports(sigma, w, inst.cfg, EPS_E, EPS_D)
+        # the constants the four chains read
+        ebump, dbump = lab._bump_reports(sigma, w, inst.cfg, EPS_E, EPS_D,
+                                         names=("E", "E_star_symmetric", "D", "D_star"))
         calls = []
         original = SparseFamily.ancestor_sum
 
@@ -377,15 +379,15 @@ class TestNegativeControls:
         assert rep.identity_ok and rep.final_ok and rep.certified_ok
 
     @pytest.mark.parametrize("kind", ("entropy", "direct"))
-    def test_shrunk_tail_sum_breaks_the_final_bound(self, kind):
+    def test_shrunk_tail_sum_breaks_the_final_bound(self, kind, monkeypatch):
         # stage (iii) and the certificate scale with Sigma_eps; stages (i)
         # and (ii) do not read it
         fam, sigma, w = random_setup(2)
         inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0, 1))
         trace = entropy_trace if kind == "entropy" else direct_trace
-        assert trace(inst, EntropyFunction(kind, 1.0), fam.root).passed
         eps = EntropyFunction(kind, 1.0)
-        eps.__dict__["tail_sum"] = 1e-6
+        assert trace(inst, eps, fam.root).passed
+        monkeypatch.setattr(EntropyFunction, "tail_sum", 1e-6)
         rep = trace(inst, eps, fam.root)
         assert not rep.final_ok and not rep.certified_ok and not rep.passed
         assert rep.identity_ok and rep.inner_ok

@@ -345,13 +345,29 @@ BUILD_GRIDS = (GridConfig(1, 7), GridConfig(2, 4))
 
 
 @pytest.mark.parametrize("grid", BUILD_GRIDS, ids=("d1", "d2"))
-@pytest.mark.parametrize("lam", (0.5, 0.25))
+@pytest.mark.parametrize("lam", (0.75, 0.5, 0.25))
 def test_random_sparse_matches_pool_oracle(grid, lam):
-    # 10_000 exceeds every family's capacity here, so the pool is exhausted
+    # 10_000 exceeds every family's capacity here, so the pool is exhausted;
+    # at 0.75 many candidates absorb accepted cubes
     for seed in range(4):
         for target in (2, 12, 10_000):
             got = random_sparse(grid, lam, seed=seed, target_size=target).cubes
             assert got == oracle_random_sparse(grid, lam, seed, target)
+
+
+@pytest.mark.parametrize("grid", (GridConfig(1, 12), GridConfig(2, 6)), ids=("d1", "d2"))
+def test_random_sparse_makes_one_cube_per_member(monkeypatch, grid):
+    # the greedy runs on (level, index) keys: the only cube objects are the
+    # family's members
+    made, post_init = [], DyadicCube.__post_init__
+
+    def counted(self):
+        made.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(DyadicCube, "__post_init__", counted)
+    family = random_sparse(grid, 0.5, seed=3, target_size=30)
+    assert len(family) == 30 and len(made) == 30
 
 
 @pytest.mark.parametrize("grid", BUILD_GRIDS, ids=("d1", "d2"))

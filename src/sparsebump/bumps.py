@@ -151,15 +151,25 @@ def _one_sided_tail_sum(delta: float) -> float:
     chunk = 65536
     while r < r_cap:
         hi = min(r + chunk, r_cap)
-        block = (1.0 + np.arange(r, hi, dtype=float) * LN2) ** (-s)
-        total += float(block.sum())
+        block_sum, last_term = _tail_terms(r, hi, s)
+        total += block_sum
         r = hi
-        if block[-1] < term_tol:
+        if last_term < term_tol:
             break
     # integral tail: sum_{j > r-1} f(j) <= int_{r-1}^inf (1 + x ln2)^{-s} dx
     last = r - 1
     tail = (1.0 + last * LN2) ** (-delta) / (delta * LN2)
     return total + tail
+
+
+def _tail_terms(lo: int, hi: int, s: float) -> tuple[float, float]:
+    """The sum and the last of the terms (1 + r ln 2)^{-s}, r in [lo, hi),
+    computed in place in one array, which is freed on return."""
+    block = np.arange(lo, hi, dtype=float)
+    block *= LN2
+    block += 1.0
+    np.power(block, -s, out=block)
+    return float(block.sum()), float(block[-1])
 
 
 def eps_tail_sum(eps: EntropyFunction) -> float:

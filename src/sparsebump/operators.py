@@ -304,8 +304,9 @@ def norm_lower_bound(inst: Instance, budget: int, seed: int = 0, n_starts: int =
     # is reduced to block sums before the next is drawn, so the leaf arrays
     # of one start at a time are alive
     blocks, shape = np.empty((len(family), n_starts)), family.grid.leaf_shape()
+    density = sigma.leaf_density
     for j in range(n_starts):
-        blocks[:, j] = _leaf_blocks(family, sigma.leaf_density * (rng.random(shape) + 0.5))
+        blocks[:, j] = _leaf_blocks(family, density * (rng.random(shape) + 0.5))
     u = family.ancestor_sum(inst.coef[:, None] * blocks)
     sigma_exc, w_exc = inst.sigma_exc, inst.w_exc
     t_sigma, t_w = _member_operator(inst, sigma_exc), _member_operator(inst, w_exc)

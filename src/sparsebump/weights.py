@@ -1,10 +1,12 @@
 """Weights as nonnegative piecewise-constant densities on dyadic leaf cells.
 
-A Weight stores the leaf densities together with a full pyramid of cube
-masses, built bottom-up so that mass(Q) equals the sum of the children's
-masses exactly.  On first use it also builds, and then keeps, the pyramid of
-local A-infinity characteristics rho(Q) (`rho_levels`), the one source of
-every rho value in the package.  `mass`, `average` and `rho` read one cube's
+A Weight is its pyramid of cube masses, built bottom-up so that mass(Q)
+equals the sum of the children's masses exactly.  The leaf level, the
+masses density * |leaf|, is the only leaf-sized array it keeps; the leaf
+densities are read off it, exactly, since |leaf| is a power of two.  On
+first use a weight also builds, and then keeps, the pyramid of local
+A-infinity characteristics rho(Q) (`rho_levels`), the one source of every
+rho value in the package.  `mass`, `average` and `rho` read one cube's
 value from these pyramids; the dyadic maximal function M(sigma 1_Q) that rho
 integrates is the test oracle `tests/oracles.py::dyadic_maximal`.
 
@@ -15,8 +17,9 @@ arrays of up to 32 MiB (d=1, N=22) that are mapped fresh on each use;
 the values are bitwise those of one whole-grid sweep.  Generators for
 closed-form densities use exact interval antiderivatives, never quadrature,
 so discretization masses carry no integration error; they too fill the leaf
-array block by block.  Both passes run through `grid.blockwise`, on every
-available CPU once the grid has 8 blocks or more.
+array block by block, and the weight adopts that array as its leaf level.
+The L log L integral also runs block by block.  These passes run through
+`grid.blockwise`, on every available CPU once the grid has 8 blocks or more.
 """
 
 from __future__ import annotations
@@ -31,43 +34,60 @@ import numpy as np
 from .grid import (DyadicCube, GridConfig, blockwise, coarsen, descendant_block, expand, flat_blocks,
                    pyramid, tile_level)
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Weight:
-    """Nonnegative density on leaf cells with cached cube masses.
+    """Nonnegative density on leaf cells, held as its pyramid of cube masses.
 
-    The weight keeps a read-only copy of `leaf_density`; `copy=False` hands
-    over an array that nothing else holds, which is then kept as it is.
+    `mass_levels[-1]`, the leaf masses density * |leaf|, is the one
+    leaf-sized array a weight keeps; `leaf_density` is read off it.  The
+    constructor scales a fresh copy of the given `density`; `from_leaf_mass`
+    adopts leaf masses as they are.  Two weights are equal only when they
+    are the same object, so a weight can key a dict.
     """
 
     grid: GridConfig
-    leaf_density: np.ndarray
+    density: InitVar[np.ndarray]
     kind: str = "custom"
     parameters: dict = field(default_factory=dict)
-    mass_levels: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    copy: InitVar[bool] = True
+    mass_levels: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
-    def __post_init__(self, copy: bool) -> None:
-        dens = np.asarray(self.leaf_density, dtype=float)
-        if dens.shape != self.grid.leaf_shape():
-            dens = dens.reshape(self.grid.leaf_shape())
-        # False on a NaN, whose min and max are NaN
-        if not (dens.min() >= 0 and dens.max() < np.inf):
-            raise ValueError("leaf densities must be finite and >= 0")
-        if copy:
-            dens = dens.copy()
-        dens.setflags(write=False)
-        object.__setattr__(self, "leaf_density", dens)
-        levels = pyramid(dens * self.grid.leaf_volume, self.grid)
+    def __post_init__(self, density) -> None:
+        dens = np.asarray(density, dtype=float).reshape(self.grid.leaf_shape())
+        # checked before scaling: -5e-324 * |leaf| would round to -0.0
+        _check_leaves(dens)
+        self._adopt(dens * self.grid.leaf_volume)
+
+    @classmethod
+    def from_leaf_mass(cls, grid: GridConfig, leaf_mass, kind="custom", parameters=None,
+                       copy: bool = True) -> "Weight":
+        """The weight whose leaf masses are `leaf_mass`, kept as the leaf
+        level of its pyramid; `copy=False` hands over an array that nothing
+        else holds, which is then kept as it is."""
+        mass = np.array(leaf_mass, dtype=float) if copy else np.asarray(leaf_mass, dtype=float)
+        mass = mass.reshape(grid.leaf_shape())
+        _check_leaves(mass)
+        weight = object.__new__(cls)
+        vars(weight).update(grid=grid, kind=kind, parameters=parameters or {})
+        weight._adopt(mass)
+        return weight
+
+    def _adopt(self, leaf_mass: np.ndarray) -> None:
+        """Build the read-only mass pyramid on `leaf_mass`, which it keeps."""
+        levels = pyramid(leaf_mass, self.grid)
         for a in levels:
             a.setflags(write=False)
         object.__setattr__(self, "mass_levels", tuple(levels))
         if not self.mass_levels[0].flat[0] > 0:
             raise ValueError("total mass must be positive")
 
-    @classmethod
-    def from_leaf_mass(cls, grid: GridConfig, leaf_mass, kind="custom", parameters=None) -> "Weight":
-        dens = np.asarray(leaf_mass, dtype=float) / grid.leaf_volume
-        return cls(grid, dens, kind, parameters or {}, copy=False)
+    @property
+    def leaf_density(self) -> np.ndarray:
+        """The leaf densities, a fresh read-only array: leaf mass / |leaf|.
+        |leaf| is a power of two, so this is the density the weight was
+        built from, bit for bit, wherever its leaf mass is normal or zero."""
+        dens = self.mass_levels[-1] / self.grid.leaf_volume
+        dens.setflags(write=False)
+        return dens
 
     @cached_property
     def rho_levels(self) -> tuple[np.ndarray, ...]:
@@ -160,6 +180,12 @@ class Weight:
         return out
 
 
+def _check_leaves(values: np.ndarray) -> None:
+    # False on a NaN, whose min and max are NaN
+    if not (values.min() >= 0 and values.max() < np.inf):
+        raise ValueError("leaf densities must be finite and >= 0")
+
+
 def mass(sigma: Weight, cube: DyadicCube) -> float:
     """Exact total mass sigma(Q), served from the cube-mass cache."""
     return float(sigma.mass_levels[cube.level][cube.index])
@@ -186,9 +212,22 @@ def llogl_integral(sigma: Weight) -> float:
     This is the L log L diagnostic: it stays bounded under refinement for
     integrable log-regular densities and increases without bound for
     densities outside L log L near a singularity.
+
+    The sum runs block by block over the leaf masses (`flat_blocks`, through
+    `blockwise`), so no temporary is leaf-sized, and the block sums are added
+    by the pairwise halving tree of `coarsen`.  NumPy sums a power-of-two
+    array of 128 or more floats by that same tree of halves, so the value
+    is bitwise that of np.sum over the whole grid.
     """
-    dens = sigma.leaf_density
-    return float(np.sum(dens * np.log(np.e + dens)) * sigma.grid.leaf_volume)
+    leaf_volume = sigma.grid.leaf_volume
+    leaf_mass = sigma.mass_levels[-1].reshape(-1)
+
+    def block_sum(cells):
+        dens = leaf_mass[cells] / leaf_volume
+        return np.sum(dens * np.log(np.e + dens))
+
+    sums = np.array(blockwise(block_sum, flat_blocks(leaf_mass.size), sigma.grid))
+    return float(coarsen(sums, 1, len(sums).bit_length() - 1)[0] * leaf_volume)
 
 
 # --- closed-form interval masses ------------------------------------------
@@ -268,7 +307,7 @@ def generate_weight(grid: GridConfig, kind: str, **params) -> Weight:
         value = float(params.pop("value", 1.0))
         if params or value <= 0 or not np.isfinite(value):
             raise ValueError("bad generator parameter: constant needs value > 0")
-        return Weight(grid, np.full(grid.leaf_shape(), value), kind, {"value": value}, copy=False)
+        return Weight(grid, np.full(grid.leaf_shape(), value), kind, {"value": value})
 
     if kind == "power":
         if "beta" not in params:
@@ -279,7 +318,7 @@ def generate_weight(grid: GridConfig, kind: str, **params) -> Weight:
         if grid.dimension != 1:
             raise ValueError("bad generator parameter: power is one-dimensional")
         leaf_mass = _power_interval_mass(beta, grid)
-        return Weight.from_leaf_mass(grid, leaf_mass, kind, {"beta": beta})
+        return Weight.from_leaf_mass(grid, leaf_mass, kind, {"beta": beta}, copy=False)
 
     if kind == "counterexample_w":
         if params:
@@ -287,7 +326,7 @@ def generate_weight(grid: GridConfig, kind: str, **params) -> Weight:
         if grid.dimension != 1:
             raise ValueError("bad generator parameter: counterexample_w is one-dimensional")
         leaf_mass = _power_interval_mass(2.0, grid)
-        return Weight.from_leaf_mass(grid, leaf_mass, kind, {})
+        return Weight.from_leaf_mass(grid, leaf_mass, kind, {}, copy=False)
 
     if kind == "counterexample_sigma":
         if params:
@@ -295,7 +334,7 @@ def generate_weight(grid: GridConfig, kind: str, **params) -> Weight:
         if grid.dimension != 1:
             raise ValueError("bad generator parameter: counterexample_sigma is one-dimensional")
         leaf_mass = _ce_sigma_interval_mass(grid)
-        return Weight.from_leaf_mass(grid, leaf_mass, kind, {})
+        return Weight.from_leaf_mass(grid, leaf_mass, kind, {}, copy=False)
 
     if kind == "random_cascade":
         seed = int(params.pop("seed", 0))
@@ -304,7 +343,7 @@ def generate_weight(grid: GridConfig, kind: str, **params) -> Weight:
             raise ValueError("bad generator parameter: volatility must be in (0,1)")
         leaf_mass = _cascade_leaf_mass(grid, seed, volatility)
         return Weight.from_leaf_mass(grid, leaf_mass, kind,
-                                     {"seed": seed, "volatility": volatility})
+                                     {"seed": seed, "volatility": volatility}, copy=False)
 
     raise ValueError(f"bad generator parameter: unknown kind {kind!r}")
 

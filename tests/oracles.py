@@ -9,6 +9,9 @@ by the same pairwise tree (`grid.coarsen`) as the pyramid
 `Weight.rho_levels`, so the two agree bitwise in d=1 and d=2.  It reads only
 the mass pyramid, never `rho_levels`, so it checks that pyramid independently.
 
+`llogl_oracle` is the L log L integral as one whole-array sum over the leaf
+densities, the form that `weights.llogl_integral` runs block by block.
+
 `bucket_of` is the scalar bucket of a stratum key, floor(log2 key) from the
 binary exponent of one `math.frexp` call.
 
@@ -115,7 +118,7 @@ def scaled(weight, c):
     if c <= 0:
         raise ValueError("scale factor must be positive")
     return Weight(weight.grid, weight.leaf_density * c, weight.kind,
-                  dict(weight.parameters, scale=c), copy=False)
+                  dict(weight.parameters, scale=c))
 
 
 def constant_function(grid, value=1.0):
@@ -181,6 +184,12 @@ def rho_oracle(sigma, cube):
     excess = coarsen(chain_max(sigma, cube) - average(sigma, cube), grid.dimension,
                      grid.leaf_level - cube.level).item()
     return 1.0 + excess * grid.leaf_volume / m
+
+
+def llogl_oracle(sigma):
+    """Sum over the leaves of density * log(e + density), times |leaf|."""
+    dens = sigma.leaf_density
+    return float(np.sum(dens * np.log(np.e + dens)) * sigma.grid.leaf_volume)
 
 
 def bucket_of(value):

@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,16 @@ class TestTailSums:
             e = eps_tail_sum(EntropyFunction("entropy", delta))
             d = eps_tail_sum(EntropyFunction("direct", delta))
             assert d == pytest.approx(2 * e - 1, rel=1e-12)
+
+    def test_partial_sum_holds_one_block(self):
+        # delta = 0.1 runs about 50 blocks of 65,536 terms before a term drops below 1e-7
+        tracemalloc.start()
+        try:
+            sparsebump.bumps._one_sided_tail_sum.__wrapped__(0.1)  # past the cache
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 65536 * 8
 
     def test_monotone_in_delta(self):
         assert (eps_tail_sum(EntropyFunction("entropy", 9.0))

@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sparsebump.grid
 from sparsebump.grid import DyadicCube, GridConfig, root_cube
 from sparsebump.weights import (
     Weight,
@@ -18,7 +20,7 @@ from sparsebump.weights import (
     weight_to_json,
 )
 
-from oracles import ce_sigma_mass, enumerate_cubes, fix_const, fix_half
+from oracles import ce_sigma_mass, enumerate_cubes, fix_const, fix_half, llogl_oracle
 
 
 def cube_endpoints(cube: DyadicCube) -> tuple[float, float]:
@@ -197,12 +199,78 @@ class TestLeafCopy:
         np.testing.assert_array_equal(w.leaf_density, [1.0, 2.0, 3.0, 4.0])
         assert not w.leaf_density.flags.writeable
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300, -5e-324])
     def test_non_finite_or_negative_density_rejected(self, bad):
         with pytest.raises(ValueError, match="finite and >= 0"):
             Weight(GridConfig(1, 2), np.array([1.0, bad, 1.0, 1.0]))
         with pytest.raises(ValueError, match="finite and >= 0"):
             Weight.from_leaf_mass(GridConfig(1, 2), np.array([1.0, 1.0, 1.0, bad]))
+
+
+class TestMassPyramid:
+    """A weight keeps its mass pyramid and no other leaf-sized array; the
+    leaf densities and the L log L integral are read off the leaf masses."""
+
+    @pytest.mark.parametrize("dimension, leaf_level",
+                             [(1, n) for n in (1, 8, 16, 17, 20, 22)] + [(2, n) for n in (3, 8, 9, 11)])
+    def test_llogl_is_the_whole_array_sum(self, dimension, leaf_level):
+        g = GridConfig(dimension, leaf_level)
+        if dimension == 1:
+            w = generate_weight(g, "counterexample_sigma")
+        else:
+            w = generate_weight(g, "random_cascade", seed=leaf_level, volatility=0.8)
+        assert llogl_integral(w) == llogl_oracle(w)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_llogl_blocks_on_a_pool(self, spread, cpus):
+        # NumPy's pairwise sum adds 8 strided partial sums below 128 floats,
+        # so the block sums follow its tree from blocks of 128 up
+        weights = [generate_weight(GridConfig(1, 10), "counterexample_sigma"),
+                   generate_weight(GridConfig(2, 5), "random_cascade", seed=6, volatility=0.8)]
+        pools = spread(128, cpus)  # 8 blocks
+        for w in weights:
+            assert llogl_integral(w) == llogl_oracle(w)
+        assert pools == ([] if cpus == 1 else [2, 2])
+
+    def test_leaf_arrays_held(self, spread):
+        spread(sparsebump.grid.BLOCK, 1)
+        leaf = 8 * 2**18  # bytes of one leaf array at d=1, N=18
+        tracemalloc.start()
+        try:
+            sigma, w = fix_ce(18)
+            held, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            llogl_integral(sigma)
+            llogl_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # each weight: its leaf masses and the coarser levels, one more leaf array
+        assert held < 4.1 * leaf
+        assert peak < 5 * leaf
+        assert llogl_peak - held < leaf
+
+    def test_from_leaf_mass_adopts_the_array(self):
+        leaf_mass = np.array([0.25, 0.5, 0.75, 1.0])
+        w = Weight.from_leaf_mass(GridConfig(1, 2), leaf_mass, copy=False)
+        assert np.shares_memory(w.mass_levels[-1], leaf_mass)
+        assert not w.mass_levels[-1].flags.writeable
+
+    def test_leaf_density_round_trips_bitwise(self):
+        g = GridConfig(2, 5)
+        dens = generate_weight(g, "random_cascade", seed=5, volatility=0.8).leaf_density.copy()
+        dens[:16, :16] = 0.0
+        w = Weight(g, dens)
+        assert w.leaf_density.tobytes() == dens.tobytes()
+        assert not w.leaf_density.flags.writeable
+        back = weight_from_json(weight_to_json(w))
+        assert back.leaf_density.tobytes() == dens.tobytes()
+        assert _bytes(back.mass_levels) == _bytes(w.mass_levels)
+
+    def test_equality_is_identity(self):
+        g = GridConfig(1, 2)
+        a, b = Weight(g, np.ones(4)), Weight(g, np.ones(4))
+        assert a == a and a != b
+        assert {a: 1, b: 2}[b] == 2
 
 
 def _bytes(arrays):

@@ -113,8 +113,9 @@ class EntropyFunction:
     def __post_init__(self) -> None:
         if self.kind not in ("entropy", "direct"):
             raise ValueError(f"eps kind must be entropy or direct, got {self.kind!r}")
-        if not self.delta > 0:
-            raise ValueError(f"need delta > 0, got {self.delta}")
+        # at delta = inf every bump is inf or NaN, and no cube is a candidate
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"need a finite delta > 0, got {self.delta}")
 
     @property
     def tail_sum(self) -> float:
@@ -274,6 +275,9 @@ class PairScan:
     entropy eps, D and D_star with a direct eps.  A is always scanned, as
     every other score is built on its joint score.  The pass runs on first
     use of `found`, so the first report that reads a shared scan pays for it.
+    rho is 1 on every leaf of positive mass, so the leaf cells add no
+    entropy bump: their entropy scores are their joint scores, and no log of
+    rho is taken for them.
     """
 
     def __init__(self, sigma: Weight, w: Weight, cfg: ExponentConfig,
@@ -336,9 +340,9 @@ class PairScan:
             """c k ln 2 per cell, a scalar for an item of one level."""
             return c * k_ln2 if len(item) == 1 else np.multiply(k_ln2, c, out=tmp)
 
-        def log_of(levels, out):
-            """The log of the item's cells of a per-level array, in `out`."""
-            cells = [levels[k].reshape(-1)[chunk] for k, chunk in item]
+        def log_of(levels, out, pieces=item):
+            """The log of the cells of `pieces` of a per-level array, in `out`."""
+            cells = [levels[k].reshape(-1)[chunk] for k, chunk in pieces]
             return np.log(cells[0] if len(cells) == 1 else np.concatenate(cells, out=out), out=out)
 
         found = {}
@@ -374,8 +378,16 @@ class PairScan:
                     np.log(b, out=b)
                     b *= one_plus_delta
                 else:
-                    b = log_of((self.w if on_w else self.sigma).rho_levels, free)  # >= 0, as rho >= 1
-                    b += np.multiply(np.log(np.add(b, 1.0, out=tmp), out=tmp), one_plus_delta, out=tmp)
+                    # rho is 1 on a leaf of positive mass, so the leaf piece
+                    # (always an item's last) has bump 0; a zero-mass
+                    # leaf's joint score is -inf already
+                    inner = item[:-1] if item[-1][0] == self.grid.leaf_level else item
+                    b, end = free, bounds[len(inner)]
+                    if inner:
+                        head, t = b[:end], tmp[:end]
+                        log_of((self.w if on_w else self.sigma).rho_levels, head, inner)  # >= 0, as rho >= 1
+                        head += np.multiply(np.log(np.add(head, 1.0, out=t), out=t), one_plus_delta, out=t)
+                    b[end:] = 0.0
                 keys = [key for key in self._scored if key[:2] == (kind, on_w)]
                 for key in keys:
                     # the last score of a bump in the bump's own row

@@ -6,7 +6,9 @@ masses density * |leaf|, is the only leaf-sized array it keeps; the leaf
 densities are read off it, exactly, since |leaf| is a power of two.  On
 first use a weight also builds, and then keeps, the pyramid of local
 A-infinity characteristics rho(Q) (`rho_levels`), the one source of every
-rho value in the package.  `mass`, `average` and `rho` read one cube's
+rho value in the package.  Its leaf level is the constant 1, held as a
+read-only view of one value, unless some leaf has zero mass and needs its
+NaN.  `mass`, `average` and `rho` read one cube's
 value from these pyramids; the dyadic maximal function M(sigma 1_Q) that rho
 integrates is the test oracle `tests/oracles.py::dyadic_maximal`.
 
@@ -50,12 +52,14 @@ class Weight:
     kind: str = "custom"
     parameters: dict = field(default_factory=dict)
     mass_levels: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _leaves_positive: bool = field(init=False, repr=False)
 
     def __post_init__(self, density) -> None:
         dens = np.asarray(density, dtype=float).reshape(self.grid.leaf_shape())
-        # checked before scaling: -5e-324 * |leaf| would round to -0.0
-        _check_leaves(dens)
-        self._adopt(dens * self.grid.leaf_volume)
+        # checked before scaling: -5e-324 * |leaf| would round to -0.0.  The
+        # scaling is monotone, so the least leaf mass is least * |leaf|.
+        least = _check_leaves(dens)
+        self._adopt(dens * self.grid.leaf_volume, least * self.grid.leaf_volume)
 
     @classmethod
     def from_leaf_mass(cls, grid: GridConfig, leaf_mass, kind="custom", parameters=None,
@@ -65,18 +69,20 @@ class Weight:
         else holds, which is then kept as it is."""
         mass = np.array(leaf_mass, dtype=float) if copy else np.asarray(leaf_mass, dtype=float)
         mass = mass.reshape(grid.leaf_shape())
-        _check_leaves(mass)
+        least = _check_leaves(mass)
         weight = object.__new__(cls)
         vars(weight).update(grid=grid, kind=kind, parameters=parameters or {})
-        weight._adopt(mass)
+        weight._adopt(mass, least)
         return weight
 
-    def _adopt(self, leaf_mass: np.ndarray) -> None:
-        """Build the read-only mass pyramid on `leaf_mass`, which it keeps."""
+    def _adopt(self, leaf_mass: np.ndarray, least: float) -> None:
+        """Build the read-only mass pyramid on `leaf_mass`, which it keeps;
+        `least` is the least leaf mass."""
         levels = pyramid(leaf_mass, self.grid)
         for a in levels:
             a.setflags(write=False)
         object.__setattr__(self, "mass_levels", tuple(levels))
+        object.__setattr__(self, "_leaves_positive", bool(least > 0))
         if not self.mass_levels[0].flat[0] > 0:
             raise ValueError("total mass must be positive")
 
@@ -100,14 +106,17 @@ class Weight:
         cubes at once.  Suprema over levels 0..N suffice, since densities are
         leaf-constant.  rho >= 1 holds exactly in floating point: the running
         maximum already includes the ancestor's average, so the excess is a
-        sum of exact nonnegative terms added to 1.
+        sum of exact nonnegative terms added to 1.  On a leaf the excess is
+        0, so rho is exactly 1, and the leaf level is a zero-stride view of
+        1.0 that holds no leaf array, unless some leaf mass is 0 (the leaf
+        check found the least one); then it is NaN on those leaves.
 
         The sweep runs tile by tile (`_tile_excess`): a tile is a cube of
         level `grid.tile_level`, with at most `grid.BLOCK` leaves, so every
         leaf-size temporary is cache-sized.  (At d=1, N=22 a leaf array is
         32 MiB, which malloc maps fresh, page fault by page fault, on every
         use.)  A tile writes the finished rho of its own cubes on the levels
-        at and below the tile level, and one partial excess sum per coarser
+        from the tile level to N - 1, and one partial excess sum per coarser
         level, which `coarsen` then finishes.  `coarsen` adds the same
         pairwise tree over a cube's leaves wherever it starts, so the bits do
         not depend on the tiling.  The tiles run through `blockwise`, so on a
@@ -117,7 +126,7 @@ class Weight:
         d, n, top = grid.dimension, grid.leaf_level, tile_level(grid)
         # every tile writes its blocks into one array per level; the levels
         # coarser than `top` first collect one partial sum per tile
-        levels = [None] * top + [np.empty(grid.level_shape(k)) for k in range(top, n + 1)]
+        levels = [None] * top + [np.empty(grid.level_shape(k)) for k in range(top, n)]
         partial = [np.empty(grid.level_shape(top)) for _ in range(top)]
 
         def tile_pass(tile):
@@ -129,14 +138,16 @@ class Weight:
                     else:
                         block = descendant_block(tile, top, k)
                         levels[k][block] = self._normalise(excess, k, block)
-            # a leaf's excess is 0, and 1.0 + 0 * |leaf| / m is exactly 1
-            block = descendant_block(tile, top, n)
-            levels[n][block] = np.where(self.mass_levels[n][block] > 0, 1.0, np.nan)
 
         blockwise(tile_pass, list(np.ndindex(grid.level_shape(top))), grid)
         with np.errstate(invalid="ignore", divide="ignore"):
             for k in range(top):
                 levels[k] = self._normalise(coarsen(partial[k], d, top - k), k, ...)
+        # a leaf's excess is 0, and 1.0 + 0 * |leaf| / m is exactly 1
+        if self._leaves_positive:
+            levels.append(np.broadcast_to(1.0, grid.leaf_shape()))
+        else:
+            levels.append(np.where(self.mass_levels[n] > 0, 1.0, np.nan))
         for r in levels:
             r.setflags(write=False)
         return tuple(levels)
@@ -180,10 +191,13 @@ class Weight:
         return out
 
 
-def _check_leaves(values: np.ndarray) -> None:
+def _check_leaves(values: np.ndarray) -> float:
+    """The least of `values`; raises unless they are finite and >= 0."""
+    least = values.min()
     # False on a NaN, whose min and max are NaN
-    if not (values.min() >= 0 and values.max() < np.inf):
+    if not (least >= 0 and values.max() < np.inf):
         raise ValueError("leaf densities must be finite and >= 0")
+    return least
 
 
 def mass(sigma: Weight, cube: DyadicCube) -> float:
@@ -412,6 +426,9 @@ def weight_from_json(text: str) -> Weight:
     record = json_record(text, "weight", {"dimension": int, "leaf_level": int,
                                           "leaf_density": [(str, float)]})
     grid = GridConfig(record["dimension"], record["leaf_level"])
+    if len(record["leaf_density"]) != grid.n_leaves:
+        raise ValueError(f"weight JSON field leaf_density must hold {grid.n_leaves} values, "
+                         f"got {len(record['leaf_density'])}")
     dens = np.array([float(x) for x in record["leaf_density"]])
     return Weight(grid, dens.reshape(grid.leaf_shape()),
                   record.get("kind", "custom"), record.get("parameters", {}))

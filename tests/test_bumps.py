@@ -96,6 +96,13 @@ class TestEpsEval:
         with pytest.raises(ValueError):
             EntropyFunction("entropy", 0.0)
 
+    @pytest.mark.parametrize("delta", [math.inf, math.nan, -math.inf])
+    def test_delta_must_be_finite(self, delta):
+        # at delta = inf every score is inf or NaN, which leaves the scan no candidate
+        for kind in ("entropy", "direct"):
+            with pytest.raises(ValueError, match=f"need a finite delta > 0, got {delta}"):
+                EntropyFunction(kind, delta)
+
 
 class TestTailSums:
     def test_entropy_tail_matches_hurwitz_zeta(self):
@@ -313,6 +320,53 @@ class TestChunkedScan:
         assert both == [*sup_oracle(sigma, w, cfg, sigma, eps, (0.5,)),
                         *sup_oracle(sigma, w, cfg, sigma, eps, (0.25,)),
                         *sup_oracle(sigma, w, cfg, sigma, eps, (0.5,))]
+
+
+def _leaf_inputs(kind):
+    """A d=1 pair: the counterexample at N=4, whose E argmax is the last
+    leaf, and at N=8, where it is the root and A's is the last leaf; an N=4
+    cascade whose E argmax is the level-3 cube 3:7; and that cascade with a
+    zero-mass quarter of leaves on sigma."""
+    if kind.startswith("ce"):
+        return fix_ce(int(kind[2:]))
+    g = GridConfig(1, 4)
+    sigma = generate_weight(g, "random_cascade", seed=1, volatility=0.9)
+    w = generate_weight(g, "random_cascade", seed=11, volatility=0.9)
+    if kind == "zero_quarter":
+        dens = sigma.leaf_density.copy()
+        dens[:4] = 0.0
+        sigma = Weight(g, dens)
+    return sigma, w
+
+
+class TestLeafItems:
+    """rho is 1 on every leaf of positive mass, so the scan adds no entropy
+    bump on leaf cells; every other cube keeps its bump, whether or not the
+    leaf level shares its item."""
+
+    EPS = EntropyFunction("entropy", 0.5)
+
+    @pytest.mark.parametrize("packed", [False, True])
+    @pytest.mark.parametrize("kind,cfg,argmax", [
+        ("ce4", ExponentConfig(2.0, 2.0, 0.0, 1, "extended"), "4:15"),
+        ("ce8", ExponentConfig(2.0, 2.0, 0.0, 1, "extended"), "0:0"),
+        ("cascade", ExponentConfig(2.0, 3.0, 0.0, 1), "3:7"),
+        ("zero_quarter", ExponentConfig(2.0, 3.0, 0.0, 1), "3:7"),
+    ])
+    def test_found_matches_oracle(self, spread, packed, kind, cfg, argmax):
+        sigma, w = _leaf_inputs(kind)
+        [a] = sup_oracle(sigma, w, cfg)
+        e, e_printed = sup_oracle(sigma, w, cfg, sigma, self.EPS, (1.0 / cfg.q, 1.0 / cfg.p_dual))
+        [e_symmetric] = sup_oracle(sigma, w, cfg, w, self.EPS, (1.0 / cfg.p_dual,))
+        assert e[1].text == argmax
+        n = sigma.grid.leaf_level
+        # a block of the leaf count makes the leaves an item of their own
+        spread(2 ** (n + packed), 1)
+        sigma, w = _leaf_inputs(kind)
+        levels = [[k for k, _ in item] for item in sparsebump.bumps._items(sigma.grid)]
+        assert levels == ([list(range(n + 1))] if packed else [list(range(n)), [n]])
+        found = PairScan(sigma, w, cfg, entropy=self.EPS).found
+        assert found == {"A": a, "E": e, "E_star_printed": e_printed, "E_star_symmetric": e_symmetric}
 
 
 def _shared_reports(sigma, w, cfg, eps_e, eps_d):

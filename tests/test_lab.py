@@ -319,6 +319,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("N,llogl,A,E,D")
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-bounds", "--instances", "1", "--delta", "inf"],
+        ["sweep", "--instances", "1", "--delta", "inf"],
+        ["counterexample", "--levels", "8", "--delta", "inf"],
+    ])
+    def test_infinite_delta_exits_2(self, capsys, argv):
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == "error: need a finite delta > 0, got inf\n"
+
+    def test_infinite_eps_delta_exits_2(self, fixture_files, capsys):
+        wpath, _ = fixture_files
+        assert cli_main(["constants", "--weights", str(wpath), "--eps", "entropy:inf"]) == 2
+        assert "argument --eps: need a finite delta > 0, got inf" in capsys.readouterr().err
+
     def test_cube_of_another_dimension_exits_2(self, fixture_files, tmp_path, capsys):
         wpath, _ = fixture_files
         fpath = tmp_path / "mixed.json"
@@ -346,9 +360,12 @@ class TestCli:
         ("sweep --instances 1", [1], "config must be a JSON object, got list"),
         ("config", {"out_dir": 5}, "config field out_dir must be str, got 5"),
         ("sweep", {"out_dir": 5}, "config field out_dir must be str, got 5"),
+        ("weights", {"dimension": 1, "leaf_level": 3, "leaf_density": ["1.0"] * 7},
+         "weight JSON field leaf_density must hold 8 values, got 7"),
     ], ids=("weight-no-density", "weight-list", "family-no-cubes", "config-list", "config-str-count",
             "weight-str-level", "weight-int-density", "family-int-cube", "sweep-str-level",
-            "config-list-with-flag", "sweep-list-with-flag", "config-int-out-dir", "sweep-int-out-dir"))
+            "config-list-with-flag", "sweep-list-with-flag", "config-int-out-dir", "sweep-int-out-dir",
+            "weight-short-density"))
     def test_malformed_input_json_exits_2(self, fixture_files, tmp_path, capsys, which, record, problem):
         # `which` names the input file, then any flags a suite command adds
         which, *flags = which.split()

@@ -113,6 +113,22 @@ class TestRhoAll:
                 r[(0,) * d] = 1.0
         assert np.isnan(levels[1]).any()
 
+    @pytest.mark.parametrize("make", [
+        lambda: fix_ce(8)[0],
+        lambda: generate_weight(GridConfig(2, 4), "random_cascade", seed=7, volatility=0.8),
+        lambda: spike_weight(),
+        # 5e-324 * |leaf| rounds to a zero leaf mass
+        lambda: Weight(GridConfig(1, 1), np.array([5e-324, 1.0])),
+    ], ids=["ce", "cascade-2d", "spike", "underflow"])
+    def test_leaf_level_is_one_where_mass_is_positive(self, make):
+        w = make()
+        leaf_rho, leaf_mass = w.rho_levels[-1], w.mass_levels[-1]
+        old = np.where(leaf_mass > 0, 1.0, np.nan)
+        assert np.ascontiguousarray(leaf_rho).tobytes() == old.tobytes()
+        assert not leaf_rho.flags.writeable
+        # with no zero-mass leaf, a view of the one value 1.0
+        assert (set(leaf_rho.strides) == {0}) == (leaf_mass.min() > 0)
+
     def test_counterexample_root_grows_with_refinement(self):
         r = []
         for n in (8, 12, 16):

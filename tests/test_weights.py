@@ -249,6 +249,21 @@ class TestMassPyramid:
         assert peak < 5 * leaf
         assert llogl_peak - held < leaf
 
+    def test_rho_levels_hold_one_leaf_array(self, spread):
+        # levels 0..N-1 hold 2^N - 1 cells; rho is 1 on every leaf, a view
+        spread(sparsebump.grid.BLOCK, 1)
+        leaf = 8 * 2**18  # bytes of one leaf array at d=1, N=18
+        sigma, _ = fix_ce(18)
+        tracemalloc.start()
+        try:
+            sigma.rho_levels
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 1.0 and 2.0 here, 2.0 and 3.0 with a stored leaf level
+        assert held < 1.1 * leaf
+        assert peak < 2.5 * leaf
+
     def test_from_leaf_mass_adopts_the_array(self):
         leaf_mass = np.array([0.25, 0.5, 0.75, 1.0])
         w = Weight.from_leaf_mass(GridConfig(1, 2), leaf_mass, copy=False)

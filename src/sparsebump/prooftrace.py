@@ -24,11 +24,13 @@ same chain.  Every chain takes an `operators.Instance` first and reads its
 per-member masses, terms and testing values; a dual chain runs on
 `Instance.dual`.
 
-A trace works on per-member arrays: its strata are (|S|, B) masks over the
-B buckets.  The members inside R come from their levels and indices
-(`SparseFamily.inside`), one down-sweep finds the maximal members of every
-bucket, and one column-batched up-sweep gives every sum the chain checks, so
-a trace costs two sweeps whatever its number of strata.
+One pass checks a chain at every member R.  Stage (ii) does not depend on
+R: the bucket's members inside R below a maximal Q* are those inside Q*,
+so each member is checked once, in its own bucket; stages (i) and (iii)
+and the certificate are per-member arrays.  A report at R selects the
+(bucket, Q*) pairs maximal inside R, and `TraceReport.failed` lists every
+R where the chain fails.  A trace costs two tree sweeps: a down-sweep for
+the depths of the members in their buckets, an up-sweep for every sum.
 """
 
 from __future__ import annotations
@@ -62,20 +64,20 @@ TRACE_SCHEMA = "trace/v1"
 SLACK = 1e-12
 
 
-def _strata(family: SparseFamily, sigma: Weight, key: str, inside: np.ndarray,
-            masses: np.ndarray):
-    """Per member its key value; the buckets a = floor(log2 key) of the
-    members in `inside`, in increasing order; and two (|S|, B) masks, column
-    j for bucket a[j]: the members of the bucket and its maximal members.
-    `masses` holds sigma(Q) per member.
+def _strata(family: SparseFamily, sigma: Weight, key: str, masses: np.ndarray):
+    """Per member its key value; the buckets a = floor(log2 key) in
+    increasing order; and two (|S|, B) arrays, column j for bucket a[j]: the
+    depth of each bucket member, the number of the bucket's members that
+    contain it (itself included), 0 off the bucket; and the mask of the
+    maximal members, of depth 1.  `masses` holds sigma(Q) per member.
 
-    A bucket member is maximal when no other member of the bucket contains
-    it: its ancestor sum of the bucket mask is 1.  Every cube with zero
-    sigma-mass is rejected by name, since neither key is defined there.
+    Every cube with zero sigma-mass is rejected by name, since neither key
+    is defined there.  A trace passes NaN for a zero-mass member outside
+    its R: that member gets a NaN key and takes no part in R's chain.
     """
     if key not in ("rho", "average"):
         raise ValueError(f"key must be rho or average, got {key!r}")
-    zero = inside & (masses <= 0)
+    zero = masses <= 0
     if zero.any():
         raise ValueError(f"zero-mass cube in family: {family.members[np.argmax(zero)].text}")
     keys = (family.gather(sigma.rho_levels) if key == "rho"
@@ -83,9 +85,10 @@ def _strata(family: SparseFamily, sigma: Weight, key: str, inside: np.ndarray,
     # key = mantissa * 2^exponent with the mantissa in [0.5, 1), exactly; the
     # exponents as int64 like every other index array, not frexp's int32
     bucket = np.frexp(keys)[1].astype(np.int64) - 1
-    a = np.array(sorted(set(bucket[inside].tolist())), dtype=np.int64)
-    in_bucket = inside[:, None] & (bucket[:, None] == a)
-    return keys, a, in_bucket, in_bucket & (family.ancestor_sum(in_bucket) == 1.0)
+    a = np.array(sorted(set(bucket.tolist())), dtype=np.int64)
+    in_bucket = bucket[:, None] == a
+    depth = family.ancestor_sum(in_bucket) * in_bucket
+    return keys, a, depth, depth == 1.0
 
 
 @dataclass(frozen=True)
@@ -99,15 +102,7 @@ class StratumRecord:
     ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "q_star": self.q_star.text,
-            "inner_lhs": self.inner_lhs,
-            "inner_bound": self.inner_bound,
-            "realized_constant": self.realized_constant,
-            "support_ratio": self.support_ratio,
-            "ok": self.ok,
-        }
+        return dict(vars(self), q_star=self.q_star.text)
 
 
 @dataclass(frozen=True)
@@ -130,6 +125,8 @@ class TraceReport:
     exponents: ExponentConfig = field(repr=False)
     eps: EntropyFunction = field(repr=False)
     lam: float = 0.0
+    # every member R at which the chain fails, in member order; not in to_dict
+    failed: tuple[DyadicCube, ...] = field(default=(), repr=False)
 
     @property
     def passed(self) -> bool:
@@ -166,19 +163,22 @@ class TraceReport:
 
 def _run_trace(kind: str, inst: Instance, eps: EntropyFunction, r_cube: DyadicCube,
                c_bump: float | None) -> TraceReport:
-    """The chain of `kind` at R on the instance's (family, sigma, w, cfg);
-    c_bump is its bump constant (E or D of (sigma, w)), computed here when None."""
+    """The chain of `kind` on the instance's (family, sigma, w, cfg), checked
+    at every member R and reported at R = r_cube; c_bump is its bump
+    constant (E or D of (sigma, w)), computed here when None."""
     if eps.kind != kind:
         raise ValueError(f"{eps.kind} eps passed to {kind} trace")
     family, sigma, w, cfg = inst.family, inst.sigma, inst.w, inst.cfg
     if r_cube not in family:
         raise ValueError(f"cube {r_cube.text} is not in the family")
-    lam = family.lam
-    r = family.position[r_cube]
-    sigma_q = inst.sigma_mass
-    keys, a, in_bucket, top = _strata(family, sigma, "rho" if kind == "entropy" else "average",
-                                      family.inside(r), sigma_q)
-
+    lam, r, sigma_q = family.lam, family.position[r_cube], inst.sigma_mass
+    inside, masses, defined = family.inside(r), sigma_q, True
+    zero = sigma_q <= 0
+    if zero.any():
+        # no chain exists at an R that contains a zero-mass member
+        masses = np.where(zero & ~inside, np.nan, sigma_q)
+        defined = family.descendant_sum(zero) == 0
+    keys, a, depth, _ = _strata(family, sigma, "rho" if kind == "entropy" else "average", masses)
     if c_bump is None:
         bumps = entropy_bumps if kind == "entropy" else direct_bumps
         c_bump = bumps(sigma, w, cfg, eps).constants["E" if kind == "entropy" else "D"]
@@ -186,57 +186,73 @@ def _run_trace(kind: str, inst: Instance, eps: EntropyFunction, r_cube: DyadicCu
     # one up-sweep for every sum of the chain, with w(Q) masses: column 0 the
     # testing sum, column 1 the support sums (sigma(Q) for the Carleson
     # estimate, |Q| for the sparseness volume bound), then per bucket the
-    # inner sums over the bucket's members
+    # sums over its members (where the depth is not 0)
     term = inst.mass_terms
     support = sigma_q if kind == "entropy" else np.ldexp(1.0, -cfg.d * family.level)
-    sums = family.descendant_sum(
-        np.column_stack([term, support, np.where(in_bucket, term[:, None], 0.0)]))
-    lhs_total = float(sums[r, 0])
+    sums = family.descendant_sum(np.column_stack([term, support, np.where(depth, term[:, None], 0.0)]))
+    lhs = sums[:, 0]
 
-    # stage (ii) per (bucket, Q*) pair, in bucket order and then member order;
-    # the infimum of eps over [2^a, 2^{a+1}) is eps(2^a) where eps increases
-    # (a >= 0) and the right endpoint eps(2^{a+1}) left of 1, where the
-    # direct eps decreases
-    col, star = np.nonzero(top.T)
+    # stage (ii) per (bucket, Q*) pair, one per member, in bucket order and
+    # then member order.  The infimum of eps over [2^a, 2^{a+1}) is eps(2^a)
+    # where eps increases (a >= 0), else eps(2^{a+1}): the direct eps falls
+    # left of 1.  C^q sigma(Q)^{q/p} is powered as one product, since at
+    # extreme exponents C^q overflows and sigma(Q)^{q/p} underflows apart; a
+    # bound past the double range is inf, which holds and certifies nothing
+    col, star = np.nonzero(depth.T)
     floor_val = eps_eval(eps, np.ldexp(1.0, np.where(a >= 0, a, a + 1)))[col]
-    inner_lhs, sigma_star = sums[star, 2 + col], sigma_q[star]
-    # C^q sigma(Q*)^{q/p} powered as one product: at extreme exponents C^q
-    # overflows toward inf and sigma(Q*)^{q/p} underflows to 0 apart
-    scale = (c_bump * sigma_star ** (1 / cfg.p)) ** cfg.q
-    inner_bound = scale * (2.0 / (1.0 - lam)) / floor_val
-    realized = np.divide(inner_lhs * floor_val, scale, out=np.where(inner_lhs == 0, 0.0, np.inf),
-                         where=scale > 0)
-    if kind == "entropy":
-        # the ratio carleson_check gives, with rho(Q*) read from the keys
-        support_ratio = sums[star, 1] / (keys[star] * sigma_star / (1.0 - lam))
-    else:
-        support_ratio = sums[star, 1] * (1.0 - lam) / support[star]
-    ok = (inner_lhs <= inner_bound * (1.0 + SLACK)) & (support_ratio <= 1.0 + SLACK)
-    records = list(map(StratumRecord, a[col].tolist(), [family.members[i] for i in star],
-                       inner_lhs.tolist(), inner_bound.tolist(), realized.tolist(),
-                       support_ratio.tolist(), ok.tolist()))
+    factor = 2.0 * eps.tail_sum / (1.0 - lam)
+    with np.errstate(over="ignore"):
+        scale = (c_bump * sigma_q ** (1 / cfg.p)) ** cfg.q
+        inner_lhs, sigma_star, scale_star = sums[star, 2 + col], sigma_q[star], scale[star]
+        inner_bound = scale_star * (2.0 / (1.0 - lam)) / floor_val
+        realized = np.divide(inner_lhs * floor_val, scale_star, out=np.where(inner_lhs == 0, 0.0, np.inf),
+                             where=scale_star > 0)
+        if kind == "entropy":
+            # the ratio carleson_check gives, with rho(Q*) read from the keys
+            support_ratio = sums[star, 1] / (keys[star] * sigma_star / (1.0 - lam))
+        else:
+            support_ratio = sums[star, 1] * (1.0 - lam) / support[star]
+        ok = (inner_lhs <= inner_bound * (1.0 + SLACK)) & (support_ratio <= 1.0 + SLACK)
+        final_ok = lhs <= scale * (factor * (1.0 + SLACK))
+        # stage (iii) at R alone, in the scalar arithmetic of a one-R chain
+        final_bound = factor * float(np.float64(c_bump * float(sigma_q[r]) ** (1 / cfg.p)) ** cfg.q)
 
-    # stage (i): the regrouping identity, the inner sums added left to right
-    regrouped = float(np.add.accumulate(inner_lhs)[-1])
+    # every R: the bucket sums add up to the testing sum (i), which stays
+    # under the final bound (iii), and the certificate; then stage (ii) at
+    # each R where a failed Q* is maximal in its bucket, from Q* up to the
+    # bucket's next member
+    certified_constant = factor ** (1.0 / cfg.q)
+    bad = ~((np.abs(lhs - sums[:, 2:].sum(axis=1)) <= SLACK * lhs) & final_ok & defined
+            & (inst.testing_values <= certified_constant * c_bump * (1.0 + SLACK)))
+    if not ok.all():
+        for j, c in zip(star[~ok].tolist(), col[~ok].tolist()):
+            bad[j] = True
+            while (j := family.parent[j]) >= 0 and not depth[j, c]:
+                bad[j] = True
+
+    # the report at R: the pairs inside R one deeper in their bucket than R's
+    # parent (0 deep at the root), so no bucket member sits between Q* and R
+    above, j = [], r
+    while (j := family.parent[j]) >= 0:
+        above.append(j)
+    pick = inside[star] & (depth[star, col] == (depth[above].max(axis=0)[col] if above else 0.0) + 1.0)
+    records = list(map(StratumRecord, a[col[pick]].tolist(), [family.members[i] for i in star[pick]],
+                       inner_lhs[pick].tolist(), inner_bound[pick].tolist(), realized[pick].tolist(),
+                       support_ratio[pick].tolist(), ok[pick].tolist()))
+    # stage (i) at R, the inner sums added left to right
+    lhs_total = float(lhs[r])
+    regrouped = float(np.add.accumulate(inner_lhs[pick])[-1])
     identity_error = abs(lhs_total - regrouped) / lhs_total if lhs_total > 0 else abs(regrouped)
-    identity_ok = identity_error <= SLACK
-
-    # stage (iii): the assembled explicit-constant bound
-    final_bound = 2.0 * eps.tail_sum / (1.0 - lam) * (c_bump * float(sigma_q[r]) ** (1 / cfg.p)) ** cfg.q
-    final_ok = lhs_total <= final_bound * (1.0 + SLACK)
-
     # certificate: testing value at R with w(E_Q) masses (<= the w(Q) form)
     testing_value = float(inst.testing_values[r])
-    certified_constant = (2.0 * eps.tail_sum / (1.0 - lam)) ** (1.0 / cfg.q)
-    certified_ok = testing_value <= certified_constant * c_bump * (1.0 + SLACK)
-
     return TraceReport(
         kind=kind, R=r_cube, lhs_total=lhs_total, strata=records,
-        identity_ok=identity_ok, identity_error=identity_error,
-        inner_ok=bool(ok.all()), final_bound=final_bound, final_ok=final_ok,
-        certified_constant=certified_constant, bump_constant=c_bump,
-        testing_value=testing_value, certified_ok=certified_ok,
-        exponents=cfg, eps=eps, lam=lam,
+        identity_ok=identity_error <= SLACK, identity_error=identity_error,
+        inner_ok=bool(ok[pick].all()), final_bound=final_bound,
+        final_ok=lhs_total <= final_bound * (1.0 + SLACK),
+        certified_constant=certified_constant, bump_constant=c_bump, testing_value=testing_value,
+        certified_ok=testing_value <= certified_constant * c_bump * (1.0 + SLACK),
+        exponents=cfg, eps=eps, lam=lam, failed=tuple(family.members[i] for i in np.flatnonzero(bad)),
     )
 
 
@@ -245,8 +261,7 @@ def entropy_trace(inst: Instance, eps: EntropyFunction, r_cube: DyadicCube,
     """Execute the entropy chain at R: stratify by rho(Q; sigma), verify the
     regrouping identity, the per-stratum inner bounds (through the Carleson
     estimate), and the final bound certifying T_R <= (2 Sigma_eps/(1-lam))^{1/q} E."""
-    return _run_trace("entropy", inst, eps, r_cube,
-                      None if bump is None else bump.constants["E"])
+    return _run_trace("entropy", inst, eps, r_cube, bump and bump.constants["E"])
 
 
 def direct_trace(inst: Instance, eps: EntropyFunction, r_cube: DyadicCube,
@@ -254,8 +269,7 @@ def direct_trace(inst: Instance, eps: EntropyFunction, r_cube: DyadicCube,
     """Execute the direct-comparison chain at R: stratify by <sigma>_Q; the
     inner bound uses the sparseness volume bound in place of the Carleson
     estimate, certifying T_R <= (2 Sigma_eps/(1-lam))^{1/q} D."""
-    return _run_trace("direct", inst, eps, r_cube,
-                      None if bump is None else bump.constants["D"])
+    return _run_trace("direct", inst, eps, r_cube, bump and bump.constants["D"])
 
 
 def dual_entropy_trace(inst: Instance, eps: EntropyFunction, r_cube: DyadicCube,
@@ -264,8 +278,7 @@ def dual_entropy_trace(inst: Instance, eps: EntropyFunction, r_cube: DyadicCube,
     run the primal chain with (sigma, p) <-> (w, q') swapped.  `bump` is the
     entropy BumpReport of (sigma, w); its E*_symmetric is the E of the
     swapped pair, so it is read there instead of recomputed."""
-    return _run_trace("entropy", inst.dual, eps, r_cube,
-                      None if bump is None else bump.constants["E_star_symmetric"])
+    return _run_trace("entropy", inst.dual, eps, r_cube, bump and bump.constants["E_star_symmetric"])
 
 
 def dual_direct_trace(inst: Instance, eps: EntropyFunction, r_cube: DyadicCube,
@@ -273,5 +286,4 @@ def dual_direct_trace(inst: Instance, eps: EntropyFunction, r_cube: DyadicCube,
     """The dual direct chain, certifying T* <= (2 Sigma_eps/(1-lam))^{1/p'} D*.
     `bump` is the direct BumpReport of (sigma, w); its D* is the D of the
     swapped pair."""
-    return _run_trace("direct", inst.dual, eps, r_cube,
-                      None if bump is None else bump.constants["D_star"])
+    return _run_trace("direct", inst.dual, eps, r_cube, bump and bump.constants["D_star"])

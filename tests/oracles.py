@@ -25,6 +25,11 @@ values of every grid cube, one whole level at a time: the scan that
 near-maximal cubes.  `bump_reports_oracle` assembles both reports of a pair
 from it.
 
+`trace_oracle` runs one proof chain at one R alone: the strata are
+restricted to the members inside R, and a down-sweep of the restricted
+bucket masks finds their maximal members.  The package checks every R in
+one pass; its report at R must equal the oracle's, bit for bit.
+
 `verify_sparse` checks lambda-sparseness cube by cube, by walking each
 member's chain of parents to its nearest member ancestor, independently of
 the array tree that `SparseFamily` builds.
@@ -40,9 +45,10 @@ import math
 
 import numpy as np
 
-from sparsebump.bumps import BumpReport, ExponentConfig, eps_eval, joint_factor
+from sparsebump.bumps import BumpReport, ExponentConfig, direct_bumps, entropy_bumps, eps_eval, joint_factor
 from sparsebump.grid import DyadicCube, GridConfig, coarsen, expand, leaf_slice
 from sparsebump.operators import Instance
+from sparsebump.prooftrace import SLACK, StratumRecord, TraceReport
 from sparsebump.weights import LeafFunction, Weight, average, generate_weight, mass, rho
 
 
@@ -294,3 +300,71 @@ def bump_reports_oracle(sigma, w, cfg, eps_e, eps_d):
     return (report({"A": (*a, sigma), "E": (*e, sigma), "E_star_printed": (*e_printed, sigma),
                     "E_star_symmetric": (*e_symmetric, w)}, eps_e),
             report({"A": (*a, sigma), "D": (*d, sigma), "D_star": (*d_star, sigma)}, eps_d))
+
+
+def _restricted_strata(family, sigma, key, inside, masses):
+    """The keys; the buckets of the members inside R; and two (|S|, B) masks
+    for those buckets: the members inside R and the maximal ones among them."""
+    zero = inside & (masses <= 0)
+    if zero.any():
+        raise ValueError(f"zero-mass cube in family: {family.members[np.argmax(zero)].text}")
+    keys = (family.gather(sigma.rho_levels) if key == "rho"
+            else np.ldexp(masses, sigma.grid.dimension * family.level))
+    bucket = np.frexp(keys)[1].astype(np.int64) - 1
+    a = np.array(sorted(set(bucket[inside].tolist())), dtype=np.int64)
+    in_bucket = inside[:, None] & (bucket[:, None] == a)
+    return keys, a, in_bucket, in_bucket & (family.ancestor_sum(in_bucket) == 1.0)
+
+
+def trace_oracle(kind, inst, eps, r_cube, c_bump=None):
+    """The chain of `kind` at R alone, on arrays restricted to the members
+    inside R; c_bump is computed when None."""
+    family, sigma, w, cfg = inst.family, inst.sigma, inst.w, inst.cfg
+    lam = family.lam
+    r = family.position[r_cube]
+    sigma_q = inst.sigma_mass
+    keys, a, in_bucket, top = _restricted_strata(family, sigma, "rho" if kind == "entropy" else "average",
+                                                 family.inside(r), sigma_q)
+    if c_bump is None:
+        bumps = entropy_bumps if kind == "entropy" else direct_bumps
+        c_bump = bumps(sigma, w, cfg, eps).constants["E" if kind == "entropy" else "D"]
+    term = inst.mass_terms
+    support = sigma_q if kind == "entropy" else np.ldexp(1.0, -cfg.d * family.level)
+    sums = family.descendant_sum(
+        np.column_stack([term, support, np.where(in_bucket, term[:, None], 0.0)]))
+    lhs_total = float(sums[r, 0])
+
+    col, star = np.nonzero(top.T)
+    floor_val = eps_eval(eps, np.ldexp(1.0, np.where(a >= 0, a, a + 1)))[col]
+    inner_lhs, sigma_star = sums[star, 2 + col], sigma_q[star]
+    with np.errstate(over="ignore"):
+        scale = (c_bump * sigma_star ** (1 / cfg.p)) ** cfg.q
+        inner_bound = scale * (2.0 / (1.0 - lam)) / floor_val
+        realized = np.divide(inner_lhs * floor_val, scale, out=np.where(inner_lhs == 0, 0.0, np.inf),
+                             where=scale > 0)
+        if kind == "entropy":
+            support_ratio = sums[star, 1] / (keys[star] * sigma_star / (1.0 - lam))
+        else:
+            support_ratio = sums[star, 1] * (1.0 - lam) / support[star]
+        ok = (inner_lhs <= inner_bound * (1.0 + SLACK)) & (support_ratio <= 1.0 + SLACK)
+    records = list(map(StratumRecord, a[col].tolist(), [family.members[i] for i in star],
+                       inner_lhs.tolist(), inner_bound.tolist(), realized.tolist(),
+                       support_ratio.tolist(), ok.tolist()))
+
+    regrouped = float(np.add.accumulate(inner_lhs)[-1])
+    identity_error = abs(lhs_total - regrouped) / lhs_total if lhs_total > 0 else abs(regrouped)
+    with np.errstate(over="ignore"):
+        final_bound = (2.0 * eps.tail_sum / (1.0 - lam)
+                       * float(np.float64(c_bump * float(sigma_q[r]) ** (1 / cfg.p)) ** cfg.q))
+    testing_value = float(inst.testing_values[r])
+    certified_constant = (2.0 * eps.tail_sum / (1.0 - lam)) ** (1.0 / cfg.q)
+    return TraceReport(
+        kind=kind, R=r_cube, lhs_total=lhs_total, strata=records,
+        identity_ok=identity_error <= SLACK, identity_error=identity_error,
+        inner_ok=bool(ok.all()), final_bound=final_bound,
+        final_ok=lhs_total <= final_bound * (1.0 + SLACK),
+        certified_constant=certified_constant, bump_constant=c_bump,
+        testing_value=testing_value,
+        certified_ok=testing_value <= certified_constant * c_bump * (1.0 + SLACK),
+        exponents=cfg, eps=eps, lam=lam,
+    )

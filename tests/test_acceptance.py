@@ -116,20 +116,20 @@ def certificate_suite():
         trep = testing_constants(inst)
 
         et = entropy_trace(inst, eps_e, family.root, bump=ebump)
-        if not (et.identity_ok and et.inner_ok and et.final_ok and et.certified_ok):
+        if not (et.identity_ok and et.inner_ok and et.final_ok and et.certified_ok) or et.failed:
             counts["entropy_trace"] += 1
         if not trep.T <= const_e * ebump.constants["E"] * TOL:
             counts["entropy_cert"] += 1
 
         dt = direct_trace(inst, eps_d, family.root, bump=dbump)
-        if not (dt.identity_ok and dt.inner_ok and dt.final_ok and dt.certified_ok):
+        if not (dt.identity_ok and dt.inner_ok and dt.final_ok and dt.certified_ok) or dt.failed:
             counts["direct_trace"] += 1
         if not trep.T <= const_d * dbump.constants["D"] * TOL:
             counts["direct_cert"] += 1
 
         de = dual_entropy_trace(inst, eps_e, family.root)
         dd = dual_direct_trace(inst, eps_d, family.root)
-        if not (de.passed and dd.passed):
+        if not (de.passed and dd.passed) or de.failed or dd.failed:
             counts["dual_trace"] += 1
         if not (trep.T_star <= dual_e * ebump.constants["E_star_symmetric"] * TOL
                 and trep.T_star <= dual_d * dbump.constants["D_star"] * TOL):
@@ -150,7 +150,7 @@ def test_acceptance_3_entropy_certificate(certificate_suite):
     assert c["entropy_cert"] == 0
     assert certificate_suite["elapsed"] < 120.0
     _report(3, certificate_suite["elapsed"],
-            f"entropy chain: all stages and T <= (2S/(1-lam))^(1/q) E on "
+            f"entropy chain: all stages at every R and T <= (2S/(1-lam))^(1/q) E on "
             f"{certificate_suite['instances']} instances")
 
 
@@ -159,7 +159,7 @@ def test_acceptance_4_direct_certificate(certificate_suite):
     assert c["direct_trace"] == 0
     assert c["direct_cert"] == 0
     _report(4, certificate_suite["elapsed"],
-            "direct chain: all stages and T <= (2S/(1-lam))^(1/q) D, zero violations")
+            "direct chain: all stages at every R and T <= (2S/(1-lam))^(1/q) D, zero violations")
 
 
 def test_acceptance_5_dual_certificates(certificate_suite):
@@ -167,7 +167,7 @@ def test_acceptance_5_dual_certificates(certificate_suite):
     assert c["dual_trace"] == 0
     assert c["dual_cert"] == 0
     _report(5, certificate_suite["elapsed"],
-            "swapped chains: T* <= (2S/(1-lam))^(1/p') E*_sym and <= ... D*, "
+            "swapped chains at every R: T* <= (2S/(1-lam))^(1/p') E*_sym and <= ... D*, "
             "zero violations")
 
 

@@ -304,6 +304,19 @@ class TestCli:
         assert (tmp_path / "verify_bounds.csv").exists()
         assert (tmp_path / "verify_bounds.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--lambda", "0.9", "--q", "11.01", "--volatility", "0.3", "--seed", "130014", "--target-size", "62"],
+        ["--lambda", "0.25", "--q", "50", "--seed", "249247", "--target-size", "26", "--delta", "0.5",
+         "--family-kind", "random"],
+    ], ids=("q11", "q50"))
+    def test_a_bound_past_the_double_range_exits_0(self, tmp_path, capsys, argv):
+        # the dual chains run at q = p' = 101, where their bounds pass the
+        # largest double; they are inf, and no check fails
+        code = cli_main(["verify-bounds", "--instances", "3", "--leaf-level", "12", "--p", "1.01",
+                         "--budget", "0", "--out-dir", str(tmp_path), *argv])
+        assert code == 0
+        assert json.loads((tmp_path / "verify_bounds.json").read_text())["violations"] == 0
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg_path = tmp_path / "suite.json"
         cfg_path.write_text(json.dumps(dict(SMALL, instances=1)))

@@ -7,7 +7,7 @@ import pytest
 
 from sparsebump.bumps import BumpReport, EntropyFunction, ExponentConfig, direct_bumps, entropy_bumps
 from sparsebump import lab
-from sparsebump.grid import DyadicCube, GridConfig, root_cube
+from sparsebump.grid import DyadicCube, GridConfig, parse_cube, root_cube
 from sparsebump.lab import ExperimentConfig, build_instance
 from sparsebump.operators import Instance, testing_constants
 from sparsebump import prooftrace
@@ -23,7 +23,7 @@ from sparsebump.prooftrace import (
 from sparsebump.sparse import SparseFamily, random_sparse, stopping_family
 from sparsebump.weights import Weight, generate_weight
 
-from oracles import bucket_of, fix_chain_cubes, fix_const, scaled
+from oracles import bucket_of, fix_chain_cubes, fix_const, scaled, trace_oracle
 
 G4 = GridConfig(1, 4)
 EPS_E = EntropyFunction("entropy", 1.0)
@@ -48,8 +48,7 @@ def random_setup(seed, n=7, lam=0.5, target=22, dimension=1):
 def stratify(fam, sigma, key):
     """The strata of the whole family by `key`, with the bucket and maximal
     masks of `_strata` turned into cube lists."""
-    keys, a, in_bucket, top = _strata(fam, sigma, key, np.ones(len(fam), dtype=bool),
-                                      fam.gather(sigma.mass_levels))
+    keys, a, in_bucket, top = _strata(fam, sigma, key, fam.gather(sigma.mass_levels))
     members = fam.members
     return SimpleNamespace(
         buckets={b: [members[i] for i in np.flatnonzero(col)] for b, col in zip(a.tolist(), in_bucket.T)},
@@ -351,6 +350,7 @@ class TestNegativeControls:
                 m.setattr(prooftrace, "_strata", dropped)
                 rep = trace(inst, eps, fam.root)
             assert not rep.identity_ok and not rep.passed
+            assert fam.root in rep.failed
 
     @pytest.mark.parametrize("setup", ("chain", "stopping"))
     def test_halved_rho_breaks_the_carleson_estimate(self, monkeypatch, setup):
@@ -377,6 +377,7 @@ class TestNegativeControls:
         assert any(r.support_ratio > 1.0 + SLACK for r in rep.strata)
         assert all(r.inner_lhs <= r.inner_bound * (1.0 + SLACK) for r in rep.strata)
         assert rep.identity_ok and rep.final_ok and rep.certified_ok
+        assert fam.root in rep.failed
 
     @pytest.mark.parametrize("kind", ("entropy", "direct"))
     def test_shrunk_tail_sum_breaks_the_final_bound(self, kind, monkeypatch):
@@ -391,6 +392,149 @@ class TestNegativeControls:
         rep = trace(inst, eps, fam.root)
         assert not rep.final_ok and not rep.certified_ok and not rep.passed
         assert rep.identity_ok and rep.inner_ok
+
+
+def stopping_setup(n, s_sigma, s_w):
+    """Cascade weights of volatility 0.9 and the stopping family of sigma at
+    ratio 2 (lambda = 1/2) on the d=1 grid of leaf level n."""
+    g = GridConfig(1, n)
+    sigma = generate_weight(g, "random_cascade", seed=s_sigma, volatility=0.9)
+    w = generate_weight(g, "random_cascade", seed=s_w, volatility=0.9)
+    return stopping_family(sigma, 2.0, root_cube(g)), sigma, w
+
+
+class TestEveryR:
+    """A trace checks its chain at every member R at once and reports at one
+    R.  The report at each R must be the chain run on the members inside R
+    alone (`trace_oracle`), bit for bit, and `failed` must hold exactly the
+    R at which that chain fails."""
+
+    CHAINS = (("entropy", entropy_trace, "E"), ("direct", direct_trace, "D"),
+              ("entropy", dual_entropy_trace, "E_star_symmetric"), ("direct", dual_direct_trace, "D_star"))
+
+    @pytest.mark.parametrize("d,seed", [(1, 1), (1, 2), (1, 3), (2, 0), (2, 1)])
+    def test_report_at_every_r_is_the_restricted_chain(self, d, seed):
+        # even seeds give random families, odd seeds stopping families
+        fam, sigma, w = random_setup(seed, n=8 if d == 1 else 5, target=40, dimension=d)
+        cfg = ExponentConfig(2, 3, 0.25 * (seed % 2), d)
+        inst = Instance(fam, sigma, w, cfg)
+        ebump, dbump = lab._bump_reports(sigma, w, cfg, EPS_E, EPS_D)
+        shown = 0
+        for factor in (1.0, 0.75, 0.4):
+            for kind, trace, key in self.CHAINS:
+                bump = _deflated(ebump if kind == "entropy" else dbump, key, factor)
+                chain_inst = inst if trace in (entropy_trace, direct_trace) else inst.dual
+                reports = [trace(inst, bump.eps, r, bump=bump) for r in fam.members]
+                oracles = [trace_oracle(kind, chain_inst, bump.eps, r, bump.constants[key]) for r in fam.members]
+                assert [r.to_json() for r in reports] == [o.to_json() for o in oracles]
+                failed = tuple(r for r, o in zip(fam.members, oracles) if not o.passed)
+                assert all(rep.failed == failed for rep in reports)
+                assert factor < 1.0 or not failed
+                shown += bool(failed)
+        assert shown > 0
+
+    @pytest.mark.parametrize("n,s_sigma,s_w,cube", [(10, 1, 8, "10:962"), (12, 2, 9, "12:901")])
+    def test_a_failure_only_below_the_root(self, n, s_sigma, s_w, cube):
+        # with 0.6 E, stage (ii) fails at one leaf-level member only: the
+        # report at the root passes, and `failed` names that member
+        fam, sigma, w = stopping_setup(n, s_sigma, s_w)
+        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0, 1))
+        bump = entropy_bumps(sigma, w, inst.cfg, EPS_E)
+        assert entropy_trace(inst, EPS_E, fam.root, bump=bump).failed == ()
+        rep = entropy_trace(inst, EPS_E, fam.root, bump=_deflated(bump, "E", 0.6))
+        assert rep.passed
+        assert rep.failed == (parse_cube(cube),)
+        at_cube = trace_oracle("entropy", inst, EPS_E, parse_cube(cube), 0.6 * bump.constants["E"])
+        assert not at_cube.inner_ok and at_cube.identity_ok and at_cube.final_ok and at_cube.certified_ok
+
+    @pytest.mark.parametrize("factor,violations", [(1.0, 0), (0.6, 1)])
+    def test_the_suite_counts_a_failure_below_the_root(self, monkeypatch, factor, violations):
+        fam, sigma, w = stopping_setup(10, 1, 8)
+        monkeypatch.setattr(lab, "build_instance", lambda cfg, i: (sigma, w, fam, 0))
+        original = lab._bump_reports
+
+        def deflated(*args, **kwargs):
+            ebump, dbump = original(*args, **kwargs)
+            return _deflated(ebump, "E", factor), dbump
+
+        monkeypatch.setattr(lab, "_bump_reports", deflated)
+        report = lab.run_verify_bounds(ExperimentConfig(instances=1, leaf_level=10, volatility=0.9))
+        [row] = report.rows
+        assert report.violations == violations
+        # the chain's report at the root and the certified ratio both pass
+        assert row["trace_entropy_pass"] is True
+        assert row["certified_CE_ratio"] <= 1.0
+
+    def test_one_failed_member_is_maximal_for_several_r(self):
+        # a chain of cubes [0, 2^-k) whose averages fall in the buckets
+        # 1, 2, 1, 1, 2: the leaf 4:0 is its bucket's maximal member inside
+        # 4:0, 3:0 and 2:0, but not inside 1:0, which is in its bucket.
+        # Halving D fails stage (ii) at 4:0 alone
+        sigma = Weight(G4, np.array([5.0, 1, 2, 2] + [6.5] * 4 + [0.5] * 8))
+        _, w = fix_const()
+        inst = Instance(chain_family(), sigma, w, ExponentConfig(2, 4, 0.0, 1))
+        bump = _deflated(direct_bumps(sigma, w, inst.cfg, EPS_D), "D", 0.5)
+        rep = direct_trace(inst, EPS_D, root_cube(G4), bump=bump)
+        assert rep.passed
+        assert [c.text for c in rep.failed] == ["2:0", "3:0", "4:0"]
+        for r_cube in chain_family().members:
+            at_r = trace_oracle("direct", inst, EPS_D, r_cube, bump.constants["D"])
+            assert at_r.passed == (r_cube not in rep.failed)
+            assert at_r.identity_ok and at_r.final_ok and at_r.certified_ok
+            assert [s.q_star.text for s in at_r.strata if not s.ok] == ([] if at_r.passed else ["4:0"])
+
+    @pytest.mark.parametrize("kind", ("entropy", "direct"))
+    def test_the_final_bound_alone_fails_at_some_r(self, kind, monkeypatch):
+        # stage (iii) reads Sigma_eps, stage (ii) does not.  With w(Q) >=
+        # w(E_Q), the testing sum of stage (iii) needs a larger Sigma_eps
+        # than the certificate; a Sigma_eps between the two needs, at the R
+        # where they differ most, fails stage (iii) there and nothing else
+        fam, sigma, w = random_setup(2)
+        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0, 1))
+        eps = EntropyFunction(kind, 1.0)
+        rep = (entropy_trace if kind == "entropy" else direct_trace)(inst, eps, fam.root)
+        scale = rep.bump_constant ** 3 * inst.sigma_mass ** 1.5
+        need_final = fam.descendant_sum(inst.mass_terms) / scale
+        need_cert = (inst.testing_values / rep.bump_constant) ** 3
+        r = int(np.argmax(need_final / need_cert))
+        assert need_cert[r] < need_final[r] / 1.01
+        monkeypatch.setattr(EntropyFunction, "tail_sum", (need_final[r] * need_cert[r]) ** 0.5 * (1 - fam.lam) / 2)
+        rep = (entropy_trace if kind == "entropy" else direct_trace)(inst, eps, fam.root)
+        oracles = [trace_oracle(kind, inst, eps, q) for q in fam.members]
+        assert not oracles[r].final_ok and oracles[r].certified_ok and oracles[r].inner_ok
+        assert rep.failed == tuple(q for q, o in zip(fam.members, oracles) if not o.passed)
+
+    def test_the_certificate_alone_fails_at_some_r(self):
+        # a testing value over the certified bound at one member below the
+        # root fails the certificate there, and only there
+        fam, sigma, w = random_setup(1)
+        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0, 1))
+        rep = entropy_trace(inst, EPS_E, fam.root)
+        assert rep.failed == ()
+        r = len(fam) // 2
+        inst.testing_values[r] = 2 * rep.certified_constant * rep.bump_constant
+        rep = entropy_trace(inst, EPS_E, fam.root)
+        assert rep.passed and rep.failed == (fam.members[r],)
+        at_r = trace_oracle("entropy", inst, EPS_E, fam.members[r])
+        assert not at_r.certified_ok and at_r.identity_ok and at_r.inner_ok and at_r.final_ok
+
+    def test_a_zero_mass_member_outside_r(self):
+        # sigma vanishes on 2:3: the chain at R = 2:0 or 3:1 is today's, the
+        # root and 2:3 have no chain and are listed as failed, and the trace
+        # at the root names the zero-mass cube
+        g = GridConfig(1, 3)
+        sigma = Weight(g, np.array([1.0, 2, 3, 4, 5, 6, 0, 0]))
+        w = generate_weight(g, "random_cascade", seed=3, volatility=0.5)
+        fam = SparseFamily(g, frozenset(parse_cube(t) for t in ("0:0", "2:0", "2:3", "3:1")), 0.5)
+        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0, 1))
+        for trace, eps in ((entropy_trace, EPS_E), (direct_trace, EPS_D)):
+            for r_cube in (parse_cube("2:0"), parse_cube("3:1")):
+                rep = trace(inst, eps, r_cube)
+                assert rep.to_json() == trace_oracle(eps.kind, inst, eps, r_cube).to_json()
+                assert rep.passed
+                assert [c.text for c in rep.failed] == ["0:0", "2:3"]
+            with pytest.raises(ValueError, match="zero-mass cube in family: 2:3"):
+                trace(inst, eps, fam.root)
 
 
 class TestSlack:
@@ -461,3 +605,24 @@ class TestExtremeExponents:
             assert rep.passed, trace.__name__
             assert rep.final_bound > 0
             assert all(s.inner_bound > 0 for s in rep.strata)
+
+    @pytest.mark.parametrize("config", [
+        dict(leaf_level=12, lam=0.9, q=11.01, volatility=0.3, master_seed=130014, target_size=62),
+        dict(leaf_level=12, lam=0.25, q=50.0, master_seed=249247, target_size=26, delta=0.5,
+             family_kind="random"),
+    ], ids=("q11", "q50"))
+    def test_a_bound_past_the_double_range_is_inf(self, config):
+        # the dual chains run at q = p' = 101, where (C sigma(R)^{1/p})^q
+        # passes the largest double: the bound is inf, which holds, and it
+        # is written as Infinity
+        cfg = ExperimentConfig(p=1.01, **config)
+        sigma, w, fam, _ = build_instance(cfg, 0)
+        inst = Instance(fam, sigma, w, cfg.exponents())
+        eps_e, eps_d = EntropyFunction("entropy", cfg.delta), EntropyFunction("direct", cfg.delta)
+        for trace, eps in ((dual_entropy_trace, eps_e), (dual_direct_trace, eps_d)):
+            rep = trace(inst, eps, fam.root)
+            assert rep.passed and rep.failed == ()
+            assert rep.final_bound == np.inf
+            assert any(s.inner_bound == np.inf for s in rep.strata)
+            assert json.loads(rep.to_json())["stage_final"]["bound"] == np.inf
+            assert '"bound": Infinity' in rep.to_json()

@@ -112,8 +112,7 @@ def oracle_strata(members, key_values):
 def stratify(family, sigma, key):
     """The strata of the whole family by `key`, with the bucket and maximal
     masks of `_strata` turned into cube lists."""
-    keys, a, in_bucket, top = _strata(family, sigma, key, np.ones(len(family), dtype=bool),
-                                      family.gather(sigma.mass_levels))
+    keys, a, in_bucket, top = _strata(family, sigma, key, family.gather(sigma.mass_levels))
     members = family.members
     return SimpleNamespace(
         buckets={b: [members[i] for i in np.flatnonzero(col)] for b, col in zip(a.tolist(), in_bucket.T)},

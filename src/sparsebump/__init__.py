@@ -11,7 +11,6 @@ from .bumps import (
     direct_bumps,
     entropy_bumps,
     eps_eval,
-    eps_tail_sum,
     joint_factor,
 )
 from .grid import DyadicCube, GridConfig, contains, parse_cube, root_cube
@@ -41,7 +40,6 @@ from .sparse import (
     stopping_family,
 )
 from .weights import (
-    LeafFunction,
     Weight,
     average,
     fix_ce,

@@ -119,7 +119,14 @@ class EntropyFunction:
 
     @property
     def tail_sum(self) -> float:
-        return eps_tail_sum(self)
+        """The dyadic inverse sum Sigma_eps, reported as a tight upper bound.
+
+        entropy kind: sum over r >= 0 of eps(2^r)^{-1}.
+        direct kind: sum over all integers r; by r <-> -r symmetry this
+        equals twice the one-sided sum minus the r = 0 term.
+        """
+        one_sided = _one_sided_tail_sum(self.delta)
+        return one_sided if self.kind == "entropy" else 2.0 * one_sided - 1.0
 
 
 def eps_eval(eps: EntropyFunction, t):
@@ -171,19 +178,6 @@ def _tail_terms(lo: int, hi: int, s: float) -> tuple[float, float]:
     block += 1.0
     np.power(block, -s, out=block)
     return float(block.sum()), float(block[-1])
-
-
-def eps_tail_sum(eps: EntropyFunction) -> float:
-    """The dyadic inverse sum Sigma_eps, reported as a tight upper bound.
-
-    entropy kind: sum over r >= 0 of eps(2^r)^{-1}.
-    direct kind: sum over all integers r; by r <-> -r symmetry this equals
-    twice the one-sided sum minus the r = 0 term.
-    """
-    one_sided = _one_sided_tail_sum(eps.delta)
-    if eps.kind == "entropy":
-        return one_sided
-    return 2.0 * one_sided - 1.0
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .grid import DyadicCube, GridConfig, leaf_slice, root_cube
 from .operators import Instance, apply_sparse, norm_lower_bound, primal_indicator_ratios, testing_constants
 from .prooftrace import SLACK, direct_trace, dual_direct_trace, dual_entropy_trace, entropy_trace
 from .sparse import SparseFamily, carleson_check, random_sparse, stopping_family
-from .weights import LeafFunction, Weight, check_json_field, fix_ce, generate_weight, llogl_integral, mass
+from .weights import Weight, check_json_field, fix_ce, generate_weight, llogl_integral, mass
 
 CSV_COLUMNS = (
     "instance_id", "seed", "N", "lambda", "p", "q", "alpha", "delta",
@@ -77,6 +77,16 @@ class ExperimentConfig:
             raise ValueError("lambda must be in (0,1)")
         if not 0 < self.volatility < 1:
             raise ValueError(f"volatility must be in (0,1), got {self.volatility}")
+        # the sweep's grid.  A verify-bounds run reads no level, and the
+        # default levels pass d=2's deepest grid, so the levels are checked
+        # against the dimension only when `run_sweep` makes each its own
+        # config, before any instance is built
+        for name in ("levels", "lambdas"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be nonempty")
+        for lam in self.lambdas:
+            if not 0 < lam < 1:
+                raise ValueError(f"lambdas must be in (0,1), got {lam}")
         # these raise on invalid ranges
         GridConfig(self.dimension, self.leaf_level)
         self.exponents()
@@ -202,7 +212,7 @@ def _leaf_indicator_ratio(family: SparseFamily, sigma: Weight, w: Weight,
     grid = family.grid
     indicator = np.zeros(grid.leaf_shape())
     indicator[leaf_slice(cube, grid)] = 1.0
-    u = apply_sparse(family, sigma, LeafFunction(grid, indicator), exps.alpha).values
+    u = apply_sparse(family, sigma, indicator, exps.alpha)
     norm = float(np.sum(u ** exps.q * w.mass_levels[grid.leaf_level])) ** (1.0 / exps.q)
     return norm / mass(sigma, cube) ** (1.0 / exps.p)
 
@@ -361,25 +371,26 @@ def run_sweep(cfg: ExperimentConfig) -> SuiteReport:
     stamp.pop("out_dir")
     report.environment = {"seed": cfg.master_seed, "version": __version__,
                           "config": stamp}
-    for n in cfg.levels:
-        for lam in cfg.lambdas:
-            sub = dataclasses.replace(cfg, leaf_level=n, lam=lam, levels=(n,), lambdas=(lam,),
-                                      out_dir=None)
-            sub_report = run_verify_bounds(sub)
-            rows = sub_report.rows
-            report.rows.append({
-                "N": n,
-                "lambda": lam,
-                "instances": cfg.instances,
-                "max_A": max((r["A"] for r in rows), default=0.0),
-                "max_E": max((r["E"] for r in rows), default=0.0),
-                "max_D": max((r["D"] for r in rows), default=0.0),
-                "max_T": max((r["T"] for r in rows), default=0.0),
-                "max_certified_CE_ratio": sub_report.aggregates["max_certified_CE_ratio"],
-                "max_certified_CD_ratio": sub_report.aggregates["max_certified_CD_ratio"],
-                "violations": sub_report.violations,
-            })
-            report.violations += sub_report.violations
+    # every (level, lambda) config is made, and so checked, before the first
+    # instance is built
+    subs = [dataclasses.replace(cfg, leaf_level=n, lam=lam, levels=(n,), lambdas=(lam,), out_dir=None)
+            for n in cfg.levels for lam in cfg.lambdas]
+    for sub in subs:
+        sub_report = run_verify_bounds(sub)
+        rows = sub_report.rows
+        report.rows.append({
+            "N": sub.leaf_level,
+            "lambda": sub.lam,
+            "instances": cfg.instances,
+            "max_A": max((r["A"] for r in rows), default=0.0),
+            "max_E": max((r["E"] for r in rows), default=0.0),
+            "max_D": max((r["D"] for r in rows), default=0.0),
+            "max_T": max((r["T"] for r in rows), default=0.0),
+            "max_certified_CE_ratio": sub_report.aggregates["max_certified_CE_ratio"],
+            "max_certified_CD_ratio": sub_report.aggregates["max_certified_CD_ratio"],
+            "violations": sub_report.violations,
+        })
+        report.violations += sub_report.violations
     return report
 
 

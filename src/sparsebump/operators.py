@@ -10,9 +10,11 @@ T(sigma f) is constant on each exceptional set E_Q and vanishes off the
 root, so it is held as one value per member, and the L^r(mu) norm of such
 a function v is (sum_Q |v_Q|^r mu(E_Q))^{1/r}.  One apply scales per-member
 block sums int_Q sigma f by |Q|^{alpha/d - 1} and adds them down the tree.
-The block sums of a per-member input v are the up-sweep of v sigma(E_Q);
-leaf arrays are touched only where a leaf input is first reduced to block
-sums (`apply_sparse` and each random start of the dual ascent).
+The block sums of a per-member input v are the up-sweep of v sigma(E_Q).
+A leaf function is a plain array of its leaf values; leaf arrays are
+touched only where a leaf input f is first reduced to block sums, as the
+pyramid of its leaf masses sigma(L) f(L) (`apply_sparse` and each random
+start of the dual ascent).
 
 One `Instance` holds a (family, sigma, w, exponents) with the per-member
 arrays its quantities share: sigma(E_Q) and w(E_Q), the cube masses, the
@@ -38,7 +40,7 @@ import numpy as np
 from .bumps import ExponentConfig
 from .grid import DyadicCube, pyramid
 from .sparse import SparseFamily
-from .weights import LeafFunction, Weight
+from .weights import Weight
 
 # Largest family whose ascent applies take the dense member kernel.  A dense
 # apply is one O(|S|^2) product; the sweeps cost a few calls per tree level,
@@ -62,16 +64,11 @@ def _coef(family: SparseFamily, alpha: float) -> np.ndarray:
     return _per_level(family, lambda k: 2.0 ** (k * (d - alpha)))
 
 
-def _apply(family: SparseFamily, blocks: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """T on each E_Q: the sum of coef * blocks over the members containing Q,
-    from the block sums int_Q sigma f."""
-    return family.ancestor_sum(coef * blocks)
-
-
-def _leaf_blocks(family: SparseFamily, leaf_values: np.ndarray) -> np.ndarray:
-    """Block sums of a leaf density: the one reduction of a leaf input."""
-    # the leaf volume is a power of two, so scaling the member sums is exact
-    return family.gather(pyramid(leaf_values, family.grid)) * family.grid.leaf_volume
+def _leaf_blocks(family: SparseFamily, leaf_mass: np.ndarray) -> np.ndarray:
+    """Per member, the sum of `leaf_mass` over its leaves: the block sums
+    int_Q sigma f of the leaf masses sigma(L) f(L), the one reduction of a
+    leaf input."""
+    return family.gather(pyramid(leaf_mass, family.grid))
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,17 +197,17 @@ class Instance:
         return np.divide(total ** (1.0 / r), mu_mass ** (1.0 / s), out=np.zeros(n), where=mu_mass > 0)
 
 
-def apply_sparse(family: SparseFamily, sigma: Weight, f: LeafFunction, alpha: float) -> LeafFunction:
-    """T(sigma f): leafwise sum of |Q|^{alpha/d} <sigma |f|>_Q over the
-    family cubes containing the leaf."""
+def apply_sparse(family: SparseFamily, sigma: Weight, f: np.ndarray, alpha: float) -> np.ndarray:
+    """T(sigma f) on the leaves: leafwise sum of |Q|^{alpha/d} <sigma |f|>_Q
+    over the family cubes containing the leaf.  f is any array of the
+    grid's `n_leaves` leaf values, in leaf order."""
     grid = family.grid
-    if sigma.grid != grid or f.grid != grid:
+    if sigma.grid != grid or np.size(f) != grid.n_leaves:
         raise ValueError("family, weight, and function must share one grid")
     if not 0 <= alpha < grid.dimension:
         raise ValueError(f"invalid fractional order alpha={alpha}")
-    g = sigma.leaf_density * np.abs(f.values)
-    u = _apply(family, _leaf_blocks(family, g), _coef(family, alpha))
-    return LeafFunction(grid, family.at_leaves(u))
+    blocks = _leaf_blocks(family, sigma.mass_levels[-1] * np.abs(f).reshape(grid.leaf_shape()))
+    return family.at_leaves(family.ancestor_sum(_coef(family, alpha) * blocks))
 
 
 class PowerIterationError(RuntimeError):
@@ -293,6 +290,8 @@ def norm_lower_bound(inst: Instance, budget: int, seed: int = 0, n_starts: int =
     The starts run together, one column each, and a start whose ascent
     image vanishes (w = 0 on the root) drops out: it has no further iterate.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     family, sigma, cfg = inst.family, inst.sigma, inst.cfg
     best = float(max(inst.indicator_ratios.max(), inst.dual.indicator_ratios.max()))
     if budget == 0:
@@ -304,9 +303,9 @@ def norm_lower_bound(inst: Instance, budget: int, seed: int = 0, n_starts: int =
     # is reduced to block sums before the next is drawn, so the leaf arrays
     # of one start at a time are alive
     blocks, shape = np.empty((len(family), n_starts)), family.grid.leaf_shape()
-    density = sigma.leaf_density
+    leaf_mass = sigma.mass_levels[-1]
     for j in range(n_starts):
-        blocks[:, j] = _leaf_blocks(family, density * (rng.random(shape) + 0.5))
+        blocks[:, j] = _leaf_blocks(family, leaf_mass * (rng.random(shape) + 0.5))
     u = family.ancestor_sum(inst.coef[:, None] * blocks)
     sigma_exc, w_exc = inst.sigma_exc, inst.w_exc
     t_sigma, t_w = _member_operator(inst, sigma_exc), _member_operator(inst, w_exc)

@@ -28,15 +28,18 @@ One pass checks a chain at every member R.  Stage (ii) does not depend on
 R: the bucket's members inside R below a maximal Q* are those inside Q*,
 so each member is checked once, in its own bucket; stages (i) and (iii)
 and the certificate are per-member arrays.  A report at R selects the
-(bucket, Q*) pairs maximal inside R, and `TraceReport.failed` lists every
-R where the chain fails.  A trace costs two tree sweeps: a down-sweep for
-the depths of the members in their buckets, an up-sweep for every sum.
+(bucket, Q*) pairs maximal inside R, read off the per-bucket counts of
+Q*'s and R's ancestors, and holds one `StratumRecord` (a named tuple) per
+pair; `TraceReport.failed` lists every R where the chain fails.  A trace
+costs two tree sweeps: a down-sweep that counts, per bucket, the bucket's
+members containing each member, an up-sweep for every sum.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,9 +70,11 @@ SLACK = 1e-12
 def _strata(family: SparseFamily, sigma: Weight, key: str, masses: np.ndarray):
     """Per member its key value; the buckets a = floor(log2 key) in
     increasing order; and two (|S|, B) arrays, column j for bucket a[j]: the
-    depth of each bucket member, the number of the bucket's members that
-    contain it (itself included), 0 off the bucket; and the mask of the
-    maximal members, of depth 1.  `masses` holds sigma(Q) per member.
+    mask of the bucket's members, and per member the number of the bucket's
+    members that contain it (itself included).  A bucket member Q* is
+    maximal in its bucket inside R when its count exceeds by one the count
+    of the bucket's members strictly above R.  `masses` holds sigma(Q) per
+    member.
 
     Every cube with zero sigma-mass is rejected by name, since neither key
     is defined there.  A trace passes NaN for a zero-mass member outside
@@ -87,12 +92,10 @@ def _strata(family: SparseFamily, sigma: Weight, key: str, masses: np.ndarray):
     bucket = np.frexp(keys)[1].astype(np.int64) - 1
     a = np.array(sorted(set(bucket.tolist())), dtype=np.int64)
     in_bucket = bucket[:, None] == a
-    depth = family.ancestor_sum(in_bucket) * in_bucket
-    return keys, a, depth, depth == 1.0
+    return keys, a, in_bucket, family.ancestor_sum(in_bucket)
 
 
-@dataclass(frozen=True)
-class StratumRecord:
+class StratumRecord(NamedTuple):
     a: int
     q_star: DyadicCube
     inner_lhs: float
@@ -102,7 +105,7 @@ class StratumRecord:
     ok: bool
 
     def to_dict(self) -> dict:
-        return dict(vars(self), q_star=self.q_star.text)
+        return {**self._asdict(), "q_star": self.q_star.text}
 
 
 @dataclass(frozen=True)
@@ -178,7 +181,7 @@ def _run_trace(kind: str, inst: Instance, eps: EntropyFunction, r_cube: DyadicCu
         # no chain exists at an R that contains a zero-mass member
         masses = np.where(zero & ~inside, np.nan, sigma_q)
         defined = family.descendant_sum(zero) == 0
-    keys, a, depth, _ = _strata(family, sigma, "rho" if kind == "entropy" else "average", masses)
+    keys, a, in_bucket, count = _strata(family, sigma, "rho" if kind == "entropy" else "average", masses)
     if c_bump is None:
         bumps = entropy_bumps if kind == "entropy" else direct_bumps
         c_bump = bumps(sigma, w, cfg, eps).constants["E" if kind == "entropy" else "D"]
@@ -186,10 +189,10 @@ def _run_trace(kind: str, inst: Instance, eps: EntropyFunction, r_cube: DyadicCu
     # one up-sweep for every sum of the chain, with w(Q) masses: column 0 the
     # testing sum, column 1 the support sums (sigma(Q) for the Carleson
     # estimate, |Q| for the sparseness volume bound), then per bucket the
-    # sums over its members (where the depth is not 0)
+    # sums over its members
     term = inst.mass_terms
     support = sigma_q if kind == "entropy" else np.ldexp(1.0, -cfg.d * family.level)
-    sums = family.descendant_sum(np.column_stack([term, support, np.where(depth, term[:, None], 0.0)]))
+    sums = family.descendant_sum(np.column_stack([term, support, np.where(in_bucket, term[:, None], 0.0)]))
     lhs = sums[:, 0]
 
     # stage (ii) per (bucket, Q*) pair, one per member, in bucket order and
@@ -198,7 +201,7 @@ def _run_trace(kind: str, inst: Instance, eps: EntropyFunction, r_cube: DyadicCu
     # left of 1.  C^q sigma(Q)^{q/p} is powered as one product, since at
     # extreme exponents C^q overflows and sigma(Q)^{q/p} underflows apart; a
     # bound past the double range is inf, which holds and certifies nothing
-    col, star = np.nonzero(depth.T)
+    col, star = np.nonzero(in_bucket.T)
     floor_val = eps_eval(eps, np.ldexp(1.0, np.where(a >= 0, a, a + 1)))[col]
     factor = 2.0 * eps.tail_sum / (1.0 - lam)
     with np.errstate(over="ignore"):
@@ -227,15 +230,13 @@ def _run_trace(kind: str, inst: Instance, eps: EntropyFunction, r_cube: DyadicCu
     if not ok.all():
         for j, c in zip(star[~ok].tolist(), col[~ok].tolist()):
             bad[j] = True
-            while (j := family.parent[j]) >= 0 and not depth[j, c]:
+            while (j := family.parent[j]) >= 0 and not in_bucket[j, c]:
                 bad[j] = True
 
-    # the report at R: the pairs inside R one deeper in their bucket than R's
-    # parent (0 deep at the root), so no bucket member sits between Q* and R
-    above, j = [], r
-    while (j := family.parent[j]) >= 0:
-        above.append(j)
-    pick = inside[star] & (depth[star, col] == (depth[above].max(axis=0)[col] if above else 0.0) + 1.0)
+    # the report at R: the pairs inside R counted one more time in their
+    # bucket than R's proper ancestors are, so no bucket member sits between
+    # Q* and R
+    pick = inside[star] & (count[star, col] == count[r, col] - in_bucket[r, col] + 1)
     records = list(map(StratumRecord, a[col[pick]].tolist(), [family.members[i] for i in star[pick]],
                        inner_lhs[pick].tolist(), inner_bound[pick].tolist(), realized[pick].tolist(),
                        support_ratio[pick].tolist(), ok[pick].tolist()))

@@ -362,22 +362,6 @@ def generate_weight(grid: GridConfig, kind: str, **params) -> Weight:
     raise ValueError(f"bad generator parameter: unknown kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class LeafFunction:
-    """A real-valued function constant on leaf cells (a test function f)."""
-
-    grid: GridConfig
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != self.grid.leaf_shape():
-            vals = vals.reshape(self.grid.leaf_shape())
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-
 # --- serialization ----------------------------------------------------------
 
 def weight_to_json(sigma: Weight) -> str:

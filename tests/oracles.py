@@ -49,7 +49,7 @@ from sparsebump.bumps import BumpReport, ExponentConfig, direct_bumps, entropy_b
 from sparsebump.grid import DyadicCube, GridConfig, coarsen, expand, leaf_slice
 from sparsebump.operators import Instance
 from sparsebump.prooftrace import SLACK, StratumRecord, TraceReport
-from sparsebump.weights import LeafFunction, Weight, average, generate_weight, mass, rho
+from sparsebump.weights import Weight, average, generate_weight, mass, rho
 
 
 # --- grid walks -----------------------------------------------------------
@@ -129,7 +129,7 @@ def scaled(weight, c):
 
 def constant_function(grid, value=1.0):
     """The test function equal to `value` on every leaf."""
-    return LeafFunction(grid, np.full(grid.leaf_shape(), float(value)))
+    return np.full(grid.leaf_shape(), float(value))
 
 
 def verify_sparse(cubes, lam):
@@ -178,7 +178,7 @@ def dyadic_maximal(sigma, cube):
     """
     out = np.zeros(sigma.grid.leaf_shape())
     out[leaf_slice(cube, sigma.grid)] = chain_max(sigma, cube)
-    return LeafFunction(sigma.grid, out)
+    return out
 
 
 def rho_oracle(sigma, cube):

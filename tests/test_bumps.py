@@ -17,7 +17,6 @@ from sparsebump.bumps import (
     direct_bumps,
     entropy_bumps,
     eps_eval,
-    eps_tail_sum,
 )
 from sparsebump.grid import GridConfig
 from sparsebump.weights import Weight, average, fix_ce, generate_weight, mass, rho
@@ -109,13 +108,13 @@ class TestTailSums:
         # sum_{r>=0} (1 + r ln2)^{-(1+d)} = zeta(1+d, 1/ln2) / ln2^{1+d}
         for delta in (0.5, 1.0, 2.0):
             truth = float(hurwitz_zeta(1 + delta, 1 / LN2)) / LN2 ** (1 + delta)
-            got = eps_tail_sum(EntropyFunction("entropy", delta))
+            got = EntropyFunction("entropy", delta).tail_sum
             assert truth <= got <= truth + 1e-6  # tight upper bound
 
     def test_direct_is_twice_entropy_minus_one(self):
         for delta in (0.5, 1.0, 3.0):
-            e = eps_tail_sum(EntropyFunction("entropy", delta))
-            d = eps_tail_sum(EntropyFunction("direct", delta))
+            e = EntropyFunction("entropy", delta).tail_sum
+            d = EntropyFunction("direct", delta).tail_sum
             assert d == pytest.approx(2 * e - 1, rel=1e-12)
 
     def test_partial_sum_holds_one_block(self):
@@ -129,8 +128,8 @@ class TestTailSums:
         assert peak < 1.5 * 65536 * 8
 
     def test_monotone_in_delta(self):
-        assert (eps_tail_sum(EntropyFunction("entropy", 9.0))
-                < eps_tail_sum(EntropyFunction("entropy", 1.0)))
+        assert (EntropyFunction("entropy", 9.0).tail_sum
+                < EntropyFunction("entropy", 1.0).tail_sum)
 
     def test_partial_sums_never_exceed_bound(self):
         eps = EntropyFunction("entropy", 0.75)

@@ -43,9 +43,13 @@ class TestExperimentConfig:
         # each used to pass here and fail (or run as another value) only once
         # the first instance was built
         for bad in (dict(budget=-3), dict(target_size=0), dict(volatility=0.0),
-                    dict(volatility=1.0), dict(volatility=-0.5)):
+                    dict(volatility=1.0), dict(volatility=-0.5), dict(levels=()), dict(lambdas=()),
+                    dict(lambdas=(0.5, 1.0)), dict(lambdas=(0.0, 0.5)), dict(lambdas=(-0.25,))):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 ExperimentConfig(**bad)
+        # a verify-bounds run reads no level: a d=2 config keeps the default
+        # levels, of which 16 and 20 are past d=2's deepest grid
+        assert ExperimentConfig(dimension=2).levels == (8, 12, 16, 20)
 
     def test_dict_roundtrip(self):
         cfg = ExperimentConfig(**SMALL)
@@ -413,6 +417,30 @@ class TestCli:
         a = (tmp_path / "a" / "verify_bounds.csv").read_text()
         b = (tmp_path / "b" / "verify_bounds.csv").read_text()
         assert a == b
+
+    def test_norm_negative_budget_exits_2(self, fixture_files, capsys):
+        wpath, fpath = fixture_files
+        code = cli_main(["norm", "--family", str(fpath), "--weights", str(wpath), "--budget", "-1"])
+        assert code == 2
+        assert "budget must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", (["--levels", ""], ["--levels", "6,99"], ["--lambdas", ""],
+                                      ["--lambdas", "0.5,1.5"], ["--dimension", "2", "--levels", "4,13"]))
+    def test_bad_sweep_grid_exits_2_before_any_instance(self, monkeypatch, capsys, argv):
+        # each used to build the instances of its valid (level, lambda)
+        # pairs first, or to print an empty report and exit 0
+        built = []
+        build = lab.build_instance
+
+        def spy(cfg, i):
+            built.append((cfg.leaf_level, i))
+            return build(cfg, i)
+
+        monkeypatch.setattr(lab, "build_instance", spy)
+        code = cli_main(["sweep", "--instances", "1", "--target-size", "8", "--budget", "2", *argv])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert built == []
 
     def test_sweep_subcommand(self, tmp_path):
         code = cli_main(["sweep", "--instances", "1", "--levels", "5",

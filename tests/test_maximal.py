@@ -16,22 +16,22 @@ class TestDyadicMaximal:
     def test_constant_weight_is_flat(self):
         s, _ = fix_const()
         out = dyadic_maximal(s, root_cube(s.grid))
-        np.testing.assert_array_equal(out.values, np.ones(16))
+        np.testing.assert_array_equal(out, np.ones(16))
 
     def test_fix_half_pattern(self):
         # best ancestor for the right-half leaves is the root, average 1
         h = fix_half()
         out = dyadic_maximal(h, root_cube(h.grid))
-        np.testing.assert_array_equal(out.values, [2.0, 2.0, 1.0, 1.0])
+        np.testing.assert_array_equal(out, [2.0, 2.0, 1.0, 1.0])
 
     def test_spike_chain_maxima(self):
         out = dyadic_maximal(spike_weight(), root_cube(GridConfig(1, 2)))
-        np.testing.assert_array_equal(out.values, [4.0, 2.0, 1.0, 1.0])
+        np.testing.assert_array_equal(out, [4.0, 2.0, 1.0, 1.0])
 
     def test_zeros_outside_the_cube(self):
         h = fix_half()
         out = dyadic_maximal(h, DyadicCube(1, (0,)))
-        np.testing.assert_array_equal(out.values, [2.0, 2.0, 0.0, 0.0])
+        np.testing.assert_array_equal(out, [2.0, 2.0, 0.0, 0.0])
 
     def test_localization(self):
         # values inside Q depend only on the restriction of sigma to Q
@@ -43,13 +43,13 @@ class TestDyadicMaximal:
         q = DyadicCube(1, (0,))
         a = dyadic_maximal(Weight(g, base), q)
         b = dyadic_maximal(Weight(g, other), q)
-        np.testing.assert_array_equal(a.values[:4], b.values[:4])
+        np.testing.assert_array_equal(a[:4], b[:4])
 
     def test_dominates_cube_average(self):
         g = GridConfig(1, 6)
         w = generate_weight(g, "random_cascade", seed=9, volatility=0.8)
         for q in [root_cube(g), DyadicCube(2, (1,)), DyadicCube(4, (7,))]:
-            vals = dyadic_maximal(w, q).values[leaf_slice(q, g)]
+            vals = dyadic_maximal(w, q)[leaf_slice(q, g)]
             assert np.all(vals >= average(w, q))
 
 

@@ -17,7 +17,6 @@ from sparsebump.operators import (
 )
 from sparsebump.sparse import SparseFamily, random_sparse, stopping_family
 from sparsebump.weights import (
-    LeafFunction,
     Weight,
     average,
     generate_weight,
@@ -47,7 +46,7 @@ class TestApplySparse:
     def test_single_average(self):
         s, _ = fix_const()
         out = apply_sparse(singleton_family(), s, constant_function(G4), 0.0)
-        np.testing.assert_allclose(out.values, 1.0, rtol=1e-15)
+        np.testing.assert_allclose(out, 1.0, rtol=1e-15)
 
     def test_chain_counts_containing_cubes(self):
         # each of the k+1 chain cubes through E_{[0,2^-k)} contributes 1
@@ -57,12 +56,12 @@ class TestApplySparse:
         expected = np.ones(16)
         for k in range(5):
             expected[leaf_slice(DyadicCube(k, (0,)), G4)] = k + 1
-        np.testing.assert_allclose(out.values, expected, rtol=1e-14)
+        np.testing.assert_allclose(out, expected, rtol=1e-14)
 
     def test_fractional_root(self):
         s, _ = fix_const()
         out = apply_sparse(singleton_family(), s, constant_function(G4), 0.5)
-        np.testing.assert_allclose(out.values, 1.0, rtol=1e-15)
+        np.testing.assert_allclose(out, 1.0, rtol=1e-15)
 
     def test_monotone_in_f(self):
         g = GridConfig(1, 6)
@@ -71,8 +70,8 @@ class TestApplySparse:
         rng = np.random.default_rng(0)
         f = rng.random(64)
         gvals = f + rng.random(64)
-        a = apply_sparse(fam, sigma, LeafFunction(g, f), 0.0).values
-        b = apply_sparse(fam, sigma, LeafFunction(g, gvals), 0.0).values
+        a = apply_sparse(fam, sigma, f, 0.0)
+        b = apply_sparse(fam, sigma, gvals, 0.0)
         assert np.all(b >= a)
 
     def test_unweighted_bilinear_form_is_symmetric(self):
@@ -80,13 +79,13 @@ class TestApplySparse:
         sigma, _ = random_pair(g, 11)
         fam = random_sparse(g, 0.5, seed=5, target_size=18)
         rng = np.random.default_rng(1)
-        f = LeafFunction(g, rng.random(64))
-        h = LeafFunction(g, rng.random(64))
+        f = rng.random(64)
+        h = rng.random(64)
         v = g.leaf_volume
-        lhs = float(np.sum(apply_sparse(fam, sigma, f, 0.25).values
-                           * sigma.leaf_density * h.values) * v)
-        rhs = float(np.sum(apply_sparse(fam, sigma, h, 0.25).values
-                           * sigma.leaf_density * f.values) * v)
+        lhs = float(np.sum(apply_sparse(fam, sigma, f, 0.25)
+                           * sigma.leaf_density * h) * v)
+        rhs = float(np.sum(apply_sparse(fam, sigma, h, 0.25)
+                           * sigma.leaf_density * f) * v)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_grid_mismatch_raises(self):
@@ -172,6 +171,12 @@ class TestNormLowerBound:
         low = norm_lower_bound(inst, budget=0, seed=5)
         high = norm_lower_bound(inst, budget=40, seed=5)
         assert high >= low
+
+    def test_negative_budget_raises(self):
+        s, w = fix_const()
+        inst = Instance(singleton_family(), s, w, ExponentConfig(2, 4, 0.0, 1))
+        with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+            norm_lower_bound(inst, budget=-1)
 
     def test_dominates_indicator_candidates(self):
         g = GridConfig(1, 5)
@@ -315,11 +320,11 @@ class TestTwoDimensional:
         fam = self.family(3, sigma)
         rng = np.random.default_rng(2)
         f, h = rng.random((2, 16, 16))
-        a = apply_sparse(fam, sigma, LeafFunction(self.G, f), 0.5).values
-        b = apply_sparse(fam, sigma, LeafFunction(self.G, f + h), 0.5).values
+        a = apply_sparse(fam, sigma, f, 0.5)
+        b = apply_sparse(fam, sigma, f + h, 0.5)
         assert np.all(b >= a)
         lhs = np.sum(a * sigma.leaf_density * h)
-        rhs = np.sum(apply_sparse(fam, sigma, LeafFunction(self.G, h), 0.5).values
+        rhs = np.sum(apply_sparse(fam, sigma, h, 0.5)
                      * sigma.leaf_density * f)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 

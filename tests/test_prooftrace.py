@@ -48,11 +48,11 @@ def random_setup(seed, n=7, lam=0.5, target=22, dimension=1):
 def stratify(fam, sigma, key):
     """The strata of the whole family by `key`, with the bucket and maximal
     masks of `_strata` turned into cube lists."""
-    keys, a, in_bucket, top = _strata(fam, sigma, key, fam.gather(sigma.mass_levels))
+    keys, a, in_bucket, count = _strata(fam, sigma, key, fam.gather(sigma.mass_levels))
     members = fam.members
     return SimpleNamespace(
         buckets={b: [members[i] for i in np.flatnonzero(col)] for b, col in zip(a.tolist(), in_bucket.T)},
-        maximal_cubes={b: [members[i] for i in np.flatnonzero(col)] for b, col in zip(a.tolist(), top.T)},
+        maximal_cubes={b: [members[i] for i in np.flatnonzero(col)] for b, col in zip(a.tolist(), (in_bucket & (count == 1)).T)},
         key_values=dict(zip(members, keys.tolist())),
     )
 
@@ -340,9 +340,9 @@ class TestNegativeControls:
         original = prooftrace._strata
 
         def dropped(*args):
-            keys, a, in_bucket, top = original(*args)
+            keys, a, in_bucket, count = original(*args)
             assert len(a) >= 2
-            return keys, a[:-1], in_bucket[:, :-1], top[:, :-1]
+            return keys, a[:-1], in_bucket[:, :-1], count[:, :-1]
 
         for trace, eps in ((entropy_trace, EPS_E), (direct_trace, EPS_D)):
             assert trace(inst, eps, fam.root).passed
@@ -368,8 +368,8 @@ class TestNegativeControls:
         original = prooftrace._strata
 
         def halved(*args):
-            keys, a, in_bucket, top = original(*args)
-            return keys / 2.0, a, in_bucket, top
+            keys, a, in_bucket, count = original(*args)
+            return keys / 2.0, a, in_bucket, count
 
         monkeypatch.setattr(prooftrace, "_strata", halved)
         rep = entropy_trace(inst, EPS_E, fam.root)

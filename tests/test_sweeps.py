@@ -24,7 +24,6 @@ from sparsebump.grid import DyadicCube, GridConfig, contains, leaf_slice, root_c
 from sparsebump.lab import ExperimentConfig, run_verify_bounds
 from sparsebump.operators import (
     Instance,
-    _apply,
     _coef,
     _member_operator,
     apply_sparse,
@@ -35,7 +34,7 @@ from sparsebump.operators import (
 )
 from sparsebump.prooftrace import SLACK, _strata, direct_trace, entropy_trace
 from sparsebump.sparse import SparseFamily, carleson_check, random_sparse, stopping_family
-from sparsebump.weights import LeafFunction, Weight, average, generate_weight, mass
+from sparsebump.weights import Weight, average, generate_weight, mass
 
 from oracles import (bucket_of, children, dense_norm_l2_oracle, enumerate_cubes, l2_instance, rho_oracle,
                      verify_sparse)
@@ -112,11 +111,11 @@ def oracle_strata(members, key_values):
 def stratify(family, sigma, key):
     """The strata of the whole family by `key`, with the bucket and maximal
     masks of `_strata` turned into cube lists."""
-    keys, a, in_bucket, top = _strata(family, sigma, key, family.gather(sigma.mass_levels))
+    keys, a, in_bucket, count = _strata(family, sigma, key, family.gather(sigma.mass_levels))
     members = family.members
     return SimpleNamespace(
         buckets={b: [members[i] for i in np.flatnonzero(col)] for b, col in zip(a.tolist(), in_bucket.T)},
-        maximal_cubes={b: [members[i] for i in np.flatnonzero(col)] for b, col in zip(a.tolist(), top.T)},
+        maximal_cubes={b: [members[i] for i in np.flatnonzero(col)] for b, col in zip(a.tolist(), (in_bucket & (count == 1)).T)},
         key_values=dict(zip(members, keys.tolist())),
     )
 
@@ -156,7 +155,7 @@ class TestSweepsMatchPerCubeLoops:
         family, sigma, _ = instance(d, kind, seed)
         f = np.random.default_rng(seed).random(family.grid.leaf_shape())
         for alpha in (0.0, 0.5):
-            got = apply_sparse(family, sigma, LeafFunction(family.grid, f), alpha).values
+            got = apply_sparse(family, sigma, f, alpha)
             assert_close(got, oracle_apply(family, sigma.leaf_density * f, alpha))
 
     def test_exceptional_masses(self, d, kind, seed):
@@ -478,7 +477,7 @@ class TestMemberOperatorMatchesLeafOperator:
         family, sigma, _, cfg = operator_instance(case)
         v = np.random.default_rng(1).random(len(family))
         blocks = family.descendant_sum(v * family.exceptional_mass(sigma))
-        got = family.at_leaves(_apply(family, blocks, _coef(family, cfg.alpha)))
+        got = family.at_leaves(family.ancestor_sum(_coef(family, cfg.alpha) * blocks))
         assert_close(got, oracle_apply(family, sigma.leaf_density * family.at_leaves(v), cfg.alpha))
 
     def test_indicator_ratios(self, case):

@@ -52,37 +52,35 @@ LN2 = math.log(2.0)
 # scores, and a later cube can win.  The other tolerance of the package is
 # `prooftrace.SLACK`.
 SCORE_MARGIN = 1e-9
+# the largest delta of an eps: the range SCORE_MARGIN is derived for
+MAX_DELTA = 10.0
+
+
+def check_alpha(alpha: float, d: float) -> None:
+    """The rule 0 <= alpha < d of the operators T_{alpha,S} on [0,1)^d,
+    checked wherever exponents meet a grid of dimension d."""
+    if not 0 <= alpha < d:
+        raise ValueError(f"need 0 <= alpha < d, got alpha={alpha}")
 
 
 @dataclass(frozen=True)
 class ExponentConfig:
-    """Exponent tuple (p, q, alpha, d) with derived Holder duals.
-
-    mode "strict" enforces 1 < p < q < infinity; mode "extended" permits
-    p = q for diagonal-case studies.
-    """
+    """Exponent tuple (p, q, alpha), 1 < p <= q < infinity, with derived
+    Holder duals; p = q is the diagonal case.  alpha < d is checked where
+    the exponents meet a grid of dimension d (`check_alpha`)."""
 
     p: float
     q: float
     alpha: float
-    d: int
-    mode: str = "strict"
 
     def __post_init__(self) -> None:
-        if self.mode not in ("strict", "extended"):
-            raise ValueError(f"mode must be strict or extended, got {self.mode!r}")
         if not self.p > 1:
             raise ValueError(f"need p > 1, got p={self.p}")
-        if self.mode == "strict" and not self.p < self.q:
-            raise ValueError(f"strict mode needs p < q, got p={self.p}, q={self.q}")
         if not self.p <= self.q:
             raise ValueError(f"need p <= q, got p={self.p}, q={self.q}")
         if not math.isfinite(self.q):
             raise ValueError("q must be finite")
-        if self.d not in (1, 2):
-            raise ValueError(f"d must be 1 or 2, got {self.d}")
-        if not 0 <= self.alpha < self.d:
-            raise ValueError(f"need 0 <= alpha < d, got alpha={self.alpha}")
+        check_alpha(self.alpha, math.inf)  # no grid yet: only alpha >= 0
 
     @property
     def p_dual(self) -> float:
@@ -94,7 +92,7 @@ class ExponentConfig:
 
     def swapped(self) -> "ExponentConfig":
         """The dual exponent pair (q', p') playing the role of (p, q)."""
-        return ExponentConfig(self.q_dual, self.p_dual, self.alpha, self.d, self.mode)
+        return ExponentConfig(self.q_dual, self.p_dual, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -116,6 +114,8 @@ class EntropyFunction:
         # at delta = inf every bump is inf or NaN, and no cube is a candidate
         if not 0 < self.delta < math.inf:
             raise ValueError(f"need a finite delta > 0, got {self.delta}")
+        if self.delta > MAX_DELTA:
+            raise ValueError(f"need delta <= {MAX_DELTA:g}, the range of bumps.SCORE_MARGIN, got {self.delta}")
 
     @property
     def tail_sum(self) -> float:
@@ -202,22 +202,11 @@ class BumpReport:
         return out
 
 
-def _check_same_grid(sigma: Weight, w: Weight) -> GridConfig:
-    if sigma.grid != w.grid:
-        raise ValueError("sigma and w must live on the same grid")
-    return sigma.grid
-
-
 def joint_factor(sigma: Weight, w: Weight, cfg: ExponentConfig, cube: DyadicCube) -> float:
     """Per-cube joint factor w(Q)^{1/q} sigma(Q)^{1/p'} / |Q|^{1-alpha/d},
     evaluated in scalar arithmetic (the witness form of the constants)."""
-    scale = 2.0 ** (cube.level * (cfg.d - cfg.alpha))
+    scale = 2.0 ** (cube.level * (cube.dimension - cfg.alpha))
     return mass(w, cube) ** (1.0 / cfg.q) * mass(sigma, cube) ** (1.0 / cfg.p_dual) * scale
-
-
-def _rho_of(weight: Weight, cube: DyadicCube) -> float | None:
-    """rho(Q; weight), or None where weight(Q) = 0 and rho is undefined."""
-    return rho(weight, cube) if mass(weight, cube) > 0 else None
 
 
 # Per constant: the eps kind that bumps it (None for A), whether its key is
@@ -277,7 +266,10 @@ class PairScan:
     def __init__(self, sigma: Weight, w: Weight, cfg: ExponentConfig,
                  entropy: EntropyFunction | None = None, direct: EntropyFunction | None = None,
                  names: tuple[str, ...] | None = None):
-        self.grid = _check_same_grid(sigma, w)
+        if sigma.grid != w.grid:
+            raise ValueError("sigma and w must live on the same grid")
+        self.grid = sigma.grid
+        check_alpha(cfg.alpha, self.grid.dimension)
         self.sigma, self.w, self.cfg = sigma, w, cfg
         self.eps = {"entropy": entropy, "direct": direct}
         held = [name for name, (kind, _, _) in CONSTANTS.items()
@@ -397,10 +389,10 @@ class PairScan:
         w^{1/q} sigma^{1/p'} |Q|^{alpha/d - 1}, times t^e eps(t)^e for an
         entropy bump of key t = rho or eps(t)^e for a direct one of key t =
         the average.  Every candidate has positive masses, so t is defined."""
-        cfg = self.cfg
+        cfg, d = self.cfg, self.grid.dimension
         j = (self.w.mass_levels[k].reshape(-1)[cells] ** (1.0 / cfg.q)
              * self.sigma.mass_levels[k].reshape(-1)[cells] ** (1.0 / cfg.p_dual))
-        j *= 2.0 ** (k * (cfg.d - cfg.alpha))
+        j *= 2.0 ** (k * (d - cfg.alpha))
         kind, on_w, e = self._score_of[name]
         if kind is None:
             return j
@@ -408,7 +400,7 @@ class PairScan:
         if kind == "entropy":
             t = weight.rho_levels[k].reshape(-1)[cells]
         else:  # |Q| = 2^{-dk} exactly, so the average's scaling is exact
-            t = weight.mass_levels[k].reshape(-1)[cells] * 2.0 ** (self.grid.dimension * k)
+            t = weight.mass_levels[k].reshape(-1)[cells] * 2.0 ** (d * k)
         vals = eps_eval(self.eps[kind], t) ** e
         vals *= j * t**e if kind == "entropy" else j
         return vals
@@ -455,11 +447,12 @@ class PairScan:
 
 
 def _report(found: dict[str, tuple[float, DyadicCube, Weight]], eps: EntropyFunction) -> BumpReport:
-    """A BumpReport from name -> (constant, argmax, weight whose rho is reported there)."""
+    """A BumpReport from name -> (constant, argmax, weight whose rho is reported
+    there); the rho is None where that weight has no mass, as it is undefined."""
     return BumpReport({name: v for name, (v, _, _) in found.items()},
                       {name: cube for name, (_, cube, _) in found.items()},
-                      {name: _rho_of(wt, cube) for name, (_, cube, wt) in found.items()},
-                      eps)
+                      {name: rho(wt, cube) if mass(wt, cube) > 0 else None
+                       for name, (_, cube, wt) in found.items()}, eps)
 
 
 def _scan_of(sigma: Weight, w: Weight, cfg: ExponentConfig, eps: EntropyFunction,

@@ -70,7 +70,7 @@ def _resolve_weights(args):
 def _instance(args) -> Instance:
     """The (family, sigma, w, exponents) instance that the flags name."""
     sigma, w = _resolve_weights(args)
-    cfg = ExponentConfig(args.p, args.q, args.alpha, sigma.grid.dimension, args.mode)
+    cfg = ExponentConfig(args.p, args.q, args.alpha)
     return Instance(family_from_json(Path(args.family).read_text()), sigma, w, cfg)
 
 
@@ -78,7 +78,6 @@ def _add_exponent_args(sub) -> None:
     sub.add_argument("--p", type=float, default=2.0)
     sub.add_argument("--q", type=float, default=3.0)
     sub.add_argument("--alpha", type=float, default=0.0)
-    sub.add_argument("--mode", choices=("strict", "extended"), default="strict")
     sub.add_argument("--eps", type=_parse_eps, default=EntropyFunction("entropy", 1.0),
                      metavar="KIND:DELTA", help="e.g. entropy:1 or direct:0.5")
 
@@ -167,7 +166,7 @@ def cli_main(argv=None) -> int:
     try:
         if args.command == "constants":
             sigma, w = _resolve_weights(args)
-            cfg = ExponentConfig(args.p, args.q, args.alpha, sigma.grid.dimension, args.mode)
+            cfg = ExponentConfig(args.p, args.q, args.alpha)
             if args.eps.kind == "entropy":
                 report = entropy_bumps(sigma, w, cfg, args.eps)
                 skipped = "D"

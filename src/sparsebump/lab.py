@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bumps import BumpReport, EntropyFunction, ExponentConfig, PairScan, direct_bumps, entropy_bumps
-from .grid import DyadicCube, GridConfig, leaf_slice, root_cube
+from .bumps import BumpReport, EntropyFunction, ExponentConfig, PairScan, check_alpha, direct_bumps, entropy_bumps
+from .grid import MAX_LEAF_LEVEL, DyadicCube, GridConfig, leaf_slice, root_cube
 from .operators import Instance, apply_sparse, norm_lower_bound, primal_indicator_ratios, testing_constants
 from .prooftrace import SLACK, direct_trace, dual_direct_trace, dual_entropy_trace, entropy_trace
 from .sparse import SparseFamily, carleson_check, random_sparse, stopping_family
@@ -52,7 +52,6 @@ class ExperimentConfig:
     p: float = 2.0
     q: float = 3.0
     alpha: float = 0.0
-    mode: str = "strict"
     delta: float = 1.0
     instances: int = 100
     master_seed: int = 42
@@ -78,9 +77,8 @@ class ExperimentConfig:
         if not 0 < self.volatility < 1:
             raise ValueError(f"volatility must be in (0,1), got {self.volatility}")
         # the sweep's grid.  A verify-bounds run reads no level, and the
-        # default levels pass d=2's deepest grid, so the levels are checked
-        # against the dimension only when `run_sweep` makes each its own
-        # config, before any instance is built
+        # default levels pass d=2's deepest grid, so `run_sweep` checks the
+        # levels against the dimension, before any instance is built
         for name in ("levels", "lambdas"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
@@ -90,13 +88,14 @@ class ExperimentConfig:
         # these raise on invalid ranges
         GridConfig(self.dimension, self.leaf_level)
         self.exponents()
+        check_alpha(self.alpha, self.dimension)
         EntropyFunction("entropy", self.delta)
 
     def grid(self) -> GridConfig:
         return GridConfig(self.dimension, self.leaf_level)
 
     def exponents(self) -> ExponentConfig:
-        return ExponentConfig(self.p, self.q, self.alpha, self.dimension, self.mode)
+        return ExponentConfig(self.p, self.q, self.alpha)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -280,6 +279,12 @@ def _verify_instance(cfg: ExperimentConfig, i: int, eps_e: EntropyFunction,
     return row, ok
 
 
+def _environment(cfg: ExperimentConfig) -> dict:
+    stamp = cfg.to_dict()
+    stamp.pop("out_dir")  # report bytes depend only on the mathematical config
+    return {"seed": cfg.master_seed, "version": __version__, "config": stamp}
+
+
 def run_verify_bounds(cfg: ExperimentConfig) -> SuiteReport:
     """Randomized end-to-end certification suite.
 
@@ -291,14 +296,7 @@ def run_verify_bounds(cfg: ExperimentConfig) -> SuiteReport:
     """
     eps_e = EntropyFunction("entropy", cfg.delta)
     eps_d = EntropyFunction("direct", cfg.delta)
-    report = SuiteReport(columns=CSV_COLUMNS)
-    stamp = cfg.to_dict()
-    stamp.pop("out_dir")  # report bytes depend only on the mathematical config
-    report.environment = {
-        "seed": cfg.master_seed,
-        "version": __version__,
-        "config": stamp,
-    }
+    report = SuiteReport(columns=CSV_COLUMNS, environment=_environment(cfg))
     for i in range(cfg.instances):
         row, ok = _verify_instance(cfg, i, eps_e, eps_d)
         report.rows.append(row)
@@ -327,7 +325,7 @@ def _counterexample_row(n: int, exps: ExponentConfig, eps_e: EntropyFunction,
 def run_counterexample(levels, delta: float, p: float = 2.0, q: float = 2.0,
                        alpha: float = 0.0) -> SuiteReport:
     """Level study of the divergent-entropy weight pair sigma = 1/(x(1-ln x)^2),
-    w = x^2 at p = q (extended mode).
+    w = x^2 on [0,1), by default in the diagonal case p = q = 2.
 
     Emits per level the L log L diagnostic and the constants A, E, D, and
     records the trends: the L log L integral and the entropy bump must both
@@ -347,7 +345,8 @@ def run_counterexample(levels, delta: float, p: float = 2.0, q: float = 2.0,
     report = SuiteReport(columns=COUNTEREXAMPLE_COLUMNS)
     report.environment = {"seed": 0, "version": __version__,
                           "delta": delta, "p": p, "q": q, "alpha": alpha}
-    exps = ExponentConfig(p, q, alpha, 1, "extended")
+    exps = ExponentConfig(p, q, alpha)
+    check_alpha(alpha, 1)  # the pair's grid is d=1; checked before it is built
     report.rows = [_counterexample_row(n, exps, eps_e, eps_d) for n in levels]
     llogl_seq = [r["llogl"] for r in report.rows]
     e_seq = [r["E"] for r in report.rows]
@@ -366,13 +365,12 @@ def run_counterexample(levels, delta: float, p: float = 2.0, q: float = 2.0,
 
 def run_sweep(cfg: ExperimentConfig) -> SuiteReport:
     """Aggregate constants over a (leaf level, lambda) grid of small suites."""
-    report = SuiteReport(columns=SWEEP_COLUMNS)
-    stamp = cfg.to_dict()
-    stamp.pop("out_dir")
-    report.environment = {"seed": cfg.master_seed, "version": __version__,
-                          "config": stamp}
+    report = SuiteReport(columns=SWEEP_COLUMNS, environment=_environment(cfg))
     # every (level, lambda) config is made, and so checked, before the first
-    # instance is built
+    # instance is built; the levels are named here, not as a leaf_level
+    n_max = MAX_LEAF_LEVEL[cfg.dimension]
+    if bad := [n for n in cfg.levels if not 1 <= n <= n_max]:
+        raise ValueError(f"levels must be in [1, {n_max}] for d={cfg.dimension}, got {bad}")
     subs = [dataclasses.replace(cfg, leaf_level=n, lam=lam, levels=(n,), lambdas=(lam,), out_dir=None)
             for n in cfg.levels for lam in cfg.lambdas]
     for sub in subs:

@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bumps import ExponentConfig
+from .bumps import ExponentConfig, check_alpha
 from .grid import DyadicCube, pyramid
 from .sparse import SparseFamily
 from .weights import Weight
@@ -92,6 +92,7 @@ class Instance:
     def __post_init__(self) -> None:
         if self.sigma.grid != self.family.grid or self.w.grid != self.family.grid:
             raise ValueError("family and weights must share one grid")
+        check_alpha(self.cfg.alpha, self.family.grid.dimension)
 
     @cached_property
     def dual(self) -> Instance:
@@ -204,8 +205,7 @@ def apply_sparse(family: SparseFamily, sigma: Weight, f: np.ndarray, alpha: floa
     grid = family.grid
     if sigma.grid != grid or np.size(f) != grid.n_leaves:
         raise ValueError("family, weight, and function must share one grid")
-    if not 0 <= alpha < grid.dimension:
-        raise ValueError(f"invalid fractional order alpha={alpha}")
+    check_alpha(alpha, grid.dimension)
     blocks = _leaf_blocks(family, sigma.mass_levels[-1] * np.abs(f).reshape(grid.leaf_shape()))
     return family.at_leaves(family.ancestor_sum(_coef(family, alpha) * blocks))
 
@@ -342,8 +342,15 @@ class TestingReport:
     p: float
     q: float
     alpha: float
-    mode: str
-    extended_warning: bool
+
+    @property
+    def extended_warning(self) -> bool:
+        """The diagonal case p = q, where the L1 form is not known to suffice."""
+        return self.p == self.q
+
+    @property
+    def mode(self) -> str:
+        return "extended" if self.extended_warning else "strict"
 
     def to_dict(self) -> dict:
         return {
@@ -373,8 +380,8 @@ def testing_constants(inst: Instance) -> TestingReport:
 
     T tests sigma-indicators against w-masses of the exceptional sets;
     T_star is the mirror image under (sigma, p, q) <-> (w, q', p').  The
-    strict regime p < q is where the L1 form is known to suffice; extended
-    mode (p = q) computes the same quantities with a warning flag.
+    off-diagonal case p < q is where the L1 form is known to suffice; at
+    p = q the same quantities are computed, and `extended_warning` is set.
     """
     cfg = inst.cfg
     t_val, t_arg = _primal_testing(inst)
@@ -382,9 +389,7 @@ def testing_constants(inst: Instance) -> TestingReport:
     return TestingReport(
         T=t_val, T_star=ts_val, argmax_R=t_arg, argmax_R_star=ts_arg,
         per_R=inst.testing_values, per_R_star=inst.dual.testing_values,
-        p=cfg.p, q=cfg.q, alpha=cfg.alpha, mode=cfg.mode,
-        extended_warning=(cfg.mode == "extended"),
-    )
+        p=cfg.p, q=cfg.q, alpha=cfg.alpha)
 
 
 def primal_indicator_ratios(inst: Instance) -> np.ndarray:

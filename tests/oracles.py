@@ -208,7 +208,7 @@ def bucket_of(value):
 
 def l2_instance(family, sigma, w, alpha):
     """The (family, sigma, w) instance at p = q = 2 and the given alpha."""
-    return Instance(family, sigma, w, ExponentConfig(2.0, 2.0, alpha, family.grid.dimension, "extended"))
+    return Instance(family, sigma, w, ExponentConfig(2.0, 2.0, alpha))
 
 
 def dense_norm_l2_oracle(family, sigma, w, alpha):
@@ -235,7 +235,7 @@ def dense_norm_l2_oracle(family, sigma, w, alpha):
 def joint_levels(sigma, w, cfg):
     """Per level, the joint factor w(Q)^{1/q} sigma(Q)^{1/p'} |Q|^{alpha/d - 1}."""
     return [w.mass_levels[k] ** (1.0 / cfg.q) * sigma.mass_levels[k] ** (1.0 / cfg.p_dual)
-            * 2.0 ** (k * (cfg.d - cfg.alpha)) for k in range(sigma.grid.leaf_level + 1)]
+            * 2.0 ** (k * (sigma.grid.dimension - cfg.alpha)) for k in range(sigma.grid.leaf_level + 1)]
 
 
 def _rho_of(weight, cube):
@@ -329,7 +329,7 @@ def trace_oracle(kind, inst, eps, r_cube, c_bump=None):
         bumps = entropy_bumps if kind == "entropy" else direct_bumps
         c_bump = bumps(sigma, w, cfg, eps).constants["E" if kind == "entropy" else "D"]
     term = inst.mass_terms
-    support = sigma_q if kind == "entropy" else np.ldexp(1.0, -cfg.d * family.level)
+    support = sigma_q if kind == "entropy" else np.ldexp(1.0, -family.grid.dimension * family.level)
     sums = family.descendant_sum(
         np.column_stack([term, support, np.where(in_bucket, term[:, None], 0.0)]))
     lhs_total = float(sums[r, 0])

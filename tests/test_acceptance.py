@@ -52,7 +52,7 @@ def test_acceptance_1_exact_identities_on_constant_weights():
     n = sigma.grid.leaf_level
     singleton = SparseFamily(sigma.grid, frozenset([root_cube(sigma.grid)]), 0.5)
     for p, q, alpha in [(2.0, 4.0, 0.0), (2.0, 3.0, 0.5)]:
-        cfg = ExponentConfig(p, q, alpha, 1)
+        cfg = ExponentConfig(p, q, alpha)
         # closed form: per-cube value is |Q|^{1/q + 1/p' + alpha/d - 1}, so the
         # sup sits at the leaves when the closed-form exponent is positive and
         # at the root (value 1) otherwise
@@ -196,7 +196,7 @@ def test_acceptance_6_norm_oracles_agree():
         worst = max(worst, abs(a - b))
         assert abs(a - b) <= 1e-8
 
-    cfg = ExponentConfig(2.0, 2.0, 0.0, 1, "extended")
+    cfg = ExponentConfig(2.0, 2.0, 0.0)
     grid = GridConfig(1, 4)
     chain = SparseFamily(grid, frozenset(fix_chain_cubes(grid, 4)), 0.5)
     pairs = [fix_const()]

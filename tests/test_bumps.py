@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -31,25 +32,32 @@ FIX_CE8_A = 0.9970749155784523
 class TestExponentConfig:
     def test_duals_satisfy_holder_identity(self):
         for p, q in [(2.0, 4.0), (1.5, 3.0), (2.0, 2.5), (3.0, 7.0)]:
-            cfg = ExponentConfig(p, q, 0.0, 1)
+            cfg = ExponentConfig(p, q, 0.0)
             assert abs(1 / cfg.p + 1 / cfg.p_dual - 1) <= 1e-14
             assert abs(1 / cfg.q + 1 / cfg.q_dual - 1) <= 1e-14
 
     def test_strict_mode_rejects_diagonal(self):
-        with pytest.raises(ValueError):
-            ExponentConfig(2.0, 2.0, 0.0, 1)
-        ExponentConfig(2.0, 2.0, 0.0, 1, "extended")  # allowed
+        # no mode: the diagonal p = q is accepted, and only p > q is rejected
+        ExponentConfig(2.0, 2.0, 0.0)
+        with pytest.raises(ValueError, match="need p <= q"):
+            ExponentConfig(3.0, 2.0, 0.0)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
-            ExponentConfig(1.0, 2.0, 0.0, 1)
+            ExponentConfig(1.0, 2.0, 0.0)
         with pytest.raises(ValueError):
-            ExponentConfig(2.0, 3.0, 1.0, 1)
-        with pytest.raises(ValueError):
-            ExponentConfig(3.0, 2.0, 0.0, 1)
+            ExponentConfig(3.0, 2.0, 0.0)
+        with pytest.raises(ValueError, match="q must be finite"):
+            ExponentConfig(2.0, math.inf, 0.0)
+        with pytest.raises(ValueError, match=r"need 0 <= alpha < d, got alpha=-0.5"):
+            ExponentConfig(2.0, 3.0, -0.5)
+
+    def test_fields_are_p_q_alpha(self):
+        # the dimension is the grid's, and the diagonal case is p = q
+        assert [f.name for f in dataclasses.fields(ExponentConfig)] == ["p", "q", "alpha"]
 
     def test_swapped_exchanges_duals(self):
-        cfg = ExponentConfig(2.0, 3.0, 0.25, 1)
+        cfg = ExponentConfig(2.0, 3.0, 0.25)
         sw = cfg.swapped()
         assert sw.p == pytest.approx(cfg.q_dual)
         assert sw.q == pytest.approx(cfg.p_dual)
@@ -146,25 +154,25 @@ def joint_constant(sigma, w, cfg):
 class TestJointConstant:
     def test_diagonal_constant_weight_is_one(self):
         s, w = fix_const()
-        res = joint_constant(s, w, ExponentConfig(2, 2, 0.0, 1, "extended"))
+        res = joint_constant(s, w, ExponentConfig(2, 2, 0.0))
         assert res.constants["A"] == pytest.approx(1.0, abs=1e-15)
 
     def test_off_diagonal_attained_at_leaves(self):
         s, w = fix_const()
-        res = joint_constant(s, w, ExponentConfig(2, 4, 0.0, 1))
+        res = joint_constant(s, w, ExponentConfig(2, 4, 0.0))
         assert res.constants["A"] == pytest.approx(2.0, abs=1e-14)  # 2^{N/4}, N=4
         assert res.argmax["A"].level == 4
 
     def test_counterexample_regression(self):
         sigma, w = fix_ce(8)
-        res = joint_constant(sigma, w, ExponentConfig(2, 2, 0.0, 1, "extended"))
+        res = joint_constant(sigma, w, ExponentConfig(2, 2, 0.0))
         assert res.constants["A"] == pytest.approx(FIX_CE8_A, rel=1e-12)
 
     def test_scale_covariance(self):
         g = GridConfig(1, 6)
         sigma = generate_weight(g, "random_cascade", seed=1, volatility=0.7)
         w = generate_weight(g, "random_cascade", seed=2, volatility=0.7)
-        cfg = ExponentConfig(2, 3, 0.0, 1)
+        cfg = ExponentConfig(2, 3, 0.0)
         base = joint_constant(sigma, w, cfg).constants["A"]
         a_scaled = joint_constant(scaled(sigma, 5.0), w, cfg).constants["A"]
         assert a_scaled == pytest.approx(5.0 ** (1 / cfg.p_dual) * base, rel=1e-12)
@@ -173,13 +181,13 @@ class TestJointConstant:
 class TestEntropyBumps:
     def test_constant_weight_collapse(self):
         s, w = fix_const()
-        rep = entropy_bumps(s, w, ExponentConfig(2, 4, 0.0, 1), EntropyFunction("entropy", 1.0))
+        rep = entropy_bumps(s, w, ExponentConfig(2, 4, 0.0), EntropyFunction("entropy", 1.0))
         assert rep.constants["E"] == pytest.approx(2.0, abs=1e-14)
         assert rep.constants["A"] == rep.constants["E"]
 
     def test_dominates_joint_constant(self):
         g = GridConfig(1, 7)
-        cfg = ExponentConfig(2, 3, 0.25, 1)
+        cfg = ExponentConfig(2, 3, 0.25)
         eps = EntropyFunction("entropy", 1.0)
         for seed in range(6):
             sigma = generate_weight(g, "random_cascade", seed=seed, volatility=0.8)
@@ -191,17 +199,17 @@ class TestEntropyBumps:
     def test_wrong_eps_kind_raises(self):
         s, w = fix_const()
         with pytest.raises(ValueError, match="direct eps passed to entropy bump"):
-            entropy_bumps(s, w, ExponentConfig(2, 4, 0.0, 1), EntropyFunction("direct", 1.0))
+            entropy_bumps(s, w, ExponentConfig(2, 4, 0.0), EntropyFunction("direct", 1.0))
 
     def test_dual_variants_agree_when_weights_match(self):
         g = GridConfig(1, 6)
         sigma = generate_weight(g, "random_cascade", seed=5, volatility=0.6)
-        rep = entropy_bumps(sigma, sigma, ExponentConfig(2, 3, 0.0, 1),
+        rep = entropy_bumps(sigma, sigma, ExponentConfig(2, 3, 0.0),
                             EntropyFunction("entropy", 0.5))
         assert rep.constants["E_star_printed"] == rep.constants["E_star_symmetric"]
 
     def test_counterexample_bump_grows_with_refinement(self):
-        cfg = ExponentConfig(2, 2, 0.0, 1, "extended")
+        cfg = ExponentConfig(2, 2, 0.0)
         eps = EntropyFunction("entropy", 0.5)
         e8 = entropy_bumps(*fix_ce(8), cfg, eps).constants["E"]
         e16 = entropy_bumps(*fix_ce(16), cfg, eps).constants["E"]
@@ -211,11 +219,11 @@ class TestEntropyBumps:
         g = GridConfig(1, 6)
         sigma = generate_weight(g, "random_cascade", seed=21, volatility=0.8)
         w = generate_weight(g, "random_cascade", seed=22, volatility=0.8)
-        cfg = ExponentConfig(2, 3, 0.5, 1)
+        cfg = ExponentConfig(2, 3, 0.5)
         eps = EntropyFunction("entropy", 1.0)
         rep = entropy_bumps(sigma, w, cfg, eps)
         q = rep.argmax["E"]
-        scale = 2.0 ** (q.level * (cfg.d - cfg.alpha))  # |Q|^{alpha/d - 1}
+        scale = 2.0 ** (q.level * (q.dimension - cfg.alpha))  # |Q|^{alpha/d - 1}
         joint = mass(w, q) ** (1.0 / cfg.q) * mass(sigma, q) ** (1.0 / cfg.p_dual) * scale
         r = rho(sigma, q)
         recomputed = joint * r ** (1.0 / cfg.q) * eps_eval(eps, r) ** (1.0 / cfg.q)
@@ -226,12 +234,12 @@ class TestEntropyBumps:
 class TestDirectBumps:
     def test_constant_weight_collapse(self):
         s, w = fix_const()
-        rep = direct_bumps(s, w, ExponentConfig(2, 4, 0.0, 1), EntropyFunction("direct", 1.0))
+        rep = direct_bumps(s, w, ExponentConfig(2, 4, 0.0), EntropyFunction("direct", 1.0))
         assert rep.constants["D"] == pytest.approx(2.0, abs=1e-14)
 
     def test_dominates_joint_constant(self):
         g = GridConfig(1, 7)
-        cfg = ExponentConfig(2, 3, 0.0, 1)
+        cfg = ExponentConfig(2, 3, 0.0)
         eps = EntropyFunction("direct", 1.0)
         for seed in range(6):
             sigma = generate_weight(g, "random_cascade", seed=seed, volatility=0.8)
@@ -243,10 +251,10 @@ class TestDirectBumps:
     def test_wrong_eps_kind_raises(self):
         s, w = fix_const()
         with pytest.raises(ValueError, match="entropy eps passed to direct bump"):
-            direct_bumps(s, w, ExponentConfig(2, 4, 0.0, 1), EntropyFunction("entropy", 1.0))
+            direct_bumps(s, w, ExponentConfig(2, 4, 0.0), EntropyFunction("entropy", 1.0))
 
     def test_counterexample_bump_stabilizes(self):
-        cfg = ExponentConfig(2, 2, 0.0, 1, "extended")
+        cfg = ExponentConfig(2, 2, 0.0)
         eps = EntropyFunction("direct", 0.5)
         d12 = direct_bumps(*fix_ce(12), cfg, eps).constants["D"]
         d16 = direct_bumps(*fix_ce(16), cfg, eps).constants["D"]
@@ -256,11 +264,11 @@ class TestDirectBumps:
         g = GridConfig(1, 6)
         sigma = generate_weight(g, "random_cascade", seed=31, volatility=0.8)
         w = generate_weight(g, "random_cascade", seed=32, volatility=0.8)
-        cfg = ExponentConfig(2, 3, 0.0, 1)
+        cfg = ExponentConfig(2, 3, 0.0)
         eps = EntropyFunction("direct", 1.0)
         rep = direct_bumps(sigma, w, cfg, eps)
         q = rep.argmax["D"]
-        scale = 2.0 ** (q.level * (cfg.d - cfg.alpha))
+        scale = 2.0 ** (q.level * (q.dimension - cfg.alpha))
         joint = mass(w, q) ** (1.0 / cfg.q) * mass(sigma, q) ** (1.0 / cfg.p_dual) * scale
         recomputed = joint * eps_eval(eps, average(sigma, q)) ** (1.0 / cfg.q)
         assert recomputed == rep.constants["D"]
@@ -268,7 +276,7 @@ class TestDirectBumps:
 
 def test_report_serialization_shape():
     s, w = fix_const()
-    rep = entropy_bumps(s, w, ExponentConfig(2, 4, 0.0, 1), EntropyFunction("entropy", 1.0))
+    rep = entropy_bumps(s, w, ExponentConfig(2, 4, 0.0), EntropyFunction("entropy", 1.0))
     out = rep.to_dict()
     assert set(out) >= {"A", "E", "E_star_printed", "E_star_symmetric",
                         "argmax", "rho_at_argmax", "eps"}
@@ -297,7 +305,7 @@ class TestChunkedScan:
     @pytest.mark.parametrize("p,q", [(2.0, 2.0), (2.0, 3.0)])
     @pytest.mark.parametrize("kind", ["constant", "cascade", "zero_quarter"])
     def test_chunks_match_single_chunk_report(self, monkeypatch, block, d, p, q, kind):
-        cfg = ExponentConfig(p, q, 0.0, d, "extended")
+        cfg = ExponentConfig(p, q, 0.0)
         eps_e, eps_d = EntropyFunction("entropy", 0.5), EntropyFunction("direct", 0.5)
         whole = [entropy_bumps(*_chunk_inputs(kind, d), cfg, eps_e).to_dict(),
                  direct_bumps(*_chunk_inputs(kind, d), cfg, eps_d).to_dict()]
@@ -313,7 +321,7 @@ class TestChunkedScan:
 
     def test_distinct_exponents_in_caller_order(self):
         sigma, w = _chunk_inputs("cascade", 1)
-        cfg = ExponentConfig(2.0, 3.0, 0.0, 1)
+        cfg = ExponentConfig(2.0, 3.0, 0.0)
         eps = EntropyFunction("entropy", 0.5)
         both = sup_oracle(sigma, w, cfg, sigma, eps, (0.5, 0.25, 0.5))
         assert both == [*sup_oracle(sigma, w, cfg, sigma, eps, (0.5,)),
@@ -347,10 +355,10 @@ class TestLeafItems:
 
     @pytest.mark.parametrize("packed", [False, True])
     @pytest.mark.parametrize("kind,cfg,argmax", [
-        ("ce4", ExponentConfig(2.0, 2.0, 0.0, 1, "extended"), "4:15"),
-        ("ce8", ExponentConfig(2.0, 2.0, 0.0, 1, "extended"), "0:0"),
-        ("cascade", ExponentConfig(2.0, 3.0, 0.0, 1), "3:7"),
-        ("zero_quarter", ExponentConfig(2.0, 3.0, 0.0, 1), "3:7"),
+        ("ce4", ExponentConfig(2.0, 2.0, 0.0), "4:15"),
+        ("ce8", ExponentConfig(2.0, 2.0, 0.0), "0:0"),
+        ("cascade", ExponentConfig(2.0, 3.0, 0.0), "3:7"),
+        ("zero_quarter", ExponentConfig(2.0, 3.0, 0.0), "3:7"),
     ])
     def test_found_matches_oracle(self, spread, packed, kind, cfg, argmax):
         sigma, w = _leaf_inputs(kind)
@@ -389,7 +397,7 @@ class TestBlockwise:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("kind", ["constant", "cascade", "zero_quarter"])
     def test_same_bits(self, spread, cpus, d, kind):
-        cfg = ExponentConfig(2.0, 3.0, 0.0, d)
+        cfg = ExponentConfig(2.0, 3.0, 0.0)
         serial = self.reports(kind, d, cfg)
         pools = spread(4, cpus)  # 64 leaves: 16 blocks of 4
         assert self.reports(kind, d, cfg) == serial
@@ -398,7 +406,7 @@ class TestBlockwise:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_no_rho_pyramid_of_w_without_e_star_symmetric(self, spread, d):
-        cfg = ExponentConfig(2.0, 3.0, 0.0, d)
+        cfg = ExponentConfig(2.0, 3.0, 0.0)
         eps = (EntropyFunction("entropy", 0.5), EntropyFunction("direct", 0.5))
         want = self.reports("cascade", d, cfg)
         for part in (want[0], want[0]["argmax"], want[0]["rho_at_argmax"]):
@@ -415,13 +423,13 @@ class TestBlockwise:
     def test_workspaces_under_thread_switching(self, spread):
         # more workers than CPUs, switching threads every microsecond: a
         # workspace handed to two items at once would mix their scores
-        serial = self.reports("cascade", 1, ExponentConfig(2.0, 3.0, 0.25, 1))
+        serial = self.reports("cascade", 1, ExponentConfig(2.0, 3.0, 0.25))
         interval = sys.getswitchinterval()
         pools = spread(2, 8)
         try:
             sys.setswitchinterval(1e-6)
             for _ in range(5):
-                assert self.reports("cascade", 1, ExponentConfig(2.0, 3.0, 0.25, 1)) == serial
+                assert self.reports("cascade", 1, ExponentConfig(2.0, 3.0, 0.25)) == serial
         finally:
             sys.setswitchinterval(interval)
         assert set(pools) == {8}
@@ -431,7 +439,7 @@ class TestBlockwise:
         # d=1 N=12 is 8 blocks of 512 leaves, or 4 blocks of 1024
         pools = spread(block, 4)
         sigma, w = fix_ce(12)
-        entropy_bumps(sigma, w, ExponentConfig(2.0, 2.0, 0.0, 1, "extended"),
+        entropy_bumps(sigma, w, ExponentConfig(2.0, 2.0, 0.0),
                       EntropyFunction("entropy", 0.5))
         assert bool(pools) == spreads and set(pools) <= {4}
 
@@ -448,7 +456,7 @@ class TestBlockwise:
         sigma, w = fix_ce(n) if d == 1 else (
             generate_weight(g, "random_cascade", seed=1, volatility=0.5),
             generate_weight(g, "random_cascade", seed=2, volatility=0.5))
-        cfg = ExponentConfig(2.0, 2.0, 0.0, d, "extended")
+        cfg = ExponentConfig(2.0, 2.0, 0.0)
         entropy_bumps(sigma, w, cfg, EntropyFunction("entropy", 0.5))
         direct_bumps(sigma, w, cfg, EntropyFunction("direct", 0.5))
 
@@ -485,7 +493,7 @@ class TestFusedPass:
     @pytest.mark.parametrize("kind,d", FUSED_CASES)
     def test_matches_oracle(self, spread, cpus, p, q, alpha, kind, d):
         sigma, w = _fused_inputs(kind, d)
-        cfg = ExponentConfig(p, q, alpha, d, "extended")
+        cfg = ExponentConfig(p, q, alpha)
         want = [r.to_dict() for r in bump_reports_oracle(sigma, w, cfg, *self.EPS)]
         spread(16, cpus)  # chunks of 16 cells; a pool on 128 leaves or more
         sigma, w = _fused_inputs(kind, d)
@@ -501,7 +509,7 @@ class TestFusedPass:
         # the counterexample study's scan of A, E and D: each of them the
         # same value and argmax as in the scan of all six and in the oracle
         sigma, w = _fused_inputs(kind, d)
-        cfg = ExponentConfig(p, q, alpha, d, "extended")
+        cfg = ExponentConfig(p, q, alpha)
         oracle = bump_reports_oracle(sigma, w, cfg, *self.EPS)
         spread(16, cpus)
         full = PairScan(*_fused_inputs(kind, d), cfg, *self.EPS).found
@@ -513,7 +521,7 @@ class TestFusedPass:
 
     def test_restricted_scan_refuses_unknown_and_unscanned_names(self):
         sigma, w = _fused_inputs("cascade", 1)
-        cfg = ExponentConfig(2.0, 3.0, 0.0, 1)
+        cfg = ExponentConfig(2.0, 3.0, 0.0)
         with pytest.raises(ValueError, match=r"unknown constants \['F'\]"):
             PairScan(sigma, w, cfg, *self.EPS, names=("A", "F"))
         with pytest.raises(ValueError, match=r"no eps in the scan for \['D'\]"):
@@ -525,7 +533,7 @@ class TestFusedPass:
         # of several levels is the same, but their log scores differ in the
         # last bits, so without the margin a later cube wins
         sigma, w = _fused_inputs("constant", d)
-        cfg = ExponentConfig(2.0, 2.0, 0.0, d, "extended")
+        cfg = ExponentConfig(2.0, 2.0, 0.0)
         want = bump_reports_oracle(sigma, w, cfg, *self.EPS)
         assert [r.argmax for r in _shared_reports(sigma, w, cfg, *self.EPS)] == [r.argmax for r in want]
         monkeypatch.setattr(sparsebump.bumps, "SCORE_MARGIN", 0.0)
@@ -534,7 +542,7 @@ class TestFusedPass:
 
     def test_scan_of_another_pair_is_refused(self):
         sigma, w = _fused_inputs("cascade", 1)
-        cfg = ExponentConfig(2.0, 3.0, 0.0, 1)
+        cfg = ExponentConfig(2.0, 3.0, 0.0)
         scan = PairScan(sigma, w, cfg, *self.EPS)
         with pytest.raises(ValueError, match="scan is of another pair"):
             entropy_bumps(w, sigma, cfg, self.EPS[0], scan=scan)

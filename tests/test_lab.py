@@ -61,6 +61,9 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict({"no_such_field": 1})
         with pytest.raises(ValueError, match=r"unknown config fields: \['kind'\]"):
             ExperimentConfig.from_dict({"kind": "verify-bounds"})
+        # the diagonal case is read off p = q
+        with pytest.raises(ValueError, match=r"unknown config fields: \['mode'\]"):
+            ExperimentConfig.from_dict({"p": 2.0, "q": 2.0, "mode": "extended"})
 
     def test_instance_seeds_are_stable(self):
         assert instance_seeds(42, 0) == instance_seeds(42, 0)
@@ -270,7 +273,7 @@ class TestCli:
     def test_norm_subcommand_diagonal(self, fixture_files, capsys):
         wpath, fpath = fixture_files
         code = cli_main(["norm", "--family", str(fpath), "--weights", str(wpath),
-                         "--p", "2", "--q", "2", "--mode", "extended", "--budget", "50"])
+                         "--p", "2", "--q", "2", "--budget", "50"])
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["lower_bound"] <= out["exact_l2"] + 1e-8
@@ -295,7 +298,7 @@ class TestCli:
         monkeypatch.setattr(Instance, "kernel", counted)
         wpath, fpath = fixture_files
         code = cli_main(["norm", "--family", str(fpath), "--weights", str(wpath),
-                         "--p", "2", "--q", "2", "--mode", "extended", "--budget", "50"])
+                         "--p", "2", "--q", "2", "--budget", "50"])
         assert code == 0
         assert "exact_l2" in json.loads(capsys.readouterr().out)
         assert calls == {"exceptional_mass": 2, "kernel": 1}
@@ -344,6 +347,54 @@ class TestCli:
     def test_infinite_delta_exits_2(self, capsys, argv):
         assert cli_main(argv) == 2
         assert capsys.readouterr().err == "error: need a finite delta > 0, got inf\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-bounds", "--instances", "2", "--delta", "1000"],
+        ["sweep", "--instances", "2", "--delta", "1000"],
+        ["counterexample", "--levels", "8", "--delta", "1000"],
+    ], ids=("verify-bounds", "sweep", "counterexample"))
+    def test_delta_past_the_margins_range_exits_2(self, capsys, monkeypatch, argv):
+        # at delta = 1000 eps overflowed, and the suite reported D = inf and
+        # two violations that were false
+        built = []
+        monkeypatch.setattr(lab, "build_instance", lambda *args: built.append(args))
+        monkeypatch.setattr(lab, "fix_ce", lambda *args: built.append(args))
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == ("error: need delta <= 10, the range of "
+                                           "bumps.SCORE_MARGIN, got 1000.0\n")
+        assert built == []
+
+    def test_delta_past_the_margins_range_in_eps_exits_2(self, fixture_files, capsys):
+        wpath, _ = fixture_files
+        assert cli_main(["constants", "--weights", str(wpath), "--eps", "direct:1000"]) == 2
+        assert "argument --eps: need delta <= 10" in capsys.readouterr().err
+
+    def test_delta_at_the_bound_runs(self, tmp_path, capsys):
+        code = cli_main(["verify-bounds", "--instances", "2", "--leaf-level", "6", "--seed", "4",
+                         "--budget", "2", "--delta", "10", "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert json.loads((tmp_path / "verify_bounds.json").read_text())["violations"] == 0
+
+    def test_alpha_at_d_exits_2_before_any_instance(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(lab, "build_instance", lambda *args: built.append(args))
+        assert cli_main(["verify-bounds", "--instances", "2", "--alpha", "1"]) == 2
+        assert capsys.readouterr().err == "error: need 0 <= alpha < d, got alpha=1.0\n"
+        assert built == []
+
+    def test_diagonal_suite_takes_no_flag(self, tmp_path, capsys):
+        code = cli_main(["verify-bounds", "--instances", "2", "--leaf-level", "6", "--seed", "4",
+                         "--budget", "2", "--p", "2", "--q", "2", "--out-dir", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / "verify_bounds.json").read_text())
+        assert report["violations"] == 0 and "mode" not in report["environment"]["config"]
+
+    def test_testing_at_p_equal_q_reports_extended(self, fixture_files, capsys):
+        wpath, fpath = fixture_files
+        assert cli_main(["testing", "--family", str(fpath), "--weights", str(wpath),
+                         "--p", "2", "--q", "2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["mode"] == "extended" and out["extended_warning"] is True
 
     def test_infinite_eps_delta_exits_2(self, fixture_files, capsys):
         wpath, _ = fixture_files
@@ -424,6 +475,18 @@ class TestCli:
         assert code == 2
         assert "budget must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,bad", ((["--dimension", "2"], "[1, 12] for d=2, got [16, 20]"),
+                                          (["--levels", "6,99"], "[1, 24] for d=1, got [99]")),
+                             ids=("d2-default-levels", "d1-level-99"))
+    def test_sweep_levels_past_the_grid_are_named(self, monkeypatch, capsys, argv, bad):
+        # the default levels (8, 12, 16, 20) pass d=2's deepest grid; the
+        # error used to name leaf_level, a flag the user never gave
+        built = []
+        monkeypatch.setattr(lab, "build_instance", lambda *args: built.append(args))
+        assert cli_main(["sweep", "--instances", "1", *argv]) == 2
+        assert capsys.readouterr().err == f"error: levels must be in {bad}\n"
+        assert built == []
+
     @pytest.mark.parametrize("argv", (["--levels", ""], ["--levels", "6,99"], ["--lambdas", ""],
                                       ["--lambdas", "0.5,1.5"], ["--dimension", "2", "--levels", "4,13"]))
     def test_bad_sweep_grid_exits_2_before_any_instance(self, monkeypatch, capsys, argv):
@@ -459,7 +522,6 @@ SUITE_FLAGS = {
     "p": ("--p", "1.5", 1.5),
     "q": ("--q", "4", 4.0),
     "alpha": ("--alpha", "0.5", 0.5),
-    "mode": ("--mode", "extended", "extended"),
     "delta": ("--delta", "0.5", 0.5),
     "instances": ("--instances", "3", 3),
     "master_seed": ("--seed", "7", 7),
@@ -506,6 +568,7 @@ class TestSuiteFlags:
         assert _suite_cfg("verify-bounds").master_seed == ExperimentConfig().master_seed
 
     @pytest.mark.parametrize("command", ("verify-bounds", "sweep"))
+    # --mode is no flag of any subcommand: argparse rejects it and names its value
     @pytest.mark.parametrize("flag,text", [("--mode", "bogus"), ("--family-kind", "nope"),
                                            ("--instances", "x"), ("--levels", "5,a"),
                                            ("--volatility", "1.5")])

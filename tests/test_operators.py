@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sparsebump.bumps import ExponentConfig
+from sparsebump.bumps import EntropyFunction, ExponentConfig, PairScan, entropy_bumps
 from sparsebump.grid import DyadicCube, GridConfig, contains, leaf_slice, root_cube
 from sparsebump.lab import ExperimentConfig, build_instance
 from sparsebump.operators import (
@@ -102,7 +102,7 @@ def test_instance_rejects_a_second_grid(which):
     parts[which] = (singleton_family(other) if which == "family"
                     else generate_weight(other, "constant", value=1.0))
     with pytest.raises(ValueError, match="share one grid"):
-        Instance(parts["family"], parts["sigma"], parts["w"], ExponentConfig(2, 4, 0.0, 1))
+        Instance(parts["family"], parts["sigma"], parts["w"], ExponentConfig(2, 4, 0.0))
 
 
 class TestExactNormL2:
@@ -145,7 +145,7 @@ class TestExactNormL2:
     def test_needs_p_and_q_two(self):
         s, w = fix_const()
         with pytest.raises(ValueError, match="needs p = q = 2"):
-            exact_norm_l2(Instance(singleton_family(), s, w, ExponentConfig(2, 3, 0.0, 1)))
+            exact_norm_l2(Instance(singleton_family(), s, w, ExponentConfig(2, 3, 0.0)))
 
     def test_zero_sigma_leaves_excluded(self):
         g = GridConfig(1, 2)
@@ -160,21 +160,21 @@ class TestExactNormL2:
 class TestNormLowerBound:
     def test_projection_attains_one(self):
         s, w = fix_const()
-        cfg = ExponentConfig(2, 4, 0.0, 1)
+        cfg = ExponentConfig(2, 4, 0.0)
         assert norm_lower_bound(Instance(singleton_family(), s, w, cfg), budget=10) == pytest.approx(1.0, abs=1e-9)
 
     def test_monotone_in_budget(self):
         g = GridConfig(1, 5)
         sigma, w = random_pair(g, 8)
         fam = random_sparse(g, 0.5, seed=8, target_size=12)
-        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0, 1))
+        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0))
         low = norm_lower_bound(inst, budget=0, seed=5)
         high = norm_lower_bound(inst, budget=40, seed=5)
         assert high >= low
 
     def test_negative_budget_raises(self):
         s, w = fix_const()
-        inst = Instance(singleton_family(), s, w, ExponentConfig(2, 4, 0.0, 1))
+        inst = Instance(singleton_family(), s, w, ExponentConfig(2, 4, 0.0))
         with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
             norm_lower_bound(inst, budget=-1)
 
@@ -182,14 +182,14 @@ class TestNormLowerBound:
         g = GridConfig(1, 5)
         sigma, w = random_pair(g, 9)
         fam = random_sparse(g, 0.5, seed=9, target_size=12)
-        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.25, 1))
+        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.25))
         lb = norm_lower_bound(inst, budget=0)
         # both read one per-R array, so the bound dominates with no tolerance
         for ratio in primal_indicator_ratios(inst):
             assert lb >= ratio
 
     def test_diagonal_reaches_exact_norm(self):
-        cfg = ExponentConfig(2, 2, 0.0, 1, "extended")
+        cfg = ExponentConfig(2, 2, 0.0)
         s, w = fix_const()
         fam = chain_family()
         exact = exact_norm_l2(l2_instance(fam, s, w, 0.0), tol=1e-13)
@@ -201,7 +201,7 @@ class TestNormLowerBound:
         g = GridConfig(1, 5)
         sigma, w = random_pair(g, 10)
         fam = random_sparse(g, 0.5, seed=10, target_size=10)
-        cfg = ExponentConfig(2, 3, 0.0, 1)
+        cfg = ExponentConfig(2, 3, 0.0)
         a = norm_lower_bound(Instance(fam, sigma, w, cfg), budget=15, seed=3)
         b = norm_lower_bound(Instance(fam, sigma, w, cfg), budget=15, seed=3)
         assert a == b
@@ -225,7 +225,7 @@ class TestNormLowerBound:
         g = GridConfig(1, 5)
         sigma, w = random_pair(g, 12)
         fam = random_sparse(g, 0.5, seed=12, target_size=14)
-        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0, 1))
+        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0))
         lb = norm_lower_bound(inst, budget=0)
         rep = testing_constants(inst)
         for term in rep.per_R_star:
@@ -255,15 +255,17 @@ def brute_force_t_star(family, sigma, w, cfg):
 class TestTestingConstants:
     def test_singleton_collapses_to_one(self):
         s, w = fix_const()
-        rep = testing_constants(Instance(singleton_family(), s, w, ExponentConfig(2, 4, 0.0, 1)))
+        rep = testing_constants(Instance(singleton_family(), s, w, ExponentConfig(2, 4, 0.0)))
         assert rep.T == pytest.approx(1.0, abs=1e-14)
         assert rep.T_star == pytest.approx(1.0, abs=1e-14)
-        assert not rep.extended_warning
+        assert not rep.extended_warning and rep.mode == "strict"
 
     def test_chain_diagonal_telescopes(self):
         s, w = fix_const()
-        rep = testing_constants(Instance(chain_family(), s, w, ExponentConfig(2, 2, 0.0, 1, "extended")))
-        assert rep.extended_warning
+        rep = testing_constants(Instance(chain_family(), s, w, ExponentConfig(2, 2, 0.0)))
+        # the diagonal case is read off p = q
+        assert rep.extended_warning and rep.mode == "extended"
+        assert rep.to_dict()["mode"] == "extended" and rep.to_dict()["extended_warning"] is True
         for value in rep.per_R:
             assert value == pytest.approx(1.0, rel=1e-12)
         assert rep.T == pytest.approx(1.0, rel=1e-12)
@@ -273,7 +275,7 @@ class TestTestingConstants:
         g = GridConfig(1, 5)
         sigma, w = random_pair(g, seed + 60)
         fam = random_sparse(g, 0.5, seed=seed, target_size=14)
-        cfg = ExponentConfig(2, 3, 0.25, 1)
+        cfg = ExponentConfig(2, 3, 0.25)
         rep = testing_constants(Instance(fam, sigma, w, cfg))
         assert rep.T_star == pytest.approx(brute_force_t_star(fam, sigma, w, cfg), rel=1e-12)
 
@@ -285,7 +287,7 @@ class TestTestingConstants:
                 fam = stopping_family(sigma, 2.0, root_cube(g))
             else:
                 fam = random_sparse(g, 0.5, seed=seed, target_size=20)
-            inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0, 1))
+            inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0))
             rep = testing_constants(inst)
             ratios = primal_indicator_ratios(inst)
             for ratio, term in zip(ratios, rep.per_R):
@@ -293,10 +295,44 @@ class TestTestingConstants:
 
     def test_serialization_shape(self):
         s, w = fix_const()
-        rep = testing_constants(Instance(chain_family(), s, w, ExponentConfig(2, 4, 0.0, 1)))
+        rep = testing_constants(Instance(chain_family(), s, w, ExponentConfig(2, 4, 0.0)))
         out = rep.to_dict()
         assert set(out) == {"p", "q", "alpha", "T", "T_star", "argmax_R",
                             "argmax_R_star", "mode", "extended_warning"}
+
+
+class TestAlphaRule:
+    """0 <= alpha < d, with d the grid's, is checked with one message at each
+    point where exponents meet a grid."""
+
+    MESSAGE = r"need 0 <= alpha < d, got alpha=1.0"
+
+    def test_alpha_at_d_raises_at_every_meeting_point(self):
+        s, w = fix_const()
+        cfg = ExponentConfig(2.0, 3.0, 1.0)  # valid until it meets G4, where d = 1
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            Instance(chain_family(), s, w, cfg)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            PairScan(s, w, cfg)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            entropy_bumps(s, w, cfg, EntropyFunction("entropy", 1.0))
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            apply_sparse(chain_family(), s, np.ones(G4.n_leaves), 1.0)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            ExperimentConfig(alpha=1.0)
+
+    def test_alpha_below_two_is_accepted_at_d2(self):
+        g = GridConfig(2, 3)
+        sigma, w = random_pair(g, 5)
+        fam = stopping_family(sigma, 2.0, root_cube(g))
+        cfg = ExponentConfig(2.0, 3.0, 1.5)
+        inst = Instance(fam, sigma, w, cfg)
+        assert testing_constants(inst).T > 0
+        assert PairScan(sigma, w, cfg).found["A"][0] > 0
+        assert apply_sparse(fam, sigma, np.ones(g.n_leaves), 1.5).max() > 0
+        ExperimentConfig(dimension=2, leaf_level=3, alpha=1.5)
+        with pytest.raises(ValueError, match=r"need 0 <= alpha < d, got alpha=2.0"):
+            Instance(fam, sigma, w, ExponentConfig(2.0, 3.0, 2.0))
 
 
 class TestTwoDimensional:
@@ -332,7 +368,7 @@ class TestTwoDimensional:
     def test_testing_constants(self, seed):
         sigma, w = random_pair(self.G, seed + 60)
         fam = self.family(seed, sigma)
-        cfg = ExponentConfig(2, 3, 0.5, 2)
+        cfg = ExponentConfig(2, 3, 0.5)
         inst = Instance(fam, sigma, w, cfg)
         rep = testing_constants(inst)
         assert rep.T_star == pytest.approx(brute_force_t_star(fam, sigma, w, cfg), rel=1e-12)

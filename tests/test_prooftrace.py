@@ -115,7 +115,7 @@ class TestStratify:
 class TestEntropyTrace:
     def test_chain_constant_weights(self):
         s, w = fix_const()
-        rep = entropy_trace(Instance(chain_family(), s, w, ExponentConfig(2, 4, 0.0, 1)),
+        rep = entropy_trace(Instance(chain_family(), s, w, ExponentConfig(2, 4, 0.0)),
                             EPS_E, root_cube(G4))
         assert rep.passed
         assert rep.lhs_total == pytest.approx(2 - 2.0**-4, abs=0)
@@ -127,12 +127,12 @@ class TestEntropyTrace:
     def test_singleton_family(self):
         s, w = fix_const()
         fam = SparseFamily(G4, frozenset([root_cube(G4)]), 0.5)
-        rep = entropy_trace(Instance(fam, s, w, ExponentConfig(2, 4, 0.0, 1)), EPS_E, root_cube(G4))
+        rep = entropy_trace(Instance(fam, s, w, ExponentConfig(2, 4, 0.0)), EPS_E, root_cube(G4))
         assert rep.passed
 
     def test_certificate_matches_testing_constant_at_r(self):
         fam, sigma, w = random_setup(2)
-        cfg = ExponentConfig(2, 3, 0.0, 1)
+        cfg = ExponentConfig(2, 3, 0.0)
         inst = Instance(fam, sigma, w, cfg)
         rep = entropy_trace(inst, EPS_E, fam.root)
         trep = testing_constants(inst)
@@ -141,19 +141,19 @@ class TestEntropyTrace:
     def test_wrong_eps_kind(self):
         s, w = fix_const()
         with pytest.raises(ValueError, match="direct eps passed to entropy trace"):
-            entropy_trace(Instance(chain_family(), s, w, ExponentConfig(2, 4, 0.0, 1)),
+            entropy_trace(Instance(chain_family(), s, w, ExponentConfig(2, 4, 0.0)),
                           EPS_D, root_cube(G4))
 
     def test_missing_r_raises(self):
         s, w = fix_const()
         with pytest.raises(ValueError, match="not in the family"):
-            entropy_trace(Instance(chain_family(), s, w, ExponentConfig(2, 4, 0.0, 1)),
+            entropy_trace(Instance(chain_family(), s, w, ExponentConfig(2, 4, 0.0)),
                           EPS_E, DyadicCube(1, (1,)))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_stages_pass(self, seed):
         fam, sigma, w = random_setup(seed)
-        cfg = ExponentConfig(2, 3, 0.0, 1)
+        cfg = ExponentConfig(2, 3, 0.0)
         rep = entropy_trace(Instance(fam, sigma, w, cfg), EPS_E, fam.root)
         assert rep.passed
         assert rep.identity_error <= 1e-12
@@ -166,14 +166,14 @@ class TestEntropyTrace:
 class TestDirectTrace:
     def test_chain_constant_weights(self):
         s, w = fix_const()
-        rep = direct_trace(Instance(chain_family(), s, w, ExponentConfig(2, 4, 0.0, 1)),
+        rep = direct_trace(Instance(chain_family(), s, w, ExponentConfig(2, 4, 0.0)),
                            EPS_D, root_cube(G4))
         assert rep.passed
 
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_stages_pass(self, seed):
         fam, sigma, w = random_setup(seed)
-        cfg = ExponentConfig(2, 3, 0.0, 1)
+        cfg = ExponentConfig(2, 3, 0.0)
         rep = direct_trace(Instance(fam, sigma, w, cfg), EPS_D, fam.root)
         assert rep.passed
         for s in rep.strata:
@@ -185,7 +185,7 @@ class TestDirectTrace:
         # decreasing branch of the direct eps in the inner bound
         fam, sigma, w = random_setup(6)
         small = scaled(sigma, 2.0**-5)
-        cfg = ExponentConfig(2, 3, 0.0, 1)
+        cfg = ExponentConfig(2, 3, 0.0)
         rep = direct_trace(Instance(fam, small, w, cfg), EPS_D, fam.root)
         assert rep.passed
         assert min(s.a for s in rep.strata) < 0
@@ -193,7 +193,7 @@ class TestDirectTrace:
     def test_wrong_eps_kind(self):
         s, w = fix_const()
         with pytest.raises(ValueError, match="entropy eps passed to direct trace"):
-            direct_trace(Instance(chain_family(), s, w, ExponentConfig(2, 4, 0.0, 1)),
+            direct_trace(Instance(chain_family(), s, w, ExponentConfig(2, 4, 0.0)),
                          EPS_E, root_cube(G4))
 
 
@@ -201,7 +201,7 @@ class TestDualTraces:
     @pytest.mark.parametrize("seed", range(6))
     def test_dual_chains_certify_t_star(self, seed):
         fam, sigma, w = random_setup(seed)
-        cfg = ExponentConfig(2, 3, 0.0, 1)
+        cfg = ExponentConfig(2, 3, 0.0)
         inst = Instance(fam, sigma, w, cfg)
         de = dual_entropy_trace(inst, EPS_E, fam.root)
         dd = dual_direct_trace(inst, EPS_D, fam.root)
@@ -220,7 +220,7 @@ class TestDualTraces:
             fam, sigma, w = random_setup(seed, n=7 if d == 1 else 4, dimension=d)
             for alpha in (0.0, 0.5):
                 for p, q in ((2.0, 3.0), (1.5, 4.0)):
-                    cfg = ExponentConfig(p, q, alpha, d)
+                    cfg = ExponentConfig(p, q, alpha)
                     ebump = entropy_bumps(sigma, w, cfg, EPS_E)
                     dbump = direct_bumps(sigma, w, cfg, EPS_D)
                     inst = Instance(fam, sigma, w, cfg)
@@ -234,7 +234,7 @@ class TestDualTraces:
 
     def test_dual_testing_value_matches_t_star_at_root(self):
         fam, sigma, w = random_setup(3)
-        cfg = ExponentConfig(2, 3, 0.25, 1)
+        cfg = ExponentConfig(2, 3, 0.25)
         inst = Instance(fam, sigma, w, cfg)
         de = dual_entropy_trace(inst, EPS_E, fam.root)
         trep = testing_constants(inst)
@@ -292,7 +292,7 @@ def test_four_chains_share_one_inside_sweep(monkeypatch):
 
 def test_report_json_schema():
     s, w = fix_const()
-    rep = entropy_trace(Instance(chain_family(), s, w, ExponentConfig(2, 4, 0.0, 1)),
+    rep = entropy_trace(Instance(chain_family(), s, w, ExponentConfig(2, 4, 0.0)),
                         EPS_E, root_cube(G4))
     data = json.loads(rep.to_json())
     assert data["schema"] == TRACE_SCHEMA
@@ -312,7 +312,7 @@ class TestNegativeControls:
     constant, so halving it must break both.  The identity and the final
     bound each get a control of their own."""
 
-    CFG = ExponentConfig(2, 4, 0.0, 1)
+    CFG = ExponentConfig(2, 4, 0.0)
     R = DyadicCube(4, (0,))
 
     def test_entropy_trace_fails_with_halved_e(self):
@@ -336,7 +336,7 @@ class TestNegativeControls:
         # stage (i): a regrouping that loses the last bucket no longer adds
         # up to the testing sum (this instance has 2 rho and 8 average buckets)
         fam, sigma, w = random_setup(0, n=12)
-        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0, 1))
+        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0))
         original = prooftrace._strata
 
         def dropped(*args):
@@ -362,7 +362,7 @@ class TestNegativeControls:
             (s, w), fam, cfg = fix_const(), chain_family(), self.CFG
         else:
             fam, s, w = random_setup(5, n=12)
-            cfg = ExponentConfig(2, 3, 0.0, 1)
+            cfg = ExponentConfig(2, 3, 0.0)
         inst = Instance(fam, s, w, cfg)
         assert entropy_trace(inst, EPS_E, fam.root).passed
         original = prooftrace._strata
@@ -384,7 +384,7 @@ class TestNegativeControls:
         # stage (iii) and the certificate scale with Sigma_eps; stages (i)
         # and (ii) do not read it
         fam, sigma, w = random_setup(2)
-        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0, 1))
+        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0))
         trace = entropy_trace if kind == "entropy" else direct_trace
         eps = EntropyFunction(kind, 1.0)
         assert trace(inst, eps, fam.root).passed
@@ -416,7 +416,7 @@ class TestEveryR:
     def test_report_at_every_r_is_the_restricted_chain(self, d, seed):
         # even seeds give random families, odd seeds stopping families
         fam, sigma, w = random_setup(seed, n=8 if d == 1 else 5, target=40, dimension=d)
-        cfg = ExponentConfig(2, 3, 0.25 * (seed % 2), d)
+        cfg = ExponentConfig(2, 3, 0.25 * (seed % 2))
         inst = Instance(fam, sigma, w, cfg)
         ebump, dbump = lab._bump_reports(sigma, w, cfg, EPS_E, EPS_D)
         shown = 0
@@ -438,7 +438,7 @@ class TestEveryR:
         # with 0.6 E, stage (ii) fails at one leaf-level member only: the
         # report at the root passes, and `failed` names that member
         fam, sigma, w = stopping_setup(n, s_sigma, s_w)
-        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0, 1))
+        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0))
         bump = entropy_bumps(sigma, w, inst.cfg, EPS_E)
         assert entropy_trace(inst, EPS_E, fam.root, bump=bump).failed == ()
         rep = entropy_trace(inst, EPS_E, fam.root, bump=_deflated(bump, "E", 0.6))
@@ -472,7 +472,7 @@ class TestEveryR:
         # Halving D fails stage (ii) at 4:0 alone
         sigma = Weight(G4, np.array([5.0, 1, 2, 2] + [6.5] * 4 + [0.5] * 8))
         _, w = fix_const()
-        inst = Instance(chain_family(), sigma, w, ExponentConfig(2, 4, 0.0, 1))
+        inst = Instance(chain_family(), sigma, w, ExponentConfig(2, 4, 0.0))
         bump = _deflated(direct_bumps(sigma, w, inst.cfg, EPS_D), "D", 0.5)
         rep = direct_trace(inst, EPS_D, root_cube(G4), bump=bump)
         assert rep.passed
@@ -490,7 +490,7 @@ class TestEveryR:
         # than the certificate; a Sigma_eps between the two needs, at the R
         # where they differ most, fails stage (iii) there and nothing else
         fam, sigma, w = random_setup(2)
-        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0, 1))
+        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0))
         eps = EntropyFunction(kind, 1.0)
         rep = (entropy_trace if kind == "entropy" else direct_trace)(inst, eps, fam.root)
         scale = rep.bump_constant ** 3 * inst.sigma_mass ** 1.5
@@ -508,7 +508,7 @@ class TestEveryR:
         # a testing value over the certified bound at one member below the
         # root fails the certificate there, and only there
         fam, sigma, w = random_setup(1)
-        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0, 1))
+        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0))
         rep = entropy_trace(inst, EPS_E, fam.root)
         assert rep.failed == ()
         r = len(fam) // 2
@@ -526,7 +526,7 @@ class TestEveryR:
         sigma = Weight(g, np.array([1.0, 2, 3, 4, 5, 6, 0, 0]))
         w = generate_weight(g, "random_cascade", seed=3, volatility=0.5)
         fam = SparseFamily(g, frozenset(parse_cube(t) for t in ("0:0", "2:0", "2:3", "3:1")), 0.5)
-        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0, 1))
+        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0))
         for trace, eps in ((entropy_trace, EPS_E), (direct_trace, EPS_D)):
             for r_cube in (parse_cube("2:0"), parse_cube("3:1")):
                 rep = trace(inst, eps, r_cube)
@@ -542,7 +542,7 @@ class TestSlack:
         """Direct trace whose worst inner sum exceeds its bound by the
         relative `excess`, reached by shrinking D."""
         fam, sigma, w = random_setup(2)
-        cfg = ExponentConfig(2, 3, 0.0, 1)
+        cfg = ExponentConfig(2, 3, 0.0)
         inst = Instance(fam, sigma, w, cfg)
         bump = direct_bumps(sigma, w, cfg, EPS_D)
         rep = direct_trace(inst, EPS_D, fam.root, bump=bump)
@@ -566,7 +566,7 @@ class TestTwoDimensional:
     @pytest.mark.parametrize("seed", range(6))
     def test_randomized_traces_pass(self, seed):
         fam, sigma, w = random_setup(seed, n=5, dimension=2)
-        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.5, 2))
+        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.5))
         for trace, eps in ((entropy_trace, EPS_E), (direct_trace, EPS_D)):
             rep = trace(inst, eps, fam.root)
             assert rep.passed
@@ -577,7 +577,7 @@ class TestTwoDimensional:
     @pytest.mark.parametrize("seed", range(3))
     def test_dual_traces_pass(self, seed):
         fam, sigma, w = random_setup(seed, n=5, dimension=2)
-        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0, 2))
+        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0))
         assert dual_entropy_trace(inst, EPS_E, fam.root).passed
         assert dual_direct_trace(inst, EPS_D, fam.root).passed
 

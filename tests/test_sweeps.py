@@ -165,7 +165,7 @@ class TestSweepsMatchPerCubeLoops:
 
     def test_per_r_and_per_r_star(self, d, kind, seed):
         family, sigma, w = instance(d, kind, seed)
-        cfg = ExponentConfig(2.0, 3.0, 0.25, d)
+        cfg = ExponentConfig(2.0, 3.0, 0.25)
         rep = testing_constants(Instance(family, sigma, w, cfg))
         want = oracle_per_r(family, sigma, w, cfg.p, cfg.q, cfg.alpha)
         want_star = oracle_per_r(family, w, sigma, cfg.q_dual, cfg.p_dual, cfg.alpha)
@@ -192,7 +192,7 @@ class TestSweepsMatchPerCubeLoops:
 
     def test_trace_inner_sums(self, d, kind, seed):
         family, sigma, w = instance(d, kind, seed)
-        cfg = ExponentConfig(2.0, 3.0, 0.25, d)
+        cfg = ExponentConfig(2.0, 3.0, 0.25)
         inst = Instance(family, sigma, w, cfg)
         # R = the root and one deeper member, so the strata are restricted to R
         for r_cube in {family.root, family.members[len(family) // 2]}:
@@ -256,7 +256,7 @@ def test_one_trace_takes_two_sweeps(d, kind, seed, monkeypatch):
     # one up-sweep for every sum of a trace and one down-sweep for the
     # maximal members of all buckets at once; the members inside R take none
     family, sigma, w = instance(d, kind, seed)
-    cfg = ExponentConfig(2.0, 3.0, 0.25, d)
+    cfg = ExponentConfig(2.0, 3.0, 0.25)
     inst = Instance(family, sigma, w, cfg)
     inst.testing_values  # the suite has computed it for the testing constants
     calls = []
@@ -464,7 +464,7 @@ def operator_instance(case):
         assert any(mass(sigma, q) == 0 for q in family.members)
     else:
         family, sigma, w = instance(*case)
-    cfg = ExponentConfig(2.0, 3.0, 0.5 * family.grid.dimension - 0.25, family.grid.dimension)
+    cfg = ExponentConfig(2.0, 3.0, 0.5 * family.grid.dimension - 0.25)
     return family, sigma, w, cfg
 
 
@@ -559,7 +559,7 @@ def test_dead_starts_drop_out(dense_max, monkeypatch):
     density[64:] = 0.0
     w = Weight(grid, density)
     family = stopping_family(sigma, 2.0, DyadicCube(1, (1,)))
-    cfg = ExponentConfig(2.0, 3.0, 0.25, 1)
+    cfg = ExponentConfig(2.0, 3.0, 0.25)
     monkeypatch.setattr(operators, "DENSE_MAX", dense_max)
     for budget in (0, 1, 8):
         for n_starts in (1, 3):

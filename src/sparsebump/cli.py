@@ -78,8 +78,6 @@ def _add_exponent_args(sub) -> None:
     sub.add_argument("--p", type=float, default=2.0)
     sub.add_argument("--q", type=float, default=3.0)
     sub.add_argument("--alpha", type=float, default=0.0)
-    sub.add_argument("--eps", type=_parse_eps, default=EntropyFunction("entropy", 1.0),
-                     metavar="KIND:DELTA", help="e.g. entropy:1 or direct:0.5")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,9 +108,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--family", required=True)
     _add_weight_args(p_trace)
     _add_exponent_args(p_trace)
-    p_trace.add_argument("--kind", choices=("entropy", "direct"), default="entropy")
     p_trace.add_argument("--cube", default=None, help="R in cube text form (default: family root)")
     p_trace.add_argument("--dual", action="store_true", help="run the swapped-argument chain")
+    # the eps kind names the bump constants reported, and the chain run
+    for p_eps in (p_const, p_trace):
+        p_eps.add_argument("--eps", type=_parse_eps, default=EntropyFunction("entropy", 1.0),
+                           metavar="KIND:DELTA", help="e.g. entropy:1 or direct:0.5")
 
     for name in ("verify-bounds", "sweep"):
         p_run = sub.add_parser(name, help=f"run the {name} suite")
@@ -200,10 +201,7 @@ def cli_main(argv=None) -> int:
                 ("direct", False): direct_trace,
                 ("direct", True): dual_direct_trace,
             }
-            eps = args.eps
-            if eps.kind != args.kind:
-                eps = EntropyFunction(args.kind, eps.delta)
-            report = runners[(args.kind, args.dual)](inst, eps, r_cube)
+            report = runners[(args.eps.kind, args.dual)](inst, args.eps, r_cube)
             print(report.to_json())
             return 0 if report.passed else 1
 

@@ -340,13 +340,16 @@ def run_counterexample(levels, delta: float, p: float = 2.0, q: float = 2.0,
     levels = tuple(int(n) for n in levels)
     if list(levels) != sorted(set(levels)) or not levels:
         raise ValueError("levels must be strictly increasing and nonempty")
+    # the pair's grid is d=1; every level is checked before the first pair is built
+    if bad := [n for n in levels if not 1 <= n <= MAX_LEAF_LEVEL[1]]:
+        raise ValueError(f"levels must be in [1, {MAX_LEAF_LEVEL[1]}] for d=1, got {bad}")
     eps_e = EntropyFunction("entropy", delta)
     eps_d = EntropyFunction("direct", delta)
     report = SuiteReport(columns=COUNTEREXAMPLE_COLUMNS)
     report.environment = {"seed": 0, "version": __version__,
                           "delta": delta, "p": p, "q": q, "alpha": alpha}
     exps = ExponentConfig(p, q, alpha)
-    check_alpha(alpha, 1)  # the pair's grid is d=1; checked before it is built
+    check_alpha(alpha, 1)
     report.rows = [_counterexample_row(n, exps, eps_e, eps_d) for n in levels]
     llogl_seq = [r["llogl"] for r in report.rows]
     e_seq = [r["E"] for r in report.rows]

@@ -24,19 +24,22 @@ same chain.  Every chain takes an `operators.Instance` first and reads its
 per-member masses, terms and testing values; a dual chain runs on
 `Instance.dual`.
 
-One pass checks a chain at every member R.  Stage (ii) does not depend on
-R: the bucket's members inside R below a maximal Q* are those inside Q*,
-so each member is checked once, in its own bucket; stages (i) and (iii)
-and the certificate are per-member arrays.  A report at R selects the
-(bucket, Q*) pairs maximal inside R, read off the per-bucket counts of
-Q*'s and R's ancestors, and holds one `StratumRecord` (a named tuple) per
-pair; `TraceReport.failed` lists every R where the chain fails.  A trace
+The chain at R reads only the members inside R, which form a
+lambda-sparse family with root R, so a trace at R is the chain on that
+subfamily, reported at its root.  One pass checks the chain at every
+member of the family it runs on.  Stage (ii) does not depend on R: the
+bucket's members inside R below a maximal Q* are those inside Q*, so each
+member is checked once, in its own bucket; stages (i) and (iii) and the
+certificate are per-member arrays.  The report holds one `StratumRecord`
+(a named tuple) per (bucket, Q*) pair maximal in its bucket;
+`TraceReport.failed` lists every member where the chain fails.  A trace
 costs two tree sweeps: a down-sweep that counts, per bucket, the bucket's
 members containing each member, an up-sweep for every sum.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -73,13 +76,11 @@ def _strata(family: SparseFamily, sigma: Weight, key: str, masses: np.ndarray):
     increasing order; and two (|S|, B) arrays, column j for bucket a[j]: the
     mask of the bucket's members, and per member the number of the bucket's
     members that contain it (itself included).  A bucket member Q* is
-    maximal in its bucket inside R when its count exceeds by one the count
-    of the bucket's members strictly above R.  `masses` holds sigma(Q) per
+    maximal in its bucket when its count is 1.  `masses` holds sigma(Q) per
     member.
 
     Every cube with zero sigma-mass is rejected by name, since neither key
-    is defined there.  A trace passes NaN for a zero-mass member outside
-    its R: that member gets a NaN key and takes no part in R's chain.
+    is defined there.
     """
     if key not in ("rho", "average"):
         raise ValueError(f"key must be rho or average, got {key!r}")
@@ -129,7 +130,7 @@ class TraceReport:
     exponents: ExponentConfig = field(repr=False)
     eps: EntropyFunction = field(repr=False)
     lam: float = 0.0
-    # every member R at which the chain fails, in member order; not in to_dict
+    # every member inside R at which the chain fails, in member order; not in to_dict
     failed: tuple[DyadicCube, ...] = field(default=(), repr=False)
 
     @property
@@ -167,22 +168,23 @@ class TraceReport:
 
 def _run_trace(kind: str, inst: Instance, eps: EntropyFunction, r_cube: DyadicCube,
                c_bump: float | None) -> TraceReport:
-    """The chain of `kind` on the instance's (family, sigma, w, cfg), checked
-    at every member R and reported at R = r_cube; c_bump is its bump
-    constant (E or D of (sigma, w)), computed here when None."""
+    """The chain of `kind` on the instance's (family, sigma, w, cfg)
+    restricted to the members inside R = r_cube, checked at every member and
+    reported at R; c_bump is its bump constant (E or D of (sigma, w)),
+    computed here when None."""
     if eps.kind != kind:
         raise ValueError(f"{eps.kind} eps passed to {kind} trace")
-    family, sigma, w, cfg = inst.family, inst.sigma, inst.w, inst.cfg
+    family = inst.family
     if r_cube not in family:
         raise ValueError(f"cube {r_cube.text} is not in the family")
-    lam, r, sigma_q = family.lam, family.position[r_cube], inst.sigma_mass
-    inside, masses, defined = family.inside(r), sigma_q, True
-    zero = sigma_q <= 0
-    if zero.any():
-        # no chain exists at an R that contains a zero-mass member
-        masses = np.where(zero & ~inside, np.nan, sigma_q)
-        defined = family.descendant_sum(zero) == 0
-    keys, a, in_bucket, count = _strata(family, sigma, "rho" if kind == "entropy" else "average", masses)
+    if r_cube != family.root:
+        # R's subfamily: the members that R's indicator reaches on a down-sweep
+        inside = family.ancestor_sum(np.arange(len(family)) == family.position[r_cube]) > 0
+        family = SparseFamily(family.grid, frozenset(itertools.compress(family.members, inside)), family.lam)
+        inst = Instance(family, inst.sigma, inst.w, inst.cfg)
+    sigma, w, cfg = inst.sigma, inst.w, inst.cfg
+    lam, sigma_q = family.lam, inst.sigma_mass
+    keys, a, in_bucket, count = _strata(family, sigma, "rho" if kind == "entropy" else "average", sigma_q)
     if c_bump is None:
         bumps = entropy_bumps if kind == "entropy" else direct_bumps
         c_bump = bumps(sigma, w, cfg, eps).constants["E" if kind == "entropy" else "D"]
@@ -219,14 +221,14 @@ def _run_trace(kind: str, inst: Instance, eps: EntropyFunction, r_cube: DyadicCu
         ok = (inner_lhs <= inner_bound * (1.0 + SLACK)) & (support_ratio <= 1.0 + SLACK)
         final_ok = lhs <= scale * (factor * (1.0 + SLACK))
         # stage (iii) at R alone, in the scalar arithmetic of a one-R chain
-        final_bound = factor * float(np.float64(c_bump * float(sigma_q[r]) ** (1 / cfg.p)) ** cfg.q)
+        final_bound = factor * float(np.float64(c_bump * float(sigma_q[0]) ** (1 / cfg.p)) ** cfg.q)
 
     # every R: the bucket sums add up to the testing sum (i), which stays
     # under the final bound (iii), and the certificate; then stage (ii) at
     # each R where a failed Q* is maximal in its bucket, from Q* up to the
     # bucket's next member
     certified_constant = factor ** (1.0 / cfg.q)
-    bad = ~((np.abs(lhs - sums[:, 2:].sum(axis=1)) <= SLACK * lhs) & final_ok & defined
+    bad = ~((np.abs(lhs - sums[:, 2:].sum(axis=1)) <= SLACK * lhs) & final_ok
             & (inst.testing_values <= certified_constant * c_bump * (1.0 + SLACK)))
     if not ok.all():
         for j, c in zip(star[~ok].tolist(), col[~ok].tolist()):
@@ -234,19 +236,17 @@ def _run_trace(kind: str, inst: Instance, eps: EntropyFunction, r_cube: DyadicCu
             while (j := family.parent[j]) >= 0 and not in_bucket[j, c]:
                 bad[j] = True
 
-    # the report at R: the pairs inside R counted one more time in their
-    # bucket than R's proper ancestors are, so no bucket member sits between
-    # Q* and R
-    pick = inside[star] & (count[star, col] == count[r, col] - in_bucket[r, col] + 1)
+    # the report at R: the pairs with no other bucket member above Q*
+    pick = count[star, col] == 1
     records = list(map(StratumRecord, a[col[pick]].tolist(), [family.members[i] for i in star[pick]],
                        inner_lhs[pick].tolist(), inner_bound[pick].tolist(), realized[pick].tolist(),
                        support_ratio[pick].tolist(), ok[pick].tolist()))
     # stage (i) at R, the inner sums added left to right
-    lhs_total = float(lhs[r])
+    lhs_total = float(lhs[0])
     regrouped = float(np.add.accumulate(inner_lhs[pick])[-1])
     identity_error = abs(lhs_total - regrouped) / lhs_total if lhs_total > 0 else abs(regrouped)
     # certificate: testing value at R with w(E_Q) masses (<= the w(Q) form)
-    testing_value = float(inst.testing_values[r])
+    testing_value = float(inst.testing_values[0])
     return TraceReport(
         kind=kind, R=r_cube, lhs_total=lhs_total, strata=records,
         identity_ok=identity_error <= SLACK, identity_error=identity_error,

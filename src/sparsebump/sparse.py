@@ -100,7 +100,7 @@ class SparseFamily:
             )
         owner.setflags(write=False)
         arrays = {"members": members, "parent": parent, "owner": owner, "_flat": flat,
-                  "level": level, "_index": index, "_bounds": bounds,
+                  "level": level, "_bounds": bounds,
                   "position": {q: i for i, q in enumerate(members)},
                   # members[lo:hi] per occupied level below the root's: the sweep steps
                   "_below_root": [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if 0 < lo < hi]}
@@ -145,14 +145,6 @@ class SparseFamily:
     def at_leaves(self, values) -> np.ndarray:
         """Leaf array holding, on each leaf, the value of its owner; 0 outside the root."""
         return np.append(np.asarray(values, dtype=float), 0.0)[self.owner]
-
-    def inside(self, position: int) -> np.ndarray:
-        """Mask of the members inside the member at `position` (itself
-        included), with no sweep: a level-k member lies inside the level-l
-        cube j when k >= l and its index, shifted right by k - l, is j."""
-        shift = self.level - self.level[position]
-        shifted = self._index >> np.maximum(shift, 0)[:, None]
-        return (shift >= 0) & (shifted == self._index[position]).all(axis=1)
 
     def exceptional_mass(self, weight: Weight) -> np.ndarray:
         """Per member, the mass weight(E_Q): one up-sweep of the leaf masses

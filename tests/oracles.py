@@ -25,10 +25,11 @@ values of every grid cube, one whole level at a time: the scan that
 near-maximal cubes.  `bump_reports_oracle` assembles both reports of a pair
 from it.
 
-`trace_oracle` runs one proof chain at one R alone: the strata are
-restricted to the members inside R, and a down-sweep of the restricted
-bucket masks finds their maximal members.  The package checks every R in
-one pass; its report at R must equal the oracle's, bit for bit.
+`trace_oracle` runs one proof chain at one R alone, on the arrays of the
+whole family: the strata are restricted to the members inside R (found by
+`grid.contains`), and a down-sweep of the restricted bucket masks finds
+their maximal members.  The package runs the chain on R's subfamily
+instead; its report at R must equal the oracle's, bit for bit.
 
 `verify_sparse` checks lambda-sparseness cube by cube, by walking each
 member's chain of parents to its nearest member ancestor, independently of
@@ -46,7 +47,7 @@ import math
 import numpy as np
 
 from sparsebump.bumps import BumpReport, ExponentConfig, direct_bumps, entropy_bumps, eps_eval, joint_factor
-from sparsebump.grid import DyadicCube, GridConfig, coarsen, expand, leaf_slice
+from sparsebump.grid import DyadicCube, GridConfig, coarsen, contains, expand, leaf_slice
 from sparsebump.operators import Instance
 from sparsebump.prooftrace import SLACK, StratumRecord, TraceReport
 from sparsebump.weights import Weight, average, generate_weight, mass, rho
@@ -323,8 +324,9 @@ def trace_oracle(kind, inst, eps, r_cube, c_bump=None):
     lam = family.lam
     r = family.position[r_cube]
     sigma_q = inst.sigma_mass
+    inside = np.array([contains(r_cube, q) for q in family.members])
     keys, a, in_bucket, top = _restricted_strata(family, sigma, "rho" if kind == "entropy" else "average",
-                                                 family.inside(r), sigma_q)
+                                                 inside, sigma_q)
     if c_bump is None:
         bumps = entropy_bumps if kind == "entropy" else direct_bumps
         c_bump = bumps(sigma, w, cfg, eps).constants["E" if kind == "entropy" else "D"]

@@ -20,7 +20,7 @@ from sparsebump.lab import (
     run_verify_bounds,
 )
 from sparsebump.sparse import SparseFamily, family_to_json
-from sparsebump.weights import generate_weight, weight_to_json
+from sparsebump.weights import Weight, generate_weight, weight_to_json
 
 from oracles import fix_chain_cubes, fix_const
 
@@ -139,6 +139,53 @@ class TestCounterexampleStudy:
         with pytest.raises(ValueError):
             run_counterexample((12, 8), 0.5)
 
+    @pytest.mark.parametrize("levels,bad", [("8,25", "[25]"), ("0,8", "[0]")])
+    def test_levels_past_the_grid_exit_2_before_any_pair(self, monkeypatch, capsys, levels, bad):
+        # each used to build and scan the N=8 pair, then name leaf_level
+        built = []
+        monkeypatch.setattr(lab, "fix_ce", lambda *args: built.append(args))
+        assert cli_main(["counterexample", "--levels", levels]) == 2
+        assert capsys.readouterr().err == f"error: levels must be in [1, 24] for d=1, got {bad}\n"
+        assert built == []
+
+
+class TestCounterexampleControls:
+    """Each trend check of the ladder must count a violation when its trend
+    is broken, and the CLI must then exit 1."""
+
+    LEVELS = (8, 12, 16)
+
+    def test_a_constant_pair_fails_both_increasing_trends(self, monkeypatch, capsys):
+        def constant(n):
+            c = generate_weight(GridConfig(1, n), "constant", value=1.0)
+            return c, c
+
+        monkeypatch.setattr(lab, "fix_ce", constant)
+        rep = run_counterexample(self.LEVELS, 0.5)
+        assert rep.violations == 1
+        assert rep.aggregates == {"llogl_increasing": False, "E_increasing": False,
+                                  "D_final_ratio": 1.0, "D_stable": True}
+        assert cli_main(["counterexample", "--levels", "8,12,16"]) == 1
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["violations"] == 1
+
+    def test_a_growing_w_fails_d_stable_alone(self, monkeypatch, capsys):
+        # w scaled by 1 + n/4 at level n scales D by its square root at
+        # p = q = 2: from N = 12 to 16, by (5/4)^{1/2} = 1.118
+        fix_ce = lab.fix_ce
+
+        def growing(n):
+            sigma, w = fix_ce(n)
+            return sigma, Weight.from_leaf_mass(w.grid, w.mass_levels[-1] * (1 + n / 4))
+
+        monkeypatch.setattr(lab, "fix_ce", growing)
+        rep = run_counterexample(self.LEVELS, 0.5)
+        assert rep.violations == 1
+        trends = rep.aggregates
+        assert trends["llogl_increasing"] and trends["E_increasing"] and not trends["D_stable"]
+        assert trends["D_final_ratio"] == pytest.approx(1.118, abs=1e-3)
+        assert cli_main(["counterexample", "--levels", "8,12,16"]) == 1
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["violations"] == 1
+
 
 class TestCounterexampleMemory:
     """The study builds sigma's rho pyramid but not w's, and holds one
@@ -239,17 +286,37 @@ class TestCli:
     def test_trace_subcommand_passes(self, fixture_files, capsys):
         wpath, fpath = fixture_files
         code = cli_main(["trace", "--family", str(fpath), "--weights", str(wpath),
-                         "--p", "2", "--q", "4", "--kind", "entropy"])
+                         "--p", "2", "--q", "4", "--eps", "entropy:1"])
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["passed"] is True and out["schema"] == "trace/v1"
+        assert out["kind"] == "entropy" and out["R"] == "0:0"
 
     def test_trace_dual_flag(self, fixture_files, capsys):
         wpath, fpath = fixture_files
         code = cli_main(["trace", "--family", str(fpath), "--weights", str(wpath),
-                         "--p", "2", "--q", "4", "--kind", "direct", "--dual"])
+                         "--p", "2", "--q", "4", "--eps", "direct:1", "--dual"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
+
+    @pytest.mark.parametrize("cube", (None, "2:0"))
+    def test_trace_runs_the_chain_of_the_eps_kind(self, fixture_files, capsys, cube):
+        # a --kind flag defaulting to entropy used to override the eps kind
+        wpath, fpath = fixture_files
+        argv = ["trace", "--family", str(fpath), "--weights", str(wpath), "--p", "2", "--q", "4",
+                "--eps", "direct:0.5"]
+        assert cli_main(argv + (["--cube", cube] if cube else [])) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["kind"] == "direct" and out["eps"]["kind"] == "direct" and out["eps"]["delta"] == 0.5
+        assert out["R"] == (cube or "0:0")
+
+    @pytest.mark.parametrize("command,flag", [("norm", "--eps"), ("testing", "--eps"), ("trace", "--kind")])
+    def test_flags_a_command_does_not_read_exit_2(self, fixture_files, capsys, command, flag):
+        # norm and testing take no eps, and the eps kind names the chain of a trace
+        wpath, fpath = fixture_files
+        value = "direct:7" if flag == "--eps" else "entropy"
+        assert cli_main([command, "--family", str(fpath), "--weights", str(wpath), flag, value]) == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_testing_subcommand(self, fixture_files, capsys):
         wpath, fpath = fixture_files
@@ -260,6 +327,13 @@ class TestCli:
         # per-R value is 2^{j/4} on the chain; the deepest cube (j = 4) wins
         assert out["T"] == pytest.approx(2.0, rel=1e-12)
         assert out["argmax_R"] == "4:0"
+
+    @pytest.mark.parametrize("given", ([], ["--sigma"], ["--w"]))
+    def test_testing_without_weights_exits_2(self, fixture_files, capsys, given):
+        wpath, fpath = fixture_files
+        argv = ["testing", "--family", str(fpath)] + [x for flag in given for x in (flag, str(wpath))]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == "error: need --weights or both --sigma and --w\n"
 
     def test_testing_weights_on_two_grids_exit_2(self, fixture_files, tmp_path, capsys):
         wpath, fpath = fixture_files

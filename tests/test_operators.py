@@ -105,6 +105,14 @@ def test_instance_rejects_a_second_grid(which):
         Instance(parts["family"], parts["sigma"], parts["w"], ExponentConfig(2, 4, 0.0))
 
 
+@pytest.mark.parametrize("which", ("sigma", "w"))
+def test_pair_scan_rejects_a_second_grid(which):
+    s, w = fix_const()
+    parts = {"sigma": s, "w": w, which: generate_weight(GridConfig(1, 3), "constant", value=1.0)}
+    with pytest.raises(ValueError, match="sigma and w must live on the same grid"):
+        PairScan(parts["sigma"], parts["w"], ExponentConfig(2, 4, 0.0))
+
+
 class TestExactNormL2:
     def test_rank_one_projection(self):
         s, w = fix_const()
@@ -146,6 +154,16 @@ class TestExactNormL2:
         s, w = fix_const()
         with pytest.raises(ValueError, match="needs p = q = 2"):
             exact_norm_l2(Instance(singleton_family(), s, w, ExponentConfig(2, 3, 0.0)))
+
+    def test_w_vanishing_on_the_root_gives_zero(self):
+        # w is 0 on [1/2, 1), the root of the stopping family, so every
+        # iterate vanishes and the iteration stops at the first step
+        g = GridConfig(1, 7)
+        sigma = generate_weight(g, "random_cascade", seed=5)
+        w = Weight(g, np.repeat([1.0, 0.0], g.n_leaves // 2))
+        fam = stopping_family(sigma, 2.0, DyadicCube(1, (1,)))
+        assert len(fam) > 1
+        assert exact_norm_l2(l2_instance(fam, sigma, w, 0.0)) == 0.0 == dense_norm_l2_oracle(fam, sigma, w, 0.0)
 
     def test_zero_sigma_leaves_excluded(self):
         g = GridConfig(1, 2)

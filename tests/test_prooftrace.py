@@ -7,7 +7,7 @@ import pytest
 
 from sparsebump.bumps import BumpReport, EntropyFunction, ExponentConfig, direct_bumps, entropy_bumps
 from sparsebump import lab
-from sparsebump.grid import DyadicCube, GridConfig, parse_cube, root_cube
+from sparsebump.grid import DyadicCube, GridConfig, contains, parse_cube, root_cube
 from sparsebump.lab import ExperimentConfig, build_instance
 from sparsebump.operators import Instance, testing_constants
 from sparsebump import prooftrace
@@ -242,9 +242,9 @@ class TestDualTraces:
 
 
 def test_four_chains_share_one_inside_sweep(monkeypatch):
-    # the four chains of a suite instance run at the root: each takes one
-    # down-sweep, for the maximal members of its buckets, and finds the
-    # members inside the root from their levels and indices
+    # the four chains of a suite instance run at the root, on the whole
+    # family: each takes one down-sweep, for the maximal members of its
+    # buckets, and none to restrict the family
     cfg = ExperimentConfig(instances=2, master_seed=3)  # instance 1 has a stopping family
 
     def traces(i):
@@ -269,16 +269,11 @@ def test_four_chains_share_one_inside_sweep(monkeypatch):
         return [r.to_json() for r in reports], len(calls), family
 
     for i in range(cfg.instances):
-        shared, sweeps, family = traces(i)
+        _, sweeps, family = traces(i)
         assert sweeps == 4
-        # a down-sweep per chain for the members inside R gives the same records
-        with monkeypatch.context() as patch:
-            patch.setattr(SparseFamily, "inside",
-                          lambda self, position: self.ancestor_sum(np.arange(len(self)) == position) > 0)
-            swept, sweeps, _ = traces(i)
-        assert sweeps == 8 and swept == shared
-    # at every member R, the mask from levels and indices is the down-sweep
-    # mask: column R of the ancestor sum of the identity
+    # at every member R, the down-sweep of R's indicator that restricts a
+    # trace to R's subfamily (column R of the ancestor sum of the identity)
+    # marks the members that grid.contains puts inside R
     for d, n in ((1, 7), (2, 4)):
         g = GridConfig(d, n)
         sigma = generate_weight(g, "random_cascade", seed=5, volatility=0.9)
@@ -286,7 +281,7 @@ def test_four_chains_share_one_inside_sweep(monkeypatch):
                        stopping_family(sigma, 2.0, root_cube(g)),
                        stopping_family(sigma, 1.5, DyadicCube(1, (1,) * d))):
             assert len(family) > 4
-            masks = [family.inside(r) for r in range(len(family))]
+            masks = [[contains(r, q) for q in family.members] for r in family.members]
             np.testing.assert_array_equal(masks, family.ancestor_sum(np.eye(len(family))).T > 0)
 
 
@@ -404,10 +399,11 @@ def stopping_setup(n, s_sigma, s_w):
 
 
 class TestEveryR:
-    """A trace checks its chain at every member R at once and reports at one
-    R.  The report at each R must be the chain run on the members inside R
-    alone (`trace_oracle`), bit for bit, and `failed` must hold exactly the
-    R at which that chain fails."""
+    """A trace at R runs its chain on R's subfamily, checks it at every
+    member inside R at once and reports at R.  The report at each R must be
+    the chain run on the members inside R alone (`trace_oracle`), bit for
+    bit, and `failed` must hold exactly the members inside R at which that
+    chain fails."""
 
     CHAINS = (("entropy", entropy_trace, "E"), ("direct", direct_trace, "D"),
               ("entropy", dual_entropy_trace, "E_star_symmetric"), ("direct", dual_direct_trace, "D_star"))
@@ -427,8 +423,9 @@ class TestEveryR:
                 reports = [trace(inst, bump.eps, r, bump=bump) for r in fam.members]
                 oracles = [trace_oracle(kind, chain_inst, bump.eps, r, bump.constants[key]) for r in fam.members]
                 assert [r.to_json() for r in reports] == [o.to_json() for o in oracles]
-                failed = tuple(r for r, o in zip(fam.members, oracles) if not o.passed)
-                assert all(rep.failed == failed for rep in reports)
+                failed = [r for r, o in zip(fam.members, oracles) if not o.passed]
+                for r, rep in zip(fam.members, reports):
+                    assert rep.failed == tuple(q for q in failed if contains(r, q))
                 assert factor < 1.0 or not failed
                 shown += bool(failed)
         assert shown > 0
@@ -519,9 +516,10 @@ class TestEveryR:
         assert not at_r.certified_ok and at_r.identity_ok and at_r.inner_ok and at_r.final_ok
 
     def test_a_zero_mass_member_outside_r(self):
-        # sigma vanishes on 2:3: the chain at R = 2:0 or 3:1 is today's, the
-        # root and 2:3 have no chain and are listed as failed, and the trace
-        # at the root names the zero-mass cube
+        # sigma vanishes on 2:3: the chain at R = 2:0 or 3:1 runs on R's
+        # subfamily, which holds no zero-mass member, so it passes and
+        # nothing inside R fails; the trace at the root names the zero-mass
+        # cube
         g = GridConfig(1, 3)
         sigma = Weight(g, np.array([1.0, 2, 3, 4, 5, 6, 0, 0]))
         w = generate_weight(g, "random_cascade", seed=3, volatility=0.5)
@@ -532,7 +530,7 @@ class TestEveryR:
                 rep = trace(inst, eps, r_cube)
                 assert rep.to_json() == trace_oracle(eps.kind, inst, eps, r_cube).to_json()
                 assert rep.passed
-                assert [c.text for c in rep.failed] == ["0:0", "2:3"]
+                assert rep.failed == ()
             with pytest.raises(ValueError, match="zero-mass cube in family: 2:3"):
                 trace(inst, eps, fam.root)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsebump.grid import DyadicCube, GridConfig, root_cube
+from sparsebump.grid import DyadicCube, GridConfig, parse_cube, root_cube
 from sparsebump.sparse import (
     SparseFamily,
     carleson_check,
@@ -53,6 +53,16 @@ class TestVerifySparse:
         with pytest.raises(ValueError, match="unique maximal cube"):
             SparseFamily(G4, cubes, 0.5)
 
+    @pytest.mark.parametrize("lam,cubes,message", [
+        (1.0, ["0:0"], "lambda must be in (0,1), got 1.0"),
+        (0.0, ["0:0"], "lambda must be in (0,1), got 0.0"),
+        (0.5, [], "family must be nonempty"),
+        (0.5, ["0:0", "5:3"], "cube 5:3 below leaf level"),
+    ], ids=("lambda-one", "lambda-zero", "no-cubes", "below-leaves"))
+    def test_family_constructor_rejects_bad_input(self, lam, cubes, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SparseFamily(G4, frozenset(map(parse_cube, cubes)), lam)
+
 
 class TestStoppingFamily:
     def test_constant_weight_selects_root_only(self):
@@ -82,11 +92,26 @@ class TestStoppingFamily:
         with pytest.raises(ValueError, match="degenerate"):
             stopping_family(spike, 2.0, DyadicCube(1, (1,)))
 
+    @pytest.mark.parametrize("big", [1.0, 0.5])
+    def test_ratio_at_most_one_raises(self, big):
+        s, _ = fix_const()
+        with pytest.raises(ValueError, match=f"stopping ratio must exceed 1, got {big}"):
+            stopping_family(s, big, root_cube(G4))
+
 
 class TestRandomSparse:
     def test_target_one_gives_root(self):
         fam = random_sparse(G4, 0.5, seed=3, target_size=1)
         assert fam.cubes == frozenset([root_cube(G4)])
+
+    @pytest.mark.parametrize("lam,target,message", [
+        (1.0, 5, "lambda must be in (0,1), got 1.0"),
+        (-0.5, 5, "lambda must be in (0,1), got -0.5"),
+        (0.5, 0, "target_size must be >= 1"),
+    ])
+    def test_bad_arguments_raise(self, lam, target, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            random_sparse(G4, lam, seed=3, target_size=target)
 
     def test_deterministic_under_seed(self):
         a = random_sparse(GridConfig(1, 8), 0.5, seed=7, target_size=40)
@@ -187,6 +212,13 @@ def test_family_serialization_roundtrip():
     assert back.cubes == fam.cubes
     assert back.lam == fam.lam
     assert back.root == fam.root
+
+
+@pytest.mark.parametrize("root,cubes", [("1:0", ["0:0", "1:0"]), ("0:0", ["1:1", "2:3"])])
+def test_declared_root_must_be_the_maximal_cube(root, cubes):
+    record = {"dimension": 1, "leaf_level": 4, "lambda": 0.5, "root": root, "cubes": cubes}
+    with pytest.raises(ValueError, match="declared root does not match the family's maximal cube"):
+        family_from_json(json.dumps(record))
 
 
 @pytest.mark.parametrize("d,cubes", [(1, ["0:0", "1:(0,0)"]), (2, ["0:(0,0)", "1:1"])])

@@ -254,7 +254,7 @@ def test_sweeps_batch_columns(d, kind, seed):
 @pytest.mark.parametrize("d,kind,seed", CASES[::3])
 def test_one_trace_takes_two_sweeps(d, kind, seed, monkeypatch):
     # one up-sweep for every sum of a trace and one down-sweep for the
-    # maximal members of all buckets at once; the members inside R take none
+    # maximal members of all buckets at once
     family, sigma, w = instance(d, kind, seed)
     cfg = ExponentConfig(2.0, 3.0, 0.25)
     inst = Instance(family, sigma, w, cfg)
@@ -262,18 +262,30 @@ def test_one_trace_takes_two_sweeps(d, kind, seed, monkeypatch):
     calls = []
     for name in ("ancestor_sum", "descendant_sum"):
         def counted(self, values, name=name, original=getattr(SparseFamily, name)):
-            calls.append(name)
+            calls.append((self, name))
             return original(self, values)
         monkeypatch.setattr(SparseFamily, name, counted)
+    def sweeps_on(on):
+        return sorted(name for f, name in calls if f is on)
+
     n_buckets = set()
     for trace, bumps, eps in ((entropy_trace, entropy_bumps, EntropyFunction("entropy", 1.0)),
                               (direct_trace, direct_bumps, EntropyFunction("direct", 1.0))):
         bump = bumps(sigma, w, cfg, eps)
-        for r_cube in (family.root, family.members[len(family) // 2]):
-            calls.clear()
-            rep = trace(inst, eps, r_cube, bump=bump)
-            assert sorted(calls) == ["ancestor_sum", "descendant_sum"]
-            n_buckets.add(len({s.a for s in rep.strata}))
+        calls.clear()
+        rep = trace(inst, eps, family.root, bump=bump)
+        assert len(calls) == 2 and sweeps_on(family) == ["ancestor_sum", "descendant_sum"]
+        n_buckets.add(len({s.a for s in rep.strata}))
+        # below the root: one down-sweep of R's indicator finds R's
+        # subfamily, which takes the chain's two sweeps and the up-sweep of
+        # its own testing values
+        r_cube = family.members[len(family) // 2]
+        calls.clear()
+        rep = trace(inst, eps, r_cube, bump=bump)
+        sub = calls[-1][0]
+        assert sub.root == r_cube and len(calls) == 4 and sweeps_on(family) == ["ancestor_sum"]
+        assert sweeps_on(sub) == ["ancestor_sum", "descendant_sum", "descendant_sum"]
+        n_buckets.add(len({s.a for s in rep.strata}))
     assert len(n_buckets) > 1
 
 

@@ -155,6 +155,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="bad generator parameter"):
             generate_weight(GridConfig(2, 3), "power", beta=1.0)
 
+    @pytest.mark.parametrize("grid,kind,params,message", [
+        (GridConfig(1, 4), "power", {}, "power needs beta"),
+        (GridConfig(1, 4), "counterexample_w", {"beta": 2.0}, "counterexample_w takes none"),
+        (GridConfig(1, 4), "counterexample_sigma", {"value": 1.0}, "counterexample_sigma takes none"),
+        (GridConfig(2, 3), "counterexample_w", {}, "counterexample_w is one-dimensional"),
+        (GridConfig(2, 3), "counterexample_sigma", {}, "counterexample_sigma is one-dimensional"),
+    ])
+    def test_bad_generator_parameter_is_named(self, grid, kind, params, message):
+        with pytest.raises(ValueError, match=f"bad generator parameter: {message}"):
+            generate_weight(grid, kind, **params)
+
     def test_negative_density_rejected(self):
         with pytest.raises(ValueError):
             Weight(GridConfig(1, 2), np.array([1.0, -0.5, 1.0, 1.0]))

@@ -2,8 +2,11 @@
 
 Subcommands: constants, norm, testing, trace, verify-bounds, counterexample,
 sweep.  verify-bounds and sweep read an optional ExperimentConfig JSON file
-under one flag per config field (--field-name, but --seed and --lambda); the
-master seed falls back to the SPARSEBUMP_SEED environment variable.
+under one flag per config field (--field-name, but --seed and --lambda); a
+sweep's axes --levels and --lambdas stand for --leaf-level and --lambda.
+The master seed falls back to the SPARSEBUMP_SEED environment variable.  The
+suites and counterexample print a CSV report, or write it and its JSON under
+--out-dir.  No subcommand takes a flag it does not read.
 Exit code is 0 on success, 1 when a mathematical assertion failed, and 2 on
 usage or config errors.
 """
@@ -19,7 +22,7 @@ from pathlib import Path
 
 from .bumps import EntropyFunction, ExponentConfig, direct_bumps, entropy_bumps
 from .grid import parse_cube
-from .lab import ExperimentConfig, field_type, run_counterexample, run_sweep, run_verify_bounds
+from .lab import ExperimentConfig, run_counterexample, run_sweep, run_verify_bounds
 from .operators import Instance, exact_norm_l2, norm_lower_bound, testing_constants
 from .prooftrace import direct_trace, dual_direct_trace, dual_entropy_trace, entropy_trace
 from .sparse import family_from_json
@@ -34,18 +37,25 @@ def _parse_eps(text: str) -> EntropyFunction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _flag_type(want):
-    """The argparse type of a `lab.field_type`: [t] takes comma-separated t."""
-    if not isinstance(want, list):
-        return want
-
+def _comma_list(item):
+    """The argparse type of a comma-separated list of `item`s."""
     def comma_list(text: str) -> tuple:
-        return tuple(want[0](x) for x in text.split(",") if x)
+        return tuple(item(x) for x in text.split(",") if x)
     return comma_list
 
 
 # the suite flags whose spelling is not the field's
 _FLAG_NAMES = {"master_seed": "--seed", "lam": "--lambda"}
+_SWEEP_AXES = ("leaf_level", "lam")  # the fields a sweep's --levels and --lambdas set
+
+
+def _env_seed() -> int | None:
+    """The SPARSEBUMP_SEED environment variable, None when unset or empty."""
+    text = os.environ.get("SPARSEBUMP_SEED")
+    try:
+        return int(text) if text else None
+    except ValueError:
+        raise ValueError(f"SPARSEBUMP_SEED must be an int, got {text!r}") from None
 
 
 def _load_weight(path: str):
@@ -115,15 +125,21 @@ def build_parser() -> argparse.ArgumentParser:
         p_eps.add_argument("--eps", type=_parse_eps, default=EntropyFunction("entropy", 1.0),
                            metavar="KIND:DELTA", help="e.g. entropy:1 or direct:0.5")
 
-    for name in ("verify-bounds", "sweep"):
-        p_run = sub.add_parser(name, help=f"run the {name} suite")
+    for name, skipped in (("verify-bounds", ()), ("sweep", _SWEEP_AXES)):
+        # no abbreviations: --lambda would otherwise name a sweep's --lambdas
+        p_run = sub.add_parser(name, help=f"run the {name} suite", allow_abbrev=False)
         p_run.add_argument("--config", default=None, help="ExperimentConfig JSON file")
         for f in dataclasses.fields(ExperimentConfig):
-            flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
-            p_run.add_argument(flag, dest=f.name, type=_flag_type(field_type(f)), default=None)
+            if f.name not in skipped:
+                flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+                p_run.add_argument(flag, dest=f.name, type=type(f.default), default=None)
+        p_run.add_argument("--out-dir", default=None)
+    # the sweep's axes; one not given is no argument, and run_sweep's default
+    p_run.add_argument("--levels", type=_comma_list(int), default=argparse.SUPPRESS)
+    p_run.add_argument("--lambdas", type=_comma_list(float), default=argparse.SUPPRESS)
 
     p_ce = sub.add_parser("counterexample", help="level study of the divergent-entropy pair")
-    p_ce.add_argument("--levels", type=_flag_type([int]), default=(8, 12, 16, 20))
+    p_ce.add_argument("--levels", type=_comma_list(int), default=(8, 12, 16, 20))
     p_ce.add_argument("--delta", type=float, default=0.5)
     p_ce.add_argument("--p", type=float, default=2.0)
     p_ce.add_argument("--q", type=float, default=2.0)
@@ -134,28 +150,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _suite_config(args) -> ExperimentConfig:
-    """The config file's fields under the flags given; the master seed falls
-    back to SPARSEBUMP_SEED when neither sets it."""
+    """The config file's fields under the flags given, none that a sweep's
+    axes set; the master seed falls back to SPARSEBUMP_SEED when neither sets it."""
     data = json.loads(Path(args.config).read_text()) if args.config else {}
     if not isinstance(data, dict):
         raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
-    if "master_seed" not in data and os.environ.get("SPARSEBUMP_SEED"):
-        data["master_seed"] = int(os.environ["SPARSEBUMP_SEED"])
-    for f in dataclasses.fields(ExperimentConfig):
-        if getattr(args, f.name) is not None:
-            data[f.name] = getattr(args, f.name)
+    if args.command == "sweep" and (axes := sorted(set(data) & set(_SWEEP_AXES))):
+        raise ValueError(f"a sweep's --levels and --lambdas set leaf_level and lam; its config names {axes}")
+    if "master_seed" not in data and (seed := _env_seed()) is not None:
+        data["master_seed"] = seed
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    data.update((k, v) for k, v in vars(args).items() if k in fields and v is not None)
     return ExperimentConfig.from_dict(data)
-
-
-def _emit(report, out_dir: str | None, stem: str) -> None:
-    if out_dir:
-        csv_path, json_path = report.write(out_dir, stem)
-        print(f"wrote {csv_path}")
-        print(f"wrote {json_path}")
-    else:
-        sys.stdout.write(report.csv_text())
-    print(json.dumps({"violations": report.violations,
-                      "aggregates": report.aggregates}, sort_keys=True, default=str))
 
 
 def cli_main(argv=None) -> int:
@@ -180,8 +186,10 @@ def cli_main(argv=None) -> int:
             return 0
 
         if args.command == "norm":
+            seed = args.seed if args.seed is not None else (_env_seed() or 0)
+            if seed < 0:
+                raise ValueError(f"seed must be >= 0, got {seed}")
             inst = _instance(args)
-            seed = args.seed if args.seed is not None else int(os.environ.get("SPARSEBUMP_SEED", "0"))
             out = {"lower_bound": norm_lower_bound(inst, args.budget, seed=seed)}
             if args.p == 2.0 and args.q == 2.0:
                 out["exact_l2"] = exact_norm_l2(inst)
@@ -206,23 +214,22 @@ def cli_main(argv=None) -> int:
             return 0 if report.passed else 1
 
         if args.command == "verify-bounds":
-            cfg = _suite_config(args)
-            report = run_verify_bounds(cfg)
-            _emit(report, cfg.out_dir, "verify_bounds")
-            return 1 if report.violations else 0
-
-        if args.command == "sweep":
-            cfg = _suite_config(args)
-            report = run_sweep(cfg)
-            _emit(report, cfg.out_dir, "sweep")
-            return 1 if report.violations else 0
-
-        if args.command == "counterexample":
+            report = run_verify_bounds(_suite_config(args))
+        elif args.command == "sweep":
+            axes = {axis: getattr(args, axis) for axis in ("levels", "lambdas") if axis in args}
+            report = run_sweep(_suite_config(args), **axes)
+        elif args.command == "counterexample":
             report = run_counterexample(args.levels, args.delta, args.p, args.q, args.alpha)
-            _emit(report, args.out_dir, "counterexample")
-            return 1 if report.violations else 0
-
-        raise ValueError(f"unknown command {args.command!r}")
+        else:
+            raise ValueError(f"unknown command {args.command!r}")
+        if args.out_dir:
+            for path in report.write(args.out_dir, args.command.replace("-", "_")):
+                print(f"wrote {path}")
+        else:
+            sys.stdout.write(report.csv_text())
+        print(json.dumps({"violations": report.violations,
+                          "aggregates": report.aggregates}, sort_keys=True, default=str))
+        return 1 if report.violations else 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

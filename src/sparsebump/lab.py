@@ -1,5 +1,7 @@
 """Config-driven experiment runner: randomized verification suites, the
-counterexample study, level sweeps, and CSV/JSON report emission.
+counterexample study, level sweeps, and CSV/JSON report emission.  An
+`ExperimentConfig` holds what one suite reads; a sweep takes its (leaf level,
+lambda) axes as arguments.
 
 Reports are a pure function of (config, master seed, package version): rows
 are assembled in instance order, floats are written with 17 significant
@@ -59,15 +61,14 @@ class ExperimentConfig:
     target_size: int = 30
     volatility: float = 0.6
     family_kind: str = "mixed"  # random | stopping | mixed
-    levels: tuple[int, ...] = (8, 12, 16, 20)
-    lambdas: tuple[float, ...] = (0.5, 0.25)
-    out_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.family_kind not in ("random", "stopping", "mixed"):
             raise ValueError(f"unknown family kind {self.family_kind!r}")
         if self.instances < 0:
             raise ValueError("instances must be >= 0")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.budget < 0:
             raise ValueError(f"budget must be >= 0, got {self.budget}")
         if self.target_size < 1:
@@ -76,15 +77,6 @@ class ExperimentConfig:
             raise ValueError("lambda must be in (0,1)")
         if not 0 < self.volatility < 1:
             raise ValueError(f"volatility must be in (0,1), got {self.volatility}")
-        # the sweep's grid.  A verify-bounds run reads no level, and the
-        # default levels pass d=2's deepest grid, so `run_sweep` checks the
-        # levels against the dimension, before any instance is built
-        for name in ("levels", "lambdas"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be nonempty")
-        for lam in self.lambdas:
-            if not 0 < lam < 1:
-                raise ValueError(f"lambdas must be in (0,1), got {lam}")
         # these raise on invalid ranges
         GridConfig(self.dimension, self.leaf_level)
         self.exponents()
@@ -100,27 +92,14 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """The config that a JSON object holds; raises ValueError on an
-        unknown field or on a value whose JSON type is not the field's
-        (`field_type`; `out_dir` may also be null)."""
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        unknown = set(data) - set(fields)
-        if unknown:
+        unknown field or on a value whose JSON type is not that of the
+        field's default (as in `check_json_field`)."""
+        fields = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+        if unknown := set(data) - set(fields):
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         for name, value in data.items():
-            if value is not None or fields[name].default is not None:
-                check_json_field("config", name, value, field_type(fields[name]))
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
-
-    def to_dict(self) -> dict:
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in dataclasses.asdict(self).items()}
-
-
-def field_type(f: dataclasses.Field):
-    """A config field's type (as in `check_json_field`), read from its
-    default: [t] for a tuple of t, and str for None (`out_dir`)."""
-    if isinstance(f.default, tuple):
-        return [type(f.default[0])]
-    return str if f.default is None else type(f.default)
+            check_json_field("config", name, value, fields[name])
+        return cls(**data)
 
 
 def _fmt(value) -> str:
@@ -280,9 +259,7 @@ def _verify_instance(cfg: ExperimentConfig, i: int, eps_e: EntropyFunction,
 
 
 def _environment(cfg: ExperimentConfig) -> dict:
-    stamp = cfg.to_dict()
-    stamp.pop("out_dir")  # report bytes depend only on the mathematical config
-    return {"seed": cfg.master_seed, "version": __version__, "config": stamp}
+    return {"seed": cfg.master_seed, "version": __version__, "config": dataclasses.asdict(cfg)}
 
 
 def run_verify_bounds(cfg: ExperimentConfig) -> SuiteReport:
@@ -366,16 +343,23 @@ def run_counterexample(levels, delta: float, p: float = 2.0, q: float = 2.0,
     return report
 
 
-def run_sweep(cfg: ExperimentConfig) -> SuiteReport:
-    """Aggregate constants over a (leaf level, lambda) grid of small suites."""
-    report = SuiteReport(columns=SWEEP_COLUMNS, environment=_environment(cfg))
+def run_sweep(cfg: ExperimentConfig, levels=(8, 12, 16, 20), lambdas=(0.5, 0.25)) -> SuiteReport:
+    """Aggregate constants over a (leaf level, lambda) grid of small suites:
+    the suite of `cfg` at each leaf level of `levels` and lambda of `lambdas`."""
+    levels, lambdas = tuple(levels), tuple(lambdas)
+    for name, axis in (("levels", levels), ("lambdas", lambdas)):
+        if not axis:
+            raise ValueError(f"{name} must be nonempty")
+    if bad := [lam for lam in lambdas if not 0 < lam < 1]:
+        raise ValueError(f"lambdas must be in (0,1), got {bad[0]}")
     # every (level, lambda) config is made, and so checked, before the first
     # instance is built; the levels are named here, not as a leaf_level
     n_max = MAX_LEAF_LEVEL[cfg.dimension]
-    if bad := [n for n in cfg.levels if not 1 <= n <= n_max]:
+    if bad := [n for n in levels if not 1 <= n <= n_max]:
         raise ValueError(f"levels must be in [1, {n_max}] for d={cfg.dimension}, got {bad}")
-    subs = [dataclasses.replace(cfg, leaf_level=n, lam=lam, levels=(n,), lambdas=(lam,), out_dir=None)
-            for n in cfg.levels for lam in cfg.lambdas]
+    subs = [dataclasses.replace(cfg, leaf_level=n, lam=lam) for n in levels for lam in lambdas]
+    report = SuiteReport(columns=SWEEP_COLUMNS, environment=_environment(cfg))
+    report.environment["config"].update(levels=levels, lambdas=lambdas)
     for sub in subs:
         sub_report = run_verify_bounds(sub)
         rows = sub_report.rows

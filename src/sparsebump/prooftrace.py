@@ -180,7 +180,7 @@ def _run_trace(kind: str, inst: Instance, eps: EntropyFunction, r_cube: DyadicCu
     if r_cube != family.root:
         # R's subfamily: the members that R's indicator reaches on a down-sweep
         inside = family.ancestor_sum(np.arange(len(family)) == family.position[r_cube]) > 0
-        family = SparseFamily(family.grid, frozenset(itertools.compress(family.members, inside)), family.lam)
+        family = SparseFamily(family.grid, itertools.compress(family.members, inside), family.lam)
         inst = Instance(family, inst.sigma, inst.w, inst.cfg)
     sigma, w, cfg = inst.sigma, inst.w, inst.cfg
     lam, sigma_q = family.lam, inst.sigma_mass

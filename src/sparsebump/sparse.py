@@ -56,7 +56,8 @@ class SparseFamily:
     The root must itself belong to the family and contain every member
     (equivalently: the family has a unique maximal cube).
 
-    The family is held as an array tree: `members` in (level, index) order,
+    The family is held as an array tree: `members` in (level, index) order
+    (any iterable of cubes on construction, stored sorted and de-duplicated),
     per member its `level` and `parent` (position of the nearest proper
     family ancestor, -1 at the root), and per leaf its `owner` (position of
     the minimal member containing it, -1 outside the root).  Per-cube
@@ -65,18 +66,17 @@ class SparseFamily:
     """
 
     grid: GridConfig
-    cubes: frozenset[DyadicCube]
+    members: tuple[DyadicCube, ...]
     lam: float
     root: DyadicCube = field(init=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.lam < 1:
             raise ValueError(f"lambda must be in (0,1), got {self.lam}")
-        cubes = frozenset(self.cubes)
-        if not cubes:
+        members = tuple(sorted(set(self.members), key=lambda c: (c.level, c.index)))
+        if not members:
             raise ValueError("family must be nonempty")
-        object.__setattr__(self, "cubes", cubes)
-        members = tuple(sorted(cubes, key=lambda c: (c.level, c.index)))
+        object.__setattr__(self, "members", members)
         foreign = [q.text for q in members if q.dimension != self.grid.dimension]
         if foreign:
             raise ValueError(f"cube {foreign[0]} is not of dimension {self.grid.dimension}")
@@ -99,7 +99,7 @@ class SparseFamily:
                 f"{float(ratio[j])} at {members[j].text}"
             )
         owner.setflags(write=False)
-        arrays = {"members": members, "parent": parent, "owner": owner, "_flat": flat,
+        arrays = {"parent": parent, "owner": owner, "_flat": flat,
                   "level": level, "_bounds": bounds,
                   "position": {q: i for i, q in enumerate(members)},
                   # members[lo:hi] per occupied level below the root's: the sweep steps
@@ -108,10 +108,10 @@ class SparseFamily:
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.cubes)
+        return len(self.members)
 
     def __contains__(self, cube: DyadicCube) -> bool:
-        return cube in self.cubes
+        return cube in self.position
 
     def gather(self, levels) -> np.ndarray:
         """Per member, its entry of a per-level cube array (levels[k] at level k)."""
@@ -187,7 +187,7 @@ def stopping_family(sigma: Weight, big_lambda: float, root: DyadicCube) -> Spars
         chosen = avg > threshold
         corner = np.array(root.index) << (k - root.level)
         selected += [DyadicCube(k, tuple(j)) for j in (np.argwhere(chosen) + corner).tolist()]
-    return SparseFamily(grid, frozenset(selected), 1.0 / big_lambda)
+    return SparseFamily(grid, selected, 1.0 / big_lambda)
 
 
 def random_sparse(grid: GridConfig, lam: float, seed: int, target_size: int) -> SparseFamily:
@@ -230,7 +230,7 @@ def random_sparse(grid: GridConfig, lam: float, seed: int, target_size: int) -> 
                 covered[cube] += size - absorbed
             if len(accepted) >= target_size:
                 break
-    return SparseFamily(grid, frozenset(DyadicCube(k, index) for k, index in accepted), lam)
+    return SparseFamily(grid, (DyadicCube(k, index) for k, index in accepted), lam)
 
 
 def carleson_check(family: SparseFamily, sigma: Weight, q0: DyadicCube) -> dict:
@@ -267,8 +267,7 @@ def family_from_json(text: str) -> SparseFamily:
     record = json_record(text, "family", {"dimension": int, "leaf_level": int, "lambda": float,
                                           "root": str, "cubes": [str]})
     grid = GridConfig(record["dimension"], record["leaf_level"])
-    cubes = frozenset(parse_cube(t) for t in record["cubes"])
-    family = SparseFamily(grid, cubes, record["lambda"])
+    family = SparseFamily(grid, map(parse_cube, record["cubes"]), record["lambda"])
     declared_root = parse_cube(record["root"])
     if family.root != declared_root:
         raise ValueError("declared root does not match the family's maximal cube")

@@ -1,6 +1,8 @@
+import argparse
 import dataclasses
 import functools
 import json
+import re
 import weakref
 from collections import Counter
 
@@ -43,17 +45,24 @@ class TestExperimentConfig:
         # each used to pass here and fail (or run as another value) only once
         # the first instance was built
         for bad in (dict(budget=-3), dict(target_size=0), dict(volatility=0.0),
-                    dict(volatility=1.0), dict(volatility=-0.5), dict(levels=()), dict(lambdas=()),
-                    dict(lambdas=(0.5, 1.0)), dict(lambdas=(0.0, 0.5)), dict(lambdas=(-0.25,))):
+                    dict(volatility=1.0), dict(volatility=-0.5), dict(master_seed=-1)):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 ExperimentConfig(**bad)
-        # a verify-bounds run reads no level: a d=2 config keeps the default
-        # levels, of which 16 and 20 are past d=2's deepest grid
-        assert ExperimentConfig(dimension=2).levels == (8, 12, 16, 20)
+        # the sweep's axes are run_sweep's arguments, checked before any
+        # instance is built, with the messages they had as config fields
+        for bad in (dict(levels=()), dict(lambdas=()), dict(lambdas=(0.5, 1.0)),
+                    dict(lambdas=(0.0, 0.5)), dict(lambdas=(-0.25,))):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                run_sweep(ExperimentConfig(), **bad)
+        # a verify-bounds run reads no level: a d=2 config is valid, and its
+        # sweep names the default levels past d=2's deepest grid, 16 and 20
+        with pytest.raises(ValueError, match=re.escape("levels must be in [1, 12] for d=2, got [16, 20]")):
+            run_sweep(ExperimentConfig(dimension=2))
 
     def test_dict_roundtrip(self):
+        # every field is a JSON scalar: the config survives its JSON text
         cfg = ExperimentConfig(**SMALL)
-        again = ExperimentConfig.from_dict(cfg.to_dict())
+        again = ExperimentConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(cfg))))
         assert again == cfg
 
     def test_unknown_field_rejected(self):
@@ -64,6 +73,9 @@ class TestExperimentConfig:
         # the diagonal case is read off p = q
         with pytest.raises(ValueError, match=r"unknown config fields: \['mode'\]"):
             ExperimentConfig.from_dict({"p": 2.0, "q": 2.0, "mode": "extended"})
+        # the sweep's axes and the output directory are no part of a suite's config
+        with pytest.raises(ValueError, match=r"unknown config fields: \['lambdas', 'levels', 'out_dir'\]"):
+            ExperimentConfig.from_dict({"levels": [6], "lambdas": [0.5], "out_dir": "reports"})
 
     def test_instance_seeds_are_stable(self):
         assert instance_seeds(42, 0) == instance_seeds(42, 0)
@@ -246,11 +258,14 @@ def test_carleson_suite_small():
 
 
 def test_sweep_aggregates():
-    cfg = ExperimentConfig(instances=2, levels=(5, 6), lambdas=(0.5,),
-                           master_seed=2, target_size=10, budget=4)
-    rep = run_sweep(cfg)
+    cfg = ExperimentConfig(instances=2, master_seed=2, target_size=10, budget=4)
+    rep = run_sweep(cfg, levels=(5, 6), lambdas=(0.5,))
     assert rep.violations == 0
     assert [r["N"] for r in rep.rows] == [5, 6]
+    # the report stamps the axes next to the config's fields
+    stamp = rep.environment["config"]
+    assert (stamp["levels"], stamp["lambdas"]) == ((5, 6), (0.5,))
+    assert {k: v for k, v in stamp.items() if k not in ("levels", "lambdas")} == dataclasses.asdict(cfg)
 
 
 @pytest.fixture()
@@ -497,17 +512,20 @@ class TestCli:
          "weight JSON field leaf_density must be a list, got 5"),
         ("family", {"dimension": 1, "leaf_level": 4, "lambda": 0.5, "root": "0:0", "cubes": [0]},
          "family JSON field cubes must hold str, got 0"),
-        ("sweep", {"levels": ["a"]}, "config field levels must hold int, got 'a'"),
+        ("sweep", {"levels": ["a"]}, "unknown config fields: ['levels']"),
         ("config --instances 1", [1], "config must be a JSON object, got list"),
         ("sweep --instances 1", [1], "config must be a JSON object, got list"),
-        ("config", {"out_dir": 5}, "config field out_dir must be str, got 5"),
-        ("sweep", {"out_dir": 5}, "config field out_dir must be str, got 5"),
+        ("config", {"out_dir": 5}, "unknown config fields: ['out_dir']"),
+        ("sweep", {"out_dir": 5}, "unknown config fields: ['out_dir']"),
+        ("config", {"levels": [6], "lambdas": [0.5]}, "unknown config fields: ['lambdas', 'levels']"),
+        ("sweep", {"lam": 0.25, "leaf_level": 6, "instances": 1},
+         "a sweep's --levels and --lambdas set leaf_level and lam; its config names ['lam', 'leaf_level']"),
         ("weights", {"dimension": 1, "leaf_level": 3, "leaf_density": ["1.0"] * 7},
          "weight JSON field leaf_density must hold 8 values, got 7"),
     ], ids=("weight-no-density", "weight-list", "family-no-cubes", "config-list", "config-str-count",
             "weight-str-level", "weight-int-density", "family-int-cube", "sweep-str-level",
             "config-list-with-flag", "sweep-list-with-flag", "config-int-out-dir", "sweep-int-out-dir",
-            "weight-short-density"))
+            "config-sweep-axes", "sweep-axis-fields", "weight-short-density"))
     def test_malformed_input_json_exits_2(self, fixture_files, tmp_path, capsys, which, record, problem):
         # `which` names the input file, then any flags a suite command adds
         which, *flags = which.split()
@@ -580,15 +598,20 @@ class TestCli:
         assert built == []
 
     def test_sweep_subcommand(self, tmp_path):
-        code = cli_main(["sweep", "--instances", "1", "--levels", "5",
-                         "--lambdas", "0.5", "--target-size", "8", "--budget", "2",
+        code = cli_main(["sweep", "--instances", "1", "--levels", "5,6",
+                         "--lambdas", "0.5,0.25", "--target-size", "8", "--budget", "2",
                          "--seed", "3", "--out-dir", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "sweep.csv").exists()
+        report = json.loads((tmp_path / "sweep.json").read_text())
+        assert [(r["N"], r["lambda"]) for r in report["rows"]] == [(5, 0.5), (5, 0.25), (6, 0.5), (6, 0.25)]
+        config = report["environment"]["config"]
+        assert (config["levels"], config["lambdas"], config["master_seed"]) == ([5, 6], [0.5, 0.25], 3)
 
 
-# per ExperimentConfig field: its suite flag, a value's text, and the value,
-# which differs from the field's default
+# per suite input (an ExperimentConfig field, a sweep axis or the output
+# directory): its flag, a value's text, and the value, which differs from
+# the default
 SUITE_FLAGS = {
     "dimension": ("--dimension", "2", 2),
     "leaf_level": ("--leaf-level", "5", 5),
@@ -608,24 +631,54 @@ SUITE_FLAGS = {
     "out_dir": ("--out-dir", "reports", "reports"),
 }
 
+# per suite command, the inputs it does not read: a verify-bounds run has no
+# axes, and a sweep's axes set its leaf_level and lam
+NOT_READ = {"verify-bounds": {"levels", "lambdas"}, "sweep": {"leaf_level", "lam"}}
+
+CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+
 
 def _suite_cfg(command, *argv) -> ExperimentConfig:
     return cli._suite_config(cli.build_parser().parse_args([command, *argv]))
 
 
+def _options(command) -> set:
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.option_strings[0] for a in sub.choices[command]._actions if a.dest != "help"}
+
+
 class TestSuiteFlags:
-    """verify-bounds and sweep take one flag per ExperimentConfig field."""
+    """verify-bounds takes one flag per ExperimentConfig field and
+    --out-dir; sweep takes the same, but its axes --levels and --lambdas
+    for --leaf-level and --lambda.  No command takes a flag it ignores."""
 
     def test_table_covers_every_field(self):
-        assert set(SUITE_FLAGS) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert CONFIG_FIELDS <= set(SUITE_FLAGS) and len(CONFIG_FIELDS) == 13
+        # 15 options each: --config, --out-dir and one per field, of which
+        # a sweep's axes replace two
+        for command in ("verify-bounds", "sweep"):
+            want = {"--config"} | {flag for name, (flag, _, _) in SUITE_FLAGS.items()
+                                   if name not in NOT_READ[command]}
+            assert _options(command) == want and len(want) == 15
 
     @pytest.mark.parametrize("command", ("verify-bounds", "sweep"))
-    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ExperimentConfig)])
-    def test_every_field_has_a_flag(self, monkeypatch, command, name):
+    @pytest.mark.parametrize("name", list(SUITE_FLAGS))
+    def test_every_field_has_a_flag(self, monkeypatch, capsys, command, name):
         monkeypatch.delenv("SPARSEBUMP_SEED", raising=False)
         flag, text, value = SUITE_FLAGS[name]
+        if name in NOT_READ[command]:
+            assert cli_main([command, flag, text, "--instances", "0"]) == 2
+            assert f"unrecognized arguments: {flag} {text}" in capsys.readouterr().err
+            return
+        args = cli.build_parser().parse_args([command, flag, text])
+        if name not in CONFIG_FIELDS:
+            # an axis or the output directory: an argument, not a config field
+            assert getattr(args, name) == value
+            assert cli._suite_config(args) == ExperimentConfig()
+            return
         assert value != getattr(ExperimentConfig(), name)
-        cfg = _suite_cfg(command, flag, text)
+        cfg = cli._suite_config(args)
         assert getattr(cfg, name) == value
         assert cfg == dataclasses.replace(ExperimentConfig(), **{name: value})
 
@@ -642,7 +695,8 @@ class TestSuiteFlags:
         assert _suite_cfg("verify-bounds").master_seed == ExperimentConfig().master_seed
 
     @pytest.mark.parametrize("command", ("verify-bounds", "sweep"))
-    # --mode is no flag of any subcommand: argparse rejects it and names its value
+    # --mode is no flag of any subcommand, nor --levels of verify-bounds:
+    # argparse rejects each and names its value
     @pytest.mark.parametrize("flag,text", [("--mode", "bogus"), ("--family-kind", "nope"),
                                            ("--instances", "x"), ("--levels", "5,a"),
                                            ("--volatility", "1.5")])
@@ -652,19 +706,65 @@ class TestSuiteFlags:
         assert "error:" in err and text in err.splitlines()[-1]
 
 
+class TestSeeds:
+    """A negative master seed, or a SPARSEBUMP_SEED that is no int, exits 2
+    naming it before any instance is built."""
+
+    @pytest.mark.parametrize("argv,env,message", [
+        (["verify-bounds", "--seed", "-1", "--instances", "0"], None, "master_seed must be >= 0, got -1"),
+        (["verify-bounds", "--seed", "-1", "--instances", "1"], None, "master_seed must be >= 0, got -1"),
+        (["sweep", "--seed", "-3", "--instances", "1"], None, "master_seed must be >= 0, got -3"),
+        (["verify-bounds", "--instances", "1"], "-2", "master_seed must be >= 0, got -2"),
+        (["verify-bounds", "--instances", "1"], "abc", "SPARSEBUMP_SEED must be an int, got 'abc'"),
+        (["sweep", "--instances", "1"], "abc", "SPARSEBUMP_SEED must be an int, got 'abc'"),
+    ], ids=("verify-flag-0", "verify-flag-1", "sweep-flag", "verify-env-negative", "verify-env-str",
+            "sweep-env-str"))
+    def test_suite_seed(self, monkeypatch, capsys, argv, env, message):
+        monkeypatch.delenv("SPARSEBUMP_SEED", raising=False)
+        if env is not None:
+            monkeypatch.setenv("SPARSEBUMP_SEED", env)
+        built = []
+        monkeypatch.setattr(lab, "build_instance", lambda *args: built.append(args))
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert built == []
+
+    @pytest.mark.parametrize("flags,env,message", [
+        (["--seed", "-1"], None, "seed must be >= 0, got -1"),
+        ([], "-1", "seed must be >= 0, got -1"),
+        ([], "abc", "SPARSEBUMP_SEED must be an int, got 'abc'"),
+    ], ids=("flag", "env-negative", "env-str"))
+    def test_norm_seed(self, fixture_files, monkeypatch, capsys, flags, env, message):
+        monkeypatch.delenv("SPARSEBUMP_SEED", raising=False)
+        if env is not None:
+            monkeypatch.setenv("SPARSEBUMP_SEED", env)
+        calls = []
+        monkeypatch.setattr(cli, "norm_lower_bound", lambda *args, **kwargs: calls.append(args))
+        wpath, fpath = fixture_files
+        assert cli_main(["norm", "--family", str(fpath), "--weights", str(wpath), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == []
+
+
+def _inflate(monkeypatch, name):
+    """Wrap lab.testing_constants so that its report's `name` is 1e3 times
+    the computed one."""
+    original = lab.testing_constants
+
+    def inflated(*args, **kwargs):
+        rep = original(*args, **kwargs)
+        return dataclasses.replace(rep, **{name: getattr(rep, name) * 1e3})
+
+    monkeypatch.setattr(lab, "testing_constants", inflated)
+
+
 class TestNegativeControls:
     """The suite must count a violation when a testing constant is inflated
     past its certified bound, and the CLI must then exit 1."""
 
     @pytest.fixture()
     def inflated_t(self, monkeypatch):
-        original = lab.testing_constants
-
-        def inflated(*args, **kwargs):
-            rep = original(*args, **kwargs)
-            return dataclasses.replace(rep, T=rep.T * 1e3)
-
-        monkeypatch.setattr(lab, "testing_constants", inflated)
+        _inflate(monkeypatch, "T")
 
     def test_suite_counts_violations(self, inflated_t):
         rep = run_verify_bounds(ExperimentConfig(**dict(SMALL, instances=3)))
@@ -677,6 +777,51 @@ class TestNegativeControls:
                          "--out-dir", str(tmp_path)])
         assert code == 1
         assert json.loads(capsys.readouterr().out.splitlines()[-1])["violations"] == 2
+
+
+class _OneCheckControl:
+    """A testing quantity that one suite check alone reads, inflated: every
+    instance must count a violation while the certified ratios and trace
+    flags that the report shows hold, and the CLI must then exit 1."""
+
+    def test_suite_counts_violations(self):
+        rep = run_verify_bounds(ExperimentConfig(**dict(SMALL, instances=3)))
+        assert rep.violations == 3
+        assert all(row["certified_CE_ratio"] <= 1.0 and row["certified_CD_ratio"] <= 1.0 for row in rep.rows)
+        assert all(row["trace_entropy_pass"] and row["trace_direct_pass"] for row in rep.rows)
+
+    def test_cli_exits_1(self, tmp_path, capsys):
+        code = cli_main(["verify-bounds", "--instances", "2", "--leaf-level", "5",
+                         "--seed", "4", "--target-size", "10", "--budget", "4",
+                         "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["violations"] == 2
+
+
+class TestDualCertificateControl(_OneCheckControl):
+    """T* inflated fails both dual certificates, T* <= C E*_sym and T* <= C D*."""
+
+    @pytest.fixture(autouse=True)
+    def inflated_t_star(self, monkeypatch):
+        _inflate(monkeypatch, "T_star")
+
+    @pytest.mark.parametrize("loosened", ("dual_direct_trace", "dual_entropy_trace"),
+                             ids=("entropy-kept", "direct-kept"))
+    def test_each_certificate_fails_alone(self, monkeypatch, loosened):
+        # the other dual chain's certified constant made infinite: its
+        # certificate cannot fail, and the one kept must count every instance
+        original = getattr(lab, loosened)
+        monkeypatch.setattr(lab, loosened, lambda *args, **kwargs: dataclasses.replace(
+            original(*args, **kwargs), certified_constant=float("inf")))
+        assert run_verify_bounds(ExperimentConfig(**dict(SMALL, instances=3))).violations == 3
+
+
+class TestPerRControl(_OneCheckControl):
+    """The per-R terms of T inflated fail "indicator ratios >= per-R terms"."""
+
+    @pytest.fixture(autouse=True)
+    def inflated_per_r(self, monkeypatch):
+        _inflate(monkeypatch, "per_R")
 
 
 class TestLeafPathControl:

@@ -63,19 +63,26 @@ class TestVerifySparse:
         with pytest.raises(ValueError, match=re.escape(message)):
             SparseFamily(G4, frozenset(map(parse_cube, cubes)), lam)
 
+    def test_members_of_any_iterable_are_sorted_and_unique(self):
+        # a generator with a repeat and out of order gives the family of the set
+        fam = SparseFamily(G4, (parse_cube(t) for t in ("2:0", "0:0", "1:0", "2:0")), 0.5)
+        assert [q.text for q in fam.members] == ["0:0", "1:0", "2:0"]
+        assert len(fam) == 3 and parse_cube("1:0") in fam and parse_cube("1:1") not in fam
+        assert fam == chain_family(2) and hash(fam) == hash(chain_family(2))
+
 
 class TestStoppingFamily:
     def test_constant_weight_selects_root_only(self):
         s, _ = fix_const()
         for big in (1.5, 2.0, 4.0):
             fam = stopping_family(s, big, root_cube(G4))
-            assert fam.cubes == frozenset([root_cube(G4)])
+            assert set(fam.members) == frozenset([root_cube(G4)])
 
     def test_spike_recursion(self):
         g = GridConfig(1, 2)
         spike = Weight(g, np.array([4.0, 0, 0, 0]))
         fam = stopping_family(spike, 1.5, root_cube(g))
-        assert {c.text for c in fam.cubes} == {"0:0", "1:0", "2:0"}
+        assert {c.text for c in fam.members} == {"0:0", "1:0", "2:0"}
         assert fam.lam == pytest.approx(1 / 1.5)
 
     @settings(max_examples=25, deadline=None)
@@ -84,7 +91,7 @@ class TestStoppingFamily:
         g = GridConfig(1, 7)
         w = generate_weight(g, "random_cascade", seed=seed, volatility=0.8)
         fam = stopping_family(w, big, root_cube(g))
-        assert verify_sparse(fam.cubes, 1.0 / big)["ok"]
+        assert verify_sparse(set(fam.members), 1.0 / big)["ok"]
 
     def test_degenerate_root_raises(self):
         g = GridConfig(1, 2)
@@ -102,7 +109,7 @@ class TestStoppingFamily:
 class TestRandomSparse:
     def test_target_one_gives_root(self):
         fam = random_sparse(G4, 0.5, seed=3, target_size=1)
-        assert fam.cubes == frozenset([root_cube(G4)])
+        assert set(fam.members) == frozenset([root_cube(G4)])
 
     @pytest.mark.parametrize("lam,target,message", [
         (1.0, 5, "lambda must be in (0,1), got 1.0"),
@@ -116,11 +123,11 @@ class TestRandomSparse:
     def test_deterministic_under_seed(self):
         a = random_sparse(GridConfig(1, 8), 0.5, seed=7, target_size=40)
         b = random_sparse(GridConfig(1, 8), 0.5, seed=7, target_size=40)
-        assert a.cubes == b.cubes
+        assert set(a.members) == set(b.members)
 
     def test_reference_run_is_valid(self):
         fam = random_sparse(GridConfig(1, 8), 0.5, seed=7, target_size=40)
-        res = verify_sparse(fam.cubes, 0.5)
+        res = verify_sparse(set(fam.members), 0.5)
         assert res["ok"] and res["worst_ratio"] <= 0.5
         assert len(fam) == 40
 
@@ -128,7 +135,7 @@ class TestRandomSparse:
     @given(st.integers(0, 10**6), st.sampled_from([0.25, 0.5, 0.75]))
     def test_always_sparse(self, seed, lam):
         fam = random_sparse(GridConfig(1, 6), lam, seed=seed, target_size=25)
-        assert verify_sparse(fam.cubes, lam)["ok"]
+        assert verify_sparse(set(fam.members), lam)["ok"]
 
 
 def exceptional(fam) -> dict:
@@ -163,7 +170,7 @@ class TestExceptionalSets:
             seen = np.concatenate(list(exc.values()))
             assert len(seen) == len(set(seen.tolist()))  # pairwise disjoint
             volumes = exceptional_volumes(fam)
-            for q in fam.cubes:
+            for q in fam.members:
                 assert volumes[q] >= (1 - fam.lam) * q.volume
 
     def test_total_volume_identity_when_chain_reaches_leaves(self):
@@ -209,7 +216,7 @@ class TestCarleson:
 def test_family_serialization_roundtrip():
     fam = random_sparse(GridConfig(1, 6), 0.5, seed=11, target_size=12)
     back = family_from_json(family_to_json(fam))
-    assert back.cubes == fam.cubes
+    assert set(back.members) == set(fam.members)
     assert back.lam == fam.lam
     assert back.root == fam.root
 
@@ -236,13 +243,13 @@ class TestTwoDimensional:
     def test_stopping_output_is_sparse(self, seed, big):
         w = generate_weight(self.G, "random_cascade", seed=seed, volatility=0.8)
         fam = stopping_family(w, big, root_cube(self.G))
-        assert verify_sparse(fam.cubes, 1.0 / big)["ok"]
+        assert verify_sparse(set(fam.members), 1.0 / big)["ok"]
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from([0.25, 0.5, 0.75]))
     def test_random_always_sparse(self, seed, lam):
         fam = random_sparse(self.G, lam, seed=seed, target_size=25)
-        assert verify_sparse(fam.cubes, lam)["ok"]
+        assert verify_sparse(set(fam.members), lam)["ok"]
 
     def test_exceptional_sets_disjoint_and_large(self):
         for seed in range(4):
@@ -250,7 +257,7 @@ class TestTwoDimensional:
             seen = np.concatenate(list(exceptional(fam).values()))
             assert sorted(seen.tolist()) == list(range(self.G.n_leaves))
             volumes = exceptional_volumes(fam)
-            for q in fam.cubes:
+            for q in fam.members:
                 assert volumes[q] >= (1 - fam.lam) * q.volume
 
     def test_carleson_never_violates(self):
@@ -266,4 +273,4 @@ class TestTwoDimensional:
     def test_serialization_roundtrip(self):
         fam = random_sparse(self.G, 0.5, seed=4, target_size=12)
         back = family_from_json(family_to_json(fam))
-        assert back.cubes == fam.cubes and back.root == fam.root
+        assert set(back.members) == set(fam.members) and back.root == fam.root

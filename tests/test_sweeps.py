@@ -361,7 +361,7 @@ def test_random_sparse_matches_pool_oracle(grid, lam):
     # at 0.75 many candidates absorb accepted cubes
     for seed in range(4):
         for target in (2, 12, 10_000):
-            got = random_sparse(grid, lam, seed=seed, target_size=target).cubes
+            got = set(random_sparse(grid, lam, seed=seed, target_size=target).members)
             assert got == oracle_random_sparse(grid, lam, seed, target)
 
 
@@ -386,7 +386,7 @@ def test_stopping_family_matches_stack_oracle(grid, lam):
     for seed in range(4):
         sigma = generate_weight(grid, "random_cascade", seed=seed, volatility=0.8)
         for root in (root_cube(grid), DyadicCube(2, (1,) * grid.dimension)):
-            got = stopping_family(sigma, 1.0 / lam, root).cubes
+            got = set(stopping_family(sigma, 1.0 / lam, root).members)
             assert got == oracle_stopping_family(sigma, 1.0 / lam, root)
 
 

@@ -379,19 +379,20 @@ def run_sweep(cfg: ExperimentConfig, levels=(8, 12, 16, 20), lambdas=(0.5, 0.25)
     return report
 
 
-def run_carleson_suite(instances: int, leaf_levels, lambdas, master_seed: int = 7,
-                       volatility: float = 0.6, target_size: int = 40) -> dict:
-    """Randomized Carleson certificate: (family, weight) instances mixing
-    cascade weights with random and stopping-derived families; returns the
-    worst observed lhs/rhs ratio and the violation count."""
-    leaf_levels, lambdas, ratios = tuple(leaf_levels), tuple(lambdas), []
+def run_carleson_suite(instances: int, grids, lambdas, master_seed: int = 7) -> dict:
+    """The Carleson certificate at every member of the mixed suite's instances,
+    instance i on grids[i % len(grids)] at lambdas[i % len(lambdas)]: the worst
+    lhs/rhs ratio, the count of ratios above 1 and the count of members checked."""
+    grids, lambdas, ratios = tuple(grids), tuple(lambdas), [np.zeros(0)]
+    if empty := [name for name, axis in (("grids", grids), ("lambdas", lambdas)) if not axis]:
+        raise ValueError(f"{empty[0]} must be nonempty")
     for i in range(instances):
-        cfg = ExperimentConfig(leaf_level=leaf_levels[i % len(leaf_levels)], lam=lambdas[i % len(lambdas)],
-                               master_seed=master_seed, volatility=volatility, target_size=target_size)
-        # the mixed suite's instance i: a random family at even i, the
-        # stopping family of sigma at odd i
-        sigma, _, family, s_pick = build_instance(cfg, i)
-        picks = {0, int(np.random.default_rng(s_pick).integers(len(family)))}
-        ratios += [carleson_check(family, sigma, family.members[j])["ratio"] for j in picks]
-    return {"worst_ratio": max(ratios, default=0.0), "violations": sum(r > 1.0 for r in ratios),
+        grid = grids[i % len(grids)]
+        cfg = ExperimentConfig(dimension=grid.dimension, leaf_level=grid.leaf_level,
+                               lam=lambdas[i % len(lambdas)], master_seed=master_seed)
+        # a random family at even i, the stopping family of sigma at odd i
+        sigma, _, family, _ = build_instance(cfg, i)
+        ratios.append(carleson_check(family, sigma))
+    ratios = np.concatenate(ratios)
+    return {"worst_ratio": float(ratios.max(initial=0.0)), "violations": int(np.count_nonzero(ratios > 1.0)),
             "checked": len(ratios)}

@@ -23,7 +23,7 @@ once.  Every per-instance quantity here takes that instance as its first
 argument; the caller builds it once and passes it to each.
 
 The dual ascent of `norm_lower_bound` runs all its random starts as the
-columns of one (|S|, n_starts) array, so each step is one batched apply.  On
+columns of one (|S|, N_STARTS) array, so each step is one batched apply.  On
 a family of at most `DENSE_MAX` members that apply is one product with the
 dense symmetric member kernel K = A diag(coef) A^T (A the ancestor-or-self
 incidence); on larger families it is the two sweeps, column-batched.  The
@@ -49,8 +49,10 @@ from .weights import Weight
 # 4 ms for the sweeps at |S| = 30, 3 against 5 ms at |S| = 195, and it stops
 # winning between |S| = 300 and 400.  The switch sits below that crossover
 # because the kernel and its two scaled copies hold 3 |S|^2 floats (1.5 MiB
-# at 256).  Read at call time, so tests can change it.
+# at 256).  Read at call time, so tests can change it, as is N_STARTS, the
+# number of random starts of the dual ascent in `norm_lower_bound`.
 DENSE_MAX = 256
+N_STARTS = 3
 
 
 def _per_level(family: SparseFamily, fn) -> np.ndarray:
@@ -271,7 +273,7 @@ def _member_operator(inst: Instance, mass_exc: np.ndarray):
     return lambda v: family.ancestor_sum(coef * family.descendant_sum(v * mass_exc))
 
 
-def norm_lower_bound(inst: Instance, budget: int, seed: int = 0, n_starts: int = 3) -> float:
+def norm_lower_bound(inst: Instance, budget: int, seed: int = 0) -> float:
     """Certified lower bound on the L^p(sigma) -> L^q(w) norm of T(sigma .).
 
     Evaluates the ratio on the mandatory candidates (each family indicator
@@ -279,7 +281,7 @@ def norm_lower_bound(inst: Instance, budget: int, seed: int = 0, n_starts: int =
 
         f <- (T*(w (T(sigma f))^{q-1}))^{1/(p-1)},  scaled to a maximum of 1,
 
-    from seeded random nonnegative starts.  Adjoint indicator ratios
+    from `N_STARTS` seeded random nonnegative starts.  Adjoint indicator ratios
     ||T(w 1_R)||_{L^{p'}(sigma)} / w(R)^{1/q'} are also taken: the adjoint
     has the same norm, so they are lower bounds too, and they witness the
     per-R terms of T*.  The constant function needs no candidate of its
@@ -302,9 +304,9 @@ def norm_lower_bound(inst: Instance, budget: int, seed: int = 0, n_starts: int =
     # a start needs neither a normalization nor a support mask; each start
     # is reduced to block sums before the next is drawn, so the leaf arrays
     # of one start at a time are alive
-    blocks, shape = np.empty((len(family), n_starts)), family.grid.leaf_shape()
+    blocks, shape = np.empty((len(family), N_STARTS)), family.grid.leaf_shape()
     leaf_mass = sigma.mass_levels[-1]
-    for j in range(n_starts):
+    for j in range(N_STARTS):
         blocks[:, j] = _leaf_blocks(family, leaf_mass * (rng.random(shape) + 0.5))
     u = family.ancestor_sum(inst.coef[:, None] * blocks)
     sigma_exc, w_exc = inst.sigma_exc, inst.w_exc

@@ -49,9 +49,9 @@ import numpy as np
 from .bumps import BumpReport, EntropyFunction, ExponentConfig, direct_bumps, entropy_bumps, eps_eval
 from .grid import DyadicCube
 from .operators import Instance
-from .sparse import SparseFamily, carleson_check  # noqa: F401 (public one-cube check)
-# Not called here: every rho comes from Weight.rho_levels.  The name stays
-# bound because perfbench/layers.py wraps prooftrace.rho to count rho calls.
+# carleson_check and rho are not called here (the support ratios and Weight.rho_levels
+# replace them); they stay bound because perfbench/layers.py (BINDINGS) wraps them.
+from .sparse import SparseFamily, carleson_check  # noqa: F401
 from .weights import Weight, rho  # noqa: F401
 
 TRACE_SCHEMA = "trace/v1"

@@ -9,6 +9,11 @@ by the same pairwise tree (`grid.coarsen`) as the pyramid
 `Weight.rho_levels`, so the two agree bitwise in d=1 and d=2.  It reads only
 the mass pyramid, never `rho_levels`, so it checks that pyramid independently.
 
+`carleson_oracle` is the one-cube Carleson ratio at Q0, the scalar form
+that `sparse.carleson_check` computes at every member at once: its sum runs
+over the members that `contains` finds inside Q0, and its rho is
+`rho_oracle`'s.
+
 `llogl_oracle` is the L log L integral as one whole-array sum over the leaf
 densities, the form that `weights.llogl_integral` runs block by block.
 
@@ -191,6 +196,32 @@ def rho_oracle(sigma, cube):
     excess = coarsen(chain_max(sigma, cube) - average(sigma, cube), grid.dimension,
                      grid.leaf_level - cube.level).item()
     return 1.0 + excess * grid.leaf_volume / m
+
+
+def carleson_oracle(family, sigma, q0):
+    """The Carleson ratio lhs/rhs at Q0 alone: lhs sums sigma(Q) over the
+    members Q ⊆ Q0, found by `contains`; rhs = rho_oracle(Q0) sigma(Q0) /
+    (1 - lambda), which raises on sigma(Q0) = 0."""
+    rhs = rho_oracle(sigma, q0) * mass(sigma, q0) / (1.0 - family.lam)
+    return _subtree_mass(family.members, sigma, q0) / rhs
+
+
+def _subtree_mass(members, sigma, q):
+    """sigma(Q) plus, per level of Q's children in `members` (its maximal
+    proper sub-members), deepest level first, the sum of their subtree
+    masses, added left to right: the order of `SparseFamily.descendant_sum`,
+    so the two agree bitwise.  The adds are explicit, since `sum` of floats
+    is compensated on Python 3.12 and later."""
+    inside = [c for c in members if c != q and contains(q, c)]
+    kids = [c for c in inside if not any(o != c and contains(o, c) for o in inside)]
+    total = mass(sigma, q)
+    for level in sorted({c.level for c in kids}, reverse=True):
+        part = 0.0
+        for c in kids:
+            if c.level == level:
+                part += _subtree_mass(inside, sigma, c)
+        total += part
+    return total
 
 
 def llogl_oracle(sigma):

@@ -6,6 +6,7 @@ import re
 import weakref
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from sparsebump import cli, lab
@@ -250,11 +251,50 @@ class TestCounterexampleMemory:
         assert [ref() for ref in refs] == [None, None]
 
 
-def test_carleson_suite_small():
-    res = run_carleson_suite(30, (5, 6), (0.5, 0.25), master_seed=3)
+def test_carleson_suite_small(monkeypatch):
+    original, sizes = lab.build_instance, []
+
+    def spy(cfg, i):
+        built = original(cfg, i)
+        sizes.append(len(built[2]))
+        return built
+
+    monkeypatch.setattr(lab, "build_instance", spy)
+    res = run_carleson_suite(30, (GridConfig(1, 5), GridConfig(1, 6)), (0.5, 0.25), master_seed=3)
     assert res["violations"] == 0
     assert res["worst_ratio"] <= 1.0
     assert res["checked"] >= 30
+    assert res["checked"] == sum(sizes)
+
+
+@pytest.mark.parametrize("grids,lambdas,name", [((), (0.5,), "grids"), ((GridConfig(1, 6),), (), "lambdas")])
+def test_carleson_suite_names_an_empty_axis(grids, lambdas, name):
+    with pytest.raises(ValueError, match=f"^{name} must be nonempty$"):
+        run_carleson_suite(2, grids, lambdas)
+
+
+def test_carleson_suite_catches_one_lowered_rho(monkeypatch):
+    # rho at the deepest member of instance 1 (51 members) falls to half of
+    # 1 - lambda, so that member's ratio (1 - lambda)/rho becomes 2 and no
+    # other ratio moves
+    original = lab.build_instance
+
+    def lowered(cfg, i):
+        sigma, w, family, seed = original(cfg, i)
+        if i == 1:
+            q = family.members[-1]
+            levels = [np.array(r) for r in sigma.rho_levels]
+            levels[q.level][q.index] = 0.5 * (1.0 - cfg.lam)
+            # rho_levels is a cached property: every reader sees this copy
+            sigma.__dict__["rho_levels"] = tuple(levels)
+        return sigma, w, family, seed
+
+    res = run_carleson_suite(2, (GridConfig(1, 10),), (0.5,), master_seed=7)
+    assert res["violations"] == 0 and res["worst_ratio"] <= 1.0
+    monkeypatch.setattr(lab, "build_instance", lowered)
+    res = run_carleson_suite(2, (GridConfig(1, 10),), (0.5,), master_seed=7)
+    assert res["violations"] == 1
+    assert res["worst_ratio"] > 1.0
 
 
 def test_sweep_aggregates():

@@ -36,8 +36,8 @@ from sparsebump.prooftrace import SLACK, _strata, direct_trace, entropy_trace
 from sparsebump.sparse import SparseFamily, carleson_check, random_sparse, stopping_family
 from sparsebump.weights import Weight, average, generate_weight, mass
 
-from oracles import (bucket_of, children, dense_norm_l2_oracle, enumerate_cubes, l2_instance, rho_oracle,
-                     verify_sparse)
+from oracles import (bucket_of, carleson_oracle, children, dense_norm_l2_oracle, enumerate_cubes, l2_instance,
+                     rho_oracle, verify_sparse)
 
 REL = 1e-13
 
@@ -174,10 +174,13 @@ class TestSweepsMatchPerCubeLoops:
 
     def test_carleson_lhs(self, d, kind, seed):
         family, sigma, _ = instance(d, kind, seed)
-        for q0 in family.members:
-            res = carleson_check(family, sigma, q0)
-            assert_close(res["lhs"], oracle_carleson_lhs(family, sigma, q0))
-            assert res["ratio"] <= 1.0
+        ratios = carleson_check(family, sigma)
+        # bit for bit the one-cube oracle at every member, and times rhs the
+        # plain sum over the members inside Q0
+        assert ratios.tolist() == [carleson_oracle(family, sigma, q0) for q0 in family.members]
+        rhs = [rho_oracle(sigma, q0) * mass(sigma, q0) / (1 - family.lam) for q0 in family.members]
+        assert_close(ratios * rhs, [oracle_carleson_lhs(family, sigma, q0) for q0 in family.members])
+        assert (ratios <= 1.0).all()
 
     def test_strata(self, d, kind, seed):
         family, sigma, _ = instance(d, kind, seed)
@@ -194,6 +197,7 @@ class TestSweepsMatchPerCubeLoops:
         family, sigma, w = instance(d, kind, seed)
         cfg = ExponentConfig(2.0, 3.0, 0.25)
         inst = Instance(family, sigma, w, cfg)
+        carleson = carleson_check(family, sigma)
         # R = the root and one deeper member, so the strata are restricted to R
         for r_cube in {family.root, family.members[len(family) // 2]}:
             sub = [q for q in family.members if contains(r_cube, q)]
@@ -211,10 +215,10 @@ class TestSweepsMatchPerCubeLoops:
                 assert_close([s.inner_lhs for s in rep.strata], inner)
                 assert_close(rep.lhs_total, sum(term.values()))
                 if key == "rho":
-                    # the trace's Carleson ratios are the public check's, bit for
-                    # bit, and the oracle's lhs / (rho sigma(Q*) / (1 - lambda))
+                    # the trace's Carleson ratios are the public check's at Q*, bit
+                    # for bit, and the oracle's lhs / (rho sigma(Q*) / (1 - lambda))
                     ratios = [s.support_ratio for s in rep.strata]
-                    assert ratios == [carleson_check(family, sigma, q)["ratio"] for _, q in stars]
+                    assert ratios == [carleson[family.position[q]] for _, q in stars]
                     support = [oracle_carleson_lhs(family, sigma, q) * (1 - family.lam)
                                / (values[q] * mass(sigma, q)) for _, q in stars]
                 if key == "average":
@@ -302,6 +306,20 @@ def test_non_grid_root_family():
     want = np.zeros(32)
     want[8:16], want[8:12], want[9] = 1.0, 2.0, 4.0
     np.testing.assert_array_equal(family.at_leaves([1.0, 2.0, 4.0]), want)
+
+
+@pytest.mark.parametrize("d", (1, 2))
+def test_carleson_on_a_non_grid_root(d):
+    # the stopping family below a level-1 cube: the array is the one-cube
+    # oracle at every member, bit for bit
+    grid = GridConfig(d, 7 if d == 1 else 4)
+    for seed in range(3):
+        sigma = generate_weight(grid, "random_cascade", seed=seed, volatility=0.8)
+        family = stopping_family(sigma, 2.0, DyadicCube(1, (1,) * d))
+        assert len(family) > 1
+        ratios = carleson_check(family, sigma)
+        assert ratios.tolist() == [carleson_oracle(family, sigma, q0) for q0 in family.members]
+        assert (ratios <= 1.0).all()
 
 
 # --- family construction: the per-cube-object builders as oracles ----------
@@ -542,12 +560,12 @@ def test_member_operator_kernels(case, monkeypatch):
 @pytest.mark.parametrize("n_starts", (1, 3))
 def test_batched_ascent_matches_leaf_oracle(case, n_starts, monkeypatch):
     family, sigma, w, cfg = operator_instance(case)
+    monkeypatch.setattr(operators, "N_STARTS", n_starts)
     for budget in (0, 1, 8):
         want = oracle_norm_lower_bound(family, sigma, w, cfg, budget, seed=3, n_starts=n_starts)
         for dense_max in (len(family), len(family) - 1):
             monkeypatch.setattr(operators, "DENSE_MAX", dense_max)
-            assert_close(norm_lower_bound(Instance(family, sigma, w, cfg), budget, seed=3, n_starts=n_starts),
-                         want)
+            assert_close(norm_lower_bound(Instance(family, sigma, w, cfg), budget, seed=3), want)
 
 
 @pytest.mark.parametrize("case", ASCENT_CASES, ids=str)
@@ -575,9 +593,10 @@ def test_dead_starts_drop_out(dense_max, monkeypatch):
     monkeypatch.setattr(operators, "DENSE_MAX", dense_max)
     for budget in (0, 1, 8):
         for n_starts in (1, 3):
+            monkeypatch.setattr(operators, "N_STARTS", n_starts)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = norm_lower_bound(Instance(family, sigma, w, cfg), budget, seed=3, n_starts=n_starts)
+                got = norm_lower_bound(Instance(family, sigma, w, cfg), budget, seed=3)
             assert got == oracle_norm_lower_bound(family, sigma, w, cfg, budget, seed=3,
                                                   n_starts=n_starts) == 0.0
 

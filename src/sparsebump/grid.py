@@ -2,7 +2,8 @@
 
 Cubes are half-open products prod_i [j_i 2^-k, (j_i+1) 2^-k), so the 2^{dN}
 leaves at level N partition the root exactly and all measure bookkeeping is
-exact in binary floating point.  Supported dimensions are 1 and 2.
+exact in binary floating point.  A grid of any dimension d >= 1 holds at
+most 2^24 leaves: d * N <= 24.
 """
 
 from __future__ import annotations
@@ -13,12 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_LEAF_LEVEL = {1: 24, 2: 12}
-
 # Cells per block of the leaf-resolution passes (512 KiB of float64).  Read
 # at call time, by `tile_level`, `flat_blocks` and `blockwise`, so tests can
 # change it.
 BLOCK = 2**16
+# `coarsen`'s index of the even and of the odd half of axis a, for a < 24 (d <= 24)
+_HALVES = tuple(tuple((slice(None),) * a + (slice(i, None, 2),) for i in (0, 1)) for a in range(24))
+
+
+def max_leaf_level(dimension: int) -> int:
+    """The deepest leaf level of a d-dimensional grid: d * N <= 24."""
+    return 24 // dimension
 
 
 @dataclass(frozen=True)
@@ -29,9 +35,9 @@ class GridConfig:
     leaf_level: int
 
     def __post_init__(self) -> None:
-        if self.dimension not in (1, 2):
-            raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
-        n_max = MAX_LEAF_LEVEL[self.dimension]
+        if self.dimension < 1:
+            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
+        n_max = max_leaf_level(self.dimension)
         if not 1 <= self.leaf_level <= n_max:
             raise ValueError(
                 f"leaf_level must be in [1, {n_max}] for d={self.dimension}, "
@@ -69,8 +75,8 @@ class DyadicCube:
             raise ValueError(f"level must be >= 0, got {self.level}")
         if isinstance(self.index, int):
             object.__setattr__(self, "index", (self.index,))
-        if len(self.index) not in (1, 2):
-            raise ValueError("index must be a 1- or 2-tuple")
+        if not self.index:
+            raise ValueError("index must be non-empty")
         for j in self.index:
             if not 0 <= j < 2**self.level:
                 raise ValueError(f"index {self.index} out of range at level {self.level}")
@@ -90,28 +96,25 @@ class DyadicCube:
 
     @property
     def text(self) -> str:
-        """Report form: "k:j" for d=1, "k:(j1,j2)" for d=2."""
+        """Report form: "k:j" for d=1, "k:(j1,...,jd)" otherwise."""
         if self.dimension == 1:
             return f"{self.level}:{self.index[0]}"
-        return f"{self.level}:({self.index[0]},{self.index[1]})"
+        return f"{self.level}:({','.join(map(str, self.index))})"
 
     def __str__(self) -> str:
         return self.text
 
 
-_CUBE_1D = re.compile(r"^(\d+):(\d+)$")
-_CUBE_2D = re.compile(r"^(\d+):\((\d+),(\d+)\)$")
+# "k:j", or "k:(j1,...,jd)" with d >= 2
+_CUBE = re.compile(r"(\d+):(?:(\d+)|\((\d+(?:,\d+)+)\))")
 
 
 def parse_cube(text: str) -> DyadicCube:
     """Inverse of DyadicCube.text."""
-    m = _CUBE_1D.match(text.strip())
-    if m:
-        return DyadicCube(int(m.group(1)), (int(m.group(2)),))
-    m = _CUBE_2D.match(text.strip())
-    if m:
-        return DyadicCube(int(m.group(1)), (int(m.group(2)), int(m.group(3))))
-    raise ValueError(f"cannot parse cube text {text!r}")
+    m = _CUBE.fullmatch(text.strip())
+    if not m:
+        raise ValueError(f"cannot parse cube text {text!r}")
+    return DyadicCube(int(m[1]), tuple(map(int, (m[2] or m[3]).split(","))))
 
 
 def contains(outer: DyadicCube, inner: DyadicCube) -> bool:
@@ -145,14 +148,13 @@ def root_cube(grid: GridConfig) -> DyadicCube:
 def coarsen(arr: np.ndarray, dimension: int, times: int = 1) -> np.ndarray:
     """Sum sibling blocks `times` times: level k+times values -> level k sums.
 
-    Each step adds the 2^d children of every cube pairwise, so a cube's sum is
-    the same binary tree over its leaves wherever it is taken.
+    Each step adds the 2^d children of every cube pairwise, one axis at a
+    time, last axis first (in d=2, (x00 + x01) + (x10 + x11)), so a cube's sum
+    is the same binary tree over its leaves wherever it is taken.
     """
     for _ in range(times):
-        if dimension == 1:
-            arr = arr[0::2] + arr[1::2]
-        else:
-            arr = (arr[0::2, 0::2] + arr[0::2, 1::2]) + (arr[1::2, 0::2] + arr[1::2, 1::2])
+        for even, odd in reversed(_HALVES[:dimension]):
+            arr = arr[even] + arr[odd]
     return arr
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .bumps import BumpReport, EntropyFunction, ExponentConfig, PairScan, check_alpha, direct_bumps, entropy_bumps
-from .grid import MAX_LEAF_LEVEL, DyadicCube, GridConfig, leaf_slice, root_cube
+from .grid import DyadicCube, GridConfig, leaf_slice, max_leaf_level, root_cube
 from .operators import Instance, apply_sparse, norm_lower_bound, primal_indicator_ratios, testing_constants
 from .prooftrace import SLACK, direct_trace, dual_direct_trace, dual_entropy_trace, entropy_trace
 from .sparse import SparseFamily, carleson_check, random_sparse, stopping_family
@@ -155,12 +155,11 @@ def instance_seeds(master_seed: int, instance: int, n: int = 4) -> list[int]:
     return [int(s) for s in ss.generate_state(n)]
 
 
-def build_instance(cfg: ExperimentConfig, instance: int) -> tuple[Weight, Weight, SparseFamily, int]:
-    """Weights and family for one suite instance."""
+def build_family(cfg: ExperimentConfig, instance: int) -> tuple[Weight, SparseFamily]:
+    """sigma and the family of one suite instance, without w: what the Carleson suite reads."""
     grid = cfg.grid()
-    s_sigma, s_w, s_fam, s_lb = instance_seeds(cfg.master_seed, instance)
+    s_sigma, _, s_fam, _ = instance_seeds(cfg.master_seed, instance)
     sigma = generate_weight(grid, "random_cascade", seed=s_sigma, volatility=cfg.volatility)
-    w = generate_weight(grid, "random_cascade", seed=s_w, volatility=cfg.volatility)
     use_stopping = cfg.family_kind == "stopping" or (
         cfg.family_kind == "mixed" and instance % 2 == 1
     )
@@ -168,6 +167,14 @@ def build_instance(cfg: ExperimentConfig, instance: int) -> tuple[Weight, Weight
         family = stopping_family(sigma, 1.0 / cfg.lam, root_cube(grid))
     else:
         family = random_sparse(grid, cfg.lam, s_fam, cfg.target_size)
+    return sigma, family
+
+
+def build_instance(cfg: ExperimentConfig, instance: int) -> tuple[Weight, Weight, SparseFamily, int]:
+    """Weights and family for one suite instance: `build_family` and w."""
+    sigma, family = build_family(cfg, instance)
+    _, s_w, _, s_lb = instance_seeds(cfg.master_seed, instance)
+    w = generate_weight(cfg.grid(), "random_cascade", seed=s_w, volatility=cfg.volatility)
     return sigma, w, family, s_lb
 
 
@@ -318,8 +325,8 @@ def run_counterexample(levels, delta: float, p: float = 2.0, q: float = 2.0,
     if list(levels) != sorted(set(levels)) or not levels:
         raise ValueError("levels must be strictly increasing and nonempty")
     # the pair's grid is d=1; every level is checked before the first pair is built
-    if bad := [n for n in levels if not 1 <= n <= MAX_LEAF_LEVEL[1]]:
-        raise ValueError(f"levels must be in [1, {MAX_LEAF_LEVEL[1]}] for d=1, got {bad}")
+    if bad := [n for n in levels if not 1 <= n <= max_leaf_level(1)]:
+        raise ValueError(f"levels must be in [1, {max_leaf_level(1)}] for d=1, got {bad}")
     eps_e = EntropyFunction("entropy", delta)
     eps_d = EntropyFunction("direct", delta)
     report = SuiteReport(columns=COUNTEREXAMPLE_COLUMNS)
@@ -354,7 +361,7 @@ def run_sweep(cfg: ExperimentConfig, levels=(8, 12, 16, 20), lambdas=(0.5, 0.25)
         raise ValueError(f"lambdas must be in (0,1), got {bad[0]}")
     # every (level, lambda) config is made, and so checked, before the first
     # instance is built; the levels are named here, not as a leaf_level
-    n_max = MAX_LEAF_LEVEL[cfg.dimension]
+    n_max = max_leaf_level(cfg.dimension)
     if bad := [n for n in levels if not 1 <= n <= n_max]:
         raise ValueError(f"levels must be in [1, {n_max}] for d={cfg.dimension}, got {bad}")
     subs = [dataclasses.replace(cfg, leaf_level=n, lam=lam) for n in levels for lam in lambdas]
@@ -391,7 +398,7 @@ def run_carleson_suite(instances: int, grids, lambdas, master_seed: int = 7) -> 
         cfg = ExperimentConfig(dimension=grid.dimension, leaf_level=grid.leaf_level,
                                lam=lambdas[i % len(lambdas)], master_seed=master_seed)
         # a random family at even i, the stopping family of sigma at odd i
-        sigma, _, family, _ = build_instance(cfg, i)
+        sigma, family = build_family(cfg, i)
         ratios.append(carleson_check(family, sigma))
     ratios = np.concatenate(ratios)
     return {"worst_ratio": float(ratios.max(initial=0.0)), "violations": int(np.count_nonzero(ratios > 1.0)),

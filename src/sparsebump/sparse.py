@@ -36,7 +36,7 @@ def _tree(level: np.ndarray, index: np.ndarray, depth: int):
     the owners.
     """
     d = index.shape[1]
-    # j in d=1, (j1 << k) + j2 in d=2
+    # the row-major index on level k: j in d=1, (j1 << k) + j2 in d=2
     flat = (index << (level[:, None] * np.arange(d - 1, -1, -1))).sum(axis=1)
     bounds = np.searchsorted(level, np.arange(depth + 2))
     parent = np.empty(len(level), dtype=np.int64)
@@ -217,7 +217,7 @@ def random_sparse(grid: GridConfig, lam: float, seed: int, target_size: int) -> 
         for pos in map(int, rng.permutation(starts[-1])):
             k = bisect.bisect_right(starts, pos)
             j = pos - starts[k - 1]
-            cand = (k, (j,) if d == 1 else (j >> k, j & ((1 << k) - 1)))
+            cand = (k, tuple(j >> k * axis & ((1 << k) - 1) for axis in range(d - 1, -1, -1)))
             chain = [cand]  # cand, then its proper ancestors up to the nearest accepted one
             while chain[-1] not in accepted:
                 level, index = chain[-1]

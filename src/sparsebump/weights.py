@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -113,14 +113,13 @@ class Weight:
 
         The sweep runs tile by tile (`_tile_excess`): a tile is a cube of
         level `grid.tile_level`, with at most `grid.BLOCK` leaves, so every
-        leaf-size temporary is cache-sized.  (At d=1, N=22 a leaf array is
-        32 MiB, which malloc maps fresh, page fault by page fault, on every
-        use.)  A tile writes the finished rho of its own cubes on the levels
-        from the tile level to N - 1, and one partial excess sum per coarser
-        level, which `coarsen` then finishes.  `coarsen` adds the same
-        pairwise tree over a cube's leaves wherever it starts, so the bits do
-        not depend on the tiling.  The tiles run through `blockwise`, so on a
-        grid of 8 or more blocks they spread over the available CPUs.
+        leaf-size temporary is cache-sized (see the module docstring).  A
+        tile writes the finished rho of its own cubes on the levels from the
+        tile level to N - 1, and one partial excess sum per coarser level,
+        which `coarsen` then finishes.  `coarsen` adds the same pairwise tree
+        over a cube's leaves wherever it starts, so the bits do not depend on
+        the tiling.  The tiles run through `blockwise`, so on a grid of 8 or
+        more blocks they spread over the available CPUs.
         """
         grid = self.grid
         d, n, top = grid.dimension, grid.leaf_level, tile_level(grid)
@@ -291,21 +290,22 @@ def _ce_sigma_interval_mass(grid: GridConfig) -> np.ndarray:
 
 def _cascade_leaf_mass(grid: GridConfig, seed: int, volatility: float) -> np.ndarray:
     """Multiplicative cascade: root mass 1, sibling shares from a bounded
-    symmetric distribution, deterministic under seed."""
-    rng = np.random.default_rng(seed)
-    d = grid.dimension
-    masses = np.ones((1,) * d)
-    for k in range(grid.leaf_level):
-        n = 2**k
-        if d == 1:
-            raw = 1.0 + volatility * (2.0 * rng.random((n, 2)) - 1.0)
-            shares = raw / raw.sum(axis=1, keepdims=True)
-            masses = (masses[:, None] * shares).reshape(2 * n)
-        else:
-            raw = 1.0 + volatility * (2.0 * rng.random((n, n, 2, 2)) - 1.0)
-            shares = raw / raw.sum(axis=(2, 3), keepdims=True)
-            expanded = masses[:, :, None, None] * shares
-            masses = expanded.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+    symmetric distribution, deterministic under seed.  One draw holds the
+    shares of all levels, 2^d per parent cube in (level, row-major) order,
+    each group normalised by its left-to-right sum; each level's masses are
+    written through a transpose that interleaves parent and child axes."""
+    d, n = grid.dimension, grid.leaf_level
+    shape = (sum(2 ** (d * k) for k in range(n)), 2**d)
+    rows = 1.0 + volatility * (2.0 * np.random.default_rng(seed).random(shape) - 1.0)
+    rows /= reduce(np.add, rows.T)[:, None]  # ((r0 + r1) + r2) + ...
+    interleave = [*range(0, 2 * d, 2), *range(1, 2 * d, 2)]
+    masses = np.ones(1)
+    for k in range(n):
+        m, start = 2**k, (2 ** (d * k) - 1) // (2**d - 1)  # rows above level k
+        child = np.empty((2 * m,) * d)
+        np.multiply(masses.reshape((m,) * d + (1,) * d), rows[start:start + m**d].reshape((m,) * d + (2,) * d),
+                    out=child.reshape((m, 2) * d).transpose(interleave))
+        masses = child
     return masses
 
 
@@ -323,33 +323,6 @@ def generate_weight(grid: GridConfig, kind: str, **params) -> Weight:
             raise ValueError("bad generator parameter: constant needs value > 0")
         return Weight(grid, np.full(grid.leaf_shape(), value), kind, {"value": value})
 
-    if kind == "power":
-        if "beta" not in params:
-            raise ValueError("bad generator parameter: power needs beta")
-        beta = float(params.pop("beta"))
-        if params or beta <= -1 or not np.isfinite(beta):
-            raise ValueError("bad generator parameter: power needs beta > -1")
-        if grid.dimension != 1:
-            raise ValueError("bad generator parameter: power is one-dimensional")
-        leaf_mass = _power_interval_mass(beta, grid)
-        return Weight.from_leaf_mass(grid, leaf_mass, kind, {"beta": beta}, copy=False)
-
-    if kind == "counterexample_w":
-        if params:
-            raise ValueError("bad generator parameter: counterexample_w takes none")
-        if grid.dimension != 1:
-            raise ValueError("bad generator parameter: counterexample_w is one-dimensional")
-        leaf_mass = _power_interval_mass(2.0, grid)
-        return Weight.from_leaf_mass(grid, leaf_mass, kind, {}, copy=False)
-
-    if kind == "counterexample_sigma":
-        if params:
-            raise ValueError("bad generator parameter: counterexample_sigma takes none")
-        if grid.dimension != 1:
-            raise ValueError("bad generator parameter: counterexample_sigma is one-dimensional")
-        leaf_mass = _ce_sigma_interval_mass(grid)
-        return Weight.from_leaf_mass(grid, leaf_mass, kind, {}, copy=False)
-
     if kind == "random_cascade":
         seed = int(params.pop("seed", 0))
         volatility = float(params.pop("volatility", 0.5))
@@ -359,7 +332,24 @@ def generate_weight(grid: GridConfig, kind: str, **params) -> Weight:
         return Weight.from_leaf_mass(grid, leaf_mass, kind,
                                      {"seed": seed, "volatility": volatility}, copy=False)
 
-    raise ValueError(f"bad generator parameter: unknown kind {kind!r}")
+    if kind == "power":
+        if "beta" not in params:
+            raise ValueError("bad generator parameter: power needs beta")
+        beta = float(params.pop("beta"))
+        if params or beta <= -1 or not np.isfinite(beta):
+            raise ValueError("bad generator parameter: power needs beta > -1")
+        parameters = {"beta": beta}
+    elif kind in ("counterexample_w", "counterexample_sigma"):
+        if params:
+            raise ValueError(f"bad generator parameter: {kind} takes none")
+        beta, parameters = 2.0, {}
+    else:
+        raise ValueError(f"bad generator parameter: unknown kind {kind!r}")
+    # the interval generators: closed forms on [0,1)
+    if grid.dimension != 1:
+        raise ValueError(f"bad generator parameter: {kind} is one-dimensional")
+    leaf_mass = _ce_sigma_interval_mass(grid) if kind == "counterexample_sigma" else _power_interval_mass(beta, grid)
+    return Weight.from_leaf_mass(grid, leaf_mass, kind, parameters, copy=False)
 
 
 # --- serialization ----------------------------------------------------------

@@ -17,6 +17,10 @@ over the members that `contains` finds inside Q0, and its rho is
 `llogl_oracle` is the L log L integral as one whole-array sum over the leaf
 densities, the form that `weights.llogl_integral` runs block by block.
 
+`cascade_oracle` is the multiplicative cascade drawn one level at a time,
+with a d=1 and a d=2 body; `weights._cascade_leaf_mass` draws every level
+at once, in any d, and must give the same leaf masses bit for bit.
+
 `bucket_of` is the scalar bucket of a stratum key, floor(log2 key) from the
 binary exponent of one `math.frexp` call.
 
@@ -91,6 +95,28 @@ def ancestor(cube, level):
         raise ValueError(f"ancestor level {level} not in [0, {cube.level}]")
     shift = cube.level - level
     return DyadicCube(level, tuple(j >> shift for j in cube.index))
+
+
+# --- cascade ----------------------------------------------------------------
+
+def cascade_oracle(grid, seed, volatility):
+    """The leaf masses of the multiplicative cascade in d=1 or d=2, one
+    `rng.random` call and one normalising `sum` per level."""
+    rng = np.random.default_rng(seed)
+    d = grid.dimension
+    masses = np.ones((1,) * d)
+    for k in range(grid.leaf_level):
+        n = 2**k
+        if d == 1:
+            raw = 1.0 + volatility * (2.0 * rng.random((n, 2)) - 1.0)
+            shares = raw / raw.sum(axis=1, keepdims=True)
+            masses = (masses[:, None] * shares).reshape(2 * n)
+        else:
+            raw = 1.0 + volatility * (2.0 * rng.random((n, n, 2, 2)) - 1.0)
+            shares = raw / raw.sum(axis=(2, 3), keepdims=True)
+            expanded = masses[:, :, None, None] * shares
+            masses = expanded.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+    return masses
 
 
 # --- fixtures -------------------------------------------------------------

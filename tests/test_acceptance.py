@@ -13,6 +13,7 @@ from sparsebump.bumps import EntropyFunction, ExponentConfig, direct_bumps, entr
 from sparsebump.grid import GridConfig, root_cube
 from sparsebump.lab import (
     ExperimentConfig,
+    build_family,
     build_instance,
     run_carleson_suite,
     run_counterexample,
@@ -77,30 +78,32 @@ def test_acceptance_1_exact_identities_on_constant_weights():
 # --------------------------------------------------------------------------
 
 def test_acceptance_2_carleson_certificate(monkeypatch):
-    # every member of every instance; i mod 30 sets (grid, lambda, family
-    # kind), so each of the 30 combinations occurs
-    grids = (GridConfig(1, 6), GridConfig(1, 8), GridConfig(1, 10), GridConfig(2, 4), GridConfig(2, 6))
+    # every member of every instance; i mod 42 sets (grid, lambda, family
+    # kind), 7 grids being coprime with 6, so each of the 42 combinations occurs
+    grids = (GridConfig(1, 6), GridConfig(1, 8), GridConfig(1, 10), GridConfig(2, 4), GridConfig(2, 6),
+             GridConfig(3, 3), GridConfig(3, 4))
     built = []
 
     def spy(cfg, i):
-        sigma, w, family, seed = build_instance(cfg, i)
+        sigma, family = build_family(cfg, i)
         built.append(((cfg.dimension, cfg.leaf_level), cfg.lam, i % 2, len(family)))
-        return sigma, w, family, seed
+        return sigma, family
 
-    monkeypatch.setattr(lab, "build_instance", spy)
+    monkeypatch.setattr(lab, "build_family", spy)
     start = time.perf_counter()
     res = run_carleson_suite(500, grids=grids, lambdas=(0.5, 0.25, 0.75), master_seed=7)
     elapsed = time.perf_counter() - start
-    members = {d: sum(n for (dim, _), _, _, n in built if dim == d) for d in (1, 2)}
+    members = {d: sum(n for (dim, _), _, _, n in built if dim == d) for d in (1, 2, 3)}
     assert len(built) == 500
-    assert len({combo[:3] for combo in built}) == 30
-    assert res["checked"] == members[1] + members[2]
-    assert members[1] > 0 and members[2] > 0
+    assert len({combo[:3] for combo in built}) == 42
+    assert res["checked"] == sum(members.values())
+    assert all(members.values())
     assert res["violations"] == 0
     assert res["checked"] >= 500
     assert res["worst_ratio"] <= 1.0
     assert elapsed < 30.0
-    _report(2, elapsed, f"{res['checked']} members checked ({members[1]} in d=1, {members[2]} in d=2) "
+    counts = ", ".join(f"{n} in d={d}" for d, n in members.items())
+    _report(2, elapsed, f"{res['checked']} members checked ({counts}) "
                         f"over 500 instances, worst lhs/rhs ratio {res['worst_ratio']:.4f}, zero violations")
 
 

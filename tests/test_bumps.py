@@ -19,7 +19,7 @@ from sparsebump.bumps import (
     entropy_bumps,
     eps_eval,
 )
-from sparsebump.grid import GridConfig
+from sparsebump.grid import GridConfig, parse_cube
 from sparsebump.weights import Weight, average, fix_ce, generate_weight, mass, rho
 
 LN2 = math.log(2.0)
@@ -287,7 +287,7 @@ def test_report_serialization_shape():
 def _chunk_inputs(kind, d):
     """A weight pair of each kind on a small d-dimensional grid, built fresh
     so that rho_levels is computed under the current BLOCK."""
-    g = GridConfig(d, 6 if d == 1 else 3)
+    g = GridConfig(d, {1: 6, 2: 3, 3: 2}[d])
     if kind == "constant":
         return generate_weight(g, "constant", value=1.0), generate_weight(g, "constant", value=2.0)
     sigma = generate_weight(g, "random_cascade", seed=41, volatility=0.8)
@@ -301,7 +301,7 @@ def _chunk_inputs(kind, d):
 
 class TestChunkedScan:
     @pytest.mark.parametrize("block", [1, 2, 3, 5])
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("p,q", [(2.0, 2.0), (2.0, 3.0)])
     @pytest.mark.parametrize("kind", ["constant", "cascade", "zero_quarter"])
     def test_chunks_match_single_chunk_report(self, monkeypatch, block, d, p, q, kind):
@@ -316,8 +316,7 @@ class TestChunkedScan:
         if kind == "constant":
             # every cube of a level ties: the first cube wins across chunks
             for report in chunked:
-                assert all(text.split(":")[1] in ("0", "(0,0)")
-                           for text in report["argmax"].values())
+                assert all(parse_cube(text).index == (0,) * d for text in report["argmax"].values())
 
     def test_distinct_exponents_in_caller_order(self):
         sigma, w = _chunk_inputs("cascade", 1)
@@ -467,18 +466,18 @@ def _fused_inputs(kind, d):
     first cube must win; and fix_half, whose zero-mass cubes sit on sigma,
     on w or on both."""
     if kind == "cascade":
-        g = GridConfig(d, 8 if d == 1 else 4)
+        g = GridConfig(d, {1: 8, 2: 4, 3: 3}[d])
         return (generate_weight(g, "random_cascade", seed=51, volatility=0.8),
                 generate_weight(g, "random_cascade", seed=52, volatility=0.8))
     if kind == "constant":
-        c = generate_weight(GridConfig(d, 10 if d == 1 else 5), "constant", value=3.0)
+        c = generate_weight(GridConfig(d, {1: 10, 2: 5, 3: 3}[d]), "constant", value=3.0)
         return c, c
     half = fix_half()
     const = generate_weight(half.grid, "constant", value=1.0)
     return {"half_sigma": (half, const), "half_w": (const, half), "half_both": (half, half)}[kind]
 
 
-FUSED_CASES = [("cascade", 1), ("cascade", 2), ("constant", 1), ("constant", 2),
+FUSED_CASES = [("cascade", 1), ("cascade", 2), ("cascade", 3), ("constant", 1), ("constant", 2), ("constant", 3),
                ("half_sigma", 1), ("half_w", 1), ("half_both", 1)]
 
 

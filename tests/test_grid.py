@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsebump.grid import DyadicCube, GridConfig, contains, leaf_slice, parse_cube, root_cube
+from sparsebump.grid import DyadicCube, GridConfig, coarsen, contains, leaf_slice, parse_cube, pyramid, root_cube
 
 from oracles import ancestor, children, enumerate_cubes, leaf_count, n_cubes
 
@@ -79,19 +79,55 @@ def test_cube_text_roundtrip():
     assert parse_cube("3:5") == DyadicCube(3, (5,))
     assert DyadicCube(2, (1, 3)).text == "2:(1,3)"
     assert parse_cube("2:(1,3)") == DyadicCube(2, (1, 3))
+    assert DyadicCube(3, (1, 0, 7)).text == "3:(1,0,7)"
+    assert parse_cube(" 3:(1,0,7)\n") == DyadicCube(3, (1, 0, 7))
     with pytest.raises(ValueError):
         parse_cube("nonsense")
 
 
+@pytest.mark.parametrize("text", ["3:(1,)", "3:()", "3:(1,2", "3:(1)", "3:1,2", "3:(1,,2)", "3:(1,2)x", ":1"])
+def test_malformed_cube_text_raises(text):
+    with pytest.raises(ValueError, match="cannot parse cube text"):
+        parse_cube(text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 5), st.data())
+def test_cube_text_roundtrip_any_dimension(d, k, data):
+    cube = DyadicCube(k, tuple(data.draw(st.integers(0, 2**k - 1)) for _ in range(d)))
+    assert parse_cube(cube.text) == cube
+    # d=1 keeps the bare "k:j" form, every other d the parenthesised one
+    assert ("(" in cube.text) == (d > 1)
+
+
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        GridConfig(3, 4)
-    with pytest.raises(ValueError):
-        GridConfig(1, 0)
-    with pytest.raises(ValueError):
-        GridConfig(1, 25)
-    with pytest.raises(ValueError):
-        GridConfig(2, 13)
+    g = GridConfig(3, 4)
+    assert (g.n_leaves, g.leaf_shape()) == (2**12, (16, 16, 16))
+    assert GridConfig(3, 8).leaf_level == 8 and GridConfig(24, 1).n_leaves == 2**24
+    for d, n in [(0, 1), (-1, 1), (3, 9), (2, 13), (1, 0), (1, 25), (25, 1)]:
+        with pytest.raises(ValueError):
+            GridConfig(d, n)
+
+
+def test_coarsen_d2_is_the_quadrant_sum():
+    # the quadrant sum (x00 + x01) + (x10 + x11), bit for bit
+    rng = np.random.default_rng(5)
+    for n in (1, 3, 6):
+        arr = rng.random((2**n, 2**n)) * 10.0 ** rng.integers(-8, 8, (2**n, 2**n))
+        want = (arr[0::2, 0::2] + arr[0::2, 1::2]) + (arr[1::2, 0::2] + arr[1::2, 1::2])
+        assert coarsen(arr, 2).tobytes() == want.tobytes()
+
+
+def test_coarsen_sums_children_in_any_dimension():
+    rng = np.random.default_rng(6)
+    for d, n in [(1, 5), (2, 3), (3, 3), (4, 2)]:
+        arr = rng.integers(0, 1000, (2**n,) * d).astype(float)
+        levels = pyramid(arr, GridConfig(d, n))
+        for k in range(n):
+            # the 2^d children of level-k cube j are the 2j + offset cubes below it
+            fine = levels[k + 1].reshape(sum(((2**k, 2),) * d, ()))
+            assert np.array_equal(levels[k], fine.sum(axis=tuple(range(1, 2 * d, 2))))
+        assert levels[0].shape == (1,) * d and levels[0].flat[0] == arr.sum()
 
 
 def test_cube_index_validation():
@@ -99,6 +135,9 @@ def test_cube_index_validation():
         DyadicCube(2, (4,))
     with pytest.raises(ValueError):
         DyadicCube(-1, (0,))
+    with pytest.raises(ValueError, match="index must be non-empty"):
+        DyadicCube(1, ())
+    assert DyadicCube(1, (0, 1, 1)).dimension == 3
 
 
 def test_leaf_slice_and_count():

@@ -16,6 +16,8 @@ from sparsebump.operators import Instance
 from sparsebump.lab import (
     CSV_COLUMNS,
     ExperimentConfig,
+    build_family,
+    build_instance,
     instance_seeds,
     run_carleson_suite,
     run_counterexample,
@@ -251,20 +253,34 @@ class TestCounterexampleMemory:
         assert [ref() for ref in refs] == [None, None]
 
 
+@pytest.mark.parametrize("family_kind", ("random", "stopping"))
+def test_build_family_is_build_instance_without_w(family_kind):
+    # the same child seeds: the Carleson suite sees the suites' sigma and family
+    cfg = ExperimentConfig(**dict(SMALL, dimension=2, leaf_level=4, family_kind=family_kind))
+    for i in range(3):
+        (sigma, family), (sigma_i, w, family_i, _) = build_family(cfg, i), build_instance(cfg, i)
+        assert family.members == family_i.members
+        assert sigma.mass_levels[-1].tobytes() == sigma_i.mass_levels[-1].tobytes() != w.mass_levels[-1].tobytes()
+
+
 def test_carleson_suite_small(monkeypatch):
-    original, sizes = lab.build_instance, []
+    original, sizes = lab.build_family, []
 
     def spy(cfg, i):
         built = original(cfg, i)
-        sizes.append(len(built[2]))
+        sizes.append(len(built[1]))
         return built
 
-    monkeypatch.setattr(lab, "build_instance", spy)
+    monkeypatch.setattr(lab, "build_family", spy)
+    # one weight per instance: sigma, never the w that the check does not read
+    kinds = []
+    monkeypatch.setattr(lab, "generate_weight", lambda *args, **kw: kinds.append(args[1]) or generate_weight(*args, **kw))
     res = run_carleson_suite(30, (GridConfig(1, 5), GridConfig(1, 6)), (0.5, 0.25), master_seed=3)
     assert res["violations"] == 0
     assert res["worst_ratio"] <= 1.0
     assert res["checked"] >= 30
     assert res["checked"] == sum(sizes)
+    assert kinds == ["random_cascade"] * 30
 
 
 @pytest.mark.parametrize("grids,lambdas,name", [((), (0.5,), "grids"), ((GridConfig(1, 6),), (), "lambdas")])
@@ -277,21 +293,21 @@ def test_carleson_suite_catches_one_lowered_rho(monkeypatch):
     # rho at the deepest member of instance 1 (51 members) falls to half of
     # 1 - lambda, so that member's ratio (1 - lambda)/rho becomes 2 and no
     # other ratio moves
-    original = lab.build_instance
+    original = lab.build_family
 
     def lowered(cfg, i):
-        sigma, w, family, seed = original(cfg, i)
+        sigma, family = original(cfg, i)
         if i == 1:
             q = family.members[-1]
             levels = [np.array(r) for r in sigma.rho_levels]
             levels[q.level][q.index] = 0.5 * (1.0 - cfg.lam)
             # rho_levels is a cached property: every reader sees this copy
             sigma.__dict__["rho_levels"] = tuple(levels)
-        return sigma, w, family, seed
+        return sigma, family
 
     res = run_carleson_suite(2, (GridConfig(1, 10),), (0.5,), master_seed=7)
     assert res["violations"] == 0 and res["worst_ratio"] <= 1.0
-    monkeypatch.setattr(lab, "build_instance", lowered)
+    monkeypatch.setattr(lab, "build_family", lowered)
     res = run_carleson_suite(2, (GridConfig(1, 10),), (0.5,), master_seed=7)
     assert res["violations"] == 1
     assert res["worst_ratio"] > 1.0
@@ -888,6 +904,19 @@ class TestLeafPathControl:
                          "--out-dir", str(tmp_path)])
         assert code == 1
         assert json.loads(capsys.readouterr().out.splitlines()[-1])["violations"] == 2
+
+
+@pytest.mark.parametrize("family_kind", ("mixed", "stopping"))
+@pytest.mark.parametrize("alpha", (0.0, 2.5))
+def test_three_dimensional_suite_has_no_violations(alpha, family_kind):
+    # every alpha/d and 2^{dk} factor at a d that no code path was written for
+    cfg = ExperimentConfig(**dict(SMALL, dimension=3, leaf_level=4, alpha=alpha, family_kind=family_kind))
+    rep = run_verify_bounds(cfg)
+    assert rep.violations == 0 and len(rep.rows) == SMALL["instances"]
+    with pytest.raises(ValueError, match="need 0 <= alpha < d"):
+        ExperimentConfig(dimension=3, alpha=3.0)
+    with pytest.raises(ValueError, match=re.escape("levels must be in [1, 8] for d=3, got [12, 16, 20]")):
+        run_sweep(ExperimentConfig(dimension=3))
 
 
 def test_two_dimensional_suite_has_no_violations():

@@ -84,7 +84,7 @@ class TestRho:
 
 
 class TestRhoAll:
-    @pytest.mark.parametrize("d,n,seed", [(1, 8, 0), (1, 8, 1), (2, 3, 2), (2, 5, 3)])
+    @pytest.mark.parametrize("d,n,seed", [(1, 8, 0), (1, 8, 1), (2, 3, 2), (2, 5, 3), (3, 3, 4), (3, 4, 5)])
     def test_matches_per_cube_rho(self, d, n, seed):
         # the oracle sums each block by the same pairwise tree: bitwise equal
         w = generate_weight(GridConfig(d, n), "random_cascade", seed=seed, volatility=0.8)
@@ -137,7 +137,7 @@ class TestRhoAll:
         assert r[0] < r[1] < r[2]
 
     @pytest.mark.parametrize("block", [2, 4, 8, 16])
-    @pytest.mark.parametrize("d,n", [(1, 7), (2, 4), (2, 5)])
+    @pytest.mark.parametrize("d,n", [(1, 7), (2, 4), (2, 5), (3, 3)])
     @pytest.mark.parametrize("zero_quarter", [False, True])
     def test_tiles_match_oracle(self, monkeypatch, block, d, n, zero_quarter):
         # several tiles per grid; coarsen finishes the tiles' partial sums

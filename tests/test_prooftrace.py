@@ -408,10 +408,10 @@ class TestEveryR:
     CHAINS = (("entropy", entropy_trace, "E"), ("direct", direct_trace, "D"),
               ("entropy", dual_entropy_trace, "E_star_symmetric"), ("direct", dual_direct_trace, "D_star"))
 
-    @pytest.mark.parametrize("d,seed", [(1, 1), (1, 2), (1, 3), (2, 0), (2, 1)])
+    @pytest.mark.parametrize("d,seed", [(1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (3, 1), (3, 4)])
     def test_report_at_every_r_is_the_restricted_chain(self, d, seed):
         # even seeds give random families, odd seeds stopping families
-        fam, sigma, w = random_setup(seed, n=8 if d == 1 else 5, target=40, dimension=d)
+        fam, sigma, w = random_setup(seed, n={1: 8, 2: 5, 3: 3}[d], target=40, dimension=d)
         cfg = ExponentConfig(2, 3, 0.25 * (seed % 2))
         inst = Instance(fam, sigma, w, cfg)
         ebump, dbump = lab._bump_reports(sigma, w, cfg, EPS_E, EPS_D)

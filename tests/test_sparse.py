@@ -243,6 +243,21 @@ def test_cube_of_another_dimension_rejected(d, cubes):
         family_from_json(json.dumps(record))
 
 
+class TestThreeDimensional:
+    G = GridConfig(3, 4)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_families_are_sparse_and_round_trip(self, seed):
+        w = generate_weight(self.G, "random_cascade", seed=seed, volatility=0.8)
+        for fam, lam in ((stopping_family(w, 2.0, root_cube(self.G)), 0.5),
+                         (random_sparse(self.G, 0.25, seed=seed, target_size=40), 0.25)):
+            assert len(fam) > 1 and verify_sparse(set(fam.members), lam)["ok"]
+            assert all(len(q.index) == 3 for q in fam.members)
+            back = family_from_json(family_to_json(fam))
+            assert back.members == fam.members and back.root == fam.root
+            assert (carleson_check(fam, w) <= 1.0).all()
+
+
 class TestTwoDimensional:
     G = GridConfig(2, 5)
 

@@ -3,7 +3,7 @@
 The oracles below walk the family cube by cube with `contains` and
 `leaf_slice`, the way the package computed these quantities before the
 family became an array tree.  Each sweep must agree with its oracle to
-1e-13 relative, on random and stopping families in d=1 and d=2.  Further
+1e-13 relative, on random and stopping families in d=1, 2 and 3.  Further
 oracles keep the earlier family builders (every grid cube as an object),
 which must return the same cube sets, and the leaf-level operator (one
 apply per candidate on leaf arrays), which the member-form operator must
@@ -128,11 +128,13 @@ def assert_close(got, want):
 
 # --- instances --------------------------------------------------------------
 
-CASES = [(d, kind, seed) for d in (1, 2) for kind in ("random", "stopping") for seed in range(3)]
+CASES = [(d, kind, seed) for d in (1, 2, 3) for kind in ("random", "stopping") for seed in range(3)]
+# 128, 256 and 512 leaves: the leaf oracles stay dense
+LEVELS = {1: 7, 2: 4, 3: 3}
 
 
 def instance(d, kind, seed):
-    grid = GridConfig(d, 7 if d == 1 else 4)
+    grid = GridConfig(d, LEVELS[d])
     sigma = generate_weight(grid, "random_cascade", seed=seed, volatility=0.8)
     w = generate_weight(grid, "random_cascade", seed=seed + 300, volatility=0.8)
     if kind == "random":
@@ -308,11 +310,11 @@ def test_non_grid_root_family():
     np.testing.assert_array_equal(family.at_leaves([1.0, 2.0, 4.0]), want)
 
 
-@pytest.mark.parametrize("d", (1, 2))
+@pytest.mark.parametrize("d", (1, 2, 3))
 def test_carleson_on_a_non_grid_root(d):
     # the stopping family below a level-1 cube: the array is the one-cube
     # oracle at every member, bit for bit
-    grid = GridConfig(d, 7 if d == 1 else 4)
+    grid = GridConfig(d, LEVELS[d])
     for seed in range(3):
         sigma = generate_weight(grid, "random_cascade", seed=seed, volatility=0.8)
         family = stopping_family(sigma, 2.0, DyadicCube(1, (1,) * d))
@@ -369,10 +371,10 @@ def oracle_stopping_family(sigma, big_lambda, root):
     return frozenset(selected)
 
 
-BUILD_GRIDS = (GridConfig(1, 7), GridConfig(2, 4))
+BUILD_GRIDS = (GridConfig(1, 7), GridConfig(2, 4), GridConfig(3, 3))
 
 
-@pytest.mark.parametrize("grid", BUILD_GRIDS, ids=("d1", "d2"))
+@pytest.mark.parametrize("grid", BUILD_GRIDS, ids=("d1", "d2", "d3"))
 @pytest.mark.parametrize("lam", (0.75, 0.5, 0.25))
 def test_random_sparse_matches_pool_oracle(grid, lam):
     # 10_000 exceeds every family's capacity here, so the pool is exhausted;
@@ -398,7 +400,7 @@ def test_random_sparse_makes_one_cube_per_member(monkeypatch, grid):
     assert len(family) == 30 and len(made) == 30
 
 
-@pytest.mark.parametrize("grid", BUILD_GRIDS, ids=("d1", "d2"))
+@pytest.mark.parametrize("grid", BUILD_GRIDS, ids=("d1", "d2", "d3"))
 @pytest.mark.parametrize("lam", (0.5, 0.25))
 def test_stopping_family_matches_stack_oracle(grid, lam):
     for seed in range(4):
@@ -535,7 +537,7 @@ class TestMemberOperatorMatchesLeafOperator:
 
 # --- the batched dual ascent, on both sides of the dense-kernel switch ------
 
-ASCENT_CASES = ([(d, kind, 0) for d in (1, 2) for kind in ("random", "stopping")]
+ASCENT_CASES = ([(d, kind, 0) for d in (1, 2, 3) for kind in ("random", "stopping")]
                 + ["non_grid_root", "sigma_null"])
 
 

@@ -20,7 +20,7 @@ from sparsebump.weights import (
     weight_to_json,
 )
 
-from oracles import ce_sigma_mass, enumerate_cubes, fix_const, fix_half, llogl_oracle
+from oracles import cascade_oracle, ce_sigma_mass, enumerate_cubes, fix_const, fix_half, llogl_oracle
 
 
 def cube_endpoints(cube: DyadicCube) -> tuple[float, float]:
@@ -107,8 +107,35 @@ class TestCascade:
         c = generate_weight(g, "random_cascade", seed=12, volatility=0.6)
         assert not np.array_equal(a.leaf_density, c.leaf_density)
 
+    @pytest.mark.parametrize("d,n", [(1, 1), (1, 2), (1, 8), (1, 13), (1, 17),
+                                     (2, 1), (2, 2), (2, 4), (2, 6), (2, 8)])
+    def test_one_draw_matches_the_per_level_oracle(self, d, n):
+        # the shares of all levels come from one draw of the same stream
+        g = GridConfig(d, n)
+        for seed in (0, 3, 11):
+            for volatility in (0.01, 0.6, 0.99):
+                w = generate_weight(g, "random_cascade", seed=seed, volatility=volatility)
+                want = cascade_oracle(g, seed, volatility)
+                assert w.mass_levels[-1].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d,n", [(1, 16), (2, 8), (3, 5)])
+    def test_leaf_level_keeps_no_larger_buffer(self, d, n):
+        leaf = 8 * 2 ** (d * n)
+        tracemalloc.start()
+        try:
+            w = generate_weight(GridConfig(d, n), "random_cascade", seed=1, volatility=0.6)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        owner = w.mass_levels[-1]
+        while owner.base is not None:
+            owner = owner.base
+        assert owner.nbytes == leaf
+        # the leaf level and the coarser ones, 1 / (2^d - 1) of a leaf array
+        assert held < (1.05 + 1 / (2**d - 1)) * leaf
+
     def test_root_mass_normalized(self):
-        for d, n in [(1, 10), (2, 4)]:
+        for d, n in [(1, 10), (2, 4), (3, 4)]:
             w = generate_weight(GridConfig(d, n), "random_cascade", seed=3, volatility=0.8)
             assert mass(w, root_cube(w.grid)) == pytest.approx(1.0, rel=1e-12)
 

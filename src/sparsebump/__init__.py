@@ -11,7 +11,6 @@ from .bumps import (
     direct_bumps,
     entropy_bumps,
     eps_eval,
-    joint_factor,
 )
 from .grid import DyadicCube, GridConfig, contains, parse_cube, root_cube
 from .operators import (

@@ -18,9 +18,10 @@ pass scores each cube for every asked constant in log space, from the logs
 of sigma(Q), w(Q) and of the rho(Q) those constants read, taken once per
 cube, and keeps the cubes within `SCORE_MARGIN` of each maximum.  Only
 those candidates are rechecked in exact arithmetic, so the argmax is the
-first exactly maximal cube, and the constant is re-evaluated at it in
-scalar arithmetic.  The pass builds no pyramid-sized array of its own; it
-builds a weight's rho pyramid only for an asked constant bumped by that rho.
+first exactly maximal cube, and the constant is the exact value that won
+there; nothing is evaluated again at the argmax.  The pass builds no
+pyramid-sized array of its own; it builds a weight's rho pyramid only for
+an asked constant bumped by that rho.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import grid as grid_module
 from .grid import DyadicCube, GridConfig, blockwise, flat_blocks
-from .weights import Weight, average, mass, rho
+from .weights import Weight, mass, rho
 
 LN2 = math.log(2.0)
 
@@ -200,13 +201,6 @@ class BumpReport:
                 "tail_sum": self.eps.tail_sum,
             }
         return out
-
-
-def joint_factor(sigma: Weight, w: Weight, cfg: ExponentConfig, cube: DyadicCube) -> float:
-    """Per-cube joint factor w(Q)^{1/q} sigma(Q)^{1/p'} / |Q|^{1-alpha/d},
-    evaluated in scalar arithmetic (the witness form of the constants)."""
-    scale = 2.0 ** (cube.level * (cube.dimension - cfg.alpha))
-    return mass(w, cube) ** (1.0 / cfg.q) * mass(sigma, cube) ** (1.0 / cfg.p_dual) * scale
 
 
 # Per constant: the eps kind that bumps it (None for A), whether its key is
@@ -412,20 +406,19 @@ class PairScan:
 
         One pass over the items of the pyramid (`_items`) through
         `blockwise` scores every constant in log space (`_scores`).  The cells within `SCORE_MARGIN`
-        of a constant's maximum are its candidates, rechecked in the exact
-        arithmetic of `_exact`; the value is then re-evaluated at the winner
-        in scalar arithmetic, multiplied in the same order, so a witness
-        recomputation reproduces it exactly."""
-        sigma, w, cfg, grid = self.sigma, self.w, self.cfg, self.grid
+        of a constant's maximum are its candidates, evaluated in the exact
+        arithmetic of `_exact`; the value reported is the exact value that
+        won the argmax, so a witness recomputation in that arithmetic
+        reproduces it exactly."""
+        grid = self.grid
         for kind, on_w in self._bumps:
             if kind == "entropy":  # built before the pass spreads: cached_property has no lock
-                (w if on_w else sigma).rho_levels
+                (self.w if on_w else self.sigma).rho_levels
         spare = []
         scored = blockwise(lambda item: self._scores(spare, item), _items(grid), grid)
         found = {}
         for name in self.names:
-            kind, on_w, e = self._score_of[name]
-            per_item = [item[self._scored.index((kind, on_w, e))] for item in scored]
+            per_item = [item[self._scored.index(self._score_of[name])] for item in scored]
             floor = _score_floor(max(top for top, _, _, _ in per_item))
             # the candidates in (level, flat index) order, and their exact values
             near = [score >= floor for _, _, _, score in per_item]
@@ -437,12 +430,7 @@ class PairScan:
             best = int(np.argmax(values))
             k = int(levels[best])
             cube = DyadicCube(k, tuple(int(x) for x in np.unravel_index(int(cells[best]), grid.level_shape(k))))
-            value = joint_factor(sigma, w, cfg, cube)
-            if kind is not None:
-                weight = w if on_w else sigma
-                t = rho(weight, cube) if kind == "entropy" else average(weight, cube)
-                value = (value * t**e if kind == "entropy" else value) * eps_eval(self.eps[kind], t) ** e
-            found[name] = (value, cube)
+            found[name] = (float(values[best]), cube)
         return found
 
 

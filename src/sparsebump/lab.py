@@ -222,8 +222,9 @@ def _verify_instance(cfg: ExperimentConfig, i: int, eps_e: EntropyFunction,
     dd = dual_direct_trace(inst, eps_d, family.root, bump=dbump)
 
     # a chain failing at any R fails the instance, even when it passes at the
-    # root; its certified constant is (2 Sigma_eps/(1-lambda))^{1/q} (1/p' if dual)
-    ok = all(t.passed and not t.failed for t in (etrace, dtrace, de, dd))
+    # root (the root is in `failed` when it fails there); its certified
+    # constant is (2 Sigma_eps/(1-lambda))^{1/q} (1/p' if dual)
+    ok = not any(t.failed for t in (etrace, dtrace, de, dd))
     ce_ratio = trep.T / (etrace.certified_constant * ebump.constants["E"])
     cd_ratio = trep.T / (dtrace.certified_constant * dbump.constants["D"])
     ok = ok and ce_ratio <= tolerance and cd_ratio <= tolerance

@@ -29,12 +29,15 @@ lambda-sparse family with root R, so a trace at R is the chain on that
 subfamily, reported at its root.  One pass checks the chain at every
 member of the family it runs on.  Stage (ii) does not depend on R: the
 bucket's members inside R below a maximal Q* are those inside Q*, so each
-member is checked once, in its own bucket; stages (i) and (iii) and the
-certificate are per-member arrays.  The report holds one `StratumRecord`
-(a named tuple) per (bucket, Q*) pair maximal in its bucket;
-`TraceReport.failed` lists every member where the chain fails.  A trace
-costs two tree sweeps: a down-sweep that counts, per bucket, the bucket's
-members containing each member, an up-sweep for every sum.
+member is checked once, in its own bucket, and a failed Q* fails each R
+from Q* up to its bucket's next member.  Each stage's check is one
+per-member array (`TraceReport.checks`), and `TraceReport.failed` lists the
+members where any of them fails.  The report at R is row 0 of those arrays,
+R being the root of its subfamily, so a chain passes at R exactly when R is
+not in `failed`; it holds one `StratumRecord` (a named tuple) per (bucket,
+Q*) pair maximal in its bucket.  A trace costs two tree sweeps: a
+down-sweep that counts, per bucket, the bucket's members containing each
+member, an up-sweep for every sum.
 """
 
 from __future__ import annotations
@@ -65,29 +68,28 @@ TRACE_SCHEMA = "trace/v1"
 # is measured: on the stopping families of 30,255 (d=1 N=20) and 35,882
 # members (d=2 N=10) that CI certifies at seed 42, where the worst case is
 # 4e-12, the identity error of all four chains was at most 3.9e-16 at every
-# R and 3.0e-15 at the root (a left-to-right sum).  A true excess of a part
-# in 1e12 is still reported.  The one other tolerance, `bumps.SCORE_MARGIN`,
-# widens the argmax search of the bump constants; it is derived there.
+# R, the root included.  A true excess of a part in 1e12 is still reported.
+# The one other tolerance, `bumps.SCORE_MARGIN`, widens the argmax search of
+# the bump constants; it is derived there.
 SLACK = 1e-12
 
 
-def _strata(family: SparseFamily, sigma: Weight, key: str, masses: np.ndarray):
-    """Per member its key value; the buckets a = floor(log2 key) in
-    increasing order; and two (|S|, B) arrays, column j for bucket a[j]: the
-    mask of the bucket's members, and per member the number of the bucket's
-    members that contain it (itself included).  A bucket member Q* is
-    maximal in its bucket when its count is 1.  `masses` holds sigma(Q) per
-    member.
+def _strata(family: SparseFamily, sigma: Weight, kind: str, masses: np.ndarray):
+    """Per member the key of the chain of `kind`, rho(Q; sigma) for the
+    entropy chain and <sigma>_Q for the direct one; the buckets a = floor(log2
+    key) in increasing order; and two (|S|, B) arrays, column j for bucket
+    a[j]: the mask of the bucket's members, and per member the number of the
+    bucket's members that contain it (itself included).  A bucket member Q*
+    is maximal in its bucket when its count is 1.  `masses` holds sigma(Q)
+    per member.
 
     Every cube with zero sigma-mass is rejected by name, since neither key
     is defined there.
     """
-    if key not in ("rho", "average"):
-        raise ValueError(f"key must be rho or average, got {key!r}")
     zero = masses <= 0
     if zero.any():
         raise ValueError(f"zero-mass cube in family: {family.members[np.argmax(zero)].text}")
-    keys = (family.gather(sigma.rho_levels) if key == "rho"
+    keys = (family.gather(sigma.rho_levels) if kind == "entropy"
             else np.ldexp(masses, sigma.grid.dimension * family.level))
     # key = mantissa * 2^exponent with the mantissa in [0.5, 1), exactly; the
     # exponents as int64 like every other index array, not frexp's int32
@@ -130,11 +132,17 @@ class TraceReport:
     exponents: ExponentConfig = field(repr=False)
     eps: EntropyFunction = field(repr=False)
     lam: float = 0.0
+    # per member inside R, in member order (R first), whether each stage
+    # holds there, keyed identity, inner, final and certificate; the flags
+    # above are row 0 of these arrays.  Not in to_dict
+    checks: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
     # every member inside R at which the chain fails, in member order; not in to_dict
     failed: tuple[DyadicCube, ...] = field(default=(), repr=False)
 
     @property
     def passed(self) -> bool:
+        """Every stage holds at R: row 0 of every check, so exactly when R is
+        not in `failed`."""
         return self.identity_ok and self.inner_ok and self.final_ok and self.certified_ok
 
     def to_dict(self) -> dict:
@@ -184,7 +192,7 @@ def _run_trace(kind: str, inst: Instance, eps: EntropyFunction, r_cube: DyadicCu
         inst = Instance(family, inst.sigma, inst.w, inst.cfg)
     sigma, w, cfg = inst.sigma, inst.w, inst.cfg
     lam, sigma_q = family.lam, inst.sigma_mass
-    keys, a, in_bucket, count = _strata(family, sigma, "rho" if kind == "entropy" else "average", sigma_q)
+    keys, a, in_bucket, count = _strata(family, sigma, kind, sigma_q)
     if c_bump is None:
         bumps = entropy_bumps if kind == "entropy" else direct_bumps
         c_bump = bumps(sigma, w, cfg, eps).constants["E" if kind == "entropy" else "D"]
@@ -207,6 +215,15 @@ def _run_trace(kind: str, inst: Instance, eps: EntropyFunction, r_cube: DyadicCu
     col, star = np.nonzero(in_bucket.T)
     floor_val = eps_eval(eps, np.ldexp(1.0, np.where(a >= 0, a, a + 1)))[col]
     factor = 2.0 * eps.tail_sum / (1.0 - lam)
+    certified_constant = factor ** (1.0 / cfg.q)
+    # per member R, each stage's check at R: (i) the bucket sums add up to
+    # the testing sum; (ii) every pair maximal in its bucket inside R holds,
+    # so a failed Q* fails each R from Q* up to its bucket's next member;
+    # (iii) the testing sum stays under the final bound; and the certificate
+    # (the testing value at R, with w(E_Q) masses, <= the w(Q) form)
+    regrouped = sums[:, 2:].sum(axis=1)
+    identity_error = np.divide(np.abs(lhs - regrouped), lhs, out=regrouped, where=lhs > 0)
+    checks = {"identity": identity_error <= SLACK, "inner": np.ones(len(family), dtype=bool)}
     with np.errstate(over="ignore"):
         scale = (c_bump * sigma_q ** (1 / cfg.p)) ** cfg.q
         inner_lhs, sigma_star, scale_star = sums[star, 2 + col], sigma_q[star], scale[star]
@@ -219,42 +236,29 @@ def _run_trace(kind: str, inst: Instance, eps: EntropyFunction, r_cube: DyadicCu
         else:
             support_ratio = sums[star, 1] * (1.0 - lam) / support[star]
         ok = (inner_lhs <= inner_bound * (1.0 + SLACK)) & (support_ratio <= 1.0 + SLACK)
-        final_ok = lhs <= scale * (factor * (1.0 + SLACK))
-        # stage (iii) at R alone, in the scalar arithmetic of a one-R chain
-        final_bound = factor * float(np.float64(c_bump * float(sigma_q[0]) ** (1 / cfg.p)) ** cfg.q)
+        final_bound = factor * scale
+        checks["final"] = lhs <= final_bound * (1.0 + SLACK)
+    checks["certificate"] = inst.testing_values <= certified_constant * c_bump * (1.0 + SLACK)
+    for j, c in zip(star[~ok].tolist(), col[~ok].tolist()):
+        checks["inner"][j] = False
+        while (j := family.parent[j]) >= 0 and not in_bucket[j, c]:
+            checks["inner"][j] = False
 
-    # every R: the bucket sums add up to the testing sum (i), which stays
-    # under the final bound (iii), and the certificate; then stage (ii) at
-    # each R where a failed Q* is maximal in its bucket, from Q* up to the
-    # bucket's next member
-    certified_constant = factor ** (1.0 / cfg.q)
-    bad = ~((np.abs(lhs - sums[:, 2:].sum(axis=1)) <= SLACK * lhs) & final_ok
-            & (inst.testing_values <= certified_constant * c_bump * (1.0 + SLACK)))
-    if not ok.all():
-        for j, c in zip(star[~ok].tolist(), col[~ok].tolist()):
-            bad[j] = True
-            while (j := family.parent[j]) >= 0 and not in_bucket[j, c]:
-                bad[j] = True
-
-    # the report at R: the pairs with no other bucket member above Q*
+    # the report at R, the root of the family the chain ran on: row 0 of
+    # every array, and the pairs with no other bucket member above Q*
     pick = count[star, col] == 1
     records = list(map(StratumRecord, a[col[pick]].tolist(), [family.members[i] for i in star[pick]],
                        inner_lhs[pick].tolist(), inner_bound[pick].tolist(), realized[pick].tolist(),
                        support_ratio[pick].tolist(), ok[pick].tolist()))
-    # stage (i) at R, the inner sums added left to right
-    lhs_total = float(lhs[0])
-    regrouped = float(np.add.accumulate(inner_lhs[pick])[-1])
-    identity_error = abs(lhs_total - regrouped) / lhs_total if lhs_total > 0 else abs(regrouped)
-    # certificate: testing value at R with w(E_Q) masses (<= the w(Q) form)
-    testing_value = float(inst.testing_values[0])
+    held = np.logical_and.reduce(list(checks.values()))
     return TraceReport(
-        kind=kind, R=r_cube, lhs_total=lhs_total, strata=records,
-        identity_ok=identity_error <= SLACK, identity_error=identity_error,
-        inner_ok=bool(ok[pick].all()), final_bound=final_bound,
-        final_ok=lhs_total <= final_bound * (1.0 + SLACK),
-        certified_constant=certified_constant, bump_constant=c_bump, testing_value=testing_value,
-        certified_ok=testing_value <= certified_constant * c_bump * (1.0 + SLACK),
-        exponents=cfg, eps=eps, lam=lam, failed=tuple(family.members[i] for i in np.flatnonzero(bad)),
+        kind=kind, R=r_cube, lhs_total=float(lhs[0]), strata=records,
+        identity_ok=bool(checks["identity"][0]), identity_error=float(identity_error[0]),
+        inner_ok=bool(checks["inner"][0]), final_bound=float(final_bound[0]), final_ok=bool(checks["final"][0]),
+        certified_constant=certified_constant, bump_constant=c_bump,
+        testing_value=float(inst.testing_values[0]), certified_ok=bool(checks["certificate"][0]),
+        exponents=cfg, eps=eps, lam=lam, checks=checks,
+        failed=tuple(family.members[i] for i in np.flatnonzero(~held)),
     )
 
 

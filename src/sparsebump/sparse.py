@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import DyadicCube, GridConfig, coarsen, expand, leaf_slice, parse_cube
+from .grid import DyadicCube, GridConfig, coarsen, descendant_block, expand, parse_cube
 from .weights import Weight, average, json_record, mass, rho  # noqa: F401 (rho: perfbench BINDINGS wraps it)
 
 
@@ -183,7 +183,7 @@ def stopping_family(sigma: Weight, big_lambda: float, root: DyadicCube) -> Spars
     for k in range(root.level + 1, grid.leaf_level + 1):
         threshold = expand(np.where(chosen, big_lambda * avg, threshold), d)
         # the level-k cubes inside the root; |Q| = 2^{-dk} exactly
-        avg = sigma.mass_levels[k][leaf_slice(root, GridConfig(d, k))] * 2.0 ** (d * k)
+        avg = sigma.mass_levels[k][descendant_block(root.index, root.level, k)] * 2.0 ** (d * k)
         chosen = avg > threshold
         corner = np.array(root.index) << (k - root.level)
         selected += [DyadicCube(k, tuple(j)) for j in (np.argwhere(chosen) + corner).tolist()]

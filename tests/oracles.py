@@ -31,13 +31,16 @@ the dense leaf kernel, independent of the member applies of `exact_norm_l2`;
 `sup_oracle` is a bump constant with its argmax from the exact per-cube
 values of every grid cube, one whole level at a time: the scan that
 `bumps.PairScan` replaces by log-domain scores and an exact recheck of the
-near-maximal cubes.  `bump_reports_oracle` assembles both reports of a pair
-from it.
+near-maximal cubes.  Its value is the maximal entry of the whole level's
+vector of values, in the arithmetic of `PairScan._exact`, so the two agree
+bit for bit.  `bump_reports_oracle` assembles both reports of a pair from
+it.
 
 `trace_oracle` runs one proof chain at one R alone, on the arrays of the
 whole family: the strata are restricted to the members inside R (found by
 `grid.contains`), and a down-sweep of the restricted bucket masks finds
-their maximal members.  The package runs the chain on R's subfamily
+their maximal members; stages (i) and (iii) at R are row R of their
+per-member arrays over the whole family.  The package runs the chain on R's subfamily
 instead; its report at R must equal the oracle's, bit for bit.
 
 `verify_sparse` checks lambda-sparseness cube by cube, by walking each
@@ -55,7 +58,7 @@ import math
 
 import numpy as np
 
-from sparsebump.bumps import BumpReport, ExponentConfig, direct_bumps, entropy_bumps, eps_eval, joint_factor
+from sparsebump.bumps import BumpReport, ExponentConfig, direct_bumps, entropy_bumps, eps_eval
 from sparsebump.grid import DyadicCube, GridConfig, coarsen, contains, expand, leaf_slice
 from sparsebump.operators import Instance
 from sparsebump.prooftrace import SLACK, StratumRecord, TraceReport
@@ -307,8 +310,8 @@ def sup_oracle(sigma, w, cfg, weight=None, eps=None, exponents=(1.0,)):
     is rho(Q; weight) with bump key^e * eps(key)^e for an entropy eps, and
     <weight>_Q with bump eps(key)^e for a direct eps; a cube where the key is
     undefined (zero mass) contributes 0.  The argmax is the first maximum in
-    (level, flat index) order; the value is re-evaluated there in scalar
-    arithmetic, multiplied in the same order.
+    (level, flat index) order, and the value is its entry in the whole
+    level's vector of values.
     """
     entropy = eps is not None and eps.kind == "entropy"
     d = sigma.grid.dimension
@@ -330,13 +333,8 @@ def sup_oracle(sigma, w, cfg, weight=None, eps=None, exponents=(1.0,)):
             m = int(np.argmax(vals))
             if vals[m] > best[0]:
                 best = (float(vals[m]), k, m)
-        _, k, m = best
-        cube = DyadicCube(k, tuple(int(x) for x in np.unravel_index(m, joint[k].shape)))
-        value = joint_factor(sigma, w, cfg, cube)
-        if weight is not None:
-            t = _rho_of(weight, cube) if entropy else average(weight, cube)
-            value = ((value * t**e if entropy else value) * eps_eval(eps, t) ** e) if t else 0.0
-        found.append((value, cube))
+        value, k, m = best
+        found.append((value, DyadicCube(k, tuple(int(x) for x in np.unravel_index(m, joint[k].shape)))))
     return found
 
 
@@ -410,13 +408,14 @@ def trace_oracle(kind, inst, eps, r_cube, c_bump=None):
                        inner_lhs.tolist(), inner_bound.tolist(), realized.tolist(),
                        support_ratio.tolist(), ok.tolist()))
 
-    regrouped = float(np.add.accumulate(inner_lhs)[-1])
-    identity_error = abs(lhs_total - regrouped) / lhs_total if lhs_total > 0 else abs(regrouped)
+    # stages (i) and (iii) at R: row r of their arrays over the family
+    lhs, regrouped = sums[:, 0], sums[:, 2:].sum(axis=1)
+    identity_error = float(np.divide(np.abs(lhs - regrouped), lhs, out=regrouped, where=lhs > 0)[r])
+    factor = 2.0 * eps.tail_sum / (1.0 - lam)
     with np.errstate(over="ignore"):
-        final_bound = (2.0 * eps.tail_sum / (1.0 - lam)
-                       * float(np.float64(c_bump * float(sigma_q[r]) ** (1 / cfg.p)) ** cfg.q))
+        final_bound = float((factor * (c_bump * sigma_q ** (1 / cfg.p)) ** cfg.q)[r])
     testing_value = float(inst.testing_values[r])
-    certified_constant = (2.0 * eps.tail_sum / (1.0 - lam)) ** (1.0 / cfg.q)
+    certified_constant = factor ** (1.0 / cfg.q)
     return TraceReport(
         kind=kind, R=r_cube, lhs_total=lhs_total, strata=records,
         identity_ok=identity_error <= SLACK, identity_error=identity_error,

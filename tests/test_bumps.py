@@ -20,7 +20,7 @@ from sparsebump.bumps import (
     eps_eval,
 )
 from sparsebump.grid import GridConfig, parse_cube
-from sparsebump.weights import Weight, average, fix_ce, generate_weight, mass, rho
+from sparsebump.weights import Weight, fix_ce, generate_weight, rho
 
 LN2 = math.log(2.0)
 
@@ -151,6 +151,20 @@ def joint_constant(sigma, w, cfg):
     return entropy_bumps(sigma, w, cfg, EntropyFunction("entropy", 1.0))
 
 
+def at_cube(levels, cube):
+    """The one-entry vector of a per-level array at `cube`."""
+    return levels[cube.level].reshape(-1)[[np.ravel_multi_index(cube.index, levels[cube.level].shape)]]
+
+
+def witness_joint(sigma, w, cfg, cube):
+    """The joint factor w^{1/q} sigma^{1/p'} |Q|^{alpha/d - 1} at `cube` as a
+    one-entry vector, multiplied in the order of the scan's exact values, so
+    a constant recomputed at its argmax must equal the scan's bit for bit."""
+    joint = at_cube(w.mass_levels, cube) ** (1.0 / cfg.q) * at_cube(sigma.mass_levels, cube) ** (1.0 / cfg.p_dual)
+    joint *= 2.0 ** (cube.level * (cube.dimension - cfg.alpha))
+    return joint
+
+
 class TestJointConstant:
     def test_diagonal_constant_weight_is_one(self):
         s, w = fix_const()
@@ -223,12 +237,12 @@ class TestEntropyBumps:
         eps = EntropyFunction("entropy", 1.0)
         rep = entropy_bumps(sigma, w, cfg, eps)
         q = rep.argmax["E"]
-        scale = 2.0 ** (q.level * (q.dimension - cfg.alpha))  # |Q|^{alpha/d - 1}
-        joint = mass(w, q) ** (1.0 / cfg.q) * mass(sigma, q) ** (1.0 / cfg.p_dual) * scale
-        r = rho(sigma, q)
-        recomputed = joint * r ** (1.0 / cfg.q) * eps_eval(eps, r) ** (1.0 / cfg.q)
-        assert recomputed == rep.constants["E"]
-        assert rep.rho_at_argmax["E"] == r
+        joint = witness_joint(sigma, w, cfg, q)
+        r = at_cube(sigma.rho_levels, q)
+        recomputed = eps_eval(eps, r) ** (1.0 / cfg.q)
+        recomputed *= joint * r ** (1.0 / cfg.q)
+        assert recomputed.tolist() == [rep.constants["E"]]
+        assert rep.rho_at_argmax["E"] == rho(sigma, q) == r[0]
 
 
 class TestDirectBumps:
@@ -268,10 +282,9 @@ class TestDirectBumps:
         eps = EntropyFunction("direct", 1.0)
         rep = direct_bumps(sigma, w, cfg, eps)
         q = rep.argmax["D"]
-        scale = 2.0 ** (q.level * (q.dimension - cfg.alpha))
-        joint = mass(w, q) ** (1.0 / cfg.q) * mass(sigma, q) ** (1.0 / cfg.p_dual) * scale
-        recomputed = joint * eps_eval(eps, average(sigma, q)) ** (1.0 / cfg.q)
-        assert recomputed == rep.constants["D"]
+        recomputed = eps_eval(eps, at_cube(sigma.mass_levels, q) * 2.0 ** (q.dimension * q.level)) ** (1.0 / cfg.q)
+        recomputed *= witness_joint(sigma, w, cfg, q)
+        assert recomputed.tolist() == [rep.constants["D"]]
 
 
 def test_report_serialization_shape():

@@ -872,6 +872,29 @@ class TestDualCertificateControl(_OneCheckControl):
         assert run_verify_bounds(ExperimentConfig(**dict(SMALL, instances=3))).violations == 3
 
 
+@pytest.mark.parametrize("trace,column,other", [
+    ("entropy_trace", "certified_CE_ratio", "certified_CD_ratio"),
+    ("direct_trace", "certified_CD_ratio", "certified_CE_ratio"),
+], ids=("CE", "CD"))
+def test_each_certified_ratio_fails_alone(monkeypatch, trace, column, other):
+    # one primal chain's report with its certified constant shrunk a
+    # millionfold and its checks and `failed` untouched: only that chain's
+    # certified ratio, T <= C_E E or T <= C_D D, reads the constant, and it
+    # must count every instance
+    original = getattr(lab, trace)
+
+    def shrunk(*args, **kwargs):
+        rep = original(*args, **kwargs)
+        assert rep.failed == ()
+        return dataclasses.replace(rep, certified_constant=rep.certified_constant * 1e-6)
+
+    monkeypatch.setattr(lab, trace, shrunk)
+    rep = run_verify_bounds(ExperimentConfig(**dict(SMALL, instances=3)))
+    assert rep.violations == 3
+    assert all(row[column] > 1.0 and row[other] <= 1.0 for row in rep.rows)
+    assert all(row["trace_entropy_pass"] and row["trace_direct_pass"] for row in rep.rows)
+
+
 class TestPerRControl(_OneCheckControl):
     """The per-R terms of T inflated fail "indicator ratios >= per-R terms"."""
 

@@ -46,9 +46,10 @@ def random_setup(seed, n=7, lam=0.5, target=22, dimension=1):
 
 
 def stratify(fam, sigma, key):
-    """The strata of the whole family by `key`, with the bucket and maximal
-    masks of `_strata` turned into cube lists."""
-    keys, a, in_bucket, count = _strata(fam, sigma, key, fam.gather(sigma.mass_levels))
+    """The strata of the whole family by `key` (rho or average), with the
+    bucket and maximal masks of `_strata` turned into cube lists."""
+    kind = "entropy" if key == "rho" else "direct"
+    keys, a, in_bucket, count = _strata(fam, sigma, kind, fam.gather(sigma.mass_levels))
     members = fam.members
     return SimpleNamespace(
         buckets={b: [members[i] for i in np.flatnonzero(col)] for b, col in zip(a.tolist(), in_bucket.T)},
@@ -296,6 +297,19 @@ def test_report_json_schema():
     assert data["stage_inner"]["strata"][0]["a"] == 0
 
 
+def rows_of(rep):
+    """Check that the report at R is row 0 (R) of its per-member checks: each
+    stage flag is that row, `failed` counts the members where any check
+    fails, and the chain passes at R exactly when R is not in `failed`.
+    Returns the report."""
+    flags = {"identity": rep.identity_ok, "inner": rep.inner_ok, "final": rep.final_ok,
+             "certificate": rep.certified_ok}
+    assert flags == {name: bool(check[0]) for name, check in rep.checks.items()}
+    assert len(rep.failed) == np.count_nonzero(~np.logical_and.reduce(list(rep.checks.values())))
+    assert rep.passed == (rep.R not in rep.failed)
+    return rep
+
+
 def _deflated(bump: BumpReport, key: str, factor: float) -> BumpReport:
     return dataclasses.replace(bump, constants=dict(bump.constants, **{key: bump.constants[key] * factor}))
 
@@ -315,7 +329,7 @@ class TestNegativeControls:
         inst = Instance(chain_family(), s, w, self.CFG)
         assert entropy_trace(inst, EPS_E, self.R).passed
         bump = _deflated(entropy_bumps(s, w, self.CFG, EPS_E), "E", 0.5)
-        rep = entropy_trace(inst, EPS_E, self.R, bump=bump)
+        rep = rows_of(entropy_trace(inst, EPS_E, self.R, bump=bump))
         assert not rep.inner_ok and not rep.certified_ok and not rep.passed
         assert rep.identity_ok  # the regrouping does not depend on the bump
 
@@ -324,7 +338,7 @@ class TestNegativeControls:
         inst = Instance(chain_family(), s, w, self.CFG)
         assert direct_trace(inst, EPS_D, self.R).passed
         bump = _deflated(direct_bumps(s, w, self.CFG, EPS_D), "D", 0.5)
-        rep = direct_trace(inst, EPS_D, self.R, bump=bump)
+        rep = rows_of(direct_trace(inst, EPS_D, self.R, bump=bump))
         assert not rep.inner_ok and not rep.certified_ok and not rep.passed
 
     def test_dropped_stratum_breaks_the_identity(self, monkeypatch):
@@ -343,7 +357,7 @@ class TestNegativeControls:
             assert trace(inst, eps, fam.root).passed
             with monkeypatch.context() as m:
                 m.setattr(prooftrace, "_strata", dropped)
-                rep = trace(inst, eps, fam.root)
+                rep = rows_of(trace(inst, eps, fam.root))
             assert not rep.identity_ok and not rep.passed
             assert fam.root in rep.failed
 
@@ -367,7 +381,7 @@ class TestNegativeControls:
             return keys / 2.0, a, in_bucket, count
 
         monkeypatch.setattr(prooftrace, "_strata", halved)
-        rep = entropy_trace(inst, EPS_E, fam.root)
+        rep = rows_of(entropy_trace(inst, EPS_E, fam.root))
         assert not rep.inner_ok and not rep.passed
         assert any(r.support_ratio > 1.0 + SLACK for r in rep.strata)
         assert all(r.inner_lhs <= r.inner_bound * (1.0 + SLACK) for r in rep.strata)
@@ -384,7 +398,7 @@ class TestNegativeControls:
         eps = EntropyFunction(kind, 1.0)
         assert trace(inst, eps, fam.root).passed
         monkeypatch.setattr(EntropyFunction, "tail_sum", 1e-6)
-        rep = trace(inst, eps, fam.root)
+        rep = rows_of(trace(inst, eps, fam.root))
         assert not rep.final_ok and not rep.certified_ok and not rep.passed
         assert rep.identity_ok and rep.inner_ok
 
@@ -402,8 +416,8 @@ class TestEveryR:
     """A trace at R runs its chain on R's subfamily, checks it at every
     member inside R at once and reports at R.  The report at each R must be
     the chain run on the members inside R alone (`trace_oracle`), bit for
-    bit, and `failed` must hold exactly the members inside R at which that
-    chain fails."""
+    bit, and row 0 of its per-member checks (`rows_of`); `failed` must hold
+    exactly the members inside R at which that chain fails."""
 
     CHAINS = (("entropy", entropy_trace, "E"), ("direct", direct_trace, "D"),
               ("entropy", dual_entropy_trace, "E_star_symmetric"), ("direct", dual_direct_trace, "D_star"))
@@ -420,7 +434,7 @@ class TestEveryR:
             for kind, trace, key in self.CHAINS:
                 bump = _deflated(ebump if kind == "entropy" else dbump, key, factor)
                 chain_inst = inst if trace in (entropy_trace, direct_trace) else inst.dual
-                reports = [trace(inst, bump.eps, r, bump=bump) for r in fam.members]
+                reports = [rows_of(trace(inst, bump.eps, r, bump=bump)) for r in fam.members]
                 oracles = [trace_oracle(kind, chain_inst, bump.eps, r, bump.constants[key]) for r in fam.members]
                 assert [r.to_json() for r in reports] == [o.to_json() for o in oracles]
                 failed = [r for r, o in zip(fam.members, oracles) if not o.passed]
@@ -495,11 +509,19 @@ class TestEveryR:
         need_cert = (inst.testing_values / rep.bump_constant) ** 3
         r = int(np.argmax(need_final / need_cert))
         assert need_cert[r] < need_final[r] / 1.01
-        monkeypatch.setattr(EntropyFunction, "tail_sum", (need_final[r] * need_cert[r]) ** 0.5 * (1 - fam.lam) / 2)
-        rep = (entropy_trace if kind == "entropy" else direct_trace)(inst, eps, fam.root)
+        monkeypatch.setattr(EntropyFunction, "tail_sum", float((need_final[r] * need_cert[r]) ** 0.5 * (1 - fam.lam) / 2))
+        trace = entropy_trace if kind == "entropy" else direct_trace
+        rep = rows_of(trace(inst, eps, fam.root))
         oracles = [trace_oracle(kind, inst, eps, q) for q in fam.members]
         assert not oracles[r].final_ok and oracles[r].certified_ok and oracles[r].inner_ok
         assert rep.failed == tuple(q for q, o in zip(fam.members, oracles) if not o.passed)
+        # stages (i) and (ii) do not read Sigma_eps, and the report at each R is
+        # the row of the final and certificate arrays
+        assert rep.checks["identity"].all() and rep.checks["inner"].all()
+        assert rep.checks["final"].tolist() == [o.final_ok for o in oracles]
+        assert rep.checks["certificate"].tolist() == [o.certified_ok for o in oracles]
+        for q, o in zip(fam.members, oracles):
+            assert rows_of(trace(inst, eps, q)).to_json() == o.to_json()
 
     def test_the_certificate_alone_fails_at_some_r(self):
         # a testing value over the certified bound at one member below the
@@ -510,8 +532,10 @@ class TestEveryR:
         assert rep.failed == ()
         r = len(fam) // 2
         inst.testing_values[r] = 2 * rep.certified_constant * rep.bump_constant
-        rep = entropy_trace(inst, EPS_E, fam.root)
+        rep = rows_of(entropy_trace(inst, EPS_E, fam.root))
         assert rep.passed and rep.failed == (fam.members[r],)
+        assert np.flatnonzero(~rep.checks["certificate"]).tolist() == [r]
+        assert all(rep.checks[name].all() for name in ("identity", "inner", "final"))
         at_r = trace_oracle("entropy", inst, EPS_E, fam.members[r])
         assert not at_r.certified_ok and at_r.identity_ok and at_r.inner_ok and at_r.final_ok
 

@@ -109,9 +109,10 @@ def oracle_strata(members, key_values):
 
 
 def stratify(family, sigma, key):
-    """The strata of the whole family by `key`, with the bucket and maximal
-    masks of `_strata` turned into cube lists."""
-    keys, a, in_bucket, count = _strata(family, sigma, key, family.gather(sigma.mass_levels))
+    """The strata of the whole family by `key` (rho or average), with the
+    bucket and maximal masks of `_strata` turned into cube lists."""
+    kind = "entropy" if key == "rho" else "direct"
+    keys, a, in_bucket, count = _strata(family, sigma, kind, family.gather(sigma.mass_levels))
     members = family.members
     return SimpleNamespace(
         buckets={b: [members[i] for i in np.flatnonzero(col)] for b, col in zip(a.tolist(), in_bucket.T)},

@@ -24,36 +24,36 @@ same chain.  Every chain takes an `operators.Instance` first and reads its
 per-member masses, terms and testing values; a dual chain runs on
 `Instance.dual`.
 
-The chain at R reads only the members inside R, which form a
-lambda-sparse family with root R, so a trace at R is the chain on that
-subfamily, reported at its root.  One pass checks the chain at every
-member of the family it runs on.  Stage (ii) does not depend on R: the
-bucket's members inside R below a maximal Q* are those inside Q*, so each
-member is checked once, in its own bucket, and a failed Q* fails each R
-from Q* up to its bucket's next member.  Each stage's check is one
-per-member array (`TraceReport.checks`), and `TraceReport.failed` lists the
-members where any of them fails.  The report at R is row 0 of those arrays,
-R being the root of its subfamily, so a chain passes at R exactly when R is
+The chain at R reads only the members inside R, so a trace at R marks
+them, buckets only them and runs one pass over the instance's family and
+arrays, which checks the chain at every member inside R.  Stage (ii) does
+not depend on R: the bucket's members inside R below a maximal Q* are those
+inside Q*, so each member is checked once, in its own bucket, and a failed
+Q* fails each R from Q* up to its bucket's next member.  Each stage's check
+is one array over the members inside R, R first (`TraceReport.checks`), and
+`TraceReport.failed` lists the members where any of them fails.  The report
+at R is row R of the pass's arrays, so a chain passes at R exactly when R is
 not in `failed`; it holds one `StratumRecord` (a named tuple) per (bucket,
-Q*) pair maximal in its bucket.  A trace costs two tree sweeps: a
-down-sweep that counts, per bucket, the bucket's members containing each
-member, an up-sweep for every sum.
+Q*) pair maximal in its bucket.  A trace costs two tree sweeps, a down-sweep
+that counts, per bucket, the bucket's members containing each member and an
+up-sweep for every sum, and below the root a third: the down-sweep of R's
+indicator that marks the members inside R.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .bumps import BumpReport, EntropyFunction, ExponentConfig, direct_bumps, entropy_bumps, eps_eval
+# the names marked noqa are not called here (a one-constant PairScan, the support
+# ratios and Weight.rho_levels replace them): perfbench/layers.py (BINDINGS) wraps them
+from .bumps import BumpReport, EntropyFunction, ExponentConfig, PairScan, eps_eval
+from .bumps import direct_bumps, entropy_bumps  # noqa: F401
 from .grid import DyadicCube
 from .operators import Instance
-# carleson_check and rho are not called here (the support ratios and Weight.rho_levels
-# replace them); they stay bound because perfbench/layers.py (BINDINGS) wraps them.
 from .sparse import SparseFamily, carleson_check  # noqa: F401
 from .weights import Weight, rho  # noqa: F401
 
@@ -74,19 +74,19 @@ TRACE_SCHEMA = "trace/v1"
 SLACK = 1e-12
 
 
-def _strata(family: SparseFamily, sigma: Weight, kind: str, masses: np.ndarray):
+def _strata(family: SparseFamily, sigma: Weight, kind: str, masses: np.ndarray, inside: np.ndarray):
     """Per member the key of the chain of `kind`, rho(Q; sigma) for the
     entropy chain and <sigma>_Q for the direct one; the buckets a = floor(log2
-    key) in increasing order; and two (|S|, B) arrays, column j for bucket
-    a[j]: the mask of the bucket's members, and per member the number of the
-    bucket's members that contain it (itself included).  A bucket member Q*
-    is maximal in its bucket when its count is 1.  `masses` holds sigma(Q)
-    per member.
+    key) of the members marked by `inside` (those inside R), in increasing
+    order; and two (|S|, B) arrays, column j for bucket a[j]: the mask of the
+    bucket's members inside R, and per member the number of those that
+    contain it (itself included).  A bucket member Q* is maximal in its
+    bucket inside R when its count is 1.  `masses` holds sigma(Q) per member.
 
-    Every cube with zero sigma-mass is rejected by name, since neither key
-    is defined there.
+    Every cube inside R with zero sigma-mass is rejected by name, since
+    neither key is defined there.
     """
-    zero = masses <= 0
+    zero = inside & (masses <= 0)
     if zero.any():
         raise ValueError(f"zero-mass cube in family: {family.members[np.argmax(zero)].text}")
     keys = (family.gather(sigma.rho_levels) if kind == "entropy"
@@ -94,8 +94,8 @@ def _strata(family: SparseFamily, sigma: Weight, kind: str, masses: np.ndarray):
     # key = mantissa * 2^exponent with the mantissa in [0.5, 1), exactly; the
     # exponents as int64 like every other index array, not frexp's int32
     bucket = np.frexp(keys)[1].astype(np.int64) - 1
-    a = np.array(sorted(set(bucket.tolist())), dtype=np.int64)
-    in_bucket = bucket[:, None] == a
+    a = np.array(sorted(set(bucket[inside].tolist())), dtype=np.int64)
+    in_bucket = inside[:, None] & (bucket[:, None] == a)
     return keys, a, in_bucket, family.ancestor_sum(in_bucket)
 
 
@@ -177,7 +177,7 @@ class TraceReport:
 def _run_trace(kind: str, inst: Instance, eps: EntropyFunction, r_cube: DyadicCube,
                c_bump: float | None) -> TraceReport:
     """The chain of `kind` on the instance's (family, sigma, w, cfg)
-    restricted to the members inside R = r_cube, checked at every member and
+    restricted to the members inside R = r_cube, checked at each of them and
     reported at R; c_bump is its bump constant (E or D of (sigma, w)),
     computed here when None."""
     if eps.kind != kind:
@@ -185,17 +185,15 @@ def _run_trace(kind: str, inst: Instance, eps: EntropyFunction, r_cube: DyadicCu
     family = inst.family
     if r_cube not in family:
         raise ValueError(f"cube {r_cube.text} is not in the family")
-    if r_cube != family.root:
-        # R's subfamily: the members that R's indicator reaches on a down-sweep
-        inside = family.ancestor_sum(np.arange(len(family)) == family.position[r_cube]) > 0
-        family = SparseFamily(family.grid, itertools.compress(family.members, inside), family.lam)
-        inst = Instance(family, inst.sigma, inst.w, inst.cfg)
+    # the members inside R: those R's indicator reaches on a down-sweep, all at the root
+    r = family.position[r_cube]
+    inside = family.ancestor_sum(np.arange(len(family)) == r) > 0 if r else np.ones(len(family), dtype=bool)
     sigma, w, cfg = inst.sigma, inst.w, inst.cfg
     lam, sigma_q = family.lam, inst.sigma_mass
-    keys, a, in_bucket, count = _strata(family, sigma, kind, sigma_q)
+    keys, a, in_bucket, count = _strata(family, sigma, kind, sigma_q, inside)
     if c_bump is None:
-        bumps = entropy_bumps if kind == "entropy" else direct_bumps
-        c_bump = bumps(sigma, w, cfg, eps).constants["E" if kind == "entropy" else "D"]
+        name = "E" if kind == "entropy" else "D"
+        c_bump = PairScan(sigma, w, cfg, **{kind: eps}, names=(name,)).found[name][0]
 
     # one up-sweep for every sum of the chain, with w(Q) masses: column 0 the
     # testing sum, column 1 the support sums (sigma(Q) for the Carleson
@@ -241,24 +239,25 @@ def _run_trace(kind: str, inst: Instance, eps: EntropyFunction, r_cube: DyadicCu
     checks["certificate"] = inst.testing_values <= certified_constant * c_bump * (1.0 + SLACK)
     for j, c in zip(star[~ok].tolist(), col[~ok].tolist()):
         checks["inner"][j] = False
-        while (j := family.parent[j]) >= 0 and not in_bucket[j, c]:
+        while j != r and not in_bucket[(j := family.parent[j]), c]:
             checks["inner"][j] = False
 
-    # the report at R, the root of the family the chain ran on: row 0 of
-    # every array, and the pairs with no other bucket member above Q*
+    # the report at R: row R of every array, the checks of the members inside
+    # R (R first), and the pairs with no other bucket member above Q*
     pick = count[star, col] == 1
     records = list(map(StratumRecord, a[col[pick]].tolist(), [family.members[i] for i in star[pick]],
                        inner_lhs[pick].tolist(), inner_bound[pick].tolist(), realized[pick].tolist(),
                        support_ratio[pick].tolist(), ok[pick].tolist()))
+    checks = {name: check[inside] for name, check in checks.items()}
     held = np.logical_and.reduce(list(checks.values()))
     return TraceReport(
-        kind=kind, R=r_cube, lhs_total=float(lhs[0]), strata=records,
-        identity_ok=bool(checks["identity"][0]), identity_error=float(identity_error[0]),
-        inner_ok=bool(checks["inner"][0]), final_bound=float(final_bound[0]), final_ok=bool(checks["final"][0]),
+        kind=kind, R=r_cube, lhs_total=float(lhs[r]), strata=records,
+        identity_ok=bool(checks["identity"][0]), identity_error=float(identity_error[r]),
+        inner_ok=bool(checks["inner"][0]), final_bound=float(final_bound[r]), final_ok=bool(checks["final"][0]),
         certified_constant=certified_constant, bump_constant=c_bump,
-        testing_value=float(inst.testing_values[0]), certified_ok=bool(checks["certificate"][0]),
+        testing_value=float(inst.testing_values[r]), certified_ok=bool(checks["certificate"][0]),
         exponents=cfg, eps=eps, lam=lam, checks=checks,
-        failed=tuple(family.members[i] for i in np.flatnonzero(~held)),
+        failed=tuple(family.members[i] for i in np.flatnonzero(inside)[~held]),
     )
 
 

@@ -40,8 +40,10 @@ it.
 whole family: the strata are restricted to the members inside R (found by
 `grid.contains`), and a down-sweep of the restricted bucket masks finds
 their maximal members; stages (i) and (iii) at R are row R of their
-per-member arrays over the whole family.  The package runs the chain on R's subfamily
-instead; its report at R must equal the oracle's, bit for bit.
+per-member arrays over the whole family.  The package finds the members
+inside R by a down-sweep of R's indicator instead, and checks stage (ii) at
+every member inside R in one pass; its report at R must equal the oracle's,
+bit for bit.
 
 `verify_sparse` checks lambda-sparseness cube by cube, by walking each
 member's chain of parents to its nearest member ancestor, independently of

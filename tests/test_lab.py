@@ -13,6 +13,7 @@ from sparsebump import cli, lab
 from sparsebump.cli import cli_main
 from sparsebump.grid import GridConfig
 from sparsebump.operators import Instance
+from sparsebump.prooftrace import SLACK
 from sparsebump.lab import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -893,6 +894,23 @@ def test_each_certified_ratio_fails_alone(monkeypatch, trace, column, other):
     assert rep.violations == 3
     assert all(row[column] > 1.0 and row[other] <= 1.0 for row in rep.rows)
     assert all(row["trace_entropy_pass"] and row["trace_direct_pass"] for row in rep.rows)
+
+
+@pytest.mark.parametrize("excess,violations", [(4 * SLACK, 1), (SLACK / 4, 0)], ids=("fails", "passes"))
+def test_certified_ratio_at_slack(monkeypatch, excess, violations):
+    # the suite's tolerance at its own scale: the entropy chain's certified
+    # constant shrunk until T exceeds C_E E by `excess`, 4 SLACK or SLACK/4
+    original = lab.entropy_trace
+
+    def shrunk(inst, eps, r_cube, bump):
+        rep = original(inst, eps, r_cube, bump=bump)
+        bound = inst.testing_values.max() / (1.0 + excess)
+        return dataclasses.replace(rep, certified_constant=bound / bump.constants["E"])
+
+    monkeypatch.setattr(lab, "entropy_trace", shrunk)
+    rep = run_verify_bounds(ExperimentConfig(**dict(SMALL, instances=1)))
+    assert rep.rows[0]["certified_CE_ratio"] == pytest.approx(1.0 + excess, abs=1e-13)
+    assert rep.violations == violations
 
 
 class TestPerRControl(_OneCheckControl):

@@ -49,7 +49,7 @@ def stratify(fam, sigma, key):
     """The strata of the whole family by `key` (rho or average), with the
     bucket and maximal masks of `_strata` turned into cube lists."""
     kind = "entropy" if key == "rho" else "direct"
-    keys, a, in_bucket, count = _strata(fam, sigma, kind, fam.gather(sigma.mass_levels))
+    keys, a, in_bucket, count = _strata(fam, sigma, kind, fam.gather(sigma.mass_levels), np.ones(len(fam), dtype=bool))
     members = fam.members
     return SimpleNamespace(
         buckets={b: [members[i] for i in np.flatnonzero(col)] for b, col in zip(a.tolist(), in_bucket.T)},
@@ -272,9 +272,9 @@ def test_four_chains_share_one_inside_sweep(monkeypatch):
     for i in range(cfg.instances):
         _, sweeps, family = traces(i)
         assert sweeps == 4
-    # at every member R, the down-sweep of R's indicator that restricts a
-    # trace to R's subfamily (column R of the ancestor sum of the identity)
-    # marks the members that grid.contains puts inside R
+    # at every member R, the down-sweep of R's indicator that marks the
+    # members a trace at R buckets (column R of the ancestor sum of the
+    # identity) marks those that grid.contains puts inside R
     for d, n in ((1, 7), (2, 4)):
         g = GridConfig(d, n)
         sigma = generate_weight(g, "random_cascade", seed=5, volatility=0.9)
@@ -284,6 +284,23 @@ def test_four_chains_share_one_inside_sweep(monkeypatch):
             assert len(family) > 4
             masks = [[contains(r, q) for q in family.members] for r in family.members]
             np.testing.assert_array_equal(masks, family.ancestor_sum(np.eye(len(family))).T > 0)
+
+
+@pytest.mark.parametrize("d", (1, 2))
+def test_a_trace_without_a_bump_scans_only_its_constant(d):
+    # the constant is the one its bump report holds, and the trace builds no
+    # rho pyramid that its chain does not read: the primal entropy chain
+    # reads sigma's, the dual one w's, and the direct chains none
+    for trace, eps, key, reads in ((entropy_trace, EPS_E, "E", "sigma"), (direct_trace, EPS_D, "D", None),
+                                   (dual_entropy_trace, EPS_E, "E_star_symmetric", "w"),
+                                   (dual_direct_trace, EPS_D, "D_star", None)):
+        fam, sigma, w = random_setup(1, n=6, dimension=d)
+        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0))
+        rep = trace(inst, eps, fam.members[-1])
+        built = [name for name, weight in (("sigma", sigma), ("w", w)) if "rho_levels" in vars(weight)]
+        assert built == ([reads] if reads else []), trace.__name__
+        bumps = entropy_bumps if eps.kind == "entropy" else direct_bumps
+        assert rep.bump_constant == bumps(sigma, w, inst.cfg, eps).constants[key]
 
 
 def test_report_json_schema():
@@ -413,8 +430,8 @@ def stopping_setup(n, s_sigma, s_w):
 
 
 class TestEveryR:
-    """A trace at R runs its chain on R's subfamily, checks it at every
-    member inside R at once and reports at R.  The report at each R must be
+    """A trace at R runs its chain on the members inside R, checks it at
+    every one of them at once and reports at R.  The report at each R must be
     the chain run on the members inside R alone (`trace_oracle`), bit for
     bit, and row 0 of its per-member checks (`rows_of`); `failed` must hold
     exactly the members inside R at which that chain fails."""
@@ -540,10 +557,9 @@ class TestEveryR:
         assert not at_r.certified_ok and at_r.identity_ok and at_r.inner_ok and at_r.final_ok
 
     def test_a_zero_mass_member_outside_r(self):
-        # sigma vanishes on 2:3: the chain at R = 2:0 or 3:1 runs on R's
-        # subfamily, which holds no zero-mass member, so it passes and
-        # nothing inside R fails; the trace at the root names the zero-mass
-        # cube
+        # sigma vanishes on 2:3: the chain at R = 2:0 or 3:1 buckets only
+        # the members inside R, none of zero mass, so it passes and nothing
+        # inside R fails; the trace at the root names the zero-mass cube
         g = GridConfig(1, 3)
         sigma = Weight(g, np.array([1.0, 2, 3, 4, 5, 6, 0, 0]))
         w = generate_weight(g, "random_cascade", seed=3, volatility=0.5)
@@ -582,6 +598,55 @@ class TestSlack:
     def test_excess_below_slack_passes(self):
         rep = self._at_excess(SLACK / 4)
         assert rep.inner_ok
+
+    # each other stage at the same scale: the relative excess of 4 SLACK
+    # fails it at the root, one of SLACK/4 does not
+    AT_SLACK = pytest.mark.parametrize("excess,holds", [(4 * SLACK, False), (SLACK / 4, True)],
+                                       ids=("fails", "passes"))
+
+    @AT_SLACK
+    def test_identity_at_slack(self, excess, holds, monkeypatch):
+        # the last member's term made the share `excess` of the testing sum,
+        # and that member dropped from its bucket: the bucket sums miss it
+        fam, sigma, w = random_setup(2)
+        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0))
+        inst.mass_terms[-1] = 0.0
+        rest = direct_trace(inst, EPS_D, fam.root).lhs_total
+        inst.mass_terms[-1] = excess * rest / (1.0 - excess)
+        original = prooftrace._strata
+
+        def dropped(*args):
+            keys, a, in_bucket, count = original(*args)
+            in_bucket[-1] = False
+            return keys, a, in_bucket, count
+
+        monkeypatch.setattr(prooftrace, "_strata", dropped)
+        rep = direct_trace(inst, EPS_D, fam.root)
+        assert rep.identity_error == pytest.approx(excess, rel=1e-3)
+        assert rep.identity_ok is holds
+
+    @AT_SLACK
+    def test_final_bound_at_slack(self, excess, holds, monkeypatch):
+        # stage (iii) at the root: Sigma_eps shrunk until the testing sum
+        # exceeds the final bound by `excess`
+        fam, sigma, w = random_setup(2)
+        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0))
+        rep = direct_trace(inst, EPS_D, fam.root)
+        shrunk = EPS_D.tail_sum * rep.lhs_total / rep.final_bound / (1.0 + excess)
+        monkeypatch.setattr(EntropyFunction, "tail_sum", shrunk)
+        rep = direct_trace(inst, EPS_D, fam.root)
+        assert rep.lhs_total / rep.final_bound == pytest.approx(1.0 + excess, abs=SLACK / 8)
+        assert rep.final_ok is holds
+
+    @AT_SLACK
+    def test_certificate_at_slack(self, excess, holds):
+        # the root's testing value raised to `excess` over the certified bound
+        fam, sigma, w = random_setup(2)
+        inst = Instance(fam, sigma, w, ExponentConfig(2, 3, 0.0))
+        rep = direct_trace(inst, EPS_D, fam.root)
+        inst.testing_values[0] = rep.certified_constant * rep.bump_constant * (1.0 + excess)
+        rep = rows_of(direct_trace(inst, EPS_D, fam.root))
+        assert rep.certified_ok is holds and rep.passed is holds
 
 
 class TestTwoDimensional:

@@ -32,7 +32,7 @@ from sparsebump.operators import (
     primal_indicator_ratios,
     testing_constants,
 )
-from sparsebump.prooftrace import SLACK, _strata, direct_trace, entropy_trace
+from sparsebump.prooftrace import SLACK, _strata, direct_trace, dual_direct_trace, dual_entropy_trace, entropy_trace
 from sparsebump.sparse import SparseFamily, carleson_check, random_sparse, stopping_family
 from sparsebump.weights import Weight, average, generate_weight, mass
 
@@ -112,7 +112,8 @@ def stratify(family, sigma, key):
     """The strata of the whole family by `key` (rho or average), with the
     bucket and maximal masks of `_strata` turned into cube lists."""
     kind = "entropy" if key == "rho" else "direct"
-    keys, a, in_bucket, count = _strata(family, sigma, kind, family.gather(sigma.mass_levels))
+    keys, a, in_bucket, count = _strata(family, sigma, kind, family.gather(sigma.mass_levels),
+                                     np.ones(len(family), dtype=bool))
     members = family.members
     return SimpleNamespace(
         buckets={b: [members[i] for i in np.flatnonzero(col)] for b, col in zip(a.tolist(), in_bucket.T)},
@@ -261,7 +262,9 @@ def test_sweeps_batch_columns(d, kind, seed):
 @pytest.mark.parametrize("d,kind,seed", CASES[::3])
 def test_one_trace_takes_two_sweeps(d, kind, seed, monkeypatch):
     # one up-sweep for every sum of a trace and one down-sweep for the
-    # maximal members of all buckets at once
+    # maximal members of all buckets at once, all on the instance's family;
+    # below the root one more down-sweep, of R's indicator, marks the
+    # members inside R
     family, sigma, w = instance(d, kind, seed)
     cfg = ExponentConfig(2.0, 3.0, 0.25)
     inst = Instance(family, sigma, w, cfg)
@@ -272,28 +275,43 @@ def test_one_trace_takes_two_sweeps(d, kind, seed, monkeypatch):
             calls.append((self, name))
             return original(self, values)
         monkeypatch.setattr(SparseFamily, name, counted)
-    def sweeps_on(on):
-        return sorted(name for f, name in calls if f is on)
 
     n_buckets = set()
     for trace, bumps, eps in ((entropy_trace, entropy_bumps, EntropyFunction("entropy", 1.0)),
                               (direct_trace, direct_bumps, EntropyFunction("direct", 1.0))):
         bump = bumps(sigma, w, cfg, eps)
-        calls.clear()
-        rep = trace(inst, eps, family.root, bump=bump)
-        assert len(calls) == 2 and sweeps_on(family) == ["ancestor_sum", "descendant_sum"]
-        n_buckets.add(len({s.a for s in rep.strata}))
-        # below the root: one down-sweep of R's indicator finds R's
-        # subfamily, which takes the chain's two sweeps and the up-sweep of
-        # its own testing values
-        r_cube = family.members[len(family) // 2]
-        calls.clear()
-        rep = trace(inst, eps, r_cube, bump=bump)
-        sub = calls[-1][0]
-        assert sub.root == r_cube and len(calls) == 4 and sweeps_on(family) == ["ancestor_sum"]
-        assert sweeps_on(sub) == ["ancestor_sum", "descendant_sum", "descendant_sum"]
-        n_buckets.add(len({s.a for s in rep.strata}))
+        for r_cube, sweeps in ((family.root, ["ancestor_sum", "descendant_sum"]),
+                               (family.members[len(family) // 2], ["ancestor_sum", "ancestor_sum", "descendant_sum"])):
+            calls.clear()
+            rep = trace(inst, eps, r_cube, bump=bump)
+            # the one up-sweep is the chain's: the testing values are read, not recomputed
+            assert all(f is family for f, _ in calls) and sorted(name for _, name in calls) == sweeps
+            n_buckets.add(len({s.a for s in rep.strata}))
     assert len(n_buckets) > 1
+
+
+@pytest.mark.parametrize("d,kind,seed", CASES[::3])
+def test_a_trace_below_the_root_builds_no_family_and_no_instance(d, kind, seed, monkeypatch):
+    # every chain at R runs on the instance's own family and arrays: no
+    # subfamily and no second Instance, with or without a bump report
+    family, sigma, w = instance(d, kind, seed)
+    cfg = ExponentConfig(2.0, 3.0, 0.25)
+    inst = Instance(family, sigma, w, cfg)
+    inst.dual  # the dual chains run on it
+    ebump, dbump = entropy_bumps(sigma, w, cfg, EntropyFunction("entropy", 1.0)), direct_bumps(
+        sigma, w, cfg, EntropyFunction("direct", 1.0))
+    made = []
+    for cls in (SparseFamily, Instance):
+        def counted(self, original=cls.__post_init__):
+            made.append(type(self))
+            original(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    for r_cube in (family.members[len(family) // 2], family.members[-1]):
+        for trace, bump in ((entropy_trace, ebump), (direct_trace, dbump),
+                            (dual_entropy_trace, ebump), (dual_direct_trace, dbump)):
+            for given in (bump, None):
+                assert trace(inst, bump.eps, r_cube, bump=given).R == r_cube
+    assert made == []
 
 
 def test_non_grid_root_family():

@@ -235,7 +235,7 @@ def _verify_instance(cfg: ExperimentConfig, i: int, eps_e: EntropyFunction,
         # the member-form ratio at one seeded R against the leaf path
         r = tested[np.random.default_rng(instance_seeds(cfg.master_seed, i, 5)[4])
                    .integers(len(tested))]
-        leaf = _leaf_indicator_ratio(family, sigma, w, exps, family.members[r])
+        leaf = _leaf_indicator_ratio(family, sigma, w, exps, family.cube(r))
         ok = ok and abs(ratios[r] - leaf) <= SLACK * leaf
 
     ok = ok and trep.T_star <= de.certified_constant * ebump.constants["E_star_symmetric"] * tolerance

@@ -45,12 +45,15 @@ from .weights import Weight
 # Largest family whose ascent applies take the dense member kernel.  A dense
 # apply is one O(|S|^2) product; the sweeps cost a few calls per tree level,
 # and the kernel itself is built by one down-sweep.  Measured on a 2-core
-# x86-64 VM (budget 25, 3 starts): the dense ascent takes 1.2 ms against
-# 4 ms for the sweeps at |S| = 30, 3 against 5 ms at |S| = 195, and it stops
-# winning between |S| = 300 and 400.  The switch sits below that crossover
-# because the kernel and its two scaled copies hold 3 |S|^2 floats (1.5 MiB
-# at 256).  Read at call time, so tests can change it, as is N_STARTS, the
-# number of random starts of the dual ascent in `norm_lower_bound`.
+# x86-64 VM with one BLAS thread (budget 25, 3 starts, to the fixed point):
+# on random d=1 families the dense ascent takes 0.5 against 0.9 ms for the
+# sweeps at |S| = 30 and 1.3 against 1.4 ms at 200, but 1.9 against 1.3 ms
+# at 250; on a 291-member d=1 stopping family, with a deeper tree, 3.1
+# against 3.4 ms.  Moving the switch changes which apply an instance takes,
+# and so the last bits of its bound; the kernel and its two scaled copies
+# hold 3 |S|^2 floats (1.5 MiB at 256).  Read at call time, so tests can
+# change it, as is N_STARTS, the number of random starts of the dual ascent
+# in `norm_lower_bound`.
 DENSE_MAX = 256
 N_STARTS = 3
 
@@ -311,6 +314,7 @@ def norm_lower_bound(inst: Instance, budget: int, seed: int = 0) -> float:
     u = family.ancestor_sum(inst.coef[:, None] * blocks)
     sigma_exc, w_exc = inst.sigma_exc, inst.w_exc
     t_sigma, t_w = _member_operator(inst, sigma_exc), _member_operator(inst, w_exc)
+    f = None
     for _ in range(budget):
         y = t_w(u ** (cfg.q - 1.0))
         # y > 0 on every member of a column or on none: the root's term is in each value
@@ -322,7 +326,10 @@ def norm_lower_bound(inst: Instance, budget: int, seed: int = 0) -> float:
         # the map is 1-homogeneous and the ratio scale-free: each column is
         # scaled to a maximum of 1, so the power (exponent 100 at p = 1.01)
         # cannot overflow
-        f = (y / y.max(axis=0)) ** (1.0 / (cfg.p - 1.0))
+        f, f_prev = (y / y.max(axis=0)) ** (1.0 / (cfg.p - 1.0)), f
+        # an iterate repeated bit for bit is a fixed point: later steps repeat it
+        if np.array_equal(f, f_prev):
+            break
         u = t_sigma(f)
         best = max(best, float(np.max(_norms(u, cfg.q, w_exc) / _norms(f, cfg.p, sigma_exc))))
     return best
@@ -374,7 +381,7 @@ def _primal_testing(inst: Instance) -> tuple[float, DyadicCube | None]:
     R with sigma(R)=0 contribute 0."""
     values = inst.testing_values
     j = int(np.argmax(values))
-    return (float(values[j]), inst.family.members[j]) if values[j] > 0 else (0.0, None)
+    return (float(values[j]), inst.family.cube(j)) if values[j] > 0 else (0.0, None)
 
 
 def testing_constants(inst: Instance) -> TestingReport:

@@ -33,18 +33,19 @@ Q* fails each R from Q* up to its bucket's next member.  Each stage's check
 is one array over the members inside R, R first (`TraceReport.checks`), and
 `TraceReport.failed` lists the members where any of them fails.  The report
 at R is row R of the pass's arrays, so a chain passes at R exactly when R is
-not in `failed`; it holds one `StratumRecord` (a named tuple) per (bucket,
-Q*) pair maximal in its bucket.  A trace costs two tree sweeps, a down-sweep
-that counts, per bucket, the bucket's members containing each member and an
-up-sweep for every sum, and below the root a third: the down-sweep of R's
-indicator that marks the members inside R.
+not in `failed`; its `strata`, made when first read, hold one `StratumRecord`
+(a named tuple) per (bucket, Q*) pair maximal in its bucket.  A trace costs
+two tree sweeps, a down-sweep that counts, per bucket, the bucket's members
+containing each member and an up-sweep for every sum, and below the root a
+third: the down-sweep of R's indicator that marks the members inside R.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -88,7 +89,7 @@ def _strata(family: SparseFamily, sigma: Weight, kind: str, masses: np.ndarray, 
     """
     zero = inside & (masses <= 0)
     if zero.any():
-        raise ValueError(f"zero-mass cube in family: {family.members[np.argmax(zero)].text}")
+        raise ValueError(f"zero-mass cube in family: {family.cube(np.argmax(zero)).text}")
     keys = (family.gather(sigma.rho_levels) if kind == "entropy"
             else np.ldexp(masses, sigma.grid.dimension * family.level))
     # key = mantissa * 2^exponent with the mantissa in [0.5, 1), exactly; the
@@ -119,7 +120,8 @@ class TraceReport:
     kind: str
     R: DyadicCube
     lhs_total: float
-    strata: list[StratumRecord] = field(repr=False)
+    # makes `strata`, the records of the pairs maximal in their buckets, on its first read
+    records: Callable[[], list[StratumRecord]] = field(repr=False, compare=False)
     identity_ok: bool
     identity_error: float
     inner_ok: bool
@@ -138,6 +140,8 @@ class TraceReport:
     checks: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
     # every member inside R at which the chain fails, in member order; not in to_dict
     failed: tuple[DyadicCube, ...] = field(default=(), repr=False)
+
+    strata = cached_property(lambda self: self.records())
 
     @property
     def passed(self) -> bool:
@@ -183,10 +187,9 @@ def _run_trace(kind: str, inst: Instance, eps: EntropyFunction, r_cube: DyadicCu
     if eps.kind != kind:
         raise ValueError(f"{eps.kind} eps passed to {kind} trace")
     family = inst.family
-    if r_cube not in family:
+    if (r := family.position(r_cube)) < 0:
         raise ValueError(f"cube {r_cube.text} is not in the family")
     # the members inside R: those R's indicator reaches on a down-sweep, all at the root
-    r = family.position[r_cube]
     inside = family.ancestor_sum(np.arange(len(family)) == r) > 0 if r else np.ones(len(family), dtype=bool)
     sigma, w, cfg = inst.sigma, inst.w, inst.cfg
     lam, sigma_q = family.lam, inst.sigma_mass
@@ -243,21 +246,22 @@ def _run_trace(kind: str, inst: Instance, eps: EntropyFunction, r_cube: DyadicCu
             checks["inner"][j] = False
 
     # the report at R: row R of every array, the checks of the members inside
-    # R (R first), and the pairs with no other bucket member above Q*
+    # R (R first), and the pairs with no other bucket member above Q*, whose
+    # records (and Q* cubes) are made only when read
     pick = count[star, col] == 1
-    records = list(map(StratumRecord, a[col[pick]].tolist(), [family.members[i] for i in star[pick]],
-                       inner_lhs[pick].tolist(), inner_bound[pick].tolist(), realized[pick].tolist(),
-                       support_ratio[pick].tolist(), ok[pick].tolist()))
     checks = {name: check[inside] for name, check in checks.items()}
     held = np.logical_and.reduce(list(checks.values()))
     return TraceReport(
-        kind=kind, R=r_cube, lhs_total=float(lhs[r]), strata=records,
+        kind=kind, R=r_cube, lhs_total=float(lhs[r]),
+        records=lambda: list(map(StratumRecord, a[col[pick]].tolist(), map(family.cube, star[pick].tolist()),
+                                 inner_lhs[pick].tolist(), inner_bound[pick].tolist(), realized[pick].tolist(),
+                                 support_ratio[pick].tolist(), ok[pick].tolist())),
         identity_ok=bool(checks["identity"][0]), identity_error=float(identity_error[r]),
         inner_ok=bool(checks["inner"][0]), final_bound=float(final_bound[r]), final_ok=bool(checks["final"][0]),
         certified_constant=certified_constant, bump_constant=c_bump,
         testing_value=float(inst.testing_values[r]), certified_ok=bool(checks["certificate"][0]),
         exponents=cfg, eps=eps, lam=lam, checks=checks,
-        failed=tuple(family.members[i] for i in np.flatnonzero(inside)[~held]),
+        failed=tuple(map(family.cube, np.flatnonzero(inside)[~held].tolist())),
     )
 
 

@@ -15,7 +15,7 @@ import bisect
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,11 +23,11 @@ from .grid import DyadicCube, GridConfig, coarsen, descendant_block, expand, par
 from .weights import Weight, average, json_record, mass, rho  # noqa: F401 (rho: perfbench BINDINGS wraps it)
 
 
-def _tree(level: np.ndarray, index: np.ndarray, depth: int):
+def _tree(level: np.ndarray, flat: np.ndarray, d: int, depth: int):
     """Array form of cubes sorted by (level, index), given as their levels
-    and (|S|, d) indices: per member its row-major index on its level and its
-    parent; the level bounds (members on level k are members[bounds[k]:
-    bounds[k+1]]); per level-`depth` cube its owner.
+    and row-major indices on their levels: the level bounds (members on
+    level k are members[bounds[k]:bounds[k+1]]); per member its parent; per
+    level-`depth` cube its owner.
 
     One top-down sweep over levels 0..depth carries, per grid cube, the
     position of the deepest member containing it (-1 for none).  Read at a
@@ -35,9 +35,6 @@ def _tree(level: np.ndarray, index: np.ndarray, depth: int):
     proper ancestor in the collection); the map left at level `depth` holds
     the owners.
     """
-    d = index.shape[1]
-    # the row-major index on level k: j in d=1, (j1 << k) + j2 in d=2
-    flat = (index << (level[:, None] * np.arange(d - 1, -1, -1))).sum(axis=1)
     bounds = np.searchsorted(level, np.arange(depth + 2))
     parent = np.empty(len(level), dtype=np.int64)
     owner = np.full((1,) * d, -1, dtype=np.int64)
@@ -46,72 +43,104 @@ def _tree(level: np.ndarray, index: np.ndarray, depth: int):
         at_k, sel = owner.reshape(-1), flat[bounds[k]:bounds[k + 1]]
         parent[bounds[k]:bounds[k + 1]] = at_k[sel]
         at_k[sel] = np.arange(bounds[k], bounds[k + 1])
-    return flat, bounds, parent, owner
+    return bounds, parent, owner
 
 
-@dataclass(frozen=True)
 class SparseFamily:
     """A lambda-sparse collection of dyadic cubes inside one declared root.
 
     The root must itself belong to the family and contain every member
     (equivalently: the family has a unique maximal cube).
 
-    The family is held as an array tree: `members` in (level, index) order
-    (any iterable of cubes on construction, stored sorted and de-duplicated),
-    per member its `level` and `parent` (position of the nearest proper
-    family ancestor, -1 at the root), and per leaf its `owner` (position of
-    the minimal member containing it, -1 outside the root).  Per-cube
-    quantities are arrays over `members`, computed by two sweeps over the
-    tree: `ancestor_sum` (down) and `descendant_sum` (up).
+    The family is an array tree, built from any iterable of cubes or, by
+    `from_arrays`, from their `level` and (|S|, d) `index` arrays, kept in
+    (level, index) order without repeats: per member its `parent` (position
+    of the nearest proper family ancestor, -1 at the root), per leaf its
+    `owner` (position of the minimal member containing it, -1 outside the
+    root).  Equal families have equal grid, lambda and arrays.  Cubes are
+    made when read: `cube(i)`, `root`, and `members` on first use.
+    Per-cube quantities are arrays over the members, computed by two sweeps
+    over the tree: `ancestor_sum` (down) and `descendant_sum` (up).
     """
 
-    grid: GridConfig
-    members: tuple[DyadicCube, ...]
-    lam: float
-    root: DyadicCube = field(init=False)
+    def __init__(self, grid: GridConfig, members, lam: float) -> None:
+        cubes = set(members)
+        if foreign := [q for q in cubes if q.dimension != grid.dimension]:
+            first = min(foreign, key=lambda q: (q.level, q.index))
+            raise ValueError(f"cube {first.text} is not of dimension {grid.dimension}")
+        self._build(grid, [q.level for q in cubes], [q.index for q in cubes], lam)
 
-    def __post_init__(self) -> None:
-        if not 0 < self.lam < 1:
-            raise ValueError(f"lambda must be in (0,1), got {self.lam}")
-        members = tuple(sorted(set(self.members), key=lambda c: (c.level, c.index)))
-        if not members:
+    @classmethod
+    def from_arrays(cls, grid: GridConfig, level, index, lam: float) -> SparseFamily:
+        """The family of the cubes (level[i], index[i]), in any order and with repeats."""
+        family = cls.__new__(cls)
+        family._build(grid, level, index, lam)
+        return family
+
+    def _build(self, grid: GridConfig, level, index, lam: float) -> None:
+        if not 0 < lam < 1:
+            raise ValueError(f"lambda must be in (0,1), got {lam}")
+        if not len(level):
             raise ValueError("family must be nonempty")
-        object.__setattr__(self, "members", members)
-        foreign = [q.text for q in members if q.dimension != self.grid.dimension]
-        if foreign:
-            raise ValueError(f"cube {foreign[0]} is not of dimension {self.grid.dimension}")
-        if members[-1].level > self.grid.leaf_level:
-            raise ValueError(f"cube {members[-1].text} below leaf level")
-        level = np.array([q.level for q in members])
-        index = np.array([q.index for q in members], dtype=np.int64)
-        flat, bounds, parent, owner = _tree(level, index, self.grid.leaf_level)
-        if np.count_nonzero(parent < 0) != 1:
+        level = np.asarray(level, dtype=np.int64)
+        if level.max() > grid.leaf_level:  # before its index meets int64 or a shift by its level
+            deepest = max(zip(level.tolist(), map(tuple, index)))
+            raise ValueError(f"cube {DyadicCube(*deepest).text} below leaf level")
+        index = np.asarray(index, dtype=np.int64).reshape(len(level), -1)
+        # the checks that DyadicCube makes for the cube constructor
+        bad = (level < 0) | ((index < 0) | (index >> level.clip(0)[:, None] > 0)).any(axis=1)
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise ValueError(f"index {tuple(index[j].tolist())} out of range at level {level[j]}")
+        # the row-major index on its level: j in d=1, (j1 << k) + j2 in d=2
+        flat = (index << (level[:, None] * np.arange(index.shape[1] - 1, -1, -1))).sum(axis=1)
+        # the (level, index) order is that of level << 32 | flat, as d k <= 24 here
+        self._key, keep = np.unique(level << 32 | flat, return_index=True)
+        self.grid, self.lam, self.level, self.index, self._flat = grid, lam, level[keep], index[keep], flat[keep]
+        if index.shape[1] != grid.dimension:
+            raise ValueError(f"cube {self.cube(0).text} is not of dimension {grid.dimension}")
+        self._bounds, self.parent, self.owner = _tree(self.level, self._flat, grid.dimension, grid.leaf_level)
+        if np.count_nonzero(self.parent < 0) != 1:
             raise ValueError("family must have a unique maximal cube (the root)")
-        object.__setattr__(self, "root", members[0])
         # per member, the volume of its maximal proper sub-members over its own
-        volume = np.ldexp(1.0, -self.grid.dimension * level)
-        child = parent >= 0
-        ratio = np.bincount(parent[child], weights=volume[child], minlength=len(members)) / volume
+        volume = np.ldexp(1.0, -grid.dimension * self.level)
+        child = self.parent >= 0
+        ratio = np.bincount(self.parent[child], weights=volume[child], minlength=len(volume)) / volume
         j = int(np.argmax(ratio))
-        if ratio[j] > self.lam:
-            raise ValueError(
-                f"collection is not {self.lam}-sparse: worst ratio "
-                f"{float(ratio[j])} at {members[j].text}"
-            )
-        owner.setflags(write=False)
-        arrays = {"parent": parent, "owner": owner, "_flat": flat,
-                  "level": level, "_bounds": bounds,
-                  "position": {q: i for i, q in enumerate(members)},
-                  # members[lo:hi] per occupied level below the root's: the sweep steps
-                  "_below_root": [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if 0 < lo < hi]}
-        for name, value in arrays.items():
-            object.__setattr__(self, name, value)
+        if ratio[j] > lam:
+            raise ValueError(f"collection is not {lam}-sparse: worst ratio {float(ratio[j])} at {self.cube(j).text}")
+        self.owner.setflags(write=False)
+        # members[lo:hi] per occupied level below the root's: the sweep steps
+        self._below_root = [(lo, hi) for lo, hi in zip(self._bounds[:-1], self._bounds[1:]) if 0 < lo < hi]
+        self._plans: dict[int, np.ndarray] = {}  # per column count, the up-sweep's scatter positions
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SparseFamily) and (self.grid, self.lam, self._key.tobytes()) == (
+            other.grid, other.lam, other._key.tobytes())
+
+    def __hash__(self) -> int:
+        return hash((self.grid, self.lam, self._key.tobytes()))
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.level)
 
-    def __contains__(self, cube: DyadicCube) -> bool:
-        return cube in self.position
+    def cube(self, i: int) -> DyadicCube:
+        """The member at position i."""
+        return DyadicCube(int(self.level[i]), tuple(self.index[i].tolist()))
+
+    root = cached_property(lambda self: self.cube(0))
+
+    @cached_property
+    def members(self) -> tuple[DyadicCube, ...]:
+        """Every member as a cube, in (level, index) order."""
+        return tuple(map(DyadicCube, self.level.tolist(), map(tuple, self.index.tolist())))
+
+    def position(self, cube: DyadicCube) -> int:
+        """The position of `cube` in `members`, by a binary search over the
+        members' (level, index) keys; -1 when it is not a member."""
+        key = cube.level << 32 | sum(j << cube.level * axis for axis, j in enumerate(reversed(cube.index)))
+        i = int(np.searchsorted(self._key, key))
+        return i if cube.dimension == self.grid.dimension and i < len(self) and self._key[i] == key else -1
 
     def gather(self, levels) -> np.ndarray:
         """Per member, its entry of a per-level cube array (levels[k] at level k)."""
@@ -132,14 +161,17 @@ class SparseFamily:
         """Per member Q, the sum of `values` over the members inside Q
         (Q included): an up-sweep, deepest level first.  A 2-D `values` is
         swept column by column, all columns at once: one bincount per level
-        over the flat (parent, column) positions."""
+        over the flat (parent, column) positions, kept per column count."""
         out = np.array(values, dtype=float)
         cols = out.reshape(len(out), -1)  # a view: (|S|, 1) for a vector
         m = cols.shape[1]
+        if (at := self._plans.get(m)) is None:
+            # row i - 1 for member i: every member but the root has a parent
+            at = self._plans[m] = (self.parent[1:, None] * m + np.arange(m)).ravel()
         for lo, hi in reversed(self._below_root):
             # every parent of members[lo:hi] lies before lo
-            at = self.parent[lo:hi] if m == 1 else (self.parent[lo:hi, None] * m + np.arange(m)).ravel()
-            cols[:lo] += np.bincount(at, weights=cols[lo:hi].ravel(), minlength=lo * m).reshape(lo, m)
+            cols[:lo] += np.bincount(at[(lo - 1) * m:(hi - 1) * m], weights=cols[lo:hi].ravel(),
+                                     minlength=lo * m).reshape(lo, m)
         return out
 
     def at_leaves(self, values) -> np.ndarray:
@@ -151,9 +183,9 @@ class SparseFamily:
         in which each member reads the sum at its cube and then clears it,
         so each E_Q is summed pairwise up the pyramid over its own leaves."""
         n, b = self.grid.leaf_level, self._bounds
-        out = np.empty(len(self.members))
+        out = np.empty(len(self))
         level_sums = weight.mass_levels[n].copy()
-        for k in range(n, self.root.level - 1, -1):
+        for k in range(n, int(self.level[0]) - 1, -1):
             level_sums = level_sums if k == n else coarsen(level_sums, self.grid.dimension)
             at_k, sel = level_sums.reshape(-1), self._flat[b[k]:b[k + 1]]
             out[b[k]:b[k + 1]] = at_k[sel]
@@ -177,7 +209,7 @@ def stopping_family(sigma: Weight, big_lambda: float, root: DyadicCube) -> Spars
     d = grid.dimension
     if mass(sigma, root) <= 0:
         raise ValueError(f"degenerate weight on cube {root.text}")
-    selected = [root]
+    index = [np.array([root.index])]  # per level from the root's down, the selected cubes
     chosen = np.ones((1,) * d, dtype=bool)
     avg = threshold = np.full((1,) * d, average(sigma, root))
     for k in range(root.level + 1, grid.leaf_level + 1):
@@ -185,9 +217,9 @@ def stopping_family(sigma: Weight, big_lambda: float, root: DyadicCube) -> Spars
         # the level-k cubes inside the root; |Q| = 2^{-dk} exactly
         avg = sigma.mass_levels[k][descendant_block(root.index, root.level, k)] * 2.0 ** (d * k)
         chosen = avg > threshold
-        corner = np.array(root.index) << (k - root.level)
-        selected += [DyadicCube(k, tuple(j)) for j in (np.argwhere(chosen) + corner).tolist()]
-    return SparseFamily(grid, selected, 1.0 / big_lambda)
+        index.append(np.argwhere(chosen) + (np.array(root.index) << (k - root.level)))
+    level = np.repeat(np.arange(root.level, grid.leaf_level + 1), [len(j) for j in index])
+    return SparseFamily.from_arrays(grid, level, np.concatenate(index), 1.0 / big_lambda)
 
 
 def random_sparse(grid: GridConfig, lam: float, seed: int, target_size: int) -> SparseFamily:
@@ -202,7 +234,7 @@ def random_sparse(grid: GridConfig, lam: float, seed: int, target_size: int) -> 
     volume (an exact int, in leaves) of the accepted cubes strictly inside
     it.  An accepted candidate adds its uncovered volume to each cube from
     its parent up to its nearest accepted ancestor, which covers it for the
-    cubes above.  Cube objects are made for the accepted keys only.
+    cubes above.  The family is built from the accepted keys' arrays.
     """
     if not 0 < lam < 1:
         raise ValueError(f"lambda must be in (0,1), got {lam}")
@@ -230,7 +262,8 @@ def random_sparse(grid: GridConfig, lam: float, seed: int, target_size: int) -> 
                 covered[cube] += size - absorbed
             if len(accepted) >= target_size:
                 break
-    return SparseFamily(grid, (DyadicCube(k, index) for k, index in accepted), lam)
+    level, index = zip(*accepted)
+    return SparseFamily.from_arrays(grid, level, index, lam)
 
 
 def carleson_check(family: SparseFamily, sigma: Weight) -> np.ndarray:
@@ -240,7 +273,7 @@ def carleson_check(family: SparseFamily, sigma: Weight) -> np.ndarray:
     Raises on a member with sigma(Q0) = 0, where rho is undefined (NaN)."""
     masses, rhos = family.gather(sigma.mass_levels), family.gather(sigma.rho_levels)
     if (nan := np.isnan(rhos)).any():
-        raise ValueError(f"degenerate weight on cube {family.members[np.argmax(nan)].text}")
+        raise ValueError(f"degenerate weight on cube {family.cube(np.argmax(nan)).text}")
     return family.descendant_sum(masses) / (rhos * masses / (1.0 - family.lam))
 
 

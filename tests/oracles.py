@@ -45,6 +45,15 @@ inside R by a down-sweep of R's indicator instead, and checks stage (ii) at
 every member inside R in one pass; its report at R must equal the oracle's,
 bit for bit.
 
+`descendant_sum_oracle` is the column-batched up-sweep with its scatter
+positions built anew on every level of every call, the loop that
+`SparseFamily.descendant_sum` runs on positions computed once per column
+count; the adds are in the same order, so the two agree bit for bit.
+
+`norm_lower_bound_full_budget` is the dual ascent of
+`operators.norm_lower_bound` run for its whole budget, with no stop at a
+fixed point; the two must agree bit for bit.
+
 `verify_sparse` checks lambda-sparseness cube by cube, by walking each
 member's chain of parents to its nearest member ancestor, independently of
 the array tree that `SparseFamily` builds.
@@ -62,6 +71,7 @@ import numpy as np
 
 from sparsebump.bumps import BumpReport, ExponentConfig, direct_bumps, entropy_bumps, eps_eval
 from sparsebump.grid import DyadicCube, GridConfig, coarsen, contains, expand, leaf_slice
+from sparsebump import operators
 from sparsebump.operators import Instance
 from sparsebump.prooftrace import SLACK, StratumRecord, TraceReport
 from sparsebump.weights import Weight, average, generate_weight, mass, rho
@@ -379,7 +389,7 @@ def trace_oracle(kind, inst, eps, r_cube, c_bump=None):
     inside R; c_bump is computed when None."""
     family, sigma, w, cfg = inst.family, inst.sigma, inst.w, inst.cfg
     lam = family.lam
-    r = family.position[r_cube]
+    r = family.position(r_cube)
     sigma_q = inst.sigma_mass
     inside = np.array([contains(r_cube, q) for q in family.members])
     keys, a, in_bucket, top = _restricted_strata(family, sigma, "rho" if kind == "entropy" else "average",
@@ -419,7 +429,7 @@ def trace_oracle(kind, inst, eps, r_cube, c_bump=None):
     testing_value = float(inst.testing_values[r])
     certified_constant = factor ** (1.0 / cfg.q)
     return TraceReport(
-        kind=kind, R=r_cube, lhs_total=lhs_total, strata=records,
+        kind=kind, R=r_cube, lhs_total=lhs_total, records=lambda: records,
         identity_ok=identity_error <= SLACK, identity_error=identity_error,
         inner_ok=bool(ok.all()), final_bound=final_bound,
         final_ok=lhs_total <= final_bound * (1.0 + SLACK),
@@ -428,3 +438,45 @@ def trace_oracle(kind, inst, eps, r_cube, c_bump=None):
         certified_ok=testing_value <= certified_constant * c_bump * (1.0 + SLACK),
         exponents=cfg, eps=eps, lam=lam,
     )
+
+
+def descendant_sum_oracle(family, values):
+    """Per member Q, the sum of `values` over the members inside Q: the
+    up-sweep deepest level first, one bincount per level over the flat
+    (parent, column) positions of that level, computed on each call."""
+    out = np.array(values, dtype=float)
+    cols = out.reshape(len(out), -1)
+    m = cols.shape[1]
+    bounds = np.searchsorted(family.level, np.arange(family.grid.leaf_level + 2))
+    for lo, hi in reversed([(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if 0 < lo < hi]):
+        at = (family.parent[lo:hi, None] * m + np.arange(m)).ravel()
+        cols[:lo] += np.bincount(at, weights=cols[lo:hi].ravel(), minlength=lo * m).reshape(lo, m)
+    return out
+
+
+def norm_lower_bound_full_budget(inst, budget, seed=0):
+    """`operators.norm_lower_bound` with every one of its `budget` ascent
+    steps taken, on the package's member applies."""
+    family, sigma, cfg = inst.family, inst.sigma, inst.cfg
+    best = float(max(inst.indicator_ratios.max(), inst.dual.indicator_ratios.max()))
+    if budget == 0:
+        return best
+    rng = np.random.default_rng(seed)
+    blocks, shape = np.empty((len(family), operators.N_STARTS)), family.grid.leaf_shape()
+    for j in range(operators.N_STARTS):
+        blocks[:, j] = operators._leaf_blocks(family, sigma.mass_levels[-1] * (rng.random(shape) + 0.5))
+    u = family.ancestor_sum(inst.coef[:, None] * blocks)
+    t_sigma, t_w = (operators._member_operator(inst, inst.sigma_exc),
+                    operators._member_operator(inst, inst.w_exc))
+    for _ in range(budget):
+        y = t_w(u ** (cfg.q - 1.0))
+        live = np.any(y > 0, axis=0)
+        if not live.all():
+            if not live.any():
+                break
+            y = y[:, live]
+        f = (y / y.max(axis=0)) ** (1.0 / (cfg.p - 1.0))
+        u = t_sigma(f)
+        ratios = operators._norms(u, cfg.q, inst.w_exc) / operators._norms(f, cfg.p, inst.sigma_exc)
+        best = max(best, float(np.max(ratios)))
+    return best

@@ -137,7 +137,7 @@ class TestEntropyTrace:
         inst = Instance(fam, sigma, w, cfg)
         rep = entropy_trace(inst, EPS_E, fam.root)
         trep = testing_constants(inst)
-        assert rep.testing_value == pytest.approx(trep.per_R[fam.position[fam.root]], rel=1e-12)
+        assert rep.testing_value == pytest.approx(trep.per_R[fam.position(fam.root)], rel=1e-12)
 
     def test_wrong_eps_kind(self):
         s, w = fix_const()
@@ -239,7 +239,7 @@ class TestDualTraces:
         inst = Instance(fam, sigma, w, cfg)
         de = dual_entropy_trace(inst, EPS_E, fam.root)
         trep = testing_constants(inst)
-        assert de.testing_value == pytest.approx(trep.per_R_star[fam.position[fam.root]], rel=1e-12)
+        assert de.testing_value == pytest.approx(trep.per_R_star[fam.position(fam.root)], rel=1e-12)
 
 
 def test_four_chains_share_one_inside_sweep(monkeypatch):
@@ -713,3 +713,30 @@ class TestExtremeExponents:
             assert any(s.inner_bound == np.inf for s in rep.strata)
             assert json.loads(rep.to_json())["stage_final"]["bound"] == np.inf
             assert '"bound": Infinity' in rep.to_json()
+
+
+@pytest.mark.parametrize("d,n", [(1, 13), (2, 6)])
+def test_a_suite_instance_makes_no_records_and_names_few_cubes(d, n, monkeypatch):
+    # the suite reads each trace's flags and `failed`, never its strata: after
+    # one instance no StratumRecord exists, and the only cubes made are those
+    # a report names, not one per member.  Reading `strata` makes the records
+    # that the trace JSON holds
+    cfg = ExperimentConfig(dimension=d, leaf_level=n, family_kind="stopping", master_seed=49)
+    n_members = len(lab.build_instance(cfg, 0)[2])
+    records, cubes, reports = [], [], []
+    record = prooftrace.StratumRecord
+    monkeypatch.setattr(prooftrace, "StratumRecord", lambda *args: records.append(args) or record(*args))
+    post_init = DyadicCube.__post_init__
+    monkeypatch.setattr(DyadicCube, "__post_init__", lambda self: cubes.append(self) or post_init(self))
+    for name in ("entropy_trace", "direct_trace", "dual_entropy_trace", "dual_direct_trace"):
+        monkeypatch.setattr(lab, name, lambda *args, trace=getattr(lab, name), **kwargs:
+                            reports.append(trace(*args, **kwargs)) or reports[-1])
+    _, ok = lab._verify_instance(cfg, 0, EPS_E, EPS_D)
+    assert ok and len(reports) == 4 and records == []
+    # the grid root the family grows from, the argmaxes of the five bump
+    # constants and of T and T*, the family's root, and the member whose
+    # indicator ratio is checked on the leaves
+    assert len(cubes) <= 10 < n_members
+    for rep in reports:
+        assert [s.to_dict() for s in rep.strata] == json.loads(rep.to_json())["stage_inner"]["strata"]
+    assert len(records) == sum(len(rep.strata) for rep in reports) > 0

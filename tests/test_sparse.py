@@ -67,7 +67,7 @@ class TestVerifySparse:
         # a generator with a repeat and out of order gives the family of the set
         fam = SparseFamily(G4, (parse_cube(t) for t in ("2:0", "0:0", "1:0", "2:0")), 0.5)
         assert [q.text for q in fam.members] == ["0:0", "1:0", "2:0"]
-        assert len(fam) == 3 and parse_cube("1:0") in fam and parse_cube("1:1") not in fam
+        assert len(fam) == 3 and fam.position(parse_cube("1:0")) == 1 and fam.position(parse_cube("1:1")) == -1
         assert fam == chain_family(2) and hash(fam) == hash(chain_family(2))
 
 
@@ -241,6 +241,65 @@ def test_cube_of_another_dimension_rejected(d, cubes):
     record = {"dimension": d, "leaf_level": 4, "lambda": 0.5, "root": cubes[0], "cubes": cubes}
     with pytest.raises(ValueError, match=re.escape(f"cube {cubes[1]} is not of dimension {d}")):
         family_from_json(json.dumps(record))
+
+
+class TestArrayConstructor:
+    """`SparseFamily.from_arrays`, which both builders call, against the cube
+    constructor, which the JSON reader calls."""
+
+    @pytest.mark.parametrize("grid", (GridConfig(1, 7), GridConfig(2, 4), GridConfig(3, 3)), ids=("d1", "d2", "d3"))
+    @pytest.mark.parametrize("kind", ("random", "stopping"))
+    def test_same_family(self, grid, kind):
+        for seed in range(3):
+            w = generate_weight(grid, "random_cascade", seed=seed, volatility=0.8)
+            fam = (stopping_family(w, 2.0, root_cube(grid)) if kind == "stopping"
+                   else random_sparse(grid, 0.5, seed=seed, target_size=25))
+            # in reverse order and with repeats
+            cubes = list(fam.members[::-1] + fam.members[:3])
+            twins = (SparseFamily(grid, cubes, fam.lam),
+                     SparseFamily.from_arrays(grid, [q.level for q in cubes], [q.index for q in cubes], fam.lam),
+                     family_from_json(family_to_json(fam)))
+            for twin in twins:
+                assert twin.members == fam.members and twin.root == fam.root and len(twin) == len(fam)
+                for name in ("level", "index", "parent", "owner"):
+                    np.testing.assert_array_equal(getattr(twin, name), getattr(fam, name))
+                assert twin == fam and hash(twin) == hash(fam)
+                assert [twin.position(q) for q in fam.members] == list(range(len(fam)))
+            # another lambda, or one member fewer, is another family
+            assert SparseFamily(grid, cubes, 0.75) != fam
+            assert len(fam) == 1 or SparseFamily(grid, fam.members[:-1], fam.lam) != fam
+
+    @pytest.mark.parametrize("grid,cubes,message", [
+        (G4, ["0:0", "1:0", "1:1"], "collection is not 0.5-sparse: worst ratio 1.0 at 0:0"),
+        (G4, ["1:0", "1:1"], "family must have a unique maximal cube (the root)"),
+        (G4, ["0:(0,0)", "1:(1,0)"], "cube 0:(0,0) is not of dimension 1"),
+        (G4, ["0:0", "5:3", "5:1"], "cube 5:3 below leaf level"),
+        # a row-major index past int64 on its level, and an index past int64
+        (GridConfig(2, 4), ["0:(0,0)", "32:(2147483648,0)"], "cube 32:(2147483648,0) below leaf level"),
+        (G4, ["0:0", f"70:{2**69}"], f"cube 70:{2**69} below leaf level"),
+    ], ids=("not-sparse", "two-roots", "dimension", "below-leaves", "far-below-leaves", "past-int64"))
+    def test_same_errors(self, grid, cubes, message):
+        cubes = [parse_cube(t) for t in cubes]
+        with pytest.raises(ValueError) as by_cubes:
+            SparseFamily(grid, cubes, 0.5)
+        with pytest.raises(ValueError) as by_arrays:
+            SparseFamily.from_arrays(grid, [q.level for q in cubes], [q.index for q in cubes], 0.5)
+        assert str(by_cubes.value) == str(by_arrays.value) == message
+
+    @pytest.mark.parametrize("level,index,message", [
+        ([0, 1], [(0,), (2,)], "index (2,) out of range at level 1"),
+        ([0, 2], [(0,), (-1,)], "index (-1,) out of range at level 2"),
+        ([0, -1], [(0,), (0,)], "index (0,) out of range at level -1"),
+    ])
+    def test_index_out_of_range(self, level, index, message):
+        # the cube constructor cannot get this far: DyadicCube raises first
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SparseFamily.from_arrays(G4, level, index, 0.5)
+
+    def test_position_of_a_non_member(self):
+        fam = chain_family(2)
+        for text in ("1:1", "3:0", "5:0", "0:(0,0)"):
+            assert fam.position(parse_cube(text)) == -1
 
 
 class TestThreeDimensional:

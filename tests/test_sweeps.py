@@ -9,7 +9,10 @@ which must return the same cube sets, and the leaf-level operator (one
 apply per candidate on leaf arrays), which the member-form operator must
 match to 1e-13 relative; the batched dual ascent must match it, and the
 L2 power iteration the dense SVD oracle, on both sides of the dense-kernel
-size switch.
+size switch.  The up-sweep on its kept scatter positions must match the
+per-call sweep of `oracles.descendant_sum_oracle`, and the ascent that stops
+at a fixed point the full-budget copy `oracles.norm_lower_bound_full_budget`,
+bit for bit.
 """
 
 import warnings
@@ -21,7 +24,7 @@ import pytest
 from sparsebump import operators
 from sparsebump.bumps import EntropyFunction, ExponentConfig, direct_bumps, entropy_bumps, eps_eval
 from sparsebump.grid import DyadicCube, GridConfig, contains, leaf_slice, root_cube
-from sparsebump.lab import ExperimentConfig, run_verify_bounds
+from sparsebump.lab import ExperimentConfig, build_instance, run_verify_bounds
 from sparsebump.operators import (
     Instance,
     _coef,
@@ -36,7 +39,8 @@ from sparsebump.prooftrace import SLACK, _strata, direct_trace, dual_direct_trac
 from sparsebump.sparse import SparseFamily, carleson_check, random_sparse, stopping_family
 from sparsebump.weights import Weight, average, generate_weight, mass
 
-from oracles import (bucket_of, carleson_oracle, children, dense_norm_l2_oracle, enumerate_cubes, l2_instance,
+from oracles import (bucket_of, carleson_oracle, children, dense_norm_l2_oracle, descendant_sum_oracle,
+                     enumerate_cubes, l2_instance, norm_lower_bound_full_budget,
                      rho_oracle, verify_sparse)
 
 REL = 1e-13
@@ -222,7 +226,7 @@ class TestSweepsMatchPerCubeLoops:
                     # the trace's Carleson ratios are the public check's at Q*, bit
                     # for bit, and the oracle's lhs / (rho sigma(Q*) / (1 - lambda))
                     ratios = [s.support_ratio for s in rep.strata]
-                    assert ratios == [carleson[family.position[q]] for _, q in stars]
+                    assert ratios == [carleson[family.position(q)] for _, q in stars]
                     support = [oracle_carleson_lhs(family, sigma, q) * (1 - family.lam)
                                / (values[q] * mass(sigma, q)) for _, q in stars]
                 if key == "average":
@@ -301,11 +305,12 @@ def test_a_trace_below_the_root_builds_no_family_and_no_instance(d, kind, seed, 
     ebump, dbump = entropy_bumps(sigma, w, cfg, EntropyFunction("entropy", 1.0)), direct_bumps(
         sigma, w, cfg, EntropyFunction("direct", 1.0))
     made = []
-    for cls in (SparseFamily, Instance):
-        def counted(self, original=cls.__post_init__):
+    # both family constructors run `_build`
+    for cls, name in ((SparseFamily, "_build"), (Instance, "__post_init__")):
+        def counted(self, *args, original=getattr(cls, name)):
             made.append(type(self))
-            original(self)
-        monkeypatch.setattr(cls, "__post_init__", counted)
+            original(self, *args)
+        monkeypatch.setattr(cls, name, counted)
     for r_cube in (family.members[len(family) // 2], family.members[-1]):
         for trace, bump in ((entropy_trace, ebump), (direct_trace, dbump),
                             (dual_entropy_trace, ebump), (dual_direct_trace, dbump)):
@@ -406,8 +411,8 @@ def test_random_sparse_matches_pool_oracle(grid, lam):
 
 @pytest.mark.parametrize("grid", (GridConfig(1, 12), GridConfig(2, 6)), ids=("d1", "d2"))
 def test_random_sparse_makes_one_cube_per_member(monkeypatch, grid):
-    # the greedy runs on (level, index) keys: the only cube objects are the
-    # family's members
+    # the greedy runs on (level, index) keys and the family on their arrays:
+    # the only cube objects are the family's members, made when read
     made, post_init = [], DyadicCube.__post_init__
 
     def counted(self):
@@ -416,7 +421,8 @@ def test_random_sparse_makes_one_cube_per_member(monkeypatch, grid):
 
     monkeypatch.setattr(DyadicCube, "__post_init__", counted)
     family = random_sparse(grid, 0.5, seed=3, target_size=30)
-    assert len(family) == 30 and len(made) == 30
+    assert len(family) == 30 and made == []
+    assert len(family.members) == 30 and len(made) == 30
 
 
 @pytest.mark.parametrize("grid", BUILD_GRIDS, ids=("d1", "d2", "d3"))
@@ -636,3 +642,76 @@ def test_one_instance_takes_two_exceptional_masses(monkeypatch):
     report = run_verify_bounds(ExperimentConfig(instances=1, master_seed=3))
     assert report.violations == 0
     assert len(calls) <= 2
+
+
+# --- the planned up-sweep and the ascent's stop at a fixed point -------------
+
+def deep_instance(d):
+    """(family, sigma, w, cfg, seed of the norm bound) of the benchmark's
+    family_deep instance of dimension d at its seed 0 (master seed 49): the
+    stopping family of d=1 N=13 (291 members) or of d=2 N=6 (191)."""
+    cfg = ExperimentConfig(dimension=d, leaf_level={1: 13, 2: 6}[d], family_kind="stopping", master_seed=49)
+    sigma, w, family, s_lb = build_instance(cfg, 0)
+    return family, sigma, w, cfg.exponents(), s_lb
+
+
+@pytest.mark.parametrize("case", ASCENT_CASES + ["deep_d1", "deep_d2"], ids=str)
+def test_planned_up_sweep_is_the_per_call_sweep(case):
+    family, sigma = deep_instance(int(case[-1]))[:2] if case in ("deep_d1", "deep_d2") else operator_instance(case)[:2]
+    # B + 2 columns, as a trace sweeps with B buckets; B counts the entropy
+    # buckets of the members of positive mass
+    masses = family.gather(sigma.mass_levels)
+    n_buckets = len(_strata(family, sigma, "entropy", masses, masses > 0)[1])
+    rng = np.random.default_rng(7)
+    v = rng.random((len(family), 3))
+    # 1 column, the 3 starts of the ascent, B + 2, and 2 after a start drops out
+    for values in (v[:, 0], v, rng.random((len(family), n_buckets + 2)), v[:, [0, 2]]):
+        for _ in range(2):  # the first call makes the plan, the second reads it
+            assert np.array_equal(family.descendant_sum(values), descendant_sum_oracle(family, values))
+    # the plan holds one int64 array of at most |S| m positions per column count m
+    assert sorted(family._plans) == sorted({1, 3, n_buckets + 2, 2})
+    for m, plan in family._plans.items():
+        assert plan.dtype == np.int64 and plan.shape == ((len(family) - 1) * m,)
+
+
+@pytest.mark.parametrize("case", ASCENT_CASES, ids=str)
+@pytest.mark.parametrize("dense_max", (10**6, 0), ids=("dense", "sweeps"))
+def test_ascent_stop_gives_the_full_budget_bits(case, dense_max, monkeypatch):
+    family, sigma, w, cfg = operator_instance(case)
+    monkeypatch.setattr(operators, "DENSE_MAX", dense_max)
+    inst = Instance(family, sigma, w, cfg)
+    for budget in range(41):
+        assert norm_lower_bound(inst, budget, seed=3) == norm_lower_bound_full_budget(inst, budget, seed=3)
+
+
+def counted_applies(monkeypatch, nudge=False):
+    """The calls of every member operator the ascent makes, counted in the
+    returned list; with `nudge`, call c also moves entry (0, 0) of its
+    result up by c ulps, so that no step repeats the one before it."""
+    calls, original = [], operators._member_operator
+
+    def member_operator(inst, mass_exc):
+        apply = original(inst, mass_exc)
+
+        def counted(v):
+            calls.append(v.shape)
+            out = apply(v)
+            if nudge:
+                out[0, 0] += len(calls) * np.spacing(out[0, 0])
+            return out
+        return counted
+
+    monkeypatch.setattr(operators, "_member_operator", member_operator)
+    return calls
+
+
+@pytest.mark.parametrize("nudge", (False, True), ids=("exact", "nudged"))
+def test_ascent_stops_at_its_fixed_point(nudge, monkeypatch):
+    # the family_deep d=2 instance reaches a fixed point inside its budget
+    # of 25 steps (50 member applies); an operator that moves one entry by
+    # an ulp at each step never repeats an iterate and runs the full budget
+    family, sigma, w, cfg, s_lb = deep_instance(2)
+    inst = Instance(family, sigma, w, cfg)
+    calls = counted_applies(monkeypatch, nudge)
+    norm_lower_bound(inst, 25, seed=s_lb)
+    assert (len(calls) == 50) if nudge else (len(calls) < 50)

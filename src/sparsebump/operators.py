@@ -26,8 +26,10 @@ The dual ascent of `norm_lower_bound` runs all its random starts as the
 columns of one (|S|, N_STARTS) array, so each step is one batched apply.  On
 a family of at most `DENSE_MAX` members that apply is one product with the
 dense symmetric member kernel K = A diag(coef) A^T (A the ancestor-or-self
-incidence); on larger families it is the two sweeps, column-batched.  The
-power iteration of `exact_norm_l2` runs on the same member applies.
+incidence); on larger families it is the two sweeps, column-batched and in
+the family's generation order, one step per tree generation
+(`_member_operator`).  The power iteration of `exact_norm_l2` runs on the
+same member applies.
 """
 
 from __future__ import annotations
@@ -43,18 +45,22 @@ from .sparse import SparseFamily
 from .weights import Weight
 
 # Largest family whose ascent applies take the dense member kernel.  A dense
-# apply is one O(|S|^2) product; the sweeps cost a few calls per tree level,
-# and the kernel itself is built by one down-sweep.  Measured on a 2-core
-# x86-64 VM with one BLAS thread (budget 25, 3 starts, to the fixed point):
-# on random d=1 families the dense ascent takes 0.5 against 0.9 ms for the
-# sweeps at |S| = 30 and 1.3 against 1.4 ms at 200, but 1.9 against 1.3 ms
-# at 250; on a 291-member d=1 stopping family, with a deeper tree, 3.1
-# against 3.4 ms.  Moving the switch changes which apply an instance takes,
-# and so the last bits of its bound; the kernel and its two scaled copies
-# hold 3 |S|^2 floats (1.5 MiB at 256).  Read at call time, so tests can
-# change it, as is N_STARTS, the number of random starts of the dual ascent
-# in `norm_lower_bound`.
-DENSE_MAX = 256
+# apply is one O(|S|^2) product, after a kernel build of one down-sweep of
+# an |S| x |S| array; the sweeps cost a few calls per tree generation (2-4
+# here, on 4-12 occupied levels).  Whole ascents (kernel or plan build and
+# every apply; budget 25, 3 starts, min of 7-11) on random and stopping
+# families in d=1 and d=2, on a 2-core x86-64 VM with one BLAS thread, take
+# dense / sweeps time:
+#     |S| 100-170   0.65-0.91  (dense faster)
+#     |S| 186-205   0.86-1.33  (a tie)
+#     |S| 210-258   1.19-1.78  (sweeps faster)
+#     |S| 262-600   1.26-8.8
+# Moving the switch changes which apply an instance takes, and so the last
+# bits of its bound; the kernel and its two scaled copies hold 3 |S|^2
+# floats (0.9 MiB at 200).  Read at call time, so tests can change it, as
+# is N_STARTS, the number of random starts of the dual ascent in
+# `norm_lower_bound`.
+DENSE_MAX = 200
 N_STARTS = 3
 
 
@@ -267,13 +273,49 @@ def _member_operator(inst: Instance, mass_exc: np.ndarray):
     """v -> T(mu v) on each E_Q for the columns of a per-member array v,
     where mass_exc is mu(E_Q): one product with the dense member kernel on
     families of at most DENSE_MAX members, the two column-batched sweeps on
-    larger ones."""
+    larger ones.
+
+    The sweeps run in the family's generation order, one step per tree
+    generation: v is permuted into that order once, each generation's
+    block sums are added into its parent generation's block by one
+    bincount, deepest first, the sums are scaled by coef, and the down-sweep
+    (`_down_sweep`) adds each parent's value to its children and permutes
+    back.  The bincount positions are made once per column count and kept
+    by the returned apply, so the ascent's steps share them."""
     family = inst.family
     if len(family) <= DENSE_MAX:
         kernel = inst.kernel * mass_exc
         return lambda v: kernel @ v
-    coef, mass_exc = inst.coef[:, None], mass_exc[:, None]
-    return lambda v: family.ancestor_sum(coef * family.descendant_sum(v * mass_exc))
+    generations = family.generations
+    order, parent, blocks = generations
+    coef, mass_exc, back = inst.coef[order, None], mass_exc[order, None], np.argsort(order)
+    plans = {}  # per column count, per generation, the flat (parent, column) positions in its parent block
+
+    def apply(v):
+        # `take` rather than fancy indexing: the same copy, at a third of the cost on (|S|, m) rows
+        x = v.take(order, axis=0) * mass_exc
+        m = x.shape[1]
+        if (at := plans.get(m)) is None:
+            at = plans[m] = [((parent[lo:hi] - start)[:, None] * m + np.arange(m)).ravel()
+                             for start, lo, hi in blocks]
+        for (start, lo, hi), at_g in zip(reversed(blocks), reversed(at)):
+            x[start:lo] += np.bincount(at_g, weights=x[lo:hi].ravel(),
+                                       minlength=(lo - start) * m).reshape(lo - start, m)
+        x *= coef
+        return _down_sweep(generations, x).take(back, axis=0)
+
+    return apply
+
+
+def _down_sweep(generations, x: np.ndarray) -> np.ndarray:
+    """x, in generation order, with each row replaced in place by the sum
+    of the rows of its ancestors and itself: each generation adds its
+    parents' finished sums, so every member takes one add, as in
+    `SparseFamily.ancestor_sum`, and the two agree bit for bit."""
+    _, parent, blocks = generations
+    for _, lo, hi in blocks:
+        x[lo:hi] += x.take(parent[lo:hi], axis=0)
+    return x
 
 
 def norm_lower_bound(inst: Instance, budget: int, seed: int = 0) -> float:
@@ -316,19 +358,22 @@ def norm_lower_bound(inst: Instance, budget: int, seed: int = 0) -> float:
     t_sigma, t_w = _member_operator(inst, sigma_exc), _member_operator(inst, w_exc)
     f = None
     for _ in range(budget):
-        y = t_w(u ** (cfg.q - 1.0))
-        # y > 0 on every member of a column or on none: the root's term is in each value
-        live = np.any(y > 0, axis=0)
+        y = t_w(u if cfg.q == 2.0 else u ** (cfg.q - 1.0))
+        # y >= 0, and y > 0 on every member of a column or on none: the
+        # root's term is in each value
+        top = y.max(axis=0)
+        live = top > 0
         if not live.all():
             if not live.any():
                 break
-            y = y[:, live]
+            y, top = y[:, live], top[live]
         # the map is 1-homogeneous and the ratio scale-free: each column is
         # scaled to a maximum of 1, so the power (exponent 100 at p = 1.01)
-        # cannot overflow
-        f, f_prev = (y / y.max(axis=0)) ** (1.0 / (cfg.p - 1.0)), f
+        # cannot overflow; y is the apply's own array, so it is scaled in place
+        y /= top
+        f, f_prev = (y if cfg.p == 2.0 else y ** (1.0 / (cfg.p - 1.0))), f
         # an iterate repeated bit for bit is a fixed point: later steps repeat it
-        if np.array_equal(f, f_prev):
+        if f_prev is not None and f.shape == f_prev.shape and (f == f_prev).all():
             break
         u = t_sigma(f)
         best = max(best, float(np.max(_norms(u, cfg.q, w_exc) / _norms(f, cfg.p, sigma_exc))))

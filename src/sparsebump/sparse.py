@@ -16,6 +16,7 @@ import itertools
 import json
 from collections import Counter
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +47,17 @@ def _tree(level: np.ndarray, flat: np.ndarray, d: int, depth: int):
     return bounds, parent, owner
 
 
+class Generations(NamedTuple):
+    """A family's members in tree-depth order: the root, then its children,
+    then theirs.  The sort is stable, so each generation keeps the members'
+    (level, index) order, and every parent lies in the generation just
+    before its children."""
+
+    order: np.ndarray  # member positions, generation by generation
+    parent: np.ndarray  # per entry of `order`, the place of its parent in `order` (-1 at the root)
+    blocks: tuple[tuple[int, int, int], ...]  # per generation below the root: (parent block start, lo, hi)
+
+
 class SparseFamily:
     """A lambda-sparse collection of dyadic cubes inside one declared root.
 
@@ -60,7 +72,10 @@ class SparseFamily:
     root).  Equal families have equal grid, lambda and arrays.  Cubes are
     made when read: `cube(i)`, `root`, and `members` on first use.
     Per-cube quantities are arrays over the members, computed by two sweeps
-    over the tree: `ancestor_sum` (down) and `descendant_sum` (up).
+    over the tree, one step per occupied grid level: `ancestor_sum` (down)
+    and `descendant_sum` (up).  `generations` orders the members by tree
+    depth instead, for sweeps of one step per generation: a stopping family
+    spread over 9 levels may be 3 generations deep.
     """
 
     def __init__(self, grid: GridConfig, members, lam: float) -> None:
@@ -112,7 +127,6 @@ class SparseFamily:
         self.owner.setflags(write=False)
         # members[lo:hi] per occupied level below the root's: the sweep steps
         self._below_root = [(lo, hi) for lo, hi in zip(self._bounds[:-1], self._bounds[1:]) if 0 < lo < hi]
-        self._plans: dict[int, np.ndarray] = {}  # per column count, the up-sweep's scatter positions
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SparseFamily) and (self.grid, self.lam, self._key.tobytes()) == (
@@ -161,18 +175,32 @@ class SparseFamily:
         """Per member Q, the sum of `values` over the members inside Q
         (Q included): an up-sweep, deepest level first.  A 2-D `values` is
         swept column by column, all columns at once: one bincount per level
-        over the flat (parent, column) positions, kept per column count."""
+        over the flat (parent, column) positions."""
         out = np.array(values, dtype=float)
         cols = out.reshape(len(out), -1)  # a view: (|S|, 1) for a vector
         m = cols.shape[1]
-        if (at := self._plans.get(m)) is None:
-            # row i - 1 for member i: every member but the root has a parent
-            at = self._plans[m] = (self.parent[1:, None] * m + np.arange(m)).ravel()
+        # row i - 1 for member i: every member but the root has a parent
+        at = (self.parent[1:, None] * m + np.arange(m)).ravel()
         for lo, hi in reversed(self._below_root):
             # every parent of members[lo:hi] lies before lo
             cols[:lo] += np.bincount(at[(lo - 1) * m:(hi - 1) * m], weights=cols[lo:hi].ravel(),
                                      minlength=lo * m).reshape(lo, m)
         return out
+
+    @cached_property
+    def generations(self) -> Generations:
+        """The members in tree-depth order, with each one's parent place in
+        that order and the block of each generation."""
+        depth = np.zeros(len(self), dtype=np.int64)
+        for lo, hi in self._below_root:
+            depth[lo:hi] = depth[self.parent[lo:hi]] + 1
+        order = np.argsort(depth, kind="stable")
+        place = np.empty_like(order)
+        place[order] = np.arange(len(order))
+        # the root, of depth 0, comes first
+        parent = np.append(-1, place[self.parent[order[1:]]])
+        bounds = np.searchsorted(depth[order], np.arange(depth.max() + 2)).tolist()
+        return Generations(order, parent, tuple(zip(bounds[:-2], bounds[1:-1], bounds[2:])))
 
     def at_leaves(self, values) -> np.ndarray:
         """Leaf array holding, on each leaf, the value of its owner; 0 outside the root."""

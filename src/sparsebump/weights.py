@@ -276,14 +276,16 @@ def _ce_sigma_interval_mass(grid: GridConfig) -> np.ndarray:
     """Mass of 1/(x (1-ln x)^2) over each leaf cell [i*h, (i+1)*h), h = 2^-N.
 
     Antiderivative is 1/(1-ln x); the difference is computed as
-    ln(b/a) / ((1-ln a)(1-ln b)) to avoid cancellation near x = 1.
+    ln(b/a) / ((1-ln a)(1-ln b)) to avoid cancellation near x = 1.  1 - ln x
+    is taken once per cell edge: cell i's right edge (i + 1.0) h is the
+    same float as cell i+1's left edge, so this is the per-cell form, bit
+    for bit, at one log per cell instead of two.
     """
     h = grid.leaf_volume
 
     def rest(i):
-        la = np.log(i * h)
-        lb = np.log((i + 1.0) * h)
-        return np.log1p(1.0 / i) / ((1.0 - la) * (1.0 - lb))
+        edge = 1.0 - np.log(np.append(i, i[-1:] + 1.0) * h)
+        return np.log1p(1.0 / i) / (edge[:-1] * edge[1:])
 
     return _interval_masses(grid, 1.0 / (1.0 - np.log(h)), rest)
 

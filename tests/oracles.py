@@ -46,9 +46,15 @@ every member inside R in one pass; its report at R must equal the oracle's,
 bit for bit.
 
 `descendant_sum_oracle` is the column-batched up-sweep with its scatter
-positions built anew on every level of every call, the loop that
-`SparseFamily.descendant_sum` runs on positions computed once per column
-count; the adds are in the same order, so the two agree bit for bit.
+positions built anew on every level, the loop that
+`SparseFamily.descendant_sum` runs on positions computed once per call;
+the adds are in the same order, so the two agree bit for bit.
+
+`member_apply_oracle` is the member apply T(mu v) on the family's level
+sweeps, `ancestor_sum` after `descendant_sum`: the form that
+`operators._member_operator` runs in generation order instead, whose
+up-sweep adds a parent's children in one bincount and so may differ in
+the last bits.
 
 `norm_lower_bound_full_budget` is the dual ascent of
 `operators.norm_lower_bound` run for its whole budget, with no stop at a
@@ -60,7 +66,8 @@ the array tree that `SparseFamily` builds.
 
 The grid walks (`enumerate_cubes`, `children`, `leaf_count`, `n_cubes`,
 `ancestor`), the fixtures (`fix_const`, `fix_half`, `fix_chain_cubes`), the
-closed-form mass `ce_sigma_mass`, `scaled` and `constant_function` serve the
+closed-form mass `ce_sigma_mass`, the per-cell leaf masses
+`ce_sigma_leaf_mass_oracle`, `scaled` and `constant_function` serve the
 tests only; the package itself works on per-level arrays.
 """
 
@@ -155,6 +162,17 @@ def fix_chain_cubes(grid, depth=4):
     if grid.dimension != 1:
         raise ValueError("chain fixture is one-dimensional")
     return [DyadicCube(k, (0,)) for k in range(min(depth, grid.leaf_level) + 1)]
+
+
+def ce_sigma_leaf_mass_oracle(grid):
+    """The counterexample sigma's leaf masses in the per-cell form, two
+    logs per cell: ln(b/a) / ((1 - ln a)(1 - ln b)) on the cells [a, b)
+    past the first, over the whole grid at once; `weights` takes one log
+    per cell edge, block by block, and must give the same bits."""
+    h = grid.leaf_volume
+    i = np.arange(1, grid.n_leaves, dtype=float)
+    rest = np.log1p(1.0 / i) / ((1.0 - np.log(i * h)) * (1.0 - np.log((i + 1.0) * h)))
+    return np.append(1.0 / (1.0 - np.log(h)), rest)
 
 
 def ce_sigma_mass(a, b):
@@ -452,6 +470,13 @@ def descendant_sum_oracle(family, values):
         at = (family.parent[lo:hi, None] * m + np.arange(m)).ravel()
         cols[:lo] += np.bincount(at, weights=cols[lo:hi].ravel(), minlength=lo * m).reshape(lo, m)
     return out
+
+
+def member_apply_oracle(family, coef, mass_exc, v):
+    """T(mu v) on each E_Q for the columns of v, mass_exc = mu(E_Q): the
+    up-sweep of v mu(E_Q), scaled by coef, and its down-sweep, both one
+    step per occupied grid level."""
+    return family.ancestor_sum(coef[:, None] * family.descendant_sum(v * mass_exc[:, None]))
 
 
 def norm_lower_bound_full_budget(inst, budget, seed=0):

@@ -9,10 +9,12 @@ which must return the same cube sets, and the leaf-level operator (one
 apply per candidate on leaf arrays), which the member-form operator must
 match to 1e-13 relative; the batched dual ascent must match it, and the
 L2 power iteration the dense SVD oracle, on both sides of the dense-kernel
-size switch.  The up-sweep on its kept scatter positions must match the
-per-call sweep of `oracles.descendant_sum_oracle`, and the ascent that stops
-at a fixed point the full-budget copy `oracles.norm_lower_bound_full_budget`,
-bit for bit.
+size switch.  The up-sweep must match the level-by-level sweep of
+`oracles.descendant_sum_oracle`, and the ascent that stops at a fixed point
+the full-budget copy `oracles.norm_lower_bound_full_budget`, bit for bit.
+The member apply in generation order must match the level sweeps of
+`oracles.member_apply_oracle` to 1e-13 relative, its down-sweep half
+`SparseFamily.ancestor_sum` bit for bit.
 """
 
 import warnings
@@ -28,6 +30,7 @@ from sparsebump.lab import ExperimentConfig, build_instance, run_verify_bounds
 from sparsebump.operators import (
     Instance,
     _coef,
+    _down_sweep,
     _member_operator,
     apply_sparse,
     exact_norm_l2,
@@ -40,8 +43,8 @@ from sparsebump.sparse import SparseFamily, carleson_check, random_sparse, stopp
 from sparsebump.weights import Weight, average, generate_weight, mass
 
 from oracles import (bucket_of, carleson_oracle, children, dense_norm_l2_oracle, descendant_sum_oracle,
-                     enumerate_cubes, l2_instance, norm_lower_bound_full_budget,
-                     rho_oracle, verify_sparse)
+                     enumerate_cubes, fix_chain_cubes, l2_instance, member_apply_oracle,
+                     norm_lower_bound_full_budget, rho_oracle, verify_sparse)
 
 REL = 1e-13
 
@@ -644,13 +647,15 @@ def test_one_instance_takes_two_exceptional_masses(monkeypatch):
     assert len(calls) <= 2
 
 
-# --- the planned up-sweep and the ascent's stop at a fixed point -------------
+# --- the up-sweep's positions and the ascent's stop at a fixed point --------
 
-def deep_instance(d):
+def deep_instance(d, master_seed=49):
     """(family, sigma, w, cfg, seed of the norm bound) of the benchmark's
     family_deep instance of dimension d at its seed 0 (master seed 49): the
-    stopping family of d=1 N=13 (291 members) or of d=2 N=6 (191)."""
-    cfg = ExperimentConfig(dimension=d, leaf_level={1: 13, 2: 6}[d], family_kind="stopping", master_seed=49)
+    stopping family of d=1 N=13 (291 members) or of d=2 N=6 (191); master
+    seed 234, its held-out seed 11, gives 309 and 185 members."""
+    cfg = ExperimentConfig(dimension=d, leaf_level={1: 13, 2: 6}[d], family_kind="stopping",
+                           master_seed=master_seed)
     sigma, w, family, s_lb = build_instance(cfg, 0)
     return family, sigma, w, cfg.exponents(), s_lb
 
@@ -666,12 +671,8 @@ def test_planned_up_sweep_is_the_per_call_sweep(case):
     v = rng.random((len(family), 3))
     # 1 column, the 3 starts of the ascent, B + 2, and 2 after a start drops out
     for values in (v[:, 0], v, rng.random((len(family), n_buckets + 2)), v[:, [0, 2]]):
-        for _ in range(2):  # the first call makes the plan, the second reads it
+        for _ in range(2):  # a repeated call gives the same bits
             assert np.array_equal(family.descendant_sum(values), descendant_sum_oracle(family, values))
-    # the plan holds one int64 array of at most |S| m positions per column count m
-    assert sorted(family._plans) == sorted({1, 3, n_buckets + 2, 2})
-    for m, plan in family._plans.items():
-        assert plan.dtype == np.int64 and plan.shape == ((len(family) - 1) * m,)
 
 
 @pytest.mark.parametrize("case", ASCENT_CASES, ids=str)
@@ -715,3 +716,81 @@ def test_ascent_stops_at_its_fixed_point(nudge, monkeypatch):
     calls = counted_applies(monkeypatch, nudge)
     norm_lower_bound(inst, 25, seed=s_lb)
     assert (len(calls) == 50) if nudge else (len(calls) < 50)
+
+
+# --- the member apply in generation order -----------------------------------
+
+def generation_case(case):
+    """(family, sigma, w, cfg) of an ascent case, of a family_deep instance
+    ("deep_d1_0": d=1 at master seed 49; "_11" at 234), of a chain (one
+    member per generation, 11 generations) or of a star (the root and 11
+    children on 11 levels: one generation below the root)."""
+    if isinstance(case, str) and case.startswith("deep"):
+        d, seed = int(case[6]), {"0": 49, "11": 234}[case.split("_")[-1]]
+        return deep_instance(d, seed)[:4]
+    if case not in ("chain", "star"):
+        return operator_instance(case)
+    grid = GridConfig(1, 10 if case == "chain" else 12)
+    sigma = generate_weight(grid, "random_cascade", seed=8, volatility=0.8)
+    w = generate_weight(grid, "random_cascade", seed=308, volatility=0.8)
+    if case == "chain":
+        family = SparseFamily(grid, fix_chain_cubes(grid, 10), 0.5)
+    else:
+        # [2^{1-k}, 1.5 2^{1-k}) on level k: disjoint, half the root's volume less 2^-12
+        family = SparseFamily(grid, [DyadicCube(0, (0,))] + [DyadicCube(k, (2,)) for k in range(2, 13)], 0.5)
+    return family, sigma, w, ExponentConfig(2.0, 3.0, 0.25)
+
+
+GENERATION_CASES = ASCENT_CASES + ["deep_d1_0", "deep_d2_0", "deep_d1_11", "deep_d2_11", "chain", "star"]
+
+
+@pytest.mark.parametrize("case", GENERATION_CASES, ids=str)
+def test_generations_plan(case):
+    family = generation_case(case)[0]
+    order, parent, blocks = family.generations
+    n = len(family)
+    # a permutation that starts at the root and keeps member order inside a generation
+    assert np.array_equal(np.sort(order), np.arange(n)) and order[0] == 0 and parent[0] == -1
+    # the blocks tile order[1:], each right after its parent block
+    assert [(start, lo) for start, lo, _ in blocks] == list(zip([0] + [lo for _, lo, _ in blocks[:-1]],
+                                                                [1] + [hi for _, _, hi in blocks[:-1]]))
+    assert blocks[-1][2] == n if blocks else n == 1
+    for start, lo, hi in blocks:
+        assert (np.diff(order[lo:hi]) > 0).all()
+        # every parent lies in the previous generation's block, and is the member's parent
+        assert ((start <= parent[lo:hi]) & (parent[lo:hi] < lo)).all()
+        assert np.array_equal(order[parent[lo:hi]], family.parent[order[lo:hi]])
+    if case == "chain":
+        assert len(blocks) == 10 and all(hi - lo == 1 for _, lo, hi in blocks)
+    if case == "star":
+        assert len(blocks) == 1 and len(set(family.level[1:].tolist())) == 11
+
+
+@pytest.mark.parametrize("case", GENERATION_CASES, ids=str)
+def test_generation_apply_is_the_level_sweeps(case, monkeypatch):
+    # the sweeps branch at every size: within 1e-13 of the level-order
+    # sweeps, whose up-sweep adds siblings level by level, for 1 and 3
+    # columns and for 2 Fortran-ordered ones (the ascent after a start drops
+    # out); a repeated apply reads its kept positions and gives the same bits
+    family, sigma, w, cfg = generation_case(case)
+    monkeypatch.setattr(operators, "DENSE_MAX", 0)
+    inst = Instance(family, sigma, w, cfg)
+    v = np.random.default_rng(4).random((len(family), 3))
+    for mass_exc in (inst.sigma_exc, inst.w_exc):
+        apply = _member_operator(inst, mass_exc)
+        for values in (v[:, :1], v, v[:, [0, 2]]):
+            got = apply(values)
+            assert_close(got, member_apply_oracle(family, inst.coef, mass_exc, values))
+            assert np.array_equal(apply(values), got)
+    assert "kernel" not in inst.__dict__
+
+
+@pytest.mark.parametrize("case", GENERATION_CASES, ids=str)
+def test_down_sweep_is_the_ancestor_sum(case):
+    family = generation_case(case)[0]
+    generations = family.generations
+    v = np.random.default_rng(5).random((len(family), 3))
+    for values in (v[:, :1], v):
+        got = np.empty_like(values)
+        got[generations.order] = _down_sweep(generations, values[generations.order])
+        assert np.array_equal(got, family.ancestor_sum(values))

@@ -20,7 +20,8 @@ from sparsebump.weights import (
     weight_to_json,
 )
 
-from oracles import cascade_oracle, ce_sigma_mass, enumerate_cubes, fix_const, fix_half, llogl_oracle
+from oracles import (cascade_oracle, ce_sigma_leaf_mass_oracle, ce_sigma_mass, enumerate_cubes, fix_const,
+                     fix_half, llogl_oracle)
 
 
 def cube_endpoints(cube: DyadicCube) -> tuple[float, float]:
@@ -49,6 +50,24 @@ class TestCounterexamplePair:
             sigma, _ = fix_ce(n)
             expected = 1.0 / (1.0 + n * math.log(2))
             assert mass(sigma, DyadicCube(n, (0,))) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_sigma_leaf_masses_are_the_per_cell_form(self, n):
+        g = GridConfig(1, n)
+        sigma = generate_weight(g, "counterexample_sigma")
+        assert np.array_equal(sigma.mass_levels[-1], ce_sigma_leaf_mass_oracle(g))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_sigma_leaf_masses_across_block_edges(self, spread, cpus):
+        # each block takes its own right edge; with 1 leaf a block the
+        # first block holds only cell 0, whose mass has its own closed form
+        for block, n in ((1, 6), (16, 4), (16, 5), (16, 10)):
+            pools = spread(block, cpus)
+            g = GridConfig(1, n)
+            sigma = generate_weight(g, "counterexample_sigma")
+            assert np.array_equal(sigma.mass_levels[-1], ce_sigma_leaf_mass_oracle(g))
+        # 64 blocks of 1 leaf and 64 of 16 take a pool on 2 CPUs
+        assert pools == ([] if cpus == 1 else [2, 2])
 
     def test_sigma_total_mass_is_one(self):
         sigma, _ = fix_ce(10)

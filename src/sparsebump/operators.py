@@ -26,10 +26,9 @@ The dual ascent of `norm_lower_bound` runs all its random starts as the
 columns of one (|S|, N_STARTS) array, so each step is one batched apply.  On
 a family of at most `DENSE_MAX` members that apply is one product with the
 dense symmetric member kernel K = A diag(coef) A^T (A the ancestor-or-self
-incidence); on larger families it is the two sweeps, column-batched and in
-the family's generation order, one step per tree generation
-(`_member_operator`).  The power iteration of `exact_norm_l2` runs on the
-same member applies.
+incidence); on larger families it is the family's two sweeps, column-batched,
+one step per tree generation (`_member_operator`).  The power iteration of
+`exact_norm_l2` runs on the same member applies.
 """
 
 from __future__ import annotations
@@ -45,16 +44,15 @@ from .sparse import SparseFamily
 from .weights import Weight
 
 # Largest family whose ascent applies take the dense member kernel.  A dense
-# apply is one O(|S|^2) product, after a kernel build of one down-sweep of
+# apply is one O(|S|^2) product, after a kernel build of two down-sweeps of
 # an |S| x |S| array; the sweeps cost a few calls per tree generation (2-4
-# here, on 4-12 occupied levels).  Whole ascents (kernel or plan build and
-# every apply; budget 25, 3 starts, min of 7-11) on random and stopping
-# families in d=1 and d=2, on a 2-core x86-64 VM with one BLAS thread, take
-# dense / sweeps time:
-#     |S| 100-170   0.65-0.91  (dense faster)
-#     |S| 186-205   0.86-1.33  (a tie)
-#     |S| 210-258   1.19-1.78  (sweeps faster)
-#     |S| 262-600   1.26-8.8
+# here, on 4-12 occupied levels).  Whole ascents (the kernel build or the
+# up-sweep positions, and every apply; budget 25, 3 starts, min of 9) on
+# random and stopping families in d=1 and d=2, on a 2-core x86-64 VM with
+# one BLAS thread, take dense / sweeps time:
+#     |S| 100-161   0.59-0.97  (dense faster)
+#     |S| 172-249   0.76-1.50  (a tie; dense faster on most stopping families)
+#     |S| 260-600   1.17-9.1   (sweeps faster)
 # Moving the switch changes which apply an instance takes, and so the last
 # bits of its bound; the kernel and its two scaled copies hold 3 |S|^2
 # floats (0.9 MiB at 200).  Read at call time, so tests can change it, as
@@ -146,7 +144,10 @@ class Instance:
         # row Q of the transposed ancestor-or-self incidence marks the
         # members inside Q; the down-sweep adds coef over common ancestors
         inside = self.family.ancestor_sum(np.eye(len(self.family))).T
-        return self.family.ancestor_sum(self.coef[:, None] * inside)
+        # K is exactly symmetric (K[i, j] and K[j, i] add coef over one chain of
+        # common ancestors): its transpose is K in Fortran order, the layout
+        # the dense ascent's bits are kept in, as a product's last bits follow it
+        return self.family.ancestor_sum(self.coef[:, None] * inside).T
 
     def _testing_terms(self, w_masses: np.ndarray) -> np.ndarray:
         """Per member, (|Q|^{alpha/d} <sigma>_Q)^q times its entry of `w_masses`."""
@@ -272,50 +273,25 @@ def _norms(v: np.ndarray, r: float, mass_exc: np.ndarray) -> np.ndarray:
 def _member_operator(inst: Instance, mass_exc: np.ndarray):
     """v -> T(mu v) on each E_Q for the columns of a per-member array v,
     where mass_exc is mu(E_Q): one product with the dense member kernel on
-    families of at most DENSE_MAX members, the two column-batched sweeps on
-    larger ones.
-
-    The sweeps run in the family's generation order, one step per tree
-    generation: v is permuted into that order once, each generation's
-    block sums are added into its parent generation's block by one
-    bincount, deepest first, the sums are scaled by coef, and the down-sweep
-    (`_down_sweep`) adds each parent's value to its children and permutes
-    back.  The bincount positions are made once per column count and kept
-    by the returned apply, so the ascent's steps share them."""
+    families of at most DENSE_MAX members, the family's two column-batched
+    sweeps on larger ones: v is permuted into generation order once, scaled
+    by mu(E_Q), summed up the tree (`SparseFamily.up_sweep`), scaled by coef,
+    summed down it (`SparseFamily.down_sweep`) and permuted back.  The
+    up-sweep's positions for the ascent's N_STARTS columns are made here,
+    once; an apply to another number of columns makes its own."""
     family = inst.family
     if len(family) <= DENSE_MAX:
         kernel = inst.kernel * mass_exc
         return lambda v: kernel @ v
-    generations = family.generations
-    order, parent, blocks = generations
-    coef, mass_exc, back = inst.coef[order, None], mass_exc[order, None], np.argsort(order)
-    plans = {}  # per column count, per generation, the flat (parent, column) positions in its parent block
+    order, back = family.generations[:2]
+    coef, mass_exc, at = inst.coef[order, None], mass_exc[order, None], family.up_positions(N_STARTS)
 
     def apply(v):
-        # `take` rather than fancy indexing: the same copy, at a third of the cost on (|S|, m) rows
-        x = v.take(order, axis=0) * mass_exc
-        m = x.shape[1]
-        if (at := plans.get(m)) is None:
-            at = plans[m] = [((parent[lo:hi] - start)[:, None] * m + np.arange(m)).ravel()
-                             for start, lo, hi in blocks]
-        for (start, lo, hi), at_g in zip(reversed(blocks), reversed(at)):
-            x[start:lo] += np.bincount(at_g, weights=x[lo:hi].ravel(),
-                                       minlength=(lo - start) * m).reshape(lo - start, m)
+        x = family.up_sweep(v.take(order, axis=0) * mass_exc, at if at.size == v.size else None)
         x *= coef
-        return _down_sweep(generations, x).take(back, axis=0)
+        return family.down_sweep(x).take(back, axis=0)
 
     return apply
-
-
-def _down_sweep(generations, x: np.ndarray) -> np.ndarray:
-    """x, in generation order, with each row replaced in place by the sum
-    of the rows of its ancestors and itself: each generation adds its
-    parents' finished sums, so every member takes one add, as in
-    `SparseFamily.ancestor_sum`, and the two agree bit for bit."""
-    _, parent, blocks = generations
-    for _, lo, hi in blocks:
-        x[lo:hi] += x.take(parent[lo:hi], axis=0)
-    return x
 
 
 def norm_lower_bound(inst: Instance, budget: int, seed: int = 0) -> float:

@@ -27,7 +27,8 @@ from .weights import Weight, average, json_record, mass, rho  # noqa: F401 (rho:
 def _tree(level: np.ndarray, flat: np.ndarray, d: int, depth: int):
     """Array form of cubes sorted by (level, index), given as their levels
     and row-major indices on their levels: the level bounds (members on
-    level k are members[bounds[k]:bounds[k+1]]); per member its parent; per
+    level k are members[bounds[k]:bounds[k+1]]); per member its parent and
+    its generation (0 at a maximal member, 1 at its children, ...); per
     level-`depth` cube its owner.
 
     One top-down sweep over levels 0..depth carries, per grid cube, the
@@ -38,24 +39,27 @@ def _tree(level: np.ndarray, flat: np.ndarray, d: int, depth: int):
     """
     bounds = np.searchsorted(level, np.arange(depth + 2))
     parent = np.empty(len(level), dtype=np.int64)
+    generation = np.full(len(level) + 1, -1, dtype=np.int64)  # the last entry, read at parent -1, stays -1
     owner = np.full((1,) * d, -1, dtype=np.int64)
     for k in range(depth + 1):
         owner = expand(owner, d) if k else owner
         at_k, sel = owner.reshape(-1), flat[bounds[k]:bounds[k + 1]]
         parent[bounds[k]:bounds[k + 1]] = at_k[sel]
+        generation[bounds[k]:bounds[k + 1]] = generation[at_k[sel]] + 1
         at_k[sel] = np.arange(bounds[k], bounds[k + 1])
-    return bounds, parent, owner
+    return bounds, parent, generation[:-1], owner
 
 
 class Generations(NamedTuple):
     """A family's members in tree-depth order: the root, then its children,
     then theirs.  The sort is stable, so each generation keeps the members'
     (level, index) order, and every parent lies in the generation just
-    before its children."""
+    before its children.  A place is a position in this order."""
 
-    order: np.ndarray  # member positions, generation by generation
-    parent: np.ndarray  # per entry of `order`, the place of its parent in `order` (-1 at the root)
-    blocks: tuple[tuple[int, int, int], ...]  # per generation below the root: (parent block start, lo, hi)
+    order: np.ndarray  # per place, its member
+    back: np.ndarray  # per member, its place
+    slot: np.ndarray  # per place, its parent's place less the start of the parent's generation; -1 at the root
+    blocks: tuple[tuple[int, int, int], ...]  # per generation below the root: (parent generation start, lo, hi)
 
 
 class SparseFamily:
@@ -72,10 +76,10 @@ class SparseFamily:
     root).  Equal families have equal grid, lambda and arrays.  Cubes are
     made when read: `cube(i)`, `root`, and `members` on first use.
     Per-cube quantities are arrays over the members, computed by two sweeps
-    over the tree, one step per occupied grid level: `ancestor_sum` (down)
-    and `descendant_sum` (up).  `generations` orders the members by tree
-    depth instead, for sweeps of one step per generation: a stopping family
-    spread over 9 levels may be 3 generations deep.
+    over the tree, one step per tree generation (a stopping family spread
+    over 9 levels may be 3 generations deep): `down_sweep` and `up_sweep`
+    work in place on an array in `generations` order, and `ancestor_sum`
+    and `descendant_sum` run them on an array in member order.
     """
 
     def __init__(self, grid: GridConfig, members, lam: float) -> None:
@@ -114,7 +118,8 @@ class SparseFamily:
         self.grid, self.lam, self.level, self.index, self._flat = grid, lam, level[keep], index[keep], flat[keep]
         if index.shape[1] != grid.dimension:
             raise ValueError(f"cube {self.cube(0).text} is not of dimension {grid.dimension}")
-        self._bounds, self.parent, self.owner = _tree(self.level, self._flat, grid.dimension, grid.leaf_level)
+        self._bounds, self.parent, self._generation, self.owner = _tree(
+            self.level, self._flat, grid.dimension, grid.leaf_level)
         if np.count_nonzero(self.parent < 0) != 1:
             raise ValueError("family must have a unique maximal cube (the root)")
         # per member, the volume of its maximal proper sub-members over its own
@@ -125,8 +130,6 @@ class SparseFamily:
         if ratio[j] > lam:
             raise ValueError(f"collection is not {lam}-sparse: worst ratio {float(ratio[j])} at {self.cube(j).text}")
         self.owner.setflags(write=False)
-        # members[lo:hi] per occupied level below the root's: the sweep steps
-        self._below_root = [(lo, hi) for lo, hi in zip(self._bounds[:-1], self._bounds[1:]) if 0 < lo < hi]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SparseFamily) and (self.grid, self.lam, self._key.tobytes()) == (
@@ -162,45 +165,64 @@ class SparseFamily:
         return np.concatenate([levels[k].reshape(-1)[self._flat[b[k]:b[k + 1]]]
                                for k in range(self.grid.leaf_level + 1)])
 
+    @cached_property
+    def generations(self) -> Generations:
+        """The members in tree-depth order, with the parent slot of each
+        place and the places of each generation."""
+        order = np.argsort(self._generation, kind="stable")
+        back = np.empty_like(order)
+        back[order] = np.arange(len(order))
+        bounds = np.searchsorted(self._generation[order], np.arange(self._generation.max() + 2))
+        # the root, of generation 0, comes first; generation g's parents start at bounds[g - 1]
+        slot = np.append(-1, back[self.parent[order[1:]]] - np.repeat(bounds[:-2], np.diff(bounds[1:])))
+        bounds = bounds.tolist()
+        return Generations(order, back, slot, tuple(zip(bounds[:-2], bounds[1:-1], bounds[2:])))
+
+    def down_sweep(self, x: np.ndarray) -> np.ndarray:
+        """x, in generation order, with each row replaced in place by the sum
+        of the rows of its ancestors and itself: each generation below the
+        root adds its parents' finished sums, so every member takes one add,
+        ancestors added coarsest first.  Returns x."""
+        _, _, slot, blocks = self.generations
+        for start, lo, hi in blocks:
+            # `take` rather than fancy indexing: the same copy, at a third of the cost on (|S|, m) rows
+            x[lo:hi] += x[start:lo].take(slot[lo:hi], axis=0)
+        return x
+
+    def up_positions(self, m: int) -> np.ndarray:
+        """The flat (parent slot, column) positions that `up_sweep` scatters
+        m columns to: per place, its parent's slot times m plus the column."""
+        slot = self.generations.slot
+        return slot if m == 1 else (slot[:, None] * m + np.arange(m)).ravel()
+
+    def up_sweep(self, x: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
+        """x, in generation order, with each row replaced in place by the sum
+        of the rows of its subtree: deepest generation first, one bincount
+        over `at`, the `up_positions` of x's columns (made here when not
+        given), adds each generation's sums into its parent generation, so
+        each parent adds the sum of its children taken left to right in
+        member order.  Columns of a 2-D x are swept all at once.  Returns x."""
+        cols = x.reshape(len(x), -1)  # a view: (|S|, 1) for a vector
+        m = cols.shape[1]
+        at = self.up_positions(m) if at is None else at
+        for start, lo, hi in reversed(self.generations.blocks):
+            cols[start:lo] += np.bincount(at[lo * m:hi * m], weights=cols[lo:hi].ravel(),
+                                          minlength=(lo - start) * m).reshape(lo - start, m)
+        return x
+
     def ancestor_sum(self, values) -> np.ndarray:
         """Per member Q, the sum of `values` over the members containing Q
-        (Q included): a down-sweep, ancestors added coarsest first.  A 2-D
-        `values` is swept column by column, all columns at once."""
-        out = np.array(values, dtype=float)
-        for lo, hi in self._below_root:
-            out[lo:hi] += out[self.parent[lo:hi]]
-        return out
+        (Q included): `down_sweep` in generation order.  A 2-D `values` is
+        swept column by column, all columns at once."""
+        order, back = self.generations[:2]
+        return self.down_sweep(np.asarray(values, dtype=float).take(order, axis=0)).take(back, axis=0)
 
     def descendant_sum(self, values) -> np.ndarray:
         """Per member Q, the sum of `values` over the members inside Q
-        (Q included): an up-sweep, deepest level first.  A 2-D `values` is
-        swept column by column, all columns at once: one bincount per level
-        over the flat (parent, column) positions."""
-        out = np.array(values, dtype=float)
-        cols = out.reshape(len(out), -1)  # a view: (|S|, 1) for a vector
-        m = cols.shape[1]
-        # row i - 1 for member i: every member but the root has a parent
-        at = (self.parent[1:, None] * m + np.arange(m)).ravel()
-        for lo, hi in reversed(self._below_root):
-            # every parent of members[lo:hi] lies before lo
-            cols[:lo] += np.bincount(at[(lo - 1) * m:(hi - 1) * m], weights=cols[lo:hi].ravel(),
-                                     minlength=lo * m).reshape(lo, m)
-        return out
-
-    @cached_property
-    def generations(self) -> Generations:
-        """The members in tree-depth order, with each one's parent place in
-        that order and the block of each generation."""
-        depth = np.zeros(len(self), dtype=np.int64)
-        for lo, hi in self._below_root:
-            depth[lo:hi] = depth[self.parent[lo:hi]] + 1
-        order = np.argsort(depth, kind="stable")
-        place = np.empty_like(order)
-        place[order] = np.arange(len(order))
-        # the root, of depth 0, comes first
-        parent = np.append(-1, place[self.parent[order[1:]]])
-        bounds = np.searchsorted(depth[order], np.arange(depth.max() + 2)).tolist()
-        return Generations(order, parent, tuple(zip(bounds[:-2], bounds[1:-1], bounds[2:])))
+        (Q included): `up_sweep` in generation order.  A 2-D `values` is
+        swept column by column, all columns at once."""
+        order, back = self.generations[:2]
+        return self.up_sweep(np.asarray(values, dtype=float).take(order, axis=0)).take(back, axis=0)
 
     def at_leaves(self, values) -> np.ndarray:
         """Leaf array holding, on each leaf, the value of its owner; 0 outside the root."""

@@ -45,16 +45,20 @@ inside R by a down-sweep of R's indicator instead, and checks stage (ii) at
 every member inside R in one pass; its report at R must equal the oracle's,
 bit for bit.
 
-`descendant_sum_oracle` is the column-batched up-sweep with its scatter
-positions built anew on every level, the loop that
-`SparseFamily.descendant_sum` runs on positions computed once per call;
-the adds are in the same order, so the two agree bit for bit.
+`subtree_sum_oracle` is the up-sweep member by member: each member adds
+the subtree sums of its children left to right in member order, the order
+of the one bincount per generation of `SparseFamily.up_sweep`, so it and
+`SparseFamily.descendant_sum` agree bit for bit.
 
-`member_apply_oracle` is the member apply T(mu v) on the family's level
-sweeps, `ancestor_sum` after `descendant_sum`: the form that
-`operators._member_operator` runs in generation order instead, whose
-up-sweep adds a parent's children in one bincount and so may differ in
-the last bits.
+`ancestor_sum_oracle` and `descendant_sum_oracle` are the two sweeps on the
+other schedule, one step per occupied grid level, coarsest level first
+down and deepest first up.  The down-sweep adds each member's finished
+parent sum once, in any parent-first order, so `ancestor_sum_oracle` and
+`SparseFamily.ancestor_sum` agree bit for bit; the level up-sweep adds a
+parent's children level by level and may differ from the generation
+up-sweep in the last bits.  `member_apply_oracle` is the member apply
+T(mu v) on these two level sweeps: the form that
+`operators._member_operator` runs in generation order.
 
 `norm_lower_bound_full_budget` is the dual ascent of
 `operators.norm_lower_bound` run for its whole budget, with no stop at a
@@ -266,21 +270,17 @@ def carleson_oracle(family, sigma, q0):
 
 
 def _subtree_mass(members, sigma, q):
-    """sigma(Q) plus, per level of Q's children in `members` (its maximal
-    proper sub-members), deepest level first, the sum of their subtree
-    masses, added left to right: the order of `SparseFamily.descendant_sum`,
-    so the two agree bitwise.  The adds are explicit, since `sum` of floats
-    is compensated on Python 3.12 and later."""
+    """sigma(Q) plus the sum of the subtree masses of Q's children in
+    `members` (its maximal proper sub-members), taken left to right in
+    member order: the order of `SparseFamily.descendant_sum`, so the two
+    agree bitwise.  The adds are explicit, since `sum` of floats is
+    compensated on Python 3.12 and later."""
     inside = [c for c in members if c != q and contains(q, c)]
-    kids = [c for c in inside if not any(o != c and contains(o, c) for o in inside)]
-    total = mass(sigma, q)
-    for level in sorted({c.level for c in kids}, reverse=True):
-        part = 0.0
-        for c in kids:
-            if c.level == level:
-                part += _subtree_mass(inside, sigma, c)
-        total += part
-    return total
+    part = 0.0
+    for c in inside:
+        if not any(o != c and contains(o, c) for o in inside):
+            part += _subtree_mass(inside, sigma, c)
+    return mass(sigma, q) + part
 
 
 def llogl_oracle(sigma):
@@ -458,15 +458,48 @@ def trace_oracle(kind, inst, eps, r_cube, c_bump=None):
     )
 
 
+def subtree_sum_oracle(family, values):
+    """Per member Q, the sum of `values` over the members inside Q: Q's own
+    value plus the subtree sums of its children, taken left to right in
+    member order.  A child comes after its parent in member order, so the
+    members are visited last to first."""
+    values = np.array(values, dtype=float)
+    children = [[] for _ in range(len(family))]
+    for i, p in enumerate(family.parent.tolist()):
+        if p >= 0:
+            children[p].append(i)
+    out = np.empty_like(values)
+    for q in reversed(range(len(family))):
+        part = np.zeros(values.shape[1:])
+        for c in children[q]:
+            part = part + out[c]
+        out[q] = values[q] + part
+    return out
+
+
+def _occupied_levels(family):
+    """members[lo:hi] per occupied grid level below the root's, coarsest first."""
+    bounds = np.searchsorted(family.level, np.arange(family.grid.leaf_level + 2))
+    return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if 0 < lo < hi]
+
+
+def ancestor_sum_oracle(family, values):
+    """Per member Q, the sum of `values` over the members containing Q: the
+    down-sweep coarsest level first, each level adding its parents' rows."""
+    out = np.array(values, dtype=float)
+    for lo, hi in _occupied_levels(family):
+        out[lo:hi] += out[family.parent[lo:hi]]
+    return out
+
+
 def descendant_sum_oracle(family, values):
     """Per member Q, the sum of `values` over the members inside Q: the
     up-sweep deepest level first, one bincount per level over the flat
-    (parent, column) positions of that level, computed on each call."""
+    (parent, column) positions of that level."""
     out = np.array(values, dtype=float)
     cols = out.reshape(len(out), -1)
     m = cols.shape[1]
-    bounds = np.searchsorted(family.level, np.arange(family.grid.leaf_level + 2))
-    for lo, hi in reversed([(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if 0 < lo < hi]):
+    for lo, hi in reversed(_occupied_levels(family)):
         at = (family.parent[lo:hi, None] * m + np.arange(m)).ravel()
         cols[:lo] += np.bincount(at, weights=cols[lo:hi].ravel(), minlength=lo * m).reshape(lo, m)
     return out
@@ -476,7 +509,7 @@ def member_apply_oracle(family, coef, mass_exc, v):
     """T(mu v) on each E_Q for the columns of v, mass_exc = mu(E_Q): the
     up-sweep of v mu(E_Q), scaled by coef, and its down-sweep, both one
     step per occupied grid level."""
-    return family.ancestor_sum(coef[:, None] * family.descendant_sum(v * mass_exc[:, None]))
+    return ancestor_sum_oracle(family, coef[:, None] * descendant_sum_oracle(family, v * mass_exc[:, None]))
 
 
 def norm_lower_bound_full_budget(inst, budget, seed=0):

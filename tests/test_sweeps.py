@@ -9,14 +9,16 @@ which must return the same cube sets, and the leaf-level operator (one
 apply per candidate on leaf arrays), which the member-form operator must
 match to 1e-13 relative; the batched dual ascent must match it, and the
 L2 power iteration the dense SVD oracle, on both sides of the dense-kernel
-size switch.  The up-sweep must match the level-by-level sweep of
-`oracles.descendant_sum_oracle`, and the ascent that stops at a fixed point
+size switch.  The up-sweep must match the member-by-member sum of
+`oracles.subtree_sum_oracle`, the down-sweep the level-order sweep of
+`oracles.ancestor_sum_oracle`, and the ascent that stops at a fixed point
 the full-budget copy `oracles.norm_lower_bound_full_budget`, bit for bit.
-The member apply in generation order must match the level sweeps of
-`oracles.member_apply_oracle` to 1e-13 relative, its down-sweep half
-`SparseFamily.ancestor_sum` bit for bit.
+Each sweep takes one step per tree generation, and the member apply on
+the two generation sweeps must match the level sweeps of
+`oracles.member_apply_oracle` to 1e-13 relative.
 """
 
+import sys
 import warnings
 from types import SimpleNamespace
 
@@ -30,7 +32,6 @@ from sparsebump.lab import ExperimentConfig, build_instance, run_verify_bounds
 from sparsebump.operators import (
     Instance,
     _coef,
-    _down_sweep,
     _member_operator,
     apply_sparse,
     exact_norm_l2,
@@ -42,9 +43,9 @@ from sparsebump.prooftrace import SLACK, _strata, direct_trace, dual_direct_trac
 from sparsebump.sparse import SparseFamily, carleson_check, random_sparse, stopping_family
 from sparsebump.weights import Weight, average, generate_weight, mass
 
-from oracles import (bucket_of, carleson_oracle, children, dense_norm_l2_oracle, descendant_sum_oracle,
+from oracles import (ancestor_sum_oracle, bucket_of, carleson_oracle, children, dense_norm_l2_oracle,
                      enumerate_cubes, fix_chain_cubes, l2_instance, member_apply_oracle,
-                     norm_lower_bound_full_budget, rho_oracle, verify_sparse)
+                     norm_lower_bound_full_budget, rho_oracle, subtree_sum_oracle, verify_sparse)
 
 REL = 1e-13
 
@@ -647,7 +648,7 @@ def test_one_instance_takes_two_exceptional_masses(monkeypatch):
     assert len(calls) <= 2
 
 
-# --- the up-sweep's positions and the ascent's stop at a fixed point --------
+# --- the up-sweep's order and the ascent's stop at a fixed point ------------
 
 def deep_instance(d, master_seed=49):
     """(family, sigma, w, cfg, seed of the norm bound) of the benchmark's
@@ -672,7 +673,7 @@ def test_planned_up_sweep_is_the_per_call_sweep(case):
     # 1 column, the 3 starts of the ascent, B + 2, and 2 after a start drops out
     for values in (v[:, 0], v, rng.random((len(family), n_buckets + 2)), v[:, [0, 2]]):
         for _ in range(2):  # a repeated call gives the same bits
-            assert np.array_equal(family.descendant_sum(values), descendant_sum_oracle(family, values))
+            assert np.array_equal(family.descendant_sum(values), subtree_sum_oracle(family, values))
 
 
 @pytest.mark.parametrize("case", ASCENT_CASES, ids=str)
@@ -747,23 +748,55 @@ GENERATION_CASES = ASCENT_CASES + ["deep_d1_0", "deep_d2_0", "deep_d1_11", "deep
 @pytest.mark.parametrize("case", GENERATION_CASES, ids=str)
 def test_generations_plan(case):
     family = generation_case(case)[0]
-    order, parent, blocks = family.generations
+    order, back, slot, blocks = family.generations
     n = len(family)
-    # a permutation that starts at the root and keeps member order inside a generation
-    assert np.array_equal(np.sort(order), np.arange(n)) and order[0] == 0 and parent[0] == -1
+    # a permutation that starts at the root, with its inverse
+    assert np.array_equal(np.sort(order), np.arange(n)) and order[0] == 0 and slot[0] == -1
+    assert np.array_equal(order[back], np.arange(n))
     # the blocks tile order[1:], each right after its parent block
     assert [(start, lo) for start, lo, _ in blocks] == list(zip([0] + [lo for _, lo, _ in blocks[:-1]],
                                                                 [1] + [hi for _, _, hi in blocks[:-1]]))
     assert blocks[-1][2] == n if blocks else n == 1
     for start, lo, hi in blocks:
         assert (np.diff(order[lo:hi]) > 0).all()
-        # every parent lies in the previous generation's block, and is the member's parent
-        assert ((start <= parent[lo:hi]) & (parent[lo:hi] < lo)).all()
-        assert np.array_equal(order[parent[lo:hi]], family.parent[order[lo:hi]])
+        # every parent lies in the previous generation's block, at its slot
+        # there, and is the member's parent
+        assert ((0 <= slot[lo:hi]) & (slot[lo:hi] < lo - start)).all()
+        assert np.array_equal(order[start + slot[lo:hi]], family.parent[order[lo:hi]])
     if case == "chain":
         assert len(blocks) == 10 and all(hi - lo == 1 for _, lo, hi in blocks)
     if case == "star":
         assert len(blocks) == 1 and len(set(family.level[1:].tolist())) == 11
+
+
+@pytest.mark.parametrize("case", ("chain", "star"))
+def test_a_sweep_takes_one_step_per_generation(case, monkeypatch):
+    # the chain has 10 generations below the root, on 10 levels; the star
+    # one, on 11 levels.  The up-sweep makes one bincount per generation;
+    # the down-sweep one gather per generation, besides the two `take`s
+    # that permute into generation order and back
+    family = generation_case(case)[0]
+    n_generations = {"chain": 10, "star": 1}[case]
+    assert len(family.generations.blocks) == n_generations
+    bincounts, takes, bincount = [], [], np.bincount
+
+    def counted_bincount(*args, **kwargs):
+        bincounts.append(args)
+        return bincount(*args, **kwargs)
+
+    def count_takes(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", None) == "take":
+            takes.append(arg)
+
+    monkeypatch.setattr(np, "bincount", counted_bincount)
+    v = np.random.default_rng(6).random((len(family), 3))
+    family.descendant_sum(v)
+    sys.setprofile(count_takes)
+    try:
+        family.ancestor_sum(v)
+    finally:
+        sys.setprofile(None)
+    assert len(bincounts) == n_generations and len(takes) == n_generations + 2
 
 
 @pytest.mark.parametrize("case", GENERATION_CASES, ids=str)
@@ -771,7 +804,7 @@ def test_generation_apply_is_the_level_sweeps(case, monkeypatch):
     # the sweeps branch at every size: within 1e-13 of the level-order
     # sweeps, whose up-sweep adds siblings level by level, for 1 and 3
     # columns and for 2 Fortran-ordered ones (the ascent after a start drops
-    # out); a repeated apply reads its kept positions and gives the same bits
+    # out); a repeated apply gives the same bits
     family, sigma, w, cfg = generation_case(case)
     monkeypatch.setattr(operators, "DENSE_MAX", 0)
     inst = Instance(family, sigma, w, cfg)
@@ -787,10 +820,22 @@ def test_generation_apply_is_the_level_sweeps(case, monkeypatch):
 
 @pytest.mark.parametrize("case", GENERATION_CASES, ids=str)
 def test_down_sweep_is_the_ancestor_sum(case):
+    # in generation order in place, and in member order, bit for bit the
+    # level-order down-sweep
     family = generation_case(case)[0]
-    generations = family.generations
+    order, back = family.generations[:2]
     v = np.random.default_rng(5).random((len(family), 3))
-    for values in (v[:, :1], v):
-        got = np.empty_like(values)
-        got[generations.order] = _down_sweep(generations, values[generations.order])
-        assert np.array_equal(got, family.ancestor_sum(values))
+    for values in (v[:, :1], v, v[:, 0]):
+        want = ancestor_sum_oracle(family, values)
+        x = values.take(order, axis=0)
+        assert family.down_sweep(x) is x and np.array_equal(x.take(back, axis=0), want)
+        assert np.array_equal(family.ancestor_sum(values), want)
+
+
+@pytest.mark.parametrize("case", GENERATION_CASES, ids=str)
+def test_dense_kernel_is_symmetric_bit_for_bit(case):
+    # the kernel is kept in the Fortran layout the dense ascent's bits were
+    # measured on; its transpose is the same matrix
+    family, sigma, w, cfg = generation_case(case)
+    kernel = Instance(family, sigma, w, cfg).kernel
+    assert np.array_equal(kernel, kernel.T) and kernel.flags.f_contiguous

@@ -27,8 +27,9 @@ columns of one (|S|, N_STARTS) array, so each step is one batched apply.  On
 a family of at most `DENSE_MAX` members that apply is one product with the
 dense symmetric member kernel K = A diag(coef) A^T (A the ancestor-or-self
 incidence); on larger families it is the family's two sweeps, column-batched,
-one step per tree generation (`_member_operator`).  The power iteration of
-`exact_norm_l2` runs on the same member applies.
+one step per tree generation (`_member_operator`).  At p = q = 2 the ascent
+is the power iteration of T_w T_sigma (Boyd 1974), and `exact_norm_l2` runs
+it from the constant start until its Rayleigh quotient settles.
 """
 
 from __future__ import annotations
@@ -223,8 +224,8 @@ def apply_sparse(family: SparseFamily, sigma: Weight, f: np.ndarray, alpha: floa
 
 
 class PowerIterationError(RuntimeError):
-    """Raised when the norm iteration fails to converge; carries the last
-    two eigenvalue iterates."""
+    """Raised when the norm iteration fails to converge; carries its last two
+    Rayleigh quotients."""
 
     def __init__(self, message: str, last_two: tuple[float, float]):
         super().__init__(f"{message} (last iterates: {last_two[0]!r}, {last_two[1]!r})")
@@ -235,33 +236,25 @@ def exact_norm_l2(inst: Instance, tol: float = 1e-12, max_iter: int = 50_000) ->
     """Operator norm of f -> T(sigma f) from L2(sigma) to L2(w) on an
     instance with p = q = 2.
 
-    Power iteration on the self-adjoint composition G f = T_w(T_sigma f)
-    (apply with sigma, multiply by w inside the second application), with
-    the deterministic all-ones start on sigma-positive leaves.  Leaves with
-    zero sigma-density carry no sigma(E_Q) mass, so they drop out of the
-    domain space.  Both applies are the member applies of the dual ascent,
-    on f as one column, so the instance's exceptional masses and dense
-    kernel serve both.
+    At p = q = 2 the dual ascent of `norm_lower_bound` is the power iteration
+    on the self-adjoint G f = T_w(T_sigma f), up to scale, and the square of
+    its ratio is the Rayleigh quotient of G.  Run from the constant start,
+    the norm is its ratio at the first step whose quotient moves by at most
+    tol times itself, or at its last step when it ends early: at a fixed
+    point, or at a norm of 0.  Leaves with zero sigma-density carry no
+    sigma(E_Q) mass, so they drop out of the domain space.
     """
     if inst.cfg.p != 2.0 or inst.cfg.q != 2.0:
         raise ValueError(f"exact_norm_l2 needs p = q = 2, got p={inst.cfg.p}, q={inst.cfg.q}")
-    family, sigma = inst.family, inst.sigma
-    t_sigma, t_w = _member_operator(inst, inst.sigma_exc), _member_operator(inst, inst.w_exc)
-    sigma_exc = inst.sigma_exc[:, None]
-    # the start is normalized over the whole grid, off the root too; T
-    # vanishes there, so every later iterate lives on the members
-    f = np.full((len(family), 1), 1.0 / np.sqrt(float(sigma.mass_levels[0].sum())))
-    lam_prev = np.inf
-    lam = np.inf
-    for _ in range(max_iter):
-        u = t_w(t_sigma(f))
-        lam_prev, lam = lam, float(np.sum(u * f * sigma_exc))
-        if lam == 0.0:
-            return 0.0
-        if abs(lam - lam_prev) <= tol * lam:
-            return float(np.sqrt(lam))
-        f = u / np.sqrt(float(np.sum(u * u * sigma_exc)))
-    raise PowerIterationError("power iteration did not converge", (lam_prev, lam))
+    image = inst.family.ancestor_sum(inst.coef * inst.sigma_mass)[:, None]  # T(sigma 1)
+    ratio, steps, last_two = 0.0, 0, (np.inf, np.inf)
+    for steps, (ratio,) in enumerate(_ascent(inst, image, max_iter), 1):
+        last_two = (last_two[1], float(ratio) ** 2)
+        if abs(last_two[1] - last_two[0]) <= tol * last_two[1]:
+            return float(ratio)
+    if steps < max_iter:  # the ascent ended early
+        return float(ratio)
+    raise PowerIterationError("power iteration did not converge", last_two)
 
 
 def _norms(v: np.ndarray, r: float, mass_exc: np.ndarray) -> np.ndarray:
@@ -308,14 +301,12 @@ def norm_lower_bound(inst: Instance, budget: int, seed: int = 0) -> float:
     per-R terms of T*.  The constant function needs no candidate of its
     own: T(sigma 1) = T(sigma 1_root) and sigma(grid) >= sigma(root), so the
     root's indicator dominates it.  Returns the best ratio seen; monotone in
-    budget and deterministic under the seed.
-
-    The starts run together, one column each, and a start whose ascent
-    image vanishes (w = 0 on the root) drops out: it has no further iterate.
+    budget and deterministic under the seed.  The starts run together, one
+    column each (`_ascent`).
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    family, sigma, cfg = inst.family, inst.sigma, inst.cfg
+    family, sigma = inst.family, inst.sigma
     best = float(max(inst.indicator_ratios.max(), inst.dual.indicator_ratios.max()))
     if budget == 0:
         return best
@@ -329,11 +320,20 @@ def norm_lower_bound(inst: Instance, budget: int, seed: int = 0) -> float:
     leaf_mass = sigma.mass_levels[-1]
     for j in range(N_STARTS):
         blocks[:, j] = _leaf_blocks(family, leaf_mass * (rng.random(shape) + 0.5))
-    u = family.ancestor_sum(inst.coef[:, None] * blocks)
-    sigma_exc, w_exc = inst.sigma_exc, inst.w_exc
+    ratios = _ascent(inst, family.ancestor_sum(inst.coef[:, None] * blocks), budget)
+    return max([best, *(float(np.max(r)) for r in ratios)])
+
+
+def _ascent(inst: Instance, u: np.ndarray, steps: int):
+    """Per step of the dual ascent from the starts whose images T(sigma f) are
+    the columns of u, the ratios ||T(sigma f)||_{L^q(w)} / ||f||_{L^p(sigma)}
+    of their iterates f.  A start whose image vanishes (w = 0 on the root)
+    drops out.  The ascent ends after `steps` steps, when no start is left,
+    or at an iterate repeated bit for bit."""
+    cfg, sigma_exc, w_exc = inst.cfg, inst.sigma_exc, inst.w_exc
     t_sigma, t_w = _member_operator(inst, sigma_exc), _member_operator(inst, w_exc)
     f = None
-    for _ in range(budget):
+    for _ in range(steps):
         y = t_w(u if cfg.q == 2.0 else u ** (cfg.q - 1.0))
         # y >= 0, and y > 0 on every member of a column or on none: the
         # root's term is in each value
@@ -341,7 +341,7 @@ def norm_lower_bound(inst: Instance, budget: int, seed: int = 0) -> float:
         live = top > 0
         if not live.all():
             if not live.any():
-                break
+                return
             y, top = y[:, live], top[live]
         # the map is 1-homogeneous and the ratio scale-free: each column is
         # scaled to a maximum of 1, so the power (exponent 100 at p = 1.01)
@@ -350,10 +350,9 @@ def norm_lower_bound(inst: Instance, budget: int, seed: int = 0) -> float:
         f, f_prev = (y if cfg.p == 2.0 else y ** (1.0 / (cfg.p - 1.0))), f
         # an iterate repeated bit for bit is a fixed point: later steps repeat it
         if f_prev is not None and f.shape == f_prev.shape and (f == f_prev).all():
-            break
+            return
         u = t_sigma(f)
-        best = max(best, float(np.max(_norms(u, cfg.q, w_exc) / _norms(f, cfg.p, sigma_exc))))
-    return best
+        yield _norms(u, cfg.q, w_exc) / _norms(f, cfg.p, sigma_exc)
 
 
 @dataclass(frozen=True)

@@ -79,10 +79,8 @@ def _strata(family: SparseFamily, sigma: Weight, kind: str, masses: np.ndarray, 
     """Per member the key of the chain of `kind`, rho(Q; sigma) for the
     entropy chain and <sigma>_Q for the direct one; the buckets a = floor(log2
     key) of the members marked by `inside` (those inside R), in increasing
-    order; and two (|S|, B) arrays, column j for bucket a[j]: the mask of the
-    bucket's members inside R, and per member the number of those that
-    contain it (itself included).  A bucket member Q* is maximal in its
-    bucket inside R when its count is 1.  `masses` holds sigma(Q) per member.
+    order; and the (|S|, B) mask, column j for bucket a[j], of the bucket's
+    members inside R.  `masses` holds sigma(Q) per member.
 
     Every cube inside R with zero sigma-mass is rejected by name, since
     neither key is defined there.
@@ -97,7 +95,7 @@ def _strata(family: SparseFamily, sigma: Weight, kind: str, masses: np.ndarray, 
     bucket = np.frexp(keys)[1].astype(np.int64) - 1
     a = np.array(sorted(set(bucket[inside].tolist())), dtype=np.int64)
     in_bucket = inside[:, None] & (bucket[:, None] == a)
-    return keys, a, in_bucket, family.ancestor_sum(in_bucket)
+    return keys, a, in_bucket
 
 
 class StratumRecord(NamedTuple):
@@ -193,7 +191,7 @@ def _run_trace(kind: str, inst: Instance, eps: EntropyFunction, r_cube: DyadicCu
     inside = family.ancestor_sum(np.arange(len(family)) == r) > 0 if r else np.ones(len(family), dtype=bool)
     sigma, w, cfg = inst.sigma, inst.w, inst.cfg
     lam, sigma_q = family.lam, inst.sigma_mass
-    keys, a, in_bucket, count = _strata(family, sigma, kind, sigma_q, inside)
+    keys, a, in_bucket = _strata(family, sigma, kind, sigma_q, inside)
     if c_bump is None:
         name = "E" if kind == "entropy" else "D"
         c_bump = PairScan(sigma, w, cfg, **{kind: eps}, names=(name,)).found[name][0]
@@ -245,17 +243,19 @@ def _run_trace(kind: str, inst: Instance, eps: EntropyFunction, r_cube: DyadicCu
         while j != r and not in_bucket[(j := family.parent[j]), c]:
             checks["inner"][j] = False
 
-    # the report at R: row R of every array, the checks of the members inside
-    # R (R first), and the pairs with no other bucket member above Q*, whose
-    # records (and Q* cubes) are made only when read
-    pick = count[star, col] == 1
     checks = {name: check[inside] for name, check in checks.items()}
     held = np.logical_and.reduce(list(checks.values()))
+    # the report at R: row R of every array, the checks of the members inside
+    # R (R first), and the records of the pairs whose Q* no other member of its
+    # bucket contains, counted by a down-sweep of the bucket masks when read
+    def records():
+        pick = family.ancestor_sum(in_bucket)[star, col] == 1
+        return list(map(StratumRecord, a[col[pick]].tolist(), map(family.cube, star[pick].tolist()),
+                        *(v[pick].tolist() for v in (inner_lhs, inner_bound, realized, support_ratio, ok))))
+
     return TraceReport(
         kind=kind, R=r_cube, lhs_total=float(lhs[r]),
-        records=lambda: list(map(StratumRecord, a[col[pick]].tolist(), map(family.cube, star[pick].tolist()),
-                                 inner_lhs[pick].tolist(), inner_bound[pick].tolist(), realized[pick].tolist(),
-                                 support_ratio[pick].tolist(), ok[pick].tolist())),
+        records=records,
         identity_ok=bool(checks["identity"][0]), identity_error=float(identity_error[r]),
         inner_ok=bool(checks["inner"][0]), final_bound=float(final_bound[r]), final_ok=bool(checks["final"][0]),
         certified_constant=certified_constant, bump_constant=c_bump,

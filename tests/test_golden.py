@@ -1,0 +1,57 @@
+"""The fast CI lines against their golden reports (tests/golden/).
+
+Each line reruns in-process and must give the golden report field by field:
+text, integers and booleans exactly, floats within 1e-13 relative.  A change
+that moves a report past that rewrites the goldens with
+`python tests/golden/goldens.py --write` and states the change, which
+`python tests/golden/goldens.py` prints per field before the rewrite.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent / "golden" / "goldens.py"
+_SPEC = importlib.util.spec_from_file_location("goldens", _PATH)
+goldens = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(goldens)
+
+
+def test_every_golden_has_its_command():
+    manifest = json.loads(goldens.MANIFEST.read_text())
+    files = {p.name.removesuffix(".gz") for p in goldens.HERE.glob("*.gz")}
+    assert set(manifest) == files
+    assert {name.rsplit(".", 1)[0] for name in files} == set(goldens.LINES)
+    for name, entry in manifest.items():
+        assert entry["command"] == goldens.command(name.rsplit(".", 1)[0]) and entry["numpy"]
+
+
+@pytest.mark.parametrize("stem", goldens.LINES)
+def test_line_matches_its_golden(stem, tmp_path, monkeypatch):
+    monkeypatch.delenv("SPARSEBUMP_SEED", raising=False)
+    for name, text in goldens.run_line(stem, tmp_path).items():
+        assert goldens.compare(name, goldens.read_golden(name), text)[1] == []
+
+
+@pytest.mark.parametrize(("name", "want", "got", "failures"), [
+    ("x.csv", "a,b\n1,0.5\n", "a,b\n1,0.5000000000000001\n", 0),  # 2.2e-16: a last-bit move
+    ("x.csv", "a,b\n1,0.5\n", "a,b\n1,0.50000000001\n", 1),
+    ("x.csv", "a,b\n1,0.5\n", "a,b\n2,0.5\n", 1),  # an integer cell
+    ("x.csv", "a,b\nyes,0.5\n", "a,b\nno,0.5\n", 1),
+    ("x.csv", "a,b\n1,0.5\n", "a,c\n1,0.5\n", 2),  # the header, and the field name it gives a cell
+    ("x.csv", "a,b\n1,0.5\n", "a,b\n1,0.5\n1,0.5\n", 1),  # a row more
+    ("x.json", '{"r": [{"v": 0.5, "ok": true}]}', '{"r": [{"v": 0.5000000000000001, "ok": true}]}', 0),
+    ("x.json", '{"r": [{"v": 0.5, "ok": true}]}', '{"r": [{"v": 0.5, "ok": false}]}', 1),
+    ("x.json", '{"r": [{"v": 0.5, "ok": true}]}', '{"r": [{"v": 0.5, "ok": 1}]}', 1),  # a boolean's type
+    ("x.json", '{"r": [{"v": 0.5}]}', '{"r": [{"v": 0.5}, {"v": 0.5}]}', 1),  # a list's length
+    ("x.json", '{"n": 3}', '{"n": 4}', 1),
+    ("x.json", '{"v": Infinity}', '{"v": 1e308}', 1),
+])
+def test_compare(name, want, got, failures):
+    # a move within 1e-13 relative is reported and passes; every other change fails
+    largest, failed = goldens.compare(name, want, got)
+    assert len(failed) == failures
+    if not failures:
+        assert 0 < max(largest.values()) <= goldens.REL_TOL

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sparsebump import operators
 from sparsebump.bumps import EntropyFunction, ExponentConfig, PairScan, entropy_bumps
 from sparsebump.grid import DyadicCube, GridConfig, contains, leaf_slice, root_cube
 from sparsebump.lab import ExperimentConfig, build_instance
@@ -34,6 +35,11 @@ def chain_family() -> SparseFamily:
 
 def singleton_family(grid=G4) -> SparseFamily:
     return SparseFamily(grid, frozenset([root_cube(grid)]), 0.5)
+
+
+def constant_image(inst):
+    """T(sigma 1) per member, as the column that the ascent of `exact_norm_l2` starts from."""
+    return inst.family.ancestor_sum(inst.coef * inst.sigma_mass)[:, None]
 
 
 def random_pair(grid, seed, volatility=0.8):
@@ -143,12 +149,26 @@ class TestExactNormL2:
         assert norm_scaled == pytest.approx(2.0 * base, abs=1e-8)  # c^{1/2} with c=4
 
     def test_nonconvergence_carries_iterates(self):
+        # the last two iterates are the Rayleigh quotients of steps max_iter - 1
+        # and max_iter: the squared ratios of the ascent from T(sigma 1)
         g = GridConfig(1, 4)
         sigma, w = random_pair(g, 41)
         fam = random_sparse(g, 0.5, seed=2, target_size=8)
+        inst = l2_instance(fam, sigma, w, 0.0)
         with pytest.raises(PowerIterationError) as err:
-            exact_norm_l2(l2_instance(fam, sigma, w, 0.0), tol=0.0, max_iter=2)
-        assert len(err.value.last_two) == 2
+            exact_norm_l2(inst, tol=0.0, max_iter=2)
+        ratios = list(operators._ascent(inst, constant_image(inst), 2))
+        assert len(ratios) == 2
+        assert err.value.last_two == tuple(float(r[0]) ** 2 for r in ratios)
+
+    def test_fixed_point_ends_the_iteration(self):
+        # on the singleton family every iterate is 1 on the one member, so
+        # the ascent repeats its first iterate bit for bit at step 2 and ends
+        # after one ratio, whose quotient no earlier one can match at tol = 0
+        s, w = fix_const()
+        inst = l2_instance(singleton_family(), s, w, 0.0)
+        assert len(list(operators._ascent(inst, constant_image(inst), 3))) == 1
+        assert exact_norm_l2(inst, tol=0.0, max_iter=3) == pytest.approx(1.0, abs=1e-12)
 
     def test_needs_p_and_q_two(self):
         s, w = fix_const()

@@ -47,9 +47,11 @@ def random_setup(seed, n=7, lam=0.5, target=22, dimension=1):
 
 def stratify(fam, sigma, key):
     """The strata of the whole family by `key` (rho or average), with the
-    bucket and maximal masks of `_strata` turned into cube lists."""
+    bucket masks of `_strata`, and the members of each that no other
+    member of its bucket contains, turned into cube lists."""
     kind = "entropy" if key == "rho" else "direct"
-    keys, a, in_bucket, count = _strata(fam, sigma, kind, fam.gather(sigma.mass_levels), np.ones(len(fam), dtype=bool))
+    keys, a, in_bucket = _strata(fam, sigma, kind, fam.gather(sigma.mass_levels), np.ones(len(fam), dtype=bool))
+    count = fam.ancestor_sum(in_bucket)  # per member, the bucket members containing it
     members = fam.members
     return SimpleNamespace(
         buckets={b: [members[i] for i in np.flatnonzero(col)] for b, col in zip(a.tolist(), in_bucket.T)},
@@ -244,8 +246,8 @@ class TestDualTraces:
 
 def test_four_chains_share_one_inside_sweep(monkeypatch):
     # the four chains of a suite instance run at the root, on the whole
-    # family: each takes one down-sweep, for the maximal members of its
-    # buckets, and none to restrict the family
+    # family: none takes a down-sweep to restrict the family, and each takes
+    # one, for the maximal members of its buckets, when its records are read
     cfg = ExperimentConfig(instances=2, master_seed=3)  # instance 1 has a stopping family
 
     def traces(i):
@@ -267,11 +269,13 @@ def test_four_chains_share_one_inside_sweep(monkeypatch):
                        direct_trace(inst, EPS_D, family.root, bump=dbump),
                        dual_entropy_trace(inst, EPS_E, family.root, bump=ebump),
                        dual_direct_trace(inst, EPS_D, family.root, bump=dbump)]
-        return [r.to_json() for r in reports], len(calls), family
+            made = len(calls)
+            texts = [r.to_json() for r in reports]
+        return texts, (made, len(calls)), family
 
     for i in range(cfg.instances):
         _, sweeps, family = traces(i)
-        assert sweeps == 4
+        assert sweeps == (0, 4)
     # at every member R, the down-sweep of R's indicator that marks the
     # members a trace at R buckets (column R of the ancestor sum of the
     # identity) marks those that grid.contains puts inside R
@@ -366,9 +370,9 @@ class TestNegativeControls:
         original = prooftrace._strata
 
         def dropped(*args):
-            keys, a, in_bucket, count = original(*args)
+            keys, a, in_bucket = original(*args)
             assert len(a) >= 2
-            return keys, a[:-1], in_bucket[:, :-1], count[:, :-1]
+            return keys, a[:-1], in_bucket[:, :-1]
 
         for trace, eps in ((entropy_trace, EPS_E), (direct_trace, EPS_D)):
             assert trace(inst, eps, fam.root).passed
@@ -394,8 +398,8 @@ class TestNegativeControls:
         original = prooftrace._strata
 
         def halved(*args):
-            keys, a, in_bucket, count = original(*args)
-            return keys / 2.0, a, in_bucket, count
+            keys, a, in_bucket = original(*args)
+            return keys / 2.0, a, in_bucket
 
         monkeypatch.setattr(prooftrace, "_strata", halved)
         rep = rows_of(entropy_trace(inst, EPS_E, fam.root))
@@ -616,9 +620,9 @@ class TestSlack:
         original = prooftrace._strata
 
         def dropped(*args):
-            keys, a, in_bucket, count = original(*args)
+            keys, a, in_bucket = original(*args)
             in_bucket[-1] = False
-            return keys, a, in_bucket, count
+            return keys, a, in_bucket
 
         monkeypatch.setattr(prooftrace, "_strata", dropped)
         rep = direct_trace(inst, EPS_D, fam.root)

@@ -118,10 +118,12 @@ def oracle_strata(members, key_values):
 
 def stratify(family, sigma, key):
     """The strata of the whole family by `key` (rho or average), with the
-    bucket and maximal masks of `_strata` turned into cube lists."""
+    bucket masks of `_strata`, and the members of each that no other
+    member of its bucket contains, turned into cube lists."""
     kind = "entropy" if key == "rho" else "direct"
-    keys, a, in_bucket, count = _strata(family, sigma, kind, family.gather(sigma.mass_levels),
-                                     np.ones(len(family), dtype=bool))
+    keys, a, in_bucket = _strata(family, sigma, kind, family.gather(sigma.mass_levels),
+                                 np.ones(len(family), dtype=bool))
+    count = family.ancestor_sum(in_bucket)  # per member, the bucket members containing it
     members = family.members
     return SimpleNamespace(
         buckets={b: [members[i] for i in np.flatnonzero(col)] for b, col in zip(a.tolist(), in_bucket.T)},
@@ -269,10 +271,10 @@ def test_sweeps_batch_columns(d, kind, seed):
 
 @pytest.mark.parametrize("d,kind,seed", CASES[::3])
 def test_one_trace_takes_two_sweeps(d, kind, seed, monkeypatch):
-    # one up-sweep for every sum of a trace and one down-sweep for the
-    # maximal members of all buckets at once, all on the instance's family;
-    # below the root one more down-sweep, of R's indicator, marks the
-    # members inside R
+    # one up-sweep for every sum of a trace, all on the instance's family;
+    # below the root one down-sweep, of R's indicator, marks the members
+    # inside R; and one more for the maximal members of all buckets at once,
+    # taken when the records are first read
     family, sigma, w = instance(d, kind, seed)
     cfg = ExponentConfig(2.0, 3.0, 0.25)
     inst = Instance(family, sigma, w, cfg)
@@ -288,13 +290,16 @@ def test_one_trace_takes_two_sweeps(d, kind, seed, monkeypatch):
     for trace, bumps, eps in ((entropy_trace, entropy_bumps, EntropyFunction("entropy", 1.0)),
                               (direct_trace, direct_bumps, EntropyFunction("direct", 1.0))):
         bump = bumps(sigma, w, cfg, eps)
-        for r_cube, sweeps in ((family.root, ["ancestor_sum", "descendant_sum"]),
-                               (family.members[len(family) // 2], ["ancestor_sum", "ancestor_sum", "descendant_sum"])):
+        for r_cube, sweeps in ((family.root, ["descendant_sum"]),
+                               (family.members[len(family) // 2], ["ancestor_sum", "descendant_sum"])):
             calls.clear()
             rep = trace(inst, eps, r_cube, bump=bump)
             # the one up-sweep is the chain's: the testing values are read, not recomputed
             assert all(f is family for f, _ in calls) and sorted(name for _, name in calls) == sweeps
             n_buckets.add(len({s.a for s in rep.strata}))
+            rep.strata  # a second read makes nothing
+            assert all(f is family for f, _ in calls)
+            assert sorted(name for _, name in calls) == sorted(sweeps + ["ancestor_sum"])
     assert len(n_buckets) > 1
 
 

@@ -2,10 +2,10 @@
 and a script that prints the change against them or rewrites them.
 
 Each golden is one report file of a CI command, gzipped with mtime 0 so the
-file is a pure function of its text: the CSV and JSON of three
-`verify-bounds` suites and of a `counterexample` study, and the JSON that
-`sparsebump norm` prints for the d=1 N=14 stopping instance the CI trace
-step stores.  MANIFEST.json records the command behind each file and the
+file is a pure function of its text: the CSV and JSON of every
+`verify-bounds` suite and `sweep` that CI runs and of a `counterexample`
+study, and the JSON that `sparsebump norm` prints for the d=1 N=14 stopping
+instance the CI trace step stores.  MANIFEST.json records the command behind each file and the
 NumPy and Python versions that made it.
 
 Two reports compare field by field: text, integers and booleans exactly,
@@ -60,6 +60,33 @@ LINES = {
     "verify_bounds_p1.5_q1.5_d2_stopping": ["verify-bounds", "--instances", "20", "--p", "1.5", "--q", "1.5",
                                             "--dimension", "2", "--leaf-level", "5", "--family-kind", "stopping"],
     "counterexample": ["counterexample", "--delta", "0.5", "--levels", "8,12,16"],
+    "verify_bounds_p1.01_q50": ["verify-bounds", "--instances", "20", "--p", "1.01", "--q", "50",
+                                "--volatility", "0.99"],
+    "verify_bounds_p1.01_q50_d2_stopping": ["verify-bounds", "--instances", "20", "--p", "1.01", "--q", "50",
+                                            "--dimension", "2", "--leaf-level", "5", "--family-kind", "stopping"],
+    "verify_bounds_budget0_seed130014": ["verify-bounds", "--instances", "3", "--leaf-level", "12", "--lambda", "0.9",
+                                         "--p", "1.01", "--q", "11.01", "--volatility", "0.3", "--seed", "130014",
+                                         "--target-size", "62", "--budget", "0"],
+    "verify_bounds_budget0_seed249247": ["verify-bounds", "--instances", "3", "--leaf-level", "12", "--lambda", "0.25",
+                                         "--p", "1.01", "--q", "50", "--seed", "249247", "--target-size", "26",
+                                         "--budget", "0", "--delta", "0.5", "--family-kind", "random"],
+    "verify_bounds_delta10": ["verify-bounds", "--instances", "20", "--delta", "10"],
+    "sweep_d1": ["sweep", "--instances", "2", "--levels", "6,8"],
+    "sweep_d2_stopping": ["sweep", "--dimension", "2", "--instances", "2", "--levels", "4,5",
+                          "--family-kind", "stopping"],
+    "sweep_d3": ["sweep", "--dimension", "3", "--instances", "2", "--levels", "3,4"],
+    "verify_bounds_d3_alpha2.5": ["verify-bounds", "--dimension", "3", "--leaf-level", "5", "--instances", "10",
+                                  "--alpha", "2.5"],
+    "verify_bounds_d3_n6_stopping": ["verify-bounds", "--dimension", "3", "--leaf-level", "6", "--instances", "4",
+                                     "--family-kind", "stopping"],
+    "verify_bounds_d1_n16_stopping": ["verify-bounds", "--instances", "2", "--leaf-level", "16",
+                                      "--family-kind", "stopping"],
+    "verify_bounds_d2_n8_stopping": ["verify-bounds", "--instances", "2", "--dimension", "2", "--leaf-level", "8",
+                                     "--family-kind", "stopping"],
+    "verify_bounds_d1_n20_stopping": ["verify-bounds", "--instances", "1", "--leaf-level", "20",
+                                      "--family-kind", "stopping"],
+    "verify_bounds_d2_n10_stopping": ["verify-bounds", "--instances", "1", "--dimension", "2", "--leaf-level", "10",
+                                      "--family-kind", "stopping"],
     "norm_d1_n14_stopping": ["norm", "--family", "trace_d1_family.json", "--sigma", "trace_d1_sigma.json",
                              "--w", "trace_d1_w.json", "--p", "2", "--q", "2", "--budget", "25"],
 }

@@ -22,14 +22,14 @@ coefficients, the testing values and the indicator ratios, each computed
 once.  Every per-instance quantity here takes that instance as its first
 argument; the caller builds it once and passes it to each.
 
-The dual ascent of `norm_lower_bound` runs all its random starts as the
-columns of one (|S|, N_STARTS) array, so each step is one batched apply.  On
-a family of at most `DENSE_MAX` members that apply is one product with the
-dense symmetric member kernel K = A diag(coef) A^T (A the ancestor-or-self
-incidence); on larger families it is the family's two sweeps, column-batched,
-one step per tree generation (`_member_operator`).  At p = q = 2 the ascent
-is the power iteration of T_w T_sigma (Boyd 1974), and `exact_norm_l2` runs
-it from the constant start until its Rayleigh quotient settles.
+The dual ascent of `norm_lower_bound` runs its random starts as the columns
+of one (|S|, N_STARTS) array in generation order, so a step is one batched
+apply that permutes nothing: on at most `DENSE_MAX` members one product with
+the dense member kernel K = A diag(coef) A^T (A the ancestor-or-self
+incidence), the family's two sweeps applied to the identity, and on larger
+families those sweeps, one step per tree generation (`_member_operator`).
+At p = q = 2 it is the power iteration of T_w T_sigma (Boyd 1974), which
+`exact_norm_l2` runs from the constant start until its quotient settles.
 """
 
 from __future__ import annotations
@@ -45,20 +45,19 @@ from .sparse import SparseFamily
 from .weights import Weight
 
 # Largest family whose ascent applies take the dense member kernel.  A dense
-# apply is one O(|S|^2) product, after a kernel build of two down-sweeps of
-# an |S| x |S| array; the sweeps cost a few calls per tree generation (2-4
-# here, on 4-12 occupied levels).  Whole ascents (the kernel build or the
-# up-sweep positions, and every apply; budget 25, 3 starts, min of 9) on
-# random and stopping families in d=1 and d=2, on a 2-core x86-64 VM with
-# one BLAS thread, take dense / sweeps time:
-#     |S| 100-161   0.59-0.97  (dense faster)
-#     |S| 172-249   0.76-1.50  (a tie; dense faster on most stopping families)
-#     |S| 260-600   1.17-9.1   (sweeps faster)
+# apply is one O(|S|^2) product, after a kernel build of the two sweeps of
+# the |S| x |S| identity; the sweeps cost a few calls per tree generation
+# (2-4 here, on 4-12 occupied levels).  Whole ascents (the kernel build or
+# the up-sweep positions, and every apply; budget 25, 3 starts, min of 9) on
+# random and stopping families in d=1 and d=2, on a shared 2-core x86-64 VM
+# with one BLAS thread, take dense / sweeps time (three runs):
+#     |S| 93-167    0.44-1.09  (dense faster in all but one run)
+#     |S| 180-220   0.86-1.36  (a tie)
+#     |S| 260-649   1.14-14.5  (sweeps faster)
 # Moving the switch changes which apply an instance takes, and so the last
 # bits of its bound; the kernel and its two scaled copies hold 3 |S|^2
 # floats (0.9 MiB at 200).  Read at call time, so tests can change it, as
-# is N_STARTS, the number of random starts of the dual ascent in
-# `norm_lower_bound`.
+# is N_STARTS, the number of random starts of the dual ascent.
 DENSE_MAX = 200
 N_STARTS = 3
 
@@ -85,9 +84,10 @@ def _leaf_blocks(family: SparseFamily, leaf_mass: np.ndarray) -> np.ndarray:
 class Instance:
     """One (family, sigma, w, exponents) and the per-member arrays that the
     norm bound, the indicator ratios, the testing constants and the proof
-    traces share, each computed on first use and then kept.  Every array is
-    indexed like `family.members`; the per-R ones (`indicator_ratios`,
-    `testing_values`) hold 0 at each R with sigma(R) = 0.
+    traces share, each computed on first use and then kept.  Every array but
+    the `kernel` (in generation order) is indexed like `family.members`; the
+    per-R ones (`indicator_ratios`, `testing_values`) hold 0 at each R with
+    sigma(R) = 0.
 
     `dual` is the same instance with (sigma, p) <-> (w, q'): it takes over
     the per-weight arrays, its indicator ratios are the adjoint ones and its
@@ -140,15 +140,15 @@ class Instance:
 
     @cached_property
     def kernel(self) -> np.ndarray:
-        """The dense member kernel: K[i, j] is the sum of coef over the members
-        containing both i and j, so T(mu v) = K (v mu(E_Q)) on each E_Q."""
-        # row Q of the transposed ancestor-or-self incidence marks the
-        # members inside Q; the down-sweep adds coef over common ancestors
-        inside = self.family.ancestor_sum(np.eye(len(self.family))).T
-        # K is exactly symmetric (K[i, j] and K[j, i] add coef over one chain of
-        # common ancestors): its transpose is K in Fortran order, the layout
-        # the dense ascent's bits are kept in, as a product's last bits follow it
-        return self.family.ancestor_sum(self.coef[:, None] * inside).T
+        """The dense member kernel in generation order, the member apply's
+        sweeps applied to the identity: K[i, j] is the sum of coef over the
+        members containing both places i and j, so T(mu v) = K (v mu(E_Q))
+        on each E_Q.  K is exactly symmetric: K[i, j] and K[j, i] add the
+        same coefs in the same order, and zeros."""
+        family = self.family
+        inside = family.up_sweep(np.eye(len(family)))  # row Q marks the places inside Q
+        inside *= self.coef[family.generations.order, None]
+        return family.down_sweep(inside)
 
     def _testing_terms(self, w_masses: np.ndarray) -> np.ndarray:
         """Per member, (|Q|^{alpha/d} <sigma>_Q)^q times its entry of `w_masses`."""
@@ -238,17 +238,18 @@ def exact_norm_l2(inst: Instance, tol: float = 1e-12, max_iter: int = 50_000) ->
 
     At p = q = 2 the dual ascent of `norm_lower_bound` is the power iteration
     on the self-adjoint G f = T_w(T_sigma f), up to scale, and the square of
-    its ratio is the Rayleigh quotient of G.  Run from the constant start,
-    the norm is its ratio at the first step whose quotient moves by at most
-    tol times itself, or at its last step when it ends early: at a fixed
-    point, or at a norm of 0.  Leaves with zero sigma-density carry no
-    sigma(E_Q) mass, so they drop out of the domain space.
+    its ratio is the Rayleigh quotient of G.  Run from the constant start
+    (block sums sigma(Q)), the norm is its ratio at the first step whose
+    quotient moves by at most tol times itself, or at its last step when it
+    ends early: at a fixed point, or at a norm of 0.  Leaves with zero
+    sigma-density carry no sigma(E_Q) mass, so they leave the domain space.
     """
     if inst.cfg.p != 2.0 or inst.cfg.q != 2.0:
         raise ValueError(f"exact_norm_l2 needs p = q = 2, got p={inst.cfg.p}, q={inst.cfg.q}")
-    image = inst.family.ancestor_sum(inst.coef * inst.sigma_mass)[:, None]  # T(sigma 1)
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     ratio, steps, last_two = 0.0, 0, (np.inf, np.inf)
-    for steps, (ratio,) in enumerate(_ascent(inst, image, max_iter), 1):
+    for steps, (ratio,) in enumerate(_ascent(inst, inst.sigma_mass[:, None], max_iter), 1):
         last_two = (last_two[1], float(ratio) ** 2)
         if abs(last_two[1] - last_two[0]) <= tol * last_two[1]:
             return float(ratio)
@@ -265,24 +266,21 @@ def _norms(v: np.ndarray, r: float, mass_exc: np.ndarray) -> np.ndarray:
 
 def _member_operator(inst: Instance, mass_exc: np.ndarray):
     """v -> T(mu v) on each E_Q for the columns of a per-member array v,
-    where mass_exc is mu(E_Q): one product with the dense member kernel on
-    families of at most DENSE_MAX members, the family's two column-batched
-    sweeps on larger ones: v is permuted into generation order once, scaled
-    by mu(E_Q), summed up the tree (`SparseFamily.up_sweep`), scaled by coef,
-    summed down it (`SparseFamily.down_sweep`) and permuted back.  The
-    up-sweep's positions for the ascent's N_STARTS columns are made here,
-    once; an apply to another number of columns makes its own."""
+    where mass_exc is mu(E_Q), both in generation order: one product with
+    the dense member kernel on families of at most DENSE_MAX members, the
+    family's two column-batched sweeps on larger ones: v scaled by mu(E_Q),
+    summed up the tree (`SparseFamily.up_sweep`), scaled by coef and summed
+    down it (`SparseFamily.down_sweep`)."""
     family = inst.family
     if len(family) <= DENSE_MAX:
         kernel = inst.kernel * mass_exc
         return lambda v: kernel @ v
-    order, back = family.generations[:2]
-    coef, mass_exc, at = inst.coef[order, None], mass_exc[order, None], family.up_positions(N_STARTS)
+    coef, mass_exc = inst.coef[family.generations.order, None], mass_exc[:, None]
 
     def apply(v):
-        x = family.up_sweep(v.take(order, axis=0) * mass_exc, at if at.size == v.size else None)
+        x = family.up_sweep(v * mass_exc)
         x *= coef
-        return family.down_sweep(x).take(back, axis=0)
+        return family.down_sweep(x)
 
     return apply
 
@@ -301,8 +299,8 @@ def norm_lower_bound(inst: Instance, budget: int, seed: int = 0) -> float:
     per-R terms of T*.  The constant function needs no candidate of its
     own: T(sigma 1) = T(sigma 1_root) and sigma(grid) >= sigma(root), so the
     root's indicator dominates it.  Returns the best ratio seen; monotone in
-    budget and deterministic under the seed.  The starts run together, one
-    column each (`_ascent`).
+    budget and deterministic under the seed.  Each start is reduced to its
+    block sums, and the starts run together, one column each (`_ascent`).
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -320,18 +318,19 @@ def norm_lower_bound(inst: Instance, budget: int, seed: int = 0) -> float:
     leaf_mass = sigma.mass_levels[-1]
     for j in range(N_STARTS):
         blocks[:, j] = _leaf_blocks(family, leaf_mass * (rng.random(shape) + 0.5))
-    ratios = _ascent(inst, family.ancestor_sum(inst.coef[:, None] * blocks), budget)
-    return max([best, *(float(np.max(r)) for r in ratios)])
+    return max([best, *(float(np.max(r)) for r in _ascent(inst, blocks, budget))])
 
 
-def _ascent(inst: Instance, u: np.ndarray, steps: int):
-    """Per step of the dual ascent from the starts whose images T(sigma f) are
-    the columns of u, the ratios ||T(sigma f)||_{L^q(w)} / ||f||_{L^p(sigma)}
-    of their iterates f.  A start whose image vanishes (w = 0 on the root)
-    drops out.  The ascent ends after `steps` steps, when no start is left,
-    or at an iterate repeated bit for bit."""
-    cfg, sigma_exc, w_exc = inst.cfg, inst.sigma_exc, inst.w_exc
+def _ascent(inst: Instance, blocks: np.ndarray, steps: int):
+    """Per step of the dual ascent from the starts whose block sums int_Q
+    sigma f (in member order) are the columns of `blocks`, the ratios
+    ||T(sigma f)||_{L^q(w)} / ||f||_{L^p(sigma)} of their iterates f, all in
+    generation order.  A start whose image vanishes drops out; the ascent
+    ends after `steps` steps, with no start left, or at a fixed point."""
+    cfg, family, order = inst.cfg, inst.family, inst.family.generations.order
+    sigma_exc, w_exc = inst.sigma_exc[order], inst.w_exc[order]
     t_sigma, t_w = _member_operator(inst, sigma_exc), _member_operator(inst, w_exc)
+    u = family.down_sweep(inst.coef[order, None] * blocks[order])  # the images T(sigma f)
     f = None
     for _ in range(steps):
         y = t_w(u if cfg.q == 2.0 else u ** (cfg.q - 1.0))
@@ -349,7 +348,7 @@ def _ascent(inst: Instance, u: np.ndarray, steps: int):
         y /= top
         f, f_prev = (y if cfg.p == 2.0 else y ** (1.0 / (cfg.p - 1.0))), f
         # an iterate repeated bit for bit is a fixed point: later steps repeat it
-        if f_prev is not None and f.shape == f_prev.shape and (f == f_prev).all():
+        if np.array_equal(f, f_prev):
             return
         u = t_sigma(f)
         yield _norms(u, cfg.q, w_exc) / _norms(f, cfg.p, sigma_exc)

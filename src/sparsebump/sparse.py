@@ -78,8 +78,9 @@ class SparseFamily:
     Per-cube quantities are arrays over the members, computed by two sweeps
     over the tree, one step per tree generation (a stopping family spread
     over 9 levels may be 3 generations deep): `down_sweep` and `up_sweep`
-    work in place on an array in `generations` order, and `ancestor_sum`
-    and `descendant_sum` run them on an array in member order.
+    work in place on an array in `generations` order, the order the dual
+    ascent keeps, and `ancestor_sum` and `descendant_sum` run them on an
+    array in member order.
     """
 
     def __init__(self, grid: GridConfig, members, lam: float) -> None:
@@ -130,6 +131,7 @@ class SparseFamily:
         if ratio[j] > lam:
             raise ValueError(f"collection is not {lam}-sparse: worst ratio {float(ratio[j])} at {self.cube(j).text}")
         self.owner.setflags(write=False)
+        self._positions = np.empty(0, dtype=np.int64)  # up_sweep's, for the last column count above 1
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SparseFamily) and (self.grid, self.lam, self._key.tobytes()) == (
@@ -189,22 +191,20 @@ class SparseFamily:
             x[lo:hi] += x[start:lo].take(slot[lo:hi], axis=0)
         return x
 
-    def up_positions(self, m: int) -> np.ndarray:
-        """The flat (parent slot, column) positions that `up_sweep` scatters
-        m columns to: per place, its parent's slot times m plus the column."""
-        slot = self.generations.slot
-        return slot if m == 1 else (slot[:, None] * m + np.arange(m)).ravel()
-
-    def up_sweep(self, x: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
+    def up_sweep(self, x: np.ndarray) -> np.ndarray:
         """x, in generation order, with each row replaced in place by the sum
         of the rows of its subtree: deepest generation first, one bincount
-        over `at`, the `up_positions` of x's columns (made here when not
-        given), adds each generation's sums into its parent generation, so
-        each parent adds the sum of its children taken left to right in
-        member order.  Columns of a 2-D x are swept all at once.  Returns x."""
+        over the flat (parent slot, column) positions of x's m columns adds
+        each generation's sums into its parent generation, so each parent
+        adds the sum of its children taken left to right in member order.
+        One column scatters to `slot`; the positions for the last m > 1 are
+        kept (|S| m int64) until m changes.  Returns x."""
         cols = x.reshape(len(x), -1)  # a view: (|S|, 1) for a vector
         m = cols.shape[1]
-        at = self.up_positions(m) if at is None else at
+        slot = self.generations.slot
+        at = slot if m == 1 else self._positions
+        if at.size != slot.size * m:
+            at = self._positions = (slot[:, None] * m + np.arange(m)).ravel()
         for start, lo, hi in reversed(self.generations.blocks):
             cols[start:lo] += np.bincount(at[lo * m:hi * m], weights=cols[lo:hi].ravel(),
                                           minlength=(lo - start) * m).reshape(lo - start, m)

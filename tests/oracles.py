@@ -62,7 +62,13 @@ T(mu v) on these two level sweeps: the form that
 
 `norm_lower_bound_full_budget` is the dual ascent of
 `operators.norm_lower_bound` run for its whole budget, with no stop at a
-fixed point; the two must agree bit for bit.
+fixed point, in generation order as the package runs it; the two must
+agree bit for bit.
+
+`reference_kernel` is the dense member kernel in member order, built from
+two member-order sweeps of |S| x |S| arrays; `Instance.kernel`, the member
+apply's sweeps applied to the identity in generation order, must equal it
+permuted into that order, bit for bit.
 
 `verify_sparse` checks lambda-sparseness cube by cube, by walking each
 member's chain of parents to its nearest member ancestor, independently of
@@ -514,7 +520,7 @@ def member_apply_oracle(family, coef, mass_exc, v):
 
 def norm_lower_bound_full_budget(inst, budget, seed=0):
     """`operators.norm_lower_bound` with every one of its `budget` ascent
-    steps taken, on the package's member applies."""
+    steps taken, on the package's member applies, in generation order."""
     family, sigma, cfg = inst.family, inst.sigma, inst.cfg
     best = float(max(inst.indicator_ratios.max(), inst.dual.indicator_ratios.max()))
     if budget == 0:
@@ -523,9 +529,11 @@ def norm_lower_bound_full_budget(inst, budget, seed=0):
     blocks, shape = np.empty((len(family), operators.N_STARTS)), family.grid.leaf_shape()
     for j in range(operators.N_STARTS):
         blocks[:, j] = operators._leaf_blocks(family, sigma.mass_levels[-1] * (rng.random(shape) + 0.5))
-    u = family.ancestor_sum(inst.coef[:, None] * blocks)
-    t_sigma, t_w = (operators._member_operator(inst, inst.sigma_exc),
-                    operators._member_operator(inst, inst.w_exc))
+    # in generation order, as the package's ascent runs
+    order = family.generations.order
+    sigma_exc, w_exc = inst.sigma_exc[order], inst.w_exc[order]
+    u = family.down_sweep(inst.coef[order, None] * blocks[order])
+    t_sigma, t_w = operators._member_operator(inst, sigma_exc), operators._member_operator(inst, w_exc)
     for _ in range(budget):
         y = t_w(u ** (cfg.q - 1.0))
         live = np.any(y > 0, axis=0)
@@ -535,6 +543,17 @@ def norm_lower_bound_full_budget(inst, budget, seed=0):
             y = y[:, live]
         f = (y / y.max(axis=0)) ** (1.0 / (cfg.p - 1.0))
         u = t_sigma(f)
-        ratios = operators._norms(u, cfg.q, inst.w_exc) / operators._norms(f, cfg.p, inst.sigma_exc)
+        ratios = operators._norms(u, cfg.q, w_exc) / operators._norms(f, cfg.p, sigma_exc)
         best = max(best, float(np.max(ratios)))
     return best
+
+
+def reference_kernel(inst):
+    """The dense member kernel in member order, built as two member-order
+    down-sweeps: the transposed ancestor-or-self incidence marks in row Q
+    the members inside Q, and `ancestor_sum` of those rows scaled by coef
+    adds coef over common ancestors.  Permuted into generation order it is
+    `Instance.kernel`, bit for bit."""
+    family = inst.family
+    inside = family.ancestor_sum(np.eye(len(family))).T
+    return family.ancestor_sum(inst.coef[:, None] * inside).T

@@ -37,9 +37,10 @@ def singleton_family(grid=G4) -> SparseFamily:
     return SparseFamily(grid, frozenset([root_cube(grid)]), 0.5)
 
 
-def constant_image(inst):
-    """T(sigma 1) per member, as the column that the ascent of `exact_norm_l2` starts from."""
-    return inst.family.ancestor_sum(inst.coef * inst.sigma_mass)[:, None]
+def constant_blocks(inst):
+    """sigma(Q) per member: the block sums of the constant start, the column
+    that the ascent of `exact_norm_l2` starts from."""
+    return inst.sigma_mass[:, None]
 
 
 def random_pair(grid, seed, volatility=0.8):
@@ -150,14 +151,14 @@ class TestExactNormL2:
 
     def test_nonconvergence_carries_iterates(self):
         # the last two iterates are the Rayleigh quotients of steps max_iter - 1
-        # and max_iter: the squared ratios of the ascent from T(sigma 1)
+        # and max_iter: the squared ratios of the ascent from the constant start
         g = GridConfig(1, 4)
         sigma, w = random_pair(g, 41)
         fam = random_sparse(g, 0.5, seed=2, target_size=8)
         inst = l2_instance(fam, sigma, w, 0.0)
         with pytest.raises(PowerIterationError) as err:
             exact_norm_l2(inst, tol=0.0, max_iter=2)
-        ratios = list(operators._ascent(inst, constant_image(inst), 2))
+        ratios = list(operators._ascent(inst, constant_blocks(inst), 2))
         assert len(ratios) == 2
         assert err.value.last_two == tuple(float(r[0]) ** 2 for r in ratios)
 
@@ -167,8 +168,15 @@ class TestExactNormL2:
         # after one ratio, whose quotient no earlier one can match at tol = 0
         s, w = fix_const()
         inst = l2_instance(singleton_family(), s, w, 0.0)
-        assert len(list(operators._ascent(inst, constant_image(inst), 3))) == 1
+        assert len(list(operators._ascent(inst, constant_blocks(inst), 3))) == 1
         assert exact_norm_l2(inst, tol=0.0, max_iter=3) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("max_iter", (0, -3))
+    def test_max_iter_below_one_raises(self, max_iter):
+        # no step is taken, so there is no quotient to report
+        s, w = fix_const()
+        with pytest.raises(ValueError, match=f"max_iter must be >= 1, got {max_iter}"):
+            exact_norm_l2(l2_instance(singleton_family(), s, w, 0.0), max_iter=max_iter)
 
     def test_needs_p_and_q_two(self):
         s, w = fix_const()

@@ -20,6 +20,7 @@ the two generation sweeps must match the level sweeps of
 
 import sys
 import warnings
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,7 +46,8 @@ from sparsebump.weights import Weight, average, generate_weight, mass
 
 from oracles import (ancestor_sum_oracle, bucket_of, carleson_oracle, children, dense_norm_l2_oracle,
                      enumerate_cubes, fix_chain_cubes, l2_instance, member_apply_oracle,
-                     norm_lower_bound_full_budget, rho_oracle, subtree_sum_oracle, verify_sparse)
+                     norm_lower_bound_full_budget, reference_kernel, rho_oracle, subtree_sum_oracle,
+                     verify_sparse)
 
 REL = 1e-13
 
@@ -577,14 +579,16 @@ ASCENT_CASES = ([(d, kind, 0) for d in (1, 2, 3) for kind in ("random", "stoppin
 
 @pytest.mark.parametrize("case", ASCENT_CASES, ids=str)
 def test_member_operator_kernels(case, monkeypatch):
-    # DENSE_MAX = |S| takes the dense kernel, |S| - 1 the batched sweeps
+    # DENSE_MAX = |S| takes the dense kernel, |S| - 1 the batched sweeps;
+    # both take and give arrays in generation order
     family, sigma, _, cfg = operator_instance(case)
+    order, back = family.generations[:2]
     v = np.random.default_rng(2).random((len(family), 3))
     got = {}
     for dense_max in (len(family), len(family) - 1):
         monkeypatch.setattr(operators, "DENSE_MAX", dense_max)
         inst = Instance(family, sigma, sigma, cfg)
-        got[dense_max] = _member_operator(inst, inst.sigma_exc)(v)
+        got[dense_max] = _member_operator(inst, inst.sigma_exc[order])(v[order])[back]
         assert ("kernel" in inst.__dict__) == (dense_max == len(family))
     for u in got.values():
         for j in range(v.shape[1]):
@@ -804,21 +808,59 @@ def test_a_sweep_takes_one_step_per_generation(case, monkeypatch):
     assert len(bincounts) == n_generations and len(takes) == n_generations + 2
 
 
+def test_an_ascent_step_permutes_nothing(monkeypatch):
+    # on the family_deep d=1 instance (291 members: the sweeps branch) each
+    # step of the ascent is two applies, and an apply is one bincount and one
+    # gather (`take`) per generation, with no whole-array permutation into
+    # generation order and back.  The up-sweep's positions for the 3
+    # columns are made once per ascent, on a fresh family.
+    bincount, calls, counts = np.bincount, Counter(), {}
+
+    def counted_bincount(*args, **kwargs):
+        calls["bincount"] += 1
+        return bincount(*args, **kwargs)
+
+    def count_calls(frame, event, arg):
+        if event == "c_call":
+            name = getattr(arg, "__name__", None)
+            if name == "take" or (name == "arange" and frame.f_code is SparseFamily.up_sweep.__code__):
+                calls[name] += 1
+
+    monkeypatch.setattr(np, "bincount", counted_bincount)
+    for budget in (2, 6):  # the ascent reaches no fixed point in 6 steps
+        family, sigma, w, cfg, s_lb = deep_instance(1)
+        inst = Instance(family, sigma, w, cfg)
+        calls.clear()
+        sys.setprofile(count_calls)
+        try:
+            norm_lower_bound(inst, budget, seed=s_lb)
+        finally:
+            sys.setprofile(None)
+        counts[budget] = dict(calls)
+    assert len(family) > operators.DENSE_MAX and len(family.generations.blocks) == 3
+    per_step = 2 * len(family.generations.blocks)
+    assert {name: counts[6][name] - counts[2][name] for name in ("take", "bincount")} == {
+        "take": 4 * per_step, "bincount": 4 * per_step}
+    assert counts[2]["arange"] == counts[6]["arange"] == 1
+
+
 @pytest.mark.parametrize("case", GENERATION_CASES, ids=str)
 def test_generation_apply_is_the_level_sweeps(case, monkeypatch):
-    # the sweeps branch at every size: within 1e-13 of the level-order
-    # sweeps, whose up-sweep adds siblings level by level, for 1 and 3
-    # columns and for 2 Fortran-ordered ones (the ascent after a start drops
-    # out); a repeated apply gives the same bits
+    # the sweeps branch at every size, in generation order: within 1e-13 of
+    # the level-order sweeps in member order, whose up-sweep adds siblings
+    # level by level, for 1 and 3 columns and for 2 Fortran-ordered ones
+    # (the ascent after a start drops out); a repeated apply gives the same
+    # bits
     family, sigma, w, cfg = generation_case(case)
+    order, back = family.generations[:2]
     monkeypatch.setattr(operators, "DENSE_MAX", 0)
     inst = Instance(family, sigma, w, cfg)
-    v = np.random.default_rng(4).random((len(family), 3))
+    v = np.random.default_rng(4).random((len(family), 3))[order]
     for mass_exc in (inst.sigma_exc, inst.w_exc):
-        apply = _member_operator(inst, mass_exc)
+        apply = _member_operator(inst, mass_exc[order])
         for values in (v[:, :1], v, v[:, [0, 2]]):
             got = apply(values)
-            assert_close(got, member_apply_oracle(family, inst.coef, mass_exc, values))
+            assert_close(got[back], member_apply_oracle(family, inst.coef, mass_exc, values[back]))
             assert np.array_equal(apply(values), got)
     assert "kernel" not in inst.__dict__
 
@@ -839,8 +881,14 @@ def test_down_sweep_is_the_ancestor_sum(case):
 
 @pytest.mark.parametrize("case", GENERATION_CASES, ids=str)
 def test_dense_kernel_is_symmetric_bit_for_bit(case):
-    # the kernel is kept in the Fortran layout the dense ascent's bits were
-    # measured on; its transpose is the same matrix
+    # the kernel in generation order equals its transpose and the member-order
+    # reference kernel permuted into generation order, bit for bit, at
+    # alpha = 0, at the case's alpha and at d - 1/2
     family, sigma, w, cfg = generation_case(case)
-    kernel = Instance(family, sigma, w, cfg).kernel
-    assert np.array_equal(kernel, kernel.T) and kernel.flags.f_contiguous
+    order = family.generations.order
+    d = family.grid.dimension
+    for alpha in (0.0, cfg.alpha, d - 0.5):
+        inst = Instance(family, sigma, w, ExponentConfig(cfg.p, cfg.q, alpha))
+        kernel = inst.kernel
+        assert np.array_equal(kernel, kernel.T)
+        assert np.array_equal(kernel, reference_kernel(inst)[np.ix_(order, order)])

@@ -13,9 +13,9 @@ size switch.  The up-sweep must match the member-by-member sum of
 `oracles.subtree_sum_oracle`, the down-sweep the level-order sweep of
 `oracles.ancestor_sum_oracle`, and the ascent that stops at a fixed point
 the full-budget copy `oracles.norm_lower_bound_full_budget`, bit for bit.
-Each sweep takes one step per tree generation, and the member apply on
-the two generation sweeps must match the level sweeps of
-`oracles.member_apply_oracle` to 1e-13 relative.
+Each sweep takes one step per tree generation, an ascent step permutes
+no array, and the member apply on the two generation sweeps must match the
+level sweeps of `oracles.member_apply_oracle` to 1e-13 relative.
 """
 
 import sys
@@ -886,8 +886,7 @@ def test_dense_kernel_is_symmetric_bit_for_bit(case):
     # alpha = 0, at the case's alpha and at d - 1/2
     family, sigma, w, cfg = generation_case(case)
     order = family.generations.order
-    d = family.grid.dimension
-    for alpha in (0.0, cfg.alpha, d - 0.5):
+    for alpha in (0.0, cfg.alpha, family.grid.dimension - 0.5):
         inst = Instance(family, sigma, w, ExponentConfig(cfg.p, cfg.q, alpha))
         kernel = inst.kernel
         assert np.array_equal(kernel, kernel.T)

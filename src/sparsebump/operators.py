@@ -26,10 +26,11 @@ The dual ascent of `norm_lower_bound` runs its random starts as the columns
 of one (|S|, N_STARTS) array in generation order, so a step is one batched
 apply that permutes nothing: on at most `DENSE_MAX` members one product with
 the dense member kernel K = A diag(coef) A^T (A the ancestor-or-self
-incidence), the family's two sweeps applied to the identity, and on larger
-families those sweeps, one step per tree generation (`_member_operator`).
-At p = q = 2 it is the power iteration of T_w T_sigma (Boyd 1974), which
-`exact_norm_l2` runs from the constant start until its quotient settles.
+incidence), built by two down-sweeps, of the identity (A) and of
+diag(coef) A^T, and on larger families the up- and down-sweep, one step
+per tree generation (`_member_operator`).  At p = q = 2 it is the power
+iteration of T_w T_sigma (Boyd 1974), which `exact_norm_l2` runs from the
+constant start until its quotient settles.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from .sparse import SparseFamily
 from .weights import Weight
 
 # Largest family whose ascent applies take the dense member kernel.  A dense
-# apply is one O(|S|^2) product, after a kernel build of the two sweeps of
-# the |S| x |S| identity; the sweeps cost a few calls per tree generation
+# apply is one O(|S|^2) product, after a kernel build of two down-sweeps of
+# |S| x |S| arrays; the sweeps cost a few calls per tree generation
 # (2-4 here, on 4-12 occupied levels).  Whole ascents (the kernel build or
 # the up-sweep positions, and every apply; budget 25, 3 starts, min of 9) on
 # random and stopping families in d=1 and d=2, on a shared 2-core x86-64 VM
@@ -140,13 +141,16 @@ class Instance:
 
     @cached_property
     def kernel(self) -> np.ndarray:
-        """The dense member kernel in generation order, the member apply's
-        sweeps applied to the identity: K[i, j] is the sum of coef over the
+        """The dense member kernel in generation order, A diag(coef) A^T by
+        two down-sweeps: A is the down-sweep of the identity, and K is the
+        down-sweep of diag(coef) A^T.  K[i, j] is the sum of coef over the
         members containing both places i and j, so T(mu v) = K (v mu(E_Q))
         on each E_Q.  K is exactly symmetric: K[i, j] and K[j, i] add the
         same coefs in the same order, and zeros."""
         family = self.family
-        inside = family.up_sweep(np.eye(len(family)))  # row Q marks the places inside Q
+        # row Q marks the places inside Q: A^T, the up-sweep of the identity
+        # with the same exact 0/1 entries, without up_sweep's kept positions
+        inside = np.ascontiguousarray(family.down_sweep(np.eye(len(family))).T)
         inside *= self.coef[family.generations.order, None]
         return family.down_sweep(inside)
 

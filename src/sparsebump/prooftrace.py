@@ -35,9 +35,10 @@ is one array over the members inside R, R first (`TraceReport.checks`), and
 at R is row R of the pass's arrays, so a chain passes at R exactly when R is
 not in `failed`; its `strata`, made when first read, hold one `StratumRecord`
 (a named tuple) per (bucket, Q*) pair maximal in its bucket.  A trace costs
-two tree sweeps, a down-sweep that counts, per bucket, the bucket's members
-containing each member and an up-sweep for every sum, and below the root a
-third: the down-sweep of R's indicator that marks the members inside R.
+one column-batched up-sweep for every sum; below the root, a down-sweep of
+R's indicator that marks the members inside R; and, only when `strata` is
+first read, a down-sweep of the bucket masks that counts, per bucket, the
+bucket's members containing each member.
 """
 
 from __future__ import annotations

@@ -370,8 +370,9 @@ def weight_to_json(sigma: Weight) -> str:
 
 def check_json_field(what: str, key: str, value, want) -> None:
     """Raise a ValueError naming the field unless `value` is of the JSON type
-    `want`: int, float (an int too), str or a tuple of these, or [t] for a
-    list (or tuple) of values of type t.  No bool is a number."""
+    `want`: int, float (an int too), str, dict (an object) or a tuple of
+    these, or [t] for a list (or tuple) of values of type t.  No bool is a
+    number."""
     items = isinstance(want, list)
     if items and not isinstance(value, (list, tuple)):
         raise ValueError(f"{what} field {key} must be a list, got {value!r}")
@@ -401,6 +402,9 @@ def json_record(text: str, what: str, fields: dict) -> dict:
 def weight_from_json(text: str) -> Weight:
     record = json_record(text, "weight", {"dimension": int, "leaf_level": int,
                                           "leaf_density": [(str, float)]})
+    for key, want in (("kind", str), ("parameters", dict)):  # optional fields
+        if key in record:
+            check_json_field("weight JSON", key, record[key], want)
     grid = GridConfig(record["dimension"], record["leaf_level"])
     if len(record["leaf_density"]) != grid.n_leaves:
         raise ValueError(f"weight JSON field leaf_density must hold {grid.n_leaves} values, "

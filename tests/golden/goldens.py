@@ -1,18 +1,25 @@
-"""Golden reports of the fast CI lines: how each is made, how two compare,
-and a script that prints the change against them or rewrites them.
+"""Golden reports of the lab's report lines: how each is made, how two
+compare, and a script that prints the change against them or rewrites them.
 
-Each golden is one report file of a CI command, gzipped with mtime 0 so the
-file is a pure function of its text: the CSV and JSON of every
-`verify-bounds` suite and `sweep` that CI runs and of a `counterexample`
-study, and the JSON that `sparsebump norm` prints for the d=1 N=14 stopping
-instance the CI trace step stores.  MANIFEST.json records the command behind each file and the
-NumPy and Python versions that made it.
+Each golden is one report file of a command line, gzipped with mtime 0 so
+the file is a pure function of its text: the CSV and JSON of each
+`verify-bounds` suite and `sweep` and of a `counterexample` study, and the
+JSON that `sparsebump trace` and `sparsebump norm` print on three stored
+stopping instances (d=1 N=14, d=2 N=7 and d=3 N=5).  The trace lines run
+both chains, primal and dual, at the root and at one member below it, at
+p = 1.01, q = 50; a line exits 0 only when every stage of its chain holds.
+The norm lines run at p = q = 2, and a line whose lower bound exceeds its
+exact L2 norm by more than NORM_SLACK relative raises.  MANIFEST.json
+records the command behind each file and the NumPy and Python versions that
+made it.
 
 Two reports compare field by field: text, integers and booleans exactly,
-floats within REL_TOL relative.  Bytes are not compared, since another
-BLAS build may move the last bits of a product where this one does not.
-A CSV field is named by its column, a JSON field by its key path with list
-positions written as [].
+floats within REL_TOL relative.  A field named `relative_error` is a
+rounding residue near 0 (a trace's stage (i) error), so it compares within
+REL_TOL absolute.  Bytes are not compared, since another BLAS build may
+move the last bits of a product where this one does not.  A CSV field is
+named by its column, a JSON field by its key path with list positions
+written as [].
 
     python tests/golden/goldens.py           # largest relative change per field
     python tests/golden/goldens.py --write   # rewrite the goldens and MANIFEST.json
@@ -25,6 +32,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import gzip
 import io
 import json
@@ -46,14 +54,33 @@ from sparsebump import family_to_json, lab, weight_to_json  # noqa: E402
 from sparsebump.cli import cli_main  # noqa: E402
 
 REL_TOL = 1e-13
+NORM_SLACK = 1e-9
 MANIFEST = HERE / "MANIFEST.json"
 
-# the instance of the norm line: the d=1 N=14 stopping instance (766 members)
-# that the CI trace step writes as trace_d1_{family,sigma,w}.json
-NORM_CONFIG = lab.ExperimentConfig(dimension=1, leaf_level=14, volatility=0.8, family_kind="stopping")
+# per dimension, the stored stopping instance that the trace and norm lines
+# read as trace_d<d>_{family,sigma,w}.json (766, 977 and 2,081 members), and
+# the member below the root that its trace lines start at (51, 24 and 31
+# members inside)
+STORED = {d: lab.ExperimentConfig(dimension=d, leaf_level=n, volatility=0.8, family_kind="stopping")
+          for d, n in ((1, 14), (2, 7), (3, 5))}
+BELOW_ROOT = {1: "4:13", 2: "3:(2,2)", 3: "2:(0,1,0)"}
+
+
+def _stored(d: int) -> list[str]:
+    return [a for name in ("family", "sigma", "w") for a in (f"--{name}", f"trace_d{d}_{name}.json")]
+
+
+@functools.cache
+def _stored_texts(d: int) -> dict[str, str]:
+    """Per file name, the JSON text of the stored instance in dimension d,
+    made once for the 9 lines that read it."""
+    sigma, w, family, _ = lab.build_instance(STORED[d], 0)
+    return {f"trace_d{d}_{name}.json": text for name, text in (
+        ("sigma", weight_to_json(sigma)), ("w", weight_to_json(w)), ("family", family_to_json(family)))}
+
 
 # per line, its stem and its arguments; a suite writes <stem>.csv and
-# <stem>.json, the norm line's printed JSON is <stem>.json
+# <stem>.json, a trace or norm line's printed JSON is <stem>.json
 LINES = {
     "verify_bounds_seed42": ["verify-bounds", "--seed", "42"],
     "verify_bounds_p2_q2": ["verify-bounds", "--instances", "20", "--p", "2", "--q", "2"],
@@ -87,30 +114,43 @@ LINES = {
                                       "--family-kind", "stopping"],
     "verify_bounds_d2_n10_stopping": ["verify-bounds", "--instances", "1", "--dimension", "2", "--leaf-level", "10",
                                       "--family-kind", "stopping"],
-    "norm_d1_n14_stopping": ["norm", "--family", "trace_d1_family.json", "--sigma", "trace_d1_sigma.json",
-                             "--w", "trace_d1_w.json", "--p", "2", "--q", "2", "--budget", "25"],
+    **{f"norm_d{d}_n{cfg.leaf_level}_stopping": ["norm", *_stored(d), "--p", "2", "--q", "2", "--budget", "25"]
+       for d, cfg in STORED.items()},
+    **{f"trace_d{d}_{kind}_{'below' if below else 'root'}{'_dual' if dual else ''}":
+       ["trace", *_stored(d), "--p", "1.01", "--q", "50", "--eps", eps, *(["--dual"] if dual else []),
+        *([f"--cube={BELOW_ROOT[d]}"] if below else [])]
+       for d in STORED for kind, eps in (("entropy", "entropy:1"), ("direct", "direct:0.5"))
+       for dual in (False, True) for below in (False, True)},
 }
+
+
+def _stored_dimension(stem: str) -> int | None:
+    """The dimension of the stored instance a line reads, None for a suite."""
+    return int(stem.split("_")[1][1:]) if stem.startswith(("norm", "trace")) else None
 
 
 def command(stem: str) -> str:
     """The shell form of a line, as MANIFEST.json records it."""
     text = " ".join(["sparsebump", *LINES[stem]])
-    if stem.startswith("norm"):
-        text += (" (the files are lab.build_instance(ExperimentConfig(dimension=1, leaf_level=14, "
-                 "volatility=0.8, family_kind='stopping'), 0), written as the CI trace step writes them)")
+    d = _stored_dimension(stem)
+    if d is not None:
+        cfg = STORED[d]
+        text += (f" (the files are lab.build_instance(ExperimentConfig(dimension={d}, leaf_level={cfg.leaf_level}, "
+                 "volatility=0.8, family_kind='stopping'), 0), written by family_to_json and weight_to_json)")
     return text
 
 
 def run_line(stem: str, work: Path) -> dict[str, str]:
     """Per report file name, the text that this tree's line writes, run
-    in-process under `work`; SPARSEBUMP_SEED must be unset."""
+    in-process under `work`; SPARSEBUMP_SEED must be unset.  Raises when
+    the line exits nonzero, or when a norm line's lower bound exceeds its
+    exact L2 norm by more than NORM_SLACK relative."""
     argv = list(LINES[stem])
     out = io.StringIO()
-    if stem.startswith("norm"):
-        sigma, w, family, _ = lab.build_instance(NORM_CONFIG, 0)
-        for name, text in (("sigma", weight_to_json(sigma)), ("w", weight_to_json(w)),
-                           ("family", family_to_json(family))):
-            (work / f"trace_d1_{name}.json").write_text(text)
+    d = _stored_dimension(stem)
+    if d is not None:
+        for name, text in _stored_texts(d).items():
+            (work / name).write_text(text)
         argv = [str(work / a) if a.endswith(".json") else a for a in argv]
     else:
         argv += ["--out-dir", str(work)]
@@ -118,9 +158,15 @@ def run_line(stem: str, work: Path) -> dict[str, str]:
         code = cli_main(argv)
     if code != 0:
         raise RuntimeError(f"{command(stem)} exited {code}")
-    if stem.startswith("norm"):
-        return {f"{stem}.json": out.getvalue()}
-    return {f"{stem}.{ext}": (work / f"{argv[0].replace('-', '_')}.{ext}").read_text() for ext in ("csv", "json")}
+    if d is None:
+        return {f"{stem}.{ext}": (work / f"{argv[0].replace('-', '_')}.{ext}").read_text()
+                for ext in ("csv", "json")}
+    if argv[0] == "norm":
+        norm = json.loads(out.getvalue())
+        if not norm["lower_bound"] <= norm["exact_l2"] * (1 + NORM_SLACK):
+            raise RuntimeError(f"{command(stem)}: lower_bound {norm['lower_bound']!r} "
+                               f"exceeds exact_l2 {norm['exact_l2']!r} (1 + {NORM_SLACK})")
+    return {f"{stem}.json": out.getvalue()}
 
 
 def golden_path(name: str) -> Path:
@@ -185,8 +231,9 @@ def _change(want, got) -> float | None:
 
 def compare(name: str, want: str, got: str) -> tuple[dict[str, float], list[str]]:
     """Per field, the largest relative change from the golden text `want`
-    to `got`, and a line for each field that differs by more than the
-    comparison allows (an exact field that differs, or a float past REL_TOL)."""
+    to `got` (absolute for a `relative_error`), and a line for each field
+    that differs by more than the comparison allows (an exact field that
+    differs, or a float past REL_TOL)."""
     if name.endswith(".csv"):
         pairs = zip(_csv_fields(want), _csv_fields(got))
         pairs = (((k, _cell(a)), (k2, _cell(b))) for (k, a), (k2, b) in pairs)
@@ -198,6 +245,8 @@ def compare(name: str, want: str, got: str) -> tuple[dict[str, float], list[str]
             failures.append(f"{name}: field {key!r} in the golden, {key2!r} now")
             break
         change = _change(a, b)
+        if change and math.isfinite(change) and key.rsplit(".", 1)[-1] == "relative_error":
+            change = abs(b - a)  # a rounding residue near 0: absolute
         if change is None or change > REL_TOL:
             failures.append(f"{name}: {key}: golden {a!r}, now {b!r}")
         largest[key] = max(largest.get(key, 0.0), math.inf if change is None else change)

@@ -1,7 +1,10 @@
-"""The fast CI lines against their golden reports (tests/golden/).
+"""The lab's report lines against their golden reports (tests/golden/).
 
 Each line reruns in-process and must give the golden report field by field:
-text, integers and booleans exactly, floats within 1e-13 relative.  A change
+text, integers and booleans exactly, floats within 1e-13 relative (a
+trace's `relative_error`, a rounding residue, within 1e-13 absolute).  A
+trace line must also pass every stage, and a norm line's lower bound must
+not exceed its exact L2 norm by more than 1e-9 relative.  A change
 that moves a report past that rewrites the goldens with
 `python tests/golden/goldens.py --write` and states the change, which
 `python tests/golden/goldens.py` prints per field before the rewrite.
@@ -9,9 +12,12 @@ that moves a report past that rewrites the goldens with
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
+
+from sparsebump import cli
 
 _PATH = Path(__file__).resolve().parent / "golden" / "goldens.py"
 _SPEC = importlib.util.spec_from_file_location("goldens", _PATH)
@@ -48,6 +54,9 @@ def test_line_matches_its_golden(stem, tmp_path, monkeypatch):
     ("x.json", '{"r": [{"v": 0.5}]}', '{"r": [{"v": 0.5}, {"v": 0.5}]}', 1),  # a list's length
     ("x.json", '{"n": 3}', '{"n": 4}', 1),
     ("x.json", '{"v": Infinity}', '{"v": 1e308}', 1),
+    # a relative_error is a rounding residue: it compares within REL_TOL absolute
+    ("x.json", '{"s": {"relative_error": 0.0}}', '{"s": {"relative_error": 1.2e-16}}', 0),
+    ("x.json", '{"s": {"relative_error": 0.0}}', '{"s": {"relative_error": 1e-12}}', 1),
 ])
 def test_compare(name, want, got, failures):
     # a move within 1e-13 relative is reported and passes; every other change fails
@@ -55,3 +64,26 @@ def test_compare(name, want, got, failures):
     assert len(failed) == failures
     if not failures:
         assert 0 < max(largest.values()) <= goldens.REL_TOL
+
+
+def test_compare_fails_a_moved_inner_bound():
+    # one stratum's inner bound of a trace golden, moved by 1e-12 relative
+    name = "trace_d1_direct_root.json"
+    want = goldens.read_golden(name)
+    trace = json.loads(want)
+    assert goldens.compare(name, want, json.dumps(trace))[1] == []
+    stratum = next(s for s in trace["stage_inner"]["strata"] if math.isfinite(s["inner_bound"]))
+    stratum["inner_bound"] *= 1 + 1e-12
+    assert len(goldens.compare(name, want, json.dumps(trace))[1]) == 1
+
+
+@pytest.mark.parametrize(("slack", "raises"), [(0.5e-9, False), (2e-9, True)])
+def test_norm_line_checks_its_bound(slack, raises, tmp_path, monkeypatch):
+    # a lower bound past exact_l2 (1 + 1e-9) makes the norm line raise
+    monkeypatch.delenv("SPARSEBUMP_SEED", raising=False)
+    monkeypatch.setattr(cli, "norm_lower_bound", lambda inst, budget, seed: cli.exact_norm_l2(inst) * (1 + slack))
+    if raises:
+        with pytest.raises(RuntimeError, match="exceeds exact_l2"):
+            goldens.run_line("norm_d1_n14_stopping", tmp_path)
+    else:
+        goldens.run_line("norm_d1_n14_stopping", tmp_path)

@@ -579,10 +579,15 @@ class TestCli:
          "a sweep's --levels and --lambdas set leaf_level and lam; its config names ['lam', 'leaf_level']"),
         ("weights", {"dimension": 1, "leaf_level": 3, "leaf_density": ["1.0"] * 7},
          "weight JSON field leaf_density must hold 8 values, got 7"),
+        ("weights", {"dimension": 1, "leaf_level": 4, "leaf_density": ["1.0"] * 16, "kind": 5},
+         "weight JSON field kind must be str, got 5"),
+        ("weights", {"dimension": 1, "leaf_level": 4, "leaf_density": ["1.0"] * 16, "parameters": [1, 2]},
+         "weight JSON field parameters must be dict, got [1, 2]"),
     ], ids=("weight-no-density", "weight-list", "family-no-cubes", "config-list", "config-str-count",
             "weight-str-level", "weight-int-density", "family-int-cube", "sweep-str-level",
             "config-list-with-flag", "sweep-list-with-flag", "config-int-out-dir", "sweep-int-out-dir",
-            "config-sweep-axes", "sweep-axis-fields", "weight-short-density"))
+            "config-sweep-axes", "sweep-axis-fields", "weight-short-density", "weight-int-kind",
+            "weight-list-parameters"))
     def test_malformed_input_json_exits_2(self, fixture_files, tmp_path, capsys, which, record, problem):
         # `which` names the input file, then any flags a suite command adds
         which, *flags = which.split()

@@ -891,3 +891,16 @@ def test_dense_kernel_is_symmetric_bit_for_bit(case):
         kernel = inst.kernel
         assert np.array_equal(kernel, kernel.T)
         assert np.array_equal(kernel, reference_kernel(inst)[np.ix_(order, order)])
+
+
+def test_kernel_keeps_no_up_sweep_positions():
+    # on the family_deep d=2 instance (191 members: the dense branch) the
+    # kernel build and the ascent that multiplies by it leave no up-sweep
+    # positions on the family; an up-sweep of the identity would keep 191^2
+    family, sigma, w, cfg, s_lb = deep_instance(2)
+    assert len(family) <= operators.DENSE_MAX
+    inst = Instance(family, sigma, w, cfg)
+    inst.kernel
+    assert family._positions.size == 0
+    norm_lower_bound(inst, 25, seed=s_lb)
+    assert family._positions.size == 0

@@ -12,7 +12,7 @@ from .bumps import (
     entropy_bumps,
     eps_eval,
 )
-from .grid import DyadicCube, GridConfig, contains, parse_cube, root_cube
+from .grid import DyadicCube, GridConfig, parse_cube, root_cube
 from .operators import (
     Instance,
     PowerIterationError,

@@ -243,6 +243,11 @@ def _items(grid: GridConfig) -> list[tuple[tuple[int, slice], ...]]:
     return items
 
 
+def _sizes(item, dimension: int) -> list[int]:
+    """The cell count of each (level, chunk) piece of an item."""
+    return [len(range(2 ** (dimension * k))[chunk]) for k, chunk in item]
+
+
 class PairScan:
     """The bump constants of a pair (sigma, w) that its caller asks for, from
     one pass over its pyramid.
@@ -286,7 +291,7 @@ class PairScan:
         self._bumps = sorted(dict.fromkeys(key[:2] for key in self._scored[1:]),
                              key=lambda bump: bump[0] == "entropy")
 
-    def _scores(self, spare: list, item) -> list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
+    def _scores(self, spare: list, cells: int, item) -> list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
         """Per score, over one item of (level, chunk) pieces: the maximum, and
         the levels, flat indices and scores of the cells within the margin
         of it.
@@ -295,19 +300,17 @@ class PairScan:
         its bump: e (l + (1+delta) log1p(l)) with l = log rho for an entropy
         bump, e (1+delta) log1p(|log <weight>_Q|) for a direct one.  A cube
         where either weight has no mass scores -inf.  Every array is one of
-        five rows taken from `spare` and put back after the item, so the
-        items of a pass reuse a few workspaces, one per worker, instead of
-        mapping fresh memory for each; each bump and score is built in a
-        row that its inputs no longer need."""
+        five rows of `cells` cells, the pass's largest item, taken from
+        `spare` and put back after the item, so the items of a pass reuse a
+        few workspaces, one per worker, instead of mapping fresh memory for
+        each; each bump and score is built in a row that its inputs no
+        longer need."""
         cfg, d = self.cfg, self.grid.dimension
-        sizes = [len(range(2 ** (d * k))[chunk]) for k, chunk in item]
-        bounds = np.cumsum([0] + sizes)
+        bounds = np.cumsum([0] + _sizes(item, d))
         try:
             ws = spare.pop()
-        except IndexError:
-            ws = []
-        if not ws or len(ws[0]) < bounds[-1]:
-            ws = [np.empty(bounds[-1]) for _ in range(5)]
+        except IndexError:  # no workspace is free: this worker's first item
+            ws = [np.empty(cells) for _ in range(5)]
         log_s, log_w, log_j, tmp, free = (row[:bounds[-1]] for row in ws)
         if len(item) == 1:
             k_ln2 = item[0][0] * LN2
@@ -414,8 +417,9 @@ class PairScan:
         for kind, on_w in self._bumps:
             if kind == "entropy":  # built before the pass spreads: cached_property has no lock
                 (self.w if on_w else self.sigma).rho_levels
-        spare = []
-        scored = blockwise(lambda item: self._scores(spare, item), _items(grid), grid)
+        items, spare = _items(grid), []
+        cells = max(sum(_sizes(item, grid.dimension)) for item in items)
+        scored = blockwise(lambda item: self._scores(spare, cells, item), items, grid)
         found = {}
         for name in self.names:
             per_item = [item[self._scored.index(self._score_of[name])] for item in scored]

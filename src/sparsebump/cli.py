@@ -141,9 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ce = sub.add_parser("counterexample", help="level study of the divergent-entropy pair")
     p_ce.add_argument("--levels", type=_comma_list(int), default=(8, 12, 16, 20))
     p_ce.add_argument("--delta", type=float, default=0.5)
-    p_ce.add_argument("--p", type=float, default=2.0)
-    p_ce.add_argument("--q", type=float, default=2.0)
-    p_ce.add_argument("--alpha", type=float, default=0.0)
     p_ce.add_argument("--out-dir", default=None)
 
     return parser
@@ -219,7 +216,7 @@ def cli_main(argv=None) -> int:
             axes = {axis: getattr(args, axis) for axis in ("levels", "lambdas") if axis in args}
             report = run_sweep(_suite_config(args), **axes)
         elif args.command == "counterexample":
-            report = run_counterexample(args.levels, args.delta, args.p, args.q, args.alpha)
+            report = run_counterexample(args.levels, args.delta)
         else:
             raise ValueError(f"unknown command {args.command!r}")
         if args.out_dir:

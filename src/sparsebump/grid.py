@@ -86,15 +86,6 @@ class DyadicCube:
         return len(self.index)
 
     @property
-    def volume(self) -> float:
-        return 2.0 ** (-self.dimension * self.level)
-
-    def parent(self) -> "DyadicCube":
-        if self.level == 0:
-            raise ValueError("root cube has no parent")
-        return DyadicCube(self.level - 1, tuple(j >> 1 for j in self.index))
-
-    @property
     def text(self) -> str:
         """Report form: "k:j" for d=1, "k:(j1,...,jd)" otherwise."""
         if self.dimension == 1:
@@ -115,16 +106,6 @@ def parse_cube(text: str) -> DyadicCube:
     if not m:
         raise ValueError(f"cannot parse cube text {text!r}")
     return DyadicCube(int(m[1]), tuple(map(int, (m[2] or m[3]).split(","))))
-
-
-def contains(outer: DyadicCube, inner: DyadicCube) -> bool:
-    """True iff inner is a subset of outer (reflexive)."""
-    if inner.dimension != outer.dimension:
-        raise ValueError("cubes of different dimension")
-    shift = inner.level - outer.level
-    if shift < 0:
-        return False
-    return all(ji >> shift == jo for ji, jo in zip(inner.index, outer.index))
 
 
 def descendant_block(index: tuple[int, ...], level: int, finer: int) -> tuple[slice, ...]:

@@ -42,6 +42,9 @@ SWEEP_COLUMNS = ("N", "lambda", "instances", "max_A", "max_E", "max_D",
 # pinned from the computed sequence with a 2x margin (see tests for the
 # frozen sequence itself).
 D_STABILITY_TOL = 0.05
+# The counterexample study's one set of exponents, the diagonal case p = q = 2,
+# alpha = 0: the study, and D_STABILITY_TOL, are defined there only.
+COUNTEREXAMPLE_EXPONENTS = ExponentConfig(2.0, 2.0, 0.0)
 
 
 @dataclass
@@ -179,11 +182,10 @@ def build_instance(cfg: ExperimentConfig, instance: int) -> tuple[Weight, Weight
 
 
 def _bump_reports(sigma: Weight, w: Weight, exps: ExponentConfig, eps_e: EntropyFunction,
-                  eps_d: EntropyFunction, names: tuple[str, ...] | None = None
-                  ) -> tuple[BumpReport, BumpReport]:
+                  eps_d: EntropyFunction, names: tuple[str, ...]) -> tuple[BumpReport, BumpReport]:
     """The entropy and direct bump reports of a pair from one scan of its
     pyramid, which runs inside the first call; `names` are the constants
-    the reports hold (all six by default)."""
+    the reports hold."""
     scan = PairScan(sigma, w, exps, eps_e, eps_d, names)
     return (entropy_bumps(sigma, w, exps, eps_e, scan=scan),
             direct_bumps(sigma, w, exps, eps_d, scan=scan))
@@ -214,10 +216,10 @@ def _verify_instance(cfg: ExperimentConfig, i: int, eps_e: EntropyFunction,
     ebump, dbump = _bump_reports(sigma, w, exps, eps_e, eps_d,
                                  names=("A", "E", "E_star_symmetric", "D", "D_star"))
     trep = testing_constants(inst)
+    ratios = primal_indicator_ratios(inst)
     nlb = norm_lower_bound(inst, cfg.budget, seed=s_lb)
     etrace = entropy_trace(inst, eps_e, family.root, bump=ebump)
     dtrace = direct_trace(inst, eps_d, family.root, bump=dbump)
-    ratios = primal_indicator_ratios(inst)
     de = dual_entropy_trace(inst, eps_e, family.root, bump=ebump)
     dd = dual_direct_trace(inst, eps_d, family.root, bump=dbump)
 
@@ -307,10 +309,10 @@ def _counterexample_row(n: int, exps: ExponentConfig, eps_e: EntropyFunction,
             "E": ebump.constants["E"], "D": dbump.constants["D"]}
 
 
-def run_counterexample(levels, delta: float, p: float = 2.0, q: float = 2.0,
-                       alpha: float = 0.0) -> SuiteReport:
+def run_counterexample(levels, delta: float) -> SuiteReport:
     """Level study of the divergent-entropy weight pair sigma = 1/(x(1-ln x)^2),
-    w = x^2 on [0,1), by default in the diagonal case p = q = 2.
+    w = x^2 on [0,1), defined in the diagonal case p = q = 2, alpha = 0
+    (`COUNTEREXAMPLE_EXPONENTS`), where `D_STABILITY_TOL` was pinned.
 
     Emits per level the L log L diagnostic and the constants A, E, D, and
     records the trends: the L log L integral and the entropy bump must both
@@ -330,11 +332,10 @@ def run_counterexample(levels, delta: float, p: float = 2.0, q: float = 2.0,
         raise ValueError(f"levels must be in [1, {max_leaf_level(1)}] for d=1, got {bad}")
     eps_e = EntropyFunction("entropy", delta)
     eps_d = EntropyFunction("direct", delta)
+    exps = COUNTEREXAMPLE_EXPONENTS
     report = SuiteReport(columns=COUNTEREXAMPLE_COLUMNS)
     report.environment = {"seed": 0, "version": __version__,
-                          "delta": delta, "p": p, "q": q, "alpha": alpha}
-    exps = ExponentConfig(p, q, alpha)
-    check_alpha(alpha, 1)
+                          "delta": delta, "p": exps.p, "q": exps.q, "alpha": exps.alpha}
     report.rows = [_counterexample_row(n, exps, eps_e, eps_d) for n in levels]
     llogl_seq = [r["llogl"] for r in report.rows]
     e_seq = [r["E"] for r in report.rows]

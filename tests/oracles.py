@@ -38,7 +38,7 @@ it.
 
 `trace_oracle` runs one proof chain at one R alone, on the arrays of the
 whole family: the strata are restricted to the members inside R (found by
-`grid.contains`), and a down-sweep of the restricted bucket masks finds
+`contains`), and a down-sweep of the restricted bucket masks finds
 their maximal members; stages (i) and (iii) at R are row R of their
 per-member arrays over the whole family.  The package finds the members
 inside R by a down-sweep of R's indicator instead, and checks stage (ii) at
@@ -75,10 +75,12 @@ member's chain of parents to its nearest member ancestor, independently of
 the array tree that `SparseFamily` builds.
 
 The grid walks (`enumerate_cubes`, `children`, `leaf_count`, `n_cubes`,
-`ancestor`), the fixtures (`fix_const`, `fix_half`, `fix_chain_cubes`), the
-closed-form mass `ce_sigma_mass`, the per-cell leaf masses
-`ce_sigma_leaf_mass_oracle`, `scaled` and `constant_function` serve the
-tests only; the package itself works on per-level arrays.
+`ancestor`, `parent`), the per-cube `volume` and `contains` (the package
+reads `SparseFamily.parent`, `np.ldexp(1.0, -d * level)` and a down-sweep
+of R's indicator instead), the fixtures (`fix_const`, `fix_half`,
+`fix_chain_cubes`), the closed-form mass `ce_sigma_mass`, the per-cell
+leaf masses `ce_sigma_leaf_mass_oracle`, `scaled` and `constant_function`
+serve the tests only; the package itself works on per-level arrays.
 """
 
 import itertools
@@ -87,7 +89,7 @@ import math
 import numpy as np
 
 from sparsebump.bumps import BumpReport, ExponentConfig, direct_bumps, entropy_bumps, eps_eval
-from sparsebump.grid import DyadicCube, GridConfig, coarsen, contains, expand, leaf_slice
+from sparsebump.grid import DyadicCube, GridConfig, coarsen, expand, leaf_slice
 from sparsebump import operators
 from sparsebump.operators import Instance
 from sparsebump.prooftrace import SLACK, StratumRecord, TraceReport
@@ -127,6 +129,27 @@ def ancestor(cube, level):
         raise ValueError(f"ancestor level {level} not in [0, {cube.level}]")
     shift = cube.level - level
     return DyadicCube(level, tuple(j >> shift for j in cube.index))
+
+
+def parent(cube):
+    if cube.level == 0:
+        raise ValueError("root cube has no parent")
+    return DyadicCube(cube.level - 1, tuple(j >> 1 for j in cube.index))
+
+
+def volume(cube):
+    """|Q| = 2^{-dk}, exact in binary floating point."""
+    return 2.0 ** (-cube.dimension * cube.level)
+
+
+def contains(outer, inner):
+    """True iff inner is a subset of outer (reflexive)."""
+    if inner.dimension != outer.dimension:
+        raise ValueError("cubes of different dimension")
+    shift = inner.level - outer.level
+    if shift < 0:
+        return False
+    return all(ji >> shift == jo for ji, jo in zip(inner.index, outer.index))
 
 
 # --- cascade ----------------------------------------------------------------
@@ -223,11 +246,11 @@ def verify_sparse(cubes, lam):
     for q in members:
         c = q
         while c.level > 0:
-            c = c.parent()
+            c = parent(c)
             if c in kid_volume:
-                kid_volume[c] += q.volume
+                kid_volume[c] += volume(q)
                 break
-    ratios = [kid_volume[q] / q.volume for q in members]
+    ratios = [kid_volume[q] / volume(q) for q in members]
     worst = max(ratios)
     return {"ok": worst <= lam, "worst_ratio": worst,
             "witness": members[ratios.index(worst)] if worst > 0 else None}

@@ -446,6 +446,22 @@ class TestBlockwise:
             sys.setswitchinterval(interval)
         assert set(pools) == {8}
 
+    def test_a_serial_pass_allocates_its_rows_once(self, monkeypatch):
+        # at d=1 N=17 the first item packs levels 0-15 (65,535 cells) and the
+        # next three hold BLOCK = 65,536 each: the five rows of the one
+        # workspace are sized to the largest item before the first
+        sigma, w = fix_ce(17)
+        sigma.rho_levels, w.rho_levels
+        sizes, empty = [], np.empty
+
+        def counted(shape, *args, **kwargs):
+            sizes.append(shape)
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", counted)
+        entropy_bumps(sigma, w, ExponentConfig(2.0, 2.0, 0.0), EntropyFunction("entropy", 0.5))
+        assert [s for s in sizes if np.prod(s) >= 2**15] == [2**16] * 5
+
     @pytest.mark.parametrize("block,spreads", [(512, True), (1024, False)])
     def test_eight_blocks_gate(self, spread, block, spreads):
         # d=1 N=12 is 8 blocks of 512 leaves, or 4 blocks of 1024

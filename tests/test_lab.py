@@ -145,6 +145,9 @@ class TestVerifyBounds:
 class TestCounterexampleStudy:
     def test_trends_on_short_ladder(self):
         rep = run_counterexample((6, 8, 10), 0.5)
+        # the exponents the study is defined at, stamped in its report
+        assert rep.environment == {"seed": 0, "version": lab.__version__, "delta": 0.5,
+                                   "p": 2.0, "q": 2.0, "alpha": 0.0}
         assert rep.aggregates["llogl_increasing"]
         assert rep.aggregates["E_increasing"]
         assert rep.violations == 0
@@ -162,6 +165,15 @@ class TestCounterexampleStudy:
         monkeypatch.setattr(lab, "fix_ce", lambda *args: built.append(args))
         assert cli_main(["counterexample", "--levels", levels]) == 2
         assert capsys.readouterr().err == f"error: levels must be in [1, 24] for d=1, got {bad}\n"
+        assert built == []
+
+    @pytest.mark.parametrize("flag", ["--p", "--q", "--alpha"])
+    def test_exponent_flags_are_usage_errors(self, monkeypatch, capsys, flag):
+        # the study is defined at p = q = 2, alpha = 0 only
+        built = []
+        monkeypatch.setattr(lab, "fix_ce", lambda *args: built.append(args))
+        assert cli_main(["counterexample", flag, "2", "--levels", "8"]) == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
         assert built == []
 
 

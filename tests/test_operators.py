@@ -5,7 +5,7 @@ import pytest
 
 from sparsebump import operators
 from sparsebump.bumps import EntropyFunction, ExponentConfig, PairScan, entropy_bumps
-from sparsebump.grid import DyadicCube, GridConfig, contains, leaf_slice, root_cube
+from sparsebump.grid import DyadicCube, GridConfig, leaf_slice, root_cube
 from sparsebump.lab import ExperimentConfig, build_instance
 from sparsebump.operators import (
     Instance,
@@ -24,7 +24,8 @@ from sparsebump.weights import (
     mass,
 )
 
-from oracles import constant_function, dense_norm_l2_oracle, fix_chain_cubes, fix_const, l2_instance, scaled
+from oracles import (constant_function, contains, dense_norm_l2_oracle, fix_chain_cubes, fix_const, l2_instance, scaled,
+                     volume)
 
 G4 = GridConfig(1, 4)
 
@@ -293,7 +294,7 @@ def brute_force_t_star(family, sigma, w, cfg):
         for q in family.members:
             if not contains(r, q):
                 continue
-            total += (q.volume ** (cfg.alpha / d - 1.0) * mass(w, q)) ** cfg.p_dual * sigma_exc[q]
+            total += (volume(q) ** (cfg.alpha / d - 1.0) * mass(w, q)) ** cfg.p_dual * sigma_exc[q]
         best = max(best, wr ** (-1.0 / cfg.q_dual) * total ** (1.0 / cfg.p_dual))
     return best
 

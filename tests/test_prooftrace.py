@@ -7,7 +7,7 @@ import pytest
 
 from sparsebump.bumps import BumpReport, EntropyFunction, ExponentConfig, direct_bumps, entropy_bumps
 from sparsebump import lab
-from sparsebump.grid import DyadicCube, GridConfig, contains, parse_cube, root_cube
+from sparsebump.grid import DyadicCube, GridConfig, parse_cube, root_cube
 from sparsebump.lab import ExperimentConfig, build_instance
 from sparsebump.operators import Instance, testing_constants
 from sparsebump import prooftrace
@@ -23,7 +23,7 @@ from sparsebump.prooftrace import (
 from sparsebump.sparse import SparseFamily, random_sparse, stopping_family
 from sparsebump.weights import Weight, generate_weight
 
-from oracles import bucket_of, fix_chain_cubes, fix_const, scaled, trace_oracle
+from oracles import bucket_of, contains, fix_chain_cubes, fix_const, scaled, trace_oracle
 
 G4 = GridConfig(1, 4)
 EPS_E = EntropyFunction("entropy", 1.0)
@@ -105,8 +105,6 @@ class TestStratify:
         fam, sigma, _ = random_setup(4)
         strata = stratify(fam, sigma, "average")
         total = 0
-        from sparsebump.grid import contains
-
         for a, qs in strata.buckets.items():
             for q in qs:
                 owners = [m for m in strata.maximal_cubes[a] if contains(m, q)]
@@ -278,7 +276,7 @@ def test_four_chains_share_one_inside_sweep(monkeypatch):
         assert sweeps == (0, 4)
     # at every member R, the down-sweep of R's indicator that marks the
     # members a trace at R buckets (column R of the ancestor sum of the
-    # identity) marks those that grid.contains puts inside R
+    # identity) marks those that the oracle `contains` puts inside R
     for d, n in ((1, 7), (2, 4)):
         g = GridConfig(d, n)
         sigma = generate_weight(g, "random_cascade", seed=5, volatility=0.9)
@@ -449,7 +447,8 @@ class TestEveryR:
         fam, sigma, w = random_setup(seed, n={1: 8, 2: 5, 3: 3}[d], target=40, dimension=d)
         cfg = ExponentConfig(2, 3, 0.25 * (seed % 2))
         inst = Instance(fam, sigma, w, cfg)
-        ebump, dbump = lab._bump_reports(sigma, w, cfg, EPS_E, EPS_D)
+        ebump, dbump = lab._bump_reports(sigma, w, cfg, EPS_E, EPS_D,
+                                         names=("A", "E", "E_star_symmetric", "D", "D_star"))
         shown = 0
         for factor in (1.0, 0.75, 0.4):
             for kind, trace, key in self.CHAINS:

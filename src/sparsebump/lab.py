@@ -151,17 +151,18 @@ class SuiteReport:
         return csv_path, json_path
 
 
-def instance_seeds(master_seed: int, instance: int, n: int = 4) -> list[int]:
-    """Per-instance child seeds from a splittable sequence; deterministic in
-    (master_seed, instance) and independent across instances."""
+def instance_seeds(master_seed: int, instance: int) -> list[int]:
+    """The seeds of sigma, w, the random family, the norm bound and the leaf
+    check of one suite instance, from a splittable sequence: deterministic
+    in (master_seed, instance) and independent across instances."""
     ss = np.random.SeedSequence((master_seed, instance))
-    return [int(s) for s in ss.generate_state(n)]
+    return [int(s) for s in ss.generate_state(5)]
 
 
 def build_family(cfg: ExperimentConfig, instance: int) -> tuple[Weight, SparseFamily]:
     """sigma and the family of one suite instance, without w: what the Carleson suite reads."""
     grid = cfg.grid()
-    s_sigma, _, s_fam, _ = instance_seeds(cfg.master_seed, instance)
+    s_sigma, _, s_fam, _, _ = instance_seeds(cfg.master_seed, instance)
     sigma = generate_weight(grid, "random_cascade", seed=s_sigma, volatility=cfg.volatility)
     use_stopping = cfg.family_kind == "stopping" or (
         cfg.family_kind == "mixed" and instance % 2 == 1
@@ -176,7 +177,7 @@ def build_family(cfg: ExperimentConfig, instance: int) -> tuple[Weight, SparseFa
 def build_instance(cfg: ExperimentConfig, instance: int) -> tuple[Weight, Weight, SparseFamily, int]:
     """Weights and family for one suite instance: `build_family` and w."""
     sigma, family = build_family(cfg, instance)
-    _, s_w, _, s_lb = instance_seeds(cfg.master_seed, instance)
+    _, s_w, _, s_lb, _ = instance_seeds(cfg.master_seed, instance)
     w = generate_weight(cfg.grid(), "random_cascade", seed=s_w, volatility=cfg.volatility)
     return sigma, w, family, s_lb
 
@@ -235,7 +236,7 @@ def _verify_instance(cfg: ExperimentConfig, i: int, eps_e: EntropyFunction,
     tested = np.flatnonzero(inst.sigma_mass > 0)
     if len(tested):
         # the member-form ratio at one seeded R against the leaf path
-        r = tested[np.random.default_rng(instance_seeds(cfg.master_seed, i, 5)[4])
+        r = tested[np.random.default_rng(instance_seeds(cfg.master_seed, i)[4])
                    .integers(len(tested))]
         leaf = _leaf_indicator_ratio(family, sigma, w, exps, family.cube(r))
         ok = ok and abs(ratios[r] - leaf) <= SLACK * leaf
@@ -296,6 +297,13 @@ def run_verify_bounds(cfg: ExperimentConfig) -> SuiteReport:
     return report
 
 
+def _check_levels(levels: tuple[int, ...], dimension: int) -> None:
+    """Raise unless every level is a leaf level of a grid of this dimension."""
+    n_max = max_leaf_level(dimension)
+    if bad := [n for n in levels if not 1 <= n <= n_max]:
+        raise ValueError(f"levels must be in [1, {n_max}] for d={dimension}, got {bad}")
+
+
 def _counterexample_row(n: int, exps: ExponentConfig, eps_e: EntropyFunction,
                         eps_d: EntropyFunction) -> dict:
     """The counterexample study's row of level n.  The level's pair dies on
@@ -328,8 +336,7 @@ def run_counterexample(levels, delta: float) -> SuiteReport:
     if list(levels) != sorted(set(levels)) or not levels:
         raise ValueError("levels must be strictly increasing and nonempty")
     # the pair's grid is d=1; every level is checked before the first pair is built
-    if bad := [n for n in levels if not 1 <= n <= max_leaf_level(1)]:
-        raise ValueError(f"levels must be in [1, {max_leaf_level(1)}] for d=1, got {bad}")
+    _check_levels(levels, 1)
     eps_e = EntropyFunction("entropy", delta)
     eps_d = EntropyFunction("direct", delta)
     exps = COUNTEREXAMPLE_EXPONENTS
@@ -363,9 +370,7 @@ def run_sweep(cfg: ExperimentConfig, levels=(8, 12, 16, 20), lambdas=(0.5, 0.25)
         raise ValueError(f"lambdas must be in (0,1), got {bad[0]}")
     # every (level, lambda) config is made, and so checked, before the first
     # instance is built; the levels are named here, not as a leaf_level
-    n_max = max_leaf_level(cfg.dimension)
-    if bad := [n for n in levels if not 1 <= n <= n_max]:
-        raise ValueError(f"levels must be in [1, {n_max}] for d={cfg.dimension}, got {bad}")
+    _check_levels(levels, cfg.dimension)
     subs = [dataclasses.replace(cfg, leaf_level=n, lam=lam) for n in levels for lam in lambdas]
     report = SuiteReport(columns=SWEEP_COLUMNS, environment=_environment(cfg))
     report.environment["config"].update(levels=levels, lambdas=lambdas)

@@ -12,9 +12,9 @@ a function v is (sum_Q |v_Q|^r mu(E_Q))^{1/r}.  One apply scales per-member
 block sums int_Q sigma f by |Q|^{alpha/d - 1} and adds them down the tree.
 The block sums of a per-member input v are the up-sweep of v sigma(E_Q).
 A leaf function is a plain array of its leaf values; leaf arrays are
-touched only where a leaf input f is first reduced to block sums, as the
-pyramid of its leaf masses sigma(L) f(L) (`apply_sparse` and each random
-start of the dual ascent).
+touched only where a leaf input f is first reduced to block sums, by
+`SparseFamily.block_sums` of its leaf masses sigma(L) f(L) (`apply_sparse`
+and each random start of the dual ascent).
 
 One `Instance` holds a (family, sigma, w, exponents) with the per-member
 arrays its quantities share: sigma(E_Q) and w(E_Q), the cube masses, the
@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .bumps import ExponentConfig, check_alpha
-from .grid import DyadicCube, pyramid
+from .grid import DyadicCube
 from .sparse import SparseFamily
 from .weights import Weight
 
@@ -61,6 +61,9 @@ from .weights import Weight
 # is N_STARTS, the number of random starts of the dual ascent.
 DENSE_MAX = 200
 N_STARTS = 3
+# The stop rule of `exact_norm_l2`, also read at call time.
+L2_TOL = 1e-12
+L2_MAX_STEPS = 50_000
 
 
 def _per_level(family: SparseFamily, fn) -> np.ndarray:
@@ -72,13 +75,6 @@ def _coef(family: SparseFamily, alpha: float) -> np.ndarray:
     """Per member, |Q|^{alpha/d} / |Q| = 2^{k(d - alpha)}."""
     d = family.grid.dimension
     return _per_level(family, lambda k: 2.0 ** (k * (d - alpha)))
-
-
-def _leaf_blocks(family: SparseFamily, leaf_mass: np.ndarray) -> np.ndarray:
-    """Per member, the sum of `leaf_mass` over its leaves: the block sums
-    int_Q sigma f of the leaf masses sigma(L) f(L), the one reduction of a
-    leaf input."""
-    return family.gather(pyramid(leaf_mass, family.grid))
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +219,7 @@ def apply_sparse(family: SparseFamily, sigma: Weight, f: np.ndarray, alpha: floa
     if sigma.grid != grid or np.size(f) != grid.n_leaves:
         raise ValueError("family, weight, and function must share one grid")
     check_alpha(alpha, grid.dimension)
-    blocks = _leaf_blocks(family, sigma.mass_levels[-1] * np.abs(f).reshape(grid.leaf_shape()))
+    blocks = family.block_sums(sigma.mass_levels[-1] * np.abs(f).reshape(grid.leaf_shape()))
     return family.at_leaves(family.ancestor_sum(_coef(family, alpha) * blocks))
 
 
@@ -236,7 +232,7 @@ class PowerIterationError(RuntimeError):
         self.last_two = last_two
 
 
-def exact_norm_l2(inst: Instance, tol: float = 1e-12, max_iter: int = 50_000) -> float:
+def exact_norm_l2(inst: Instance) -> float:
     """Operator norm of f -> T(sigma f) from L2(sigma) to L2(w) on an
     instance with p = q = 2.
 
@@ -244,20 +240,19 @@ def exact_norm_l2(inst: Instance, tol: float = 1e-12, max_iter: int = 50_000) ->
     on the self-adjoint G f = T_w(T_sigma f), up to scale, and the square of
     its ratio is the Rayleigh quotient of G.  Run from the constant start
     (block sums sigma(Q)), the norm is its ratio at the first step whose
-    quotient moves by at most tol times itself, or at its last step when it
-    ends early: at a fixed point, or at a norm of 0.  Leaves with zero
-    sigma-density carry no sigma(E_Q) mass, so they leave the domain space.
+    quotient moves by at most L2_TOL times itself, or at its last step when
+    it ends early: at a fixed point, or at a norm of 0; it raises after
+    L2_MAX_STEPS steps.  Leaves with zero sigma-density carry no sigma(E_Q)
+    mass, so they leave the domain space.
     """
     if inst.cfg.p != 2.0 or inst.cfg.q != 2.0:
         raise ValueError(f"exact_norm_l2 needs p = q = 2, got p={inst.cfg.p}, q={inst.cfg.q}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     ratio, steps, last_two = 0.0, 0, (np.inf, np.inf)
-    for steps, (ratio,) in enumerate(_ascent(inst, inst.sigma_mass[:, None], max_iter), 1):
+    for steps, (ratio,) in enumerate(_ascent(inst, inst.sigma_mass[:, None], L2_MAX_STEPS), 1):
         last_two = (last_two[1], float(ratio) ** 2)
-        if abs(last_two[1] - last_two[0]) <= tol * last_two[1]:
+        if abs(last_two[1] - last_two[0]) <= L2_TOL * last_two[1]:
             return float(ratio)
-    if steps < max_iter:  # the ascent ended early
+    if steps < L2_MAX_STEPS:  # the ascent ended early
         return float(ratio)
     raise PowerIterationError("power iteration did not converge", last_two)
 
@@ -308,20 +303,17 @@ def norm_lower_bound(inst: Instance, budget: int, seed: int = 0) -> float:
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    family, sigma = inst.family, inst.sigma
     best = float(max(inst.indicator_ratios.max(), inst.dual.indicator_ratios.max()))
     if budget == 0:
         return best
 
-    rng = np.random.default_rng(seed)
+    rng, family, leaf_mass = np.random.default_rng(seed), inst.family, inst.sigma.mass_levels[-1]
     # the ascent map is homogeneous and sigma-null leaves carry no mass, so
     # a start needs neither a normalization nor a support mask; each start
     # is reduced to block sums before the next is drawn, so the leaf arrays
     # of one start at a time are alive
-    blocks, shape = np.empty((len(family), N_STARTS)), family.grid.leaf_shape()
-    leaf_mass = sigma.mass_levels[-1]
-    for j in range(N_STARTS):
-        blocks[:, j] = _leaf_blocks(family, leaf_mass * (rng.random(shape) + 0.5))
+    blocks = np.column_stack([family.block_sums(leaf_mass * (rng.random(family.grid.leaf_shape()) + 0.5))
+                              for _ in range(N_STARTS)])
     return max([best, *(float(np.max(r)) for r in _ascent(inst, blocks, budget))])
 
 

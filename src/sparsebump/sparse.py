@@ -73,8 +73,9 @@ class SparseFamily:
     (level, index) order without repeats: per member its `parent` (position
     of the nearest proper family ancestor, -1 at the root), per leaf its
     `owner` (position of the minimal member containing it, -1 outside the
-    root).  Equal families have equal grid, lambda and arrays.  Cubes are
-    made when read: `cube(i)`, `root`, and `members` on first use.
+    root).  Cubes are made when read: `cube(i)`, `root`, and `members` on
+    first use.  `block_sums` and `exceptional_mass` reduce a leaf array to
+    per-member sums on one walk up the grid levels (`_leaf_walk`).
     Per-cube quantities are arrays over the members, computed by two sweeps
     over the tree, one step per tree generation (a stopping family spread
     over 9 levels may be 3 generations deep): `down_sweep` and `up_sweep`
@@ -132,13 +133,6 @@ class SparseFamily:
             raise ValueError(f"collection is not {lam}-sparse: worst ratio {float(ratio[j])} at {self.cube(j).text}")
         self.owner.setflags(write=False)
         self._positions = np.empty(0, dtype=np.int64)  # up_sweep's, for the last column count above 1
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SparseFamily) and (self.grid, self.lam, self._key.tobytes()) == (
-            other.grid, other.lam, other._key.tobytes())
-
-    def __hash__(self) -> int:
-        return hash((self.grid, self.lam, self._key.tobytes()))
 
     def __len__(self) -> int:
         return len(self.level)
@@ -228,18 +222,26 @@ class SparseFamily:
         """Leaf array holding, on each leaf, the value of its owner; 0 outside the root."""
         return np.append(np.asarray(values, dtype=float), 0.0)[self.owner]
 
+    def block_sums(self, leaf: np.ndarray) -> np.ndarray:
+        """Per member Q, the sum of a leaf-shaped array over Q's leaves."""
+        return self._leaf_walk(leaf, clear=False)
+
     def exceptional_mass(self, weight: Weight) -> np.ndarray:
-        """Per member, the mass weight(E_Q): one up-sweep of the leaf masses
-        in which each member reads the sum at its cube and then clears it,
-        so each E_Q is summed pairwise up the pyramid over its own leaves."""
+        """Per member, weight(E_Q): the walk of its leaf masses that clears each sum it reads."""
+        return self._leaf_walk(weight.mass_levels[-1].copy(), clear=True)
+
+    def _leaf_walk(self, level_sums: np.ndarray, clear: bool) -> np.ndarray:
+        """Per member, its cube's entry of the level sums of a leaf-shaped
+        array, each level coarsened from the one below, up to the root's.
+        With `clear` each member zeroes the entry it read, in place."""
         n, b = self.grid.leaf_level, self._bounds
         out = np.empty(len(self))
-        level_sums = weight.mass_levels[n].copy()
         for k in range(n, int(self.level[0]) - 1, -1):
             level_sums = level_sums if k == n else coarsen(level_sums, self.grid.dimension)
             at_k, sel = level_sums.reshape(-1), self._flat[b[k]:b[k + 1]]
             out[b[k]:b[k + 1]] = at_k[sel]
-            at_k[sel] = 0.0
+            if clear:
+                at_k[sel] = 0.0
         return out
 
 

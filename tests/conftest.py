@@ -10,6 +10,7 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 import sparsebump.grid  # noqa: E402
+import sparsebump.operators  # noqa: E402
 
 
 @pytest.fixture
@@ -31,3 +32,16 @@ def spread(monkeypatch):
         return pools
 
     return set_spread
+
+
+@pytest.fixture
+def l2_stop(monkeypatch):
+    """l2_stop(tol, steps=None) sets the stop rule of `exact_norm_l2` for one
+    test: `operators.L2_TOL`, and `operators.L2_MAX_STEPS` when steps is
+    given."""
+    def set_stop(tol, steps=None):
+        monkeypatch.setattr(sparsebump.operators, "L2_TOL", tol)
+        if steps is not None:
+            monkeypatch.setattr(sparsebump.operators, "L2_MAX_STEPS", steps)
+
+    return set_stop

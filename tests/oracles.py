@@ -551,7 +551,7 @@ def norm_lower_bound_full_budget(inst, budget, seed=0):
     rng = np.random.default_rng(seed)
     blocks, shape = np.empty((len(family), operators.N_STARTS)), family.grid.leaf_shape()
     for j in range(operators.N_STARTS):
-        blocks[:, j] = operators._leaf_blocks(family, sigma.mass_levels[-1] * (rng.random(shape) + 0.5))
+        blocks[:, j] = family.block_sums(sigma.mass_levels[-1] * (rng.random(shape) + 0.5))
     # in generation order, as the package's ascent runs
     order = family.generations.order
     sigma_exc, w_exc = inst.sigma_exc[order], inst.w_exc[order]

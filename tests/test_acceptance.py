@@ -201,8 +201,9 @@ def test_acceptance_7_testing_lower_bound_witness(certificate_suite):
 # criterion 6: norm oracle agreement
 # --------------------------------------------------------------------------
 
-def test_acceptance_6_norm_oracles_agree():
+def test_acceptance_6_norm_oracles_agree(l2_stop):
     start = time.perf_counter()
+    l2_stop(1e-13)
     worst = 0.0
     for i in range(50):
         n = 3 + (i % 2)
@@ -210,7 +211,7 @@ def test_acceptance_6_norm_oracles_agree():
         sigma = generate_weight(grid, "random_cascade", seed=i, volatility=0.8)
         w = generate_weight(grid, "random_cascade", seed=i + 999, volatility=0.8)
         fam = random_sparse(grid, 0.5, seed=i, target_size=8)
-        a = exact_norm_l2(l2_instance(fam, sigma, w, 0.0), tol=1e-13)
+        a = exact_norm_l2(l2_instance(fam, sigma, w, 0.0))
         b = dense_norm_l2_oracle(fam, sigma, w, 0.0)
         worst = max(worst, abs(a - b))
         assert abs(a - b) <= 1e-8
@@ -223,7 +224,7 @@ def test_acceptance_6_norm_oracles_agree():
         pairs.append((generate_weight(grid, "random_cascade", seed=seed, volatility=0.7),
                       generate_weight(grid, "random_cascade", seed=seed + 50, volatility=0.7)))
     for sigma, w in pairs:
-        exact = exact_norm_l2(l2_instance(chain, sigma, w, 0.0), tol=1e-13)
+        exact = exact_norm_l2(l2_instance(chain, sigma, w, 0.0))
         lb = norm_lower_bound(Instance(chain, sigma, w, cfg), budget=200, seed=0)
         assert lb <= exact + 1e-8
         assert lb >= 0.99 * exact

@@ -86,6 +86,15 @@ class TestExperimentConfig:
         assert instance_seeds(42, 0) != instance_seeds(42, 1)
         assert instance_seeds(42, 0) != instance_seeds(43, 0)
 
+    def test_instance_seeds_begin_with_the_four_word_draw(self):
+        # five words are drawn, and the first four are the four-word draw, so
+        # sigma, w, the random family and the norm bound keep their seeds
+        for master in (0, 3, 7, 42, 43, 49, 58, 234, 130014, 249247):
+            for i in range(25):
+                seeds = instance_seeds(master, i)
+                assert len(seeds) == 5
+                assert seeds[:4] == np.random.SeedSequence((master, i)).generate_state(4).tolist()
+
 
 class TestVerifyBounds:
     def test_small_suite_has_no_violations(self):

@@ -127,57 +127,56 @@ class TestExactNormL2:
         assert exact_norm_l2(l2_instance(singleton_family(), s, w, 0.0)) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_matches_dense_oracle(self, seed):
+    def test_matches_dense_oracle(self, seed, l2_stop):
+        l2_stop(1e-13)
         g = GridConfig(1, 4)
         sigma, w = random_pair(g, seed)
         fam = random_sparse(g, 0.5, seed=seed, target_size=10)
-        a = exact_norm_l2(l2_instance(fam, sigma, w, 0.0), tol=1e-13)
+        a = exact_norm_l2(l2_instance(fam, sigma, w, 0.0))
         b = dense_norm_l2_oracle(fam, sigma, w, 0.0)
         assert a == pytest.approx(b, abs=1e-8)
 
-    def test_matches_dense_oracle_chain(self):
+    def test_matches_dense_oracle_chain(self, l2_stop):
+        l2_stop(1e-13)
         s, w = fix_const()
         fam = chain_family()
-        a = exact_norm_l2(l2_instance(fam, s, w, 0.0), tol=1e-13)
+        a = exact_norm_l2(l2_instance(fam, s, w, 0.0))
         b = dense_norm_l2_oracle(fam, s, w, 0.0)
         assert a == pytest.approx(b, abs=1e-8)
 
-    def test_homogeneity_in_sigma(self):
+    def test_homogeneity_in_sigma(self, l2_stop):
+        l2_stop(1e-13)
         g = GridConfig(1, 4)
         sigma, w = random_pair(g, 40)
         fam = random_sparse(g, 0.5, seed=2, target_size=8)
-        base = exact_norm_l2(l2_instance(fam, sigma, w, 0.0), tol=1e-13)
-        norm_scaled = exact_norm_l2(l2_instance(fam, scaled(sigma, 4.0), w, 0.0), tol=1e-13)
+        base = exact_norm_l2(l2_instance(fam, sigma, w, 0.0))
+        norm_scaled = exact_norm_l2(l2_instance(fam, scaled(sigma, 4.0), w, 0.0))
         assert norm_scaled == pytest.approx(2.0 * base, abs=1e-8)  # c^{1/2} with c=4
 
-    def test_nonconvergence_carries_iterates(self):
-        # the last two iterates are the Rayleigh quotients of steps max_iter - 1
-        # and max_iter: the squared ratios of the ascent from the constant start
+    def test_nonconvergence_carries_iterates(self, l2_stop):
+        # the last two iterates are the Rayleigh quotients of steps
+        # L2_MAX_STEPS - 1 and L2_MAX_STEPS: the squared ratios of the ascent
+        # from the constant start
+        l2_stop(0.0, steps=2)
         g = GridConfig(1, 4)
         sigma, w = random_pair(g, 41)
         fam = random_sparse(g, 0.5, seed=2, target_size=8)
         inst = l2_instance(fam, sigma, w, 0.0)
         with pytest.raises(PowerIterationError) as err:
-            exact_norm_l2(inst, tol=0.0, max_iter=2)
+            exact_norm_l2(inst)
         ratios = list(operators._ascent(inst, constant_blocks(inst), 2))
         assert len(ratios) == 2
         assert err.value.last_two == tuple(float(r[0]) ** 2 for r in ratios)
 
-    def test_fixed_point_ends_the_iteration(self):
+    def test_fixed_point_ends_the_iteration(self, l2_stop):
         # on the singleton family every iterate is 1 on the one member, so
         # the ascent repeats its first iterate bit for bit at step 2 and ends
         # after one ratio, whose quotient no earlier one can match at tol = 0
+        l2_stop(0.0, steps=3)
         s, w = fix_const()
         inst = l2_instance(singleton_family(), s, w, 0.0)
         assert len(list(operators._ascent(inst, constant_blocks(inst), 3))) == 1
-        assert exact_norm_l2(inst, tol=0.0, max_iter=3) == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("max_iter", (0, -3))
-    def test_max_iter_below_one_raises(self, max_iter):
-        # no step is taken, so there is no quotient to report
-        s, w = fix_const()
-        with pytest.raises(ValueError, match=f"max_iter must be >= 1, got {max_iter}"):
-            exact_norm_l2(l2_instance(singleton_family(), s, w, 0.0), max_iter=max_iter)
+        assert exact_norm_l2(inst) == pytest.approx(1.0, abs=1e-12)
 
     def test_needs_p_and_q_two(self):
         s, w = fix_const()
@@ -194,12 +193,13 @@ class TestExactNormL2:
         assert len(fam) > 1
         assert exact_norm_l2(l2_instance(fam, sigma, w, 0.0)) == 0.0 == dense_norm_l2_oracle(fam, sigma, w, 0.0)
 
-    def test_zero_sigma_leaves_excluded(self):
+    def test_zero_sigma_leaves_excluded(self, l2_stop):
+        l2_stop(1e-13)
         g = GridConfig(1, 2)
         sigma = Weight(g, np.array([1.0, 1.0, 0.0, 0.0]))
         w = Weight(g, np.ones(4))
         fam = singleton_family(g)
-        a = exact_norm_l2(l2_instance(fam, sigma, w, 0.0), tol=1e-13)
+        a = exact_norm_l2(l2_instance(fam, sigma, w, 0.0))
         b = dense_norm_l2_oracle(fam, sigma, w, 0.0)
         assert a == pytest.approx(b, abs=1e-10)
 
@@ -235,11 +235,12 @@ class TestNormLowerBound:
         for ratio in primal_indicator_ratios(inst):
             assert lb >= ratio
 
-    def test_diagonal_reaches_exact_norm(self):
+    def test_diagonal_reaches_exact_norm(self, l2_stop):
+        l2_stop(1e-13)
         cfg = ExponentConfig(2, 2, 0.0)
         s, w = fix_const()
         fam = chain_family()
-        exact = exact_norm_l2(l2_instance(fam, s, w, 0.0), tol=1e-13)
+        exact = exact_norm_l2(l2_instance(fam, s, w, 0.0))
         lb = norm_lower_bound(Instance(fam, s, w, cfg), budget=200, seed=0)
         assert lb <= exact + 1e-8
         assert lb >= 0.99 * exact
@@ -391,10 +392,11 @@ class TestTwoDimensional:
         return random_sparse(self.G, 0.5, seed=seed, target_size=12)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_exact_norm_matches_dense_oracle(self, seed):
+    def test_exact_norm_matches_dense_oracle(self, seed, l2_stop):
+        l2_stop(1e-13)
         sigma, w = random_pair(self.G, seed)
         fam = self.family(seed, sigma)
-        a = exact_norm_l2(l2_instance(fam, sigma, w, 0.5), tol=1e-13)
+        a = exact_norm_l2(l2_instance(fam, sigma, w, 0.5))
         b = dense_norm_l2_oracle(fam, sigma, w, 0.5)
         assert a == pytest.approx(b, rel=1e-11)
 

@@ -15,7 +15,9 @@ size switch.  The up-sweep must match the member-by-member sum of
 the full-budget copy `oracles.norm_lower_bound_full_budget`, bit for bit.
 Each sweep takes one step per tree generation, an ascent step permutes
 no array, and the member apply on the two generation sweeps must match the
-level sweeps of `oracles.member_apply_oracle` to 1e-13 relative.
+level sweeps of `oracles.member_apply_oracle` to 1e-13 relative.  The leaf
+walk's `SparseFamily.block_sums` must equal the gathered `grid.pyramid`
+bit for bit.
 """
 
 import sys
@@ -28,7 +30,7 @@ import pytest
 
 from sparsebump import operators
 from sparsebump.bumps import EntropyFunction, ExponentConfig, direct_bumps, entropy_bumps, eps_eval
-from sparsebump.grid import DyadicCube, GridConfig, leaf_slice, root_cube
+from sparsebump.grid import DyadicCube, GridConfig, leaf_slice, pyramid, root_cube
 from sparsebump.lab import ExperimentConfig, build_instance, run_verify_bounds
 from sparsebump.operators import (
     Instance,
@@ -565,9 +567,10 @@ class TestMemberOperatorMatchesLeafOperator:
             assert_close(norm_lower_bound(Instance(family, sigma, w, cfg), budget, seed=3),
                          oracle_norm_lower_bound(family, sigma, w, cfg, budget, seed=3))
 
-    def test_exact_norm_l2(self, case):
+    def test_exact_norm_l2(self, case, l2_stop):
+        l2_stop(1e-14)
         family, sigma, w, cfg = operator_instance(case)
-        assert_close(exact_norm_l2(l2_instance(family, sigma, w, cfg.alpha), tol=1e-14),
+        assert_close(exact_norm_l2(l2_instance(family, sigma, w, cfg.alpha)),
                      oracle_exact_norm_l2(family, sigma, w, cfg.alpha, tol=1e-14))
 
 
@@ -575,6 +578,23 @@ class TestMemberOperatorMatchesLeafOperator:
 
 ASCENT_CASES = ([(d, kind, 0) for d in (1, 2, 3) for kind in ("random", "stopping")]
                 + ["non_grid_root", "sigma_null"])
+
+
+@pytest.mark.parametrize("case", ASCENT_CASES, ids=str)
+def test_leaf_walk_readings(case):
+    # the walk that keeps what it reads gives each member's entry of the whole
+    # pyramid, bit for bit, and leaves its input alone; the walk that clears
+    # what it reads gives the masses of the exceptional sets
+    family, sigma, w, _ = operator_instance(case)
+    grid = family.grid
+    for leaf in (sigma.mass_levels[-1], w.mass_levels[-1], np.random.default_rng(4).random(grid.leaf_shape())):
+        before = leaf.copy()
+        assert np.array_equal(family.block_sums(leaf), family.gather(pyramid(leaf, grid)))
+        assert np.array_equal(leaf, before)
+    for weight in (sigma, w):
+        before = weight.mass_levels[-1].copy()
+        assert_close(family.exceptional_mass(weight), oracle_exceptional_mass(family, weight))
+        assert np.array_equal(weight.mass_levels[-1], before)
 
 
 @pytest.mark.parametrize("case", ASCENT_CASES, ids=str)
@@ -609,13 +629,14 @@ def test_batched_ascent_matches_leaf_oracle(case, n_starts, monkeypatch):
 
 
 @pytest.mark.parametrize("case", ASCENT_CASES, ids=str)
-def test_exact_norm_l2_on_both_kernels(case, monkeypatch):
+def test_exact_norm_l2_on_both_kernels(case, monkeypatch, l2_stop):
     # the power iteration runs on the member applies of the ascent
+    l2_stop(1e-14)
     family, sigma, w, cfg = operator_instance(case)
     want = dense_norm_l2_oracle(family, sigma, w, cfg.alpha)
     for dense_max in (len(family), len(family) - 1):
         monkeypatch.setattr(operators, "DENSE_MAX", dense_max)
-        assert exact_norm_l2(l2_instance(family, sigma, w, cfg.alpha), tol=1e-14) == pytest.approx(want, rel=1e-11)
+        assert exact_norm_l2(l2_instance(family, sigma, w, cfg.alpha)) == pytest.approx(want, rel=1e-11)
 
 
 @pytest.mark.parametrize("dense_max", (10**6, 0), ids=("dense", "sweeps"))

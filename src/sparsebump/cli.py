@@ -4,11 +4,13 @@ Subcommands: constants, norm, testing, trace, verify-bounds, counterexample,
 sweep.  verify-bounds and sweep read an optional ExperimentConfig JSON file
 under one flag per config field (--field-name, but --seed and --lambda); a
 sweep's axes --levels and --lambdas stand for --leaf-level and --lambda.
-The master seed falls back to the SPARSEBUMP_SEED environment variable.  The
-suites and counterexample print a CSV report, or write it and its JSON under
---out-dir.  No subcommand takes a flag it does not read.
-Exit code is 0 on success, 1 when a mathematical assertion failed, and 2 on
-usage or config errors.
+Every input has one flag: the weights are --sigma and --w, both required,
+and nothing is read from the environment.  The suites and counterexample
+print a CSV report, or write it and its JSON under --out-dir.  No
+subcommand takes a flag it does not read.
+Exit code is 0 on success, 1 when a mathematical assertion failed or the
+exact L2 norm's power iteration did not converge, and 2 on usage or config
+errors.
 """
 
 from __future__ import annotations
@@ -16,14 +18,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
 from .bumps import EntropyFunction, ExponentConfig, direct_bumps, entropy_bumps
 from .grid import parse_cube
 from .lab import ExperimentConfig, run_counterexample, run_sweep, run_verify_bounds
-from .operators import Instance, exact_norm_l2, norm_lower_bound, testing_constants
+from .operators import Instance, PowerIterationError, exact_norm_l2, norm_lower_bound, testing_constants
 from .prooftrace import direct_trace, dual_direct_trace, dual_entropy_trace, entropy_trace
 from .sparse import family_from_json
 from .weights import weight_from_json
@@ -49,32 +50,14 @@ _FLAG_NAMES = {"master_seed": "--seed", "lam": "--lambda"}
 _SWEEP_AXES = ("leaf_level", "lam")  # the fields a sweep's --levels and --lambdas set
 
 
-def _env_seed() -> int | None:
-    """The SPARSEBUMP_SEED environment variable, None when unset or empty."""
-    text = os.environ.get("SPARSEBUMP_SEED")
-    try:
-        return int(text) if text else None
-    except ValueError:
-        raise ValueError(f"SPARSEBUMP_SEED must be an int, got {text!r}") from None
-
-
-def _load_weight(path: str):
-    return weight_from_json(Path(path).read_text())
-
-
 def _add_weight_args(sub) -> None:
-    sub.add_argument("--weights", help="weight JSON used for both sigma and w")
-    sub.add_argument("--sigma", help="sigma weight JSON")
-    sub.add_argument("--w", help="w weight JSON")
+    sub.add_argument("--sigma", required=True, help="sigma weight JSON")
+    sub.add_argument("--w", required=True, help="w weight JSON")
 
 
 def _resolve_weights(args):
-    if args.weights:
-        both = _load_weight(args.weights)
-        return both, both
-    if not (args.sigma and args.w):
-        raise ValueError("need --weights or both --sigma and --w")
-    return _load_weight(args.sigma), _load_weight(args.w)
+    """The (sigma, w) pair that --sigma and --w name."""
+    return tuple(weight_from_json(Path(path).read_text()) for path in (args.sigma, args.w))
 
 
 def _instance(args) -> Instance:
@@ -107,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_weight_args(p_norm)
     _add_exponent_args(p_norm)
     p_norm.add_argument("--budget", type=int, default=200)
-    p_norm.add_argument("--seed", type=int, default=None)
+    p_norm.add_argument("--seed", type=int, default=0)
 
     p_test = sub.add_parser("testing", help="testing constants over a family")
     p_test.add_argument("--family", required=True)
@@ -148,14 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _suite_config(args) -> ExperimentConfig:
     """The config file's fields under the flags given, none that a sweep's
-    axes set; the master seed falls back to SPARSEBUMP_SEED when neither sets it."""
+    axes set."""
     data = json.loads(Path(args.config).read_text()) if args.config else {}
     if not isinstance(data, dict):
         raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
     if args.command == "sweep" and (axes := sorted(set(data) & set(_SWEEP_AXES))):
         raise ValueError(f"a sweep's --levels and --lambdas set leaf_level and lam; its config names {axes}")
-    if "master_seed" not in data and (seed := _env_seed()) is not None:
-        data["master_seed"] = seed
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     data.update((k, v) for k, v in vars(args).items() if k in fields and v is not None)
     return ExperimentConfig.from_dict(data)
@@ -183,11 +164,10 @@ def cli_main(argv=None) -> int:
             return 0
 
         if args.command == "norm":
-            seed = args.seed if args.seed is not None else (_env_seed() or 0)
-            if seed < 0:
-                raise ValueError(f"seed must be >= 0, got {seed}")
+            if args.seed < 0:
+                raise ValueError(f"seed must be >= 0, got {args.seed}")
             inst = _instance(args)
-            out = {"lower_bound": norm_lower_bound(inst, args.budget, seed=seed)}
+            out = {"lower_bound": norm_lower_bound(inst, args.budget, seed=args.seed)}
             if args.p == 2.0 and args.q == 2.0:
                 out["exact_l2"] = exact_norm_l2(inst)
             print(json.dumps(out, sort_keys=True))
@@ -227,6 +207,9 @@ def cli_main(argv=None) -> int:
         print(json.dumps({"violations": report.violations,
                           "aggregates": report.aggregates}, sort_keys=True, default=str))
         return 1 if report.violations else 0
+    except PowerIterationError as exc:
+        print(f"error: {exc}", file=sys.stderr)  # names the last two iterates
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -226,10 +226,11 @@ def _verify_instance(cfg: ExperimentConfig, i: int, eps_e: EntropyFunction,
 
     # a chain failing at any R fails the instance, even when it passes at the
     # root (the root is in `failed` when it fails there); its certified
-    # constant is (2 Sigma_eps/(1-lambda))^{1/q} (1/p' if dual)
+    # constant is (2 Sigma_eps/(1-lambda))^{1/q} (1/p' if dual), times the
+    # bump constant its trace was handed
     ok = not any(t.failed for t in (etrace, dtrace, de, dd))
-    ce_ratio = trep.T / (etrace.certified_constant * ebump.constants["E"])
-    cd_ratio = trep.T / (dtrace.certified_constant * dbump.constants["D"])
+    ce_ratio = trep.T / (etrace.certified_constant * etrace.bump_constant)
+    cd_ratio = trep.T / (dtrace.certified_constant * dtrace.bump_constant)
     ok = ok and ce_ratio <= tolerance and cd_ratio <= tolerance
 
     ok = ok and bool(np.all(ratios >= trep.per_R / tolerance))
@@ -241,8 +242,8 @@ def _verify_instance(cfg: ExperimentConfig, i: int, eps_e: EntropyFunction,
         leaf = _leaf_indicator_ratio(family, sigma, w, exps, family.cube(r))
         ok = ok and abs(ratios[r] - leaf) <= SLACK * leaf
 
-    ok = ok and trep.T_star <= de.certified_constant * ebump.constants["E_star_symmetric"] * tolerance
-    ok = ok and trep.T_star <= dd.certified_constant * dbump.constants["D_star"] * tolerance
+    ok = ok and trep.T_star <= de.certified_constant * de.bump_constant * tolerance
+    ok = ok and trep.T_star <= dd.certified_constant * dd.bump_constant * tolerance
 
     row = {
         "instance_id": i,

@@ -16,15 +16,16 @@ made it.
 Two reports compare field by field: text, integers and booleans exactly,
 floats within REL_TOL relative.  A field named `relative_error` is a
 rounding residue near 0 (a trace's stage (i) error), so it compares within
-REL_TOL absolute.  Bytes are not compared, since another BLAS build may
-move the last bits of a product where this one does not.  A CSV field is
-named by its column, a JSON field by its key path with list positions
-written as [].
+REL_TOL absolute.  A CSV field is named by its column, a JSON field by its
+key path with list positions written as [].  Bytes are compared only under
+the NumPy and Python versions that made the golden, since another BLAS
+build may move the last bits of a product where this one does not.
 
     python tests/golden/goldens.py           # largest relative change per field
     python tests/golden/goldens.py --write   # rewrite the goldens and MANIFEST.json
 
-The first exits 1 when a field differs by more than the comparison allows.
+The first exits 1 when a field differs by more than the comparison allows,
+or a golden's text differs under the NumPy and Python that made it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import gzip
 import io
 import json
 import math
-import os
 import platform
 import sys
 import tempfile
@@ -142,9 +142,9 @@ def command(stem: str) -> str:
 
 def run_line(stem: str, work: Path) -> dict[str, str]:
     """Per report file name, the text that this tree's line writes, run
-    in-process under `work`; SPARSEBUMP_SEED must be unset.  Raises when
-    the line exits nonzero, or when a norm line's lower bound exceeds its
-    exact L2 norm by more than NORM_SLACK relative."""
+    in-process under `work`.  Raises when the line exits nonzero, or when a
+    norm line's lower bound exceeds its exact L2 norm by more than
+    NORM_SLACK relative."""
     argv = list(LINES[stem])
     out = io.StringIO()
     d = _stored_dimension(stem)
@@ -229,11 +229,23 @@ def _change(want, got) -> float | None:
     return 0.0 if type(want) is type(got) and want == got else None
 
 
-def compare(name: str, want: str, got: str) -> tuple[dict[str, float], list[str]]:
+def _versions() -> dict[str, str]:
+    return {"numpy": np.__version__, "python": platform.python_version()}
+
+
+def recorded_here(name: str) -> bool:
+    """Whether the running NumPy and Python made the golden `name`, as
+    MANIFEST.json records."""
+    entry = json.loads(MANIFEST.read_text())[name]
+    return {key: entry[key] for key in ("numpy", "python")} == _versions()
+
+
+def compare(name: str, want: str, got: str, exact: bool = False) -> tuple[dict[str, float], list[str]]:
     """Per field, the largest relative change from the golden text `want`
     to `got` (absolute for a `relative_error`), and a line for each field
     that differs by more than the comparison allows (an exact field that
-    differs, or a float past REL_TOL)."""
+    differs, or a float past REL_TOL); with `exact`, also a line when the
+    texts differ."""
     if name.endswith(".csv"):
         pairs = zip(_csv_fields(want), _csv_fields(got))
         pairs = (((k, _cell(a)), (k2, _cell(b))) for (k, a), (k2, b) in pairs)
@@ -250,14 +262,15 @@ def compare(name: str, want: str, got: str) -> tuple[dict[str, float], list[str]
         if change is None or change > REL_TOL:
             failures.append(f"{name}: {key}: golden {a!r}, now {b!r}")
         largest[key] = max(largest.get(key, 0.0), math.inf if change is None else change)
+    if exact and got != want:
+        failures.append(f"{name}: the text differs from the golden made by this NumPy and Python")
     return largest, failures
 
 
 def write_goldens(reports: dict[str, str]) -> None:
     for name, text in reports.items():
         golden_path(name).write_bytes(gzip.compress(text.encode(), mtime=0))
-    made = {"numpy": np.__version__, "python": platform.python_version()}
-    files = {name: {"command": command(name.rsplit(".", 1)[0]), **made} for name in sorted(reports)}
+    files = {name: {"command": command(name.rsplit(".", 1)[0]), **_versions()} for name in sorted(reports)}
     MANIFEST.write_text(json.dumps(files, indent=2, sort_keys=True) + "\n")
 
 
@@ -265,8 +278,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--write", action="store_true", help="rewrite the goldens from this tree")
     args = parser.parse_args(argv)
-    if os.environ.get("SPARSEBUMP_SEED"):
-        parser.error("unset SPARSEBUMP_SEED: the suites without --seed would read it")
     reports = {}
     with tempfile.TemporaryDirectory() as work:
         for stem in LINES:
@@ -277,7 +288,7 @@ def main(argv=None) -> int:
         return 0
     failed = False
     for name, text in reports.items():
-        largest, failures = compare(name, read_golden(name), text)
+        largest, failures = compare(name, read_golden(name), text, exact=recorded_here(name))
         moved = {k: v for k, v in largest.items() if v > 0}
         print(f"{name}: {len(largest) - len(moved)} fields unchanged" + ("" if moved else ", none moved"))
         for key, change in sorted(moved.items(), key=lambda kv: -kv[1]):

@@ -2,10 +2,12 @@
 
 Each line reruns in-process and must give the golden report field by field:
 text, integers and booleans exactly, floats within 1e-13 relative (a
-trace's `relative_error`, a rounding residue, within 1e-13 absolute).  A
-trace line must also pass every stage, and a norm line's lower bound must
-not exceed its exact L2 norm by more than 1e-9 relative.  A change
-that moves a report past that rewrites the goldens with
+trace's `relative_error`, a rounding residue, within 1e-13 absolute).
+Under the NumPy and Python versions that MANIFEST.json records for a
+golden, its text must also be byte-identical.  A trace line must also pass
+every stage, and a norm line's lower bound must not exceed its exact L2
+norm by more than 1e-9 relative.  A change that moves a report past that
+rewrites the goldens with
 `python tests/golden/goldens.py --write` and states the change, which
 `python tests/golden/goldens.py` prints per field before the rewrite.
 """
@@ -35,10 +37,9 @@ def test_every_golden_has_its_command():
 
 
 @pytest.mark.parametrize("stem", goldens.LINES)
-def test_line_matches_its_golden(stem, tmp_path, monkeypatch):
-    monkeypatch.delenv("SPARSEBUMP_SEED", raising=False)
+def test_line_matches_its_golden(stem, tmp_path):
     for name, text in goldens.run_line(stem, tmp_path).items():
-        assert goldens.compare(name, goldens.read_golden(name), text)[1] == []
+        assert goldens.compare(name, goldens.read_golden(name), text, exact=goldens.recorded_here(name))[1] == []
 
 
 @pytest.mark.parametrize(("name", "want", "got", "failures"), [
@@ -77,10 +78,22 @@ def test_compare_fails_a_moved_inner_bound():
     assert len(goldens.compare(name, want, json.dumps(trace))[1]) == 1
 
 
+def test_exact_compare_fails_a_one_ulp_move():
+    # one float of a trace golden moved by one ulp: within the field
+    # comparison, but not byte-identical
+    name = "trace_d1_direct_root.json"
+    want = goldens.read_golden(name)
+    value = json.loads(want)["lhs_total"]
+    got = want.replace(repr(value), repr(math.nextafter(value, math.inf)), 1)
+    assert got != want
+    assert goldens.compare(name, want, got)[1] == []
+    assert goldens.compare(name, want, want, exact=True)[1] == []
+    assert len(goldens.compare(name, want, got, exact=True)[1]) == 1
+
+
 @pytest.mark.parametrize(("slack", "raises"), [(0.5e-9, False), (2e-9, True)])
 def test_norm_line_checks_its_bound(slack, raises, tmp_path, monkeypatch):
     # a lower bound past exact_l2 (1 + 1e-9) makes the norm line raise
-    monkeypatch.delenv("SPARSEBUMP_SEED", raising=False)
     monkeypatch.setattr(cli, "norm_lower_bound", lambda inst, budget, seed: cli.exact_norm_l2(inst) * (1 + slack))
     if raises:
         with pytest.raises(RuntimeError, match="exceeds exact_l2"):

@@ -361,7 +361,7 @@ def fixture_files(tmp_path):
 class TestCli:
     def test_constants_subcommand(self, fixture_files, capsys):
         wpath, _ = fixture_files
-        code = cli_main(["constants", "--weights", str(wpath),
+        code = cli_main(["constants", "--sigma", str(wpath), "--w", str(wpath),
                          "--p", "2", "--q", "4", "--alpha", "0", "--eps", "entropy:1"])
         assert code == 0
         out = json.loads(capsys.readouterr().out)
@@ -370,7 +370,7 @@ class TestCli:
 
     def test_constants_direct_eps(self, fixture_files, capsys):
         wpath, _ = fixture_files
-        code = cli_main(["constants", "--weights", str(wpath),
+        code = cli_main(["constants", "--sigma", str(wpath), "--w", str(wpath),
                          "--p", "2", "--q", "4", "--eps", "direct:1"])
         assert code == 0
         out = json.loads(capsys.readouterr().out)
@@ -378,7 +378,7 @@ class TestCli:
 
     def test_trace_subcommand_passes(self, fixture_files, capsys):
         wpath, fpath = fixture_files
-        code = cli_main(["trace", "--family", str(fpath), "--weights", str(wpath),
+        code = cli_main(["trace", "--family", str(fpath), "--sigma", str(wpath), "--w", str(wpath),
                          "--p", "2", "--q", "4", "--eps", "entropy:1"])
         assert code == 0
         out = json.loads(capsys.readouterr().out)
@@ -387,7 +387,7 @@ class TestCli:
 
     def test_trace_dual_flag(self, fixture_files, capsys):
         wpath, fpath = fixture_files
-        code = cli_main(["trace", "--family", str(fpath), "--weights", str(wpath),
+        code = cli_main(["trace", "--family", str(fpath), "--sigma", str(wpath), "--w", str(wpath),
                          "--p", "2", "--q", "4", "--eps", "direct:1", "--dual"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
@@ -396,8 +396,8 @@ class TestCli:
     def test_trace_runs_the_chain_of_the_eps_kind(self, fixture_files, capsys, cube):
         # a --kind flag defaulting to entropy used to override the eps kind
         wpath, fpath = fixture_files
-        argv = ["trace", "--family", str(fpath), "--weights", str(wpath), "--p", "2", "--q", "4",
-                "--eps", "direct:0.5"]
+        argv = ["trace", "--family", str(fpath), "--sigma", str(wpath), "--w", str(wpath),
+                "--p", "2", "--q", "4", "--eps", "direct:0.5"]
         assert cli_main(argv + (["--cube", cube] if cube else [])) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["kind"] == "direct" and out["eps"]["kind"] == "direct" and out["eps"]["delta"] == 0.5
@@ -408,12 +408,13 @@ class TestCli:
         # norm and testing take no eps, and the eps kind names the chain of a trace
         wpath, fpath = fixture_files
         value = "direct:7" if flag == "--eps" else "entropy"
-        assert cli_main([command, "--family", str(fpath), "--weights", str(wpath), flag, value]) == 2
+        argv = [command, "--family", str(fpath), "--sigma", str(wpath), "--w", str(wpath), flag, value]
+        assert cli_main(argv) == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_testing_subcommand(self, fixture_files, capsys):
         wpath, fpath = fixture_files
-        code = cli_main(["testing", "--family", str(fpath), "--weights", str(wpath),
+        code = cli_main(["testing", "--family", str(fpath), "--sigma", str(wpath), "--w", str(wpath),
                          "--p", "2", "--q", "4"])
         assert code == 0
         out = json.loads(capsys.readouterr().out)
@@ -423,10 +424,12 @@ class TestCli:
 
     @pytest.mark.parametrize("given", ([], ["--sigma"], ["--w"]))
     def test_testing_without_weights_exits_2(self, fixture_files, capsys, given):
+        # --sigma and --w are required: argparse names the ones missing
         wpath, fpath = fixture_files
         argv = ["testing", "--family", str(fpath)] + [x for flag in given for x in (flag, str(wpath))]
         assert cli_main(argv) == 2
-        assert capsys.readouterr().err == "error: need --weights or both --sigma and --w\n"
+        missing = ", ".join(flag for flag in ("--sigma", "--w") if flag not in given)
+        assert capsys.readouterr().err.endswith(f"error: the following arguments are required: {missing}\n")
 
     def test_testing_weights_on_two_grids_exit_2(self, fixture_files, tmp_path, capsys):
         wpath, fpath = fixture_files
@@ -439,7 +442,7 @@ class TestCli:
 
     def test_norm_subcommand_diagonal(self, fixture_files, capsys):
         wpath, fpath = fixture_files
-        code = cli_main(["norm", "--family", str(fpath), "--weights", str(wpath),
+        code = cli_main(["norm", "--family", str(fpath), "--sigma", str(wpath), "--w", str(wpath),
                          "--p", "2", "--q", "2", "--budget", "50"])
         assert code == 0
         out = json.loads(capsys.readouterr().out)
@@ -464,11 +467,22 @@ class TestCli:
         monkeypatch.setattr(SparseFamily, "exceptional_mass", counted_exceptional_mass)
         monkeypatch.setattr(Instance, "kernel", counted)
         wpath, fpath = fixture_files
-        code = cli_main(["norm", "--family", str(fpath), "--weights", str(wpath),
+        code = cli_main(["norm", "--family", str(fpath), "--sigma", str(wpath), "--w", str(wpath),
                          "--p", "2", "--q", "2", "--budget", "50"])
         assert code == 0
         assert "exact_l2" in json.loads(capsys.readouterr().out)
         assert calls == {"exceptional_mass": 2, "kernel": 1}
+
+    def test_norm_without_convergence_exits_1(self, fixture_files, capsys, l2_stop):
+        # the power iteration's error used to escape cli_main
+        l2_stop(0.0, steps=2)
+        wpath, fpath = fixture_files
+        code = cli_main(["norm", "--family", str(fpath), "--sigma", str(wpath), "--w", str(wpath),
+                         "--p", "2", "--q", "2", "--budget", "2"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert re.fullmatch(r"error: power iteration did not converge \(last iterates: \S+, \S+\)\n", err)
 
     def test_verify_bounds_writes_reports(self, tmp_path, capsys):
         code = cli_main(["verify-bounds", "--instances", "2", "--leaf-level", "5",
@@ -533,7 +547,7 @@ class TestCli:
 
     def test_delta_past_the_margins_range_in_eps_exits_2(self, fixture_files, capsys):
         wpath, _ = fixture_files
-        assert cli_main(["constants", "--weights", str(wpath), "--eps", "direct:1000"]) == 2
+        assert cli_main(["constants", "--sigma", str(wpath), "--w", str(wpath), "--eps", "direct:1000"]) == 2
         assert "argument --eps: need delta <= 10" in capsys.readouterr().err
 
     def test_delta_at_the_bound_runs(self, tmp_path, capsys):
@@ -558,14 +572,14 @@ class TestCli:
 
     def test_testing_at_p_equal_q_reports_extended(self, fixture_files, capsys):
         wpath, fpath = fixture_files
-        assert cli_main(["testing", "--family", str(fpath), "--weights", str(wpath),
+        assert cli_main(["testing", "--family", str(fpath), "--sigma", str(wpath), "--w", str(wpath),
                          "--p", "2", "--q", "2"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["mode"] == "extended" and out["extended_warning"] is True
 
     def test_infinite_eps_delta_exits_2(self, fixture_files, capsys):
         wpath, _ = fixture_files
-        assert cli_main(["constants", "--weights", str(wpath), "--eps", "entropy:inf"]) == 2
+        assert cli_main(["constants", "--sigma", str(wpath), "--w", str(wpath), "--eps", "entropy:inf"]) == 2
         assert "argument --eps: need a finite delta > 0, got inf" in capsys.readouterr().err
 
     def test_cube_of_another_dimension_exits_2(self, fixture_files, tmp_path, capsys):
@@ -573,7 +587,7 @@ class TestCli:
         fpath = tmp_path / "mixed.json"
         fpath.write_text(json.dumps({"dimension": 1, "leaf_level": 4, "lambda": 0.5,
                                      "root": "0:0", "cubes": ["0:0", "1:(0,0)"]}))
-        code = cli_main(["testing", "--family", str(fpath), "--weights", str(wpath)])
+        code = cli_main(["testing", "--family", str(fpath), "--sigma", str(wpath), "--w", str(wpath)])
         assert code == 2
         assert "error: cube 1:(0,0) is not of dimension 1" in capsys.readouterr().err
 
@@ -618,7 +632,7 @@ class TestCli:
         if which in ("config", "sweep"):
             argv = ["verify-bounds" if which == "config" else "sweep", "--config", paths[which], *flags]
         else:
-            argv = ["testing", "--family", paths["family"], "--weights", paths["weights"]]
+            argv = ["testing", "--family", paths["family"], "--sigma", paths["weights"], "--w", paths["weights"]]
         assert cli_main(argv) == 2
         assert capsys.readouterr().err == f"error: {problem}\n"
 
@@ -632,21 +646,10 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_env_seed_default(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SPARSEBUMP_SEED", "123")
-        cli_main(["verify-bounds", "--instances", "1", "--leaf-level", "5",
-                  "--target-size", "8", "--budget", "2", "--out-dir", str(tmp_path / "a")])
-        monkeypatch.delenv("SPARSEBUMP_SEED")
-        cli_main(["verify-bounds", "--instances", "1", "--leaf-level", "5",
-                  "--target-size", "8", "--budget", "2", "--seed", "123",
-                  "--out-dir", str(tmp_path / "b")])
-        a = (tmp_path / "a" / "verify_bounds.csv").read_text()
-        b = (tmp_path / "b" / "verify_bounds.csv").read_text()
-        assert a == b
-
     def test_norm_negative_budget_exits_2(self, fixture_files, capsys):
         wpath, fpath = fixture_files
-        code = cli_main(["norm", "--family", str(fpath), "--weights", str(wpath), "--budget", "-1"])
+        code = cli_main(["norm", "--family", str(fpath), "--sigma", str(wpath), "--w", str(wpath),
+                         "--budget", "-1"])
         assert code == 2
         assert "budget must be >= 0" in capsys.readouterr().err
 
@@ -745,10 +748,25 @@ class TestSuiteFlags:
                                    if name not in NOT_READ[command]}
             assert _options(command) == want and len(want) == 15
 
+    def test_every_subcommand_has_its_options(self):
+        # one option per input: a second setter of an input shows here
+        weights = {"--sigma", "--w"}
+        exponents = {"--p", "--q", "--alpha"}
+        want = {
+            "constants": weights | exponents | {"--eps"},
+            "norm": {"--family"} | weights | exponents | {"--budget", "--seed"},
+            "testing": {"--family"} | weights | exponents,
+            "trace": {"--family"} | weights | exponents | {"--cube", "--dual", "--eps"},
+            "counterexample": {"--levels", "--delta", "--out-dir"},
+        }
+        assert {command: len(options) for command, options in want.items()} == {
+            "constants": 6, "norm": 8, "testing": 6, "trace": 9, "counterexample": 3}
+        for command, options in want.items():
+            assert _options(command) == options
+
     @pytest.mark.parametrize("command", ("verify-bounds", "sweep"))
     @pytest.mark.parametrize("name", list(SUITE_FLAGS))
-    def test_every_field_has_a_flag(self, monkeypatch, capsys, command, name):
-        monkeypatch.delenv("SPARSEBUMP_SEED", raising=False)
+    def test_every_field_has_a_flag(self, capsys, command, name):
         flag, text, value = SUITE_FLAGS[name]
         if name in NOT_READ[command]:
             assert cli_main([command, flag, text, "--instances", "0"]) == 2
@@ -765,16 +783,15 @@ class TestSuiteFlags:
         assert getattr(cfg, name) == value
         assert cfg == dataclasses.replace(ExperimentConfig(), **{name: value})
 
-    def test_flag_over_file_over_environment(self, tmp_path, monkeypatch):
+    def test_flag_over_file_over_environment(self, tmp_path):
+        # a flag wins over the --config file, and the file over
+        # ExperimentConfig's default; the environment has no say
         path = tmp_path / "suite.json"
         path.write_text(json.dumps({"master_seed": 5, "instances": 4}))
-        monkeypatch.setenv("SPARSEBUMP_SEED", "9")
-        assert _suite_cfg("verify-bounds").master_seed == 9
         assert _suite_cfg("verify-bounds", "--config", str(path)).master_seed == 5
         cfg = _suite_cfg("sweep", "--config", str(path), "--seed", "3", "--instances", "2")
         assert (cfg.master_seed, cfg.instances) == (3, 2)
         assert _suite_cfg("verify-bounds", "--seed", "3").master_seed == 3
-        monkeypatch.delenv("SPARSEBUMP_SEED")
         assert _suite_cfg("verify-bounds").master_seed == ExperimentConfig().master_seed
 
     @pytest.mark.parametrize("command", ("verify-bounds", "sweep"))
@@ -790,41 +807,26 @@ class TestSuiteFlags:
 
 
 class TestSeeds:
-    """A negative master seed, or a SPARSEBUMP_SEED that is no int, exits 2
-    naming it before any instance is built."""
+    """A negative seed exits 2 naming it before any instance is built."""
 
-    @pytest.mark.parametrize("argv,env,message", [
-        (["verify-bounds", "--seed", "-1", "--instances", "0"], None, "master_seed must be >= 0, got -1"),
-        (["verify-bounds", "--seed", "-1", "--instances", "1"], None, "master_seed must be >= 0, got -1"),
-        (["sweep", "--seed", "-3", "--instances", "1"], None, "master_seed must be >= 0, got -3"),
-        (["verify-bounds", "--instances", "1"], "-2", "master_seed must be >= 0, got -2"),
-        (["verify-bounds", "--instances", "1"], "abc", "SPARSEBUMP_SEED must be an int, got 'abc'"),
-        (["sweep", "--instances", "1"], "abc", "SPARSEBUMP_SEED must be an int, got 'abc'"),
-    ], ids=("verify-flag-0", "verify-flag-1", "sweep-flag", "verify-env-negative", "verify-env-str",
-            "sweep-env-str"))
-    def test_suite_seed(self, monkeypatch, capsys, argv, env, message):
-        monkeypatch.delenv("SPARSEBUMP_SEED", raising=False)
-        if env is not None:
-            monkeypatch.setenv("SPARSEBUMP_SEED", env)
+    @pytest.mark.parametrize("argv,message", [
+        (["verify-bounds", "--seed", "-1", "--instances", "0"], "master_seed must be >= 0, got -1"),
+        (["verify-bounds", "--seed", "-1", "--instances", "1"], "master_seed must be >= 0, got -1"),
+        (["sweep", "--seed", "-3", "--instances", "1"], "master_seed must be >= 0, got -3"),
+    ], ids=("verify-flag-0", "verify-flag-1", "sweep-flag"))
+    def test_suite_seed(self, monkeypatch, capsys, argv, message):
         built = []
         monkeypatch.setattr(lab, "build_instance", lambda *args: built.append(args))
         assert cli_main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert built == []
 
-    @pytest.mark.parametrize("flags,env,message", [
-        (["--seed", "-1"], None, "seed must be >= 0, got -1"),
-        ([], "-1", "seed must be >= 0, got -1"),
-        ([], "abc", "SPARSEBUMP_SEED must be an int, got 'abc'"),
-    ], ids=("flag", "env-negative", "env-str"))
-    def test_norm_seed(self, fixture_files, monkeypatch, capsys, flags, env, message):
-        monkeypatch.delenv("SPARSEBUMP_SEED", raising=False)
-        if env is not None:
-            monkeypatch.setenv("SPARSEBUMP_SEED", env)
+    @pytest.mark.parametrize("flags,message", [(["--seed", "-1"], "seed must be >= 0, got -1")], ids=("flag",))
+    def test_norm_seed(self, fixture_files, monkeypatch, capsys, flags, message):
         calls = []
         monkeypatch.setattr(cli, "norm_lower_bound", lambda *args, **kwargs: calls.append(args))
         wpath, fpath = fixture_files
-        assert cli_main(["norm", "--family", str(fpath), "--weights", str(wpath), *flags]) == 2
+        assert cli_main(["norm", "--family", str(fpath), "--sigma", str(wpath), "--w", str(wpath), *flags]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert calls == []
 
